@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import pair_cosines
 from .errors import ContractError
 from .graphs import (LabeledGraph, heterophily_ratio, normalized_eigenvectors,
                      normalized_laplacian, operator_distance, perturb_laplacian,
@@ -44,13 +45,11 @@ def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]
     i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
     j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
 
-    def row_cos(m, a, b):
-        u, v = m[a], m[b]
-        return np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1)
-                                        * np.linalg.norm(v, axis=1))
+    def row_cos(m):
+        return pair_cosines(m, m, i_idx, j_idx, "prop1_check")[0]
 
     eps = np.linalg.norm(y - yhat, axis=1)
-    lhs = np.abs(row_cos(y, i_idx, j_idx) - row_cos(yhat, i_idx, j_idx))
+    lhs = np.abs(row_cos(y) - row_cos(yhat))
     rhs = 2.0 * np.sqrt(c) * (eps[i_idx] + eps[j_idx])
     return [PairBoundRecord(float(l), float(r), bool(l <= r + 1e-12))
             for l, r in zip(lhs, rhs)]
@@ -137,18 +136,6 @@ class SimilarityHistogram:
         return self.intra_mean - self.inter_mean
 
 
-def _pair_cosines(vectors, i_idx, j_idx):
-    u, v = vectors[i_idx], vectors[j_idx]
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    zero = (nu == 0) | (nv == 0)
-    if np.any(zero):
-        k = int(np.argmax(zero))
-        bad = int(i_idx[k]) if nu[k] == 0 else int(j_idx[k])
-        raise ContractError(f"similarity_histogram: zero-norm row {bad}")
-    return np.sum(u * v, axis=1) / (nu * nv)
-
-
 def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
                          max_pairs: int = 20000, bins: int = 50,
                          seed: int = 0) -> SimilarityHistogram:
@@ -185,12 +172,16 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
         inter_i, inter_j = inter_i[pick], inter_j[pick]
         sampling = f"sampled:{max_pairs}"
 
+    def cosines(i, j):
+        if not i.size:
+            return np.array([])
+        # tolerate 1-ulp overshoot from rounding
+        return np.clip(pair_cosines(vectors, vectors, i, j, "similarity_histogram")[0],
+                       -1.0, 1.0)
+
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    intra_cos = _pair_cosines(vectors, intra_i, intra_j) if intra_i.size else np.array([])
-    inter_cos = _pair_cosines(vectors, inter_i, inter_j) if inter_i.size else np.array([])
-    # tolerate 1-ulp overshoot from rounding
-    intra_cos = np.clip(intra_cos, -1.0, 1.0)
-    inter_cos = np.clip(inter_cos, -1.0, 1.0)
+    intra_cos = cosines(intra_i, intra_j)
+    inter_cos = cosines(inter_i, inter_j)
     return SimilarityHistogram(
         bin_edges=edges,
         intra_counts=np.histogram(intra_cos, bins=edges)[0],

@@ -363,6 +363,24 @@ def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> tuple[Tensor,
     return loss, probs
 
 
+def pair_cosines(a: np.ndarray, b: np.ndarray, i_idx, j_idx, what: str):
+    """Cosine similarity of rows a[i] and b[j] per pair, in plain numpy.
+
+    Returns (cos, u, v, nu, nv): the gathered rows and their norms come
+    back for callers that differentiate.  A zero-norm row raises a
+    ContractError naming ``what`` and the row.
+    """
+    u, v = a[i_idx], b[j_idx]
+    nu = np.linalg.norm(u, axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    zero = (nu == 0) | (nv == 0)
+    if np.any(zero):
+        k = int(np.argmax(zero))
+        bad = int(i_idx[k]) if nu[k] == 0 else int(j_idx[k])
+        raise ContractError(f"{what}: zero-norm row {bad}")
+    return np.sum(u * v, axis=1) / (nu * nv), u, v, nu, nv
+
+
 def cosine_rows(a: Tensor, b: Tensor, pairs) -> Tensor:
     """Cosine similarity of a[i] and b[j] per pair (i, j), as a column vector.
 
@@ -375,23 +393,14 @@ def cosine_rows(a: Tensor, b: Tensor, pairs) -> Tensor:
         raise DimensionError("cosine_rows: pair index arrays differ in length")
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"cosine_rows: widths differ, {a.shape} vs {b.shape}")
-    u = a.data[i_idx]
-    v = b.data[j_idx]
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    for norms, idx in ((nu, i_idx), (nv, j_idx)):
-        zero = norms == 0.0
-        if np.any(zero):
-            raise ContractError(
-                f"cosine_rows: zero-norm row {int(idx[np.argmax(zero)])}")
-    denom = nu * nv
-    c = np.sum(u * v, axis=1) / denom
+    c, u, v, nu, nv = pair_cosines(a.data, b.data, i_idx, j_idx, "cosine_rows")
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
         gv = g[:, 0]
-        du = (v / denom[:, None] - (c / (nu * nu))[:, None] * u) * gv[:, None]
-        dv = (u / denom[:, None] - (c / (nv * nv))[:, None] * v) * gv[:, None]
+        denom = (nu * nv)[:, None]
+        du = (v / denom - (c / (nu * nu))[:, None] * u) * gv[:, None]
+        dv = (u / denom - (c / (nv * nv))[:, None] * v) * gv[:, None]
         ga = gb = None
         if a.requires_grad:
             ga = np.zeros(a_shape)

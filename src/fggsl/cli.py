@@ -119,12 +119,17 @@ def _resolve_config(args):
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{args.config}: expected a JSON object")
         unknown = set(raw) - CONFIG_KEYS
         if unknown:
             raise ValidationError(
                 f"{args.config}: unknown config keys {sorted(unknown)}")
         if "feature_normalize" in raw:
-            normalize = bool(raw.pop("feature_normalize"))
+            normalize = raw.pop("feature_normalize")
+            if not isinstance(normalize, bool):
+                raise ValidationError(
+                    f"feature_normalize={normalize!r} is not a valid bool")
         if "candidate" in raw:
             mode, k = _parse_candidate(str(raw.pop("candidate")))
             values["candidate_mode"] = mode

@@ -1,8 +1,8 @@
 """Graph data structures, normalized Laplacians, heterophily metrics, and
 dense symmetric eigendecomposition.
 
-All matrices are dense float64.  The eigensolver is a cyclic Jacobi
-iteration; it is only used on analysis paths, never inside training.
+All matrices are dense float64.  The eigensolver wraps LAPACK ``eigh``;
+it is only used on analysis paths, never inside training.
 """
 
 from __future__ import annotations
@@ -127,81 +127,21 @@ def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray,
     return float(np.mean(y[iu[on]] != y[ju[on]]))
 
 
-def _tournament_rounds(n: int):
-    """Round-robin schedule covering every index pair once in n-1 rounds
-    of pairwise-disjoint pairs (odd n gets a bye via a dummy player)."""
-    m = n + (n & 1)
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [(players[k], players[m - 1 - k]) for k in range(m // 2)]
-        pairs = [(min(i, j), max(i, j)) for i, j in pairs if i < n and j < n]
-        p_arr = np.array([p for p, _ in pairs], dtype=np.intp)
-        q_arr = np.array([q for _, q in pairs], dtype=np.intp)
-        rounds.append((p_arr, q_arr))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
+    """LAPACK eigendecomposition (``np.linalg.eigh``) of a symmetric matrix.
 
-
-def symmetric_eig(m: np.ndarray, tol: float = 1e-10,
-                  max_sweeps: int = 50) -> SpectralDecomposition:
-    """Jacobi eigendecomposition of a symmetric matrix.
-
-    Each sweep visits every index pair once, in tournament order so the
-    disjoint rotations of one round apply as a single batched update.
-    Sweeps repeat until the largest off-diagonal drops below ``tol``;
-    raises NumericError if that does not happen within ``max_sweeps``.
+    Raises NumericError on non-finite entries, which would otherwise come
+    back as NaN eigenvalues, and when LAPACK fails to converge.
     """
     a = np.asarray(m, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise NumericError("symmetric_eig: matrix has NaN/Inf entries")
     _check_symmetric(a, "symmetric_eig")
-    n = a.shape[0]
-    a = a.copy()
-    u = np.eye(n)
-    if n <= 1:
-        return SpectralDecomposition(np.diag(a).copy(), u)
-
-    def max_offdiag():
-        off = np.abs(a - np.diag(np.diag(a)))
-        return off.max()
-
-    rounds = _tournament_rounds(n)
-    converged = max_offdiag() < tol
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p_all, q_all in rounds:
-            apq = a[p_all, q_all]
-            active = apq != 0.0
-            if not np.any(active):
-                continue
-            p_arr, q_arr = p_all[active], q_all[active]
-            apq = apq[active]
-            theta = (a[q_arr, q_arr] - a[p_arr, p_arr]) / (2.0 * apq)
-            t = np.where(theta >= 0, 1.0, -1.0) / (np.abs(theta)
-                                                   + np.hypot(theta, 1.0))
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # pairs are disjoint, so J = product of these rotations and
-            # A <- J^T A J splits into one column pass plus one row pass
-            cols_p, cols_q = a[:, p_arr], a[:, q_arr]
-            a[:, p_arr] = c * cols_p - s * cols_q
-            a[:, q_arr] = s * cols_p + c * cols_q
-            rows_p, rows_q = a[p_arr, :], a[q_arr, :]
-            a[p_arr, :] = c[:, None] * rows_p - s[:, None] * rows_q
-            a[q_arr, :] = s[:, None] * rows_p + c[:, None] * rows_q
-            a[p_arr, q_arr] = 0.0
-            a[q_arr, p_arr] = 0.0
-            ucols_p, ucols_q = u[:, p_arr], u[:, q_arr]
-            u[:, p_arr] = c * ucols_p - s * ucols_q
-            u[:, q_arr] = s * ucols_p + c * ucols_q
-        converged = max_offdiag() < tol
-    if not converged:
-        raise NumericError(
-            f"symmetric_eig: off-diagonals above {tol:.0e} after {max_sweeps} sweeps")
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return SpectralDecomposition(values[order], u[:, order])
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric_eig: {exc}") from exc
+    return SpectralDecomposition(values, vectors)
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -250,13 +190,6 @@ def normalized_eigenvectors(m: np.ndarray) -> np.ndarray:
     repeated eigenvalues; this convention makes ||U - V||_2 well-defined.
     """
     return _sign_normalize(symmetric_eig(m).eigenvectors)
-
-
-def eigenvector_misalignment(l: np.ndarray, e: np.ndarray) -> float:
-    """(||U - V||_2 + 1)^2 - 1 for sign/order-normalized eigenvector bases."""
-    u = normalized_eigenvectors(l)
-    v = normalized_eigenvectors(e)
-    return (spectral_norm(u - v) + 1.0) ** 2 - 1.0
 
 
 def perturb_laplacian(l: np.ndarray, magnitude: float, seed: int,

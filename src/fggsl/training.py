@@ -10,6 +10,8 @@ and may run in parallel processes.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,6 +28,10 @@ from .errors import ContractError, NumericError, ValidationError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# annotation -> accepted runtime types; an int is a valid float
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str,
+                "bool": bool}
 
 
 @dataclass
@@ -46,14 +52,23 @@ class TrainConfig:
     true_labels_on_train: bool = False
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, so it passes only a bool field
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _FIELD_TYPES[f.type])
+                    or (f.type == "float" and not math.isfinite(value))):
+                raise ValidationError(f"{f.name}={value!r} is not a valid {f.type}")
+        for name in ("weight_decay", "patience", "alpha", "beta", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name}={getattr(self, name)} must be >= 0")
+        if self.mask_dim < 1:
+            raise ValidationError(f"mask_dim={self.mask_dim} must be >= 1")
         if self.lr <= 0:
             raise ValidationError(f"lr={self.lr} must be > 0")
         if self.patience > self.epochs_max:
             raise ValidationError(
                 f"patience={self.patience} exceeds epochs_max={self.epochs_max}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValidationError(
-                f"alpha={self.alpha}, beta={self.beta} must be >= 0")
         if self.variant not in fm.VARIANTS:
             raise ValidationError(f"variant={self.variant!r} not in {fm.VARIANTS}")
         if self.kernel_mode not in fm.KERNEL_MODES:
@@ -112,12 +127,6 @@ class Adam:
             if name in self.decay_names and self.weight_decay:
                 p.data = p.data - self.lr * self.weight_decay * p.data
         self.last_update_scale = scale
-
-
-def adam_step(params: ParameterSet, state: Adam):
-    """Single optimizer step over accumulated gradients."""
-    state.step()
-    return params, state
 
 
 def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray, index_set) -> float:
@@ -190,6 +199,14 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels, val_idx) ->
             "max_update_scale": max_update_scale}
 
 
+def _result_row(fit: dict, started: float, probs, labels, test_idx,
+                audit: dict | None = None) -> dict:
+    """One split's report row: test accuracy of ``probs``, the ``_fit``
+    summary, wall time since ``started`` and the learned-edge audit."""
+    return {"test_acc": accuracy_from_probs(probs, labels, test_idx), **fit,
+            "seconds": time.perf_counter() - started, "audit": audit}
+
+
 def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     """Train one model on one (train, val, test) split; returns (model, row)."""
     config.validate()
@@ -206,32 +223,16 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
             true_labels_on_train=config.true_labels_on_train)
         return loss, breakdown, fwd.yhat.data
 
-    def eval_fn():
-        with ad.no_grad():
-            return fm.forward(net, ad.constant(graph.features), a_f).yhat.data
-
     started = time.perf_counter()
     fit = _fit(step_fn, net.params, config, graph.labels, val_idx)
-    probs = eval_fn()
-    test_acc = accuracy_from_probs(probs, graph.labels, test_idx)
+    with ad.no_grad():
+        fwd = fm.forward(net, ad.constant(graph.features), a_f)
     audit = None
     if config.variant != "NM":
-        with ad.no_grad():
-            fwd = fm.forward(net, ad.constant(graph.features), a_f)
         w1 = fwd.w1.data if fwd.w1 is not None else None
         w2 = fwd.w2.data if fwd.w2 is not None else None
         audit = dataclasses.asdict(learned_edge_audit(w1, w2, graph.labels))
-    row = {
-        "test_acc": test_acc,
-        "best_epoch": fit["best_epoch"],
-        "best_val_acc": fit["best_val_acc"],
-        "epochs_run": fit["epochs_run"],
-        "seconds": time.perf_counter() - started,
-        "curves": fit["curves"],
-        "max_update_scale": fit["max_update_scale"],
-        "audit": audit,
-    }
-    return net, row
+    return net, _result_row(fit, started, fwd.yhat.data, graph.labels, test_idx, audit)
 
 
 def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
@@ -255,18 +256,7 @@ def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
 
     started = time.perf_counter()
     fit = _fit(step_fn, net.params, config, graph.labels, val_idx)
-    test_acc = accuracy_from_probs(eval_fn(), graph.labels, test_idx)
-    row = {
-        "test_acc": test_acc,
-        "best_epoch": fit["best_epoch"],
-        "best_val_acc": fit["best_val_acc"],
-        "epochs_run": fit["epochs_run"],
-        "seconds": time.perf_counter() - started,
-        "curves": fit["curves"],
-        "max_update_scale": fit["max_update_scale"],
-        "audit": None,
-    }
-    return net, row
+    return net, _result_row(fit, started, eval_fn(), graph.labels, test_idx)
 
 
 class MlpModel:

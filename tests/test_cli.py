@@ -105,6 +105,33 @@ def test_train_unknown_config_key_exits_1(tiny_dataset, tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"lr": "abc"}, "lr"),
+    ({"epochs_max": "5"}, "epochs_max"),
+    ({"mask_dim": 0}, "mask_dim"),
+    ({"alpha": True}, "alpha"),
+    ({"feature_normalize": "no"}, "feature_normalize"),
+])
+def test_train_malformed_config_value_exits_1(tiny_dataset, tmp_path, capsys,
+                                              overrides, field):
+    cfg = _write_config(tmp_path, **overrides)
+    code = run_cli("train", "--config", cfg, "--data", tiny_dataset,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+    assert "Traceback" not in err
+
+
+def test_train_config_not_an_object_exits_1(tiny_dataset, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    code = run_cli("train", "--config", str(path), "--data", tiny_dataset,
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_train_idempotent_outputs(tiny_dataset, tmp_path):
     cfg = _write_config(tmp_path)
     outs = []
@@ -195,6 +222,15 @@ def test_analyze_stability(tmp_path):
     assert code == 0
     doc = json.loads((out / "stability.json").read_text(encoding="utf-8"))
     assert doc["all_hold"] is True
+
+
+def test_analyze_stability_nan_epsilon_exits_2(tmp_path, capsys):
+    code = run_cli("analyze", "stability", "--out", str(tmp_path / "st"),
+                   "--n", "10", "--trials", "1", "--J", "2", "--epsilons", "nan")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric failure:")
+    assert "Traceback" not in err
 
 
 def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):

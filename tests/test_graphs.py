@@ -179,10 +179,12 @@ def test_eig_rejects_asymmetric():
         graphs.symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_eig_sweep_cap_raises():
-    rng = np.random.default_rng(8)
-    with pytest.raises(NumericError):
-        graphs.symmetric_eig(_sym(rng, 5), max_sweeps=0)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_non_finite_raises_numeric(bad):
+    m = _sym(np.random.default_rng(8), 5)
+    m[1, 3] = m[3, 1] = bad
+    with pytest.raises(NumericError, match="symmetric_eig"):
+        graphs.symmetric_eig(m)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from fggsl import autodiff as ad
 from fggsl import datasets, training
+from fggsl import model as fm
 from fggsl.errors import ContractError, NumericError, ValidationError
 
 
@@ -118,6 +119,26 @@ def test_patience_zero_runs_one_epoch():
     cfg = _fast_config(patience=0, epochs_max=50)
     _, row = training.train_single_split(bundle, bundle.graph.splits[0], cfg)
     assert row["epochs_run"] == 1
+
+
+def test_single_split_makes_one_forward_after_training(monkeypatch):
+    bundle = _bundle(seed=2)
+    split = bundle.graph.splits[0]
+    calls = []
+    forward = fm.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(fm, "forward", counted)
+    cfg = _fast_config(epochs_max=5, patience=5)
+    net, row = training.train_single_split(bundle, split, cfg)
+    assert len(calls) == row["epochs_run"] + 1
+    monkeypatch.undo()
+    a_f = datasets.candidate_graph(bundle.graph, "full")
+    assert row["test_acc"] == training.evaluate(net, bundle, split[2], a_f)
+    assert row["audit"] is not None
 
 
 def test_separable_synthetic_reaches_full_train_accuracy():
@@ -290,6 +311,21 @@ def test_config_rejects_bad_values():
         training.TrainConfig(alpha=-0.5).validate()
     with pytest.raises(ValidationError):
         training.TrainConfig(variant="nope").validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", "abc"), ("epochs_max", "5"), ("epochs_max", 5.0), ("seed", True),
+    ("true_labels_on_train", 1), ("variant", None), ("mask_dim", 0),
+    ("lr", float("nan")), ("alpha", float("inf")), ("weight_decay", -5.0),
+    ("patience", -1), ("seed", -1),
+])
+def test_config_rejects_malformed_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        training.TrainConfig(**{field: value}).validate()
+
+
+def test_config_accepts_int_for_float_fields():
+    training.TrainConfig(lr=1, alpha=0, beta=2, seed=np.int64(3)).validate()
 
 
 def test_result_serialization_round_trip():
