@@ -3,8 +3,9 @@ cosine-similarity distributions, spectral-response tables, and audits of
 learned edge masks.
 
 The stability probe builds its filter matrices from an explicit
-eigendecomposition (never from the training-time matrix-power path), so
-it doubles as an independent oracle for the filter implementation.
+eigendecomposition (never from the repeated products with T that
+``model.filter_apply`` and training use), so it doubles as an
+independent oracle for the filter implementation.
 """
 
 from __future__ import annotations

@@ -145,6 +145,16 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+@contextlib.contextmanager
+def tape_scope():
+    """Scope one forward/backward step: the tape is empty when the block
+    exits, also when it raises after recording nodes."""
+    try:
+        yield
+    finally:
+        _TAPE.clear()
+
+
 def _emit(value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(value)
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
@@ -245,8 +255,8 @@ def transpose(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # split by sign so exp never overflows
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _emit(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -287,6 +297,29 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
             for k in range(len(parts)))
 
     return _emit(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp)
+
+
+def block(a: Tensor, rows: tuple[int, int] | None = None,
+          cols: tuple[int, int] | None = None) -> Tensor:
+    """The sub-block a[r0:r1, c0:c1]; ``None`` takes every row or column.
+
+    Backward pads the gradient with zeros to the shape of ``a``.
+    """
+    bounds = []
+    for span, dim, what in ((rows, a.shape[0], "rows"), (cols, a.shape[1], "cols")):
+        lo, hi = (0, dim) if span is None else span
+        if not 0 <= lo < hi <= dim:
+            raise DimensionError(f"block: {what} {lo}:{hi} outside 0:{dim}")
+        bounds.append(slice(lo, hi))
+    r, c = bounds
+    shape = a.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[r, c] = g
+        return (out,)
+
+    return _emit(a.data[r, c].copy(), (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:

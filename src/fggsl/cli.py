@@ -30,6 +30,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _seed(value: str) -> int:
+    """``--seed`` type: numpy's generators accept only integers >= 0."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} must be >= 0")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fggsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -38,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (unknown keys rejected)")
         p.add_argument("--data", help="dataset directory (nodes.tsv/edges.tsv/splits)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="base random seed")
+        p.add_argument("--seed", type=_seed, help="base random seed")
         p.add_argument("--variant", choices=["full", "NM", "FBL", "FBH"])
         p.add_argument("--kernel-mode", choices=["fig3", "verbatim"])
         p.add_argument("--candidate", help="candidate graph: full, given, or knn:K")
@@ -62,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--data")
     p_an.add_argument("--checkpoint")
     p_an.add_argument("--candidate", default="full")
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--seed", type=_seed, default=0)
     p_an.add_argument("--J", type=int, default=4, dest="j_max")
     p_an.add_argument("--kernel-mode", choices=["fig3", "verbatim"], default="fig3")
     p_an.add_argument("--grid", type=int, default=200)
@@ -83,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--intra-p", type=float, default=0.01)
     p_gen.add_argument("--inter-p", type=float, default=0.2)
     p_gen.add_argument("--noise", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--splits", type=int, default=10)
     return parser
 
@@ -329,8 +340,8 @@ def _cmd_analyze(args) -> int:
             mode, k = _parse_candidate(args.candidate)
             a_f = candidate_graph(bundle.graph, mode, k=k)
             with ad.no_grad():
-                vectors = fm.forward(net, ad.constant(bundle.graph.features),
-                                     a_f).h.data
+                vectors = fm.embedding(net, ad.constant(bundle.graph.features),
+                                       a_f).data
             source = "embedding"
         else:
             vectors = bundle.graph.features

@@ -15,7 +15,7 @@ rather than bundled.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,16 +36,27 @@ class DatasetBundle:
 
 @dataclass
 class CandidateGraph:
-    """Binary symmetric edge superset the masks select from."""
+    """Binary symmetric edge superset the masks select from.
+
+    The adjacency is not to be changed after construction: the edge list
+    is built from it once, on first use.
+    """
 
     adjacency: np.ndarray
     mode: str
+    _pairs: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle (i, j) index arrays of candidate edges."""
-        iu, ju = np.triu_indices(self.adjacency.shape[0], k=1)
-        on = self.adjacency[iu, ju] > 0
-        return iu[on], ju[on]
+        """Upper-triangle (i, j) index arrays of candidate edges, read-only."""
+        if self._pairs is None:
+            iu, ju = np.triu_indices(self.adjacency.shape[0], k=1)
+            on = self.adjacency[iu, ju] > 0
+            pairs = iu[on], ju[on]
+            for idx in pairs:
+                idx.flags.writeable = False
+            self._pairs = pairs
+        return self._pairs
 
     @property
     def num_edges(self) -> int:

@@ -3,14 +3,20 @@
 Two sigmoid mask networks carve a homophilic and a heterophilic weighted
 graph out of a candidate edge set; a low-pass diffusion filter bank runs
 on the first graph and a high-pass bank on the second.  Concatenated
-filter responses feed one linear layer + softmax.  The training
-objective adds two label-similarity structural penalties to the
-cross-entropy so the masks are pushed toward genuinely homophilic /
-heterophilic edge sets.
+filter responses feed one linear layer + softmax.  The layer is linear,
+so ``forward`` applies it first and pushes n x (J-1)C blocks through the
+banks; ``embedding`` builds the filter responses themselves on demand.
+The training objective adds two label-similarity structural penalties
+to the cross-entropy so the masks are pushed toward genuinely
+homophilic / heterophilic edge sets.
+
+Every kernel is a polynomial in one n x n operator T, applied to a block
+by repeated products T @ Y; no n x n matrix is ever squared.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -87,39 +93,44 @@ def _base_operator(l: Tensor, mode: str, kind: str) -> Tensor:
     return half
 
 
-def _power_chain(t: Tensor, j_max: int) -> list[Tensor]:
-    """powers[k] = T^(2^k) for k = 0..j_max, by repeated squaring."""
-    powers = [t]
-    for _ in range(j_max):
-        powers.append(ad.matmul(powers[-1], powers[-1]))
-    return powers
+def _propagate(t: Tensor, z: Tensor, j_max: int) -> list[Tensor]:
+    """ys[k] = T^(2^k) Z for k = 0..j_max, by applying T to Z 2^j_max times.
+
+    Only the power-of-two iterates, the ones the kernels read, are kept.
+    """
+    ys, y = [], z
+    for step in range(1, 2 ** j_max + 1):
+        y = ad.matmul(t, y)
+        if step & (step - 1) == 0:
+            ys.append(y)
+    return ys
 
 
-def _bank_block(powers: list[Tensor], x: Tensor, j: int, mode: str, kind: str) -> Tensor:
+def _scale_response(ys: list[Tensor], z: Tensor, j: int, mode: str, kind: str) -> Tensor:
+    """h_j(L) Z read off the iterates of ``_propagate``."""
     if mode == "verbatim" and kind == "low":
-        # second kernel term is frequency-free: a scaled identity
-        const = 0.5 ** (2 ** j)
-        return ad.sub(ad.matmul(powers[j - 1], x), ad.scale(const, x))
-    return ad.matmul(ad.sub(powers[j - 1], powers[j]), x)
+        # second kernel term is frequency-free: a scaled copy of the input
+        return ad.sub(ys[j - 1], ad.scale(0.5 ** (2 ** j), z))
+    return ad.sub(ys[j - 1], ys[j])
 
 
 def filter_apply(l: Tensor, x: Tensor, j: int, mode: str, kind: str) -> Tensor:
-    """h_j(L) @ X via repeated matrix squaring; differentiable throughout."""
+    """h_j(L) @ X by applying T to X 2^j times; differentiable throughout."""
     if j < 2:
         raise ContractError(f"filter_apply: j={j} must be >= 2")
-    powers = _power_chain(_base_operator(l, mode, kind), j)
-    return _bank_block(powers, x, j, mode, kind)
+    ys = _propagate(_base_operator(l, mode, kind), x, j)
+    return _scale_response(ys, x, j, mode, kind)
 
 
 def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     """Column-concatenated responses of every scale in the bank.
 
-    Shares one squaring chain across scales, so the whole bank costs
-    j_max matrix squarings plus j_max products with X.
+    Shares one propagation across scales: the bank costs 2^j_max products
+    of the n x n operator T with the n x F block X, and no n x n product.
     """
-    powers = _power_chain(_base_operator(l, spec.mode, spec.kind), spec.j_max)
-    blocks = [_bank_block(powers, x, j, spec.mode, spec.kind) for j in spec.scales()]
-    return ad.concat_cols(blocks)
+    ys = _propagate(_base_operator(l, spec.mode, spec.kind), x, spec.j_max)
+    return ad.concat_cols([_scale_response(ys, x, j, spec.mode, spec.kind)
+                           for j in spec.scales()])
 
 
 class MaskNet:
@@ -154,6 +165,10 @@ class FgGSLModel:
     NM   : no masks, both banks on A_f     (width 2(J-1)F)
     FBL  : homophilic mask, low bank only  (width (J-1)F)
     FBH  : heterophilic mask, high bank    (width (J-1)F)
+
+    The width is that of ``embedding``.  ``w_clf`` holds one F-row block
+    per (bank, scale): the low bank's scales 2..J first, then the high
+    bank's.
     """
 
     def __init__(self, num_features: int, num_classes: int, j_max: int = 4,
@@ -193,33 +208,66 @@ class FgGSLModel:
 @dataclass
 class ForwardResult:
     yhat: Tensor                 # (n, c) softmax probabilities
-    h: Tensor                    # (n, width) concatenated filter responses
     w1: Tensor | None            # homophilic edge weights, if the variant has them
     w2: Tensor | None            # heterophilic edge weights
     logits: Tensor               # (n, c) pre-softmax
 
 
-def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
-    """Full forward pass; every path is recorded on the autodiff tape."""
+def _bank_graphs(model: FgGSLModel, x: Tensor, a_f: CandidateGraph):
+    """(w1, w2): the weighted graphs of the low and high banks, None for a
+    bank the variant lacks."""
     if x.shape[1] != model.num_features:
         raise ContractError(
-            f"forward: feature width {x.shape[1]} != model width {model.num_features}")
-    w1 = w2 = None
-    parts = []
-    if model.variant in ("full", "FBL"):
-        w1 = mask_matrix(model.mask_ho, x, a_f)
-    if model.variant in ("full", "FBH"):
-        w2 = mask_matrix(model.mask_ht, x, a_f)
+            f"feature width {x.shape[1]} != model width {model.num_features}")
     if model.variant == "NM":
         given = ad.constant(a_f.adjacency)
-        w1 = w2 = given
-    if w1 is not None:
-        parts.append(filter_bank_apply(normalized_laplacian(w1), x, model.bank("low")))
-    if w2 is not None:
-        parts.append(filter_bank_apply(normalized_laplacian(w2), x, model.bank("high")))
-    h = ad.concat_cols(parts)
-    logits = ad.matmul(h, model.w_clf)
-    return ForwardResult(yhat=ad.softmax_rows(logits), h=h, w1=w1, w2=w2, logits=logits)
+        return given, given
+    w1 = mask_matrix(model.mask_ho, x, a_f) if model.variant in ("full", "FBL") else None
+    w2 = mask_matrix(model.mask_ht, x, a_f) if model.variant in ("full", "FBH") else None
+    return w1, w2
+
+
+def _banks(w1: Tensor | None, w2: Tensor | None) -> list[tuple[Tensor, str]]:
+    return [(w, kind) for w, kind in ((w1, "low"), (w2, "high")) if w is not None]
+
+
+def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
+    """Full forward pass; every path is recorded on the autodiff tape.
+
+    The classifier is linear, so it runs before the banks:
+    logits = sum over banks and scales of h_j(L) (X W_j), with W_j the
+    F-row block of ``w_clf`` that reads scale j.  Each bank pushes the
+    n x (J-1)C block Z = [X W_2 | ... | X W_J] through T 2^J times, so a
+    bank costs 2^J (J-1) n^2 C and no product has two n x n operands.
+    """
+    w1, w2 = _bank_graphs(model, x, a_f)
+    f, c = model.num_features, model.num_classes
+    terms = []
+    for b, (w, kind) in enumerate(_banks(w1, w2)):
+        spec = model.bank(kind)
+        scales = spec.scales()
+        first = b * len(scales) * f
+        z = ad.concat_cols([
+            ad.matmul(x, ad.block(model.w_clf, rows=(first + k * f, first + (k + 1) * f)))
+            for k in range(len(scales))])
+        ys = _propagate(_base_operator(normalized_laplacian(w), spec.mode, kind), z,
+                        spec.j_max)
+        terms += [ad.block(_scale_response(ys, z, j, spec.mode, kind),
+                           cols=(k * c, (k + 1) * c))
+                  for k, j in enumerate(scales)]
+    logits = functools.reduce(ad.add, terms)
+    return ForwardResult(yhat=ad.softmax_rows(logits), w1=w1, w2=w2, logits=logits)
+
+
+def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
+    """The filter responses the classifier reads: logits = embedding @ w_clf.
+
+    ``forward`` never builds this n x ``embedding_width()`` matrix; the
+    analysis of learned representations computes it on demand.
+    """
+    w1, w2 = _bank_graphs(model, x, a_f)
+    return ad.concat_cols([filter_bank_apply(normalized_laplacian(w), x, model.bank(kind))
+                           for w, kind in _banks(w1, w2)])
 
 
 def structural_loss_ho(w1: Tensor, yhat: Tensor, pairs) -> Tensor:

@@ -172,9 +172,10 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels, val_idx) ->
     for epoch in range(1, config.epochs_max + 1):
         params.zero_grad()
         try:
-            loss, breakdown, probs = step_fn()
-            val_acc = accuracy_from_probs(probs, labels, val_idx)
-            ad.backward(loss, params)
+            with ad.tape_scope():
+                loss, breakdown, probs = step_fn()
+                val_acc = accuracy_from_probs(probs, labels, val_idx)
+                ad.backward(loss, params)
             adam.step()
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc

@@ -215,7 +215,7 @@ def test_criterion_09_embedding_separation(texas_bundle, texas_full_run):
     net = texas_full_run.models[0]
     a_f = datasets.candidate_graph(graph, "full")
     with ad.no_grad():
-        h = fm.forward(net, ad.constant(graph.features), a_f).h.data
+        h = fm.embedding(net, ad.constant(graph.features), a_f).data
     emb = analysis.similarity_histogram(h, graph.labels, seed=0)
     ok = raw.mean_gap < 0.10 and emb.mean_gap > 0.20
     _report(9, "trained embeddings separate classes where raw features overlap",

@@ -66,6 +66,19 @@ def test_sigmoid_extreme_inputs_finite():
     assert out.data[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
+def _sigmoid_three_exps(x):
+    """The former formula, which evaluated exp(-|x|) three times."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def test_sigmoid_bitwise_equals_three_exp_formula():
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[-800.0, 800.0, 0.0, -0.0],
+                        rng.standard_normal(500) * 30.0]).reshape(4, -1)
+    assert np.array_equal(ad.sigmoid(ad.constant(x)).data, _sigmoid_three_exps(x))
+
+
 def test_rsqrt_clamped_values():
     assert ad.rsqrt_clamped(ad.constant(4.0), 1e-8).item() == pytest.approx(0.5)
     assert ad.rsqrt_clamped(ad.constant(0.0), 1e-8).item() == pytest.approx(1e4)
@@ -111,6 +124,47 @@ def test_concat_cols_backward_splits_by_column():
     ad.backward(loss, [a, b])
     assert np.allclose(a.grad, [[1.0], [1.0]])
     assert np.allclose(b.grad, [[2.0, 3.0], [2.0, 3.0]])
+
+
+def test_block_values_and_full_span():
+    m = ad.constant(np.arange(12.0).reshape(3, 4))
+    assert np.array_equal(ad.block(m, rows=(1, 3), cols=(2, 4)).data,
+                          [[6.0, 7.0], [10.0, 11.0]])
+    assert np.array_equal(ad.block(m, cols=(0, 1)).data, [[0.0], [4.0], [8.0]])
+    assert np.array_equal(ad.block(m).data, m.data)
+
+
+@pytest.mark.parametrize("rows, cols", [((0, 4), None), ((2, 2), None),
+                                        (None, (-1, 2)), (None, (3, 1))])
+def test_block_rejects_spans_outside_the_tensor(rows, cols):
+    with pytest.raises(DimensionError, match="block"):
+        ad.block(ad.constant(np.zeros((3, 3))), rows=rows, cols=cols)
+
+
+def test_block_backward_pads_with_zeros():
+    a = ad.parameter(np.ones((3, 4)), "a")
+    loss = ad.sum_all(ad.scale(2.0, ad.block(a, rows=(0, 2), cols=(1, 3))))
+    ad.backward(loss, [a])
+    expected = np.zeros((3, 4))
+    expected[0:2, 1:3] = 2.0
+    assert np.array_equal(a.grad, expected)
+
+
+def test_grad_check_block():
+    # overlapping blocks of one parameter, as the classifier's row blocks
+    # and the filter responses' column blocks are read in the forward pass
+    rng = np.random.default_rng(4)
+    params = ad.ParameterSet()
+    w = params.add("w", rng.uniform(-1, 1, size=(6, 3)))
+    x = ad.constant(rng.uniform(-1, 1, size=(5, 2)))
+
+    def loss_fn():
+        z = ad.concat_cols([ad.matmul(x, ad.block(w, rows=(0, 2))),
+                            ad.matmul(x, ad.block(w, rows=(3, 5)))])
+        top = ad.tanh(ad.block(z, rows=(0, 4), cols=(1, 4)))
+        return ad.sum_all(ad.hadamard(top, ad.block(z, rows=(1, 5), cols=(2, 5))))
+
+    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
 
 
 def _ce_scalar_loop(logits, onehot, rows):
@@ -341,6 +395,16 @@ def test_backward_clears_tape():
     w = ad.parameter(np.ones((2, 2)), "w")
     loss = ad.sum_all(w)
     ad.backward(loss, [w])
+    assert len(ad.tape()) == 0
+
+
+def test_tape_scope_clears_tape_when_the_step_raises():
+    w = ad.parameter(np.ones((2, 2)), "w")
+    with pytest.raises(ContractError):
+        with ad.tape_scope():
+            ad.sum_all(ad.matmul(w, w))
+            assert len(ad.tape()) == 2
+            raise ContractError("step failed after recording nodes")
     assert len(ad.tape()) == 0
 
 

@@ -233,6 +233,18 @@ def test_analyze_stability_nan_epsilon_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ("gen",),
+    ("analyze", "stability", "--n", "10", "--trials", "1", "--J", "2"),
+], ids=["gen", "analyze-stability"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    code = run_cli(*command, "--out", str(tmp_path / "o"), "--seed", "-1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "--seed" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):
     cfg = _write_config(tmp_path)
     run_dir = tmp_path / "run"

@@ -142,6 +142,21 @@ def test_candidate_full_edge_count():
     assert cand.num_edges == 6  # N(N-1)/2
 
 
+def test_candidate_edge_pairs_cached_and_read_only():
+    g = datasets.gen_synthetic(12, 3, 0.3, 0.5, 0.1, seed=2, n_splits=1)
+    cand = datasets.candidate_graph(g, "given")
+    i_idx, j_idx = cand.edge_pairs()
+    again = cand.edge_pairs()
+    assert again[0] is i_idx and again[1] is j_idx
+    iu, ju = np.triu_indices(12, k=1)
+    on = g.adjacency[iu, ju] > 0
+    assert np.array_equal(i_idx, iu[on]) and np.array_equal(j_idx, ju[on])
+    assert cand.num_edges == i_idx.size
+    for idx in (i_idx, j_idx):
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 0
+
+
 def test_candidate_given_binarizes():
     g = datasets.gen_synthetic(10, 2, 0.3, 0.3, 0.1, seed=1, n_splits=1)
     g.adjacency *= 2.5

@@ -170,7 +170,8 @@ def test_forward_shapes_full():
     m = model.FgGSLModel(3, 2, j_max=3, mask_dim=4, seed=5)
     cand = datasets.candidate_graph(g, "full")
     fwd = model.forward(m, ad.constant(g.features), cand)
-    assert fwd.h.shape == (5, 12)  # 2(J-1)F = 2*2*3
+    h = model.embedding(m, ad.constant(g.features), cand)
+    assert h.shape == (5, 12)  # 2(J-1)F = 2*2*3
     assert fwd.yhat.shape == (5, 2)
 
 
@@ -186,12 +187,48 @@ def test_forward_single_bank_width():
     for variant, which in (("FBL", "w1"), ("FBH", "w2")):
         m = model.FgGSLModel(g.num_features, g.num_classes, j_max=3,
                              variant=variant, seed=7)
-        fwd = model.forward(m, ad.constant(g.features),
-                            datasets.candidate_graph(g, "full"))
-        assert fwd.h.shape == (6, (3 - 1) * g.num_features)
+        cand = datasets.candidate_graph(g, "full")
+        fwd = model.forward(m, ad.constant(g.features), cand)
+        h = model.embedding(m, ad.constant(g.features), cand)
+        assert h.shape == (6, (3 - 1) * g.num_features)
         assert getattr(fwd, which) is not None
         other = "w2" if which == "w1" else "w1"
         assert getattr(fwd, other) is None
+
+
+@pytest.mark.parametrize("mode", model.KERNEL_MODES)
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_forward_logits_equal_embedding_times_classifier(variant, mode):
+    g = _random_graph(22, n=12, classes=3)
+    rng = np.random.default_rng(23)
+    x = ad.constant(np.hstack([g.features, rng.standard_normal((12, 4))]))
+    m = model.FgGSLModel(7, 3, j_max=4, mask_dim=4, kernel_mode=mode,
+                         variant=variant, seed=24)
+    cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
+    with ad.no_grad():
+        logits = model.forward(m, x, cand).logits.data
+        expected = model.embedding(m, x, cand).data @ m.w_clf.data
+    assert np.linalg.norm(logits - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_training_step_multiplies_no_two_n_by_n_matrices(monkeypatch, variant):
+    # n = 9 differs from every other width (F = C = 3, d = 4, (J-1)C = 6)
+    g = _random_graph(25, n=9, classes=3)
+    m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=26)
+    cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
+    shapes = []
+    matmul = ad.matmul
+
+    def recorded(a, b):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", recorded)
+    loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
+    ad.backward(loss, m.params)
+    assert ((9, 9), (9, 6)) in shapes
+    assert ((9, 9), (9, 9)) not in shapes
 
 
 def test_forward_nm_ignores_mask_parameters():

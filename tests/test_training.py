@@ -141,6 +141,25 @@ def test_single_split_makes_one_forward_after_training(monkeypatch):
     assert row["audit"] is not None
 
 
+def test_fit_clears_tape_when_step_raises():
+    bundle = _bundle(seed=4)
+    graph = bundle.graph
+    net = fm.FgGSLModel(graph.num_features, graph.num_classes, j_max=2, mask_dim=4)
+    a_f = datasets.candidate_graph(graph, "full")
+    recorded = []
+
+    def step_fn():
+        fm.forward(net, ad.constant(graph.features), a_f)
+        recorded.append(len(ad.tape()))
+        raise ValidationError("step failed after recording nodes")
+
+    with pytest.raises(ValidationError):
+        training._fit(step_fn, net.params, _fast_config(), graph.labels,
+                      graph.splits[0][1])
+    assert recorded[0] > 0
+    assert len(ad.tape()) == 0
+
+
 def test_separable_synthetic_reaches_full_train_accuracy():
     graph = datasets.gen_synthetic(30, 3, 0.05, 0.3, proto_noise=0.0,
                                    seed=1, n_splits=1)
