@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import pair_cosines
+from .autodiff import unit_rows
 from .errors import ContractError
 from .graphs import (LabeledGraph, heterophily_ratio, normalized_eigenvectors,
                      normalized_laplacian, operator_distance, perturb_laplacian,
@@ -47,7 +47,8 @@ def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]
     j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
 
     def row_cos(m):
-        return pair_cosines(m, m, i_idx, j_idx, "prop1_check")[0]
+        unit = unit_rows(m, m, (i_idx, j_idx), "prop1_check")[0]
+        return np.einsum("ij,ij->i", unit[i_idx], unit[j_idx])
 
     eps = np.linalg.norm(y - yhat, axis=1)
     lhs = np.abs(row_cos(y) - row_cos(yhat))
@@ -144,7 +145,9 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
 
     Enumerates all pairs when a group is small enough, otherwise samples
     ``max_pairs`` pairs uniformly.  Classes with fewer than two members
-    are skipped with a warning.
+    are skipped with a warning.  The rows are normalised once and every
+    cosine is read off the n x n Gram matrix of the unit rows, so memory
+    is O(n d + n^2) whatever the width d.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     y = np.argmax(labels, axis=1)
@@ -173,16 +176,17 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
         inter_i, inter_j = inter_i[pick], inter_j[pick]
         sampling = f"sampled:{max_pairs}"
 
-    def cosines(i, j):
-        if not i.size:
-            return np.array([])
-        # tolerate 1-ulp overshoot from rounding
-        return np.clip(pair_cosines(vectors, vectors, i, j, "similarity_histogram")[0],
-                       -1.0, 1.0)
+    # intra pairs first, so a zero-norm row is named as when they were
+    # checked before the inter pairs
+    unit = unit_rows(vectors, vectors, (np.concatenate([intra_i, inter_i]),
+                                        np.concatenate([intra_j, inter_j])),
+                     "similarity_histogram")[0]
+    gram = unit @ unit.T
+    # tolerate 1-ulp overshoot from rounding
+    intra_cos = np.clip(gram[intra_i, intra_j], -1.0, 1.0)
+    inter_cos = np.clip(gram[inter_i, inter_j], -1.0, 1.0)
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    intra_cos = cosines(intra_i, intra_j)
-    inter_cos = cosines(inter_i, inter_j)
     return SimilarityHistogram(
         bin_edges=edges,
         intra_counts=np.histogram(intra_cos, bins=edges)[0],

@@ -6,6 +6,14 @@ tape once in reverse, accumulating vector-Jacobian products into the
 gradients of tracked parameters, then clears the tape.  The op set is
 exactly what the edge-mask / filter-bank forward pass needs; there is no
 broadcasting beyond the listed operations and no higher-order grads.
+
+A filter bank's propagation is one op, ``propagate``: it applies an
+n x n operator T to a block 2^J times and records one tape node, whose
+VJP forms dT as a single product of the stacked step gradients and step
+inputs.  ``block`` returns a read-only view, so reading the iterates or
+a parameter's row block copies nothing.  ``unit_rows`` is the one
+normalisation and zero-norm check behind every cosine; ``cosine_rows``
+scatters its VJP with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -155,9 +163,14 @@ def tape_scope():
         _TAPE.clear()
 
 
+def _records(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` would record a tape node."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 def _emit(value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(value)
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         _TAPE.record(out, inputs, vjp)
     return out
@@ -228,6 +241,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def add_row(a: Tensor, row: Tensor) -> Tensor:
+    """a with the 1 x m ``row`` added to each of its rows (a bias)."""
+    if row.shape != (1, a.shape[1]):
+        raise DimensionError(f"add_row: row shape {row.shape} != (1, {a.shape[1]})")
+    return _emit(a.data + row.data, (a, row),
+                 lambda g: (g, np.sum(g, axis=0, keepdims=True)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -303,7 +324,8 @@ def block(a: Tensor, rows: tuple[int, int] | None = None,
           cols: tuple[int, int] | None = None) -> Tensor:
     """The sub-block a[r0:r1, c0:c1]; ``None`` takes every row or column.
 
-    Backward pads the gradient with zeros to the shape of ``a``.
+    The value is a read-only view of ``a``'s data, not a copy.  Backward
+    pads the gradient with zeros to the shape of ``a``.
     """
     bounds = []
     for span, dim, what in ((rows, a.shape[0], "rows"), (cols, a.shape[1], "cols")):
@@ -319,7 +341,57 @@ def block(a: Tensor, rows: tuple[int, int] | None = None,
         out[r, c] = g
         return (out,)
 
-    return _emit(a.data[r, c].copy(), (a,), vjp)
+    view = a.data[r, c]
+    view.flags.writeable = False
+    return _emit(view, (a,), vjp)
+
+
+def propagate(t: Tensor, z: Tensor, j_max: int) -> Tensor:
+    """The power-of-two iterates [T Z | T^2 Z | T^4 Z | ... | T^(2^j_max) Z].
+
+    Applies the n x n operator ``t`` to the n x w block ``z`` 2^j_max
+    times and returns, side by side, the j_max + 1 iterates whose
+    exponent is a power of two: column block k holds T^(2^k) Z.  No
+    product has two n x n operands.
+
+    The other iterates are kept only when the op records a tape node.
+    Its VJP runs the chain in reverse with T^T and forms dT as one
+    product, [G_1 | ... | G_S] [Z | T Z | ... | T^(S-1) Z]^T, of the
+    stacked step gradients G_s = dL/d(T^s Z) and the stacked step inputs.
+    """
+    n, w = z.shape
+    if t.shape != (n, n):
+        raise DimensionError(f"propagate: operator {t.shape} does not act on {z.shape}")
+    if j_max < 0:
+        raise ContractError(f"propagate: j_max={j_max} must be >= 0")
+    steps = 2 ** j_max
+    td = t.data
+    out = np.empty((n, (j_max + 1) * w))
+    # column block s - 1 holds T^(s-1) Z, the input of step s
+    inputs = np.empty((n, steps * w)) if _records((t, z)) else None
+    y = z.data
+    for s in range(1, steps + 1):
+        if inputs is not None:
+            inputs[:, (s - 1) * w:s * w] = y
+        y = td @ y
+        if s & (s - 1) == 0:
+            k = s.bit_length() - 1
+            out[:, k * w:(k + 1) * w] = y
+
+    def vjp(g):
+        grads = np.empty((n, steps * w))
+        acc = g[:, j_max * w:]
+        for s in range(steps, 0, -1):
+            grads[:, (s - 1) * w:s * w] = acc    # dL/d(T^s Z)
+            acc = td.T @ acc
+            p = s - 1
+            if p and p & (p - 1) == 0:
+                k = p.bit_length() - 1
+                acc += g[:, k * w:(k + 1) * w]
+        return (grads @ inputs.T if t.requires_grad else None,
+                acc if z.requires_grad else None)
+
+    return _emit(out, (t, z), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -396,29 +468,40 @@ def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> tuple[Tensor,
     return loss, probs
 
 
-def pair_cosines(a: np.ndarray, b: np.ndarray, i_idx, j_idx, what: str):
-    """Cosine similarity of rows a[i] and b[j] per pair, in plain numpy.
+def unit_rows(a: np.ndarray, b: np.ndarray, pairs, what: str):
+    """Rows of ``a`` and ``b`` scaled to unit length, with their norms.
 
-    Returns (cos, u, v, nu, nv): the gathered rows and their norms come
-    back for callers that differentiate.  A zero-norm row raises a
-    ContractError naming ``what`` and the row.
+    Returns (ua, na, ub, nb); the cosine of a pair (i, j) is then
+    ua[i] . ub[j].  ``b`` may be ``a``, and is then normalised once.  A
+    zero-norm row that a pair uses raises a ContractError naming ``what``
+    and the row, taken from the first such pair, its i side first; rows
+    no pair uses stay zero.
     """
-    u, v = a[i_idx], b[j_idx]
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    zero = (nu == 0) | (nv == 0)
-    if np.any(zero):
-        k = int(np.argmax(zero))
-        bad = int(i_idx[k]) if nu[k] == 0 else int(j_idx[k])
-        raise ContractError(f"{what}: zero-norm row {bad}")
-    return np.sum(u * v, axis=1) / (nu * nv), u, v, nu, nv
+    i_idx, j_idx = pairs
+    na = np.linalg.norm(a, axis=1)
+    nb = na if b is a else np.linalg.norm(b, axis=1)
+    if not (np.all(na) and np.all(nb)):
+        zero = (na[i_idx] == 0) | (nb[j_idx] == 0)
+        if np.any(zero):
+            k = int(np.argmax(zero))
+            bad = int(i_idx[k]) if na[i_idx[k]] == 0 else int(j_idx[k])
+            raise ContractError(f"{what}: zero-norm row {bad}")
+    ua = a / np.where(na == 0, 1.0, na)[:, None]
+    ub = ua if b is a else b / np.where(nb == 0, 1.0, nb)[:, None]
+    return ua, na, ub, nb
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """n x m array whose row r sums the rows[k] with idx[k] == r."""
+    return np.stack([np.bincount(idx, weights=rows[:, col], minlength=n)
+                     for col in range(rows.shape[1])], axis=1)
 
 
 def cosine_rows(a: Tensor, b: Tensor, pairs) -> Tensor:
     """Cosine similarity of a[i] and b[j] per pair (i, j), as a column vector.
 
-    Differentiable through both arguments (grads scatter-add, so a and b
-    may be the same tensor).
+    Differentiable through both arguments; a and b may be the same
+    tensor, whose gradient then sums both sides.
     """
     i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
     j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
@@ -426,21 +509,19 @@ def cosine_rows(a: Tensor, b: Tensor, pairs) -> Tensor:
         raise DimensionError("cosine_rows: pair index arrays differ in length")
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"cosine_rows: widths differ, {a.shape} vs {b.shape}")
-    c, u, v, nu, nv = pair_cosines(a.data, b.data, i_idx, j_idx, "cosine_rows")
-    a_shape, b_shape = a.shape, b.shape
+    ua, na, ub, nb = unit_rows(a.data, b.data, (i_idx, j_idx), "cosine_rows")
+    c = np.einsum("ij,ij->i", ua[i_idx], ub[j_idx])
 
     def vjp(g):
         gv = g[:, 0]
-        denom = (nu * nv)[:, None]
-        du = (v / denom - (c / (nu * nu))[:, None] * u) * gv[:, None]
-        dv = (u / denom - (c / (nv * nv))[:, None] * v) * gv[:, None]
         ga = gb = None
+        # d cos / d a_i = (ub_j - cos ua_i) / |a_i|, and symmetrically for b_j
         if a.requires_grad:
-            ga = np.zeros(a_shape)
-            np.add.at(ga, i_idx, du)
+            du = (ub[j_idx] - c[:, None] * ua[i_idx]) * (gv / na[i_idx])[:, None]
+            ga = _scatter_rows(i_idx, du, a.shape[0])
         if b.requires_grad:
-            gb = np.zeros(b_shape)
-            np.add.at(gb, j_idx, dv)
+            dv = (ua[i_idx] - c[:, None] * ub[j_idx]) * (gv / nb[j_idx])[:, None]
+            gb = _scatter_rows(j_idx, dv, b.shape[0])
         return (ga, gb)
 
     return _emit(c.reshape(-1, 1), (a, b), vjp)

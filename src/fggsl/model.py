@@ -11,7 +11,9 @@ to the cross-entropy so the masks are pushed toward genuinely
 homophilic / heterophilic edge sets.
 
 Every kernel is a polynomial in one n x n operator T, applied to a block
-by repeated products T @ Y; no n x n matrix is ever squared.
+by repeated products T @ Y inside ``ad.propagate``: one tape node per
+bank, whose backward forms dT as one product, and whose iterates are read
+as ``ad.block`` views.  No n x n matrix is ever squared.
 """
 
 from __future__ import annotations
@@ -96,14 +98,12 @@ def _base_operator(l: Tensor, mode: str, kind: str) -> Tensor:
 def _propagate(t: Tensor, z: Tensor, j_max: int) -> list[Tensor]:
     """ys[k] = T^(2^k) Z for k = 0..j_max, by applying T to Z 2^j_max times.
 
-    Only the power-of-two iterates, the ones the kernels read, are kept.
+    Only the power-of-two iterates, the ones the kernels read, come back:
+    read-only views into the one tape node of ``ad.propagate``.
     """
-    ys, y = [], z
-    for step in range(1, 2 ** j_max + 1):
-        y = ad.matmul(t, y)
-        if step & (step - 1) == 0:
-            ys.append(y)
-    return ys
+    w = z.shape[1]
+    stacked = ad.propagate(t, z, j_max)
+    return [ad.block(stacked, cols=(k * w, (k + 1) * w)) for k in range(j_max + 1)]
 
 
 def _scale_response(ys: list[Tensor], z: Tensor, j: int, mode: str, kind: str) -> Tensor:
@@ -149,9 +149,7 @@ def mask_matrix(net: MaskNet, x: Tensor, a_f: CandidateGraph) -> Tensor:
     if x.shape[1] != net.weight.shape[0]:
         raise ContractError(
             f"mask_matrix: feature width {x.shape[1]} != net input {net.weight.shape[0]}")
-    n = x.shape[0]
-    bias_rows = ad.matmul(ad.constant(np.ones((n, 1))), net.bias)
-    z = ad.tanh(ad.add(ad.matmul(x, net.weight), bias_rows))
+    z = ad.tanh(ad.add_row(ad.matmul(x, net.weight), net.bias))
     gram = ad.matmul(z, ad.transpose(z))
     # (G + G^T)/2 makes symmetry bitwise regardless of BLAS blocking
     sym = ad.scale(0.5, ad.add(gram, ad.transpose(gram)))
@@ -360,19 +358,71 @@ def save_checkpoint(path, model: FgGSLModel, alpha: float, beta: float):
             fh.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
 
 
+# header key -> accepted JSON types; bool is never accepted for a number
+_HEADER_TYPES = {"format": str, "j_max": int, "kernel_mode": str, "variant": str,
+                 "mask_dim": int, "alpha": (int, float), "beta": (int, float),
+                 "num_features": int, "num_classes": int, "params": list}
+
+
+def _check_header(path, header) -> None:
+    """Raise ValidationError unless ``header`` has every key with its type."""
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: not a checkpoint file")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise ValidationError(f"{path}: unexpected format {header.get('format')!r}")
+    for key, kind in _HEADER_TYPES.items():
+        if key not in header:
+            raise ValidationError(f"{path}: header has no {key!r}")
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(f"{path}: header {key!r} has the wrong type: {value!r}")
+    for key in ("num_features", "num_classes", "mask_dim"):
+        if header[key] < 1:
+            raise ValidationError(f"{path}: header {key!r}={header[key]} must be >= 1")
+    for entry in header["params"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _is_shape(entry.get("shape"))):
+            raise ValidationError(f"{path}: malformed parameter entry {entry!r}")
+
+
+def _is_shape(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
+                    for d in value))
+
+
 def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The header must carry every key with its type, list each parameter
+    of the model it describes once, with the model's shape, and the file
+    must end right after the last parameter; anything else raises a
+    ValidationError.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"{path}: not a checkpoint file") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValidationError(f"{path}: unexpected format {header.get('format')!r}")
+        _check_header(path, header)
         model = FgGSLModel(
             num_features=header["num_features"], num_classes=header["num_classes"],
             j_max=header["j_max"], mask_dim=header["mask_dim"],
             kernel_mode=header["kernel_mode"], variant=header["variant"])
+        names = [entry["name"] for entry in header["params"]]
+        for name, entry in zip(names, header["params"]):
+            if name not in model.params:
+                raise ValidationError(f"{path}: unknown parameter {name!r}")
+            if names.count(name) > 1:
+                raise ValidationError(f"{path}: parameter {name!r} listed twice")
+            shape, expected = tuple(entry["shape"]), model.params[name].shape
+            if shape != expected:
+                raise ValidationError(f"{path}: parameter {name!r} has shape {shape}, "
+                                      f"the model's is {expected}")
+        for name in model.params.names():
+            if name not in names:
+                raise ValidationError(f"{path}: missing parameter {name!r}")
         for entry in header["params"]:
             rows, cols = entry["shape"]
             blob = fh.read(rows * cols * 8)
@@ -380,4 +430,6 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
                 raise ValidationError(f"{path}: truncated parameter {entry['name']}")
             model.params[entry["name"]].data = (
                 np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64))
+        if fh.read(1):
+            raise ValidationError(f"{path}: trailing bytes after the last parameter")
     return model, header

@@ -279,10 +279,8 @@ class MlpModel:
         self.b_out = self.params.add("b_out", np.zeros((1, num_classes)))
 
     def logits(self, x: ad.Tensor) -> ad.Tensor:
-        n = x.shape[0]
-        ones = ad.constant(np.ones((n, 1)))
-        hidden = ad.tanh(ad.add(ad.matmul(x, self.w1), ad.matmul(ones, self.b1)))
-        return ad.add(ad.matmul(hidden, self.w_out), ad.matmul(ones, self.b_out))
+        hidden = ad.tanh(ad.add_row(ad.matmul(x, self.w1), self.b1))
+        return ad.add_row(ad.matmul(hidden, self.w_out), self.b_out)
 
 
 @dataclass

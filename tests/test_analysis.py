@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fggsl import analysis, datasets
 from fggsl.errors import ContractError
@@ -47,6 +49,13 @@ def test_prop1_randomized_sweep_no_violations():
         j_idx = rng.integers(0, n, size=500)
         recs = analysis.prop1_check(y, yhat, (i_idx, j_idx))
         assert all(rec.holds for rec in recs)
+
+
+def test_prop1_zero_norm_prediction_names_row():
+    y = np.eye(2)[[0, 1, 0]]
+    yhat = np.array([[0.9, 0.1], [0.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(ContractError, match=r"^prop1_check: zero-norm row 1$"):
+        analysis.prop1_check(y, yhat, ([0, 2], [1, 1]))
 
 
 def test_prop1_rejects_non_one_hot():
@@ -151,6 +160,43 @@ def test_similarity_zero_norm_row_rejected():
     labels = np.eye(2)[[0, 0, 1, 1]]
     with pytest.raises(ContractError, match="row 1"):
         analysis.similarity_histogram(vecs, labels, seed=8)
+
+
+def test_similarity_zero_norm_names_the_first_intra_pair():
+    # rows 2 and 3 are zero; intra pairs (0, 3), (1, 2) are checked before
+    # the inter pairs (0, 1), (0, 2), ...
+    vecs = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    labels = np.eye(2)[[0, 1, 1, 0]]
+    with pytest.raises(ContractError, match=r"^similarity_histogram: zero-norm row 3$"):
+        analysis.similarity_histogram(vecs, labels, seed=8)
+
+
+def _pair_cosine(u, v):
+    return float(np.clip(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 24), width=st.integers(1, 6),
+       classes=st.integers(2, 3), bins=st.integers(2, 12))
+def test_similarity_counts_equal_the_per_pair_formula(seed, n, width, classes, bins):
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((n, width))
+    y = np.arange(n) % classes
+    labels = np.eye(classes)[y]
+    hist = analysis.similarity_histogram(vecs, labels, bins=bins, seed=0)
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    intra, inter = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            (intra if y[i] == y[j] else inter).append(_pair_cosine(vecs[i], vecs[j]))
+    for got, cos, mean in ((hist.intra_counts, intra, hist.intra_mean),
+                           (hist.inter_counts, inter, hist.inter_mean)):
+        cos = np.array(cos)
+        # a cosine within 1e-12 of a bin edge may round into either bin
+        near_edge = int(np.sum(np.min(np.abs(cos[:, None] - edges), axis=1) <= 1e-12))
+        expected = np.histogram(cos, bins=edges)[0]
+        assert np.sum(np.abs(got - expected)) <= 2 * near_edge
+        assert mean == pytest.approx(np.mean(cos), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

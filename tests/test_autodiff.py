@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fggsl import autodiff as ad
 from fggsl.errors import ContractError, DimensionError
@@ -150,6 +152,36 @@ def test_block_backward_pads_with_zeros():
     assert np.array_equal(a.grad, expected)
 
 
+def test_block_is_a_read_only_view():
+    a = ad.parameter(np.arange(12.0).reshape(3, 4), "a")
+    out = ad.block(a, rows=(0, 2), cols=(1, 3))
+    assert np.shares_memory(out.data, a.data)
+    with pytest.raises(ValueError, match="read-only"):
+        out.data[0, 0] = 1.0
+    assert a.data[0, 1] == 1.0
+
+
+def test_add_row_adds_the_row_to_every_row():
+    out = ad.add_row(ad.constant(np.zeros((3, 2))), ad.constant([[1.0, -2.0]]))
+    assert np.array_equal(out.data, [[1.0, -2.0]] * 3)
+    with pytest.raises(DimensionError, match="add_row"):
+        ad.add_row(ad.constant(np.zeros((3, 2))), ad.constant(np.zeros((1, 3))))
+
+
+def test_grad_check_add_row():
+    rng = np.random.default_rng(5)
+    params = ad.ParameterSet()
+    w = params.add("w", rng.uniform(-1, 1, size=(3, 4)))
+    b = params.add("b", rng.uniform(-1, 1, size=(1, 4)))
+    x = ad.constant(rng.uniform(-1, 1, size=(5, 3)))
+
+    def loss_fn():
+        h = ad.tanh(ad.add_row(ad.matmul(x, w), b))
+        return ad.sum_all(ad.hadamard(h, h))
+
+    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+
+
 def test_grad_check_block():
     # overlapping blocks of one parameter, as the classifier's row blocks
     # and the filter responses' column blocks are read in the forward pass
@@ -249,6 +281,61 @@ def test_cosine_rows_zero_norm_names_row():
     m = ad.constant(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ContractError, match="row 1"):
         ad.cosine_rows(m, m, ([0], [1]))
+
+
+def _cosine_vjp_closed_form(a, b, i_idx, j_idx, g):
+    """The gathered-pairs VJP with ``np.add.at`` scatters, as a reference."""
+    u, v = a[i_idx], b[j_idx]
+    nu, nv = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+    c = np.sum(u * v, axis=1) / (nu * nv)
+    denom = (nu * nv)[:, None]
+    du = (v / denom - (c / (nu * nu))[:, None] * u) * g[:, None]
+    dv = (u / denom - (c / (nv * nv))[:, None] * v) * g[:, None]
+    ga, gb = np.zeros(a.shape), np.zeros(b.shape)
+    np.add.at(ga, i_idx, du)
+    np.add.at(gb, j_idx, dv)
+    return ga, gb
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), width=st.integers(1, 5),
+       pairs=st.integers(1, 30), same=st.booleans())
+def test_cosine_rows_vjp_equals_closed_form(seed, n, width, pairs, same):
+    rng = np.random.default_rng(seed)
+    a = ad.parameter(rng.uniform(0.1, 1.0, size=(n, width)), "a")
+    b = a if same else ad.parameter(rng.standard_normal((n, width)) + 3.0, "b")
+    i_idx = rng.integers(0, n, size=pairs)   # repeats on purpose
+    j_idx = rng.integers(0, n, size=pairs)
+    g = rng.standard_normal(pairs)
+    tracked = [a] if same else [a, b]
+    ad.backward(ad.sum_all(ad.hadamard(ad.cosine_rows(a, b, (i_idx, j_idx)),
+                                       ad.constant(g.reshape(-1, 1)))), tracked)
+    ga, gb = _cosine_vjp_closed_form(a.data, b.data, i_idx, j_idx, g)
+    expected = [ga + gb] if same else [ga, gb]
+    for t, want in zip(tracked, expected):
+        assert np.linalg.norm(t.grad - want) <= 1e-14 * max(np.linalg.norm(want), 1.0)
+
+
+def test_cosine_rows_gradient_matches_fd_with_repeated_pairs():
+    rng = np.random.default_rng(12)
+    params = ad.ParameterSet()
+    a = params.add("a", rng.uniform(0.2, 1.0, size=(4, 3)))
+    b = params.add("b", rng.uniform(0.2, 1.0, size=(4, 3)))
+    pairs = ([0, 0, 2, 2, 3], [1, 1, 0, 2, 0])
+
+    def loss_fn():
+        both = ad.cosine_rows(a, a, pairs)
+        cross = ad.cosine_rows(a, b, pairs)
+        return ad.sum_all(ad.hadamard(both, ad.tanh(cross)))
+
+    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-4
+
+
+def test_cosine_rows_zero_norm_names_the_first_pair():
+    # rows 1 and 2 are zero; the first pair using one is (3, 2)
+    m = ad.constant(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(ContractError, match=r"^cosine_rows: zero-norm row 2$"):
+        ad.cosine_rows(m, m, ([0, 3, 1], [3, 2, 0]))
 
 
 def test_cosine_rows_gradient_matches_fd():
@@ -415,3 +502,58 @@ def test_parameter_set_round_trip():
     params["a"].data[:] = 0.0
     params.restore(snap)
     assert np.array_equal(params["a"].data, np.ones((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# propagate
+
+
+def _operator(rng, n):
+    """A non-symmetric n x n operator of spectral norm 0.9."""
+    t = rng.standard_normal((n, n))
+    return 0.9 * t / np.linalg.norm(t, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), width=st.integers(1, 4),
+       j_max=st.integers(0, 4))
+def test_propagate_equals_explicit_powers(seed, n, width, j_max):
+    rng = np.random.default_rng(seed)
+    t, z = _operator(rng, n), rng.standard_normal((n, width))
+    out = ad.propagate(ad.constant(t), ad.constant(z), j_max).data
+    assert out.shape == (n, (j_max + 1) * width)
+    for k in range(j_max + 1):
+        expected = np.linalg.matrix_power(t, 2 ** k) @ z
+        got = out[:, k * width:(k + 1) * width]
+        assert np.linalg.norm(got - expected) <= 1e-12 * max(np.linalg.norm(expected), 1e-300)
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 2, 3])
+def test_grad_check_propagate_non_symmetric(j_max):
+    rng = np.random.default_rng(30 + j_max)
+    params = ad.ParameterSet()
+    t = params.add("t", _operator(rng, 5))
+    z = params.add("z", rng.standard_normal((5, 2)))
+    weights = ad.constant(rng.standard_normal((5, 2 * (j_max + 1))))
+
+    def loss_fn():
+        return ad.sum_all(ad.hadamard(ad.tanh(ad.propagate(t, z, j_max)), weights))
+
+    assert ad.grad_check(loss_fn, params, 1e-6) <= 1e-6
+
+
+@pytest.mark.parametrize("tracked", [0, 1], ids=["t", "z"])
+def test_propagate_backward_with_one_tracked_input(tracked):
+    rng = np.random.default_rng(40)
+    values = [_operator(rng, 4), rng.standard_normal((4, 3))]
+    both = [ad.parameter(v, "p") for v in values]
+    ad.backward(ad.sum_all(ad.propagate(*both, 2)), both)
+    one = [ad.parameter(v, "p") if k == tracked else ad.constant(v)
+           for k, v in enumerate(values)]
+    ad.backward(ad.sum_all(ad.propagate(*one, 2)), [one[tracked]])
+    assert np.array_equal(one[tracked].grad, both[tracked].grad)
+
+
+def test_propagate_rejects_an_operator_of_another_size():
+    with pytest.raises(DimensionError, match="propagate"):
+        ad.propagate(ad.constant(np.eye(3)), ad.constant(np.ones((4, 2))), 1)

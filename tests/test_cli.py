@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fggsl import cli, datasets
+from fggsl import cli, datasets, model
 from fggsl.graphs import heterophily_ratio
 
 
@@ -275,6 +275,48 @@ def test_analyze_audit_requires_checkpoint(tiny_dataset, tmp_path, capsys):
     code = run_cli("analyze", "audit", "--out", str(tmp_path / "a"),
                    "--data", tiny_dataset)
     assert code == 1
+
+
+def _edited_checkpoint(tiny_dataset, tmp_path, edit_header, tail=b""):
+    """A checkpoint for ``tiny_dataset`` whose header and end were edited."""
+    graph = datasets.load_dataset_dir(tiny_dataset).graph
+    net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=2,
+                           mask_dim=4, seed=1)
+    path = tmp_path / "edited.fgck"
+    model.save_checkpoint(path, net, alpha=1.0, beta=1.0)
+    line, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    edit_header(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body + tail)
+    return str(path)
+
+
+def _rename_first_param(header):
+    header["params"][0]["name"] = "mask_ho_bogus"
+
+
+def _drop_num_classes(header):
+    del header["num_classes"]
+
+
+def _widen_mask_dim(header):
+    header["mask_dim"] = 8
+
+
+@pytest.mark.parametrize("edit, tail, message", [
+    (_rename_first_param, b"", "unknown parameter 'mask_ho_bogus'"),
+    (_drop_num_classes, b"", "header has no 'num_classes'"),
+    (_widen_mask_dim, b"", "parameter 'mask_ho_w' has shape"),
+    (lambda header: None, b"\x00", "trailing bytes"),
+], ids=["unknown-name", "missing-key", "shape-mismatch", "trailing-bytes"])
+def test_analyze_audit_malformed_checkpoint_exits_1(tiny_dataset, tmp_path, capsys,
+                                                    edit, tail, message):
+    ckpt = _edited_checkpoint(tiny_dataset, tmp_path, edit, tail)
+    code = run_cli("analyze", "audit", "--out", str(tmp_path / "audit"),
+                   "--data", tiny_dataset, "--checkpoint", ckpt)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
 
 def test_analyze_unknown_kind_lists_valid_kinds(tmp_path, capsys):

@@ -1,5 +1,11 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fggsl import autodiff as ad
 from fggsl import datasets, model
@@ -217,14 +223,21 @@ def test_training_step_multiplies_no_two_n_by_n_matrices(monkeypatch, variant):
     g = _random_graph(25, n=9, classes=3)
     m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=26)
     cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
+    # operand shapes of every product: the plain ones and the operator
+    # and block that the fused propagation multiplies
     shapes = []
-    matmul = ad.matmul
+    matmul, propagate = ad.matmul, ad.propagate
 
     def recorded(a, b):
         shapes.append((a.shape, b.shape))
         return matmul(a, b)
 
+    def recorded_propagate(t, z, j_max):
+        shapes.append((t.shape, z.shape))
+        return propagate(t, z, j_max)
+
     monkeypatch.setattr(ad, "matmul", recorded)
+    monkeypatch.setattr(ad, "propagate", recorded_propagate)
     loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
     ad.backward(loss, m.params)
     assert ((9, 9), (9, 6)) in shapes
@@ -398,3 +411,44 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_model_rejects_unknown_variant():
     with pytest.raises(ValidationError):
         model.FgGSLModel(3, 2, variant="bogus")
+
+
+def _checkpoint_bytes() -> bytes:
+    m = model.FgGSLModel(3, 2, j_max=2, mask_dim=2, variant="FBL", seed=21)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.fgck"
+        model.save_checkpoint(path, m, alpha=1.0, beta=1.0)
+        return path.read_bytes()
+
+
+CHECKPOINT_BYTES = _checkpoint_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.integers(0, len(CHECKPOINT_BYTES) - 1).map(lambda k: CHECKPOINT_BYTES[:k]),
+    st.binary(min_size=1, max_size=16).map(lambda extra: CHECKPOINT_BYTES + extra)))
+def test_checkpoint_rejects_truncated_or_extended_files(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.fgck"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError):
+            model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(params=[{"name": "mask_ho_w"}]),
+    lambda h: h.update(params=h["params"] + h["params"][:1]),
+    lambda h: h.update(params=h["params"][1:]),
+    lambda h: h.update(j_max="2"),
+    lambda h: h.update(mask_dim=0),
+], ids=["entry-without-shape", "listed-twice", "missing-param", "string-j-max",
+        "zero-mask-dim"])
+def test_checkpoint_rejects_malformed_headers(tmp_path, edit):
+    line, _, body = CHECKPOINT_BYTES.partition(b"\n")
+    header = json.loads(line)
+    edit(header)
+    path = tmp_path / "model.fgck"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(ValidationError):
+        model.load_checkpoint(path)
