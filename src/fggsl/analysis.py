@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import unit_rows
 from .errors import ContractError
-from .graphs import (LabeledGraph, heterophily_ratio, normalized_eigenvectors,
+from .graphs import (LabeledGraph, normalized_eigenvectors,
                      normalized_laplacian, operator_distance, perturb_laplacian,
                      symmetric_eig)
 from .model import kernel_value
@@ -217,23 +217,35 @@ class EdgeAuditStats:
     ht_r_het: float | None
 
 
-def learned_edge_audit(w1, w2, labels: np.ndarray,
-                       threshold: float = 0.5) -> EdgeAuditStats:
+def learned_edge_audit(w1, w2, labels: np.ndarray, threshold: float = 0.5,
+                       pairs=None) -> EdgeAuditStats:
     """Binarize each learned mask and report edge counts and heterophily.
 
-    A mask that keeps no edge above threshold is reported with zero edges
-    and no ratio rather than raising.
+    With ``pairs`` (i, j), each mask is an edge column over those pairs,
+    each undirected edge once; without, it is a dense symmetric n x n
+    matrix, read on its upper triangle.  The threshold must lie in
+    [0, 1], so a weight of zero is never kept and both forms count the
+    same edges.  A mask that keeps no edge above threshold is reported
+    with zero edges and no ratio rather than raising.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ContractError(f"learned_edge_audit: threshold {threshold} is not in [0, 1]")
+    y = np.argmax(labels, axis=1)
+
     def audit_one(w):
         if w is None:
             return None, None
-        binary = (np.asarray(w) > threshold).astype(np.float64)
-        np.fill_diagonal(binary, 0.0)
-        iu, ju = np.triu_indices(binary.shape[0], k=1)
-        edges = int(np.sum(binary[iu, ju] > 0))
+        w = np.asarray(w, dtype=np.float64)
+        if pairs is None:
+            i_idx, j_idx = np.triu_indices(w.shape[0], k=1)
+            w = w[i_idx, j_idx]
+        else:
+            i_idx, j_idx = pairs
+        keep = w.ravel() > threshold
+        edges = int(np.sum(keep))
         if edges == 0:
             return 0, None
-        return edges, heterophily_ratio(binary, labels)
+        return edges, float(np.mean(y[i_idx[keep]] != y[j_idx[keep]]))
 
     ho_edges, ho_r = audit_one(w1)
     ht_edges, ht_r = audit_one(w2)

@@ -12,8 +12,15 @@ n x n operator T to a block 2^J times and records one tape node, whose
 VJP forms dT as a single product of the stacked step gradients and step
 inputs.  ``block`` returns a read-only view, so reading the iterates or
 a parameter's row block copies nothing.  ``unit_rows`` is the one
-normalisation and zero-norm check behind every cosine; ``cosine_rows``
-scatters its VJP with ``np.bincount``.
+normalisation and zero-norm check behind every cosine.
+
+Per-edge quantities are |E| x 1 columns over a list of node pairs
+(i, j): ``pair_dots`` reads a Gram matrix at the pairs, ``edge_degrees``
+and ``edge_scale`` normalise an edge column with ``np.bincount``, and
+``edge_operator`` scatters a column into the dense n x n operator that
+``propagate`` multiplies.  The VJPs of ``pair_dots`` and ``cosine_rows``
+scatter their pair gradients into one matrix with one ``bincount`` and
+follow it with one product per side.
 """
 
 from __future__ import annotations
@@ -91,10 +98,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
 
 def _wrap(x) -> Tensor:
@@ -269,10 +272,6 @@ def scale(c: float, a: Tensor) -> Tensor:
     return _emit(c * a.data, (a,), lambda g: (c * g,))
 
 
-def transpose(a: Tensor) -> Tensor:
-    return _emit(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # split by sign so exp never overflows
@@ -399,23 +398,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _emit(np.sum(a.data), (a,), lambda g: (np.full(shape, g[0, 0]),))
 
 
-def gather_pairs(m: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Column vector of entries m[rows[k], cols[k]]; backward scatter-adds."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise DimensionError("gather_pairs: index arrays must be equal-length 1-D")
-    shape = m.shape
-    vals = m.data[rows, cols].reshape(-1, 1)
-
-    def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, (rows, cols), g[:, 0])
-        return (out,)
-
-    return _emit(vals, (m,), vjp)
-
-
 def _row_softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -491,38 +473,129 @@ def unit_rows(a: np.ndarray, b: np.ndarray, pairs, what: str):
     return ua, na, ub, nb
 
 
-def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """n x m array whose row r sums the rows[k] with idx[k] == r."""
-    return np.stack([np.bincount(idx, weights=rows[:, col], minlength=n)
-                     for col in range(rows.shape[1])], axis=1)
+def _pair_indices(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
+    i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
+    j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
+    if i_idx.size != j_idx.size:
+        raise DimensionError(f"{what}: pair index arrays differ in length")
+    return i_idx, j_idx
+
+
+def _pair_scatter(g: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
+                  shape: tuple[int, int]) -> np.ndarray:
+    """The matrix S with S[i, j] = sum of g[k] over the pairs k = (i, j).
+
+    One ``bincount`` on the flat index, so repeated pairs sum.
+    """
+    rows, cols = shape
+    return np.bincount(i_idx * cols + j_idx, weights=g.ravel(),
+                       minlength=rows * cols).reshape(rows, cols)
+
+
+def pair_dots(a: Tensor, b: Tensor, pairs) -> Tensor:
+    """a[i] . b[j] per pair (i, j), as a column: (a b^T) read at the pairs.
+
+    Backward scatters the pair gradients into one matrix S and returns
+    S b and S^T a, one product per side.  a and b may be the same tensor.
+    """
+    i_idx, j_idx = _pair_indices(pairs, "pair_dots")
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"pair_dots: widths differ, {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    vals = (ad @ bd.T)[i_idx, j_idx].reshape(-1, 1)
+
+    def vjp(g):
+        s = _pair_scatter(g, i_idx, j_idx, (a.shape[0], b.shape[0]))
+        return (s @ bd if a.requires_grad else None,
+                s.T @ ad if b.requires_grad else None)
+
+    return _emit(vals, (a, b), vjp)
+
+
+def edge_degrees(w: Tensor, pairs, n: int) -> Tensor:
+    """n x 1 weighted degrees of an undirected edge column.
+
+    ``w`` holds one weight per pair (i, j); node r's degree sums the
+    weights of the pairs that touch it, on either side.
+    """
+    i_idx, j_idx = _pair_indices(pairs, "edge_degrees")
+    if w.shape != (i_idx.size, 1):
+        raise DimensionError(f"edge_degrees: weights {w.shape} for {i_idx.size} pairs")
+    wv = w.data[:, 0]
+    d = (np.bincount(i_idx, weights=wv, minlength=n)
+         + np.bincount(j_idx, weights=wv, minlength=n))
+    return _emit(d.reshape(-1, 1), (w,), lambda g: (g[i_idx] + g[j_idx],))
+
+
+def edge_scale(w: Tensor, r: Tensor, pairs) -> Tensor:
+    """r_i r_j w_e per pair e = (i, j): the edge column of diag(r) W diag(r)."""
+    i_idx, j_idx = _pair_indices(pairs, "edge_scale")
+    if w.shape != (i_idx.size, 1) or r.shape[1] != 1:
+        raise DimensionError(f"edge_scale: weights {w.shape}, scales {r.shape} "
+                             f"for {i_idx.size} pairs")
+    rv, wv = r.data[:, 0], w.data[:, 0]
+    ri, rj = rv[i_idx], rv[j_idx]
+    rr = ri * rj
+
+    def vjp(g):
+        gw = g[:, 0] * wv
+        n = r.shape[0]
+        gr = (np.bincount(i_idx, weights=gw * rj, minlength=n)
+              + np.bincount(j_idx, weights=gw * ri, minlength=n))
+        return (g * rr[:, None] if w.requires_grad else None,
+                gr.reshape(-1, 1) if r.requires_grad else None)
+
+    return _emit((rr * wv).reshape(-1, 1), (w, r), vjp)
+
+
+def edge_operator(w: Tensor, pairs, n: int, diag: float, off: float) -> Tensor:
+    """The dense n x n matrix diag * I + off * W of an undirected edge column.
+
+    ``w`` holds one weight per pair (i, j) with i != j and no pair given
+    twice in either orientation; one scatter writes each weight at (i, j)
+    and (j, i), so the result is exactly symmetric.  Backward reads
+    off * (g[i, j] + g[j, i]).
+    """
+    i_idx, j_idx = _pair_indices(pairs, "edge_operator")
+    if w.shape != (i_idx.size, 1):
+        raise DimensionError(f"edge_operator: weights {w.shape} for {i_idx.size} pairs")
+    diag, off = float(diag), float(off)
+    out = np.zeros((n, n))
+    v = off * w.data[:, 0]
+    out[i_idx, j_idx] = v
+    out[j_idx, i_idx] = v
+    np.fill_diagonal(out, diag)
+
+    def vjp(g):
+        return ((off * (g[i_idx, j_idx] + g[j_idx, i_idx])).reshape(-1, 1),)
+
+    return _emit(out, (w,), vjp)
 
 
 def cosine_rows(a: Tensor, b: Tensor, pairs) -> Tensor:
     """Cosine similarity of a[i] and b[j] per pair (i, j), as a column vector.
 
     Differentiable through both arguments; a and b may be the same
-    tensor, whose gradient then sums both sides.
+    tensor, whose gradient then sums both sides.  Backward scatters the
+    pair gradients into one matrix S, as ``pair_dots`` does, and takes
+    the unit-row gradients S ub and S^T ua through the normalisation.
     """
-    i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
-    j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
-    if i_idx.size != j_idx.size:
-        raise DimensionError("cosine_rows: pair index arrays differ in length")
+    i_idx, j_idx = _pair_indices(pairs, "cosine_rows")
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"cosine_rows: widths differ, {a.shape} vs {b.shape}")
     ua, na, ub, nb = unit_rows(a.data, b.data, (i_idx, j_idx), "cosine_rows")
     c = np.einsum("ij,ij->i", ua[i_idx], ub[j_idx])
 
+    def unit_vjp(du, u, norms):
+        # d(x/|x|) projects out the unit direction and divides by |x|;
+        # rows no pair uses have du = 0 and keep a zero gradient
+        du = du - np.sum(du * u, axis=1, keepdims=True) * u
+        return du / np.where(norms == 0, 1.0, norms)[:, None]
+
     def vjp(g):
-        gv = g[:, 0]
-        ga = gb = None
-        # d cos / d a_i = (ub_j - cos ua_i) / |a_i|, and symmetrically for b_j
-        if a.requires_grad:
-            du = (ub[j_idx] - c[:, None] * ua[i_idx]) * (gv / na[i_idx])[:, None]
-            ga = _scatter_rows(i_idx, du, a.shape[0])
-        if b.requires_grad:
-            dv = (ua[i_idx] - c[:, None] * ub[j_idx]) * (gv / nb[j_idx])[:, None]
-            gb = _scatter_rows(j_idx, dv, b.shape[0])
-        return (ga, gb)
+        s = _pair_scatter(g, i_idx, j_idx, (a.shape[0], b.shape[0]))
+        return (unit_vjp(s @ ub, ua, na) if a.requires_grad else None,
+                unit_vjp(s.T @ ua, ub, nb) if b.requires_grad else None)
 
     return _emit(c.reshape(-1, 1), (a, b), vjp)
 

@@ -41,6 +41,17 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _unit_interval(value: str) -> float:
+    """``--threshold`` type: a finite number in [0, 1]."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not 0.0 <= number <= 1.0:       # also false for NaN
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number in [0, 1]")
+    return number
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fggsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--n", type=int, default=20, help="random graph size")
     p_an.add_argument("--classes", default="2,3,4,5,6,7,8",
                       help="class counts for prop1 draws")
-    p_an.add_argument("--threshold", type=float, default=0.5)
+    p_an.add_argument("--threshold", type=_unit_interval, default=0.5,
+                      help="audit: keep learned edges above this weight, in [0, 1]")
     p_an.add_argument("--max-pairs", type=int, default=20000)
     p_an.add_argument("--bins", type=int, default=50)
     p_an.add_argument("--no-normalize", action="store_true")
@@ -372,9 +384,8 @@ def _cmd_analyze(args) -> int:
         with ad.no_grad():
             fwd = fm.forward(net, ad.constant(bundle.graph.features), a_f)
         stats = analysis.learned_edge_audit(
-            None if fwd.w1 is None else fwd.w1.data,
-            None if fwd.w2 is None else fwd.w2.data,
-            bundle.graph.labels, threshold=args.threshold)
+            *fwd.edge_columns(), bundle.graph.labels, threshold=args.threshold,
+            pairs=a_f.edge_pairs())
         lines = ["threshold,ho_edges,ho_r_het,ht_edges,ht_r_het",
                  f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
                  f"{stats.ht_edges},{stats.ht_r_het}"]

@@ -59,6 +59,10 @@ class CandidateGraph:
         return self._pairs
 
     @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
     def num_edges(self) -> int:
         return int(self.edge_pairs()[0].size)
 
@@ -77,12 +81,14 @@ def load_raw(node_file, edge_file) -> LabeledGraph:
 
     Duplicate edges and self-loops are dropped; the adjacency is
     symmetrized.  Unknown node ids or ragged feature rows raise
-    ParseError with the offending line number.
+    ParseError with the offending line number; a label >= the node count
+    raises ValidationError before anything of its size is allocated.
     """
     ids: dict[int, int] = {}
     feats: list[np.ndarray] = []
     labels: list[int] = []
     width = None
+    top = (-1, 0)                    # (largest label, its line)
     for lineno, line in _data_lines(node_file):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -105,10 +111,17 @@ def load_raw(node_file, edge_file) -> LabeledGraph:
         ids[node_id] = len(feats)
         feats.append(row)
         labels.append(label)
+        if label > top[0]:
+            top = (label, lineno)
     if not feats:
         raise ParseError(f"{node_file}: no node records")
 
     n = len(feats)
+    # the one-hot matrix has max label + 1 columns; more classes than
+    # nodes cannot be a labelling, and a huge label would allocate first
+    if top[0] >= n:
+        raise ValidationError(
+            f"{node_file}:{top[1]}: label {top[0]} >= node count {n}")
     adjacency = np.zeros((n, n))
     for lineno, line in _data_lines(edge_file):
         parts = line.split("\t")

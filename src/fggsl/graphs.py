@@ -1,8 +1,10 @@
 """Graph data structures, normalized Laplacians, heterophily metrics, and
 dense symmetric eigendecomposition.
 
-All matrices are dense float64.  The eigensolver wraps LAPACK ``eigh``;
-it is only used on analysis paths, never inside training.
+All matrices are dense float64; training passes its graphs to
+``normalized_laplacian`` as edge columns instead.  The eigensolver wraps
+LAPACK ``eigh``; it is only used on analysis paths, never inside
+training.
 """
 
 from __future__ import annotations
@@ -94,24 +96,28 @@ def _check_symmetric(m: np.ndarray, what: str, tol: float = SYMMETRY_TOL):
         raise ContractError(f"{what}: matrix asymmetry {worst:.3e} exceeds {tol:.0e}")
 
 
-def normalized_laplacian(weights, eps: float = DEGREE_EPS):
+def normalized_laplacian(weights, eps: float = DEGREE_EPS, pairs=None, n: int | None = None):
     """I - D^{-1/2} W D^{-1/2} with degrees clamped below at ``eps``.
 
-    Accepts a plain ndarray (returns an ndarray) or an autodiff Tensor
-    (returns a Tensor differentiable w.r.t. the weights).  Rows of
+    Dense form: an n x n ndarray W gives the n x n ndarray L.  Rows of
     isolated nodes come out as identity rows because their incident
     weights are all zero.
+
+    Edge form, with the pairs (i, j) and the node count ``n``: ``weights``
+    is an |E| x 1 Tensor holding W once per undirected pair, and the
+    result is the Tensor column a_e = w_e / sqrt(d_i d_j) over the same
+    pairs, differentiable w.r.t. the weights.  L = I - A, where A holds
+    a_e at (i, j) and (j, i); it is symmetric by construction, so this
+    form skips the symmetry check.
     """
-    is_tensor = isinstance(weights, ad.Tensor)
-    w = weights if is_tensor else ad.constant(np.asarray(weights, dtype=np.float64))
-    _check_symmetric(w.data, "normalized_laplacian")
+    if pairs is not None:
+        r = ad.rsqrt_clamped(ad.edge_degrees(weights, pairs, n), eps)
+        return ad.edge_scale(weights, r, pairs)
+    w = np.asarray(weights, dtype=np.float64)
+    _check_symmetric(w, "normalized_laplacian")
     n = w.shape[0]
-    ones_col = ad.constant(np.ones((n, 1)))
-    degrees = ad.matmul(w, ones_col)
-    r = ad.rsqrt_clamped(degrees, eps)
-    scaling = ad.matmul(r, ad.transpose(r))       # outer product d_i^-1/2 d_j^-1/2
-    lap = ad.sub(ad.constant(np.eye(n)), ad.hadamard(scaling, w))
-    return lap if is_tensor else lap.data
+    r = 1.0 / np.sqrt(np.maximum(w @ np.ones((n, 1)), eps))
+    return np.eye(n) - (r @ r.T) * w
 
 
 def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray,

@@ -10,10 +10,19 @@ The training objective adds two label-similarity structural penalties
 to the cross-entropy so the masks are pushed toward genuinely
 homophilic / heterophilic edge sets.
 
-Every kernel is a polynomial in one n x n operator T, applied to a block
-by repeated products T @ Y inside ``ad.propagate``: one tape node per
-bank, whose backward forms dT as one product, and whose iterates are read
-as ``ad.block`` views.  No n x n matrix is ever squared.
+Everything per edge is an |E| x 1 column over the candidate's cached
+``edge_pairs()``: each mask is w_e = sigmoid(z_i . z_j), read off the
+Gram matrix z z^T at the pairs, and ``normalized_laplacian`` turns a
+column into the normalised weights a_e = w_e / sqrt(d_i d_j).  One
+symmetric scatter (``ad.edge_operator``) builds the dense operator
+T = I/2 + A/2 or I/2 - A/2 of a bank; that is the one n x n tape node a
+bank records before its propagation.  ``ForwardResult.w1``/``w2`` build
+the dense masks on demand.
+
+Every kernel is a polynomial in T, applied to a block by repeated dense
+products T @ Y inside ``ad.propagate``: one tape node per bank, whose
+backward forms dT as one product, and whose iterates are read as
+``ad.block`` views.  No n x n matrix is ever squared.
 """
 
 from __future__ import annotations
@@ -86,13 +95,28 @@ def kernel_value(j: int, lam, mode: str, kind: str):
     return out if out.ndim else float(out)
 
 
+def _low_pass(mode: str, kind: str) -> bool:
+    """Whether the kernel's powers are of T = I - L/2 rather than L/2."""
+    return (mode == "fig3" and kind == "low") or (mode == "verbatim" and kind == "high")
+
+
 def _base_operator(l: Tensor, mode: str, kind: str) -> Tensor:
-    """The matrix T whose powers realize the kernel polynomial."""
+    """The matrix T whose powers realize the kernel polynomial, from a dense L."""
     n = l.shape[0]
     half = ad.scale(0.5, l)
-    if (mode == "fig3" and kind == "low") or (mode == "verbatim" and kind == "high"):
+    if _low_pass(mode, kind):
         return ad.sub(ad.constant(np.eye(n)), half)
     return half
+
+
+def _edge_operator(w: Tensor, a_f: CandidateGraph, mode: str, kind: str) -> Tensor:
+    """T from a weight column over ``a_f.edge_pairs()``, by one scatter.
+
+    With L = I - A: I - L/2 = I/2 + A/2 and L/2 = I/2 - A/2.
+    """
+    pairs = a_f.edge_pairs()
+    a_hat = normalized_laplacian(w, pairs=pairs, n=a_f.n)
+    return ad.edge_operator(a_hat, pairs, a_f.n, 0.5, 0.5 if _low_pass(mode, kind) else -0.5)
 
 
 def _propagate(t: Tensor, z: Tensor, j_max: int) -> list[Tensor]:
@@ -122,15 +146,19 @@ def filter_apply(l: Tensor, x: Tensor, j: int, mode: str, kind: str) -> Tensor:
     return _scale_response(ys, x, j, mode, kind)
 
 
+def _bank_response(t: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
+    ys = _propagate(t, x, spec.j_max)
+    return ad.concat_cols([_scale_response(ys, x, j, spec.mode, spec.kind)
+                           for j in spec.scales()])
+
+
 def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
-    """Column-concatenated responses of every scale in the bank.
+    """Column-concatenated responses of every scale in the bank, from a dense L.
 
     Shares one propagation across scales: the bank costs 2^j_max products
     of the n x n operator T with the n x F block X, and no n x n product.
     """
-    ys = _propagate(_base_operator(l, spec.mode, spec.kind), x, spec.j_max)
-    return ad.concat_cols([_scale_response(ys, x, j, spec.mode, spec.kind)
-                           for j in spec.scales()])
+    return _bank_response(_base_operator(l, spec.mode, spec.kind), x, spec)
 
 
 class MaskNet:
@@ -145,15 +173,47 @@ class MaskNet:
 
 
 def mask_matrix(net: MaskNet, x: Tensor, a_f: CandidateGraph) -> Tensor:
-    """Masked edge-weight matrix S(x) * A_f, exactly symmetric, zero diagonal."""
+    """The mask as an |E| x 1 column: w_e = sigmoid(<z_i, z_j>) for each
+    pair (i, j) of ``a_f.edge_pairs()``.
+
+    Each undirected candidate edge has one weight, so the mask is
+    symmetric by construction; ``dense_mask`` scatters it into n x n.
+    """
     if x.shape[1] != net.weight.shape[0]:
         raise ContractError(
             f"mask_matrix: feature width {x.shape[1]} != net input {net.weight.shape[0]}")
     z = ad.tanh(ad.add_row(ad.matmul(x, net.weight), net.bias))
-    gram = ad.matmul(z, ad.transpose(z))
-    # (G + G^T)/2 makes symmetry bitwise regardless of BLAS blocking
-    sym = ad.scale(0.5, ad.add(gram, ad.transpose(gram)))
-    return ad.hadamard(ad.sigmoid(sym), ad.constant(a_f.adjacency))
+    return ad.sigmoid(ad.pair_dots(z, z, a_f.edge_pairs()))
+
+
+def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
+    """The n x n constant holding an edge column at (i, j) and (j, i):
+    exactly symmetric, zero on the diagonal and off the candidate."""
+    if w is None:
+        return None
+    with ad.no_grad():
+        return ad.edge_operator(w, a_f.edge_pairs(), a_f.n, 0.0, 1.0)
+
+
+def _check_config(variant: str, kernel_mode: str, j_max: int) -> None:
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if kernel_mode not in KERNEL_MODES:
+        raise ValidationError(f"unknown kernel mode {kernel_mode!r}")
+    if j_max < 2:
+        raise ValidationError(f"j_max={j_max} must be >= 2")
+
+
+def _num_banks(variant: str) -> int:
+    return 2 if variant in ("full", "NM") else 1
+
+
+def _parameter_shapes(num_features: int, num_classes: int, j_max: int,
+                      mask_dim: int, variant: str) -> dict[str, tuple[int, int]]:
+    """Each parameter's shape in the ``FgGSLModel`` of these sizes."""
+    return {"mask_ho_w": (num_features, mask_dim), "mask_ho_b": (1, mask_dim),
+            "mask_ht_w": (num_features, mask_dim), "mask_ht_b": (1, mask_dim),
+            "w_clf": (_num_banks(variant) * (j_max - 1) * num_features, num_classes)}
 
 
 class FgGSLModel:
@@ -172,12 +232,7 @@ class FgGSLModel:
     def __init__(self, num_features: int, num_classes: int, j_max: int = 4,
                  mask_dim: int = 16, kernel_mode: str = "fig3",
                  variant: str = "full", seed: int = 0):
-        if variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        if kernel_mode not in KERNEL_MODES:
-            raise ValidationError(f"unknown kernel mode {kernel_mode!r}")
-        if j_max < 2:
-            raise ValidationError(f"j_max={j_max} must be >= 2")
+        _check_config(variant, kernel_mode, j_max)
         self.num_features = num_features
         self.num_classes = num_classes
         self.j_max = j_max
@@ -194,7 +249,7 @@ class FgGSLModel:
             "w_clf", rng.uniform(-limit, limit, size=(width, num_classes)))
 
     def num_banks(self) -> int:
-        return 2 if self.variant in ("full", "NM") else 1
+        return _num_banks(self.variant)
 
     def embedding_width(self) -> int:
         return self.num_banks() * (self.j_max - 1) * self.num_features
@@ -206,19 +261,34 @@ class FgGSLModel:
 @dataclass
 class ForwardResult:
     yhat: Tensor                 # (n, c) softmax probabilities
-    w1: Tensor | None            # homophilic edge weights, if the variant has them
-    w2: Tensor | None            # heterophilic edge weights
+    w1_edges: Tensor | None      # homophilic edge weights (|E| x 1), if the variant has them
+    w2_edges: Tensor | None      # heterophilic edge weights
     logits: Tensor               # (n, c) pre-softmax
+    a_f: CandidateGraph          # the candidate whose edge_pairs() the columns follow
+
+    @property
+    def w1(self) -> Tensor | None:
+        """The homophilic mask as a dense n x n constant, built on demand."""
+        return dense_mask(self.w1_edges, self.a_f)
+
+    @property
+    def w2(self) -> Tensor | None:
+        """The heterophilic mask as a dense n x n constant, built on demand."""
+        return dense_mask(self.w2_edges, self.a_f)
+
+    def edge_columns(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The values of both edge columns, None for a mask the variant lacks."""
+        return tuple(None if w is None else w.data for w in (self.w1_edges, self.w2_edges))
 
 
 def _bank_graphs(model: FgGSLModel, x: Tensor, a_f: CandidateGraph):
-    """(w1, w2): the weighted graphs of the low and high banks, None for a
-    bank the variant lacks."""
+    """(w1, w2): the edge columns of the low and high banks' graphs, None
+    for a bank the variant lacks; NM gives both banks the candidate."""
     if x.shape[1] != model.num_features:
         raise ContractError(
             f"feature width {x.shape[1]} != model width {model.num_features}")
     if model.variant == "NM":
-        given = ad.constant(a_f.adjacency)
+        given = ad.constant(np.ones((a_f.num_edges, 1)))
         return given, given
     w1 = mask_matrix(model.mask_ho, x, a_f) if model.variant in ("full", "FBL") else None
     w2 = mask_matrix(model.mask_ht, x, a_f) if model.variant in ("full", "FBH") else None
@@ -248,13 +318,13 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
         z = ad.concat_cols([
             ad.matmul(x, ad.block(model.w_clf, rows=(first + k * f, first + (k + 1) * f)))
             for k in range(len(scales))])
-        ys = _propagate(_base_operator(normalized_laplacian(w), spec.mode, kind), z,
-                        spec.j_max)
+        ys = _propagate(_edge_operator(w, a_f, spec.mode, kind), z, spec.j_max)
         terms += [ad.block(_scale_response(ys, z, j, spec.mode, kind),
                            cols=(k * c, (k + 1) * c))
                   for k, j in enumerate(scales)]
     logits = functools.reduce(ad.add, terms)
-    return ForwardResult(yhat=ad.softmax_rows(logits), w1=w1, w2=w2, logits=logits)
+    return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=w1, w2_edges=w2,
+                         logits=logits, a_f=a_f)
 
 
 def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
@@ -264,29 +334,29 @@ def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
     analysis of learned representations computes it on demand.
     """
     w1, w2 = _bank_graphs(model, x, a_f)
-    return ad.concat_cols([filter_bank_apply(normalized_laplacian(w), x, model.bank(kind))
-                           for w, kind in _banks(w1, w2)])
+    return ad.concat_cols([
+        _bank_response(_edge_operator(w, a_f, model.kernel_mode, kind), x, model.bank(kind))
+        for w, kind in _banks(w1, w2)])
 
 
-def structural_loss_ho(w1: Tensor, yhat: Tensor, pairs) -> Tensor:
-    """Mean over candidate edges of w_ij * (1 - cos(yhat_i, yhat_j))."""
-    i_idx, j_idx = pairs
-    if len(i_idx) == 0:
+def structural_loss_ho(w1: Tensor, cos: Tensor) -> Tensor:
+    """Mean over candidate edges e = (i, j) of w_e * (1 - cos(yhat_i, yhat_j)).
+
+    ``w1`` and ``cos`` are |E| x 1 columns over the same pairs.
+    """
+    edges = cos.shape[0]
+    if edges == 0:
         raise ContractError("structural_loss_ho: empty edge list")
-    cos = ad.cosine_rows(yhat, yhat, pairs)
-    w = ad.gather_pairs(w1, i_idx, j_idx)
-    dissim = ad.sub(ad.constant(np.ones((len(i_idx), 1))), cos)
-    return ad.scale(1.0 / len(i_idx), ad.sum_all(ad.hadamard(w, dissim)))
+    dissim = ad.sub(ad.constant(np.ones((edges, 1))), cos)
+    return ad.scale(1.0 / edges, ad.sum_all(ad.hadamard(w1, dissim)))
 
 
-def structural_loss_ht(w2: Tensor, yhat: Tensor, pairs) -> Tensor:
-    """Mean over candidate edges of w_ij * cos(yhat_i, yhat_j)."""
-    i_idx, j_idx = pairs
-    if len(i_idx) == 0:
+def structural_loss_ht(w2: Tensor, cos: Tensor) -> Tensor:
+    """Mean over candidate edges e = (i, j) of w_e * cos(yhat_i, yhat_j)."""
+    edges = cos.shape[0]
+    if edges == 0:
         raise ContractError("structural_loss_ht: empty edge list")
-    cos = ad.cosine_rows(yhat, yhat, pairs)
-    w = ad.gather_pairs(w2, i_idx, j_idx)
-    return ad.scale(1.0 / len(i_idx), ad.sum_all(ad.hadamard(w, cos)))
+    return ad.scale(1.0 / edges, ad.sum_all(ad.hadamard(w2, cos)))
 
 
 @dataclass
@@ -324,10 +394,11 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
         sim_source = ad.add(ad.hadamard(probs, ad.constant(keep)),
                             ad.constant(graph.labels * (1.0 - keep)))
 
-    pairs = a_f.edge_pairs()
+    # one cosine per candidate edge, shared by both structural losses
+    cos = ad.cosine_rows(sim_source, sim_source, a_f.edge_pairs())
     zero = ad.constant(0.0)
-    ho = structural_loss_ho(fwd.w1, sim_source, pairs) if fwd.w1 is not None else zero
-    ht = structural_loss_ht(fwd.w2, sim_source, pairs) if fwd.w2 is not None else zero
+    ho = structural_loss_ho(fwd.w1_edges, cos) if fwd.w1_edges is not None else zero
+    ht = structural_loss_ht(fwd.w2_edges, cos) if fwd.w2_edges is not None else zero
     loss = ad.add(ce, ad.add(ad.scale(alpha, ho), ad.scale(beta, ht)))
     breakdown = LossBreakdown(ce=ce.item(), ho=ho.item(), ht=ht.item(),
                               total=loss.item(), alpha=alpha, beta=beta)
@@ -397,7 +468,9 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
     The header must carry every key with its type, list each parameter
     of the model it describes once, with the model's shape, and the file
     must end right after the last parameter; anything else raises a
-    ValidationError.
+    ValidationError.  All of this is checked against the header's sizes
+    before the model is built, so a header that claims large sizes
+    allocates nothing of their size.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -406,30 +479,37 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"{path}: not a checkpoint file") from exc
         _check_header(path, header)
-        model = FgGSLModel(
-            num_features=header["num_features"], num_classes=header["num_classes"],
-            j_max=header["j_max"], mask_dim=header["mask_dim"],
-            kernel_mode=header["kernel_mode"], variant=header["variant"])
-        names = [entry["name"] for entry in header["params"]]
-        for name, entry in zip(names, header["params"]):
-            if name not in model.params:
-                raise ValidationError(f"{path}: unknown parameter {name!r}")
-            if names.count(name) > 1:
-                raise ValidationError(f"{path}: parameter {name!r} listed twice")
-            shape, expected = tuple(entry["shape"]), model.params[name].shape
-            if shape != expected:
-                raise ValidationError(f"{path}: parameter {name!r} has shape {shape}, "
-                                      f"the model's is {expected}")
-        for name in model.params.names():
-            if name not in names:
-                raise ValidationError(f"{path}: missing parameter {name!r}")
-        for entry in header["params"]:
-            rows, cols = entry["shape"]
-            blob = fh.read(rows * cols * 8)
-            if len(blob) != rows * cols * 8:
-                raise ValidationError(f"{path}: truncated parameter {entry['name']}")
-            model.params[entry["name"]].data = (
-                np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64))
-        if fh.read(1):
-            raise ValidationError(f"{path}: trailing bytes after the last parameter")
+        body = fh.read()
+    _check_config(header["variant"], header["kernel_mode"], header["j_max"])
+    expected = _parameter_shapes(header["num_features"], header["num_classes"],
+                                 header["j_max"], header["mask_dim"], header["variant"])
+    names = [entry["name"] for entry in header["params"]]
+    for name, entry in zip(names, header["params"]):
+        if name not in expected:
+            raise ValidationError(f"{path}: unknown parameter {name!r}")
+        if names.count(name) > 1:
+            raise ValidationError(f"{path}: parameter {name!r} listed twice")
+        shape = tuple(entry["shape"])
+        if shape != expected[name]:
+            raise ValidationError(f"{path}: parameter {name!r} has shape {shape}, "
+                                  f"the model's is {expected[name]}")
+    for name in expected:
+        if name not in names:
+            raise ValidationError(f"{path}: missing parameter {name!r}")
+    size = 8 * sum(rows * cols for rows, cols in expected.values())
+    if len(body) < size:
+        raise ValidationError(f"{path}: truncated: {len(body)} bytes of parameters, "
+                              f"the header needs {size}")
+    if len(body) > size:
+        raise ValidationError(f"{path}: trailing bytes after the last parameter")
+    model = FgGSLModel(
+        num_features=header["num_features"], num_classes=header["num_classes"],
+        j_max=header["j_max"], mask_dim=header["mask_dim"],
+        kernel_mode=header["kernel_mode"], variant=header["variant"])
+    offset = 0
+    for name in names:
+        rows, cols = expected[name]
+        values = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=offset)
+        model.params[name].data = values.reshape(rows, cols).astype(np.float64)
+        offset += values.nbytes
     return model, header

@@ -230,9 +230,8 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
         fwd = fm.forward(net, ad.constant(graph.features), a_f)
     audit = None
     if config.variant != "NM":
-        w1 = fwd.w1.data if fwd.w1 is not None else None
-        w2 = fwd.w2.data if fwd.w2 is not None else None
-        audit = dataclasses.asdict(learned_edge_audit(w1, w2, graph.labels))
+        audit = dataclasses.asdict(learned_edge_audit(
+            *fwd.edge_columns(), graph.labels, pairs=a_f.edge_pairs()))
     return net, _result_row(fit, started, fwd.yhat.data, graph.labels, test_idx, audit)
 
 

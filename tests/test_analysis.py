@@ -244,17 +244,18 @@ def test_audit_threshold_one_keeps_nothing():
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
     labels = np.eye(2)[[0, 1] * 3]
-    stats = analysis.learned_edge_audit(w, w, labels, threshold=1.0)
+    pairs = np.triu_indices(6, k=1)
+    stats = analysis.learned_edge_audit(w[pairs], w[pairs], labels, threshold=1.0,
+                                        pairs=pairs)
     assert stats.ho_edges == 0 and stats.ho_r_het is None
     assert stats.ht_edges == 0
 
 
 def test_audit_threshold_zero_keeps_all_candidate_edges():
-    w = np.array([[0.0, 0.7, 0.0],
-                  [0.7, 0.0, 0.3],
-                  [0.0, 0.3, 0.0]])
+    w = np.array([[0.7], [0.3]])            # the edges (0, 1) and (1, 2)
     labels = np.eye(2)[[0, 1, 0]]
-    stats = analysis.learned_edge_audit(w, None, labels, threshold=0.0)
+    stats = analysis.learned_edge_audit(w, None, labels, threshold=0.0,
+                                        pairs=(np.array([0, 1]), np.array([1, 2])))
     assert stats.ho_edges == 2
     assert stats.ht_edges is None
     assert stats.ho_r_het == 1.0  # both surviving edges cross classes
@@ -262,7 +263,32 @@ def test_audit_threshold_zero_keeps_all_candidate_edges():
 
 def test_audit_counts_match_heterophily():
     g = datasets.gen_synthetic(20, 2, 0.1, 0.4, 0.3, seed=10, n_splits=1)
-    stats = analysis.learned_edge_audit(g.adjacency.copy(), None, g.labels,
-                                        threshold=0.5)
+    pairs = datasets.candidate_graph(g, "given").edge_pairs()
+    stats = analysis.learned_edge_audit(g.adjacency[pairs], None, g.labels,
+                                        threshold=0.5, pairs=pairs)
     from fggsl.graphs import heterophily_ratio
     assert stats.ho_r_het == heterophily_ratio(g.adjacency, g.labels, 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_audit_edge_columns_equal_the_dense_masks(seed, n, threshold):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+    pairs = np.nonzero(upper)
+    # weights on a grid, so some of them equal the threshold
+    col = rng.integers(0, 5, size=pairs[0].size) / 4.0
+    dense = np.zeros((n, n))
+    dense[pairs] = col
+    dense = dense + dense.T
+    labels = np.eye(3)[rng.integers(0, 3, size=n)]
+    assert (analysis.learned_edge_audit(col, None, labels, threshold, pairs=pairs)
+            == analysis.learned_edge_audit(dense, None, labels, threshold))
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 1.5, float("nan"), float("inf")])
+def test_audit_rejects_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(ContractError, match="threshold"):
+        analysis.learned_edge_audit(np.ones(1), None, np.eye(2),
+                                    threshold, pairs=(np.array([0]), np.array([1])))

@@ -444,10 +444,9 @@ def test_random_op_chains_match_finite_differences(seed):
     def loss_fn():
         h = ad.tanh(ad.matmul(x, w1))
         z = ad.matmul(h, w2)
-        s = ad.sigmoid(ad.matmul(z, ad.transpose(z)))
         ce, probs = ad.softmax_cross_entropy(z, onehot, [0, 2, 4])
         cos = ad.cosine_rows(probs, probs, ([0, 1], [2, 3]))
-        pair_w = ad.gather_pairs(s, [0, 1], [2, 3])
+        pair_w = ad.sigmoid(ad.pair_dots(z, z, ([0, 1], [2, 3])))
         return ad.add(ce, ad.scale(0.5, ad.sum_all(ad.hadamard(pair_w, cos))))
 
     assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-4
@@ -557,3 +556,99 @@ def test_propagate_backward_with_one_tracked_input(tracked):
 def test_propagate_rejects_an_operator_of_another_size():
     with pytest.raises(DimensionError, match="propagate"):
         ad.propagate(ad.constant(np.eye(3)), ad.constant(np.ones((4, 2))), 1)
+
+
+# ---------------------------------------------------------------------------
+# pair and edge-column ops
+
+
+# pairs with a repeat and an (i, i) pair; the scatters must sum repeats
+REPEATED = (np.array([0, 2, 2, 4, 1, 3]), np.array([1, 3, 3, 0, 1, 4]))
+# an undirected edge list: i < j, each pair once
+EDGES = (np.array([0, 0, 1, 2, 3]), np.array([1, 4, 2, 4, 4]))
+
+
+def test_pair_dots_reads_the_gram_matrix():
+    rng = np.random.default_rng(50)
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    out = ad.pair_dots(ad.constant(a), ad.constant(b), REPEATED).data
+    i_idx, j_idx = REPEATED
+    expected = np.sum(a[i_idx] * b[j_idx], axis=1, keepdims=True)
+    assert out.shape == (6, 1)
+    assert np.max(np.abs(out - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["a-is-b", "a-and-b"])
+def test_grad_check_pair_dots(same):
+    rng = np.random.default_rng(51)
+    params = ad.ParameterSet()
+    a = params.add("a", rng.uniform(-1, 1, size=(5, 3)))
+    b = a if same else params.add("b", rng.uniform(-1, 1, size=(5, 3)))
+
+    def loss_fn():
+        s = ad.sigmoid(ad.pair_dots(a, b, REPEATED))
+        return ad.sum_all(ad.hadamard(s, s))
+
+    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+
+
+def test_edge_degrees_sum_both_endpoints():
+    w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+    d = ad.edge_degrees(ad.constant(w), EDGES, 6).data
+    assert np.array_equal(d[:, 0], [3.0, 4.0, 7.0, 5.0, 11.0, 0.0])
+
+
+def test_grad_check_edge_degrees():
+    rng = np.random.default_rng(52)
+    params = ad.ParameterSet()
+    w = params.add("w", rng.uniform(0.1, 1, size=(6, 1)))
+
+    def loss_fn():
+        d = ad.edge_degrees(w, REPEATED, 5)
+        return ad.sum_all(ad.hadamard(d, d))
+
+    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+
+
+def test_grad_check_edge_scale():
+    rng = np.random.default_rng(53)
+    params = ad.ParameterSet()
+    w = params.add("w", rng.uniform(0.1, 1, size=(6, 1)))
+    r = params.add("r", rng.uniform(0.5, 2, size=(5, 1)))
+
+    def loss_fn():
+        return ad.sum_all(ad.tanh(ad.edge_scale(w, r, REPEATED)))
+
+    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+
+
+def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
+    w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+    t = ad.edge_operator(ad.constant(w), EDGES, 6, 0.5, -0.25).data
+    expected = 0.5 * np.eye(6)
+    for (i, j), v in zip(zip(*EDGES), w[:, 0]):
+        expected[i, j] = expected[j, i] = -0.25 * v
+    assert np.array_equal(t, expected)
+
+
+def test_grad_check_edge_operator():
+    rng = np.random.default_rng(54)
+    params = ad.ParameterSet()
+    w = params.add("w", rng.uniform(-1, 1, size=(5, 1)))
+    weights = ad.constant(rng.standard_normal((6, 6)))
+
+    def loss_fn():
+        t = ad.edge_operator(w, EDGES, 6, 0.5, 0.5)
+        return ad.sum_all(ad.hadamard(ad.tanh(ad.matmul(t, t)), weights))
+
+    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+
+
+@pytest.mark.parametrize("op", [
+    lambda w: ad.edge_degrees(w, EDGES, 6),
+    lambda w: ad.edge_scale(w, ad.constant(np.ones((6, 1))), EDGES),
+    lambda w: ad.edge_operator(w, EDGES, 6, 0.5, 0.5),
+], ids=["degrees", "scale", "operator"])
+def test_edge_ops_reject_a_column_of_another_length(op):
+    with pytest.raises(DimensionError):
+        op(ad.constant(np.ones((4, 1))))

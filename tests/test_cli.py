@@ -319,6 +319,18 @@ def test_analyze_audit_malformed_checkpoint_exits_1(tiny_dataset, tmp_path, caps
     assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("threshold", ["-1", "nan", "1.5", "inf", "half"])
+def test_analyze_audit_threshold_outside_unit_interval_exits_1(tiny_dataset, tmp_path,
+                                                               capsys, threshold):
+    ckpt = _edited_checkpoint(tiny_dataset, tmp_path, lambda header: None)
+    code = run_cli("analyze", "audit", "--out", str(tmp_path / "audit"),
+                   "--data", tiny_dataset, "--checkpoint", ckpt, "--threshold", threshold)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "--threshold" in err
+    assert not (tmp_path / "audit").exists()
+
+
 def test_analyze_unknown_kind_lists_valid_kinds(tmp_path, capsys):
     code = run_cli("analyze", "bogus", "--out", str(tmp_path / "x"))
     assert code == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,19 @@ def test_load_raw_constructive(tmp_path):
     assert g.num_classes == 2
     assert g.adjacency.sum() == 4.0  # two undirected edges
     assert np.array_equal(g.labels[1], [0.0, 1.0])
+
+
+def test_load_raw_rejects_a_label_beyond_the_node_count(tmp_path):
+    nodes = _write(tmp_path / "n.tsv", "0\t1.0\t0\n1\t2.0\t1\n2\t0.5\t10000000\n")
+    edges = _write(tmp_path / "e.tsv", "0\t1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r":3: label 10000000 >= node count 3"):
+            datasets.load_raw(nodes, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_load_raw_drops_self_loops_and_duplicates(tmp_path):

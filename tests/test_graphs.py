@@ -71,17 +71,29 @@ def test_laplacian_nullvector_property():
 def test_laplacian_differentiable_wrt_weights():
     rng = np.random.default_rng(1)
     base = _random_adjacency(rng, 4, p=0.8) * rng.uniform(0.5, 1.0)
+    # the edge form holds each undirected weight once, so single-entry
+    # FD probes keep the graph symmetric
+    pairs = np.nonzero(np.triu(base, 1))
     params = ad.ParameterSet()
-    w = params.add("w", base)
-    off_diag = ad.constant(np.ones((4, 4)) - np.eye(4))
+    w = params.add("w", base[pairs].reshape(-1, 1))
 
     def loss_fn():
-        # symmetrize inside the graph so single-entry FD probes stay valid
-        w_sym = ad.hadamard(ad.scale(0.5, ad.add(w, ad.transpose(w))), off_diag)
-        lap = graphs.normalized_laplacian(w_sym)
+        a_hat = graphs.normalized_laplacian(w, pairs=pairs, n=4)
+        lap = ad.edge_operator(a_hat, pairs, 4, 1.0, -1.0)
         return ad.sum_all(ad.hadamard(lap, lap))
 
     assert ad.grad_check(loss_fn, params, 1e-6) <= 1e-4
+
+
+def test_laplacian_edge_form_matches_the_dense_form():
+    rng = np.random.default_rng(2)
+    base = _random_adjacency(rng, 8, p=0.5) * rng.uniform(0.5, 1.0, size=(8, 8))
+    base = np.triu(base, 1) + np.triu(base, 1).T
+    pairs = np.nonzero(np.triu(base, 1))
+    a_hat = graphs.normalized_laplacian(ad.constant(base[pairs].reshape(-1, 1)),
+                                        pairs=pairs, n=8).data
+    dense = graphs.normalized_laplacian(base)
+    assert np.max(np.abs(a_hat[:, 0] + dense[pairs])) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,8 @@ def test_mask_zero_features_give_half_weights():
     g.features[:] = 0.0
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=1)
     cand = datasets.candidate_graph(g, "full")
-    m = model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand)
+    m = model.dense_mask(
+        model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand), cand)
     off = ~np.eye(5, dtype=bool)
     assert np.all(m.data[off] == 0.5)
     assert np.all(np.diag(m.data) == 0.0)
@@ -149,7 +151,8 @@ def test_mask_respects_candidate_zeros():
     g = _random_graph(1, n=6)
     cand = datasets.candidate_graph(g, "given")
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=2)
-    m = model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand)
+    m = model.dense_mask(
+        model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand), cand)
     assert np.all(m.data[cand.adjacency == 0] == 0.0)
     on = cand.adjacency > 0
     if np.any(on):
@@ -162,7 +165,8 @@ def test_mask_exactly_symmetric():
     g.features = rng.standard_normal(g.features.shape)
     cand = datasets.candidate_graph(g, "full")
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=3)
-    m = model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand)
+    m = model.dense_mask(
+        model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand), cand)
     assert np.array_equal(m.data, m.data.T)
 
 
@@ -244,6 +248,48 @@ def test_training_step_multiplies_no_two_n_by_n_matrices(monkeypatch, variant):
     assert ((9, 9), (9, 9)) not in shapes
 
 
+@pytest.mark.parametrize("mode", model.KERNEL_MODES)
+@pytest.mark.parametrize("kind", model.BANK_KINDS)
+def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
+    g = _random_graph(27, n=15, classes=3)
+    cand = datasets.candidate_graph(g, "given")
+    i_idx, j_idx = cand.edge_pairs()
+    w = np.random.default_rng(28).uniform(0.05, 1.0, size=(cand.num_edges, 1))
+    w[(i_idx == 0) | (j_idx == 0)] = 0.0        # node 0 isolated: clamped degree
+    dense = np.zeros((15, 15))
+    dense[i_idx, j_idx] = dense[j_idx, i_idx] = w[:, 0]
+    # I - L/2 (fig3 low, verbatim high) or L/2, from the dense Laplacian
+    expected = model._base_operator(ad.constant(normalized_laplacian(dense)), mode, kind).data
+    t = model._edge_operator(ad.constant(w), cand, mode, kind).data
+    assert np.array_equal(t, t.T)
+    assert np.max(np.abs(t - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("variant, banks", [("full", 2), ("FBL", 1), ("FBH", 1), ("NM", 0)])
+def test_given_training_step_records_one_n_by_n_node_per_bank(variant, banks):
+    # n = 30 differs from F = C = 3, d = 4 and the propagated width (J+1)(J-1)C = 24
+    g = _random_graph(28, n=30, classes=3)
+    m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=29)
+    cand = datasets.candidate_graph(g, "given")
+    with ad.tape_scope():
+        model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
+        square = [out for out, _, _ in ad.tape().nodes() if out.shape == (30, 30)]
+    # each bank's operator T; NM's T is built from constants, off the tape
+    assert len(square) == banks
+
+
+def test_forward_masks_are_the_scattered_edge_columns():
+    g = _random_graph(30, n=10, classes=2)
+    cand = datasets.candidate_graph(g, "given")
+    m = model.FgGSLModel(g.num_features, 2, j_max=2, mask_dim=3, seed=31)
+    fwd = model.forward(m, ad.constant(g.features), cand)
+    i_idx, j_idx = cand.edge_pairs()
+    for dense, col in ((fwd.w1.data, fwd.w1_edges.data), (fwd.w2.data, fwd.w2_edges.data)):
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(dense[i_idx, j_idx], col[:, 0])
+        assert np.count_nonzero(dense) == 2 * cand.num_edges
+
+
 def test_forward_nm_ignores_mask_parameters():
     g = _random_graph(7, n=6)
     cand = datasets.candidate_graph(g, "given")
@@ -279,46 +325,49 @@ def _pair_arrays(pairs):
     return (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
 
+def _cos(yhat, pairs):
+    return ad.cosine_rows(yhat, yhat, _pair_arrays(pairs))
+
+
 def test_structural_ho_zero_weights():
     yhat = ad.constant(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    w = ad.constant(np.zeros((2, 2)))
-    out = model.structural_loss_ho(w, yhat, _pair_arrays([(0, 1)]))
+    w = ad.constant(np.zeros((1, 1)))
+    out = model.structural_loss_ho(w, _cos(yhat, [(0, 1)]))
     assert out.item() == 0.0
 
 
 def test_structural_ho_identical_predictions():
     yhat = ad.constant(np.tile([0.3, 0.7], (3, 1)))
-    w = ad.constant(np.ones((3, 3)))
-    out = model.structural_loss_ho(w, yhat, _pair_arrays([(0, 1), (0, 2), (1, 2)]))
+    w = ad.constant(np.ones((3, 1)))
+    out = model.structural_loss_ho(w, _cos(yhat, [(0, 1), (0, 2), (1, 2)]))
     assert out.item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_structural_ho_orthogonal_unit_edge():
     yhat = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    w = ad.constant(np.ones((2, 2)))
-    out = model.structural_loss_ho(w, yhat, _pair_arrays([(0, 1)]))
+    w = ad.constant(np.ones((1, 1)))
+    out = model.structural_loss_ho(w, _cos(yhat, [(0, 1)]))
     assert out.item() == pytest.approx(1.0)
 
 
 def test_structural_ht_cases():
     same = ad.constant(np.array([[1.0, 0.0], [1.0, 0.0]]))
     orth = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    w = ad.constant(np.ones((2, 2)))
-    pairs = _pair_arrays([(0, 1)])
-    assert model.structural_loss_ht(w, same, pairs).item() == pytest.approx(1.0)
-    assert model.structural_loss_ht(w, orth, pairs).item() == pytest.approx(0.0)
-    zero_w = ad.constant(np.zeros((2, 2)))
-    assert model.structural_loss_ht(zero_w, same, pairs).item() == 0.0
+    w = ad.constant(np.ones((1, 1)))
+    pairs = [(0, 1)]
+    assert model.structural_loss_ht(w, _cos(same, pairs)).item() == pytest.approx(1.0)
+    assert model.structural_loss_ht(w, _cos(orth, pairs)).item() == pytest.approx(0.0)
+    zero_w = ad.constant(np.zeros((1, 1)))
+    assert model.structural_loss_ht(zero_w, _cos(same, pairs)).item() == 0.0
 
 
 def test_structural_losses_reject_empty_edges():
-    yhat = ad.constant(np.array([[1.0, 0.0]]))
-    w = ad.constant(np.zeros((1, 1)))
-    empty = (np.array([], dtype=int), np.array([], dtype=int))
+    w = ad.constant(np.zeros((0, 1)))
+    empty = ad.constant(np.zeros((0, 1)))
     with pytest.raises(ContractError):
-        model.structural_loss_ho(w, yhat, empty)
+        model.structural_loss_ho(w, empty)
     with pytest.raises(ContractError):
-        model.structural_loss_ht(w, yhat, empty)
+        model.structural_loss_ht(w, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +483,38 @@ def test_checkpoint_rejects_truncated_or_extended_files(data):
         path.write_bytes(data)
         with pytest.raises(ValidationError):
             model.load_checkpoint(path)
+
+
+def _claim_a_million_features(header):
+    header["num_features"] = 10**6          # the listed shapes stay small
+
+
+def _claim_and_list_a_million_features(header):
+    header["num_features"] = 10**6
+    for entry in header["params"]:
+        if entry["name"].endswith("_w") or entry["name"] == "w_clf":
+            entry["shape"][0] = 10**6
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_claim_a_million_features, "has shape"),
+    (_claim_and_list_a_million_features, "truncated"),
+], ids=["shapes-disagree", "file-too-short"])
+def test_checkpoint_checks_claimed_sizes_before_allocating(tmp_path, edit, message):
+    line, _, body = CHECKPOINT_BYTES.partition(b"\n")
+    header = json.loads(line)
+    edit(header)
+    path = tmp_path / "model.fgck"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=message):
+            model.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a model of the claimed sizes holds 3 x 10^6 x 2 float64 = 48 MB
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("edit", [
