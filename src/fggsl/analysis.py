@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import unit_rows
+from . import autodiff as ad
 from .errors import ContractError
-from .graphs import (LabeledGraph, normalized_eigenvectors,
-                     normalized_laplacian, operator_distance, perturb_laplacian,
-                     symmetric_eig)
+from .graphs import (LabeledGraph, edge_pairs, heterophilic_fraction,
+                     normalized_eigenvectors, normalized_laplacian,
+                     operator_distance, perturb_laplacian, symmetric_eig)
 from .model import kernel_value
 
 
@@ -28,6 +28,12 @@ class PairBoundRecord:
     lhs: float
     rhs: float
     holds: bool
+
+
+def _cosines(m: np.ndarray, pairs, what: str) -> np.ndarray:
+    """cos(m_i, m_j) per pair (i, j), by the pair layer of ``autodiff``."""
+    unit = ad.unit_rows(ad.constant(m), pairs, what)
+    return ad.pair_dots(unit, pairs).data[:, 0]
 
 
 def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]:
@@ -45,13 +51,9 @@ def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]
     c = y.shape[1]
     i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
     j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
-
-    def row_cos(m):
-        unit = unit_rows(m, m, (i_idx, j_idx), "prop1_check")[0]
-        return np.einsum("ij,ij->i", unit[i_idx], unit[j_idx])
-
+    pairs = (i_idx, j_idx)
     eps = np.linalg.norm(y - yhat, axis=1)
-    lhs = np.abs(row_cos(y) - row_cos(yhat))
+    lhs = np.abs(_cosines(y, pairs, "prop1_check") - _cosines(yhat, pairs, "prop1_check"))
     rhs = 2.0 * np.sqrt(c) * (eps[i_idx] + eps[j_idx])
     return [PairBoundRecord(float(l), float(r), bool(l <= r + 1e-12))
             for l, r in zip(lhs, rhs)]
@@ -145,9 +147,9 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
 
     Enumerates all pairs when a group is small enough, otherwise samples
     ``max_pairs`` pairs uniformly.  Classes with fewer than two members
-    are skipped with a warning.  The rows are normalised once and every
-    cosine is read off the n x n Gram matrix of the unit rows, so memory
-    is O(n d + n^2) whatever the width d.
+    are skipped with a warning.  The cosines come from the pair layer,
+    which reads them off the n x n Gram matrix of the unit rows, so
+    memory is O(n d + n^2) whatever the width d.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     y = np.argmax(labels, axis=1)
@@ -177,14 +179,11 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
         sampling = f"sampled:{max_pairs}"
 
     # intra pairs first, so a zero-norm row is named as when they were
-    # checked before the inter pairs
-    unit = unit_rows(vectors, vectors, (np.concatenate([intra_i, inter_i]),
-                                        np.concatenate([intra_j, inter_j])),
-                     "similarity_histogram")[0]
-    gram = unit @ unit.T
-    # tolerate 1-ulp overshoot from rounding
-    intra_cos = np.clip(gram[intra_i, intra_j], -1.0, 1.0)
-    inter_cos = np.clip(gram[inter_i, inter_j], -1.0, 1.0)
+    # checked before the inter pairs; clip a 1-ulp overshoot from rounding
+    cos = np.clip(_cosines(vectors, (np.concatenate([intra_i, inter_i]),
+                                     np.concatenate([intra_j, inter_j])),
+                           "similarity_histogram"), -1.0, 1.0)
+    intra_cos, inter_cos = cos[:intra_i.size], cos[intra_i.size:]
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     return SimilarityHistogram(
@@ -230,22 +229,20 @@ def learned_edge_audit(w1, w2, labels: np.ndarray, threshold: float = 0.5,
     """
     if not 0.0 <= threshold <= 1.0:
         raise ContractError(f"learned_edge_audit: threshold {threshold} is not in [0, 1]")
-    y = np.argmax(labels, axis=1)
 
     def audit_one(w):
         if w is None:
             return None, None
         w = np.asarray(w, dtype=np.float64)
         if pairs is None:
-            i_idx, j_idx = np.triu_indices(w.shape[0], k=1)
-            w = w[i_idx, j_idx]
+            kept = edge_pairs(w, threshold)
         else:
-            i_idx, j_idx = pairs
-        keep = w.ravel() > threshold
-        edges = int(np.sum(keep))
+            keep = w.ravel() > threshold
+            kept = pairs[0][keep], pairs[1][keep]
+        edges = int(kept[0].size)
         if edges == 0:
             return 0, None
-        return edges, float(np.mean(y[i_idx[keep]] != y[j_idx[keep]]))
+        return edges, heterophilic_fraction(labels, kept)
 
     ho_edges, ho_r = audit_one(w1)
     ht_edges, ht_r = audit_one(w2)

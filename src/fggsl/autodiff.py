@@ -11,16 +11,17 @@ A filter bank's propagation is one op, ``propagate``: it applies an
 n x n operator T to a block 2^J times and records one tape node, whose
 VJP forms dT as a single product of the stacked step gradients and step
 inputs.  ``block`` returns a read-only view, so reading the iterates or
-a parameter's row block copies nothing.  ``unit_rows`` is the one
-normalisation and zero-norm check behind every cosine.
+a parameter's row block copies nothing.
 
-Per-edge quantities are |E| x 1 columns over a list of node pairs
-(i, j): ``pair_dots`` reads a Gram matrix at the pairs, ``edge_degrees``
-and ``edge_scale`` normalise an edge column with ``np.bincount``, and
-``edge_operator`` scatters a column into the dense n x n operator that
-``propagate`` multiplies.  The VJPs of ``pair_dots`` and ``cosine_rows``
-scatter their pair gradients into one matrix with one ``bincount`` and
-follow it with one product per side.
+Per-pair quantities are |P| x 1 columns over a list of node pairs
+(i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
+the Gram matrix a a^T at the pairs, and every cosine is
+``pair_dots(unit_rows(a, pairs, what), pairs)``, where ``unit_rows`` is
+the one normalisation and zero-norm check.  The VJP of ``pair_dots``
+scatters the pair gradients into one matrix S with one ``bincount`` and
+returns S a + S^T a.  ``edge_degrees`` and ``edge_scale`` normalise an
+undirected edge column with ``np.bincount``, and ``edge_operator``
+scatters it into the dense n x n operator that ``propagate`` multiplies.
 """
 
 from __future__ import annotations
@@ -67,41 +68,9 @@ class Tensor:
             raise ContractError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data[0, 0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, grad_tracked={self.requires_grad}{tag})"
-
-    # Operator sugar; everything routes through the module-level ops so
-    # the tape sees a single implementation of each rule.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(float(other), self)
-        return hadamard(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(-1.0, self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(data) -> Tensor:
@@ -195,14 +164,8 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params.items())
-
-    def __len__(self):
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -450,29 +413,6 @@ def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> tuple[Tensor,
     return loss, probs
 
 
-def unit_rows(a: np.ndarray, b: np.ndarray, pairs, what: str):
-    """Rows of ``a`` and ``b`` scaled to unit length, with their norms.
-
-    Returns (ua, na, ub, nb); the cosine of a pair (i, j) is then
-    ua[i] . ub[j].  ``b`` may be ``a``, and is then normalised once.  A
-    zero-norm row that a pair uses raises a ContractError naming ``what``
-    and the row, taken from the first such pair, its i side first; rows
-    no pair uses stay zero.
-    """
-    i_idx, j_idx = pairs
-    na = np.linalg.norm(a, axis=1)
-    nb = na if b is a else np.linalg.norm(b, axis=1)
-    if not (np.all(na) and np.all(nb)):
-        zero = (na[i_idx] == 0) | (nb[j_idx] == 0)
-        if np.any(zero):
-            k = int(np.argmax(zero))
-            bad = int(i_idx[k]) if na[i_idx[k]] == 0 else int(j_idx[k])
-            raise ContractError(f"{what}: zero-norm row {bad}")
-    ua = a / np.where(na == 0, 1.0, na)[:, None]
-    ub = ua if b is a else b / np.where(nb == 0, 1.0, nb)[:, None]
-    return ua, na, ub, nb
-
-
 def _pair_indices(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
     i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
     j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
@@ -481,35 +421,50 @@ def _pair_indices(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
     return i_idx, j_idx
 
 
-def _pair_scatter(g: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
-                  shape: tuple[int, int]) -> np.ndarray:
-    """The matrix S with S[i, j] = sum of g[k] over the pairs k = (i, j).
+def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
+    """The rows of ``a`` scaled to unit length, for cosines over ``pairs``.
 
-    One ``bincount`` on the flat index, so repeated pairs sum.
+    A zero-norm row that a pair (i, j) uses raises a ContractError naming
+    ``what`` and the row, taken from the first such pair, its i side
+    first; rows no pair uses stay zero.  Backward projects out each unit
+    direction and divides by the row's norm.
     """
-    rows, cols = shape
-    return np.bincount(i_idx * cols + j_idx, weights=g.ravel(),
-                       minlength=rows * cols).reshape(rows, cols)
-
-
-def pair_dots(a: Tensor, b: Tensor, pairs) -> Tensor:
-    """a[i] . b[j] per pair (i, j), as a column: (a b^T) read at the pairs.
-
-    Backward scatters the pair gradients into one matrix S and returns
-    S b and S^T a, one product per side.  a and b may be the same tensor.
-    """
-    i_idx, j_idx = _pair_indices(pairs, "pair_dots")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"pair_dots: widths differ, {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    vals = (ad @ bd.T)[i_idx, j_idx].reshape(-1, 1)
+    i_idx, j_idx = _pair_indices(pairs, what)
+    norms = np.linalg.norm(a.data, axis=1)
+    if not np.all(norms):
+        zero = (norms[i_idx] == 0) | (norms[j_idx] == 0)
+        if np.any(zero):
+            k = int(np.argmax(zero))
+            bad = int(i_idx[k]) if norms[i_idx[k]] == 0 else int(j_idx[k])
+            raise ContractError(f"{what}: zero-norm row {bad}")
+    safe = np.where(norms == 0, 1.0, norms)[:, None]
+    u = a.data / safe
 
     def vjp(g):
-        s = _pair_scatter(g, i_idx, j_idx, (a.shape[0], b.shape[0]))
-        return (s @ bd if a.requires_grad else None,
-                s.T @ ad if b.requires_grad else None)
+        # rows no pair uses have g = 0 and keep a zero gradient
+        return ((g - np.sum(g * u, axis=1, keepdims=True) * u) / safe,)
 
-    return _emit(vals, (a, b), vjp)
+    return _emit(u, (a,), vjp)
+
+
+def pair_dots(a: Tensor, pairs) -> Tensor:
+    """a[i] . a[j] per pair (i, j), as a column: (a a^T) read at the pairs.
+
+    A cosine is ``pair_dots(unit_rows(a, pairs, what), pairs)``.  Backward
+    scatters the pair gradients into one matrix S and returns S a + S^T a.
+    """
+    i_idx, j_idx = _pair_indices(pairs, "pair_dots")
+    ad = a.data
+    n = ad.shape[0]
+    vals = (ad @ ad.T)[i_idx, j_idx].reshape(-1, 1)
+
+    def vjp(g):
+        # S[i, j] sums g over the pairs (i, j): one bincount on the flat index
+        s = np.bincount(i_idx * n + j_idx, weights=g.ravel(),
+                        minlength=n * n).reshape(n, n)
+        return (s @ ad + s.T @ ad,)
+
+    return _emit(vals, (a,), vjp)
 
 
 def edge_degrees(w: Tensor, pairs, n: int) -> Tensor:
@@ -570,34 +525,6 @@ def edge_operator(w: Tensor, pairs, n: int, diag: float, off: float) -> Tensor:
         return ((off * (g[i_idx, j_idx] + g[j_idx, i_idx])).reshape(-1, 1),)
 
     return _emit(out, (w,), vjp)
-
-
-def cosine_rows(a: Tensor, b: Tensor, pairs) -> Tensor:
-    """Cosine similarity of a[i] and b[j] per pair (i, j), as a column vector.
-
-    Differentiable through both arguments; a and b may be the same
-    tensor, whose gradient then sums both sides.  Backward scatters the
-    pair gradients into one matrix S, as ``pair_dots`` does, and takes
-    the unit-row gradients S ub and S^T ua through the normalisation.
-    """
-    i_idx, j_idx = _pair_indices(pairs, "cosine_rows")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"cosine_rows: widths differ, {a.shape} vs {b.shape}")
-    ua, na, ub, nb = unit_rows(a.data, b.data, (i_idx, j_idx), "cosine_rows")
-    c = np.einsum("ij,ij->i", ua[i_idx], ub[j_idx])
-
-    def unit_vjp(du, u, norms):
-        # d(x/|x|) projects out the unit direction and divides by |x|;
-        # rows no pair uses have du = 0 and keep a zero gradient
-        du = du - np.sum(du * u, axis=1, keepdims=True) * u
-        return du / np.where(norms == 0, 1.0, norms)[:, None]
-
-    def vjp(g):
-        s = _pair_scatter(g, i_idx, j_idx, (a.shape[0], b.shape[0]))
-        return (unit_vjp(s @ ub, ua, na) if a.requires_grad else None,
-                unit_vjp(s.T @ ua, ub, nb) if b.requires_grad else None)
-
-    return _emit(c.reshape(-1, 1), (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,40 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _seed(value: str) -> int:
-    """``--seed`` type: numpy's generators accept only integers >= 0."""
-    try:
-        seed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed {seed} must be >= 0")
-    return seed
+class _IntAtLeast:
+    """Integer flag type with a minimum; argparse reports a violation as
+    one line naming the flag."""
+
+    def __init__(self, minimum: int):
+        self.minimum = minimum
+
+    def __call__(self, value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        if number < self.minimum:
+            raise argparse.ArgumentTypeError(f"{number} must be >= {self.minimum}")
+        return number
+
+
+class _CommaList:
+    """Flag type for a comma-separated list, each item read by ``item``."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __call__(self, value: str) -> list:
+        try:
+            return [self.item(v) for v in value.split(",")]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentTypeError(f"in {value!r}: {exc}") from None
+
+
+# numpy's generators accept only integers >= 0
+_seed = _IntAtLeast(0)
+_positive = _IntAtLeast(1)
+_scales = _IntAtLeast(2)              # a filter bank needs J >= 2
 
 
 def _unit_interval(value: str) -> float:
@@ -64,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", choices=["full", "NM", "FBL", "FBH"])
         p.add_argument("--kernel-mode", choices=["fig3", "verbatim"])
         p.add_argument("--candidate", help="candidate graph: full, given, or knn:K")
-        p.add_argument("--parallel-splits", type=int, default=1,
+        p.add_argument("--parallel-splits", type=_positive, default=1,
                        help="train splits in this many worker processes")
         p.add_argument("--no-normalize", action="store_true",
                        help="skip L1 row normalization of features")
@@ -85,29 +110,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--checkpoint")
     p_an.add_argument("--candidate", default="full")
     p_an.add_argument("--seed", type=_seed, default=0)
-    p_an.add_argument("--J", type=int, default=4, dest="j_max")
+    p_an.add_argument("--J", type=_scales, default=4, dest="j_max")
     p_an.add_argument("--kernel-mode", choices=["fig3", "verbatim"], default="fig3")
-    p_an.add_argument("--grid", type=int, default=200)
-    p_an.add_argument("--trials", type=int, default=50)
-    p_an.add_argument("--epsilons", default="1e-3,1e-2")
-    p_an.add_argument("--n", type=int, default=20, help="random graph size")
-    p_an.add_argument("--classes", default="2,3,4,5,6,7,8",
+    p_an.add_argument("--grid", type=_positive, default=200)
+    p_an.add_argument("--trials", type=_positive, default=50)
+    p_an.add_argument("--epsilons", type=_CommaList(float), default=[1e-3, 1e-2])
+    p_an.add_argument("--n", type=_positive, default=20, help="random graph size")
+    p_an.add_argument("--classes", type=_CommaList(_positive), default=[2, 3, 4, 5, 6, 7, 8],
                       help="class counts for prop1 draws")
     p_an.add_argument("--threshold", type=_unit_interval, default=0.5,
                       help="audit: keep learned edges above this weight, in [0, 1]")
-    p_an.add_argument("--max-pairs", type=int, default=20000)
-    p_an.add_argument("--bins", type=int, default=50)
+    p_an.add_argument("--max-pairs", type=_positive, default=20000)
+    p_an.add_argument("--bins", type=_positive, default=50)
     p_an.add_argument("--no-normalize", action="store_true")
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--n", type=int, default=150)
-    p_gen.add_argument("--classes", type=int, default=3)
+    p_gen.add_argument("--n", type=_positive, default=150)
+    p_gen.add_argument("--classes", type=_positive, default=3)
     p_gen.add_argument("--intra-p", type=float, default=0.01)
     p_gen.add_argument("--inter-p", type=float, default=0.2)
     p_gen.add_argument("--noise", type=float, default=1.0)
     p_gen.add_argument("--seed", type=_seed, default=0)
-    p_gen.add_argument("--splits", type=int, default=10)
+    p_gen.add_argument("--splits", type=_positive, default=10)
     return parser
 
 
@@ -200,6 +225,7 @@ def _write_lines(path, lines):
 def _manifest(command, config, bundle, extra=None):
     from . import __version__
     from .datasets import dataset_fingerprint
+    from .training import split_seed
     payload = {
         "command": command,
         "config": dataclasses.asdict(config) if config is not None else None,
@@ -210,7 +236,7 @@ def _manifest(command, config, bundle, extra=None):
     if config is not None:
         n_splits = len(bundle.graph.splits) if bundle is not None else 0
         payload["seeds"] = {"base": config.seed,
-                            "per_split": [config.seed * 1000 + k
+                            "per_split": [split_seed(config.seed, k)
                                           for k in range(n_splits)]}
     if extra:
         payload.update(extra)
@@ -296,11 +322,10 @@ def _cmd_analyze(args) -> int:
 
     elif kind == "prop1":
         rng = np.random.default_rng(args.seed)
-        class_counts = [int(v) for v in args.classes.split(",")]
-        per_c = max(1, args.trials // len(class_counts))
+        per_c = max(1, args.trials // len(args.classes))
         total = violations = 0
         lines = ["classes,lhs,rhs,holds"]
-        for c in class_counts:
+        for c in args.classes:
             n = 256
             y = np.eye(c)[rng.integers(0, c, size=n)]
             z = rng.standard_normal((n, c)) * rng.uniform(0.5, 4.0)
@@ -328,20 +353,19 @@ def _cmd_analyze(args) -> int:
             a = np.triu((rng.random((args.n, args.n)) < 0.3).astype(float), 1)
             a = a + a.T
             lap = normalized_laplacian(a)
-        epsilons = [float(v) for v in args.epsilons.split(",")]
         lines = ["epsilon,j,kind,observed_distance,bound_value,delta,holds_with_slack"]
         all_hold = True
         for j in range(2, args.j_max + 1):
             for bank_kind in ("low", "high"):
                 recs = analysis.stability_probe(lap, j, args.kernel_mode, bank_kind,
-                                                epsilons, args.trials, args.seed)
+                                                args.epsilons, args.trials, args.seed)
                 all_hold &= all(r.holds_with_slack for r in recs)
                 lines += [f"{r.epsilon:.12g},{r.j},{bank_kind},"
                           f"{r.observed_distance:.12g},{r.bound_value:.12g},"
                           f"{r.delta:.12g},{int(r.holds_with_slack)}" for r in recs]
         _write_lines(os.path.join(args.out, "stability.csv"), lines)
         _write_json(os.path.join(args.out, "stability.json"), _analyze_sidecar(
-            args, {"epsilons": epsilons, "trials": args.trials,
+            args, {"epsilons": args.epsilons, "trials": args.trials,
                    "all_hold": all_hold}))
         print(f"stability: bound {'holds' if all_hold else 'VIOLATED'} on all probes")
 

@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ParseError, ValidationError
-from .graphs import LabeledGraph, heterophily_ratio
+from .graphs import LabeledGraph, edge_pairs, heterophilic_fraction
 
 NODE_FILE = "nodes.tsv"
 EDGE_FILE = "edges.tsv"
 SPLIT_DIR = "splits"
+TRAIN_FRAC = 0.6
+VAL_FRAC = 0.2
 
 
 @dataclass
@@ -50,9 +52,7 @@ class CandidateGraph:
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Upper-triangle (i, j) index arrays of candidate edges, read-only."""
         if self._pairs is None:
-            iu, ju = np.triu_indices(self.adjacency.shape[0], k=1)
-            on = self.adjacency[iu, ju] > 0
-            pairs = iu[on], ju[on]
+            pairs = edge_pairs(self.adjacency)
             for idx in pairs:
                 idx.flags.writeable = False
             self._pairs = pairs
@@ -185,10 +185,8 @@ def save_raw(graph: LabeledGraph, node_file, edge_file):
         for i in range(graph.n):
             row = ",".join("%.17g" % v for v in graph.features[i])
             fh.write(f"{i}\t{row}\t{labels[i]}\n")
-    iu, ju = np.triu_indices(graph.n, k=1)
-    on = graph.adjacency[iu, ju] > 0
     with open(edge_file, "w", encoding="utf-8", newline="\n") as fh:
-        for i, j in zip(iu[on], ju[on]):
+        for i, j in zip(*edge_pairs(graph.adjacency)):
             fh.write(f"{i}\t{j}\n")
 
 
@@ -222,9 +220,9 @@ def load_dataset_dir(directory, name=None, normalize_features=True) -> DatasetBu
                          feature_normalized=normalize_features)
 
 
-def make_stratified_splits(labels: np.ndarray, n_splits: int, seed: int,
-                           train_frac: float = 0.6, val_frac: float = 0.2):
-    """Per-class random train/val/test partitions (remainder goes to test).
+def make_stratified_splits(labels: np.ndarray, n_splits: int, seed: int):
+    """Per-class random train/val/test partitions: TRAIN_FRAC of each
+    class to train, VAL_FRAC to val, the remainder to test.
 
     Every class keeps at least one training node; val and test each get a
     member only when the class is large enough.
@@ -245,8 +243,8 @@ def make_stratified_splits(labels: np.ndarray, n_splits: int, seed: int,
                 train.append(perm[0])
                 val.append(perm[1])
                 continue
-            n_tr = max(1, min(int(round(train_frac * s)), s - 2))
-            n_va = max(1, min(int(round(val_frac * s)), s - 1 - n_tr))
+            n_tr = max(1, min(int(round(TRAIN_FRAC * s)), s - 2))
+            n_va = max(1, min(int(round(VAL_FRAC * s)), s - 1 - n_tr))
             train.extend(perm[:n_tr])
             val.extend(perm[n_tr:n_tr + n_va])
             test.extend(perm[n_tr + n_va:])
@@ -320,12 +318,8 @@ def candidate_graph(graph: LabeledGraph, mode: str, k: int | None = None) -> Can
 def dataset_fingerprint(bundle: DatasetBundle) -> dict:
     """Summary statistics recorded in run manifests."""
     g = bundle.graph
-    iu, ju = np.triu_indices(g.n, k=1)
-    edges = int(np.sum(g.adjacency[iu, ju] > 0))
-    try:
-        r_het = heterophily_ratio(g.adjacency, g.labels)
-    except ContractError:
-        r_het = None
+    pairs = edge_pairs(g.adjacency)
+    edges = int(pairs[0].size)
     return {
         "name": bundle.name,
         "nodes": g.n,
@@ -333,6 +327,6 @@ def dataset_fingerprint(bundle: DatasetBundle) -> dict:
         "features": g.num_features,
         "classes": g.num_classes,
         "splits": len(g.splits),
-        "heterophily_ratio": r_het,
+        "heterophily_ratio": heterophilic_fraction(g.labels, pairs) if edges else None,
         "feature_normalized": bundle.feature_normalized,
     }

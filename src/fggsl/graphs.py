@@ -2,7 +2,8 @@
 dense symmetric eigendecomposition.
 
 All matrices are dense float64; training passes its graphs to
-``normalized_laplacian`` as edge columns instead.  The eigensolver wraps
+``normalized_laplacian`` as edge columns instead.  ``edge_pairs`` is the
+one reader of an undirected edge list off a dense matrix.  The eigensolver wraps
 LAPACK ``eigh``; it is only used on analysis paths, never inside
 training.
 """
@@ -18,6 +19,7 @@ from .errors import ContractError, DimensionError, NumericError, ValidationError
 
 DEGREE_EPS = 1e-8
 SYMMETRY_TOL = 1e-9
+SIGN_TOL = 1e-12
 
 
 @dataclass
@@ -88,16 +90,33 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.T
 
 
-def _check_symmetric(m: np.ndarray, what: str, tol: float = SYMMETRY_TOL):
+def _check_symmetric(m: np.ndarray, what: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what}: expected square matrix, got {m.shape}")
     worst = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if worst > tol:
-        raise ContractError(f"{what}: matrix asymmetry {worst:.3e} exceeds {tol:.0e}")
+    if worst > SYMMETRY_TOL:
+        raise ContractError(
+            f"{what}: matrix asymmetry {worst:.3e} exceeds {SYMMETRY_TOL:.0e}")
 
 
-def normalized_laplacian(weights, eps: float = DEGREE_EPS, pairs=None, n: int | None = None):
-    """I - D^{-1/2} W D^{-1/2} with degrees clamped below at ``eps``.
+def edge_pairs(a: np.ndarray, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays of the entries of ``a`` above ``threshold`` with
+    i < j, in row-major order: each undirected edge once."""
+    i_idx, j_idx = np.nonzero(np.triu(np.asarray(a) > threshold, 1))
+    # nonzero returns strided views of one buffer; every pair op would
+    # copy them, so return contiguous arrays
+    return np.ascontiguousarray(i_idx), np.ascontiguousarray(j_idx)
+
+
+def heterophilic_fraction(labels: np.ndarray, pairs) -> float:
+    """Fraction of the pairs (i, j) whose one-hot labels differ."""
+    y = np.argmax(labels, axis=1)
+    i_idx, j_idx = pairs
+    return float(np.mean(y[i_idx] != y[j_idx]))
+
+
+def normalized_laplacian(weights, pairs=None, n: int | None = None):
+    """I - D^{-1/2} W D^{-1/2} with degrees clamped below at ``DEGREE_EPS``.
 
     Dense form: an n x n ndarray W gives the n x n ndarray L.  Rows of
     isolated nodes come out as identity rows because their incident
@@ -111,26 +130,23 @@ def normalized_laplacian(weights, eps: float = DEGREE_EPS, pairs=None, n: int | 
     form skips the symmetry check.
     """
     if pairs is not None:
-        r = ad.rsqrt_clamped(ad.edge_degrees(weights, pairs, n), eps)
+        r = ad.rsqrt_clamped(ad.edge_degrees(weights, pairs, n), DEGREE_EPS)
         return ad.edge_scale(weights, r, pairs)
     w = np.asarray(weights, dtype=np.float64)
     _check_symmetric(w, "normalized_laplacian")
     n = w.shape[0]
-    r = 1.0 / np.sqrt(np.maximum(w @ np.ones((n, 1)), eps))
+    r = 1.0 / np.sqrt(np.maximum(w @ np.ones((n, 1)), DEGREE_EPS))
     return np.eye(n) - (r @ r.T) * w
 
 
-def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray,
-                      edge_threshold: float = 0.0) -> float:
-    """Fraction of above-threshold undirected edges joining distinct classes."""
+def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of the undirected edges (positive weights) joining distinct classes."""
     a = np.asarray(adjacency, dtype=np.float64)
     _check_symmetric(a, "heterophily_ratio")
-    iu, ju = np.triu_indices(a.shape[0], k=1)
-    on = a[iu, ju] > edge_threshold
-    if not np.any(on):
-        raise ContractError("heterophily_ratio: graph has no edges above threshold")
-    y = np.argmax(labels, axis=1)
-    return float(np.mean(y[iu[on]] != y[ju[on]]))
+    pairs = edge_pairs(a)
+    if pairs[0].size == 0:
+        raise ContractError("heterophily_ratio: graph has no edges")
+    return heterophilic_fraction(labels, pairs)
 
 
 def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
@@ -164,26 +180,12 @@ def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; symmetric inputs take the single-eig path."""
-    m = np.asarray(m, dtype=np.float64)
-    if not np.any(m):
-        return 0.0
-    if m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T)) <= SYMMETRY_TOL:
-        values = symmetric_eig(m).eigenvalues
-        return float(np.max(np.abs(values)))
-    gram = m.T @ m
-    gram = 0.5 * (gram + gram.T)
-    values = symmetric_eig(gram).eigenvalues
-    return float(np.sqrt(max(values.max(), 0.0)))
-
-
-def _sign_normalize(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible entry is positive."""
     out = vectors.copy()
     for k in range(out.shape[1]):
         col = out[:, k]
-        nz = np.nonzero(np.abs(col) > tol)[0]
+        nz = np.nonzero(np.abs(col) > SIGN_TOL)[0]
         if nz.size and col[nz[0]] < 0:
             out[:, k] = -col
     return out
@@ -223,5 +225,5 @@ def perturb_laplacian(l: np.ndarray, magnitude: float, seed: int,
         e = e0 * (magnitude / float(np.max(np.abs(dec.eigenvalues))))
         v = _sign_normalize(dec.eigenvectors)
     u = l_eigenvectors if l_eigenvectors is not None else normalized_eigenvectors(l)
-    delta = (spectral_norm(u - v) + 1.0) ** 2 - 1.0
+    delta = (np.linalg.norm(u - v, 2) + 1.0) ** 2 - 1.0
     return l + e, e, delta

@@ -11,8 +11,10 @@ to the cross-entropy so the masks are pushed toward genuinely
 homophilic / heterophilic edge sets.
 
 Everything per edge is an |E| x 1 column over the candidate's cached
-``edge_pairs()``: each mask is w_e = sigmoid(z_i . z_j), read off the
-Gram matrix z z^T at the pairs, and ``normalized_laplacian`` turns a
+``edge_pairs()``, computed by the pair layer of ``autodiff``: each mask
+is w_e = sigmoid(z_i . z_j) = sigmoid(``pair_dots(z)``), and the
+structural losses share one cosine column,
+``pair_dots(unit_rows(yhat))``.  ``normalized_laplacian`` turns a mask
 column into the normalised weights a_e = w_e / sqrt(d_i d_j).  One
 symmetric scatter (``ad.edge_operator``) builds the dense operator
 T = I/2 + A/2 or I/2 - A/2 of a bank; that is the one n x n tape node a
@@ -183,7 +185,7 @@ def mask_matrix(net: MaskNet, x: Tensor, a_f: CandidateGraph) -> Tensor:
         raise ContractError(
             f"mask_matrix: feature width {x.shape[1]} != net input {net.weight.shape[0]}")
     z = ad.tanh(ad.add_row(ad.matmul(x, net.weight), net.bias))
-    return ad.sigmoid(ad.pair_dots(z, z, a_f.edge_pairs()))
+    return ad.sigmoid(ad.pair_dots(z, a_f.edge_pairs()))
 
 
 def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
@@ -395,7 +397,8 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
                             ad.constant(graph.labels * (1.0 - keep)))
 
     # one cosine per candidate edge, shared by both structural losses
-    cos = ad.cosine_rows(sim_source, sim_source, a_f.edge_pairs())
+    pairs = a_f.edge_pairs()
+    cos = ad.pair_dots(ad.unit_rows(sim_source, pairs, "total_loss"), pairs)
     zero = ad.constant(0.0)
     ho = structural_loss_ho(fwd.w1_edges, cos) if fwd.w1_edges is not None else zero
     ht = structural_loss_ht(fwd.w2_edges, cos) if fwd.w2_edges is not None else zero

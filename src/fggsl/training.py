@@ -264,9 +264,8 @@ class MlpModel:
 
     HIDDEN = 64
 
-    def __init__(self, num_features: int, num_classes: int, seed: int = 0,
-                 hidden: int | None = None):
-        h = hidden or self.HIDDEN
+    def __init__(self, num_features: int, num_classes: int, seed: int = 0):
+        h = self.HIDDEN
         rng = np.random.default_rng(seed)
         self.params = ParameterSet()
         lim1 = np.sqrt(6.0 / (num_features + h))
@@ -313,13 +312,14 @@ class RunResult:
         return lines
 
 
-def _per_split_config(config: TrainConfig, split_index: int) -> TrainConfig:
-    return dataclasses.replace(config, seed=config.seed * 1000 + split_index)
+def split_seed(seed: int, split_index: int) -> int:
+    """The model seed of one split: seed * 1000 + split index."""
+    return seed * 1000 + split_index
 
 
 def _protocol_worker(args):
     bundle, config, split_index, baseline = args
-    cfg = _per_split_config(config, split_index)
+    cfg = dataclasses.replace(config, seed=split_seed(config.seed, split_index))
     split = bundle.graph.splits[split_index]
     trainer = train_mlp_single_split if baseline else train_single_split
     return trainer(bundle, split, cfg)

@@ -267,7 +267,7 @@ def test_audit_counts_match_heterophily():
     stats = analysis.learned_edge_audit(g.adjacency[pairs], None, g.labels,
                                         threshold=0.5, pairs=pairs)
     from fggsl.graphs import heterophily_ratio
-    assert stats.ho_r_het == heterophily_ratio(g.adjacency, g.labels, 0.5)
+    assert stats.ho_r_het == heterophily_ratio(g.adjacency, g.labels)
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ def test_texas_dimensions(texas):
 
 
 def test_texas_heterophily_ratio(texas):
-    r = heterophily_ratio(texas.graph.adjacency, texas.graph.labels, 0.0)
+    r = heterophily_ratio(texas.graph.adjacency, texas.graph.labels)
     assert r == pytest.approx(0.88, abs=0.02)
 
 

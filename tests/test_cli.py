@@ -245,6 +245,30 @@ def test_negative_seed_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (("gen", "--classes", "0"), "--classes"),
+    (("gen", "--classes", "-1", "--n", "5"), "--classes"),
+    (("analyze", "stability", "--n", "0"), "--n"),
+    (("analyze", "stability", "--epsilons", "1e-3,abc"), "--epsilons"),
+    (("analyze", "stability", "--J", "1"), "--J"),
+    (("analyze", "stability", "--trials", "0"), "--trials"),
+    (("analyze", "prop1", "--classes", "0"), "--classes"),
+    (("analyze", "prop1", "--classes", "a"), "--classes"),
+    (("analyze", "similarity", "--data", "D", "--max-pairs", "-1"), "--max-pairs"),
+    (("analyze", "response", "--J", "1"), "--J"),
+], ids=["gen-classes-0", "gen-classes-negative", "stability-n-0",
+        "stability-epsilons-abc", "stability-J-1", "stability-trials-0",
+        "prop1-classes-0", "prop1-classes-a", "similarity-max-pairs-negative",
+        "response-J-1"])
+def test_out_of_range_flags_exit_1(tmp_path, capsys, command, flag):
+    code = run_cli(*command, "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and flag in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):
     cfg = _write_config(tmp_path)
     run_dir = tmp_path / "run"

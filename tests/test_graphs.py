@@ -97,7 +97,20 @@ def test_laplacian_edge_form_matches_the_dense_form():
 
 
 # ---------------------------------------------------------------------------
-# heterophily_ratio
+# edge_pairs and heterophily_ratio
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+def test_edge_pairs_equals_the_upper_triangle_scan(threshold):
+    rng = np.random.default_rng(13)
+    w = rng.uniform(0, 1, size=(9, 9)) * (rng.random((9, 9)) < 0.6)
+    w = w + w.T
+    iu, ju = np.triu_indices(9, k=1)
+    on = w[iu, ju] > threshold
+    i_idx, j_idx = graphs.edge_pairs(w, threshold)
+    assert np.array_equal(i_idx, iu[on]) and np.array_equal(j_idx, ju[on])
+    # the pair ops take the arrays as they are, without a copy each
+    assert i_idx.flags.c_contiguous and j_idx.flags.c_contiguous
 
 
 def _path_graph(n):
@@ -200,7 +213,7 @@ def test_eig_non_finite_raises_numeric(bad):
 
 
 # ---------------------------------------------------------------------------
-# operator_distance / spectral_norm
+# operator_distance
 
 
 def test_operator_distance_zero_for_equal():
@@ -265,7 +278,7 @@ def test_perturb_zero_magnitude():
 def test_perturb_norm_matches_magnitude():
     lap = graphs.normalized_laplacian(_path_graph(5))
     _, e, _ = graphs.perturb_laplacian(lap, 0.1, seed=3)
-    assert graphs.spectral_norm(e) == pytest.approx(0.1, abs=1e-9)
+    assert graphs.operator_distance(e, np.zeros_like(e)) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_perturb_preserves_symmetry():

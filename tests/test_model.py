@@ -326,7 +326,8 @@ def _pair_arrays(pairs):
 
 
 def _cos(yhat, pairs):
-    return ad.cosine_rows(yhat, yhat, _pair_arrays(pairs))
+    pairs = _pair_arrays(pairs)
+    return ad.pair_dots(ad.unit_rows(yhat, pairs, "cosine"), pairs)
 
 
 def test_structural_ho_zero_weights():
