@@ -5,7 +5,18 @@ graph together with a low-/high-pass spectral filter-bank classifier,
 trained end to end with cross-entropy plus label-similarity structural
 losses.  Built on an in-package reverse-mode autodiff engine over dense
 float64 tensors.
+
+``FGGSL_THREADS`` caps the BLAS threads.  BLAS reads its thread count
+when numpy loads, so the cap is applied here, before any submodule
+imports numpy; an explicit ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+or ``MKL_NUM_THREADS`` wins over it.
 """
+
+import os
+
+if os.environ.get("FGGSL_THREADS"):
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["FGGSL_THREADS"])
 
 from .analysis import (learned_edge_audit, prop1_check, similarity_histogram,
                        spectral_response_export, stability_probe)

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .graphs import (LabeledGraph, edge_pairs, heterophilic_fraction,
-                     normalized_eigenvectors, normalized_laplacian,
+from .graphs import (edge_pairs, heterophilic_fraction, normalized_eigenvectors,
                      operator_distance, perturb_laplacian, symmetric_eig)
 from .model import kernel_value
 
@@ -77,19 +76,13 @@ def spectral_filter_matrix(lap: np.ndarray, j: int, mode: str, kind: str) -> np.
     return (u * hvals) @ u.T
 
 
-def _as_laplacian(graph_or_l) -> np.ndarray:
-    if isinstance(graph_or_l, LabeledGraph):
-        return normalized_laplacian(graph_or_l.adjacency)
-    return np.asarray(graph_or_l, dtype=np.float64)
-
-
-def stability_probe(graph_or_l, j: int, mode: str, kind: str, epsilon_list,
+def stability_probe(lap, j: int, mode: str, kind: str, epsilon_list,
                     trials: int, seed: int) -> list[BoundProbeRecord]:
-    """Perturb a Laplacian and compare filter deviation against the bound
-    2^(j-1) (1 + delta sqrt(N)) eps, with slack (1 + 10 eps) absorbing the
-    second-order remainder.
+    """Perturb the Laplacian ``lap`` and compare filter deviation against
+    the bound 2^(j-1) (1 + delta sqrt(N)) eps, with slack (1 + 10 eps)
+    absorbing the second-order remainder.
     """
-    lap = _as_laplacian(graph_or_l)
+    lap = np.asarray(lap, dtype=np.float64)
     n = lap.shape[0]
     records = []
     h_base = spectral_filter_matrix(lap, j, mode, kind)

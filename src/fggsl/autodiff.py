@@ -376,12 +376,11 @@ def softmax_rows(logits: Tensor) -> Tensor:
     return _emit(p, (logits,), vjp)
 
 
-def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> tuple[Tensor, Tensor]:
-    """Mean cross-entropy over the selected rows plus full softmax probabilities.
+def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> Tensor:
+    """Mean cross-entropy over the selected rows.
 
     The loss gradient is the fused rule (probs - onehot)/|rows| on selected
-    rows; the probability output carries its own softmax backward so later
-    consumers of the full matrix stay differentiable.
+    rows; callers that need the probabilities take ``softmax_rows``.
     """
     rows = np.asarray(rows, dtype=np.intp).ravel()
     if rows.size == 0:
@@ -408,9 +407,7 @@ def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> tuple[Tensor,
         out[rows] = (g[0, 0] / n_sel) * (psel - ysel)
         return (out, None)
 
-    loss = _emit(np.array([[ce_val]]), (logits, onehot), vjp)
-    probs = softmax_rows(logits)
-    return loss, probs
+    return _emit(np.array([[ce_val]]), (logits, onehot), vjp)
 
 
 def _pair_indices(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 parse/validation problems, 2 numeric failures,
 3 I/O failures.  The FGGSL_THREADS environment variable caps BLAS
-threads; it must be read before numpy loads, so heavy imports happen
-inside main().
+threads (see the package docstring).
 """
 
 from __future__ import annotations
@@ -15,18 +14,23 @@ import os
 import sys
 import time
 
+import numpy as np
 
-def _apply_thread_cap():
-    cap = os.environ.get("FGGSL_THREADS")
-    if cap:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+from . import __version__, analysis
+from . import autodiff as ad
+from . import model as fm
+from .datasets import (EDGE_FILE, NODE_FILE, SPLIT_DIR, candidate_k, dataset_fingerprint,
+                       gen_synthetic, load_dataset_dir, save_raw, save_splits)
+from .errors import (ContractError, DimensionError, NumericError, ParseError,
+                     ValidationError)
+from .graphs import heterophily_ratio, normalized_laplacian
+from .training import (TrainConfig, ablation_table, mlp_baseline, run_ablation,
+                       run_protocol, split_seed)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse exits 2 by default; route through the validation path
-        from .errors import ValidationError
         raise ValidationError(message)
 
 
@@ -86,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="dataset directory (nodes.tsv/edges.tsv/splits)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=_seed, help="base random seed")
-        p.add_argument("--variant", choices=["full", "NM", "FBL", "FBH"])
-        p.add_argument("--kernel-mode", choices=["fig3", "verbatim"])
+        p.add_argument("--variant", choices=fm.VARIANTS)
+        p.add_argument("--kernel-mode", choices=fm.KERNEL_MODES)
         p.add_argument("--candidate", help="candidate graph: full, given, or knn:K")
         p.add_argument("--parallel-splits", type=_positive, default=1,
                        help="train splits in this many worker processes")
@@ -111,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--candidate", default="full")
     p_an.add_argument("--seed", type=_seed, default=0)
     p_an.add_argument("--J", type=_scales, default=4, dest="j_max")
-    p_an.add_argument("--kernel-mode", choices=["fig3", "verbatim"], default="fig3")
+    p_an.add_argument("--kernel-mode", choices=fm.KERNEL_MODES, default="fig3")
     p_an.add_argument("--grid", type=_positive, default=200)
     p_an.add_argument("--trials", type=_positive, default=50)
     p_an.add_argument("--epsilons", type=_CommaList(float), default=[1e-3, 1e-2])
@@ -141,26 +145,10 @@ CONFIG_KEYS = {"lr", "weight_decay", "epochs_max", "patience", "alpha", "beta",
                "mask_dim", "true_labels_on_train", "feature_normalize"}
 
 
-def _parse_candidate(value: str):
-    from .errors import ValidationError
-    if value in ("full", "given"):
-        return value, None
-    if value.startswith("knn:"):
-        try:
-            k = int(value.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"candidate: bad knn spec {value!r}") from None
-        return "knn", k
-    raise ValidationError(f"candidate: expected full, given, or knn:K, got {value!r}")
-
-
 def _resolve_config(args):
     """Defaults < JSON config < CLI flags; returns (TrainConfig, normalize)."""
-    from .errors import ParseError, ValidationError
-    from .training import TrainConfig
-
     values: dict = {}
-    normalize = not getattr(args, "no_normalize", False)
+    normalize = not args.no_normalize
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
@@ -179,22 +167,16 @@ def _resolve_config(args):
                 raise ValidationError(
                     f"feature_normalize={normalize!r} is not a valid bool")
         if "candidate" in raw:
-            mode, k = _parse_candidate(str(raw.pop("candidate")))
-            values["candidate_mode"] = mode
-            if k is not None:
-                values["knn_k"] = k
+            values["candidate_mode"] = raw.pop("candidate")
         values.update(raw)
     if args.seed is not None:
         values["seed"] = args.seed
-    if getattr(args, "variant", None):
+    if args.variant:
         values["variant"] = args.variant
-    if getattr(args, "kernel_mode", None):
+    if args.kernel_mode:
         values["kernel_mode"] = args.kernel_mode
-    if getattr(args, "candidate", None):
-        mode, k = _parse_candidate(args.candidate)
-        values["candidate_mode"] = mode
-        if k is not None:
-            values["knn_k"] = k
+    if args.candidate is not None:           # an empty spec is rejected, not ignored
+        values["candidate_mode"] = args.candidate
     try:
         config = TrainConfig(**values)
     except TypeError as exc:
@@ -204,8 +186,6 @@ def _resolve_config(args):
 
 
 def _load_bundle(args, normalize):
-    from .datasets import load_dataset_dir
-    from .errors import ValidationError
     if not args.data:
         raise ValidationError("--data directory is required for this command")
     return load_dataset_dir(args.data, normalize_features=normalize)
@@ -223,29 +203,22 @@ def _write_lines(path, lines):
 
 
 def _manifest(command, config, bundle, extra=None):
-    from . import __version__
-    from .datasets import dataset_fingerprint
-    from .training import split_seed
     payload = {
         "command": command,
-        "config": dataclasses.asdict(config) if config is not None else None,
-        "dataset": dataset_fingerprint(bundle) if bundle is not None else None,
+        "config": dataclasses.asdict(config),
+        "dataset": dataset_fingerprint(bundle),
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "seeds": {"base": config.seed,
+                  "per_split": [split_seed(config.seed, k)
+                                for k in range(len(bundle.graph.splits))]},
     }
-    if config is not None:
-        n_splits = len(bundle.graph.splits) if bundle is not None else 0
-        payload["seeds"] = {"base": config.seed,
-                            "per_split": [split_seed(config.seed, k)
-                                          for k in range(n_splits)]}
     if extra:
         payload.update(extra)
     return payload
 
 
 def _cmd_train(args) -> int:
-    from .model import save_checkpoint
-    from .training import mlp_baseline, run_protocol
     config, normalize = _resolve_config(args)
     bundle = _load_bundle(args, normalize)
     os.makedirs(args.out, exist_ok=True)
@@ -259,16 +232,14 @@ def _cmd_train(args) -> int:
     _write_lines(os.path.join(args.out, "results.csv"), result.csv_rows())
     if not baseline:
         for k, net in enumerate(result.models):
-            save_checkpoint(os.path.join(args.out, f"ckpt_split_{k:02d}.fgck"),
-                            net, alpha=config.alpha, beta=config.beta)
+            fm.save_checkpoint(os.path.join(args.out, f"ckpt_split_{k:02d}.fgck"),
+                               net, alpha=config.alpha, beta=config.beta)
     print(f"{bundle.name}: mean test accuracy {result.mean_acc:.4f} "
           f"+/- {result.std_acc:.4f} over {len(result.rows)} splits")
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    from .model import save_checkpoint
-    from .training import ablation_table, run_ablation
     config, normalize = _resolve_config(args)
     bundle = _load_bundle(args, normalize)
     os.makedirs(args.out, exist_ok=True)
@@ -280,7 +251,7 @@ def _cmd_ablate(args) -> int:
         _write_json(os.path.join(args.out, f"report_{variant}.json"),
                     result.to_json_dict())
         for k, net in enumerate(result.models):
-            save_checkpoint(
+            fm.save_checkpoint(
                 os.path.join(args.out, f"ckpt_{variant}_split_{k:02d}.fgck"),
                 net, alpha=config.alpha, beta=config.beta)
     for variant, result in results.items():
@@ -289,7 +260,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _analyze_sidecar(args, extra):
-    from . import __version__
     payload = {"command": f"analyze {args.kind}", "tool_version": __version__,
                "seed": args.seed, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     payload.update(extra)
@@ -297,14 +267,7 @@ def _analyze_sidecar(args, extra):
 
 
 def _cmd_analyze(args) -> int:
-    import numpy as np
-
-    from . import analysis
-    from . import autodiff as ad
-    from . import model as fm
-    from .datasets import candidate_graph
-    from .errors import ValidationError
-
+    candidate_k(args.candidate)          # a bad spec exits before anything is written
     os.makedirs(args.out, exist_ok=True)
     kind = args.kind
 
@@ -344,7 +307,6 @@ def _cmd_analyze(args) -> int:
             return 2
 
     elif kind == "stability":
-        from .graphs import normalized_laplacian
         if args.data:
             bundle = _load_bundle(args, not args.no_normalize)
             lap = normalized_laplacian(bundle.graph.adjacency)
@@ -373,8 +335,7 @@ def _cmd_analyze(args) -> int:
         bundle = _load_bundle(args, not args.no_normalize)
         if args.checkpoint:
             net, _ = fm.load_checkpoint(args.checkpoint)
-            mode, k = _parse_candidate(args.candidate)
-            a_f = candidate_graph(bundle.graph, mode, k=k)
+            a_f = fm.bank_graph(bundle.graph, net.variant, args.candidate)
             with ad.no_grad():
                 vectors = fm.embedding(net, ad.constant(bundle.graph.features),
                                        a_f).data
@@ -403,8 +364,11 @@ def _cmd_analyze(args) -> int:
             raise ValidationError("analyze audit requires --checkpoint")
         bundle = _load_bundle(args, not args.no_normalize)
         net, _ = fm.load_checkpoint(args.checkpoint)
-        mode, k = _parse_candidate(args.candidate)
-        a_f = candidate_graph(bundle.graph, mode, k=k)
+        if not fm.learns_masks(net.variant):
+            raise ValidationError(
+                f"analyze audit: variant {net.variant} learns no masks, so there is "
+                "nothing to audit")
+        a_f = fm.bank_graph(bundle.graph, net.variant, args.candidate)
         with ad.no_grad():
             fwd = fm.forward(net, ad.constant(bundle.graph.features), a_f)
         stats = analysis.learned_edge_audit(
@@ -423,16 +387,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .datasets import save_raw, save_splits
-    from .datasets import gen_synthetic
-    from .graphs import heterophily_ratio
     graph = gen_synthetic(args.n, args.classes, args.intra_p, args.inter_p,
                           args.noise, seed=args.seed, n_splits=args.splits)
-    os.makedirs(args.out, exist_ok=True)
-    save_raw(graph, os.path.join(args.out, "nodes.tsv"),
-             os.path.join(args.out, "edges.tsv"))
-    save_splits(graph.splits, os.path.join(args.out, "splits"))
+    # an edgeless draw fails here, before a file is written
     r_het = heterophily_ratio(graph.adjacency, graph.labels)
+    os.makedirs(args.out, exist_ok=True)
+    save_raw(graph, os.path.join(args.out, NODE_FILE), os.path.join(args.out, EDGE_FILE))
+    save_splits(graph.splits, os.path.join(args.out, SPLIT_DIR))
     _write_json(os.path.join(args.out, "manifest.json"), {
         "command": "gen",
         "params": {"n": args.n, "classes": args.classes, "intra_p": args.intra_p,
@@ -446,9 +407,6 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    from .errors import NumericError, ParseError, ValidationError
-    from .errors import ContractError, DimensionError
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,6 +15,7 @@ rather than bundled.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,21 +284,34 @@ def gen_synthetic(n: int, classes: int, intra_p: float, inter_p: float,
     return graph
 
 
-def candidate_graph(graph: LabeledGraph, mode: str, k: int | None = None) -> CandidateGraph:
-    """Edge superset: complete graph, the given graph, or a mutual kNN graph.
+def candidate_k(spec) -> int | None:
+    """K of a ``knn:K`` candidate spec (K >= 1, written without sign or
+    leading zeros); None for ``full`` and ``given``.  Any other spec
+    raises a one-line ValidationError."""
+    if spec in ("full", "given"):
+        return None
+    match = re.fullmatch(r"knn:([1-9][0-9]*)", spec) if isinstance(spec, str) else None
+    if match is None:
+        raise ValidationError(
+            f"candidate: expected full, given or knn:K with K >= 1, got {spec!r}")
+    return int(match.group(1))
+
+
+def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
+    """Edge superset named by ``spec`` (see ``candidate_k``): the complete
+    graph, the given graph, or a mutual kNN graph.
 
     kNN uses feature cosine similarity with ties broken toward the lower
     node index; an edge survives only if each endpoint ranks the other
     among its k nearest.
     """
+    k = candidate_k(spec)
     n = graph.n
-    if mode == "full":
+    if spec == "full":
         adj = np.ones((n, n)) - np.eye(n)
-    elif mode == "given":
+    elif spec == "given":
         adj = (graph.adjacency > 0).astype(np.float64)
-    elif mode == "knn":
-        if k is None or k < 1:
-            raise ContractError("candidate_graph: knn mode needs k >= 1")
+    else:
         if k >= n:
             raise ContractError(f"candidate_graph: k={k} must be < n={n}")
         feats = graph.features
@@ -310,9 +324,7 @@ def candidate_graph(graph: LabeledGraph, mode: str, k: int | None = None) -> Can
         picks = np.zeros((n, n), dtype=bool)
         np.put_along_axis(picks, nearest, True, axis=1)
         adj = (picks & picks.T).astype(np.float64)
-    else:
-        raise ContractError(f"candidate_graph: unknown mode {mode!r}")
-    return CandidateGraph(adjacency=adj, mode=mode if mode != "knn" else f"knn:{k}")
+    return CandidateGraph(adjacency=adj, mode=spec)
 
 
 def dataset_fingerprint(bundle: DatasetBundle) -> dict:

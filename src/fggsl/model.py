@@ -37,13 +37,20 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .datasets import CandidateGraph
+from .datasets import CandidateGraph, candidate_graph, candidate_k
 from .errors import ContractError, ValidationError
 from .graphs import LabeledGraph, normalized_laplacian
 
 KERNEL_MODES = ("fig3", "verbatim")
 BANK_KINDS = ("low", "high")
-VARIANTS = ("full", "NM", "FBL", "FBH")
+# variant -> {bank kind: the mask net that learns the bank's graph}, in
+# the order of ``w_clf``'s blocks.  A variant with no net learns no
+# masks, and ``bank_graph`` runs its banks on the given graph.
+BANKS = {"full": {"low": "mask_ho", "high": "mask_ht"},
+         "NM": {"low": None, "high": None},
+         "FBL": {"low": "mask_ho"},
+         "FBH": {"high": "mask_ht"}}
+VARIANTS = tuple(BANKS)
 
 CHECKPOINT_FORMAT = "fggsl-checkpoint-v1"
 
@@ -206,8 +213,17 @@ def _check_config(variant: str, kernel_mode: str, j_max: int) -> None:
         raise ValidationError(f"j_max={j_max} must be >= 2")
 
 
-def _num_banks(variant: str) -> int:
-    return 2 if variant in ("full", "NM") else 1
+def learns_masks(variant: str) -> bool:
+    """Whether any bank of ``variant`` runs on a learned mask."""
+    return any(net is not None for net in BANKS[variant].values())
+
+
+def bank_graph(graph: LabeledGraph, variant: str, spec: str) -> CandidateGraph:
+    """The candidate ``variant``'s banks run on: the one ``spec`` names,
+    or the given graph for a variant that learns no masks.  ``spec`` is
+    checked either way."""
+    candidate_k(spec)
+    return candidate_graph(graph, spec if learns_masks(variant) else "given")
 
 
 def _parameter_shapes(num_features: int, num_classes: int, j_max: int,
@@ -215,16 +231,18 @@ def _parameter_shapes(num_features: int, num_classes: int, j_max: int,
     """Each parameter's shape in the ``FgGSLModel`` of these sizes."""
     return {"mask_ho_w": (num_features, mask_dim), "mask_ho_b": (1, mask_dim),
             "mask_ht_w": (num_features, mask_dim), "mask_ht_b": (1, mask_dim),
-            "w_clf": (_num_banks(variant) * (j_max - 1) * num_features, num_classes)}
+            "w_clf": (len(BANKS[variant]) * (j_max - 1) * num_features, num_classes)}
 
 
 class FgGSLModel:
     """Mask networks + filter banks + linear classifier for one variant.
 
-    full : both masks, both banks          (width 2(J-1)F)
-    NM   : no masks, both banks on A_f     (width 2(J-1)F)
-    FBL  : homophilic mask, low bank only  (width (J-1)F)
-    FBH  : heterophilic mask, high bank    (width (J-1)F)
+    full : both masks, both banks                  (width 2(J-1)F)
+    NM   : no masks, both banks on the given graph (width 2(J-1)F)
+    FBL  : homophilic mask, low bank only          (width (J-1)F)
+    FBH  : heterophilic mask, high bank            (width (J-1)F)
+
+    ``BANKS`` holds this table.
 
     The width is that of ``embedding``.  ``w_clf`` holds one F-row block
     per (bank, scale): the low bank's scales 2..J first, then the high
@@ -250,11 +268,8 @@ class FgGSLModel:
         self.w_clf = self.params.add(
             "w_clf", rng.uniform(-limit, limit, size=(width, num_classes)))
 
-    def num_banks(self) -> int:
-        return _num_banks(self.variant)
-
     def embedding_width(self) -> int:
-        return self.num_banks() * (self.j_max - 1) * self.num_features
+        return len(BANKS[self.variant]) * (self.j_max - 1) * self.num_features
 
     def bank(self, kind: str) -> FilterBankSpec:
         return FilterBankSpec(self.j_max, self.kernel_mode, kind)
@@ -283,22 +298,16 @@ class ForwardResult:
         return tuple(None if w is None else w.data for w in (self.w1_edges, self.w2_edges))
 
 
-def _bank_graphs(model: FgGSLModel, x: Tensor, a_f: CandidateGraph):
-    """(w1, w2): the edge columns of the low and high banks' graphs, None
-    for a bank the variant lacks; NM gives both banks the candidate."""
+def _bank_graphs(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> dict[str, Tensor]:
+    """{bank kind: edge column of the bank's graph} for the variant's banks,
+    in ``BANKS`` order: a learned mask, or all ones (``a_f`` itself) for a
+    bank without a mask net."""
     if x.shape[1] != model.num_features:
         raise ContractError(
             f"feature width {x.shape[1]} != model width {model.num_features}")
-    if model.variant == "NM":
-        given = ad.constant(np.ones((a_f.num_edges, 1)))
-        return given, given
-    w1 = mask_matrix(model.mask_ho, x, a_f) if model.variant in ("full", "FBL") else None
-    w2 = mask_matrix(model.mask_ht, x, a_f) if model.variant in ("full", "FBH") else None
-    return w1, w2
-
-
-def _banks(w1: Tensor | None, w2: Tensor | None) -> list[tuple[Tensor, str]]:
-    return [(w, kind) for w, kind in ((w1, "low"), (w2, "high")) if w is not None]
+    return {kind: (mask_matrix(getattr(model, net), x, a_f) if net
+                   else ad.constant(np.ones((a_f.num_edges, 1))))
+            for kind, net in BANKS[model.variant].items()}
 
 
 def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
@@ -310,10 +319,10 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
     n x (J-1)C block Z = [X W_2 | ... | X W_J] through T 2^J times, so a
     bank costs 2^J (J-1) n^2 C and no product has two n x n operands.
     """
-    w1, w2 = _bank_graphs(model, x, a_f)
+    graphs = _bank_graphs(model, x, a_f)
     f, c = model.num_features, model.num_classes
     terms = []
-    for b, (w, kind) in enumerate(_banks(w1, w2)):
+    for b, (kind, w) in enumerate(graphs.items()):
         spec = model.bank(kind)
         scales = spec.scales()
         first = b * len(scales) * f
@@ -325,8 +334,8 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
                            cols=(k * c, (k + 1) * c))
                   for k, j in enumerate(scales)]
     logits = functools.reduce(ad.add, terms)
-    return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=w1, w2_edges=w2,
-                         logits=logits, a_f=a_f)
+    return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=graphs.get("low"),
+                         w2_edges=graphs.get("high"), logits=logits, a_f=a_f)
 
 
 def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
@@ -335,10 +344,9 @@ def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
     ``forward`` never builds this n x ``embedding_width()`` matrix; the
     analysis of learned representations computes it on demand.
     """
-    w1, w2 = _bank_graphs(model, x, a_f)
     return ad.concat_cols([
         _bank_response(_edge_operator(w, a_f, model.kernel_mode, kind), x, model.bank(kind))
-        for w, kind in _banks(w1, w2)])
+        for kind, w in _bank_graphs(model, x, a_f).items()])
 
 
 def structural_loss_ho(w1: Tensor, cos: Tensor) -> Tensor:
@@ -386,14 +394,14 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
     x = ad.constant(graph.features)
     onehot = ad.constant(graph.labels)
     fwd = forward(model, x, a_f)
-    ce, probs = ad.softmax_cross_entropy(fwd.logits, onehot, train_idx)
+    ce = ad.softmax_cross_entropy(fwd.logits, onehot, train_idx)
 
-    sim_source = probs
+    sim_source = fwd.yhat
     if true_labels_on_train:
         keep = np.ones((graph.n, 1))
         keep[np.asarray(train_idx, dtype=np.intp)] = 0.0
         keep = np.broadcast_to(keep, graph.labels.shape).copy()
-        sim_source = ad.add(ad.hadamard(probs, ad.constant(keep)),
+        sim_source = ad.add(ad.hadamard(fwd.yhat, ad.constant(keep)),
                             ad.constant(graph.labels * (1.0 - keep)))
 
     # one cosine per candidate edge, shared by both structural losses

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import model as fm
 from .analysis import learned_edge_audit
 from .autodiff import ParameterSet
-from .datasets import CandidateGraph, DatasetBundle, candidate_graph
+from .datasets import CandidateGraph, DatasetBundle, candidate_k
 from .errors import ContractError, NumericError, ValidationError
 
 ADAM_BETA1 = 0.9
@@ -45,8 +45,7 @@ class TrainConfig:
     j_max: int = 4
     kernel_mode: str = "fig3"
     variant: str = "full"
-    candidate_mode: str = "full"
-    knn_k: int = 10
+    candidate_mode: str = "full"         # a candidate spec: full, given or knn:K
     seed: int = 0
     mask_dim: int = 16
     true_labels_on_train: bool = False
@@ -74,9 +73,7 @@ class TrainConfig:
         if self.kernel_mode not in fm.KERNEL_MODES:
             raise ValidationError(
                 f"kernel_mode={self.kernel_mode!r} not in {fm.KERNEL_MODES}")
-        if self.candidate_mode not in ("full", "given", "knn"):
-            raise ValidationError(
-                f"candidate_mode={self.candidate_mode!r} not one of full/given/knn")
+        candidate_k(self.candidate_mode)
         if self.epochs_max < 1:
             raise ValidationError("epochs_max must be >= 1")
         return self
@@ -147,13 +144,6 @@ def evaluate(model: fm.FgGSLModel, bundle: DatasetBundle, index_set,
     return accuracy_from_probs(fwd.yhat.data, bundle.graph.labels, index_set)
 
 
-def _resolve_candidate(bundle: DatasetBundle, config: TrainConfig) -> CandidateGraph:
-    # the no-mask ablation always runs the banks on the given graph
-    mode = "given" if config.variant == "NM" else config.candidate_mode
-    k = config.knn_k if mode == "knn" else None
-    return candidate_graph(bundle.graph, mode, k=k)
-
-
 def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels, val_idx) -> dict:
     """Shared early-stopping loop.
 
@@ -213,7 +203,7 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     config.validate()
     train_idx, val_idx, test_idx = split
     graph = bundle.graph
-    a_f = _resolve_candidate(bundle, config)
+    a_f = fm.bank_graph(graph, config.variant, config.candidate_mode)
     net = fm.FgGSLModel(graph.num_features, graph.num_classes, j_max=config.j_max,
                         mask_dim=config.mask_dim, kernel_mode=config.kernel_mode,
                         variant=config.variant, seed=config.seed)
@@ -229,7 +219,7 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     with ad.no_grad():
         fwd = fm.forward(net, ad.constant(graph.features), a_f)
     audit = None
-    if config.variant != "NM":
+    if fm.learns_masks(config.variant):
         audit = dataclasses.asdict(learned_edge_audit(
             *fwd.edge_columns(), graph.labels, pairs=a_f.edge_pairs()))
     return net, _result_row(fit, started, fwd.yhat.data, graph.labels, test_idx, audit)
@@ -244,10 +234,10 @@ def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
 
     def step_fn():
         logits = net.logits(ad.constant(graph.features))
-        ce, probs = ad.softmax_cross_entropy(logits, ad.constant(graph.labels), train_idx)
+        ce = ad.softmax_cross_entropy(logits, ad.constant(graph.labels), train_idx)
         breakdown = fm.LossBreakdown(ce=ce.item(), ho=0.0, ht=0.0, total=ce.item(),
                                      alpha=0.0, beta=0.0)
-        return ce, breakdown, probs.data
+        return ce, breakdown, ad.softmax_rows(logits).data
 
     def eval_fn():
         with ad.no_grad():
@@ -289,16 +279,11 @@ class RunResult:
     config: dict
     models: list = field(default_factory=list, repr=False)
 
-    def to_json_dict(self, with_curves: bool = True) -> dict:
-        rows = []
-        for k, row in enumerate(self.rows):
-            out = {"split_id": k, **{key: row[key] for key in
-                                     ("test_acc", "best_epoch", "best_val_acc",
-                                      "epochs_run", "seconds")}}
-            out["audit"] = row.get("audit")
-            if with_curves:
-                out["curves"] = row["curves"]
-            rows.append(out)
+    def to_json_dict(self) -> dict:
+        rows = [{"split_id": k, **{key: row[key] for key in
+                                   ("test_acc", "best_epoch", "best_val_acc",
+                                    "epochs_run", "seconds", "audit", "curves")}}
+                for k, row in enumerate(self.rows)]
         return {"config": self.config,
                 "aggregate": {"mean_acc": self.mean_acc, "std_acc": self.std_acc,
                               "n_splits": len(self.rows)},

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fggsl import cli, datasets, model
+import fggsl
+from fggsl import analysis, cli, datasets, model
+from fggsl import autodiff as ad
 from fggsl.graphs import heterophily_ratio
 
 
@@ -56,6 +60,41 @@ def test_gen_deterministic(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_gen_edgeless_draw_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run_cli("gen", "--out", str(out), "--n", "1", "--classes", "1",
+                   "--splits", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "no edges" in err
+    assert not out.exists()
+
+
+# records OPENBLAS_NUM_THREADS at the moment numpy is first imported
+_THREAD_PROBE = """
+import os, sys
+class Probe:
+    seen = None
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Probe.seen is None:
+            Probe.seen = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+sys.meta_path.insert(0, Probe())
+import fggsl.cli
+print(Probe.seen)
+"""
+
+
+def test_fggsl_threads_is_set_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["FGGSL_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fggsl.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +332,60 @@ def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):
                    "--data", tiny_dataset, "--checkpoint", ckpt) == 0
     doc = json.loads((audit / "audit.json").read_text(encoding="utf-8"))
     assert "ho_r_het" in doc and "ht_r_het" in doc
+
+
+def _nm_checkpoint(tiny_dataset, tmp_path):
+    graph = datasets.load_dataset_dir(tiny_dataset).graph
+    net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=2,
+                           mask_dim=4, variant="NM", seed=2)
+    path = tmp_path / "nm.fgck"
+    model.save_checkpoint(path, net, alpha=1.0, beta=1.0)
+    return net, str(path)
+
+
+def test_analyze_similarity_runs_nm_on_the_given_graph(tiny_dataset, tmp_path):
+    net, ckpt = _nm_checkpoint(tiny_dataset, tmp_path)
+    out = tmp_path / "sim"
+    # the default --candidate full is NM's spec too, and NM ignores it
+    assert run_cli("analyze", "similarity", "--out", str(out), "--data", tiny_dataset,
+                   "--checkpoint", ckpt) == 0
+    doc = json.loads((out / "similarity.json").read_text(encoding="utf-8"))
+    graph = datasets.load_dataset_dir(tiny_dataset).graph
+    with ad.no_grad():
+        vectors = model.embedding(net, ad.constant(graph.features),
+                                  datasets.candidate_graph(graph, "given")).data
+    hist = analysis.similarity_histogram(vectors, graph.labels)
+    assert (doc["intra_mean"], doc["inter_mean"]) == (hist.intra_mean, hist.inter_mean)
+
+
+def test_analyze_audit_of_nm_exits_1(tiny_dataset, tmp_path, capsys):
+    _, ckpt = _nm_checkpoint(tiny_dataset, tmp_path)
+    code = run_cli("analyze", "audit", "--out", str(tmp_path / "audit"),
+                   "--data", tiny_dataset, "--checkpoint", ckpt)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "learns no masks" in err
+
+
+_BAD_SPECS = ["knn:0", "knn:-1", "knn:abc", "knn:", "foo", ""]
+
+
+@pytest.mark.parametrize("entry, spec", [
+    *[(entry, spec) for entry in ("train --candidate", "analyze similarity --candidate",
+                                  "train --config") for spec in _BAD_SPECS],
+    *[("train --config", spec) for spec in (5, None, True, ["knn:5"])]])
+def test_bad_candidate_spec_exits_1_before_writing(tiny_dataset, tmp_path, capsys,
+                                                   entry, spec):
+    out = tmp_path / "o"
+    if entry == "train --config":
+        argv = ["train", "--config", _write_config(tmp_path, candidate=spec)]
+    else:
+        argv = entry.split() + [spec]
+    code = run_cli(*argv, "--data", tiny_dataset, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "candidate" in err
+    assert not out.exists()
 
 
 def test_analyze_audit_requires_checkpoint(tiny_dataset, tmp_path, capsys):

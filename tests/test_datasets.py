@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fggsl import datasets
 from fggsl.errors import ContractError, ParseError, ValidationError
@@ -184,7 +186,7 @@ def test_candidate_knn_tie_break_lower_index():
     from fggsl.graphs import LabeledGraph
     feats = np.ones((4, 3))
     g = LabeledGraph(np.zeros((4, 4)), feats, np.eye(2)[[0, 1, 0, 1]])
-    cand = datasets.candidate_graph(g, "knn", k=2)
+    cand = datasets.candidate_graph(g, "knn:2")
     # all similarities tie at 1.0, so everyone picks the two lowest other indices:
     # 0 -> {1,2}, 1 -> {0,2}, 2 -> {0,1}, 3 -> {0,1}; mutual edges: 01, 02, 12
     expected = np.zeros((4, 4))
@@ -196,13 +198,36 @@ def test_candidate_knn_tie_break_lower_index():
 def test_candidate_knn_rejects_large_k():
     g = datasets.gen_synthetic(5, 2, 0.3, 0.3, 0.1, seed=1, n_splits=1)
     with pytest.raises(ContractError):
-        datasets.candidate_graph(g, "knn", k=5)
+        datasets.candidate_graph(g, "knn:5")
+
+
+@given(st.integers(min_value=1, max_value=10 ** 12))
+def test_candidate_k_reads_every_knn_spec(k):
+    assert datasets.candidate_k("knn:%d" % k) == k
+
+
+def _is_knn_spec(text: str) -> bool:
+    """Whether ``text`` is "knn:%d" % k for some k >= 1."""
+    tail = text[4:]
+    return (text.startswith("knn:") and tail.isascii() and tail.isdigit()
+            and int(tail) >= 1 and text == "knn:%d" % int(tail))
+
+
+@given(st.one_of(st.text(), st.text().map("knn:".__add__),
+                 st.integers(max_value=0).map("knn:{}".format),
+                 st.integers(min_value=1).map("knn:0{}".format),
+                 st.integers(min_value=1).map("knn:+{}".format)))
+def test_candidate_k_rejects_any_other_text(text):
+    assume(text not in ("full", "given") and not _is_knn_spec(text))
+    with pytest.raises(ValidationError, match="^candidate: ") as caught:
+        datasets.candidate_k(text)
+    assert "\n" not in str(caught.value)
 
 
 def test_candidate_always_symmetric_zero_diagonal():
     g = datasets.gen_synthetic(12, 3, 0.2, 0.4, 0.5, seed=7, n_splits=1)
-    for mode, k in (("full", None), ("given", None), ("knn", 3)):
-        cand = datasets.candidate_graph(g, mode, k=k)
+    for spec in ("full", "given", "knn:3"):
+        cand = datasets.candidate_graph(g, spec)
         assert np.array_equal(cand.adjacency, cand.adjacency.T)
         assert not np.any(np.diag(cand.adjacency))
 

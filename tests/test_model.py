@@ -458,6 +458,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
         model.load_checkpoint(path)
 
 
+def test_only_a_variant_without_mask_nets_runs_on_the_given_graph():
+    g = datasets.gen_synthetic(12, 3, 0.2, 0.4, 0.5, seed=7, n_splits=1)
+    given = datasets.candidate_graph(g, "given").adjacency
+    for variant in model.VARIANTS:
+        learns = model.learns_masks(variant)
+        assert learns == (variant != "NM")
+        a_f = model.bank_graph(g, variant, "knn:3")
+        assert a_f.mode == ("knn:3" if learns else "given")
+        assert np.array_equal(a_f.adjacency, given) != learns
+        # the spec is checked even where it is not used
+        with pytest.raises(ValidationError, match="candidate"):
+            model.bank_graph(g, variant, "knn:0")
+
+
 def test_model_rejects_unknown_variant():
     with pytest.raises(ValidationError):
         model.FgGSLModel(3, 2, variant="bogus")

@@ -192,7 +192,7 @@ def test_verbatim_kernel_mode_trains():
 
 def test_knn_candidate_mode_trains():
     bundle = _bundle(seed=35)
-    cfg = _fast_config(candidate_mode="knn", knn_k=5, epochs_max=25, patience=25)
+    cfg = _fast_config(candidate_mode="knn:5", epochs_max=25, patience=25)
     _, row = training.train_single_split(bundle, bundle.graph.splits[0], cfg)
     assert np.isfinite(row["curves"]["total"]).all()
 
