@@ -7,11 +7,15 @@ gradients of tracked parameters, then clears the tape.  The op set is
 exactly what the edge-mask / filter-bank forward pass needs; there is no
 broadcasting beyond the listed operations and no higher-order grads.
 
-A filter bank's propagation is one op, ``propagate``: it applies an
-n x n operator T to a block 2^J times and records one tape node, whose
-VJP forms dT as a single product of the stacked step gradients and step
-inputs.  ``block`` returns a read-only view, so reading the iterates or
-a parameter's row block copies nothing.
+A filter bank's propagation is one op, ``propagate``: it evaluates
+polynomials in an n x n operator T on column blocks, out_m =
+sum_s sum_k coeffs[s, k, m] T^s Z_k, by repeated products T @ Y.  It
+runs in the chain order (push the K inputs through T) or the Horner
+order (push the M outputs), whichever is narrower, and records one tape
+node.  Its VJP runs the transposed polynomial in the other order at the
+same width and forms dT as a single product of the stacked step
+gradients and step inputs.  ``block`` returns a read-only view, so
+reading a parameter's row block copies nothing.
 
 Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
@@ -308,50 +312,91 @@ def block(a: Tensor, rows: tuple[int, int] | None = None,
     return _emit(view, (a,), vjp)
 
 
-def propagate(t: Tensor, z: Tensor, j_max: int) -> Tensor:
-    """The power-of-two iterates [T Z | T^2 Z | T^4 Z | ... | T^(2^j_max) Z].
+def _polynomial(td: np.ndarray, z: np.ndarray, coeffs: np.ndarray, horner: bool,
+                keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """out_m = sum over s, k of coeffs[s, k, m] T^s Z_k, by S = len(coeffs) - 1
+    products with T.
 
-    Applies the n x n operator ``t`` to the n x w block ``z`` 2^j_max
-    times and returns, side by side, the j_max + 1 iterates whose
-    exponent is a power of two: column block k holds T^(2^k) Z.  No
-    product has two n x n operands.
-
-    The other iterates are kept only when the op records a tape node.
-    Its VJP runs the chain in reverse with T^T and forms dT as one
-    product, [G_1 | ... | G_S] [Z | T Z | ... | T^(S-1) Z]^T, of the
-    stacked step gradients G_s = dL/d(T^s Z) and the stacked step inputs.
+    The chain order applies T to the K blocks of Z, Y_s = T Y_(s-1), and
+    adds Y_s's blocks into the outputs.  The Horner order folds the
+    inputs into M blocks first, acc_s = T acc_(s+1) + B_s with
+    B_s = sum_k coeffs[s, k, m] Z_k.  With ``keep`` the input of every
+    step comes back as well, stacked: block s holds T^s Z in the chain
+    order and acc_(s+1) in the Horner order.
     """
-    n, w = z.shape
+    n = z.shape[0]
+    top, k_in, m_out = coeffs.shape
+    w = z.shape[1] // k_in
+    steps = top - 1
+    width = (m_out if horner else k_in) * w
+    stack = np.empty((n, steps * width)) if keep else None
+    terms = [[(k, m, coeffs[s, k, m]) for k, m in zip(*np.nonzero(coeffs[s]))]
+             for s in range(top)]
+
+    def add_terms(out, y, s):
+        for k, m, c in terms[s]:
+            out[:, m * w:(m + 1) * w] += c * y[:, k * w:(k + 1) * w]
+
+    out = np.zeros((n, m_out * w))
+    if horner:
+        add_terms(out, z, steps)
+        for s in range(steps - 1, -1, -1):
+            if keep:
+                stack[:, s * width:(s + 1) * width] = out
+            out = td @ out
+            add_terms(out, z, s)
+        return out, stack
+    y = z
+    for s in range(top):
+        if s:
+            if keep:
+                stack[:, (s - 1) * width:s * width] = y
+            y = td @ y
+        add_terms(out, y, s)
+    return out, stack
+
+
+def propagate(t: Tensor, z: Tensor, coeffs) -> Tensor:
+    """The polynomials out_m = sum_s sum_k coeffs[s, k, m] T^s Z_k in T.
+
+    ``z`` holds K column blocks Z_k of one width, ``coeffs`` has shape
+    (S + 1) x K x M, and the n x Mw result holds the M blocks out_m.
+    Powers past the last nonzero coefficient are dropped, so the op makes
+    S products of the n x n operator ``t`` with a block, and no product
+    has two n x n operands.  It runs them in the narrower order: the
+    chain order pushes the K input blocks through T (K <= M), the Horner
+    order the M output blocks (M < K).
+
+    The op records one tape node.  Its VJP for Z is the same polynomial
+    run on T^T with coeffs transposed over (k, m), in the opposite order
+    and so at the same width.  Both orders keep the input of every step,
+    and block s of the backward's steps is the gradient of the output of
+    the forward's step whose input is block s.  So dT is one product,
+    (backward steps) (forward steps)^T, with inner dimension S times the
+    width.
+    """
+    n, width = z.shape
     if t.shape != (n, n):
         raise DimensionError(f"propagate: operator {t.shape} does not act on {z.shape}")
-    if j_max < 0:
-        raise ContractError(f"propagate: j_max={j_max} must be >= 0")
-    steps = 2 ** j_max
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.ndim != 3 or coeffs.shape[0] == 0:
+        raise ContractError(f"propagate: coeffs of shape {coeffs.shape} is not "
+                            "(powers, inputs, outputs)")
+    if width % coeffs.shape[1]:
+        raise DimensionError(f"propagate: {width} columns do not split into "
+                             f"{coeffs.shape[1]} blocks")
+    live = np.flatnonzero(coeffs.any(axis=(1, 2)))
+    coeffs = coeffs[:live[-1] + 1 if live.size else 1]
+    horner = coeffs.shape[2] < coeffs.shape[1]
     td = t.data
-    out = np.empty((n, (j_max + 1) * w))
-    # column block s - 1 holds T^(s-1) Z, the input of step s
-    inputs = np.empty((n, steps * w)) if _records((t, z)) else None
-    y = z.data
-    for s in range(1, steps + 1):
-        if inputs is not None:
-            inputs[:, (s - 1) * w:s * w] = y
-        y = td @ y
-        if s & (s - 1) == 0:
-            k = s.bit_length() - 1
-            out[:, k * w:(k + 1) * w] = y
+    keep = _records((t, z)) and t.requires_grad
+    out, forward_steps = _polynomial(td, z.data, coeffs, horner, keep)
 
     def vjp(g):
-        grads = np.empty((n, steps * w))
-        acc = g[:, j_max * w:]
-        for s in range(steps, 0, -1):
-            grads[:, (s - 1) * w:s * w] = acc    # dL/d(T^s Z)
-            acc = td.T @ acc
-            p = s - 1
-            if p and p & (p - 1) == 0:
-                k = p.bit_length() - 1
-                acc += g[:, k * w:(k + 1) * w]
-        return (grads @ inputs.T if t.requires_grad else None,
-                acc if z.requires_grad else None)
+        dz, backward_steps = _polynomial(td.T, g, coeffs.transpose(0, 2, 1),
+                                         not horner, t.requires_grad)
+        return (backward_steps @ forward_steps.T if t.requires_grad else None,
+                dz if z.requires_grad else None)
 
     return _emit(out, (t, z), vjp)
 

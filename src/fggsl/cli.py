@@ -1,8 +1,8 @@
 """Command-line entry point: train, ablate, analyze, gen.
 
 Exit codes: 0 success, 1 parse/validation problems, 2 numeric failures,
-3 I/O failures.  The FGGSL_THREADS environment variable caps BLAS
-threads (see the package docstring).
+3 I/O failures or a MemoryError.  The FGGSL_THREADS environment
+variable caps BLAS threads (see the package docstring).
 """
 
 from __future__ import annotations
@@ -191,6 +191,14 @@ def _load_bundle(args, normalize):
     return load_dataset_dir(args.data, normalize_features=normalize)
 
 
+def _out_file(args, name):
+    """The path of ``name`` in ``--out``.  The directory is made here, on
+    the first write, so a command that fails before it writes leaves no
+    directory behind."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -221,18 +229,17 @@ def _manifest(command, config, bundle, extra=None):
 def _cmd_train(args) -> int:
     config, normalize = _resolve_config(args)
     bundle = _load_bundle(args, normalize)
-    os.makedirs(args.out, exist_ok=True)
     baseline = getattr(args, "baseline_mlp", False)
     runner = mlp_baseline if baseline else run_protocol
     result = runner(bundle, config, parallel=args.parallel_splits)
-    _write_json(os.path.join(args.out, "manifest.json"),
+    _write_json(_out_file(args, "manifest.json"),
                 _manifest("train", config, bundle,
                           {"baseline_mlp": baseline}))
-    _write_json(os.path.join(args.out, "report.json"), result.to_json_dict())
-    _write_lines(os.path.join(args.out, "results.csv"), result.csv_rows())
+    _write_json(_out_file(args, "report.json"), result.to_json_dict())
+    _write_lines(_out_file(args, "results.csv"), result.csv_rows())
     if not baseline:
         for k, net in enumerate(result.models):
-            fm.save_checkpoint(os.path.join(args.out, f"ckpt_split_{k:02d}.fgck"),
+            fm.save_checkpoint(_out_file(args, f"ckpt_split_{k:02d}.fgck"),
                                net, alpha=config.alpha, beta=config.beta)
     print(f"{bundle.name}: mean test accuracy {result.mean_acc:.4f} "
           f"+/- {result.std_acc:.4f} over {len(result.rows)} splits")
@@ -242,17 +249,16 @@ def _cmd_train(args) -> int:
 def _cmd_ablate(args) -> int:
     config, normalize = _resolve_config(args)
     bundle = _load_bundle(args, normalize)
-    os.makedirs(args.out, exist_ok=True)
     results = run_ablation(bundle, config, parallel=args.parallel_splits)
-    _write_json(os.path.join(args.out, "manifest.json"),
+    _write_json(_out_file(args, "manifest.json"),
                 _manifest("ablate", config, bundle))
-    _write_lines(os.path.join(args.out, "ablation.csv"), ablation_table(results))
+    _write_lines(_out_file(args, "ablation.csv"), ablation_table(results))
     for variant, result in results.items():
-        _write_json(os.path.join(args.out, f"report_{variant}.json"),
+        _write_json(_out_file(args, f"report_{variant}.json"),
                     result.to_json_dict())
         for k, net in enumerate(result.models):
             fm.save_checkpoint(
-                os.path.join(args.out, f"ckpt_{variant}_split_{k:02d}.fgck"),
+                _out_file(args, f"ckpt_{variant}_split_{k:02d}.fgck"),
                 net, alpha=config.alpha, beta=config.beta)
     for variant, result in results.items():
         print(f"{variant}: mean {result.mean_acc:.4f} +/- {result.std_acc:.4f}")
@@ -267,8 +273,7 @@ def _analyze_sidecar(args, extra):
 
 
 def _cmd_analyze(args) -> int:
-    candidate_k(args.candidate)          # a bad spec exits before anything is written
-    os.makedirs(args.out, exist_ok=True)
+    candidate_k(args.candidate)          # a bad spec exits before anything is loaded
     kind = args.kind
 
     if kind == "response":
@@ -276,8 +281,8 @@ def _cmd_analyze(args) -> int:
                                                  grid_points=args.grid)
         lines = ["lambda,j,kind,value"]
         lines += [f"{lam:.17g},{j},{k},{v:.17g}" for lam, j, k, v in rows]
-        _write_lines(os.path.join(args.out, "response.csv"), lines)
-        _write_json(os.path.join(args.out, "response.json"), _analyze_sidecar(
+        _write_lines(_out_file(args, "response.csv"), lines)
+        _write_json(_out_file(args, "response.json"), _analyze_sidecar(
             args, {"j_max": args.j_max, "kernel_mode": args.kernel_mode,
                    "grid_points": args.grid, "rows": len(rows)}))
         print(f"response: {len(rows)} rows over {args.grid} frequencies, "
@@ -299,8 +304,8 @@ def _cmd_analyze(args) -> int:
             total += len(recs)
             violations += sum(not r.holds for r in recs)
             lines += [f"{c},{r.lhs:.12g},{r.rhs:.12g},{int(r.holds)}" for r in recs]
-        _write_lines(os.path.join(args.out, "prop1.csv"), lines)
-        _write_json(os.path.join(args.out, "prop1.json"), _analyze_sidecar(
+        _write_lines(_out_file(args, "prop1.csv"), lines)
+        _write_json(_out_file(args, "prop1.json"), _analyze_sidecar(
             args, {"pairs_checked": total, "violations": violations}))
         print(f"prop1: {violations} violations over {total} pairs")
         if violations:
@@ -325,8 +330,8 @@ def _cmd_analyze(args) -> int:
                 lines += [f"{r.epsilon:.12g},{r.j},{bank_kind},"
                           f"{r.observed_distance:.12g},{r.bound_value:.12g},"
                           f"{r.delta:.12g},{int(r.holds_with_slack)}" for r in recs]
-        _write_lines(os.path.join(args.out, "stability.csv"), lines)
-        _write_json(os.path.join(args.out, "stability.json"), _analyze_sidecar(
+        _write_lines(_out_file(args, "stability.csv"), lines)
+        _write_json(_out_file(args, "stability.json"), _analyze_sidecar(
             args, {"epsilons": args.epsilons, "trials": args.trials,
                    "all_hold": all_hold}))
         print(f"stability: bound {'holds' if all_hold else 'VIOLATED'} on all probes")
@@ -350,8 +355,8 @@ def _cmd_analyze(args) -> int:
         for k in range(len(hist.intra_counts)):
             lines.append(f"{hist.bin_edges[k]:.12g},{hist.bin_edges[k + 1]:.12g},"
                          f"{hist.intra_counts[k]},{hist.inter_counts[k]}")
-        _write_lines(os.path.join(args.out, "similarity.csv"), lines)
-        _write_json(os.path.join(args.out, "similarity.json"), _analyze_sidecar(
+        _write_lines(_out_file(args, "similarity.csv"), lines)
+        _write_json(_out_file(args, "similarity.json"), _analyze_sidecar(
             args, {"source": source, "intra_mean": hist.intra_mean,
                    "inter_mean": hist.inter_mean, "mean_gap": hist.mean_gap,
                    "n_intra": hist.n_intra, "n_inter": hist.n_inter,
@@ -377,8 +382,8 @@ def _cmd_analyze(args) -> int:
         lines = ["threshold,ho_edges,ho_r_het,ht_edges,ht_r_het",
                  f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
                  f"{stats.ht_edges},{stats.ht_r_het}"]
-        _write_lines(os.path.join(args.out, "audit.csv"), lines)
-        _write_json(os.path.join(args.out, "audit.json"), _analyze_sidecar(
+        _write_lines(_out_file(args, "audit.csv"), lines)
+        _write_json(_out_file(args, "audit.json"), _analyze_sidecar(
             args, dataclasses.asdict(stats)))
         print(f"audit: homophilic graph R_het={stats.ho_r_het}, "
               f"heterophilic graph R_het={stats.ht_r_het}")
@@ -391,10 +396,9 @@ def _cmd_gen(args) -> int:
                           args.noise, seed=args.seed, n_splits=args.splits)
     # an edgeless draw fails here, before a file is written
     r_het = heterophily_ratio(graph.adjacency, graph.labels)
-    os.makedirs(args.out, exist_ok=True)
-    save_raw(graph, os.path.join(args.out, NODE_FILE), os.path.join(args.out, EDGE_FILE))
-    save_splits(graph.splits, os.path.join(args.out, SPLIT_DIR))
-    _write_json(os.path.join(args.out, "manifest.json"), {
+    save_raw(graph, _out_file(args, NODE_FILE), _out_file(args, EDGE_FILE))
+    save_splits(graph.splits, _out_file(args, SPLIT_DIR))
+    _write_json(_out_file(args, "manifest.json"), {
         "command": "gen",
         "params": {"n": args.n, "classes": args.classes, "intra_p": args.intra_p,
                    "inter_p": args.inter_p, "noise": args.noise,
@@ -421,6 +425,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

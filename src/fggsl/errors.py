@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all fggsl modules.
 
 The CLI maps these onto exit codes: parse/validation/contract problems
-exit 1, numeric failures exit 2, I/O failures (plain OSError) exit 3.
+exit 1, numeric failures exit 2, I/O failures (plain OSError) and
+MemoryError exit 3.
 """
 
 

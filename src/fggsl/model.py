@@ -4,8 +4,9 @@ Two sigmoid mask networks carve a homophilic and a heterophilic weighted
 graph out of a candidate edge set; a low-pass diffusion filter bank runs
 on the first graph and a high-pass bank on the second.  Concatenated
 filter responses feed one linear layer + softmax.  The layer is linear,
-so ``forward`` applies it first and pushes n x (J-1)C blocks through the
-banks; ``embedding`` builds the filter responses themselves on demand.
+so ``forward`` applies it first and evaluates each bank's logits as one
+polynomial in T on n x C blocks; ``embedding`` builds the filter
+responses themselves on demand.
 The training objective adds two label-similarity structural penalties
 to the cross-entropy so the masks are pushed toward genuinely
 homophilic / heterophilic edge sets.
@@ -21,10 +22,13 @@ T = I/2 + A/2 or I/2 - A/2 of a bank; that is the one n x n tape node a
 bank records before its propagation.  ``ForwardResult.w1``/``w2`` build
 the dense masks on demand.
 
-Every kernel is a polynomial in T, applied to a block by repeated dense
-products T @ Y inside ``ad.propagate``: one tape node per bank, whose
-backward forms dT as one product, and whose iterates are read as
-``ad.block`` views.  No n x n matrix is ever squared.
+Every kernel is a polynomial in T, and ``FilterBankSpec.coefficients``
+tables a bank's J - 1 of them.  ``ad.propagate`` applies the table to
+blocks by repeated dense products T @ Y: one tape node per bank, whose
+backward forms dT as one product.  ``embedding`` pushes X through T once
+for all scales (the chain order); ``forward`` folds the scales' blocks
+X W_j into one n x C block by Horner's rule (the Horner order).  No
+n x n matrix is ever squared.
 """
 
 from __future__ import annotations
@@ -73,6 +77,20 @@ class FilterBankSpec:
 
     def scales(self) -> range:
         return range(2, self.j_max + 1)
+
+    def coefficients(self) -> np.ndarray:
+        """The bank's kernels as polynomials in T: an (2^J + 1) x (J - 1)
+        array whose column j - 2 holds the coefficients of T^0 .. T^(2^J)
+        in h_j, so that h_j(lam) = sum_s coeffs[s, j - 2] t(lam)^s with
+        the t of ``kernel_value``."""
+        table = np.zeros((2 ** self.j_max + 1, self.j_max - 1))
+        for col, j in enumerate(self.scales()):
+            table[2 ** (j - 1), col] = 1.0
+            if self.mode == "verbatim" and self.kind == "low":
+                table[0, col] = -(0.5 ** (2 ** j))    # the frequency-free term
+            else:
+                table[2 ** j, col] = -1.0
+        return table
 
 
 def kernel_value(j: int, lam, mode: str, kind: str):
@@ -128,44 +146,24 @@ def _edge_operator(w: Tensor, a_f: CandidateGraph, mode: str, kind: str) -> Tens
     return ad.edge_operator(a_hat, pairs, a_f.n, 0.5, 0.5 if _low_pass(mode, kind) else -0.5)
 
 
-def _propagate(t: Tensor, z: Tensor, j_max: int) -> list[Tensor]:
-    """ys[k] = T^(2^k) Z for k = 0..j_max, by applying T to Z 2^j_max times.
-
-    Only the power-of-two iterates, the ones the kernels read, come back:
-    read-only views into the one tape node of ``ad.propagate``.
-    """
-    w = z.shape[1]
-    stacked = ad.propagate(t, z, j_max)
-    return [ad.block(stacked, cols=(k * w, (k + 1) * w)) for k in range(j_max + 1)]
-
-
-def _scale_response(ys: list[Tensor], z: Tensor, j: int, mode: str, kind: str) -> Tensor:
-    """h_j(L) Z read off the iterates of ``_propagate``."""
-    if mode == "verbatim" and kind == "low":
-        # second kernel term is frequency-free: a scaled copy of the input
-        return ad.sub(ys[j - 1], ad.scale(0.5 ** (2 ** j), z))
-    return ad.sub(ys[j - 1], ys[j])
-
-
 def filter_apply(l: Tensor, x: Tensor, j: int, mode: str, kind: str) -> Tensor:
-    """h_j(L) @ X by applying T to X 2^j times; differentiable throughout."""
+    """h_j(L) @ X by repeated products with T; differentiable throughout."""
     if j < 2:
         raise ContractError(f"filter_apply: j={j} must be >= 2")
-    ys = _propagate(_base_operator(l, mode, kind), x, j)
-    return _scale_response(ys, x, j, mode, kind)
+    coeffs = FilterBankSpec(j, mode, kind).coefficients()[:, None, -1:]
+    return ad.propagate(_base_operator(l, mode, kind), x, coeffs)
 
 
 def _bank_response(t: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
-    ys = _propagate(t, x, spec.j_max)
-    return ad.concat_cols([_scale_response(ys, x, j, spec.mode, spec.kind)
-                           for j in spec.scales()])
+    return ad.propagate(t, x, spec.coefficients()[:, None, :])
 
 
 def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     """Column-concatenated responses of every scale in the bank, from a dense L.
 
-    Shares one propagation across scales: the bank costs 2^j_max products
-    of the n x n operator T with the n x F block X, and no n x n product.
+    One propagation in the chain order serves every scale: the bank costs
+    2^j_max products of the n x n operator T with the n x F block X, and
+    no n x n product.
     """
     return _bank_response(_base_operator(l, spec.mode, spec.kind), x, spec)
 
@@ -315,24 +313,24 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
 
     The classifier is linear, so it runs before the banks:
     logits = sum over banks and scales of h_j(L) (X W_j), with W_j the
-    F-row block of ``w_clf`` that reads scale j.  Each bank pushes the
-    n x (J-1)C block Z = [X W_2 | ... | X W_J] through T 2^J times, so a
-    bank costs 2^J (J-1) n^2 C and no product has two n x n operands.
+    F-row block of ``w_clf`` that reads scale j.  Per bank, that sum is
+    one polynomial in T of Z = [X W_2 | ... | X W_J], sum_s T^s B_s, and
+    ``ad.propagate`` evaluates it in the Horner order on one n x C
+    block: a bank costs at most 2^J n^2 C, and no product has two n x n
+    operands.
     """
     graphs = _bank_graphs(model, x, a_f)
-    f, c = model.num_features, model.num_classes
+    f = model.num_features
     terms = []
     for b, (kind, w) in enumerate(graphs.items()):
         spec = model.bank(kind)
-        scales = spec.scales()
-        first = b * len(scales) * f
+        scales = len(spec.scales())
+        first = b * scales * f
         z = ad.concat_cols([
             ad.matmul(x, ad.block(model.w_clf, rows=(first + k * f, first + (k + 1) * f)))
-            for k in range(len(scales))])
-        ys = _propagate(_edge_operator(w, a_f, spec.mode, kind), z, spec.j_max)
-        terms += [ad.block(_scale_response(ys, z, j, spec.mode, kind),
-                           cols=(k * c, (k + 1) * c))
-                  for k, j in enumerate(scales)]
+            for k in range(scales)])
+        terms.append(ad.propagate(_edge_operator(w, a_f, spec.mode, kind), z,
+                                  spec.coefficients()[:, :, None]))
     logits = functools.reduce(ad.add, terms)
     return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=graphs.get("low"),
                          w2_edges=graphs.get("high"), logits=logits, a_f=a_f)

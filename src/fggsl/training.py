@@ -51,6 +51,9 @@ class TrainConfig:
     true_labels_on_train: bool = False
 
     def validate(self):
+        # first, so that a spec of the wrong type is reported under the
+        # config key and flag name ``candidate``
+        candidate_k(self.candidate_mode)
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             # bool is an int subclass, so it passes only a bool field
@@ -73,7 +76,6 @@ class TrainConfig:
         if self.kernel_mode not in fm.KERNEL_MODES:
             raise ValidationError(
                 f"kernel_mode={self.kernel_mode!r} not in {fm.KERNEL_MODES}")
-        candidate_k(self.candidate_mode)
         if self.epochs_max < 1:
             raise ValidationError("epochs_max must be >= 1")
         return self

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,3 +31,22 @@ def require_dataset(name: str) -> str:
             f"nodes.tsv/edges.tsv/splits under datasets/{name}); this "
             "environment has no network access to fetch them")
     return path
+
+
+class _CountedOperator(np.ndarray):
+    """An operator array that logs the width of every block it, or its
+    transpose, multiplies."""
+
+    widths: list = []
+
+    def __matmul__(self, other):
+        _CountedOperator.widths.append(other.shape[1])
+        return np.asarray(self) @ other
+
+
+@pytest.fixture
+def counted_operator():
+    """A class to view an operator as: ``t.view(cls)``; ``cls.widths``
+    lists the widths it has multiplied since the test began."""
+    _CountedOperator.widths = []
+    return _CountedOperator

@@ -515,49 +515,108 @@ def _operator(rng, n):
     return 0.9 * t / np.linalg.norm(t, 2)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), width=st.integers(1, 4),
-       j_max=st.integers(0, 4))
-def test_propagate_equals_explicit_powers(seed, n, width, j_max):
+def _explicit_polynomial(t, z, coeffs):
+    """sum_s T^s Z (coeffs[s] kron I_w), with explicit matrix powers."""
+    powers, k_in, m_out = coeffs.shape
+    w = z.shape[1] // k_in
+    out = np.zeros((t.shape[0], m_out * w))
+    for s in range(powers):
+        out += np.linalg.matrix_power(t, s) @ z @ np.kron(coeffs[s], np.eye(w))
+    return out
+
+
+# (K, M) pairs: K < M and K = M run the chain order, K > M the Horner order
+ORDERS = ((1, 3), (2, 2), (3, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), width=st.integers(1, 3),
+       k_in=st.integers(1, 3), m_out=st.integers(1, 3), powers=st.integers(1, 9),
+       lead=st.integers(0, 3), trail=st.integers(0, 3))
+def test_propagate_equals_explicit_powers(seed, n, width, k_in, m_out, powers, lead, trail):
     rng = np.random.default_rng(seed)
-    t, z = _operator(rng, n), rng.standard_normal((n, width))
-    out = ad.propagate(ad.constant(t), ad.constant(z), j_max).data
-    assert out.shape == (n, (j_max + 1) * width)
-    for k in range(j_max + 1):
-        expected = np.linalg.matrix_power(t, 2 ** k) @ z
-        got = out[:, k * width:(k + 1) * width]
-        assert np.linalg.norm(got - expected) <= 1e-12 * max(np.linalg.norm(expected), 1e-300)
+    t, z = _operator(rng, n), rng.standard_normal((n, k_in * width))
+    coeffs = rng.standard_normal((powers, k_in, m_out))
+    coeffs[:lead] = 0.0                          # zero leading powers
+    coeffs[max(powers - trail, 0):] = 0.0        # zero trailing powers, possibly all
+    out = ad.propagate(ad.constant(t), ad.constant(z), coeffs).data
+    expected = _explicit_polynomial(t, z, coeffs)
+    assert out.shape == (n, m_out * width)
+    assert np.linalg.norm(out - expected) <= 1e-12 * max(np.linalg.norm(expected), 1e-300)
 
 
 @pytest.mark.parametrize("j_max", [0, 1, 2, 3])
 def test_grad_check_propagate_non_symmetric(j_max):
-    rng = np.random.default_rng(30 + j_max)
-    params = ad.ParameterSet()
-    t = params.add("t", _operator(rng, 5))
-    z = params.add("z", rng.standard_normal((5, 2)))
-    weights = ad.constant(rng.standard_normal((5, 2 * (j_max + 1))))
+    # 2^j_max products with T, in both orders and at K = M
+    for k_in, m_out in ORDERS:
+        rng = np.random.default_rng(30 + j_max)
+        params = ad.ParameterSet()
+        t = params.add("t", _operator(rng, 5))
+        z = params.add("z", rng.standard_normal((5, 2 * k_in)))
+        coeffs = rng.standard_normal((2 ** j_max + 1, k_in, m_out))
+        coeffs[0] = 0.0
+        weights = ad.constant(rng.standard_normal((5, 2 * m_out)))
 
-    def loss_fn():
-        return ad.sum_all(ad.hadamard(ad.tanh(ad.propagate(t, z, j_max)), weights))
+        def loss_fn():
+            return ad.sum_all(ad.hadamard(ad.tanh(ad.propagate(t, z, coeffs)), weights))
 
-    assert ad.grad_check(loss_fn, params, 1e-6) <= 1e-6
+        assert ad.grad_check(loss_fn, params, 1e-6) <= 1e-6, (k_in, m_out)
 
 
 @pytest.mark.parametrize("tracked", [0, 1], ids=["t", "z"])
 def test_propagate_backward_with_one_tracked_input(tracked):
-    rng = np.random.default_rng(40)
-    values = [_operator(rng, 4), rng.standard_normal((4, 3))]
-    both = [ad.parameter(v, "p") for v in values]
-    ad.backward(ad.sum_all(ad.propagate(*both, 2)), both)
-    one = [ad.parameter(v, "p") if k == tracked else ad.constant(v)
-           for k, v in enumerate(values)]
-    ad.backward(ad.sum_all(ad.propagate(*one, 2)), [one[tracked]])
-    assert np.array_equal(one[tracked].grad, both[tracked].grad)
+    for k_in, m_out in ORDERS:
+        rng = np.random.default_rng(40)
+        values = [_operator(rng, 4), rng.standard_normal((4, 3 * k_in))]
+        coeffs = rng.standard_normal((5, k_in, m_out))
+        both = [ad.parameter(v, "p") for v in values]
+        ad.backward(ad.sum_all(ad.propagate(*both, coeffs)), both)
+        one = [ad.parameter(v, "p") if k == tracked else ad.constant(v)
+               for k, v in enumerate(values)]
+        ad.backward(ad.sum_all(ad.propagate(*one, coeffs)), [one[tracked]])
+        assert np.array_equal(one[tracked].grad, both[tracked].grad), (k_in, m_out)
+
+
+@pytest.mark.parametrize("k_in, m_out", ORDERS)
+def test_propagate_drops_trailing_zero_powers_and_steps_the_narrower_side(
+        counted_operator, k_in, m_out):
+    rng = np.random.default_rng(41)
+    t = ad.parameter(_operator(rng, 6), "t")
+    t.data = t.data.view(counted_operator)
+    z = ad.parameter(rng.standard_normal((6, 2 * k_in)), "z")
+    coeffs = rng.standard_normal((9, k_in, m_out))
+    coeffs[5:] = 0.0                             # powers 5..8 are dropped
+    ad.backward(ad.sum_all(ad.propagate(t, z, coeffs)), [t, z])
+    # four products forward and four with T^T backward, each 2 min(K, M) wide
+    assert counted_operator.widths == [2 * min(k_in, m_out)] * 8
+
+
+def test_propagate_with_no_steps_scales_the_input():
+    rng = np.random.default_rng(42)
+    t = ad.parameter(_operator(rng, 4), "t")
+    z = ad.parameter(rng.standard_normal((4, 2)), "z")
+    coeffs = np.zeros((3, 2, 1))
+    coeffs[0] = [[2.0], [-1.0]]
+    out = ad.propagate(t, z, coeffs)
+    assert np.array_equal(out.data, 2.0 * z.data[:, :1] - z.data[:, 1:])
+    ad.backward(ad.sum_all(out), [t, z])
+    assert np.array_equal(t.grad, np.zeros((4, 4)))
+    assert np.array_equal(z.grad, np.tile([2.0, -1.0], (4, 1)))
 
 
 def test_propagate_rejects_an_operator_of_another_size():
     with pytest.raises(DimensionError, match="propagate"):
-        ad.propagate(ad.constant(np.eye(3)), ad.constant(np.ones((4, 2))), 1)
+        ad.propagate(ad.constant(np.eye(3)), ad.constant(np.ones((4, 2))), np.ones((2, 1, 1)))
+
+
+@pytest.mark.parametrize("coeffs, error", [
+    (np.ones((2, 1)), ContractError),            # not powers x inputs x outputs
+    (np.ones((0, 1, 1)), ContractError),         # no powers
+    (np.ones((2, 3, 1)), DimensionError),        # 4 columns in 3 blocks
+])
+def test_propagate_rejects_a_malformed_coefficient_table(coeffs, error):
+    with pytest.raises(error, match="propagate"):
+        ad.propagate(ad.constant(np.eye(3)), ad.constant(np.ones((3, 4))), coeffs)
 
 
 # ---------------------------------------------------------------------------

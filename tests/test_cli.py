@@ -365,6 +365,20 @@ def test_analyze_audit_of_nm_exits_1(tiny_dataset, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "learns no masks" in err
+    assert not (tmp_path / "audit").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_knn_k_of_at_least_n_exits_1_and_leaves_no_out(tiny_dataset, tmp_path, capsys,
+                                                       command):
+    # K >= n is only known once the 24-node dataset is loaded
+    out = tmp_path / "o"
+    code = run_cli(command, "--config", _write_config(tmp_path), "--data", tiny_dataset,
+                   "--out", str(out), "--candidate", "knn:24")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not out.exists()
 
 
 _BAD_SPECS = ["knn:0", "knn:-1", "knn:abc", "knn:", "foo", ""]
@@ -386,6 +400,29 @@ def test_bad_candidate_spec_exits_1_before_writing(tiny_dataset, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "candidate" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [5, None, True, ["knn:5"]])
+def test_config_candidate_of_the_wrong_type_is_reported_under_its_key(
+        tiny_dataset, tmp_path, capsys, spec):
+    code = run_cli("train", "--config", _write_config(tmp_path, candidate=spec),
+                   "--data", tiny_dataset, "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: candidate: expected full, given or knn:K with K >= 1, "
+                   f"got {spec!r}\n")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array", ""])
+def test_memory_error_exits_3_with_one_line(monkeypatch, tmp_path, capsys, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_gen", exhausted)
+    assert run_cli("gen", "--out", str(tmp_path / "g")) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("out of memory:")
+    assert message in err
 
 
 def test_analyze_audit_requires_checkpoint(tiny_dataset, tmp_path, capsys):

@@ -74,6 +74,20 @@ def test_kernel_telescoping(kind):
         assert np.max(np.abs(total - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("mode", model.KERNEL_MODES)
+@pytest.mark.parametrize("kind", model.BANK_KINDS)
+def test_bank_coefficients_are_the_kernels_as_polynomials_in_t(mode, kind):
+    lam = np.linspace(0.0, 2.0, 33)
+    low = (mode == "fig3") == (kind == "low")
+    t = 1.0 - 0.5 * lam if low else 0.5 * lam
+    spec = model.FilterBankSpec(4, mode, kind)
+    table = spec.coefficients()
+    assert table.shape == (2 ** 4 + 1, 3)
+    for col, j in enumerate(spec.scales()):
+        poly = np.polynomial.polynomial.polyval(t, table[:, col])
+        assert np.max(np.abs(poly - model.kernel_value(j, lam, mode, kind))) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # filter_apply
 
@@ -236,9 +250,9 @@ def test_training_step_multiplies_no_two_n_by_n_matrices(monkeypatch, variant):
         shapes.append((a.shape, b.shape))
         return matmul(a, b)
 
-    def recorded_propagate(t, z, j_max):
+    def recorded_propagate(t, z, coeffs):
         shapes.append((t.shape, z.shape))
-        return propagate(t, z, j_max)
+        return propagate(t, z, coeffs)
 
     monkeypatch.setattr(ad, "matmul", recorded)
     monkeypatch.setattr(ad, "propagate", recorded_propagate)
@@ -246,6 +260,30 @@ def test_training_step_multiplies_no_two_n_by_n_matrices(monkeypatch, variant):
     ad.backward(loss, m.params)
     assert ((9, 9), (9, 6)) in shapes
     assert ((9, 9), (9, 9)) not in shapes
+
+
+@pytest.mark.parametrize("mode, steps", [("fig3", 8), ("verbatim", 4)])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_training_step_pushes_c_columns_through_each_operator(
+        monkeypatch, counted_operator, variant, mode, steps):
+    # J = 3: a fig3 bank runs 2^J steps; verbatim's low bank 2^(J-1), its high 2^J
+    g = _random_graph(25, n=9, classes=3)
+    m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, kernel_mode=mode, variant=variant,
+                         seed=26)
+    cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
+    edge_operator = ad.edge_operator
+
+    def counted(*args):
+        t = edge_operator(*args)
+        t.data = t.data.view(counted_operator)
+        return t
+
+    monkeypatch.setattr(ad, "edge_operator", counted)
+    loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
+    ad.backward(loss, m.params)
+    lengths = {"low": steps, "high": 8}
+    # forward and backward each step every bank's chain once, C = 3 columns wide
+    assert counted_operator.widths == [3] * 2 * sum(lengths[k] for k in model.BANKS[variant])
 
 
 @pytest.mark.parametrize("mode", model.KERNEL_MODES)
@@ -267,7 +305,7 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
 
 @pytest.mark.parametrize("variant, banks", [("full", 2), ("FBL", 1), ("FBH", 1), ("NM", 0)])
 def test_given_training_step_records_one_n_by_n_node_per_bank(variant, banks):
-    # n = 30 differs from F = C = 3, d = 4 and the propagated width (J+1)(J-1)C = 24
+    # n = 30 differs from F = C = 3, d = 4 and the stacked step width 2^J C = 24
     g = _random_graph(28, n=30, classes=3)
     m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=29)
     cand = datasets.candidate_graph(g, "given")
