@@ -34,12 +34,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-class _IntAtLeast:
-    """Integer flag type with a minimum; argparse reports a violation as
-    one line naming the flag."""
+# ``gen`` and ``analyze stability`` without --data draw an n x n matrix.
+# At this many nodes one n x n float64 array is 32 MB; ``gen`` peaks near
+# 130 MiB and ``analyze stability`` near 400 MiB (tracemalloc, scaled from
+# n = 1000).  A larger --n exits 1 while the flags are parsed.
+MAX_DRAWN_NODES = 2000
 
-    def __init__(self, minimum: int):
+
+class _IntRange:
+    """Integer flag type with a minimum and an optional maximum; argparse
+    reports a violation as one line naming the flag."""
+
+    def __init__(self, minimum: int, maximum: int | None = None):
         self.minimum = minimum
+        self.maximum = maximum
 
     def __call__(self, value: str) -> int:
         try:
@@ -48,6 +56,8 @@ class _IntAtLeast:
             raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
         if number < self.minimum:
             raise argparse.ArgumentTypeError(f"{number} must be >= {self.minimum}")
+        if self.maximum is not None and number > self.maximum:
+            raise argparse.ArgumentTypeError(f"{number} must be <= {self.maximum}")
         return number
 
 
@@ -65,9 +75,10 @@ class _CommaList:
 
 
 # numpy's generators accept only integers >= 0
-_seed = _IntAtLeast(0)
-_positive = _IntAtLeast(1)
-_scales = _IntAtLeast(2)              # a filter bank needs J >= 2
+_seed = _IntRange(0)
+_positive = _IntRange(1)
+_scales = _IntRange(2)                # a filter bank needs J >= 2
+_drawn_nodes = _IntRange(1, MAX_DRAWN_NODES)
 
 
 def _unit_interval(value: str) -> float:
@@ -119,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--grid", type=_positive, default=200)
     p_an.add_argument("--trials", type=_positive, default=50)
     p_an.add_argument("--epsilons", type=_CommaList(float), default=[1e-3, 1e-2])
-    p_an.add_argument("--n", type=_positive, default=20, help="random graph size")
+    p_an.add_argument("--n", type=_drawn_nodes, default=20,
+                      help=f"random graph size, at most {MAX_DRAWN_NODES}")
     p_an.add_argument("--classes", type=_CommaList(_positive), default=[2, 3, 4, 5, 6, 7, 8],
                       help="class counts for prop1 draws")
     p_an.add_argument("--threshold", type=_unit_interval, default=0.5,
@@ -130,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--n", type=_positive, default=150)
+    p_gen.add_argument("--n", type=_drawn_nodes, default=150,
+                       help=f"node count, at most {MAX_DRAWN_NODES}")
     p_gen.add_argument("--classes", type=_positive, default=3)
     p_gen.add_argument("--intra-p", type=float, default=0.01)
     p_gen.add_argument("--inter-p", type=float, default=0.2)

@@ -22,13 +22,21 @@ T = I/2 + A/2 or I/2 - A/2 of a bank; that is the one n x n tape node a
 bank records before its propagation.  ``ForwardResult.w1``/``w2`` build
 the dense masks on demand.
 
+A forward multiplies the features X by its weights once:
+``_feature_products`` multiplies X by the mask nets' weights and the
+classifier's F-row blocks laid side by side (``ad.side_by_side``) in one
+``ad.matmul``, and slices the result into each net's X W, which
+``mask_matrix`` takes in place of X, and each bank's
+Z = [X W_2 | ... | X W_J].  Its backward is one X^T G.
+
 Every kernel is a polynomial in T, and ``FilterBankSpec.coefficients``
 tables a bank's J - 1 of them.  ``ad.propagate`` applies the table to
 blocks by repeated dense products T @ Y: one tape node per bank, whose
 backward forms dT as one product.  ``embedding`` pushes X through T once
 for all scales (the chain order); ``forward`` folds the scales' blocks
 X W_j into one n x C block by Horner's rule (the Horner order).  No
-n x n matrix is ever squared.
+n x n matrix is ever squared.  Each step multiplies T on the side BLAS
+runs faster, chosen from the block's shape (see ``autodiff._step``).
 """
 
 from __future__ import annotations
@@ -179,17 +187,19 @@ class MaskNet:
         self.bias = params.add(f"{prefix}_b", np.zeros((1, mask_dim)))
 
 
-def mask_matrix(net: MaskNet, x: Tensor, a_f: CandidateGraph) -> Tensor:
+def mask_matrix(net: MaskNet, xw: Tensor, a_f: CandidateGraph) -> Tensor:
     """The mask as an |E| x 1 column: w_e = sigmoid(<z_i, z_j>) for each
-    pair (i, j) of ``a_f.edge_pairs()``.
+    pair (i, j) of ``a_f.edge_pairs()``, with z = tanh(xw + b).
 
+    ``xw`` is the product X W of the features with ``net``'s weight;
+    ``forward`` and ``embedding`` read it off their one product with X.
     Each undirected candidate edge has one weight, so the mask is
     symmetric by construction; ``dense_mask`` scatters it into n x n.
     """
-    if x.shape[1] != net.weight.shape[0]:
+    if xw.shape[1] != net.weight.shape[1]:
         raise ContractError(
-            f"mask_matrix: feature width {x.shape[1]} != net input {net.weight.shape[0]}")
-    z = ad.tanh(ad.add_row(ad.matmul(x, net.weight), net.bias))
+            f"mask_matrix: product width {xw.shape[1]} != net width {net.weight.shape[1]}")
+    z = ad.tanh(ad.add_row(xw, net.bias))
     return ad.sigmoid(ad.pair_dots(z, a_f.edge_pairs()))
 
 
@@ -296,14 +306,40 @@ class ForwardResult:
         return tuple(None if w is None else w.data for w in (self.w1_edges, self.w2_edges))
 
 
-def _bank_graphs(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> dict[str, Tensor]:
-    """{bank kind: edge column of the bank's graph} for the variant's banks,
-    in ``BANKS`` order: a learned mask, or all ones (``a_f`` itself) for a
-    bank without a mask net."""
+def _feature_products(model: FgGSLModel, x: Tensor,
+                      classifier: bool) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
+    """Every product of the variant with X, from one ``ad.matmul``.
+
+    The product is X [W_net ... | W_1 | ... | W_B(J-1)]: the weight of
+    each mask net in ``BANKS`` order, then, with ``classifier``, the
+    F-row blocks of ``w_clf`` side by side.  Returns ({bank kind: X W_net
+    of the bank's mask net}, {bank kind: Z = [X W_2 | ... | X W_J] of the
+    bank}), the second empty without ``classifier``.  The backward of the
+    product is one X^T G.
+    """
     if x.shape[1] != model.num_features:
         raise ContractError(
             f"feature width {x.shape[1]} != model width {model.num_features}")
-    return {kind: (mask_matrix(getattr(model, net), x, a_f) if net
+    banks = BANKS[model.variant]
+    nets = [kind for kind, net in banks.items() if net]
+    weights = [(getattr(model, banks[kind]).weight, 1) for kind in nets]
+    widths = [model.mask_dim] * len(nets)
+    if classifier:
+        weights.append((model.w_clf, len(banks) * (model.j_max - 1)))
+        widths += [(model.j_max - 1) * model.num_classes] * len(banks)
+    if not weights:
+        return {}, {}
+    xw = ad.matmul(x, ad.side_by_side(weights))
+    parts = [ad.block(xw, cols=(end - w, end)) for w, end in zip(widths, np.cumsum(widths))]
+    return dict(zip(nets, parts)), dict(zip(banks, parts[len(nets):]))
+
+
+def _bank_graphs(model: FgGSLModel, masks: dict[str, Tensor],
+                 a_f: CandidateGraph) -> dict[str, Tensor]:
+    """{bank kind: edge column of the bank's graph} for the variant's banks,
+    in ``BANKS`` order: a learned mask from the bank's X W_net in
+    ``masks``, or all ones (``a_f`` itself) for a bank without a mask net."""
+    return {kind: (mask_matrix(getattr(model, net), masks[kind], a_f) if net
                    else ad.constant(np.ones((a_f.num_edges, 1))))
             for kind, net in BANKS[model.variant].items()}
 
@@ -313,23 +349,19 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
 
     The classifier is linear, so it runs before the banks:
     logits = sum over banks and scales of h_j(L) (X W_j), with W_j the
-    F-row block of ``w_clf`` that reads scale j.  Per bank, that sum is
-    one polynomial in T of Z = [X W_2 | ... | X W_J], sum_s T^s B_s, and
-    ``ad.propagate`` evaluates it in the Horner order on one n x C
-    block: a bank costs at most 2^J n^2 C, and no product has two n x n
-    operands.
+    F-row block of ``w_clf`` that reads scale j.  One product with X
+    (``_feature_products``) gives every bank's Z = [X W_2 | ... | X W_J]
+    and the mask nets' X W_net.  Per bank, the logits are one polynomial
+    in T of Z, sum_s T^s B_s, and ``ad.propagate`` evaluates it in the
+    Horner order on one n x C block: a bank costs at most 2^J n^2 C, and
+    no product has two n x n operands.
     """
-    graphs = _bank_graphs(model, x, a_f)
-    f = model.num_features
+    masks, zs = _feature_products(model, x, classifier=True)
+    graphs = _bank_graphs(model, masks, a_f)
     terms = []
-    for b, (kind, w) in enumerate(graphs.items()):
+    for kind, w in graphs.items():
         spec = model.bank(kind)
-        scales = len(spec.scales())
-        first = b * scales * f
-        z = ad.concat_cols([
-            ad.matmul(x, ad.block(model.w_clf, rows=(first + k * f, first + (k + 1) * f)))
-            for k in range(scales)])
-        terms.append(ad.propagate(_edge_operator(w, a_f, spec.mode, kind), z,
+        terms.append(ad.propagate(_edge_operator(w, a_f, spec.mode, kind), zs[kind],
                                   spec.coefficients()[:, :, None]))
     logits = functools.reduce(ad.add, terms)
     return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=graphs.get("low"),
@@ -342,9 +374,10 @@ def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
     ``forward`` never builds this n x ``embedding_width()`` matrix; the
     analysis of learned representations computes it on demand.
     """
+    masks, _ = _feature_products(model, x, classifier=False)
     return ad.concat_cols([
         _bank_response(_edge_operator(w, a_f, model.kernel_mode, kind), x, model.bank(kind))
-        for kind, w in _bank_graphs(model, x, a_f).items()])
+        for kind, w in _bank_graphs(model, masks, a_f).items()])
 
 
 def structural_loss_ho(w1: Tensor, cos: Tensor) -> Tensor:

@@ -43,6 +43,11 @@ class _CountedOperator(np.ndarray):
         _CountedOperator.widths.append(other.shape[1])
         return np.asarray(self) @ other
 
+    def __rmatmul__(self, other):
+        # other @ operator multiplies the block other^T, of width other.shape[0]
+        _CountedOperator.widths.append(other.shape[0])
+        return other @ np.asarray(self)
+
 
 @pytest.fixture
 def counted_operator():

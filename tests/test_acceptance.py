@@ -37,7 +37,7 @@ def _spec_default_config(seed=0):
 def test_criterion_01_gradient_correctness():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    worst = worst_abs = 0.0
     instances = 0
     combos = [(mode, variant, j)
               for mode in fm.KERNEL_MODES
@@ -64,12 +64,15 @@ def test_criterion_01_gradient_correctness():
             loss, _, _ = fm.total_loss(net, graph, a_f, 1.0, 1.0, train_idx)
             return loss
 
-        worst = max(worst, ad.grad_check(loss_fn, net.params, 1e-5))
+        errors = ad.grad_check(loss_fn, net.params, 1e-5)
+        worst = max(worst, errors.relative)
+        worst_abs = max(worst_abs, errors.absolute)
         instances += 1
     elapsed = time.perf_counter() - started
     _report(1, "total_loss gradients match finite differences",
             instances >= 20 and worst <= 1e-4 and elapsed < 60,
-            f"{instances} instances, max rel err {worst:.2e}, {elapsed:.1f}s")
+            f"{instances} instances, max rel err {worst:.2e}, "
+            f"max abs err {worst_abs:.2e}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

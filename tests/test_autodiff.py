@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_grad_check_add_row():
         h = ad.tanh(ad.add_row(ad.matmul(x, w), b))
         return ad.sum_all(ad.hadamard(h, h))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
 def test_grad_check_block():
@@ -196,7 +197,40 @@ def test_grad_check_block():
         top = ad.tanh(ad.block(z, rows=(0, 4), cols=(1, 4)))
         return ad.sum_all(ad.hadamard(top, ad.block(z, rows=(1, 5), cols=(2, 5))))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
+
+
+def test_side_by_side_lays_the_row_blocks_next_to_each_other():
+    a, b = np.arange(12.0).reshape(6, 2), -np.arange(6.0).reshape(2, 3)
+    out = ad.side_by_side([(ad.constant(b), 1), (ad.constant(a), 3)]).data
+    assert np.array_equal(out, np.hstack([b, a[0:2], a[2:4], a[4:6]]))
+    assert np.array_equal(ad.side_by_side([(ad.constant(a), 1)]).data, a)
+
+
+@pytest.mark.parametrize("parts", [
+    [], [(np.zeros((6, 2)), 0)], [(np.zeros((6, 2)), 4)],
+    [(np.zeros((6, 2)), 3), (np.zeros((3, 2)), 1)],
+], ids=["none", "zero-blocks", "uneven", "rows-differ"])
+def test_side_by_side_rejects_blocks_that_do_not_line_up(parts):
+    with pytest.raises((ContractError, DimensionError), match="side_by_side"):
+        ad.side_by_side([(ad.constant(a), k) for a, k in parts])
+
+
+def test_grad_check_side_by_side():
+    # the mask net's weight and the classifier's row blocks in one product
+    # with X, as in the forward pass
+    rng = np.random.default_rng(6)
+    params = ad.ParameterSet()
+    w = params.add("w", rng.uniform(-1, 1, size=(6, 2)))
+    v = params.add("v", rng.uniform(-1, 1, size=(2, 3)))
+    x = ad.constant(rng.uniform(-1, 1, size=(4, 2)))
+    weights = ad.constant(rng.standard_normal((4, 9)))
+
+    def loss_fn():
+        xw = ad.matmul(x, ad.side_by_side([(v, 1), (w, 3)]))
+        return ad.sum_all(ad.hadamard(ad.tanh(xw), weights))
+
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
 def _ce_scalar_loop(logits, onehot, rows):
@@ -328,7 +362,7 @@ def test_cosine_rows_gradient_matches_fd_with_repeated_pairs():
         cos = _cosines(a, pairs)
         return ad.sum_all(ad.hadamard(cos, ad.tanh(cos)))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-4
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-4
 
 
 def test_cosine_rows_zero_norm_names_the_first_pair():
@@ -346,7 +380,7 @@ def test_cosine_rows_gradient_matches_fd():
     def loss_fn():
         return ad.sum_all(_cosines(a, ([0, 1, 2], [1, 2, 3])))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-4
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-4
 
 
 def test_backward_sum_gives_ones():
@@ -406,7 +440,7 @@ def test_grad_check_quadratic_is_exact():
     def loss_fn():
         return ad.sum_all(ad.hadamard(w, w))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-8
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-8
 
 
 def test_grad_check_sigmoid_chain():
@@ -418,7 +452,7 @@ def test_grad_check_sigmoid_chain():
     def loss_fn():
         return ad.sum_all(ad.sigmoid(ad.matmul(x, ad.tanh(w))))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-4
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-4
 
 
 def test_grad_check_constant_loss():
@@ -430,7 +464,21 @@ def test_grad_check_constant_loss():
                       ad.hadamard(ad.constant(0.0), ad.sum_all(params["w"])))
 
     # both analytic and numeric gradients vanish
-    assert ad.grad_check(loss_fn, params, 1e-5) == 0.0
+    assert ad.grad_check(loss_fn, params, 1e-5).relative == 0.0
+
+
+def test_grad_check_reports_the_absolute_error_beside_the_relative_one():
+    params = ad.ParameterSet()
+    w = params.add("w", np.array([[1.0, -2.0]]))
+
+    def loss_fn():
+        # value 2 w, with the VJP of w: every gradient is off by exactly 1
+        doubled = ad._emit(2.0 * w.data, (w,), lambda g: (g,))
+        return ad.sum_all(doubled)
+
+    errors = ad.grad_check(loss_fn, params, 1e-5)
+    assert errors.relative == pytest.approx(0.5, abs=1e-9)
+    assert errors.absolute == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -451,7 +499,7 @@ def test_random_op_chains_match_finite_differences(seed):
         pair_w = ad.sigmoid(ad.pair_dots(z, ([0, 1], [2, 3])))
         return ad.add(ce, ad.scale(0.5, ad.sum_all(ad.hadamard(pair_w, cos))))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-4
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-4
 
 
 def test_tape_replay_determinism():
@@ -520,20 +568,33 @@ def _explicit_polynomial(t, z, coeffs):
     powers, k_in, m_out = coeffs.shape
     w = z.shape[1] // k_in
     out = np.zeros((t.shape[0], m_out * w))
+    power = np.eye(t.shape[0])
     for s in range(powers):
-        out += np.linalg.matrix_power(t, s) @ z @ np.kron(coeffs[s], np.eye(w))
+        out += power @ z @ np.kron(coeffs[s], np.eye(w))
+        power = power @ t
     return out
 
 
 # (K, M) pairs: K < M and K = M run the chain order, K > M the Horner order
 ORDERS = ((1, 3), (2, 2), (3, 1))
+# the rows of a block ``ad._step`` multiplies as (Y^T T^T)^T if it is 3 to
+# 128 columns wide; fewer rows, or blocks 1 or 2 wide, stay on T @ Y
+TALL = 512
+
+
+def test_step_orientation_rule_boundaries():
+    assert ad._tall_skinny(TALL, 3) and ad._tall_skinny(TALL + 3, 128)
+    assert not ad._tall_skinny(TALL, 2) and not ad._tall_skinny(TALL - 1, 3)
+    assert not ad._tall_skinny(TALL, 129) and not ad._tall_skinny(9, 3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), width=st.integers(1, 3),
-       k_in=st.integers(1, 3), m_out=st.integers(1, 3), powers=st.integers(1, 9),
-       lead=st.integers(0, 3), trail=st.integers(0, 3))
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(1, 9), st.integers(TALL, TALL + 3)),
+       width=st.integers(1, 3), k_in=st.integers(1, 3), m_out=st.integers(1, 3),
+       powers=st.integers(1, 9), lead=st.integers(0, 3), trail=st.integers(0, 3))
 def test_propagate_equals_explicit_powers(seed, n, width, k_in, m_out, powers, lead, trail):
+    # at n >= TALL, a step block min(K, M) * width >= 3 wide runs transposed
     rng = np.random.default_rng(seed)
     t, z = _operator(rng, n), rng.standard_normal((n, k_in * width))
     coeffs = rng.standard_normal((powers, k_in, m_out))
@@ -560,35 +621,72 @@ def test_grad_check_propagate_non_symmetric(j_max):
         def loss_fn():
             return ad.sum_all(ad.hadamard(ad.tanh(ad.propagate(t, z, coeffs)), weights))
 
-        assert ad.grad_check(loss_fn, params, 1e-6) <= 1e-6, (k_in, m_out)
+        assert ad.grad_check(loss_fn, params, 1e-6).relative <= 1e-6, (k_in, m_out)
+
+
+@pytest.mark.parametrize("n", [5, TALL], ids=["direct", "transposed"])
+@pytest.mark.parametrize("k_in, m_out", ORDERS)
+def test_propagate_gradient_along_random_directions(n, k_in, m_out):
+    # a full finite-difference check at n = TALL would take 2 n^2 loss
+    # evaluations; the directional derivative checks dT and dZ in two each
+    rng = np.random.default_rng(44)
+    t = ad.parameter(_operator(rng, n), "t")
+    z = ad.parameter(rng.standard_normal((n, 3 * k_in)), "z")
+    assert ad._tall_skinny(n, 3 * min(k_in, m_out)) == (n == TALL)
+    coeffs = rng.standard_normal((5, k_in, m_out))
+    weights = ad.constant(rng.standard_normal((n, 3 * m_out)))
+
+    def loss_fn():
+        return ad.sum_all(ad.hadamard(ad.tanh(ad.propagate(t, z, coeffs)), weights))
+
+    ad.backward(loss_fn(), [t, z])
+    step = 1e-6
+    for p in (t, z):
+        direction = rng.standard_normal(p.shape)
+        base = p.data
+        values = []
+        for sign in (1.0, -1.0):
+            p.data = base + sign * step * direction
+            with ad.no_grad():
+                values.append(loss_fn().item())
+        p.data = base
+        numeric = (values[0] - values[1]) / (2.0 * step)
+        analytic = float(np.sum(p.grad * direction))
+        assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1.0), p.name
 
 
 @pytest.mark.parametrize("tracked", [0, 1], ids=["t", "z"])
 def test_propagate_backward_with_one_tracked_input(tracked):
-    for k_in, m_out in ORDERS:
+    # at n = TALL every step runs transposed
+    for (k_in, m_out), n in itertools.product(ORDERS, (4, TALL)):
         rng = np.random.default_rng(40)
-        values = [_operator(rng, 4), rng.standard_normal((4, 3 * k_in))]
+        values = [_operator(rng, n), rng.standard_normal((n, 3 * k_in))]
         coeffs = rng.standard_normal((5, k_in, m_out))
         both = [ad.parameter(v, "p") for v in values]
         ad.backward(ad.sum_all(ad.propagate(*both, coeffs)), both)
         one = [ad.parameter(v, "p") if k == tracked else ad.constant(v)
                for k, v in enumerate(values)]
         ad.backward(ad.sum_all(ad.propagate(*one, coeffs)), [one[tracked]])
-        assert np.array_equal(one[tracked].grad, both[tracked].grad), (k_in, m_out)
+        assert np.array_equal(one[tracked].grad, both[tracked].grad), (k_in, m_out, n)
 
 
 @pytest.mark.parametrize("k_in, m_out", ORDERS)
 def test_propagate_drops_trailing_zero_powers_and_steps_the_narrower_side(
         counted_operator, k_in, m_out):
-    rng = np.random.default_rng(41)
-    t = ad.parameter(_operator(rng, 6), "t")
-    t.data = t.data.view(counted_operator)
-    z = ad.parameter(rng.standard_normal((6, 2 * k_in)), "z")
-    coeffs = rng.standard_normal((9, k_in, m_out))
-    coeffs[5:] = 0.0                             # powers 5..8 are dropped
-    ad.backward(ad.sum_all(ad.propagate(t, z, coeffs)), [t, z])
-    # four products forward and four with T^T backward, each 2 min(K, M) wide
-    assert counted_operator.widths == [2 * min(k_in, m_out)] * 8
+    # blocks 2 min(K, M) wide on 6 rows run as T @ Y, 3 min(K, M) wide on
+    # TALL rows as (Y^T T^T)^T; the operator view counts both forms
+    for n, width in ((6, 2), (TALL, 3)):
+        assert ad._tall_skinny(n, width * min(k_in, m_out)) == (n == TALL)
+        rng = np.random.default_rng(41)
+        t = ad.parameter(_operator(rng, n), "t")
+        t.data = t.data.view(counted_operator)
+        z = ad.parameter(rng.standard_normal((n, width * k_in)), "z")
+        coeffs = rng.standard_normal((9, k_in, m_out))
+        coeffs[5:] = 0.0                         # powers 5..8 are dropped
+        counted_operator.widths.clear()
+        ad.backward(ad.sum_all(ad.propagate(t, z, coeffs)), [t, z])
+        # four products forward and four with T^T backward, each width min(K, M) wide
+        assert counted_operator.widths == [width * min(k_in, m_out)] * 8, n
 
 
 def test_propagate_with_no_steps_scales_the_input():
@@ -648,7 +746,7 @@ def test_grad_check_pair_dots():
         s = ad.sigmoid(ad.pair_dots(a, REPEATED))
         return ad.sum_all(ad.hadamard(s, s))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
 def test_edge_degrees_sum_both_endpoints():
@@ -666,7 +764,7 @@ def test_grad_check_edge_degrees():
         d = ad.edge_degrees(w, REPEATED, 5)
         return ad.sum_all(ad.hadamard(d, d))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
 def test_grad_check_edge_scale():
@@ -678,7 +776,7 @@ def test_grad_check_edge_scale():
     def loss_fn():
         return ad.sum_all(ad.tanh(ad.edge_scale(w, r, REPEATED)))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
 def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
@@ -700,7 +798,7 @@ def test_grad_check_edge_operator():
         t = ad.edge_operator(w, EDGES, 6, 0.5, 0.5)
         return ad.sum_all(ad.hadamard(ad.tanh(ad.matmul(t, t)), weights))
 
-    assert ad.grad_check(loss_fn, params, 1e-5) <= 1e-6
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
 @pytest.mark.parametrize("op", [

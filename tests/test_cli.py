@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,32 @@ def test_out_of_range_flags_exit_1(tmp_path, capsys, command, flag):
     assert err.count("\n") == 1 and err.startswith("error:") and flag in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("gen",),
+    ("analyze", "stability", "--trials", "1", "--J", "2"),
+], ids=["gen", "analyze-stability"])
+@pytest.mark.parametrize("n", [cli.MAX_DRAWN_NODES + 1, 10 ** 9])
+def test_node_count_over_the_cap_exits_1_before_drawing(tmp_path, capsys, command, n):
+    tracemalloc.start()
+    try:
+        code = run_cli(*command, "--out", str(tmp_path / "o"), "--n", str(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 2 ** 20                      # nothing of n^2 size was drawn
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "--n" in err
+    assert str(cli.MAX_DRAWN_NODES) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_node_count_at_the_cap_is_accepted():
+    args = cli._build_parser().parse_args(
+        ["gen", "--out", "o", "--n", str(cli.MAX_DRAWN_NODES)])
+    assert args.n == cli.MAX_DRAWN_NODES
 
 
 def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):

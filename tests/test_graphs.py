@@ -82,7 +82,7 @@ def test_laplacian_differentiable_wrt_weights():
         lap = ad.edge_operator(a_hat, pairs, 4, 1.0, -1.0)
         return ad.sum_all(ad.hadamard(lap, lap))
 
-    assert ad.grad_check(loss_fn, params, 1e-6) <= 1e-4
+    assert ad.grad_check(loss_fn, params, 1e-6).relative <= 1e-4
 
 
 def test_laplacian_edge_form_matches_the_dense_form():

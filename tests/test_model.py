@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fggsl import autodiff as ad
-from fggsl import datasets, model
+from fggsl import datasets, model, training
 from fggsl.errors import ContractError, ValidationError
 from fggsl.graphs import normalized_laplacian, symmetric_eig
 
@@ -149,13 +149,18 @@ def test_filter_bank_width():
 # mask_matrix
 
 
+def _mask_column(net, features, cand):
+    # ``mask_matrix`` reads the product X W off the forward's one X product
+    return model.mask_matrix(net, ad.matmul(ad.constant(features), net.weight), cand)
+
+
 def test_mask_zero_features_give_half_weights():
     g = _random_graph(0, n=5)
     g.features[:] = 0.0
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=1)
     cand = datasets.candidate_graph(g, "full")
     m = model.dense_mask(
-        model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand), cand)
+        _mask_column(net_model.mask_ho, g.features, cand), cand)
     off = ~np.eye(5, dtype=bool)
     assert np.all(m.data[off] == 0.5)
     assert np.all(np.diag(m.data) == 0.0)
@@ -166,7 +171,7 @@ def test_mask_respects_candidate_zeros():
     cand = datasets.candidate_graph(g, "given")
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=2)
     m = model.dense_mask(
-        model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand), cand)
+        _mask_column(net_model.mask_ho, g.features, cand), cand)
     assert np.all(m.data[cand.adjacency == 0] == 0.0)
     on = cand.adjacency > 0
     if np.any(on):
@@ -180,8 +185,26 @@ def test_mask_exactly_symmetric():
     cand = datasets.candidate_graph(g, "full")
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=3)
     m = model.dense_mask(
-        model.mask_matrix(net_model.mask_ho, ad.constant(g.features), cand), cand)
+        _mask_column(net_model.mask_ho, g.features, cand), cand)
     assert np.array_equal(m.data, m.data.T)
+
+
+def test_mask_rejects_a_product_of_another_width():
+    g = _random_graph(3, n=5)
+    net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, mask_dim=4, seed=4)
+    cand = datasets.candidate_graph(g, "full")
+    with pytest.raises(ContractError, match="mask_matrix"):
+        model.mask_matrix(net_model.mask_ho, ad.constant(np.zeros((5, 3))), cand)
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_forward_and_embedding_reject_features_of_another_width(variant):
+    g = _random_graph(5, n=5)
+    m = model.FgGSLModel(g.num_features + 1, g.num_classes, j_max=2, variant=variant, seed=6)
+    cand = datasets.candidate_graph(g, "full")
+    for run in (model.forward, model.embedding):
+        with pytest.raises(ContractError, match="feature width"):
+            run(m, ad.constant(g.features), cand)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +307,33 @@ def test_training_step_pushes_c_columns_through_each_operator(
     lengths = {"low": steps, "high": 8}
     # forward and backward each step every bank's chain once, C = 3 columns wide
     assert counted_operator.widths == [3] * 2 * sum(lengths[k] for k in model.BANKS[variant])
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_training_step_and_evaluate_multiply_x_once(monkeypatch, counted_operator, variant):
+    # J = 3, C = 3, mask_dim = 4: X W holds 4 columns per mask net and
+    # (J - 1) C = 6 per bank, and its backward multiplies X^T once
+    g = _random_graph(25, n=9, classes=3)
+    m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=26)
+    cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
+    constant = ad.constant
+
+    def counted(data):
+        t = constant(data)
+        if data is g.features:
+            t.data = t.data.view(counted_operator)
+        return t
+
+    monkeypatch.setattr(ad, "constant", counted)
+    banks = model.BANKS[variant]
+    width = 4 * sum(net is not None for net in banks.values()) + 6 * len(banks)
+    loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
+    ad.backward(loss, m.params)
+    assert counted_operator.widths == [width, width]
+    counted_operator.widths.clear()
+    bundle = datasets.DatasetBundle(g, "random", False)
+    training.evaluate(m, bundle, g.splits[0][2], cand)
+    assert counted_operator.widths == [width]
 
 
 @pytest.mark.parametrize("mode", model.KERNEL_MODES)
@@ -457,7 +507,7 @@ def test_total_loss_gradient_matches_fd_six_nodes():
         loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, train)
         return loss
 
-    assert ad.grad_check(loss_fn, m.params, 1e-5) <= 1e-4
+    assert ad.grad_check(loss_fn, m.params, 1e-5).relative <= 1e-4
 
 
 def test_total_loss_true_labels_on_train_variant():
