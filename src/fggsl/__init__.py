@@ -27,13 +27,12 @@ from .datasets import (CandidateGraph, DatasetBundle, candidate_graph,
 from .graphs import (LabeledGraph, SpectralDecomposition, heterophily_ratio,
                      normalized_laplacian, operator_distance, perturb_laplacian,
                      symmetric_eig)
-from .model import (FgGSLModel, FilterBankSpec, embedding, filter_apply,
-                    filter_bank_apply, forward, kernel_value, load_checkpoint,
-                    mask_matrix, save_checkpoint, structural_loss_ho,
-                    structural_loss_ht, total_loss)
+from .model import (FgGSLModel, FilterBankSpec, embedding, filter_bank_apply,
+                    forward, kernel_value, load_checkpoint, mask_matrix,
+                    save_checkpoint, structural_loss_ho, structural_loss_ht,
+                    total_loss)
 from .training import (Adam, MlpModel, RunResult, TrainConfig, evaluate,
-                       mlp_baseline, run_ablation, run_protocol,
-                       train_single_split)
+                       run_ablation, run_protocol, train_single_split)
 
 __version__ = "0.1.0"
 
@@ -41,13 +40,12 @@ __all__ = [
     "Adam", "CandidateGraph", "DatasetBundle", "FgGSLModel", "FilterBankSpec",
     "LabeledGraph", "MlpModel", "ParameterSet", "RunResult",
     "SpectralDecomposition", "Tensor", "TrainConfig", "backward",
-    "candidate_graph", "embedding", "evaluate", "filter_apply",
-    "filter_bank_apply", "forward", "gen_synthetic", "grad_check", "heterophily_ratio",
-    "kernel_value", "learned_edge_audit", "load_checkpoint", "load_dataset_dir",
-    "load_raw", "load_splits", "mask_matrix", "mlp_baseline", "no_grad",
-    "normalized_laplacian", "operator_distance", "perturb_laplacian",
-    "prop1_check", "row_normalize", "run_ablation", "run_protocol",
-    "save_checkpoint", "similarity_histogram", "spectral_response_export",
-    "stability_probe", "structural_loss_ho", "structural_loss_ht",
-    "symmetric_eig", "total_loss", "train_single_split",
+    "candidate_graph", "embedding", "evaluate", "filter_bank_apply", "forward",
+    "gen_synthetic", "grad_check", "heterophily_ratio", "kernel_value",
+    "learned_edge_audit", "load_checkpoint", "load_dataset_dir", "load_raw",
+    "load_splits", "mask_matrix", "no_grad", "normalized_laplacian",
+    "operator_distance", "perturb_laplacian", "prop1_check", "row_normalize",
+    "run_ablation", "run_protocol", "save_checkpoint", "similarity_histogram",
+    "spectral_response_export", "stability_probe", "structural_loss_ho",
+    "structural_loss_ht", "symmetric_eig", "total_loss", "train_single_split",
 ]

@@ -4,7 +4,7 @@ learned edge masks.
 
 The stability probe builds its filter matrices from an explicit
 eigendecomposition (never from the repeated products with T that
-``model.filter_apply`` and training use), so it doubles as an
+``model.filter_bank_apply`` and training use), so it doubles as an
 independent oracle for the filter implementation.
 """
 
@@ -157,26 +157,22 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
     n = vectors.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     same = y[iu] == y[ju]
-    intra_mask = same & keep[iu]
-    intra_i, intra_j = iu[intra_mask], ju[intra_mask]
-    inter_i, inter_j = iu[~same], ju[~same]
-
     sampling = "exhaustive"
-    if intra_i.size > max_pairs:
-        pick = rng.choice(intra_i.size, size=max_pairs, replace=False)
-        intra_i, intra_j = intra_i[pick], intra_j[pick]
-        sampling = f"sampled:{max_pairs}"
-    if inter_i.size > max_pairs:
-        pick = rng.choice(inter_i.size, size=max_pairs, replace=False)
-        inter_i, inter_j = inter_i[pick], inter_j[pick]
-        sampling = f"sampled:{max_pairs}"
+    groups = []                          # (i, j) of the intra, then the inter pairs
+    for member in (same & keep[iu], ~same):
+        i, j = iu[member], ju[member]
+        if i.size > max_pairs:
+            pick = rng.choice(i.size, size=max_pairs, replace=False)
+            i, j = i[pick], j[pick]
+            sampling = f"sampled:{max_pairs}"
+        groups.append((i, j))
 
     # intra pairs first, so a zero-norm row is named as when they were
     # checked before the inter pairs; clip a 1-ulp overshoot from rounding
-    cos = np.clip(_cosines(vectors, (np.concatenate([intra_i, inter_i]),
-                                     np.concatenate([intra_j, inter_j])),
-                           "similarity_histogram"), -1.0, 1.0)
-    intra_cos, inter_cos = cos[:intra_i.size], cos[intra_i.size:]
+    pairs = tuple(np.concatenate(side) for side in zip(*groups))
+    cos = np.clip(_cosines(vectors, pairs, "similarity_histogram"), -1.0, 1.0)
+    n_intra = groups[0][0].size
+    intra_cos, inter_cos = cos[:n_intra], cos[n_intra:]
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     return SimilarityHistogram(

@@ -19,7 +19,8 @@ BLAS is faster: a tall, skinny block Y (n >= 512 rows, 3 to n/4 columns)
 as (Y^T T^T)^T, any other as T @ Y (``_step`` holds the measurements).
 ``block`` returns a read-only view, so reading a slice copies nothing,
 and ``side_by_side`` lays the row blocks of several weights next to
-each other in one array, so one product with X serves all of them.
+each other in one array, so one product with X serves all of them; with
+one block per part it is the plain column concatenation.
 
 Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
@@ -268,27 +269,6 @@ def rsqrt_clamped(a: Tensor, eps: float = 1e-8) -> Tensor:
         return (np.where(live, -0.5 * g * y / clamped, 0.0),)
 
     return _emit(y, (a,), vjp)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols: no parts")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise DimensionError(
-                f"concat_cols: row counts differ, {rows} vs {p.shape[0]}")
-    if len(parts) == 1:
-        return parts[0]
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(g):
-        return tuple(
-            g[:, offsets[k]:offsets[k + 1]] if parts[k].requires_grad else None
-            for k in range(len(parts)))
-
-    return _emit(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp)
 
 
 def block(a: Tensor, rows: tuple[int, int] | None = None,

@@ -24,8 +24,8 @@ from .datasets import (EDGE_FILE, NODE_FILE, SPLIT_DIR, candidate_k, dataset_fin
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      ValidationError)
 from .graphs import heterophily_ratio, normalized_laplacian
-from .training import (TrainConfig, ablation_table, mlp_baseline, run_ablation,
-                       run_protocol, split_seed)
+from .training import (TrainConfig, ablation_table, run_ablation, run_protocol,
+                       split_seed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,8 +243,8 @@ def _cmd_train(args) -> int:
     config, normalize = _resolve_config(args)
     bundle = _load_bundle(args, normalize)
     baseline = getattr(args, "baseline_mlp", False)
-    runner = mlp_baseline if baseline else run_protocol
-    result = runner(bundle, config, parallel=args.parallel_splits)
+    result = run_protocol(bundle, config, parallel=args.parallel_splits,
+                          baseline=baseline)
     _write_json(_out_file(args, "manifest.json"),
                 _manifest("train", config, bundle,
                           {"baseline_mlp": baseline}))
@@ -308,7 +308,8 @@ def _cmd_analyze(args) -> int:
         lines = ["classes,lhs,rhs,holds"]
         for c in args.classes:
             n = 256
-            y = np.eye(c)[rng.integers(0, c, size=n)]
+            y = np.zeros((n, c))
+            y[np.arange(n), rng.integers(0, c, size=n)] = 1.0
             z = rng.standard_normal((n, c)) * rng.uniform(0.5, 4.0)
             e = np.exp(z - z.max(axis=1, keepdims=True))
             yhat = e / e.sum(axis=1, keepdims=True)

@@ -29,14 +29,19 @@ classifier's F-row blocks laid side by side (``ad.side_by_side``) in one
 ``mask_matrix`` takes in place of X, and each bank's
 Z = [X W_2 | ... | X W_J].  Its backward is one X^T G.
 
-Every kernel is a polynomial in T, and ``FilterBankSpec.coefficients``
-tables a bank's J - 1 of them.  ``ad.propagate`` applies the table to
-blocks by repeated dense products T @ Y: one tape node per bank, whose
-backward forms dT as one product.  ``embedding`` pushes X through T once
-for all scales (the chain order); ``forward`` folds the scales' blocks
-X W_j into one n x C block by Horner's rule (the Horner order).  No
-n x n matrix is ever squared.  Each step multiplies T on the side BLAS
-runs faster, chosen from the block's shape (see ``autodiff._step``).
+A bank's ``FilterBankSpec`` holds every choice about it:
+``coefficients`` tables its J - 1 kernels, each a polynomial in T, and
+``off_diagonal`` is the sign of A in its T.  ``ad.propagate`` applies
+the table to blocks by repeated dense products T @ Y: one tape node per
+bank, whose backward forms dT as one product.  ``embedding`` pushes X
+through T once for all scales (the chain order); ``forward`` folds the
+scales' blocks X W_j into one n x C block by Horner's rule (the Horner
+order).  No n x n matrix is ever squared.  Each step multiplies T on
+the side BLAS runs faster, chosen from the block's shape (see
+``autodiff._step``).
+
+``_parameter_shapes`` is the one table of the parameters: the model
+draws them from it, and the checkpoint loader checks a file against it.
 """
 
 from __future__ import annotations
@@ -86,6 +91,13 @@ class FilterBankSpec:
     def scales(self) -> range:
         return range(2, self.j_max + 1)
 
+    @property
+    def off_diagonal(self) -> float:
+        """The weight s of the normalised adjacency A in T = I/2 + s A:
+        +1/2 where the kernels are powers of T = I - L/2, -1/2 where they
+        are powers of T = L/2."""
+        return 0.5 if (self.mode == "fig3") == (self.kind == "low") else -0.5
+
     def coefficients(self) -> np.ndarray:
         """The bank's kernels as polynomials in T: an (2^J + 1) x (J - 1)
         array whose column j - 2 holds the coefficients of T^0 .. T^(2^J)
@@ -111,12 +123,7 @@ def kernel_value(j: int, lam, mode: str, kind: str):
     low = (lam/2)^(2^(j-1)) - (1/2)^(2^j) (note the frequency-free second
     term) and high = (1 - lam/2)^(2^(j-1)) - (1 - lam/2)^(2^j).
     """
-    if j < 2:
-        raise ContractError(f"kernel_value: j={j} must be >= 2")
-    if mode not in KERNEL_MODES:
-        raise ContractError(f"kernel_value: unknown mode {mode!r}")
-    if kind not in BANK_KINDS:
-        raise ContractError(f"kernel_value: unknown kind {kind!r}")
+    FilterBankSpec(j, mode, kind)      # checks j, mode and kind
     lam = np.asarray(lam, dtype=np.float64)
     a = 2 ** (j - 1)
     if mode == "fig3":
@@ -130,40 +137,22 @@ def kernel_value(j: int, lam, mode: str, kind: str):
     return out if out.ndim else float(out)
 
 
-def _low_pass(mode: str, kind: str) -> bool:
-    """Whether the kernel's powers are of T = I - L/2 rather than L/2."""
-    return (mode == "fig3" and kind == "low") or (mode == "verbatim" and kind == "high")
-
-
-def _base_operator(l: Tensor, mode: str, kind: str) -> Tensor:
+def _base_operator(l: Tensor, spec: FilterBankSpec) -> Tensor:
     """The matrix T whose powers realize the kernel polynomial, from a dense L."""
-    n = l.shape[0]
     half = ad.scale(0.5, l)
-    if _low_pass(mode, kind):
-        return ad.sub(ad.constant(np.eye(n)), half)
+    if spec.off_diagonal > 0:
+        return ad.sub(ad.constant(np.eye(l.shape[0])), half)
     return half
 
 
-def _edge_operator(w: Tensor, a_f: CandidateGraph, mode: str, kind: str) -> Tensor:
+def _edge_operator(w: Tensor, a_f: CandidateGraph, spec: FilterBankSpec) -> Tensor:
     """T from a weight column over ``a_f.edge_pairs()``, by one scatter.
 
     With L = I - A: I - L/2 = I/2 + A/2 and L/2 = I/2 - A/2.
     """
     pairs = a_f.edge_pairs()
     a_hat = normalized_laplacian(w, pairs=pairs, n=a_f.n)
-    return ad.edge_operator(a_hat, pairs, a_f.n, 0.5, 0.5 if _low_pass(mode, kind) else -0.5)
-
-
-def filter_apply(l: Tensor, x: Tensor, j: int, mode: str, kind: str) -> Tensor:
-    """h_j(L) @ X by repeated products with T; differentiable throughout."""
-    if j < 2:
-        raise ContractError(f"filter_apply: j={j} must be >= 2")
-    coeffs = FilterBankSpec(j, mode, kind).coefficients()[:, None, -1:]
-    return ad.propagate(_base_operator(l, mode, kind), x, coeffs)
-
-
-def _bank_response(t: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
-    return ad.propagate(t, x, spec.coefficients()[:, None, :])
+    return ad.edge_operator(a_hat, pairs, a_f.n, 0.5, spec.off_diagonal)
 
 
 def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
@@ -173,33 +162,22 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     2^j_max products of the n x n operator T with the n x F block X, and
     no n x n product.
     """
-    return _bank_response(_base_operator(l, spec.mode, spec.kind), x, spec)
+    return ad.propagate(_base_operator(l, spec), x, spec.coefficients()[:, None, :])
 
 
-class MaskNet:
-    """Edge-weight network: w_ij = sigmoid(<z_i, z_j>), z = tanh(x W + b)."""
-
-    def __init__(self, params: ParameterSet, prefix: str, num_features: int,
-                 mask_dim: int, rng: np.random.Generator):
-        limit = np.sqrt(6.0 / (num_features + mask_dim))
-        self.weight = params.add(
-            f"{prefix}_w", rng.uniform(-limit, limit, size=(num_features, mask_dim)))
-        self.bias = params.add(f"{prefix}_b", np.zeros((1, mask_dim)))
-
-
-def mask_matrix(net: MaskNet, xw: Tensor, a_f: CandidateGraph) -> Tensor:
+def mask_matrix(xw: Tensor, bias: Tensor, a_f: CandidateGraph) -> Tensor:
     """The mask as an |E| x 1 column: w_e = sigmoid(<z_i, z_j>) for each
-    pair (i, j) of ``a_f.edge_pairs()``, with z = tanh(xw + b).
+    pair (i, j) of ``a_f.edge_pairs()``, with z = tanh(xw + bias).
 
-    ``xw`` is the product X W of the features with ``net``'s weight;
+    ``xw`` is the product X W of the features with a mask net's weight;
     ``forward`` and ``embedding`` read it off their one product with X.
     Each undirected candidate edge has one weight, so the mask is
     symmetric by construction; ``dense_mask`` scatters it into n x n.
     """
-    if xw.shape[1] != net.weight.shape[1]:
+    if xw.shape[1] != bias.shape[1]:
         raise ContractError(
-            f"mask_matrix: product width {xw.shape[1]} != net width {net.weight.shape[1]}")
-    z = ad.tanh(ad.add_row(xw, net.bias))
+            f"mask_matrix: product width {xw.shape[1]} != net width {bias.shape[1]}")
+    z = ad.tanh(ad.add_row(xw, bias))
     return ad.sigmoid(ad.pair_dots(z, a_f.edge_pairs()))
 
 
@@ -212,11 +190,14 @@ def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
         return ad.edge_operator(w, a_f.edge_pairs(), a_f.n, 0.0, 1.0)
 
 
-def _check_config(variant: str, kernel_mode: str, j_max: int) -> None:
+def check_config(variant: str, kernel_mode: str, j_max: int) -> None:
+    """Raise ValidationError unless the model's choices name a variant,
+    a kernel mode and at least two scales."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if kernel_mode not in KERNEL_MODES:
-        raise ValidationError(f"unknown kernel mode {kernel_mode!r}")
+        raise ValidationError(
+            f"unknown kernel_mode {kernel_mode!r}; expected one of {KERNEL_MODES}")
     if j_max < 2:
         raise ValidationError(f"j_max={j_max} must be >= 2")
 
@@ -236,7 +217,10 @@ def bank_graph(graph: LabeledGraph, variant: str, spec: str) -> CandidateGraph:
 
 def _parameter_shapes(num_features: int, num_classes: int, j_max: int,
                       mask_dim: int, variant: str) -> dict[str, tuple[int, int]]:
-    """Each parameter's shape in the ``FgGSLModel`` of these sizes."""
+    """Each parameter's shape in the ``FgGSLModel`` of these sizes, in the
+    order the model draws them: the weight and bias of both mask nets
+    z = tanh(X W + b), which every variant holds whether or not it uses
+    them, then the classifier over ``embedding``'s columns."""
     return {"mask_ho_w": (num_features, mask_dim), "mask_ho_b": (1, mask_dim),
             "mask_ht_w": (num_features, mask_dim), "mask_ht_b": (1, mask_dim),
             "w_clf": (len(BANKS[variant]) * (j_max - 1) * num_features, num_classes)}
@@ -254,13 +238,15 @@ class FgGSLModel:
 
     The width is that of ``embedding``.  ``w_clf`` holds one F-row block
     per (bank, scale): the low bank's scales 2..J first, then the high
-    bank's.
+    bank's.  ``_parameter_shapes`` holds every parameter's shape; a bias
+    starts at zero and a weight of r x c is drawn from U(-l, l) with
+    l = sqrt(6 / (r + c)), in the table's order.
     """
 
     def __init__(self, num_features: int, num_classes: int, j_max: int = 4,
                  mask_dim: int = 16, kernel_mode: str = "fig3",
                  variant: str = "full", seed: int = 0):
-        _check_config(variant, kernel_mode, j_max)
+        check_config(variant, kernel_mode, j_max)
         self.num_features = num_features
         self.num_classes = num_classes
         self.j_max = j_max
@@ -269,15 +255,16 @@ class FgGSLModel:
         self.variant = variant
         self.params = ParameterSet()
         rng = np.random.default_rng(seed)
-        self.mask_ho = MaskNet(self.params, "mask_ho", num_features, mask_dim, rng)
-        self.mask_ht = MaskNet(self.params, "mask_ht", num_features, mask_dim, rng)
-        width = self.embedding_width()
-        limit = np.sqrt(6.0 / (width + num_classes))
-        self.w_clf = self.params.add(
-            "w_clf", rng.uniform(-limit, limit, size=(width, num_classes)))
+        shapes = _parameter_shapes(num_features, num_classes, j_max, mask_dim, variant)
+        for name, (rows, cols) in shapes.items():
+            if name.endswith("_b"):
+                self.params.add(name, np.zeros((rows, cols)))
+            else:
+                limit = np.sqrt(6.0 / (rows + cols))
+                self.params.add(name, rng.uniform(-limit, limit, size=(rows, cols)))
 
     def embedding_width(self) -> int:
-        return len(BANKS[self.variant]) * (self.j_max - 1) * self.num_features
+        return self.params["w_clf"].shape[0]
 
     def bank(self, kind: str) -> FilterBankSpec:
         return FilterBankSpec(self.j_max, self.kernel_mode, kind)
@@ -322,10 +309,10 @@ def _feature_products(model: FgGSLModel, x: Tensor,
             f"feature width {x.shape[1]} != model width {model.num_features}")
     banks = BANKS[model.variant]
     nets = [kind for kind, net in banks.items() if net]
-    weights = [(getattr(model, banks[kind]).weight, 1) for kind in nets]
+    weights = [(model.params[f"{banks[kind]}_w"], 1) for kind in nets]
     widths = [model.mask_dim] * len(nets)
     if classifier:
-        weights.append((model.w_clf, len(banks) * (model.j_max - 1)))
+        weights.append((model.params["w_clf"], len(banks) * (model.j_max - 1)))
         widths += [(model.j_max - 1) * model.num_classes] * len(banks)
     if not weights:
         return {}, {}
@@ -339,7 +326,7 @@ def _bank_graphs(model: FgGSLModel, masks: dict[str, Tensor],
     """{bank kind: edge column of the bank's graph} for the variant's banks,
     in ``BANKS`` order: a learned mask from the bank's X W_net in
     ``masks``, or all ones (``a_f`` itself) for a bank without a mask net."""
-    return {kind: (mask_matrix(getattr(model, net), masks[kind], a_f) if net
+    return {kind: (mask_matrix(masks[kind], model.params[f"{net}_b"], a_f) if net
                    else ad.constant(np.ones((a_f.num_edges, 1))))
             for kind, net in BANKS[model.variant].items()}
 
@@ -361,7 +348,7 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
     terms = []
     for kind, w in graphs.items():
         spec = model.bank(kind)
-        terms.append(ad.propagate(_edge_operator(w, a_f, spec.mode, kind), zs[kind],
+        terms.append(ad.propagate(_edge_operator(w, a_f, spec), zs[kind],
                                   spec.coefficients()[:, :, None]))
     logits = functools.reduce(ad.add, terms)
     return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=graphs.get("low"),
@@ -375,9 +362,12 @@ def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
     analysis of learned representations computes it on demand.
     """
     masks, _ = _feature_products(model, x, classifier=False)
-    return ad.concat_cols([
-        _bank_response(_edge_operator(w, a_f, model.kernel_mode, kind), x, model.bank(kind))
-        for kind, w in _bank_graphs(model, masks, a_f).items()])
+    responses = []
+    for kind, w in _bank_graphs(model, masks, a_f).items():
+        spec = model.bank(kind)
+        responses.append((ad.propagate(_edge_operator(w, a_f, spec), x,
+                                       spec.coefficients()[:, None, :]), 1))
+    return ad.side_by_side(responses)
 
 
 def structural_loss_ho(w1: Tensor, cos: Tensor) -> Tensor:
@@ -522,7 +512,7 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
             raise ValidationError(f"{path}: not a checkpoint file") from exc
         _check_header(path, header)
         body = fh.read()
-    _check_config(header["variant"], header["kernel_mode"], header["j_max"])
+    check_config(header["variant"], header["kernel_mode"], header["j_max"])
     expected = _parameter_shapes(header["num_features"], header["num_classes"],
                                  header["j_max"], header["mask_dim"], header["variant"])
     names = [entry["name"] for entry in header["params"]]

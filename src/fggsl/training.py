@@ -71,11 +71,7 @@ class TrainConfig:
         if self.patience > self.epochs_max:
             raise ValidationError(
                 f"patience={self.patience} exceeds epochs_max={self.epochs_max}")
-        if self.variant not in fm.VARIANTS:
-            raise ValidationError(f"variant={self.variant!r} not in {fm.VARIANTS}")
-        if self.kernel_mode not in fm.KERNEL_MODES:
-            raise ValidationError(
-                f"kernel_mode={self.kernel_mode!r} not in {fm.KERNEL_MODES}")
+        fm.check_config(self.variant, self.kernel_mode, self.j_max)
         if self.epochs_max < 1:
             raise ValidationError("epochs_max must be >= 1")
         return self
@@ -339,12 +335,6 @@ def run_protocol(bundle: DatasetBundle, config: TrainConfig, parallel: int = 1,
     models = [m for m, _ in outcomes]
     rows = [r for _, r in outcomes]
     return _aggregate(rows, config, models)
-
-
-def mlp_baseline(bundle: DatasetBundle, config: TrainConfig,
-                 parallel: int = 1) -> RunResult:
-    """Run the split protocol with the graph-agnostic MLP."""
-    return run_protocol(bundle, config, parallel=parallel, baseline=True)
 
 
 def run_ablation(bundle: DatasetBundle, config: TrainConfig,

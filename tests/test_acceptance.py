@@ -76,7 +76,7 @@ def test_criterion_01_gradient_correctness():
 
 
 # ---------------------------------------------------------------------------
-# 2. spectral-theorem oracle for filter_apply
+# 2. spectral-theorem oracle for filter_bank_apply
 
 
 def test_criterion_02_spectral_oracle():
@@ -91,10 +91,13 @@ def test_criterion_02_spectral_oracle():
         x = rng.standard_normal((n, int(rng.integers(1, 5))))
         mode, kind = combos[g % len(combos)]
         for j in (2, 3, 4, 5):
-            got = fm.filter_apply(ad.constant(lap), ad.constant(x), j, mode, kind)
+            # scale j is the last column block of the bank up to j
+            bank = fm.filter_bank_apply(ad.constant(lap), ad.constant(x),
+                                        fm.FilterBankSpec(j, mode, kind))
+            got = bank.data[:, -x.shape[1]:]
             want = analysis.spectral_filter_matrix(lap, j, mode, kind) @ x
-            worst = max(worst, float(np.linalg.norm(got.data - want)))
-    _report(2, "filter_apply equals U h(Lambda) U^T X",
+            worst = max(worst, float(np.linalg.norm(got - want)))
+    _report(2, "filter_bank_apply equals U h(Lambda) U^T X at every scale",
             worst <= 1e-8, f"50 graphs, j<=5, worst Frobenius error {worst:.2e}")
 
 
@@ -171,7 +174,7 @@ def texas_full_run(texas_bundle):
 
 @pytest.fixture(scope="module")
 def texas_mlp_run(texas_bundle):
-    return training.mlp_baseline(texas_bundle, _spec_default_config())
+    return training.run_protocol(texas_bundle, _spec_default_config(), baseline=True)
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +241,7 @@ def test_criterion_10_synthetic_end_to_end():
                                patience=250, alpha=1.0, beta=1.0, j_max=3,
                                mask_dim=8, candidate_mode="given", seed=3)
     fg = training.run_protocol(bundle, cfg)
-    mlp = training.mlp_baseline(bundle, cfg)
+    mlp = training.run_protocol(bundle, cfg, baseline=True)
     margin = fg.mean_acc - mlp.mean_acc
     audit_gaps = [r["audit"]["ht_r_het"] - r["audit"]["ho_r_het"] for r in fg.rows]
     elapsed = time.perf_counter() - started

@@ -98,30 +98,26 @@ def test_rsqrt_clamped_gradient_zero_in_clamp():
 def test_concat_cols_shapes():
     a = ad.constant(np.zeros((4, 2)))
     b = ad.constant(np.zeros((4, 3)))
-    assert ad.concat_cols([a, b]).shape == (4, 5)
+    assert ad.side_by_side([(a, 1), (b, 1)]).shape == (4, 5)
 
 
 def test_concat_cols_filter_bank_width():
     # 2(J-1) blocks of N x F concatenate to N x 2(J-1)F
     n, f, j_max = 5, 3, 4
     parts = [ad.constant(np.zeros((n, f))) for _ in range(2 * (j_max - 1))]
-    assert ad.concat_cols(parts).shape == (n, 2 * (j_max - 1) * f)
-
-
-def test_concat_cols_single_part_is_same_tensor():
-    a = ad.constant(np.zeros((2, 2)))
-    assert ad.concat_cols([a]) is a
+    assert ad.side_by_side([(p, 1) for p in parts]).shape == (n, 2 * (j_max - 1) * f)
 
 
 def test_concat_cols_row_mismatch():
     with pytest.raises(DimensionError):
-        ad.concat_cols([ad.constant(np.zeros((2, 2))), ad.constant(np.zeros((3, 2)))])
+        ad.side_by_side([(ad.constant(np.zeros((2, 2))), 1),
+                         (ad.constant(np.zeros((3, 2))), 1)])
 
 
 def test_concat_cols_backward_splits_by_column():
     a = ad.parameter(np.ones((2, 1)), "a")
     b = ad.parameter(np.ones((2, 2)), "b")
-    cat = ad.concat_cols([a, b])
+    cat = ad.side_by_side([(a, 1), (b, 1)])
     w = ad.constant(np.array([[1.0], [2.0], [3.0]]))
     loss = ad.sum_all(ad.matmul(cat, w))
     ad.backward(loss, [a, b])
@@ -192,8 +188,8 @@ def test_grad_check_block():
     x = ad.constant(rng.uniform(-1, 1, size=(5, 2)))
 
     def loss_fn():
-        z = ad.concat_cols([ad.matmul(x, ad.block(w, rows=(0, 2))),
-                            ad.matmul(x, ad.block(w, rows=(3, 5)))])
+        z = ad.side_by_side([(ad.matmul(x, ad.block(w, rows=(0, 2))), 1),
+                             (ad.matmul(x, ad.block(w, rows=(3, 5))), 1)])
         top = ad.tanh(ad.block(z, rows=(0, 4), cols=(1, 4)))
         return ad.sum_all(ad.hadamard(top, ad.block(z, rows=(1, 5), cols=(2, 5))))
 

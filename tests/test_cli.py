@@ -255,6 +255,19 @@ def test_analyze_prop1_zero_violations(tmp_path):
     assert doc["violations"] == 0
 
 
+def test_analyze_prop1_memory_grows_linearly_in_the_class_count(tmp_path):
+    # one-hot rows by index: 256 x C floats, not a C x C identity
+    tracemalloc.start()
+    try:
+        code = run_cli("analyze", "prop1", "--out", str(tmp_path / "p1"),
+                       "--classes", "4000", "--trials", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4000 * 4000 * 8              # one 4000 x 4000 float64 identity
+
+
 def test_analyze_stability(tmp_path):
     out = tmp_path / "st"
     code = run_cli("analyze", "stability", "--out", str(out), "--n", "10",

@@ -33,6 +33,12 @@ def _spectral_oracle(lap, x, j, mode, kind):
     return (u * hvals) @ (u.T @ x)
 
 
+def _scale_response(lap, x, j, mode, kind):
+    """h_j(L) @ X: the last column block of the bank whose largest scale is j."""
+    bank = model.filter_bank_apply(lap, x, model.FilterBankSpec(j, mode, kind))
+    return ad.block(bank, cols=(bank.shape[1] - x.shape[1], bank.shape[1]))
+
+
 # ---------------------------------------------------------------------------
 # kernel_value
 
@@ -89,7 +95,7 @@ def test_bank_coefficients_are_the_kernels_as_polynomials_in_t(mode, kind):
 
 
 # ---------------------------------------------------------------------------
-# filter_apply
+# filter_bank_apply, one scale at a time
 
 
 def test_filter_apply_zero_laplacian_fig3_low():
@@ -98,7 +104,7 @@ def test_filter_apply_zero_laplacian_fig3_low():
     lap = ad.constant(np.zeros((n, n)))
     x = ad.constant(np.arange(float(n * f)).reshape(n, f))
     for j in (2, 3):
-        out = model.filter_apply(lap, x, j, "fig3", "low")
+        out = _scale_response(lap, x, j, "fig3", "low")
         assert np.max(np.abs(out.data)) == 0.0
 
 
@@ -109,7 +115,7 @@ def test_filter_apply_matches_spectral_oracle(mode, kind):
     lap = _random_laplacian(rng, 5)
     x = rng.standard_normal((5, 3))
     for j in (2, 3, 4):
-        out = model.filter_apply(ad.constant(lap), ad.constant(x), j, mode, kind)
+        out = _scale_response(ad.constant(lap), ad.constant(x), j, mode, kind)
         expected = _spectral_oracle(lap, x, j, mode, kind)
         assert np.linalg.norm(out.data - expected) <= 1e-8
 
@@ -122,7 +128,7 @@ def test_filter_apply_matches_naive_powers():
     t4 = t @ t @ t @ t
     t8 = t4 @ t4
     naive = (t4 - t8) @ x
-    out = model.filter_apply(ad.constant(lap), ad.constant(x), 3, "fig3", "low")
+    out = _scale_response(ad.constant(lap), ad.constant(x), 3, "fig3", "low")
     assert np.allclose(out.data, naive, atol=1e-12)
 
 
@@ -133,7 +139,7 @@ def test_filter_bank_apply_matches_per_scale():
     spec = model.FilterBankSpec(4, "fig3", "high")
     bank = model.filter_bank_apply(lap, x, spec)
     for idx, j in enumerate(spec.scales()):
-        single = model.filter_apply(lap, x, j, "fig3", "high")
+        single = _scale_response(lap, x, j, "fig3", "high")
         assert np.array_equal(bank.data[:, idx * 3:(idx + 1) * 3], single.data)
 
 
@@ -149,9 +155,10 @@ def test_filter_bank_width():
 # mask_matrix
 
 
-def _mask_column(net, features, cand):
+def _mask_column(m, net, features, cand):
     # ``mask_matrix`` reads the product X W off the forward's one X product
-    return model.mask_matrix(net, ad.matmul(ad.constant(features), net.weight), cand)
+    xw = ad.matmul(ad.constant(features), m.params[f"{net}_w"])
+    return model.mask_matrix(xw, m.params[f"{net}_b"], cand)
 
 
 def test_mask_zero_features_give_half_weights():
@@ -160,7 +167,7 @@ def test_mask_zero_features_give_half_weights():
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=1)
     cand = datasets.candidate_graph(g, "full")
     m = model.dense_mask(
-        _mask_column(net_model.mask_ho, g.features, cand), cand)
+        _mask_column(net_model, "mask_ho", g.features, cand), cand)
     off = ~np.eye(5, dtype=bool)
     assert np.all(m.data[off] == 0.5)
     assert np.all(np.diag(m.data) == 0.0)
@@ -171,7 +178,7 @@ def test_mask_respects_candidate_zeros():
     cand = datasets.candidate_graph(g, "given")
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=2)
     m = model.dense_mask(
-        _mask_column(net_model.mask_ho, g.features, cand), cand)
+        _mask_column(net_model, "mask_ho", g.features, cand), cand)
     assert np.all(m.data[cand.adjacency == 0] == 0.0)
     on = cand.adjacency > 0
     if np.any(on):
@@ -185,7 +192,7 @@ def test_mask_exactly_symmetric():
     cand = datasets.candidate_graph(g, "full")
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, seed=3)
     m = model.dense_mask(
-        _mask_column(net_model.mask_ho, g.features, cand), cand)
+        _mask_column(net_model, "mask_ho", g.features, cand), cand)
     assert np.array_equal(m.data, m.data.T)
 
 
@@ -194,7 +201,7 @@ def test_mask_rejects_a_product_of_another_width():
     net_model = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, mask_dim=4, seed=4)
     cand = datasets.candidate_graph(g, "full")
     with pytest.raises(ContractError, match="mask_matrix"):
-        model.mask_matrix(net_model.mask_ho, ad.constant(np.zeros((5, 3))), cand)
+        model.mask_matrix(ad.constant(np.zeros((5, 3))), net_model.params["mask_ho_b"], cand)
 
 
 @pytest.mark.parametrize("variant", model.VARIANTS)
@@ -254,7 +261,7 @@ def test_forward_logits_equal_embedding_times_classifier(variant, mode):
     cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
     with ad.no_grad():
         logits = model.forward(m, x, cand).logits.data
-        expected = model.embedding(m, x, cand).data @ m.w_clf.data
+        expected = model.embedding(m, x, cand).data @ m.params["w_clf"].data
     assert np.linalg.norm(logits - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -347,8 +354,9 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
     dense = np.zeros((15, 15))
     dense[i_idx, j_idx] = dense[j_idx, i_idx] = w[:, 0]
     # I - L/2 (fig3 low, verbatim high) or L/2, from the dense Laplacian
-    expected = model._base_operator(ad.constant(normalized_laplacian(dense)), mode, kind).data
-    t = model._edge_operator(ad.constant(w), cand, mode, kind).data
+    spec = model.FilterBankSpec(2, mode, kind)
+    expected = model._base_operator(ad.constant(normalized_laplacian(dense)), spec).data
+    t = model._edge_operator(ad.constant(w), cand, spec).data
     assert np.array_equal(t, t.T)
     assert np.max(np.abs(t - expected)) <= 1e-14
 
@@ -558,6 +566,14 @@ def test_only_a_variant_without_mask_nets_runs_on_the_given_graph():
         # the spec is checked even where it is not used
         with pytest.raises(ValidationError, match="candidate"):
             model.bank_graph(g, variant, "knn:0")
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_model_parameters_are_the_shape_table(variant):
+    m = model.FgGSLModel(7, 3, j_max=4, mask_dim=5, variant=variant, seed=1)
+    table = model._parameter_shapes(7, 3, 4, 5, variant)
+    assert [(name, t.shape) for name, t in m.params] == list(table.items())
+    assert m.embedding_width() == table["w_clf"][0]
 
 
 def test_model_rejects_unknown_variant():

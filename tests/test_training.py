@@ -305,15 +305,15 @@ def test_mlp_perfect_on_noiseless_prototypes():
                                    seed=27, n_splits=1)
     bundle = datasets.DatasetBundle(graph, "clean", False)
     cfg = _fast_config(epochs_max=200, patience=200)
-    result = training.mlp_baseline(bundle, cfg)
+    result = training.run_protocol(bundle, cfg, baseline=True)
     assert result.mean_acc == 1.0
 
 
 def test_mlp_deterministic():
     bundle = _bundle(seed=29, n_splits=1)
     cfg = _fast_config(epochs_max=30, patience=30)
-    r1 = training.mlp_baseline(bundle, cfg)
-    r2 = training.mlp_baseline(bundle, cfg)
+    r1 = training.run_protocol(bundle, cfg, baseline=True)
+    r2 = training.run_protocol(bundle, cfg, baseline=True)
     assert r1.mean_acc == r2.mean_acc
 
 
@@ -341,6 +341,11 @@ def test_config_rejects_bad_values():
 def test_config_rejects_malformed_values(field, value):
     with pytest.raises(ValidationError, match=field):
         training.TrainConfig(**{field: value}).validate()
+
+
+def test_config_rejects_a_single_scale_before_the_model_is_built():
+    with pytest.raises(ValidationError, match="j_max"):
+        training.TrainConfig(j_max=1).validate()
 
 
 def test_config_accepts_int_for_float_fields():
