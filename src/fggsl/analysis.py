@@ -17,8 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .graphs import (edge_pairs, heterophilic_fraction, normalized_eigenvectors,
-                     operator_distance, perturb_laplacian, symmetric_eig)
+from .graphs import (SpectralDecomposition, edge_pairs, heterophilic_fraction,
+                     misalignment, operator_distance, perturb_laplacian,
+                     perturbation_direction, symmetric_eig)
 from .model import kernel_value
 
 
@@ -68,12 +69,15 @@ class BoundProbeRecord:
     holds_with_slack: bool
 
 
-def spectral_filter_matrix(lap: np.ndarray, j: int, mode: str, kind: str) -> np.ndarray:
-    """Dense h_j(L) = U h_j(Lambda) U^T via explicit eigendecomposition."""
-    dec = symmetric_eig(lap)
+def _filter_matrix(dec: SpectralDecomposition, j: int, mode: str, kind: str) -> np.ndarray:
     hvals = kernel_value(j, dec.eigenvalues, mode, kind)
     u = dec.eigenvectors
     return (u * hvals) @ u.T
+
+
+def spectral_filter_matrix(lap: np.ndarray, j: int, mode: str, kind: str) -> np.ndarray:
+    """Dense h_j(L) = U h_j(Lambda) U^T via explicit eigendecomposition."""
+    return _filter_matrix(symmetric_eig(lap), j, mode, kind)
 
 
 def stability_probe(lap, j: int, mode: str, kind: str, epsilon_list,
@@ -81,27 +85,44 @@ def stability_probe(lap, j: int, mode: str, kind: str, epsilon_list,
     """Perturb the Laplacian ``lap`` and compare filter deviation against
     the bound 2^(j-1) (1 + delta sqrt(N)) eps, with slack (1 + 10 eps)
     absorbing the second-order remainder.
+
+    Records run over epsilons, then trials.  ``lap`` is decomposed once,
+    each trial's direction (``perturbation_direction``) and its delta once
+    for all positive epsilons, and epsilon 0 (where the direction is 0 and
+    its basis I) once for all trials.
     """
     lap = np.asarray(lap, dtype=np.float64)
-    n = lap.shape[0]
-    records = []
-    h_base = spectral_filter_matrix(lap, j, mode, kind)
-    lap_basis = normalized_eigenvectors(lap)
     for eps in epsilon_list:
         if eps < 0:
             raise ContractError(f"stability_probe: negative epsilon {eps}")
-        for trial in range(trials):
-            l_hat, _, delta = perturb_laplacian(lap, eps, seed=seed * 10007 + trial,
-                                                l_eigenvectors=lap_basis)
-            h_pert = spectral_filter_matrix(l_hat, j, mode, kind)
-            observed = operator_distance(h_base, h_pert)
-            bound = 2.0 ** (j - 1) * (1.0 + delta * np.sqrt(n)) * eps
-            holds = observed <= bound * (1.0 + 10.0 * eps) + 1e-12
-            records.append(BoundProbeRecord(
-                epsilon=float(eps), observed_distance=float(observed),
-                bound_value=float(bound), delta=float(delta), j=j,
-                holds_with_slack=bool(holds)))
-    return records
+    n = lap.shape[0]
+    dec = symmetric_eig(lap)
+    h_base = _filter_matrix(dec, j, mode, kind)
+    lap_basis = dec.normalized_vectors()
+
+    def record(eps, l_hat, delta):
+        observed = operator_distance(h_base, spectral_filter_matrix(l_hat, j, mode, kind))
+        bound = 2.0 ** (j - 1) * (1.0 + delta * np.sqrt(n)) * eps
+        holds = observed <= bound * (1.0 + 10.0 * eps) + 1e-12
+        return BoundProbeRecord(
+            epsilon=float(eps), observed_distance=float(observed),
+            bound_value=float(bound), delta=float(delta), j=j,
+            holds_with_slack=bool(holds))
+
+    at_zero = {}                     # epsilon index -> its record, one for all trials
+    for k, eps in enumerate(epsilon_list):
+        if eps == 0:
+            l_hat, _, delta = perturb_laplacian(lap, 0.0, seed, l_eigenvectors=lap_basis)
+            at_zero[k] = record(eps, l_hat, delta)
+    per_trial = []
+    for trial in range(trials):
+        if len(at_zero) < len(epsilon_list):
+            e0, norm, v = perturbation_direction(n, seed * 10007 + trial)
+            delta = misalignment(lap_basis, v)
+        per_trial.append([at_zero[k] if k in at_zero
+                          else record(eps, lap + e0 * (eps / norm), delta)
+                          for k, eps in enumerate(epsilon_list)])
+    return [recs[k] for k in range(len(epsilon_list)) for recs in per_trial]
 
 
 def distance_slope(records: list[BoundProbeRecord]) -> float:

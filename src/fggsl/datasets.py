@@ -1,11 +1,20 @@
 """Dataset ingestion, synthetic heterophilic generators, and candidate graphs.
 
-Native file formats (UTF-8, LF, ``#`` comment lines ignored):
+Native file formats (UTF-8; LF, CRLF or CR line ends; a line that is blank
+or whose first non-blank character is ``#`` is skipped):
 
 * node file -- one line per node: ``id<TAB>f1,f2,...<TAB>label``
 * edge file -- one line per edge: ``src<TAB>dst``
 * split file -- exactly three data lines (train / val / test), each a
   space-separated list of node indices
+
+Ids, labels, edge endpoints and split indices are signed decimal integers
+within int64 (``_int``); features are ASCII float literals without digit
+separators (``_float``); both allow whitespace around a value.  numpy's
+text parser reads all feature values of a node file in one call, all
+edges of an edge file in another, and each split line in one; ``_int``
+and ``_float`` state the same syntax for the scans that name the line of
+a fault, which run only when a file does not load.
 
 These match the common tab-separated exports of the WebKB-style
 benchmarks; converters for other layouts are documented in the README
@@ -14,8 +23,10 @@ rather than bundled.
 
 from __future__ import annotations
 
+import io
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +79,12 @@ class CandidateGraph:
         return int(self.edge_pairs()[0].size)
 
 
+# a line that ``_data_lines`` skips, with the newline in front of it
+_SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#[^\n]*)?(?=\n|\Z)")
+_INT = re.compile(r"\s*([+-]?[0-9]+)\s*")
+_INT64 = np.iinfo(np.int64)
+
+
 def _data_lines(path):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -77,73 +94,159 @@ def _data_lines(path):
             yield lineno, line
 
 
+def _int(text: str) -> int:
+    """An id, label, edge endpoint or split index: ASCII decimal digits with
+    an optional sign and surrounding whitespace, within int64 (the syntax
+    numpy's integer parser reads)."""
+    match = _INT.fullmatch(text)
+    value = int(match.group(1)) if match else None
+    if value is None or not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"not a 64-bit decimal integer: {text!r}")
+    return value
+
+
+def _float(text: str) -> float:
+    """A feature value: an ASCII Python float literal without underscores,
+    with surrounding whitespace (the syntax numpy's float parser reads)."""
+    literal = text.strip()
+    if "_" in literal or not literal.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(literal)
+
+
+def _feature_values(field: str):
+    for value in field.split(","):
+        _float(value)
+
+
+def _loadtxt(lines, dtype, delimiter):
+    """All values of ``lines`` by numpy's text parser as a 2-D array, or
+    None if it rejects a value or a change of row width."""
+    with warnings.catch_warnings():
+        # numpy 1.x reads "1.0" as an integer with a DeprecationWarning
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, ndmin=2,
+                              comments=None)
+        except (ValueError, Warning):
+            return None
+
+
+def _raise_first_fault(path, lines, check, otherwise: Exception):
+    """Raise ParseError at the first (lineno, text) of ``lines`` that
+    ``check`` rejects with a ValueError, or ``otherwise`` if it rejects none."""
+    for lineno, text in lines:
+        try:
+            check(text)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    raise otherwise
+
+
 def load_raw(node_file, edge_file) -> LabeledGraph:
     """Build a LabeledGraph from the tab-separated node and edge files.
 
     Duplicate edges and self-loops are dropped; the adjacency is
-    symmetrized.  Unknown node ids or ragged feature rows raise
-    ParseError with the offending line number; a label >= the node count
-    raises ValidationError before anything of its size is allocated.
+    symmetrized.  Unknown node ids, ragged feature rows and values that do
+    not parse raise ParseError with the offending line number; a label >=
+    the node count raises ValidationError before anything of its size is
+    allocated, and so does a NaN or infinite feature, naming its line.
+
+    Python reads the node lines for ids, labels and row widths; numpy's
+    text parser reads all feature values in one call and all edges in
+    another.  The faulty line is found by a scan that runs only on error.
     """
-    ids: dict[int, int] = {}
-    feats: list[np.ndarray] = []
+    ids: dict[int, int] = {}             # node id -> row
+    fields: list[str] = []               # feature field of each row
+    linenos: list[int] = []
     labels: list[int] = []
     width = None
-    top = (-1, 0)                    # (largest label, its line)
+    top = (-1, 0)                        # (largest label, its line)
+
+    def fail(lineno, message):
+        # a feature value read before the fault that does not parse comes first
+        _raise_first_fault(node_file, zip(linenos, fields), _feature_values,
+                           ParseError(f"{node_file}:{lineno}: {message}"))
+
     for lineno, line in _data_lines(node_file):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ParseError(f"{node_file}:{lineno}: expected 3 tab-separated fields")
+            fail(lineno, "expected 3 tab-separated fields")
         try:
-            node_id = int(parts[0])
-            row = np.array([float(v) for v in parts[1].split(",")], dtype=np.float64)
-            label = int(parts[2])
+            node_id = _int(parts[0])
         except ValueError as exc:
-            raise ParseError(f"{node_file}:{lineno}: {exc}") from exc
+            fail(lineno, exc)
+        fields.append(parts[1])
+        linenos.append(lineno)
+        try:
+            label = _int(parts[2])
+        except ValueError as exc:
+            fail(lineno, exc)
         if node_id in ids:
-            raise ParseError(f"{node_file}:{lineno}: duplicate node id {node_id}")
+            fail(lineno, f"duplicate node id {node_id}")
         if label < 0:
-            raise ParseError(f"{node_file}:{lineno}: negative label {label}")
+            fail(lineno, f"negative label {label}")
+        row_width = parts[1].count(",") + 1
         if width is None:
-            width = row.size
-        elif row.size != width:
-            raise ParseError(
-                f"{node_file}:{lineno}: feature length {row.size} != {width}")
-        ids[node_id] = len(feats)
-        feats.append(row)
+            width = row_width
+        elif row_width != width:
+            fail(lineno, f"feature length {row_width} != {width}")
+        ids[node_id] = len(labels)
         labels.append(label)
         if label > top[0]:
             top = (label, lineno)
-    if not feats:
+    if not fields:
         raise ParseError(f"{node_file}: no node records")
 
-    n = len(feats)
+    n = len(fields)
+    features = _loadtxt(fields, np.float64, ",")
+    if features is None or features.shape != (n, width):
+        _raise_first_fault(node_file, zip(linenos, fields), _feature_values,
+                           ParseError(f"{node_file}: a feature value does not parse"))
     # the one-hot matrix has max label + 1 columns; more classes than
     # nodes cannot be a labelling, and a huge label would allocate first
     if top[0] >= n:
         raise ValidationError(
             f"{node_file}:{top[1]}: label {top[0]} >= node count {n}")
-    adjacency = np.zeros((n, n))
-    for lineno, line in _data_lines(edge_file):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"{edge_file}:{lineno}: expected 2 tab-separated fields")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{edge_file}:{lineno}: {exc}") from exc
-        for node_id in (src, dst):
-            if node_id not in ids:
-                raise ParseError(f"{edge_file}:{lineno}: unknown node id {node_id}")
-        i, j = ids[src], ids[dst]
-        if i == j:
-            continue
-        adjacency[i, j] = adjacency[j, i] = 1.0
-
-    c = max(labels) + 1
-    onehot = np.eye(c)[np.array(labels)]
-    features = np.vstack(feats)
+    adjacency = _read_adjacency(edge_file, ids)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ValidationError(
+            f"{node_file}:{linenos[int(np.argmin(finite))]}: non-finite feature")
+    onehot = np.eye(top[0] + 1)[np.array(labels)]
     return LabeledGraph(adjacency, features, onehot)
+
+
+def _read_adjacency(edge_file, ids: dict[int, int]) -> np.ndarray:
+    """The symmetric 0/1 adjacency of ``edge_file``, rows in the order of
+    ``ids`` (node id -> row): one parse of the edge lines, ids mapped to
+    rows by a sorted search, and one scatter."""
+    with open(edge_file, encoding="utf-8") as fh:
+        text = _SKIPPED_LINE.sub("", "\n" + fh.read())
+    pairs = (_loadtxt(io.StringIO(text), np.int64, "\t") if text
+             else np.empty((0, 2), dtype=np.int64))
+    n = len(ids)
+    node_ids = np.fromiter(ids, dtype=np.int64, count=n)
+    order = np.argsort(node_ids)
+    known = False
+    if pairs is not None and pairs.shape[1] == 2:
+        rows = order[np.minimum(np.searchsorted(node_ids[order], pairs), n - 1)]
+        known = bool(np.all(node_ids[rows] == pairs))
+    if not known:
+        def check(line):
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError("expected 2 tab-separated fields")
+            for node_id in [_int(part) for part in parts]:
+                if node_id not in ids:
+                    raise ValueError(f"unknown node id {node_id}")
+
+        _raise_first_fault(edge_file, _data_lines(edge_file), check,
+                           ParseError(f"{edge_file}: an edge line does not parse"))
+    i, j = rows[rows[:, 0] != rows[:, 1]].T     # self-loops dropped
+    adjacency = np.zeros((n, n))
+    adjacency[np.concatenate((i, j)), np.concatenate((j, i))] = 1.0
+    return adjacency
 
 
 def load_splits(split_files, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -155,11 +258,12 @@ def load_splits(split_files, n: int) -> list[tuple[np.ndarray, np.ndarray, np.nd
             raise ValidationError(f"{path}: expected 3 index lines, found {len(lines)}")
         sets = []
         for lineno, line in lines:
-            try:
-                idx = np.array([int(v) for v in line.split()], dtype=np.intp)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            sets.append(idx)
+            idx = _loadtxt([line], np.intp, None)
+            if idx is None:
+                _raise_first_fault(path, [(lineno, line)],
+                                   lambda text: [_int(v) for v in text.split()],
+                                   ParseError(f"{path}:{lineno}: an index does not parse"))
+            sets.append(idx[0])
         train, val, test = sets
         for name, idx in (("train", train), ("val", val), ("test", test)):
             if idx.size == 0:

@@ -89,6 +89,10 @@ class SpectralDecomposition:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ u.T
 
+    def normalized_vectors(self) -> np.ndarray:
+        """The eigenvectors with ``normalized_eigenvectors``' sign convention."""
+        return _sign_normalize(self.eigenvectors)
+
 
 def _check_symmetric(m: np.ndarray, what: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -197,7 +201,22 @@ def normalized_eigenvectors(m: np.ndarray) -> np.ndarray:
     Eigendecompositions are unique only up to column sign and ordering of
     repeated eigenvalues; this convention makes ||U - V||_2 well-defined.
     """
-    return _sign_normalize(symmetric_eig(m).eigenvectors)
+    return symmetric_eig(m).normalized_vectors()
+
+
+def perturbation_direction(n: int, seed: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """The random symmetric n x n direction e0 that ``seed`` draws, its
+    spectral norm, and its sign-normalized eigenvectors."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n))
+    e0 = 0.5 * (raw + raw.T)
+    dec = symmetric_eig(e0)
+    return e0, float(np.max(np.abs(dec.eigenvalues))), dec.normalized_vectors()
+
+
+def misalignment(u: np.ndarray, v: np.ndarray) -> float:
+    """delta = (||U - V||_2 + 1)^2 - 1 between two sign-normalized bases."""
+    return (np.linalg.norm(u - v, 2) + 1.0) ** 2 - 1.0
 
 
 def perturb_laplacian(l: np.ndarray, magnitude: float, seed: int,
@@ -217,13 +236,8 @@ def perturb_laplacian(l: np.ndarray, magnitude: float, seed: int,
         e = np.zeros((n, n))
         v = np.eye(n)
     else:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n, n))
-        e0 = 0.5 * (raw + raw.T)
-        dec = symmetric_eig(e0)
+        e0, norm, v = perturbation_direction(n, seed)
         # rescaling by a positive constant keeps eigenvectors and their order
-        e = e0 * (magnitude / float(np.max(np.abs(dec.eigenvalues))))
-        v = _sign_normalize(dec.eigenvectors)
+        e = e0 * (magnitude / norm)
     u = l_eigenvectors if l_eigenvectors is not None else normalized_eigenvectors(l)
-    delta = (np.linalg.norm(u - v, 2) + 1.0) ** 2 - 1.0
-    return l + e, e, delta
+    return l + e, e, misalignment(u, v)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fggsl import analysis, datasets
+from fggsl import analysis, datasets, graphs
 from fggsl.errors import ContractError
 from fggsl.graphs import normalized_laplacian
 
@@ -98,6 +98,53 @@ def test_stability_slope_near_linear():
 def test_stability_rejects_negative_epsilon():
     with pytest.raises(ContractError):
         analysis.stability_probe(_laplacian(4), 2, "fig3", "low", [-1e-3], 1, 0)
+
+
+def _reference_probe(lap, j, mode, kind, epsilons, trials, seed):
+    """The probe with one ``perturb_laplacian`` per (epsilon, trial)."""
+    n = lap.shape[0]
+    h_base = analysis.spectral_filter_matrix(lap, j, mode, kind)
+    basis = graphs.normalized_eigenvectors(lap)
+    records = []
+    for eps in epsilons:
+        for trial in range(trials):
+            l_hat, _, delta = graphs.perturb_laplacian(lap, eps, seed=seed * 10007 + trial,
+                                                       l_eigenvectors=basis)
+            observed = graphs.operator_distance(
+                h_base, analysis.spectral_filter_matrix(l_hat, j, mode, kind))
+            bound = 2.0 ** (j - 1) * (1.0 + delta * np.sqrt(n)) * eps
+            records.append(analysis.BoundProbeRecord(
+                epsilon=float(eps), observed_distance=float(observed),
+                bound_value=float(bound), delta=float(delta), j=j,
+                holds_with_slack=bool(observed <= bound * (1.0 + 10.0 * eps) + 1e-12)))
+    return records
+
+
+@pytest.mark.parametrize("epsilons,trials,eigs,norms", [
+    ([1e-3, 1e-2], 1, 6, 1),           # the reference makes 8 and 2
+    ([1e-3, 1e-2, 1e-1], 2, 15, 2),    # 20 and 6
+    ([0.0, 1e-3, 0.0, 1e-2], 3, 18, 5),  # 26 and 12
+])
+def test_stability_probe_decomposes_each_matrix_once(monkeypatch, epsilons, trials, eigs, norms):
+    lap = _laplacian(6, n=10)
+    expected = _reference_probe(lap, 3, "fig3", "high", epsilons, trials, 7)
+    counts = {"eig": 0, "norm": 0}
+    eig, norm = graphs.symmetric_eig, np.linalg.norm
+
+    def counted_eig(m):
+        counts["eig"] += 1
+        return eig(m)
+
+    def counted_norm(x, ord=None, **kw):
+        counts["norm"] += ord == 2
+        return norm(x, ord, **kw)
+
+    monkeypatch.setattr(graphs, "symmetric_eig", counted_eig)
+    monkeypatch.setattr(analysis, "symmetric_eig", counted_eig)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    recs = analysis.stability_probe(lap, 3, "fig3", "high", epsilons, trials, 7)
+    assert recs == expected
+    assert (counts["eig"], counts["norm"]) == (eigs, norms)
 
 
 def test_spectral_filter_matrix_symmetric():

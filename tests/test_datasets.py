@@ -1,11 +1,15 @@
+import os
+import re
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fggsl import datasets
+from fggsl import cli, datasets
 from fggsl.errors import ContractError, ParseError, ValidationError
 from fggsl.graphs import heterophily_ratio
 
@@ -77,6 +81,299 @@ def test_round_trip_exact(tmp_path):
     assert np.array_equal(back.adjacency, graph.adjacency)
     assert np.array_equal(back.labels, graph.labels)
     assert np.max(np.abs(back.features - graph.features)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# load_raw against a per-value reference loop
+
+
+def _reference_load_raw(node_file, edge_file):
+    """The loader as one int() or float() per value and one edge line at a
+    time: (adjacency, features, labels), or the error it raises."""
+    ids, feats, labels = {}, [], []
+    width, top = None, (-1, 0)
+    for lineno, line in datasets._data_lines(node_file):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{node_file}:{lineno}: expected 3 tab-separated fields")
+        try:
+            node_id = int(parts[0])
+            row = np.array([float(v) for v in parts[1].split(",")], dtype=np.float64)
+            label = int(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{node_file}:{lineno}: {exc}") from exc
+        if node_id in ids:
+            raise ParseError(f"{node_file}:{lineno}: duplicate node id {node_id}")
+        if label < 0:
+            raise ParseError(f"{node_file}:{lineno}: negative label {label}")
+        if width is None:
+            width = row.size
+        elif row.size != width:
+            raise ParseError(f"{node_file}:{lineno}: feature length {row.size} != {width}")
+        ids[node_id] = len(feats)
+        feats.append(row)
+        labels.append(label)
+        if label > top[0]:
+            top = (label, lineno)
+    if not feats:
+        raise ParseError(f"{node_file}: no node records")
+    n = len(feats)
+    if top[0] >= n:
+        raise ValidationError(f"{node_file}:{top[1]}: label {top[0]} >= node count {n}")
+    adjacency = np.zeros((n, n))
+    for lineno, line in datasets._data_lines(edge_file):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{edge_file}:{lineno}: expected 2 tab-separated fields")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{edge_file}:{lineno}: {exc}") from exc
+        for node_id in (src, dst):
+            if node_id not in ids:
+                raise ParseError(f"{edge_file}:{lineno}: unknown node id {node_id}")
+        i, j = ids[src], ids[dst]
+        if i != j:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency, np.vstack(feats), np.eye(max(labels) + 1)[np.array(labels)]
+
+
+def _where(exc):
+    """(error class, "<file name>:<line>") of a loader error."""
+    match = re.match(r"(.*?):(\d+): ", str(exc))
+    assert match, str(exc)
+    return type(exc), f"{os.path.basename(match.group(1))}:{match.group(2)}"
+
+
+def _outcome(load, nodes_text, edges_text):
+    """Arrays bytes of what ``load`` returns on the two files, or where its error points."""
+    with tempfile.TemporaryDirectory() as tmp:
+        nodes, edges = os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv")
+        with open(nodes, "wb") as fh:
+            fh.write(nodes_text.encode("utf-8"))
+        with open(edges, "wb") as fh:
+            fh.write(edges_text.encode("utf-8"))
+        try:
+            arrays = load(nodes, edges)
+        except (ParseError, ValidationError) as exc:
+            return _where(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _load_arrays(nodes, edges):
+    g = datasets.load_raw(nodes, edges)
+    return g.adjacency, g.features, g.labels
+
+
+_NOISE = st.sampled_from(["", " ", " \t ", "\x0c", "# note", "  # indented", "#"])
+_FEATURE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e-310]))
+_PAD = st.sampled_from(["", " ", "  "])
+# one fault per kind, applied to the fields of one node or edge line
+_NODE_FAULTS = {
+    "bad value": lambda f, ids, n: [f[0], "x," + f[1]] + f[2:],
+    "ragged row": lambda f, ids, n: [f[0], f[1] + ",1.0"] + f[2:],
+    "2 fields": lambda f, ids, n: f[:2],
+    "non-integer id": lambda f, ids, n: [f[0] + ".5"] + f[1:],
+    "duplicate id": lambda f, ids, n: [str(ids[0])] + f[1:],
+    "negative label": lambda f, ids, n: f[:2] + ["-1"],
+    "label >= n": lambda f, ids, n: f[:2] + [str(n)],
+}
+_EDGE_FAULTS = {
+    "3 fields": lambda f, ids, n: f + ["0"],
+    "1 field": lambda f, ids, n: f[:1],
+    "non-integer id": lambda f, ids, n: [f[0], "x"],
+    "unknown id": lambda f, ids, n: [f[0], str(max(ids) + 1)],
+}
+
+
+def _text(draw, lines):
+    """``lines`` with comment, blank and whitespace lines between them, and
+    LF or CRLF ends."""
+    out = []
+    for line in lines + [None]:
+        out += draw(st.lists(_NOISE, max_size=2))
+        if line is not None:
+            out.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from([end, ""]))
+
+
+@st.composite
+def _raw_dataset(draw, faults=0):
+    """(nodes text, edges text) with ids permuted, sparse and negative,
+    duplicate edges and self-loops, features written by repr or %.17g, and
+    ``faults`` faults from the tables above."""
+    n = draw(st.integers(1, 7))
+    width = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n, unique=True))
+    nodes = []
+    for node_id in ids:
+        fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
+        row = draw(st.lists(_FEATURE, min_size=width, max_size=width))
+        nodes.append([str(node_id), ",".join(fmt(v) for v in row),
+                      str(draw(st.integers(0, n - 1)))])
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=10))
+    edges = [[f"{draw(_PAD)}{i}{draw(_PAD)}", f"{draw(_PAD)}{j}"] for i, j in pairs]
+    for _ in range(faults):
+        lines, table = draw(st.sampled_from([(nodes, _NODE_FAULTS), (edges, _EDGE_FAULTS)]))
+        if not lines:
+            continue
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = table[draw(st.sampled_from(sorted(table)))](lines[k], ids, n)
+    return (_text(draw, ["\t".join(f) for f in nodes]),
+            _text(draw, ["\t".join(f) for f in edges]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_dataset())
+def test_load_raw_is_bitwise_the_per_value_loop(files):
+    expected = _outcome(_reference_load_raw, *files)
+    assert isinstance(expected, list)
+    assert _outcome(_load_arrays, *files) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: _raw_dataset(faults=k)))
+def test_load_raw_faults_name_the_per_value_loop_line(files):
+    assert _outcome(_load_arrays, *files) == _outcome(_reference_load_raw, *files)
+
+
+_NODES = "# nodes\n0\t1.0,2.0\t0\n1\t0.5,0.5\t1\n2\t0.0,1.0\t0\n"
+_EDGES = "# edges\n# more\n0\t1\n1\t2\n"
+# (nodes.tsv, edges.tsv, error class, "<file>:<line>") with one fault each
+SINGLE_FAULTS = {
+    "bad feature value": (_NODES.replace("0.5,0.5", "0.5,x"), _EDGES, ParseError, "nodes.tsv:3"),
+    "ragged row": (_NODES.replace("0.5,0.5", "0.5"), _EDGES, ParseError, "nodes.tsv:3"),
+    "node line with 2 fields": (_NODES.replace("0.5,0.5\t1", "0.5,0.5"), _EDGES,
+                                ParseError, "nodes.tsv:3"),
+    "non-integer id": (_NODES.replace("1\t0.5", "1.5\t0.5"), _EDGES, ParseError, "nodes.tsv:3"),
+    "duplicate id": (_NODES.replace("2\t0.0", "0\t0.0"), _EDGES, ParseError, "nodes.tsv:4"),
+    "negative label": (_NODES.replace("0.5\t1", "0.5\t-1"), _EDGES, ParseError, "nodes.tsv:3"),
+    "label >= n": (_NODES.replace("0.5\t1", "0.5\t3"), _EDGES, ValidationError, "nodes.tsv:3"),
+    "edge line with 3 fields": (_NODES, _EDGES.replace("1\t2", "1\t2\t0"),
+                                ParseError, "edges.tsv:4"),
+    "non-integer edge id": (_NODES, _EDGES.replace("1\t2", "1\tx"), ParseError, "edges.tsv:4"),
+    # data row 2, physical line 4
+    "unknown id after comments": (_NODES, _EDGES.replace("1\t2", "1\t9"),
+                                  ParseError, "edges.tsv:4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_FAULTS))
+def test_single_fault_names_its_line(case):
+    nodes, edges, error, where = SINGLE_FAULTS[case]
+    assert _outcome(_load_arrays, nodes, edges) == (error, where)
+    assert _outcome(_reference_load_raw, nodes, edges) == (error, where)
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_FAULTS))
+def test_single_fault_exits_1_with_one_line(case, tmp_path, capsys):
+    nodes, edges, _, where = SINGLE_FAULTS[case]
+    _write(tmp_path / "nodes.tsv", nodes)
+    _write(tmp_path / "edges.tsv", edges)
+    assert cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{where}: " in err[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+def test_load_raw_names_the_line_of_a_non_finite_feature(tmp_path, capsys, value):
+    _write(tmp_path / "nodes.tsv", _NODES.replace("0.5,0.5", f"0.5,{value}"))
+    _write(tmp_path / "edges.tsv", _EDGES)
+    with pytest.raises(ValidationError, match=r"nodes\.tsv:3: non-finite feature$"):
+        datasets.load_raw(str(tmp_path / "nodes.tsv"), str(tmp_path / "edges.tsv"))
+    assert cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run")]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edges", ["", "# only a comment\n", "\n  \n# a\r\n\t\n"])
+def test_empty_edge_file_loads_without_a_warning(tmp_path, edges):
+    nodes = _write(tmp_path / "n.tsv", _NODES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = datasets.load_raw(nodes, _write(tmp_path / "e.tsv", edges))
+    assert g.n == 3 and not g.adjacency.any()
+
+
+# (text, value) per form; None where every integer field rejects it
+INTEGER_FORMS = [("7", 7), (" 7 ", 7), ("+7", 7), ("07", 7), ("-0", 0),
+                 ("7.0", None), ("7e0", None), ("1_0", None), ("７", None),
+                 ("0x7", None)]
+FLOAT_FORMS = [("1.5", 1.5), (" 1.5 ", 1.5), ("+1.5", 1.5), (".5", 0.5), ("5.", 5.0),
+               ("7", 7.0), ("-0", -0.0), ("1E-3", 1e-3), ("5e-324", 5e-324),
+               ("1_0.5", None), ("１.5", None), ("0x1p3", None), ("1.5j", None),
+               ("1d5", None), ("", None)]
+
+
+def _load_id(tmp_path, text, value):
+    """Node 0 has id ``text``; an edge written as ``value`` reaches it."""
+    nodes = _write(tmp_path / "n.tsv", f"{text}\t1.0\t0\n100\t1.0\t0\n")
+    edges = _write(tmp_path / "e.tsv", f"{value}\t100\n")
+    return datasets.load_raw(nodes, edges).adjacency[0, 1] == 1.0
+
+
+def _load_edge(tmp_path, text, value):
+    """An edge ``text``-100 reaches the node with id ``value``."""
+    nodes = _write(tmp_path / "n.tsv", f"{value}\t1.0\t0\n100\t1.0\t0\n")
+    edges = _write(tmp_path / "e.tsv", f"{text}\t100\n")
+    return datasets.load_raw(nodes, edges).adjacency[0, 1] == 1.0
+
+
+def _load_label(tmp_path, text, value):
+    lines = "".join(f"{i}\t1.0\t0\n" for i in range(1, 9))
+    nodes = _write(tmp_path / "n.tsv", f"0\t1.0\t{text}\n" + lines)
+    g = datasets.load_raw(nodes, _write(tmp_path / "e.tsv", ""))
+    return int(np.argmax(g.labels[0])) == value
+
+
+def _load_split(tmp_path, text, value):
+    path = _write(tmp_path / "s.txt", f"{text}\n8\n9\n")
+    train = datasets.load_splits([path], n=10)[0][0]
+    return train.dtype == np.intp and train.tolist() == [value]
+
+
+@pytest.mark.parametrize("kind", [_load_id, _load_edge, _load_label, _load_split],
+                         ids=["id", "edge", "label", "split"])
+@pytest.mark.parametrize("text,value", INTEGER_FORMS)
+def test_integer_fields_share_one_syntax(tmp_path, kind, text, value):
+    if value is None:
+        with pytest.raises(ParseError, match=r":1: "):
+            kind(tmp_path, text, 7)
+    else:
+        assert kind(tmp_path, text, value)
+
+
+@pytest.mark.parametrize("text,value", FLOAT_FORMS)
+def test_feature_syntax(tmp_path, text, value):
+    nodes = _write(tmp_path / "n.tsv", f"0\t2.0,{text}\t0\n")
+    edges = _write(tmp_path / "e.tsv", "")
+    if value is None:
+        with pytest.raises(ParseError, match=r":1: "):
+            datasets.load_raw(nodes, edges)
+    else:
+        got = datasets.load_raw(nodes, edges).features[0, 1]
+        assert got.tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("text,ok", [("9223372036854775807", True),
+                                     ("-9223372036854775808", True),
+                                     ("9223372036854775808", False),
+                                     ("-9223372036854775809", False)])
+def test_ids_fit_in_a_signed_64_bit_integer(tmp_path, text, ok):
+    nodes = _write(tmp_path / "n.tsv", f"{text}\t1.0\t0\n5\t1.0\t0\n")
+    edges = _write(tmp_path / "e.tsv", f"5\t{text}\n")
+    if ok:
+        assert datasets.load_raw(nodes, edges).adjacency[0, 1] == 1.0
+    else:
+        with pytest.raises(ParseError, match=r"n\.tsv:1: "):
+            datasets.load_raw(nodes, edges)
+        nodes = _write(tmp_path / "n.tsv", "5\t1.0\t0\n")
+        with pytest.raises(ParseError, match=r"e\.tsv:1: "):
+            datasets.load_raw(nodes, edges)
+        split = _write(tmp_path / "s.txt", f"0\n1\n{text}\n")
+        with pytest.raises(ParseError, match=r"s\.txt:3: "):
+            datasets.load_splits([split], n=3)
 
 
 def test_load_splits_round_trip(tmp_path):
