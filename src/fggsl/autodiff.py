@@ -516,7 +516,8 @@ def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
     A zero-norm row that a pair (i, j) uses raises a ContractError naming
     ``what`` and the row, taken from the first such pair, its i side
     first; rows no pair uses stay zero.  Backward projects out each unit
-    direction and divides by the row's norm.
+    direction twice, so the result is orthogonal to it to working
+    precision, and divides by the row's norm.
     """
     i_idx, j_idx = _pair_indices(pairs, what)
     norms = np.linalg.norm(a.data, axis=1)
@@ -530,8 +531,12 @@ def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
     u = a.data / safe
 
     def vjp(g):
-        # rows no pair uses have g = 0 and keep a zero gradient
-        return ((g - np.sum(g * u, axis=1, keepdims=True) * u) / safe,)
+        # rows no pair uses have g = 0 and keep a zero gradient.  The second
+        # projection removes what round-off left along u: a self pair (i, i)
+        # sends a g parallel to u_i, and one pass left a few ulps of |g|
+        r = g - np.sum(g * u, axis=1, keepdims=True) * u
+        r = r - np.sum(r * u, axis=1, keepdims=True) * u
+        return (r / safe,)
 
     return _emit(u, (a,), vjp)
 

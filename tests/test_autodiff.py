@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -320,17 +321,27 @@ def test_cosine_rows_zero_norm_names_row():
 
 
 def _cosine_vjp_closed_form(a, i_idx, j_idx, g):
-    """The gathered-pairs VJP with ``np.add.at`` scatters, as a reference."""
-    u, v = a[i_idx], a[j_idx]
-    nu, nv = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
-    c = np.sum(u * v, axis=1) / (nu * nv)
-    denom = (nu * nv)[:, None]
-    du = (v / denom - (c / (nu * nu))[:, None] * u) * g[:, None]
-    dv = (u / denom - (c / (nv * nv))[:, None] * v) * g[:, None]
-    ga = np.zeros(a.shape)
-    np.add.at(ga, i_idx, du)
-    np.add.at(ga, j_idx, dv)
-    return ga
+    """The gathered-pairs VJP, summed pair by pair, as a reference.
+
+    It runs in 40-digit decimal arithmetic, so its own round-off is far
+    below the bound.  In float64 a self pair's two terms, which cancel,
+    left round-off past it: 1.1e-14 for n=1 and eleven (0, 0) pairs,
+    whose true VJP is zero.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        rows = [[D(float(x)) for x in row] for row in a]
+        norms = [sum(x * x for x in row).sqrt() for row in rows]
+        ga = [[D(0)] * a.shape[1] for _ in rows]
+        for i, j, gk in zip(i_idx, j_idx, g):
+            u, v, nu, nv = rows[i], rows[j], norms[i], norms[j]
+            c = sum(x * y for x, y in zip(u, v)) / (nu * nv)
+            gk = D(float(gk))
+            for k in range(a.shape[1]):
+                ga[i][k] += (v[k] / (nu * nv) - c * u[k] / (nu * nu)) * gk
+                ga[j][k] += (u[k] / (nu * nv) - c * v[k] / (nv * nv)) * gk
+        return np.array([[float(x) for x in row] for row in ga])
 
 
 @settings(max_examples=40, deadline=None)
