@@ -153,9 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-CONFIG_KEYS = {"lr", "weight_decay", "epochs_max", "patience", "alpha", "beta",
-               "j_max", "kernel_mode", "variant", "candidate", "seed",
-               "mask_dim", "true_labels_on_train", "feature_normalize"}
+# TrainConfig's fields, with the candidate spec under its flag's name, and
+# the dataset's feature normalization
+CONFIG_KEYS = ({f.name for f in dataclasses.fields(TrainConfig)} - {"candidate_mode"}
+               | {"candidate", "feature_normalize"})
 
 
 def _resolve_config(args):
@@ -190,12 +191,7 @@ def _resolve_config(args):
         values["kernel_mode"] = args.kernel_mode
     if args.candidate is not None:           # an empty spec is rejected, not ignored
         values["candidate_mode"] = args.candidate
-    try:
-        config = TrainConfig(**values)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from exc
-    config.validate()
-    return config, normalize
+    return TrainConfig(**values), normalize
 
 
 def _load_bundle(args, normalize):
@@ -223,20 +219,21 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _manifest(command, config, bundle, extra=None):
-    payload = {
-        "command": command,
+def _stamp(command, payload):
+    """``payload`` with what every manifest records: the command, the tool
+    version and the time of writing."""
+    return {"command": command, "tool_version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **payload}
+
+
+def _manifest(command, config, bundle, **extra):
+    return _stamp(command, {
         "config": dataclasses.asdict(config),
         "dataset": dataset_fingerprint(bundle),
-        "tool_version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "seeds": {"base": config.seed,
                   "per_split": [split_seed(config.seed, k)
                                 for k in range(len(bundle.graph.splits))]},
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+        **extra})
 
 
 def _cmd_train(args) -> int:
@@ -246,8 +243,7 @@ def _cmd_train(args) -> int:
     result = run_protocol(bundle, config, parallel=args.parallel_splits,
                           baseline=baseline)
     _write_json(_out_file(args, "manifest.json"),
-                _manifest("train", config, bundle,
-                          {"baseline_mlp": baseline}))
+                _manifest("train", config, bundle, baseline_mlp=baseline))
     _write_json(_out_file(args, "report.json"), result.to_json_dict())
     _write_lines(_out_file(args, "results.csv"), result.csv_rows())
     if not baseline:
@@ -279,10 +275,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _analyze_sidecar(args, extra):
-    payload = {"command": f"analyze {args.kind}", "tool_version": __version__,
-               "seed": args.seed, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    payload.update(extra)
-    return payload
+    return _stamp(f"analyze {args.kind}", {"seed": args.seed, **extra})
 
 
 def _cmd_analyze(args) -> int:
@@ -412,14 +405,11 @@ def _cmd_gen(args) -> int:
     r_het = heterophily_ratio(graph.adjacency, graph.labels)
     save_raw(graph, _out_file(args, NODE_FILE), _out_file(args, EDGE_FILE))
     save_splits(graph.splits, _out_file(args, SPLIT_DIR))
-    _write_json(_out_file(args, "manifest.json"), {
-        "command": "gen",
+    _write_json(_out_file(args, "manifest.json"), _stamp("gen", {
         "params": {"n": args.n, "classes": args.classes, "intra_p": args.intra_p,
                    "inter_p": args.inter_p, "noise": args.noise,
                    "seed": args.seed, "splits": args.splits},
-        "realized_heterophily_ratio": r_het,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    })
+        "realized_heterophily_ratio": r_het}))
     print(f"generated {args.n} nodes, realized heterophily ratio {r_het:.4f}")
     return 0
 

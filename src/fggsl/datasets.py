@@ -307,8 +307,22 @@ def save_splits(splits, directory):
     return paths
 
 
-def load_dataset_dir(directory, name=None, normalize_features=True) -> DatasetBundle:
-    """Load ``nodes.tsv`` / ``edges.tsv`` / ``splits/*.txt`` from a directory."""
+def load_dataset_dir(directory, normalize_features=True) -> DatasetBundle:
+    """Load ``nodes.tsv`` / ``edges.tsv`` / ``splits/*.txt`` from a directory.
+
+    This is the one place a dataset on disk is checked; a fault raises
+    with its file and line.  The graph returned holds, with n nodes:
+
+    * the adjacency is n x n, symmetric and 0/1 with a zero diagonal
+      (``_read_adjacency`` writes each edge both ways, self-loops dropped);
+    * features and labels have n rows; every feature is finite
+      (``load_raw``), and stays so under ``row_normalize``;
+    * every label row is one-hot, over max label + 1 <= n classes;
+    * each split's train, val and test sets are non-empty, disjoint and
+      within [0, n) (``load_splits``).
+
+    The bundle is named after the directory.
+    """
     node_file = os.path.join(directory, NODE_FILE)
     edge_file = os.path.join(directory, EDGE_FILE)
     graph = load_raw(node_file, edge_file)
@@ -320,8 +334,7 @@ def load_dataset_dir(directory, name=None, normalize_features=True) -> DatasetBu
         graph.splits = load_splits(files, graph.n)
     if normalize_features:
         graph.features = row_normalize(graph.features)
-    graph.validate()
-    return DatasetBundle(graph=graph, name=name or os.path.basename(os.path.normpath(directory)),
+    return DatasetBundle(graph=graph, name=os.path.basename(os.path.normpath(directory)),
                          feature_normalized=normalize_features)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError, NumericError, ValidationError
+from .errors import ContractError, DimensionError, NumericError
 
 DEGREE_EPS = 1e-8
 SYMMETRY_TOL = 1e-9
@@ -27,9 +27,13 @@ class LabeledGraph:
     """Node-attributed, undirected graph with one-hot labels and splits.
 
     adjacency : (n, n) symmetric nonnegative, zero diagonal
-    features  : (n, f)
+    features  : (n, f) finite
     labels    : (n, c) one-hot rows
-    splits    : list of (train, val, test) index arrays
+    splits    : list of (train, val, test) index arrays, disjoint, in [0, n)
+
+    The class holds these facts and does not check them: whoever builds
+    a graph establishes them (``datasets.load_dataset_dir`` for files,
+    ``datasets.gen_synthetic`` for draws).
     """
 
     adjacency: np.ndarray
@@ -48,34 +52,6 @@ class LabeledGraph:
     @property
     def num_classes(self) -> int:
         return self.labels.shape[1]
-
-    def validate(self):
-        a = self.adjacency
-        if a.shape[0] != a.shape[1]:
-            raise ValidationError(f"adjacency is not square: {a.shape}")
-        if np.max(np.abs(a - a.T)) > 1e-12:
-            raise ValidationError("adjacency is not symmetric within 1e-12")
-        if np.any(np.diag(a) != 0.0):
-            raise ValidationError("adjacency diagonal must be exactly zero")
-        if np.any(a < 0):
-            raise ValidationError("adjacency has negative weights")
-        n = self.n
-        if self.features.shape[0] != n or self.labels.shape[0] != n:
-            raise ValidationError("features/labels row count differs from node count")
-        if not np.isfinite(self.features).all():
-            raise ValidationError("features contain NaN/Inf")
-        onehot_ok = (np.all((self.labels == 0) | (self.labels == 1))
-                     and np.all(self.labels.sum(axis=1) == 1))
-        if not onehot_ok:
-            raise ValidationError("label rows must be one-hot")
-        for k, (train, val, test) in enumerate(self.splits):
-            parts = [np.asarray(p, dtype=np.intp) for p in (train, val, test)]
-            cat = np.concatenate(parts)
-            if cat.size and (cat.min() < 0 or cat.max() >= n):
-                raise ValidationError(f"split {k} has out-of-range indices")
-            if len(np.unique(cat)) != cat.size:
-                raise ValidationError(f"split {k} has overlapping index sets")
-        return self
 
 
 @dataclass

@@ -28,14 +28,30 @@ from .errors import ContractError, NumericError, ValidationError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the parameters Adam's weight decay applies to: the classifier weights
+DECAYED_PARAMETERS = frozenset({"w_clf"})
 
 # annotation -> accepted runtime types; an int is a valid float
 _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str,
                 "bool": bool}
 
 
-@dataclass
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:                # an int beyond float range
+        return False
+
+
+@dataclass(frozen=True)
 class TrainConfig:
+    """Hyperparameters of one protocol run, checked when built.
+
+    Every construction, ``dataclasses.replace`` included, runs the checks,
+    and the fields cannot be assigned afterwards, so a TrainConfig that
+    exists is valid and no caller checks it again.
+    """
+
     lr: float = 0.01
     weight_decay: float = 5e-4
     epochs_max: int = 500
@@ -50,7 +66,7 @@ class TrainConfig:
     mask_dim: int = 16
     true_labels_on_train: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         # first, so that a spec of the wrong type is reported under the
         # config key and flag name ``candidate``
         candidate_k(self.candidate_mode)
@@ -59,7 +75,7 @@ class TrainConfig:
             # bool is an int subclass, so it passes only a bool field
             if (isinstance(value, bool) != (f.type == "bool")
                     or not isinstance(value, _FIELD_TYPES[f.type])
-                    or (f.type == "float" and not math.isfinite(value))):
+                    or (f.type == "float" and not _finite(value))):
                 raise ValidationError(f"{f.name}={value!r} is not a valid {f.type}")
         for name in ("weight_decay", "patience", "alpha", "beta", "seed"):
             if getattr(self, name) < 0:
@@ -74,23 +90,20 @@ class TrainConfig:
         fm.check_config(self.variant, self.kernel_mode, self.j_max)
         if self.epochs_max < 1:
             raise ValidationError("epochs_max must be >= 1")
-        return self
 
 
 class Adam:
     """Adam with bias correction and decoupled weight decay.
 
-    Decay applies only to the parameter names in ``decay_names`` (the
-    classifier weights); moments live per parameter.  ``last_update_scale``
-    records max |update| / lr of the most recent step for diagnostics.
+    Decay applies only to the parameters named in ``DECAYED_PARAMETERS``;
+    moments live per parameter.  ``last_update_scale`` records
+    max |update| / lr of the most recent step for diagnostics.
     """
 
-    def __init__(self, params: ParameterSet, lr: float, weight_decay: float = 0.0,
-                 decay_names: tuple = ()):
+    def __init__(self, params: ParameterSet, lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.decay_names = set(decay_names)
         self.step_count = 0
         self.m = {name: np.zeros(t.shape) for name, t in params}
         self.v = {name: np.zeros(t.shape) for name, t in params}
@@ -119,7 +132,7 @@ class Adam:
             if update.size:
                 scale = max(scale, float(np.max(np.abs(update))))
             p.data = p.data - self.lr * update
-            if name in self.decay_names and self.weight_decay:
+            if name in DECAYED_PARAMETERS and self.weight_decay:
                 p.data = p.data - self.lr * self.weight_decay * p.data
         self.last_update_scale = scale
 
@@ -150,7 +163,7 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels, val_idx) ->
     read off the training forward, so the snapshot taken on improvement
     matches the parameters that produced it (the step comes after).
     """
-    adam = Adam(params, config.lr, config.weight_decay, decay_names=("w_clf",))
+    adam = Adam(params, config.lr, config.weight_decay)
     best_val = -1.0
     best_state = params.snapshot()
     best_epoch = 0
@@ -198,7 +211,6 @@ def _result_row(fit: dict, started: float, probs, labels, test_idx,
 
 def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     """Train one model on one (train, val, test) split; returns (model, row)."""
-    config.validate()
     train_idx, val_idx, test_idx = split
     graph = bundle.graph
     a_f = fm.bank_graph(graph, config.variant, config.candidate_mode)
@@ -225,7 +237,6 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
 
 def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     """Graph-agnostic two-layer perceptron under the identical protocol."""
-    config.validate()
     train_idx, val_idx, test_idx = split
     graph = bundle.graph
     net = MlpModel(graph.num_features, graph.num_classes, seed=config.seed)
@@ -322,7 +333,6 @@ def run_protocol(bundle: DatasetBundle, config: TrainConfig, parallel: int = 1,
     Per-split seeds derive from the base seed (seed*1000 + split index),
     so results are reproducible yet splits are initialized differently.
     """
-    config.validate()
     n_splits = len(bundle.graph.splits)
     if n_splits == 0:
         raise ContractError("run_protocol: dataset bundle has no splits")
@@ -351,9 +361,7 @@ def ablation_table(results: dict[str, RunResult]) -> list[str]:
     """CSV comparison: one row per (variant, split) plus aggregate rows."""
     lines = ["variant,split_id,test_acc,best_epoch,seconds"]
     for variant, result in results.items():
-        for k, row in enumerate(result.rows):
-            lines.append(f"{variant},{k},{row['test_acc']:.6f},"
-                         f"{row['best_epoch']},{row['seconds']:.3f}")
+        lines += [f"{variant},{row}" for row in result.csv_rows()[1:]]
     lines.append("variant,mean_acc,std_acc,,")
     for variant, result in results.items():
         lines.append(f"{variant},{result.mean_acc:.6f},{result.std_acc:.6f},,")

@@ -164,7 +164,7 @@ def test_criterion_04_stability_bound():
 @pytest.fixture(scope="module")
 def texas_bundle():
     path = require_dataset("texas")
-    return datasets.load_dataset_dir(path, name="texas")
+    return datasets.load_dataset_dir(path)
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,7 @@ def test_criterion_05_texas_reproduction(texas_bundle, texas_full_run, texas_mlp
 def test_criterion_06_wisconsin_and_cornell():
     results = {}
     for name, floor in (("wisconsin", 0.85), ("cornell", 0.80)):
-        bundle = datasets.load_dataset_dir(require_dataset(name), name=name)
+        bundle = datasets.load_dataset_dir(require_dataset(name))
         run = training.run_protocol(bundle, _spec_default_config())
         results[name] = (run.mean_acc, floor)
     ok = all(mean >= floor for mean, floor in results.values())

@@ -10,7 +10,7 @@ from fggsl.graphs import heterophily_ratio
 
 @pytest.fixture(scope="module")
 def texas():
-    return datasets.load_dataset_dir(require_dataset("texas"), name="texas")
+    return datasets.load_dataset_dir(require_dataset("texas"))
 
 
 def test_texas_dimensions(texas):

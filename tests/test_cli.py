@@ -47,10 +47,17 @@ def test_gen_round_trips_and_reports_heterophily(tiny_dataset, capsys):
     bundle = datasets.load_dataset_dir(tiny_dataset, normalize_features=False)
     assert bundle.graph.n == 24
     assert len(bundle.graph.splits) == 2
-    manifest = json.loads(
-        open(os.path.join(tiny_dataset, "manifest.json"), encoding="utf-8").read())
+    with open(os.path.join(tiny_dataset, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
     assert manifest["realized_heterophily_ratio"] == pytest.approx(
         heterophily_ratio(bundle.graph.adjacency, bundle.graph.labels))
+
+
+def test_gen_manifest_records_the_tool_version(tiny_dataset):
+    with open(os.path.join(tiny_dataset, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["command"] == "gen"
+    assert manifest["tool_version"] == fggsl.__version__
 
 
 def test_gen_deterministic(tmp_path):
@@ -151,6 +158,7 @@ def test_train_unknown_config_key_exits_1(tiny_dataset, tmp_path, capsys):
     ({"mask_dim": 0}, "mask_dim"),
     ({"alpha": True}, "alpha"),
     ({"feature_normalize": "no"}, "feature_normalize"),
+    ({"lr": 10 ** 400}, "lr"),
 ])
 def test_train_malformed_config_value_exits_1(tiny_dataset, tmp_path, capsys,
                                               overrides, field):
@@ -161,6 +169,27 @@ def test_train_malformed_config_value_exits_1(tiny_dataset, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and field in err
     assert "Traceback" not in err
+
+
+# a valid value other than the default for every config key
+_CONFIG_VALUES = {"lr": 0.5, "weight_decay": 0.0, "epochs_max": 200, "patience": 7,
+                  "alpha": 0.5, "beta": 2.0, "j_max": 3, "kernel_mode": "verbatim",
+                  "variant": "NM", "candidate": "knn:3", "seed": 9, "mask_dim": 2,
+                  "true_labels_on_train": True, "feature_normalize": False}
+
+
+@pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
+def test_every_config_key_is_accepted(tmp_path, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: _CONFIG_VALUES[key]}), encoding="utf-8")
+    args = cli._build_parser().parse_args(
+        ["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    config, normalize = cli._resolve_config(args)
+    if key == "feature_normalize":
+        assert normalize is False
+    else:
+        field = "candidate_mode" if key == "candidate" else key
+        assert getattr(config, field) == _CONFIG_VALUES[key]
 
 
 def test_train_config_not_an_object_exits_1(tiny_dataset, tmp_path, capsys):

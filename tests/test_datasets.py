@@ -1,4 +1,5 @@
 import os
+import pathlib
 import re
 import tempfile
 import tracemalloc
@@ -239,6 +240,59 @@ def test_load_raw_faults_name_the_per_value_loop_line(files):
     assert _outcome(_load_arrays, *files) == _outcome(_reference_load_raw, *files)
 
 
+def _assert_graph_invariants(g):
+    """The facts ``LabeledGraph`` documents, which its builders establish."""
+    n = g.n
+    a = g.adjacency
+    assert a.shape == (n, n)
+    assert np.array_equal(a, a.T)
+    assert not np.any(np.diag(a))
+    assert np.all((a == 0.0) | (a == 1.0))
+    assert g.features.shape[0] == n and g.labels.shape[0] == n
+    assert np.isfinite(g.features).all()
+    assert np.all((g.labels == 0.0) | (g.labels == 1.0))
+    assert np.all(g.labels.sum(axis=1) == 1.0)
+    for train, val, test in g.splits:
+        cat = np.concatenate([train, val, test])
+        assert cat.min() >= 0 and cat.max() < n
+        assert np.unique(cat).size == cat.size
+
+
+@st.composite
+def _dataset_dir(draw):
+    """(nodes text, edges text, split texts): a well-formed ``_raw_dataset``
+    and up to two split files over its nodes, each set non-empty."""
+    nodes, edges = draw(_raw_dataset())
+    n = sum(1 for line in nodes.splitlines()
+            if line.strip() and not line.lstrip().startswith("#"))
+    splits = []
+    for _ in range(draw(st.integers(0, 2)) if n >= 3 else 0):
+        order = draw(st.permutations(range(n)))
+        cut1, cut2 = sorted(draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2,
+                                          unique=True)))
+        end = draw(st.integers(cut2 + 1, n))
+        parts = (order[:cut1], order[cut1:cut2], order[cut2:end])
+        splits.append(_text(draw, [" ".join(map(str, p)) for p in parts]))
+    return nodes, edges, splits
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dataset_dir(), st.booleans())
+def test_a_loaded_bundle_holds_the_graph_invariants(files, normalize):
+    nodes, edges, splits = files
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        _write(root / datasets.NODE_FILE, nodes)
+        _write(root / datasets.EDGE_FILE, edges)
+        (root / datasets.SPLIT_DIR).mkdir()
+        for k, text in enumerate(splits):
+            _write(root / datasets.SPLIT_DIR / f"split_{k:02d}.txt", text)
+        graph = datasets.load_dataset_dir(tmp, normalize_features=normalize).graph
+    _assert_graph_invariants(graph)
+    assert len(graph.splits) == len(splits)
+    assert all(idx.size for split in graph.splits for idx in split)
+
+
 _NODES = "# nodes\n0\t1.0,2.0\t0\n1\t0.5,0.5\t1\n2\t0.0,1.0\t0\n"
 _EDGES = "# edges\n# more\n0\t1\n1\t2\n"
 # (nodes.tsv, edges.tsv, error class, "<file>:<line>") with one fault each
@@ -446,8 +500,8 @@ def test_gen_synthetic_rejects_small_n():
         datasets.gen_synthetic(2, 3, 0.1, 0.1, 0.1, seed=0)
 
 
-def test_gen_synthetic_validates():
-    datasets.gen_synthetic(25, 4, 0.2, 0.2, 0.3, seed=4).validate()
+def test_gen_synthetic_holds_the_graph_invariants():
+    _assert_graph_invariants(datasets.gen_synthetic(25, 4, 0.2, 0.2, 0.3, seed=4))
 
 
 def test_candidate_full_edge_count():

@@ -3,7 +3,7 @@ import pytest
 
 from fggsl import autodiff as ad
 from fggsl import graphs
-from fggsl.errors import ContractError, DimensionError, NumericError, ValidationError
+from fggsl.errors import ContractError, DimensionError, NumericError
 
 
 def _sym(rng, n, scale=1.0):
@@ -290,33 +290,3 @@ def test_perturb_preserves_symmetry():
 def test_perturb_rejects_negative():
     with pytest.raises(ContractError):
         graphs.perturb_laplacian(np.eye(3), -0.1, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# LabeledGraph validation
-
-
-def _tiny_graph():
-    a = _path_graph(4)
-    feats = np.arange(8.0).reshape(4, 2)
-    labels = np.eye(2)[[0, 1, 0, 1]]
-    return graphs.LabeledGraph(a, feats, labels,
-                               splits=[(np.array([0, 1]), np.array([2]), np.array([3]))])
-
-
-def test_labeled_graph_validates():
-    _tiny_graph().validate()
-
-
-def test_labeled_graph_rejects_overlapping_split():
-    g = _tiny_graph()
-    g.splits = [(np.array([0, 1]), np.array([1]), np.array([3]))]
-    with pytest.raises(ValidationError):
-        g.validate()
-
-
-def test_labeled_graph_rejects_nonzero_diagonal():
-    g = _tiny_graph()
-    g.adjacency[0, 0] = 1.0
-    with pytest.raises(ValidationError):
-        g.validate()

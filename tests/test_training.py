@@ -56,7 +56,7 @@ def test_adam_weight_decay_targets_named_params():
     other = params.add("other", np.array([[1.0]]))
     clf.grad = np.zeros((1, 1))
     other.grad = np.zeros((1, 1))
-    opt = training.Adam(params, lr=0.1, weight_decay=0.5, decay_names=("w_clf",))
+    opt = training.Adam(params, lr=0.1, weight_decay=0.5)
     opt.step()
     assert clf.data[0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
     assert other.data[0, 0] == 1.0
@@ -75,8 +75,7 @@ def test_adam_bitwise_deterministic():
         rng = np.random.default_rng(0)
         params = ad.ParameterSet()
         w = params.add("w_clf", rng.standard_normal((3, 3)))
-        opt = training.Adam(params, lr=0.01, weight_decay=1e-3,
-                            decay_names=("w_clf",))
+        opt = training.Adam(params, lr=0.01, weight_decay=1e-3)
         for _ in range(25):
             params.zero_grad()
             loss = ad.sum_all(ad.sigmoid(ad.matmul(w, w)))
@@ -323,13 +322,13 @@ def test_mlp_deterministic():
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValidationError):
-        training.TrainConfig(lr=0.0).validate()
+        training.TrainConfig(lr=0.0)
     with pytest.raises(ValidationError):
-        training.TrainConfig(patience=10, epochs_max=5).validate()
+        training.TrainConfig(patience=10, epochs_max=5)
     with pytest.raises(ValidationError):
-        training.TrainConfig(alpha=-0.5).validate()
+        training.TrainConfig(alpha=-0.5)
     with pytest.raises(ValidationError):
-        training.TrainConfig(variant="nope").validate()
+        training.TrainConfig(variant="nope")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -340,16 +339,28 @@ def test_config_rejects_bad_values():
 ])
 def test_config_rejects_malformed_values(field, value):
     with pytest.raises(ValidationError, match=field):
-        training.TrainConfig(**{field: value}).validate()
+        training.TrainConfig(**{field: value})
 
 
 def test_config_rejects_a_single_scale_before_the_model_is_built():
     with pytest.raises(ValidationError, match="j_max"):
-        training.TrainConfig(j_max=1).validate()
+        training.TrainConfig(j_max=1)
 
 
 def test_config_accepts_int_for_float_fields():
-    training.TrainConfig(lr=1, alpha=0, beta=2, seed=np.int64(3)).validate()
+    training.TrainConfig(lr=1, alpha=0, beta=2, seed=np.int64(3))
+
+
+def test_config_replace_runs_the_checks():
+    with pytest.raises(ValidationError, match=r"^lr=0\.0 must be > 0$"):
+        dataclasses.replace(training.TrainConfig(), lr=0.0)
+
+
+def test_config_fields_cannot_be_assigned():
+    cfg = training.TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lr = 0.0
+    assert cfg.lr == 0.01
 
 
 def test_result_serialization_round_trip():
