@@ -162,8 +162,10 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
     Enumerates all pairs when a group is small enough, otherwise samples
     ``max_pairs`` pairs uniformly.  Classes with fewer than two members
     are skipped with a warning.  The cosines come from the pair layer,
-    which reads them off the n x n Gram matrix of the unit rows, so
-    memory is O(n d + n^2) whatever the width d.
+    which reads the Gram matrix of the unit rows one row block of about
+    1 MiB at a time, so they take O(n d) memory and one block beyond the
+    pair lists.  The lists start from all n (n - 1) / 2 pairs, so the
+    function as a whole takes O(n d + n^2).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     y = np.argmax(labels, axis=1)

@@ -13,24 +13,35 @@ sum_s sum_k coeffs[s, k, m] T^s Z_k, by repeated products T @ Y.  It
 runs in the chain order (push the K inputs through T) or the Horner
 order (push the M outputs), whichever is narrower, and records one tape
 node.  Its VJP runs the transposed polynomial in the other order at the
-same width and forms dT as a single product of the stacked step
-gradients and step inputs.  Each step multiplies T on the side where
-BLAS is faster: a tall, skinny block Y (n >= 512 rows, 3 to n/4 columns)
-as (Y^T T^T)^T, any other as T @ Y (``_step`` holds the measurements).
-``block`` returns a read-only view, so reading a slice copies nothing,
-and ``side_by_side`` lays the row blocks of several weights next to
-each other in one array, so one product with X serves all of them; with
-one block per part it is the plain column concatenation.
+same width.  Each step multiplies T on the side where BLAS is faster: a
+tall, skinny block Y (n >= 512 rows, 3 to n/4 columns) as (Y^T T^T)^T,
+any other as T @ Y (``_step`` holds the measurements).
+
+T comes in two forms.  A dense n x n Tensor is any operator, and its
+gradient dT is one product of the stacked step gradients and step
+inputs; ``filter_bank_apply`` uses this form.  An ``EdgeOperator`` is
+diag * I + off * W of an undirected edge column: the op builds T with
+one symmetric scatter (``edge_operator``) and holds it in its node, the
+steps multiply T itself where the dense form multiplies T^T, and the
+gradient is the per-edge column off * (dT[i, j] + dT[j, i]), read one
+row block at a time, so no n x n dT is formed.  The model's banks use
+this form.  ``block`` returns a read-only view, so reading a slice
+copies nothing, and ``side_by_side`` lays the row blocks of several
+weights next to each other in one array, so one product with X serves
+all of them; with one block per part it is the plain column
+concatenation.
 
 Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
 the Gram matrix a a^T at the pairs, and every cosine is
 ``pair_dots(unit_rows(a, pairs, what), pairs)``, where ``unit_rows`` is
-the one normalisation and zero-norm check.  The VJP of ``pair_dots``
-scatters the pair gradients into one matrix S with one ``bincount`` and
-returns S a + S^T a.  ``edge_degrees`` and ``edge_scale`` normalise an
-undirected edge column with ``np.bincount``, and ``edge_operator``
-scatters it into the dense n x n operator that ``propagate`` multiplies.
+the one normalisation and zero-norm check.  The pair layer groups the
+pairs by row (``_PairRows``) and works one row block of about
+``PAIR_BLOCK_ENTRIES`` entries at a time, skipping blocks that hold no
+pair: the forward reads a block of a a^T, and the VJP scatters the
+block's pair gradients into its rows of S with one ``bincount`` and adds
+S a + S^T a.  ``edge_degrees`` and ``edge_scale`` normalise an
+undirected edge column with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -333,8 +344,8 @@ def _tall_skinny(n: int, w: int) -> bool:
     return n >= 512 and 3 <= w <= n // 4
 
 
-def _step(td: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """T @ Y, on the side of the product where BLAS is faster.
+def _step(td: np.ndarray, tt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T @ Y, on the side of the product where BLAS is faster; ``tt`` is T^T.
 
     OpenBLAS runs a product with a tall, skinny right operand slowly.
     The transposed form Y^T T^T is the same product with the operands'
@@ -351,18 +362,21 @@ def _step(td: np.ndarray, y: np.ndarray) -> np.ndarray:
         2000   0.87/0.59  0.77/0.55  0.75/0.46  0.67/0.46  0.75/0.70  1.04/0.95
 
     So a block of n >= 512 rows, 3 to n/4 columns wide, runs transposed
-    (``_tall_skinny``), and every other block runs as T @ Y.
+    (``_tall_skinny``), and every other block runs as T @ Y.  An exactly
+    symmetric T passes itself as ``tt``, so the transposed form reads T
+    in its own row order: (Y^T T)^T took 0.82 ms against 0.93 ms for
+    (Y^T T^T)^T at n = 1000, w = 5.
     """
     n, w = y.shape
     if _tall_skinny(n, w):
-        return (y.T @ td.T).T
+        return (y.T @ tt).T
     return td @ y
 
 
-def _polynomial(td: np.ndarray, z: np.ndarray, coeffs: np.ndarray, horner: bool,
-                keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _polynomial(td: np.ndarray, tt: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
+                horner: bool, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """out_m = sum over s, k of coeffs[s, k, m] T^s Z_k, by S = len(coeffs) - 1
-    products with T.
+    products with T; ``tt`` is T^T (see ``_step``).
 
     The chain order applies T to the K blocks of Z, Y_s = T Y_(s-1), and
     adds Y_s's blocks into the outputs.  The Horner order folds the
@@ -390,7 +404,7 @@ def _polynomial(td: np.ndarray, z: np.ndarray, coeffs: np.ndarray, horner: bool,
         for s in range(steps - 1, -1, -1):
             if keep:
                 stack[:, s * width:(s + 1) * width] = out
-            out = _step(td, out)
+            out = _step(td, tt, out)
             add_terms(out, z, s)
         return out, stack
     y = z
@@ -398,29 +412,58 @@ def _polynomial(td: np.ndarray, z: np.ndarray, coeffs: np.ndarray, horner: bool,
         if s:
             if keep:
                 stack[:, (s - 1) * width:s * width] = y
-            y = _step(td, y)
+            y = _step(td, tt, y)
         add_terms(out, y, s)
     return out, stack
 
 
-def propagate(t: Tensor, z: Tensor, coeffs) -> Tensor:
+class EdgeOperator(NamedTuple):
+    """T = diag * I + off * W of an undirected edge column, for ``propagate``.
+
+    ``w`` holds one weight per pair (i, j) with i != j and no pair given
+    twice in either orientation.  ``dense`` builds T with ``edge_operator``;
+    ``propagate``'s gradient for T is the per-edge column
+    off * (dT[i, j] + dT[j, i]), so no n x n dT is formed.
+    """
+
+    w: Tensor
+    pairs: tuple
+    n: int
+    diag: float
+    off: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def dense(self) -> np.ndarray:
+        return edge_operator(self.w.data, self.pairs, self.n, self.diag, self.off)
+
+
+def propagate(t: Tensor | EdgeOperator, z: Tensor, coeffs) -> Tensor:
     """The polynomials out_m = sum_s sum_k coeffs[s, k, m] T^s Z_k in T.
 
     ``z`` holds K column blocks Z_k of one width, ``coeffs`` has shape
     (S + 1) x K x M, and the n x Mw result holds the M blocks out_m.
     Powers past the last nonzero coefficient are dropped, so the op makes
-    S products of the n x n operator ``t`` with a block, and no product
+    S products of the n x n operator T with a block, and no product
     has two n x n operands.  It runs them in the narrower order: the
     chain order pushes the K input blocks through T (K <= M), the Horner
     order the M output blocks (M < K).
 
-    The op records one tape node.  Its VJP for Z is the same polynomial
-    run on T^T with coeffs transposed over (k, m), in the opposite order
-    and so at the same width.  Both orders keep the input of every step,
-    and block s of the backward's steps is the gradient of the output of
-    the forward's step whose input is block s.  So dT is one product,
-    (backward steps) (forward steps)^T, with inner dimension S times the
-    width.
+    ``t`` is T in one of two forms.  A dense n x n Tensor is any operator.
+    An ``EdgeOperator`` is built into one dense, exactly symmetric T held
+    by the op, and its gradient is one per edge.
+
+    The op records one tape node, on (T or the edge column, Z).  Its VJP
+    for Z is the same polynomial run on T^T with coeffs transposed over
+    (k, m), in the opposite order and so at the same width.  Both orders
+    keep the input of every step, and block s of the backward's steps is
+    the gradient of the output of the forward's step whose input is
+    block s.  So dT is one product, B F^T, of the backward steps B and
+    the forward steps F, with inner dimension S times the width.  The
+    edge form reads off * (dT + dT^T) at its pairs instead, one row block
+    of [B | F] [F | B]^T at a time (``_PairRows``).
     """
     n, width = z.shape
     if t.shape != (n, n):
@@ -435,17 +478,30 @@ def propagate(t: Tensor, z: Tensor, coeffs) -> Tensor:
     live = np.flatnonzero(coeffs.any(axis=(1, 2)))
     coeffs = coeffs[:live[-1] + 1 if live.size else 1]
     horner = coeffs.shape[2] < coeffs.shape[1]
-    td = t.data
-    keep = _records((t, z)) and t.requires_grad
-    out, forward_steps = _polynomial(td, z.data, coeffs, horner, keep)
+    edges = isinstance(t, EdgeOperator)
+    if edges:
+        source, td = t.w, t.dense()
+        tt = td
+    else:
+        source, td = t, t.data
+        tt = td.T
+    keep = _records((source, z)) and source.requires_grad
+    out, forward_steps = _polynomial(td, tt, z.data, coeffs, horner, keep)
 
     def vjp(g):
-        dz, backward_steps = _polynomial(td.T, g, coeffs.transpose(0, 2, 1),
-                                         not horner, t.requires_grad)
-        return (backward_steps @ forward_steps.T if t.requires_grad else None,
-                dz if z.requires_grad else None)
+        dz, backward_steps = _polynomial(tt, td, g, coeffs.transpose(0, 2, 1),
+                                         not horner, source.requires_grad)
+        if not source.requires_grad:
+            dt = None
+        elif edges:
+            rows = _PairRows(*_pair_indices(t.pairs, "propagate"), n)
+            dt = t.off * rows.read(np.hstack([backward_steps, forward_steps]),
+                                   np.hstack([forward_steps, backward_steps]))
+        else:
+            dt = backward_steps @ forward_steps.T
+        return dt, dz if z.requires_grad else None
 
-    return _emit(out, (t, z), vjp)
+    return _emit(out, (source, z), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -541,22 +597,74 @@ def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
     return _emit(u, (a,), vjp)
 
 
+# the entries of one row block of the pair layer's reads: 1 MiB of float64
+PAIR_BLOCK_ENTRIES = 2 ** 17
+
+
+class _PairRows:
+    """Node pairs (i, j) as lo = min(i, j) <= hi = max(i, j), grouped by lo
+    into row blocks of about ``PAIR_BLOCK_ENTRIES`` entries.
+
+    ``blocks`` lists (r0, r1, c1, p0, p1): the sorted pairs p0:p1 have lo
+    in rows r0:r1 and hi below c1.  Blocks that hold no pair are not
+    listed.  Pairs already sorted by lo, as ``edge_pairs()`` returns them,
+    are not moved; any others are ordered once by a stable argsort, and
+    the results come back in the caller's order.
+    """
+
+    def __init__(self, i_idx: np.ndarray, j_idx: np.ndarray, n: int):
+        lo, hi = i_idx, j_idx
+        if np.any(i_idx > j_idx):
+            lo, hi = np.minimum(i_idx, j_idx), np.maximum(i_idx, j_idx)
+        self.order = None
+        if np.any(lo[1:] < lo[:-1]):
+            self.order = np.argsort(lo, kind="stable")
+            lo, hi = lo[self.order], hi[self.order]
+        self.lo, self.hi = lo, hi
+        rows = max(1, PAIR_BLOCK_ENTRIES // max(n, 1))
+        firsts = np.concatenate(([0], np.searchsorted(lo, np.arange(rows, n, rows)),
+                                 [lo.size]))
+        self.blocks = [(r0, min(r0 + rows, n), int(hi[p0:p1].max()) + 1, int(p0), int(p1))
+                       for r0, p0, p1 in zip(range(0, n, rows), firsts, firsts[1:])
+                       if p1 > p0]
+
+    def read(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """(left right^T)[i, j] per pair, as a column; the product must be
+        symmetric.  Row block r0:r1 computes left[r0:r1] right[r0:c1]^T."""
+        vals = np.empty(self.lo.size)
+        for r0, r1, c1, p0, p1 in self.blocks:
+            part = left[r0:r1] @ right[r0:c1].T
+            vals[p0:p1] = part[self.lo[p0:p1] - r0, self.hi[p0:p1] - r0]
+        if self.order is not None:
+            vals[self.order] = vals.copy()
+        return vals.reshape(-1, 1)
+
+
 def pair_dots(a: Tensor, pairs) -> Tensor:
     """a[i] . a[j] per pair (i, j), as a column: (a a^T) read at the pairs.
 
-    A cosine is ``pair_dots(unit_rows(a, pairs, what), pairs)``.  Backward
-    scatters the pair gradients into one matrix S and returns S a + S^T a.
+    A cosine is ``pair_dots(unit_rows(a, pairs, what), pairs)``.  Both
+    directions work one row block of ``_PairRows`` at a time, so no n x n
+    array is formed.  Backward scatters a block's pair gradients into
+    its rows of S and adds S a + S^T a.
     """
     i_idx, j_idx = _pair_indices(pairs, "pair_dots")
     ad = a.data
-    n = ad.shape[0]
-    vals = (ad @ ad.T)[i_idx, j_idx].reshape(-1, 1)
+    rows = _PairRows(i_idx, j_idx, ad.shape[0])
+    vals = rows.read(ad, ad)
 
     def vjp(g):
-        # S[i, j] sums g over the pairs (i, j): one bincount on the flat index
-        s = np.bincount(i_idx * n + j_idx, weights=g.ravel(),
-                        minlength=n * n).reshape(n, n)
-        return (s @ ad + s.T @ ad,)
+        gs = g[:, 0] if rows.order is None else g[rows.order, 0]
+        out = np.zeros_like(ad)
+        for r0, r1, c1, p0, p1 in rows.blocks:
+            # S[r0:r1, r0:c1] sums g over the block's pairs: one bincount
+            cols = c1 - r0
+            s = np.bincount((rows.lo[p0:p1] - r0) * cols + rows.hi[p0:p1] - r0,
+                            weights=gs[p0:p1], minlength=(r1 - r0) * cols
+                            ).reshape(r1 - r0, cols)
+            out[r0:r1] += s @ ad[r0:c1]
+            out[r0:c1] += s.T @ ad[r0:r1]
+        return (out,)
 
     return _emit(vals, (a,), vjp)
 
@@ -597,28 +705,22 @@ def edge_scale(w: Tensor, r: Tensor, pairs) -> Tensor:
     return _emit((rr * wv).reshape(-1, 1), (w, r), vjp)
 
 
-def edge_operator(w: Tensor, pairs, n: int, diag: float, off: float) -> Tensor:
-    """The dense n x n matrix diag * I + off * W of an undirected edge column.
+def edge_operator(w: np.ndarray, pairs, n: int, diag: float, off: float) -> np.ndarray:
+    """The dense n x n array diag * I + off * W of an undirected edge column.
 
     ``w`` holds one weight per pair (i, j) with i != j and no pair given
     twice in either orientation; one scatter writes each weight at (i, j)
-    and (j, i), so the result is exactly symmetric.  Backward reads
-    off * (g[i, j] + g[j, i]).
+    and (j, i), so the result is exactly symmetric.
     """
     i_idx, j_idx = _pair_indices(pairs, "edge_operator")
     if w.shape != (i_idx.size, 1):
         raise DimensionError(f"edge_operator: weights {w.shape} for {i_idx.size} pairs")
-    diag, off = float(diag), float(off)
     out = np.zeros((n, n))
-    v = off * w.data[:, 0]
+    v = float(off) * w[:, 0]
     out[i_idx, j_idx] = v
     out[j_idx, i_idx] = v
-    np.fill_diagonal(out, diag)
-
-    def vjp(g):
-        return ((off * (g[i_idx, j_idx] + g[j_idx, i_idx])).reshape(-1, 1),)
-
-    return _emit(out, (w,), vjp)
+    np.fill_diagonal(out, float(diag))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ Everything per edge is an |E| x 1 column over the candidate's cached
 is w_e = sigmoid(z_i . z_j) = sigmoid(``pair_dots(z)``), and the
 structural losses share one cosine column,
 ``pair_dots(unit_rows(yhat))``.  ``normalized_laplacian`` turns a mask
-column into the normalised weights a_e = w_e / sqrt(d_i d_j).  One
-symmetric scatter (``ad.edge_operator``) builds the dense operator
-T = I/2 + A/2 or I/2 - A/2 of a bank; that is the one n x n tape node a
-bank records before its propagation.  ``ForwardResult.w1``/``w2`` build
-the dense masks on demand.
+column into the normalised weights a_e = w_e / sqrt(d_i d_j).  A bank
+hands that column to ``ad.propagate`` as an ``ad.EdgeOperator``, the
+edge form of T = I/2 + A/2 or I/2 - A/2: the op builds the dense T once
+per forward and holds it, and its gradient for T is the per-edge column,
+so a training step allocates no n x n array but the banks' operators,
+and no tape node outputs one.  ``ForwardResult.w1``/``w2`` build the
+dense masks on demand.
 
 A forward multiplies the features X by its weights once:
 ``_feature_products`` multiplies X by the mask nets' weights and the
@@ -33,12 +35,12 @@ A bank's ``FilterBankSpec`` holds every choice about it:
 ``coefficients`` tables its J - 1 kernels, each a polynomial in T, and
 ``off_diagonal`` is the sign of A in its T.  ``ad.propagate`` applies
 the table to blocks by repeated dense products T @ Y: one tape node per
-bank, whose backward forms dT as one product.  ``embedding`` pushes X
-through T once for all scales (the chain order); ``forward`` folds the
-scales' blocks X W_j into one n x C block by Horner's rule (the Horner
-order).  No n x n matrix is ever squared.  Each step multiplies T on
-the side BLAS runs faster, chosen from the block's shape (see
-``autodiff._step``).
+bank, whose backward reads the T gradient at the bank's edges.
+``embedding`` pushes X through T once for all scales (the chain
+order); ``forward`` folds the scales' blocks X W_j into one n x C block
+by Horner's rule (the Horner order).  No n x n matrix is ever squared.
+Each step multiplies T on the side BLAS runs faster, chosen from the
+block's shape (see ``autodiff._step``).
 
 ``_parameter_shapes`` is the one table of the parameters: the model
 draws them from it, and the checkpoint loader checks a file against it.
@@ -145,14 +147,15 @@ def _base_operator(l: Tensor, spec: FilterBankSpec) -> Tensor:
     return half
 
 
-def _edge_operator(w: Tensor, a_f: CandidateGraph, spec: FilterBankSpec) -> Tensor:
-    """T from a weight column over ``a_f.edge_pairs()``, by one scatter.
+def _edge_operator(w: Tensor, a_f: CandidateGraph,
+                   spec: FilterBankSpec) -> ad.EdgeOperator:
+    """T in edge form, from a weight column over ``a_f.edge_pairs()``.
 
     With L = I - A: I - L/2 = I/2 + A/2 and L/2 = I/2 - A/2.
     """
     pairs = a_f.edge_pairs()
     a_hat = normalized_laplacian(w, pairs=pairs, n=a_f.n)
-    return ad.edge_operator(a_hat, pairs, a_f.n, 0.5, spec.off_diagonal)
+    return ad.EdgeOperator(a_hat, pairs, a_f.n, 0.5, spec.off_diagonal)
 
 
 def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
@@ -186,8 +189,7 @@ def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
     exactly symmetric, zero on the diagonal and off the candidate."""
     if w is None:
         return None
-    with ad.no_grad():
-        return ad.edge_operator(w, a_f.edge_pairs(), a_f.n, 0.0, 1.0)
+    return ad.constant(ad.edge_operator(w.data, a_f.edge_pairs(), a_f.n, 0.0, 1.0))
 
 
 def check_config(variant: str, kernel_mode: str, j_max: int) -> None:

@@ -2,7 +2,10 @@
 
 Each split trains a fresh model with Adam, tracks validation accuracy
 every epoch, restores the best-validation parameters, and reports test
-accuracy of the restored model.  The protocol aggregates mean and
+accuracy of the restored model, read off the best epoch's training
+forward: the parameters are snapshotted before that forward's backward,
+and its probabilities and edge columns are kept with the snapshot, so no
+forward runs after training.  The protocol aggregates mean and
 population standard deviation over all splits; splits are independent
 and may run in parallel processes.
 """
@@ -155,17 +158,23 @@ def evaluate(model: fm.FgGSLModel, bundle: DatasetBundle, index_set,
     return accuracy_from_probs(fwd.yhat.data, bundle.graph.labels, index_set)
 
 
-def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels, val_idx) -> dict:
+def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
+         val_idx) -> tuple[dict, np.ndarray, object]:
     """Shared early-stopping loop.
 
-    ``step_fn`` runs one forward+loss on the tape and returns
-    (loss tensor, LossBreakdown, probs ndarray).  Validation accuracy is
-    read off the training forward, so the snapshot taken on improvement
-    matches the parameters that produced it (the step comes after).
+    ``step_fn`` runs one forward+loss on the tape and returns (loss
+    tensor, LossBreakdown, probs ndarray, outputs), where ``outputs`` is
+    anything else of that forward the caller wants back.  Validation
+    accuracy is read off the training forward, and on an improvement the
+    parameters are snapshotted before the backward, so the snapshot holds
+    the parameters that produced that accuracy.  That forward's probs and
+    outputs are kept with the snapshot.  Returns the summary, then the
+    best forward's probs and outputs; the parameters are restored to it.
     """
     adam = Adam(params, config.lr, config.weight_decay)
     best_val = -1.0
     best_state = params.snapshot()
+    best_probs = best_outputs = None
     best_epoch = 0
     stale = 0
     curves = {"ce": [], "ho": [], "ht": [], "total": [], "val_acc": []}
@@ -174,8 +183,14 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels, val_idx) ->
         params.zero_grad()
         try:
             with ad.tape_scope():
-                loss, breakdown, probs = step_fn()
+                loss, breakdown, probs, outputs = step_fn()
                 val_acc = accuracy_from_probs(probs, labels, val_idx)
+                if val_acc > best_val:
+                    best_val, best_epoch, stale = val_acc, epoch, 0
+                    best_state = params.snapshot()
+                    best_probs, best_outputs = probs, outputs
+                else:
+                    stale += 1
                 ad.backward(loss, params)
             adam.step()
         except NumericError as exc:
@@ -186,19 +201,13 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels, val_idx) ->
         curves["ht"].append(breakdown.ht)
         curves["total"].append(breakdown.total)
         curves["val_acc"].append(val_acc)
-        if val_acc > best_val:
-            best_val = val_acc
-            best_state = params.snapshot()
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
         if stale >= config.patience:
             break
     params.restore(best_state)
-    return {"best_epoch": best_epoch, "best_val_acc": best_val,
-            "epochs_run": len(curves["total"]), "curves": curves,
-            "max_update_scale": max_update_scale}
+    fit = {"best_epoch": best_epoch, "best_val_acc": best_val,
+           "epochs_run": len(curves["total"]), "curves": curves,
+           "max_update_scale": max_update_scale}
+    return fit, best_probs, best_outputs
 
 
 def _result_row(fit: dict, started: float, probs, labels, test_idx,
@@ -210,7 +219,11 @@ def _result_row(fit: dict, started: float, probs, labels, test_idx,
 
 
 def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
-    """Train one model on one (train, val, test) split; returns (model, row)."""
+    """Train one model on one (train, val, test) split; returns (model, row).
+
+    The test accuracy and the learned-edge audit are read off the
+    training forward of the restored parameters, so none runs after.
+    """
     train_idx, val_idx, test_idx = split
     graph = bundle.graph
     a_f = fm.bank_graph(graph, config.variant, config.candidate_mode)
@@ -222,17 +235,15 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
         loss, breakdown, fwd = fm.total_loss(
             net, graph, a_f, config.alpha, config.beta, train_idx,
             true_labels_on_train=config.true_labels_on_train)
-        return loss, breakdown, fwd.yhat.data
+        return loss, breakdown, fwd.yhat.data, fwd.edge_columns()
 
     started = time.perf_counter()
-    fit = _fit(step_fn, net.params, config, graph.labels, val_idx)
-    with ad.no_grad():
-        fwd = fm.forward(net, ad.constant(graph.features), a_f)
+    fit, probs, columns = _fit(step_fn, net.params, config, graph.labels, val_idx)
     audit = None
     if fm.learns_masks(config.variant):
         audit = dataclasses.asdict(learned_edge_audit(
-            *fwd.edge_columns(), graph.labels, pairs=a_f.edge_pairs()))
-    return net, _result_row(fit, started, fwd.yhat.data, graph.labels, test_idx, audit)
+            *columns, graph.labels, pairs=a_f.edge_pairs()))
+    return net, _result_row(fit, started, probs, graph.labels, test_idx, audit)
 
 
 def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
@@ -246,16 +257,11 @@ def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
         ce = ad.softmax_cross_entropy(logits, ad.constant(graph.labels), train_idx)
         breakdown = fm.LossBreakdown(ce=ce.item(), ho=0.0, ht=0.0, total=ce.item(),
                                      alpha=0.0, beta=0.0)
-        return ce, breakdown, ad.softmax_rows(logits).data
-
-    def eval_fn():
-        with ad.no_grad():
-            logits = net.logits(ad.constant(graph.features))
-            return ad.softmax_rows(logits).data
+        return ce, breakdown, ad.softmax_rows(logits).data, None
 
     started = time.perf_counter()
-    fit = _fit(step_fn, net.params, config, graph.labels, val_idx)
-    return net, _result_row(fit, started, eval_fn(), graph.labels, test_idx)
+    fit, probs, _ = _fit(step_fn, net.params, config, graph.labels, val_idx)
+    return net, _result_row(fit, started, probs, graph.labels, test_idx)
 
 
 class MlpModel:

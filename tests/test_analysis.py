@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,24 @@ def test_prop1_randomized_sweep_no_violations():
         j_idx = rng.integers(0, n, size=500)
         recs = analysis.prop1_check(y, yhat, (i_idx, j_idx))
         assert all(rec.holds for rec in recs)
+
+
+def test_prop1_memory_follows_the_pairs_not_n_squared():
+    # 10 pairs at n = 3000: the pair layer computes only the row blocks
+    # that hold a pair, about 1 MiB each; one n x n Gram matrix is 68.7 MiB
+    rng = np.random.default_rng(1)
+    n = 3000
+    y = np.eye(3)[rng.integers(0, 3, size=n)]
+    yhat = _random_probs(rng, n, 3)
+    pairs = (rng.integers(0, n, size=10), rng.integers(0, n, size=10))
+    tracemalloc.start()
+    try:
+        recs = analysis.prop1_check(y, yhat, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 10 and all(rec.holds for rec in recs)
+    assert peak < 4 * 2 ** 20
 
 
 def test_prop1_zero_norm_prediction_names_row():

@@ -788,30 +788,126 @@ def test_grad_check_edge_scale():
 
 def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
     w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    t = ad.edge_operator(ad.constant(w), EDGES, 6, 0.5, -0.25).data
+    t = ad.edge_operator(w, EDGES, 6, 0.5, -0.25)
     expected = 0.5 * np.eye(6)
     for (i, j), v in zip(zip(*EDGES), w[:, 0]):
         expected[i, j] = expected[j, i] = -0.25 * v
     assert np.array_equal(t, expected)
 
 
+def _edge_column(rng, n, edges):
+    """``edges`` distinct undirected pairs on n nodes, each i < j, in
+    row-major order, with weights in (0.1, 0.5)."""
+    iu, ju = np.triu_indices(n, 1)
+    pick = np.sort(rng.choice(iu.size, size=edges, replace=False))
+    return (iu[pick], ju[pick]), rng.uniform(0.1, 0.5, size=(edges, 1))
+
+
 def test_grad_check_edge_operator():
-    rng = np.random.default_rng(54)
-    params = ad.ParameterSet()
-    w = params.add("w", rng.uniform(-1, 1, size=(5, 1)))
-    weights = ad.constant(rng.standard_normal((6, 6)))
+    # the edge form's per-edge T gradient, both signs of A, J = 2..4 (2^J
+    # steps), with Z tracked and untracked; at n = TALL every step runs
+    # transposed, and Z stays off the checked set (2 n w entries to probe)
+    for n, edges in ((6, 5), (TALL, 12)):
+        for j_max, off, z_tracked in itertools.product((2, 3, 4), (0.5, -0.5), (True, False)):
+            k_in, m_out = ORDERS[j_max % 3]
+            rng = np.random.default_rng(60 + j_max)
+            pairs, w0 = _edge_column(rng, n, edges)
+            params = ad.ParameterSet()
+            w = params.add("w", w0)
+            z0 = rng.standard_normal((n, 3 * k_in))
+            if not z_tracked:
+                z = ad.constant(z0)
+            elif n == TALL:
+                z = ad.parameter(z0, "z")
+            else:
+                z = params.add("z", z0)
+            assert ad._tall_skinny(n, 3 * min(k_in, m_out)) == (n == TALL)
+            coeffs = rng.standard_normal((2 ** j_max + 1, k_in, m_out))
+            weights = ad.constant(rng.standard_normal((n, 3 * m_out)))
 
-    def loss_fn():
-        t = ad.edge_operator(w, EDGES, 6, 0.5, 0.5)
-        return ad.sum_all(ad.hadamard(ad.tanh(ad.matmul(t, t)), weights))
+            def loss_fn():
+                out = ad.propagate(ad.EdgeOperator(w, pairs, n, 0.5, off), z, coeffs)
+                return ad.sum_all(ad.hadamard(ad.tanh(out), weights))
 
-    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
+            errors = ad.grad_check(loss_fn, params, 1e-6)
+            assert errors.relative <= 1e-6, (n, j_max, off, z_tracked)
+
+
+@pytest.mark.parametrize("n", [6, TALL], ids=["direct", "transposed"])
+@pytest.mark.parametrize("k_in, m_out", ORDERS)
+def test_edge_operator_propagates_like_its_dense_form(n, k_in, m_out):
+    # the same values and Z gradient as the dense T, and the edge column's
+    # gradient is off * (dT[i, j] + dT[j, i]) of the dense T's gradient
+    rng = np.random.default_rng(61)
+    pairs, w0 = _edge_column(rng, n, 2 * n)
+    coeffs = rng.standard_normal((5, k_in, m_out))
+    z0 = rng.standard_normal((n, 3 * k_in))
+    weights = ad.constant(rng.standard_normal((n, 3 * m_out)))
+    w, z_edge = ad.parameter(w0, "w"), ad.parameter(z0, "z")
+    t = ad.parameter(ad.edge_operator(w0, pairs, n, 0.5, -0.5), "t")
+    z_dense = ad.parameter(z0, "z")
+    edge = ad.propagate(ad.EdgeOperator(w, pairs, n, 0.5, -0.5), z_edge, coeffs)
+    ad.backward(ad.sum_all(ad.hadamard(edge, weights)), [w, z_edge])
+    dense = ad.propagate(t, z_dense, coeffs)
+    ad.backward(ad.sum_all(ad.hadamard(dense, weights)), [t, z_dense])
+    assert np.linalg.norm(edge.data - dense.data) <= 1e-12 * np.linalg.norm(dense.data)
+    i_idx, j_idx = pairs
+    per_edge = -0.5 * (t.grad[i_idx, j_idx] + t.grad[j_idx, i_idx])
+    assert np.max(np.abs(w.grad[:, 0] - per_edge)) <= 1e-12 * np.max(np.abs(per_edge))
+    assert np.max(np.abs(z_edge.grad - z_dense.grad)) <= 1e-12 * np.max(np.abs(z_dense.grad))
+
+
+def test_pair_layer_gives_the_one_block_results_in_many_blocks(monkeypatch):
+    # 30 nodes: one block by default, blocks of three rows at 100 entries;
+    # the pairs are unsorted, repeated, given in both orientations and
+    # include self pairs, and the edge list is shuffled and half flipped
+    n = 30
+    rng = np.random.default_rng(62)
+    a0 = rng.standard_normal((n, 4))
+    i_idx, j_idx = rng.integers(0, n, 60), rng.integers(0, n, 60)
+    pairs = (np.concatenate([i_idx, j_idx[:10], [7, 7]]),
+             np.concatenate([j_idx, i_idx[:10], [7, 7]]))
+    (ei, ej), w0 = _edge_column(rng, n, 80)
+    shuffle, flip = rng.permutation(80), rng.random(80) < 0.5
+    ei, ej = ei[shuffle], ej[shuffle]
+    edges = (np.where(flip, ej, ei), np.where(flip, ei, ej))
+    w0 = w0[shuffle]
+    z0 = rng.standard_normal((n, 6))
+    coeffs = rng.standard_normal((9, 2, 1))
+    pair_weights = ad.constant(rng.standard_normal((pairs[0].size, 1)))
+    out_weights = ad.constant(rng.standard_normal((n, 3)))
+
+    def results():
+        a, w, z = ad.parameter(a0, "a"), ad.parameter(w0, "w"), ad.parameter(z0, "z")
+        dots = ad.pair_dots(a, pairs)
+        out = ad.propagate(ad.EdgeOperator(w, edges, n, 0.5, 0.5), z, coeffs)
+        loss = ad.add(ad.sum_all(ad.hadamard(ad.tanh(dots), pair_weights)),
+                      ad.sum_all(ad.hadamard(ad.tanh(out), out_weights)))
+        ad.backward(loss, [a, w, z])
+        return [dots.data, out.data, a.grad, w.grad, z.grad]
+
+    assert len(ad._PairRows(*pairs, n).blocks) == 1
+    one = results()
+    monkeypatch.setattr(ad, "PAIR_BLOCK_ENTRIES", 100)
+    assert len(ad._PairRows(*pairs, n).blocks) > 5
+    assert len(ad._PairRows(*edges, n).blocks) > 5
+    many = results()
+    for x, y in zip(one, many):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_pair_rows_skip_blocks_without_a_pair(monkeypatch):
+    # rows 0-2 and 9-11 hold pairs; rows 3-8 and 12-29 none
+    monkeypatch.setattr(ad, "PAIR_BLOCK_ENTRIES", 90)
+    rows = ad._PairRows(np.array([10, 1, 2]), np.array([11, 20, 0]), 30)
+    assert [block[:2] for block in rows.blocks] == [(0, 3), (9, 12)]
 
 
 @pytest.mark.parametrize("op", [
     lambda w: ad.edge_degrees(w, EDGES, 6),
     lambda w: ad.edge_scale(w, ad.constant(np.ones((6, 1))), EDGES),
-    lambda w: ad.edge_operator(w, EDGES, 6, 0.5, 0.5),
+    lambda w: ad.propagate(ad.EdgeOperator(w, EDGES, 6, 0.5, 0.5),
+                           ad.constant(np.ones((6, 1))), np.ones((2, 1, 1))),
 ], ids=["degrees", "scale", "operator"])
 def test_edge_ops_reject_a_column_of_another_length(op):
     with pytest.raises(DimensionError):

@@ -76,11 +76,13 @@ def test_laplacian_differentiable_wrt_weights():
     pairs = np.nonzero(np.triu(base, 1))
     params = ad.ParameterSet()
     w = params.add("w", base[pairs].reshape(-1, 1))
+    x = ad.constant(rng.standard_normal((4, 2)))
+    coeffs = np.array([[[0.0]], [[1.0]], [[1.0]]])         # L X + L^2 X
 
     def loss_fn():
         a_hat = graphs.normalized_laplacian(w, pairs=pairs, n=4)
-        lap = ad.edge_operator(a_hat, pairs, 4, 1.0, -1.0)
-        return ad.sum_all(ad.hadamard(lap, lap))
+        lx = ad.propagate(ad.EdgeOperator(a_hat, pairs, 4, 1.0, -1.0), x, coeffs)
+        return ad.sum_all(ad.hadamard(lx, lx))
 
     assert ad.grad_check(loss_fn, params, 1e-6).relative <= 1e-4
 

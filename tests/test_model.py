@@ -304,9 +304,7 @@ def test_training_step_pushes_c_columns_through_each_operator(
     edge_operator = ad.edge_operator
 
     def counted(*args):
-        t = edge_operator(*args)
-        t.data = t.data.view(counted_operator)
-        return t
+        return edge_operator(*args).view(counted_operator)
 
     monkeypatch.setattr(ad, "edge_operator", counted)
     loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
@@ -356,22 +354,60 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
     # I - L/2 (fig3 low, verbatim high) or L/2, from the dense Laplacian
     spec = model.FilterBankSpec(2, mode, kind)
     expected = model._base_operator(ad.constant(normalized_laplacian(dense)), spec).data
-    t = model._edge_operator(ad.constant(w), cand, spec).data
+    t = model._edge_operator(ad.constant(w), cand, spec).dense()
     assert np.array_equal(t, t.T)
     assert np.max(np.abs(t - expected)) <= 1e-14
 
 
 @pytest.mark.parametrize("variant, banks", [("full", 2), ("FBL", 1), ("FBH", 1), ("NM", 0)])
-def test_given_training_step_records_one_n_by_n_node_per_bank(variant, banks):
-    # n = 30 differs from F = C = 3, d = 4 and the stacked step width 2^J C = 24
+def test_given_training_step_records_one_n_by_n_node_per_bank(monkeypatch, variant, banks):
+    # n = 30 differs from F = C = 3, d = 4 and the stacked step width 2^J C = 24.
+    # A bank's one node is its propagation, which holds the operator T it
+    # builds from the edge column; no node outputs an n x n array.  The
+    # ``banks`` learned columns are tracked; NM's are constants
     g = _random_graph(28, n=30, classes=3)
     m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=29)
     cand = datasets.candidate_graph(g, "given")
+    built, tracked = [], []
+    edge_operator, propagate = ad.edge_operator, ad.propagate
+
+    def counted_build(*args):
+        built.append(args[2])
+        return edge_operator(*args)
+
+    def counted_propagate(t, z, coeffs):
+        tracked.append(t.w.requires_grad)
+        return propagate(t, z, coeffs)
+
+    monkeypatch.setattr(ad, "edge_operator", counted_build)
+    monkeypatch.setattr(ad, "propagate", counted_propagate)
     with ad.tape_scope():
         model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
         square = [out for out, _, _ in ad.tape().nodes() if out.shape == (30, 30)]
-    # each bank's operator T; NM's T is built from constants, off the tape
-    assert len(square) == banks
+    assert square == []
+    assert built == [30] * len(model.BANKS[variant])
+    assert sum(tracked) == banks
+
+
+def test_given_training_step_allocates_no_n_by_n_array_but_the_bank_operators():
+    # one step of the full variant at n = 800 on 25,365 given edges peaks
+    # at 3.67 n^2 float64s: the two bank operators, plus about 42 per edge
+    # for the edge columns on the tape, their gradients and one 1 MiB pair
+    # block.  With n x n masks, Gram matrices or a dense dT it peaked at
+    # 4.12 n^2 = 2 n^2 + 53 per edge
+    g = datasets.gen_synthetic(800, 4, 0.02, 0.1, proto_noise=1.0, seed=3)
+    cand = datasets.candidate_graph(g, "given")
+    m = model.FgGSLModel(g.num_features, g.num_classes, j_max=3, mask_dim=8, seed=4)
+    cand.edge_pairs()
+    tracemalloc.start()
+    try:
+        loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
+        ad.backward(loss, m.params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    banks = len(model.BANKS["full"])
+    assert peak < 8 * (banks * g.n ** 2 + 48 * cand.num_edges)
 
 
 def test_forward_masks_are_the_scattered_edge_columns():
