@@ -14,22 +14,18 @@ runs in the chain order (push the K inputs through T) or the Horner
 order (push the M outputs), whichever is narrower, and records one tape
 node.  Its VJP runs the transposed polynomial in the other order at the
 same width.  Each step multiplies T on the side where BLAS is faster: a
-tall, skinny block Y (n >= 512 rows, 3 to n/4 columns) as (Y^T T^T)^T,
+tall, skinny block Y (n >= 512 rows, 3 to n/4 columns) as (Y^T T)^T,
 any other as T @ Y (``_step`` holds the measurements).
 
-T comes in two forms.  A dense n x n Tensor is any operator, and its
-gradient dT is one product of the stacked step gradients and step
-inputs; ``filter_bank_apply`` uses this form.  An ``EdgeOperator`` is
-diag * I + off * W of an undirected edge column: the op builds T with
-one symmetric scatter (``edge_operator``) and holds it in its node, the
-steps multiply T itself where the dense form multiplies T^T, and the
-gradient is the per-edge column off * (dT[i, j] + dT[j, i]), read one
-row block at a time, so no n x n dT is formed.  The model's banks use
-this form.  ``block`` returns a read-only view, so reading a slice
-copies nothing, and ``side_by_side`` lays the row blocks of several
-weights next to each other in one array, so one product with X serves
-all of them; with one block per part it is the plain column
-concatenation.
+T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
+column, so it is exactly symmetric and T^T is T.  The op builds T with
+one symmetric scatter (``edge_operator``) and holds it in its node, and
+the gradient is the per-edge column off * (dT[i, j] + dT[j, i]), read
+one row block at a time, so no n x n dT is formed.  ``block`` returns a
+read-only view, so reading a slice copies nothing, and ``side_by_side``
+lays the row blocks of several weights next to each other in one array,
+so one product with X serves all of them; with one block per part it is
+the plain column concatenation.
 
 Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
@@ -340,12 +336,13 @@ def side_by_side(parts: list[tuple[Tensor, int]]) -> Tensor:
 
 
 def _tall_skinny(n: int, w: int) -> bool:
-    """Whether ``_step`` multiplies an n x w block as (Y^T T^T)^T."""
+    """Whether ``_step`` multiplies an n x w block as (Y^T T)^T."""
     return n >= 512 and 3 <= w <= n // 4
 
 
-def _step(td: np.ndarray, tt: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """T @ Y, on the side of the product where BLAS is faster; ``tt`` is T^T.
+def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T @ Y for a symmetric T, on the side of the product where BLAS is
+    faster.
 
     OpenBLAS runs a product with a tall, skinny right operand slowly.
     The transposed form Y^T T^T is the same product with the operands'
@@ -362,21 +359,21 @@ def _step(td: np.ndarray, tt: np.ndarray, y: np.ndarray) -> np.ndarray:
         2000   0.87/0.59  0.77/0.55  0.75/0.46  0.67/0.46  0.75/0.70  1.04/0.95
 
     So a block of n >= 512 rows, 3 to n/4 columns wide, runs transposed
-    (``_tall_skinny``), and every other block runs as T @ Y.  An exactly
-    symmetric T passes itself as ``tt``, so the transposed form reads T
-    in its own row order: (Y^T T)^T took 0.82 ms against 0.93 ms for
-    (Y^T T^T)^T at n = 1000, w = 5.
+    (``_tall_skinny``), and every other block runs as T @ Y.  T is
+    symmetric, so the transposed form is (Y^T T)^T and reads T in its own
+    row order: (Y^T T)^T took 0.82 ms against 0.93 ms for (Y^T T^T)^T at
+    n = 1000, w = 5.
     """
     n, w = y.shape
     if _tall_skinny(n, w):
-        return (y.T @ tt).T
-    return td @ y
+        return (y.T @ t).T
+    return t @ y
 
 
-def _polynomial(td: np.ndarray, tt: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
+def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
                 horner: bool, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """out_m = sum over s, k of coeffs[s, k, m] T^s Z_k, by S = len(coeffs) - 1
-    products with T; ``tt`` is T^T (see ``_step``).
+    products with the symmetric T (see ``_step``).
 
     The chain order applies T to the K blocks of Z, Y_s = T Y_(s-1), and
     adds Y_s's blocks into the outputs.  The Horner order folds the
@@ -404,7 +401,7 @@ def _polynomial(td: np.ndarray, tt: np.ndarray, z: np.ndarray, coeffs: np.ndarra
         for s in range(steps - 1, -1, -1):
             if keep:
                 stack[:, s * width:(s + 1) * width] = out
-            out = _step(td, tt, out)
+            out = _step(t, out)
             add_terms(out, z, s)
         return out, stack
     y = z
@@ -412,7 +409,7 @@ def _polynomial(td: np.ndarray, tt: np.ndarray, z: np.ndarray, coeffs: np.ndarra
         if s:
             if keep:
                 stack[:, (s - 1) * width:s * width] = y
-            y = _step(td, tt, y)
+            y = _step(t, y)
         add_terms(out, y, s)
     return out, stack
 
@@ -440,7 +437,7 @@ class EdgeOperator(NamedTuple):
         return edge_operator(self.w.data, self.pairs, self.n, self.diag, self.off)
 
 
-def propagate(t: Tensor | EdgeOperator, z: Tensor, coeffs) -> Tensor:
+def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     """The polynomials out_m = sum_s sum_k coeffs[s, k, m] T^s Z_k in T.
 
     ``z`` holds K column blocks Z_k of one width, ``coeffs`` has shape
@@ -449,21 +446,17 @@ def propagate(t: Tensor | EdgeOperator, z: Tensor, coeffs) -> Tensor:
     S products of the n x n operator T with a block, and no product
     has two n x n operands.  It runs them in the narrower order: the
     chain order pushes the K input blocks through T (K <= M), the Horner
-    order the M output blocks (M < K).
+    order the M output blocks (M < K).  ``t`` is built into one dense,
+    exactly symmetric T held by the op.
 
-    ``t`` is T in one of two forms.  A dense n x n Tensor is any operator.
-    An ``EdgeOperator`` is built into one dense, exactly symmetric T held
-    by the op, and its gradient is one per edge.
-
-    The op records one tape node, on (T or the edge column, Z).  Its VJP
-    for Z is the same polynomial run on T^T with coeffs transposed over
-    (k, m), in the opposite order and so at the same width.  Both orders
-    keep the input of every step, and block s of the backward's steps is
-    the gradient of the output of the forward's step whose input is
-    block s.  So dT is one product, B F^T, of the backward steps B and
-    the forward steps F, with inner dimension S times the width.  The
-    edge form reads off * (dT + dT^T) at its pairs instead, one row block
-    of [B | F] [F | B]^T at a time (``_PairRows``).
+    The op records one tape node, on (the edge column, Z).  Its VJP for Z
+    is the same polynomial in T = T^T with coeffs transposed over (k, m),
+    in the opposite order and so at the same width.  Both orders keep the
+    input of every step, and block s of the backward's steps B is the
+    gradient of the output of the forward's step whose input is block s
+    of the forward's steps F.  So dT = B F^T, and the edge column's
+    gradient reads off * (dT + dT^T) at its pairs, one row block of
+    [B | F] [F | B]^T at a time (``_PairRows``).
     """
     n, width = z.shape
     if t.shape != (n, n):
@@ -478,30 +471,21 @@ def propagate(t: Tensor | EdgeOperator, z: Tensor, coeffs) -> Tensor:
     live = np.flatnonzero(coeffs.any(axis=(1, 2)))
     coeffs = coeffs[:live[-1] + 1 if live.size else 1]
     horner = coeffs.shape[2] < coeffs.shape[1]
-    edges = isinstance(t, EdgeOperator)
-    if edges:
-        source, td = t.w, t.dense()
-        tt = td
-    else:
-        source, td = t, t.data
-        tt = td.T
-    keep = _records((source, z)) and source.requires_grad
-    out, forward_steps = _polynomial(td, tt, z.data, coeffs, horner, keep)
+    w, td = t.w, t.dense()
+    keep = _records((w, z)) and w.requires_grad
+    out, forward_steps = _polynomial(td, z.data, coeffs, horner, keep)
 
     def vjp(g):
-        dz, backward_steps = _polynomial(tt, td, g, coeffs.transpose(0, 2, 1),
-                                         not horner, source.requires_grad)
-        if not source.requires_grad:
-            dt = None
-        elif edges:
+        dz, backward_steps = _polynomial(td, g, coeffs.transpose(0, 2, 1),
+                                         not horner, w.requires_grad)
+        dw = None
+        if w.requires_grad:
             rows = _PairRows(*_pair_indices(t.pairs, "propagate"), n)
-            dt = t.off * rows.read(np.hstack([backward_steps, forward_steps]),
+            dw = t.off * rows.read(np.hstack([backward_steps, forward_steps]),
                                    np.hstack([forward_steps, backward_steps]))
-        else:
-            dt = backward_steps @ forward_steps.T
-        return dt, dz if z.requires_grad else None
+        return dw, dz if z.requires_grad else None
 
-    return _emit(out, (source, z), vjp)
+    return _emit(out, (w, z), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -691,18 +675,18 @@ def edge_scale(w: Tensor, r: Tensor, pairs) -> Tensor:
         raise DimensionError(f"edge_scale: weights {w.shape}, scales {r.shape} "
                              f"for {i_idx.size} pairs")
     rv, wv = r.data[:, 0], w.data[:, 0]
-    ri, rj = rv[i_idx], rv[j_idx]
-    rr = ri * rj
 
     def vjp(g):
+        # the |E|-length gathers are redone here, not held on the tape
+        ri, rj = rv[i_idx], rv[j_idx]
         gw = g[:, 0] * wv
         n = r.shape[0]
         gr = (np.bincount(i_idx, weights=gw * rj, minlength=n)
               + np.bincount(j_idx, weights=gw * ri, minlength=n))
-        return (g * rr[:, None] if w.requires_grad else None,
+        return (g * (ri * rj)[:, None] if w.requires_grad else None,
                 gr.reshape(-1, 1) if r.requires_grad else None)
 
-    return _emit((rr * wv).reshape(-1, 1), (w, r), vjp)
+    return _emit((rv[i_idx] * rv[j_idx] * wv).reshape(-1, 1), (w, r), vjp)
 
 
 def edge_operator(w: np.ndarray, pairs, n: int, diag: float, off: float) -> np.ndarray:

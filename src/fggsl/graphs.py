@@ -70,7 +70,9 @@ class SpectralDecomposition:
         return _sign_normalize(self.eigenvectors)
 
 
-def _check_symmetric(m: np.ndarray, what: str):
+def check_symmetric(m: np.ndarray, what: str):
+    """Raise unless ``m`` is square and symmetric within ``SYMMETRY_TOL``;
+    ``what`` names the caller in the message."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what}: expected square matrix, got {m.shape}")
     worst = np.max(np.abs(m - m.T)) if m.size else 0.0
@@ -113,7 +115,7 @@ def normalized_laplacian(weights, pairs=None, n: int | None = None):
         r = ad.rsqrt_clamped(ad.edge_degrees(weights, pairs, n), DEGREE_EPS)
         return ad.edge_scale(weights, r, pairs)
     w = np.asarray(weights, dtype=np.float64)
-    _check_symmetric(w, "normalized_laplacian")
+    check_symmetric(w, "normalized_laplacian")
     n = w.shape[0]
     r = 1.0 / np.sqrt(np.maximum(w @ np.ones((n, 1)), DEGREE_EPS))
     return np.eye(n) - (r @ r.T) * w
@@ -122,7 +124,7 @@ def normalized_laplacian(weights, pairs=None, n: int | None = None):
 def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the undirected edges (positive weights) joining distinct classes."""
     a = np.asarray(adjacency, dtype=np.float64)
-    _check_symmetric(a, "heterophily_ratio")
+    check_symmetric(a, "heterophily_ratio")
     pairs = edge_pairs(a)
     if pairs[0].size == 0:
         raise ContractError("heterophily_ratio: graph has no edges")
@@ -138,7 +140,7 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     a = np.asarray(m, dtype=np.float64)
     if not np.isfinite(a).all():
         raise NumericError("symmetric_eig: matrix has NaN/Inf entries")
-    _check_symmetric(a, "symmetric_eig")
+    check_symmetric(a, "symmetric_eig")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -153,7 +155,7 @@ def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"operator_distance: shapes differ, {a.shape} vs {b.shape}")
     diff = a - b
-    _check_symmetric(diff, "operator_distance")
+    check_symmetric(diff, "operator_distance")
     if not np.any(diff):
         return 0.0
     values = symmetric_eig(diff).eigenvalues
@@ -206,7 +208,7 @@ def perturb_laplacian(l: np.ndarray, magnitude: float, seed: int,
     if magnitude < 0:
         raise ContractError(f"perturb_laplacian: negative magnitude {magnitude}")
     l = np.asarray(l, dtype=np.float64)
-    _check_symmetric(l, "perturb_laplacian")
+    check_symmetric(l, "perturb_laplacian")
     n = l.shape[0]
     if magnitude == 0.0:
         e = np.zeros((n, n))

@@ -21,8 +21,10 @@ hands that column to ``ad.propagate`` as an ``ad.EdgeOperator``, the
 edge form of T = I/2 + A/2 or I/2 - A/2: the op builds the dense T once
 per forward and holds it, and its gradient for T is the per-edge column,
 so a training step allocates no n x n array but the banks' operators,
-and no tape node outputs one.  ``ForwardResult.w1``/``w2`` build the
-dense masks on demand.
+and no tape node outputs one.  ``filter_bank_apply`` reads the same edge
+column off a dense L = I - A and runs the same route, so a check of it
+against an eigendecomposition checks the banks that training runs.
+``ForwardResult.w1``/``w2`` build the dense masks on demand.
 
 A forward multiplies the features X by its weights once:
 ``_feature_products`` multiplies X by the mask nets' weights and the
@@ -58,7 +60,7 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .datasets import CandidateGraph, candidate_graph, candidate_k
 from .errors import ContractError, ValidationError
-from .graphs import LabeledGraph, normalized_laplacian
+from .graphs import LabeledGraph, check_symmetric, normalized_laplacian
 
 KERNEL_MODES = ("fig3", "verbatim")
 BANK_KINDS = ("low", "high")
@@ -139,14 +141,6 @@ def kernel_value(j: int, lam, mode: str, kind: str):
     return out if out.ndim else float(out)
 
 
-def _base_operator(l: Tensor, spec: FilterBankSpec) -> Tensor:
-    """The matrix T whose powers realize the kernel polynomial, from a dense L."""
-    half = ad.scale(0.5, l)
-    if spec.off_diagonal > 0:
-        return ad.sub(ad.constant(np.eye(l.shape[0])), half)
-    return half
-
-
 def _edge_operator(w: Tensor, a_f: CandidateGraph,
                    spec: FilterBankSpec) -> ad.EdgeOperator:
     """T in edge form, from a weight column over ``a_f.edge_pairs()``.
@@ -159,13 +153,32 @@ def _edge_operator(w: Tensor, a_f: CandidateGraph,
 
 
 def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
-    """Column-concatenated responses of every scale in the bank, from a dense L.
+    """Column-concatenated responses of every scale in the bank, from a
+    dense normalised Laplacian L = I - A.
 
-    One propagation in the chain order serves every scale: the bank costs
+    L must be a square, symmetric (within ``graphs.SYMMETRY_TOL``)
+    constant with ones on its diagonal, as ``normalized_laplacian`` of a
+    weight matrix with a zero diagonal gives; anything else raises a
+    ContractError.  The nonzero entries of L's strict upper triangle are
+    the edge column a = -L[i, j], and the bank runs on its
+    ``ad.EdgeOperator``, as ``forward`` and ``embedding`` do.  One
+    propagation in the chain order serves every scale: the bank costs
     2^j_max products of the n x n operator T with the n x F block X, and
     no n x n product.
     """
-    return ad.propagate(_base_operator(l, spec), x, spec.coefficients()[:, None, :])
+    lap = l.data
+    n = lap.shape[0]
+    if lap.shape != (n, n):
+        raise ContractError(f"filter_bank_apply: L of shape {lap.shape} is not square")
+    if l.requires_grad:
+        raise ContractError("filter_bank_apply: L is grad-tracked; no gradient reaches it")
+    if np.any(np.diagonal(lap) != 1.0):
+        raise ContractError("filter_bank_apply: L has a diagonal entry other than 1")
+    check_symmetric(lap, "filter_bank_apply")
+    pairs = np.nonzero(np.triu(lap != 0.0, 1))
+    edges = ad.constant(-lap[pairs].reshape(-1, 1))
+    return ad.propagate(ad.EdgeOperator(edges, pairs, n, 0.5, spec.off_diagonal), x,
+                        spec.coefficients()[:, None, :])
 
 
 def mask_matrix(xw: Tensor, bias: Tensor, a_f: CandidateGraph) -> Tensor:

@@ -98,14 +98,45 @@ def test_bank_coefficients_are_the_kernels_as_polynomials_in_t(mode, kind):
 # filter_bank_apply, one scale at a time
 
 
-def test_filter_apply_zero_laplacian_fig3_low():
-    # T = I, so t^a - t^(2a) = 0 for every scale
-    n, f = 4, 3
-    lap = ad.constant(np.zeros((n, n)))
-    x = ad.constant(np.arange(float(n * f)).reshape(n, f))
-    for j in (2, 3):
-        out = _scale_response(lap, x, j, "fig3", "low")
-        assert np.max(np.abs(out.data)) == 0.0
+def test_filter_apply_fig3_low_annihilates_the_zero_frequency():
+    # on a connected graph, L D^1/2 1 = 0: t = 1 there, and t^a - t^(2a) = 0
+    n = 7
+    a = np.random.default_rng(19).uniform(0.1, 1.0, size=(n, n))
+    a = np.triu(a, 1) + np.triu(a, 1).T
+    x = np.sqrt(a.sum(axis=1, keepdims=True))
+    out = model.filter_bank_apply(ad.constant(normalized_laplacian(a)), ad.constant(x),
+                                  model.FilterBankSpec(3, "fig3", "low"))
+    assert out.shape == (n, 2)
+    assert np.max(np.abs(out.data)) <= 1e-12
+
+
+def _laplacian_of_a_path(n=4):
+    a = np.eye(n, k=1) + np.eye(n, k=-1)
+    return normalized_laplacian(a)
+
+
+def _asymmetric():
+    lap = _laplacian_of_a_path()
+    lap[0, 1] += 1e-6
+    return ad.constant(lap)
+
+
+def _diagonal_off_one():
+    lap = _laplacian_of_a_path()
+    lap[2, 2] = 1.0 - 1e-12
+    return ad.constant(lap)
+
+
+@pytest.mark.parametrize("lap, what", [
+    (lambda: ad.constant(np.eye(4)[:, :3]), "square"),
+    (_asymmetric, "asymmetry"),
+    (_diagonal_off_one, "diagonal"),
+    (lambda: ad.parameter(_laplacian_of_a_path(), "l"), "grad-tracked"),
+], ids=["non-square", "asymmetric", "diagonal", "grad-tracked"])
+def test_filter_bank_apply_takes_only_a_constant_normalized_laplacian(lap, what):
+    with pytest.raises(ContractError, match=f"filter_bank_apply: .*{what}"):
+        model.filter_bank_apply(lap(), ad.constant(np.ones((4, 2))),
+                                model.FilterBankSpec(2, "fig3", "low"))
 
 
 @pytest.mark.parametrize("mode", ["fig3", "verbatim"])
@@ -353,7 +384,8 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
     dense[i_idx, j_idx] = dense[j_idx, i_idx] = w[:, 0]
     # I - L/2 (fig3 low, verbatim high) or L/2, from the dense Laplacian
     spec = model.FilterBankSpec(2, mode, kind)
-    expected = model._base_operator(ad.constant(normalized_laplacian(dense)), spec).data
+    lap = normalized_laplacian(dense)
+    expected = np.eye(15) - 0.5 * lap if spec.off_diagonal > 0 else 0.5 * lap
     t = model._edge_operator(ad.constant(w), cand, spec).dense()
     assert np.array_equal(t, t.T)
     assert np.max(np.abs(t - expected)) <= 1e-14
@@ -391,10 +423,11 @@ def test_given_training_step_records_one_n_by_n_node_per_bank(monkeypatch, varia
 
 def test_given_training_step_allocates_no_n_by_n_array_but_the_bank_operators():
     # one step of the full variant at n = 800 on 25,365 given edges peaks
-    # at 3.67 n^2 float64s: the two bank operators, plus about 42 per edge
+    # at 3.43 n^2 float64s: the two bank operators, plus about 36 per edge
     # for the edge columns on the tape, their gradients and one 1 MiB pair
     # block.  With n x n masks, Gram matrices or a dense dT it peaked at
-    # 4.12 n^2 = 2 n^2 + 53 per edge
+    # 4.12 n^2 = 2 n^2 + 53 per edge, and with three |E|-length columns
+    # held by each normalisation's node at 3.67 n^2 = 2 n^2 + 42 per edge
     g = datasets.gen_synthetic(800, 4, 0.02, 0.1, proto_noise=1.0, seed=3)
     cand = datasets.candidate_graph(g, "given")
     m = model.FgGSLModel(g.num_features, g.num_classes, j_max=3, mask_dim=8, seed=4)
@@ -407,7 +440,7 @@ def test_given_training_step_allocates_no_n_by_n_array_but_the_bank_operators():
     finally:
         tracemalloc.stop()
     banks = len(model.BANKS["full"])
-    assert peak < 8 * (banks * g.n ** 2 + 48 * cand.num_edges)
+    assert peak < 8 * (banks * g.n ** 2 + 40 * cand.num_edges)
 
 
 def test_forward_masks_are_the_scattered_edge_columns():
