@@ -20,7 +20,7 @@ from .errors import ContractError
 from .graphs import (SpectralDecomposition, edge_pairs, heterophilic_fraction,
                      misalignment, operator_distance, perturb_laplacian,
                      perturbation_direction, symmetric_eig)
-from .model import kernel_value
+from .model import BANK_KINDS, kernel_value
 
 
 @dataclass
@@ -212,7 +212,7 @@ def spectral_response_export(j_max: int, mode: str, grid_points: int = 200):
     """Tabulate every kernel over a frequency grid: rows (lam, j, kind, value)."""
     lam = np.linspace(0.0, 2.0, grid_points)
     rows = []
-    for kind in ("low", "high"):
+    for kind in BANK_KINDS:
         for j in range(2, j_max + 1):
             values = kernel_value(j, lam, mode, kind)
             rows.extend((float(l), j, kind, float(v)) for l, v in zip(lam, values))

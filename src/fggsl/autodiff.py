@@ -19,9 +19,9 @@ any other as T @ Y (``_step`` holds the measurements).
 
 T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
 column, so it is exactly symmetric and T^T is T.  The op builds T with
-one symmetric scatter (``edge_operator``) and holds it in its node, and
-the gradient is the per-edge column off * (dT[i, j] + dT[j, i]), read
-one row block at a time, so no n x n dT is formed.  ``block`` returns a
+one symmetric scatter (``EdgeOperator.dense``) and holds it in its
+node, and the gradient is the per-edge column off * (dT[i, j] + dT[j, i]),
+read one row block at a time, so no n x n dT is formed.  ``block`` returns a
 read-only view, so reading a slice copies nothing, and ``side_by_side``
 lays the row blocks of several weights next to each other in one array,
 so one product with X serves all of them; with one block per part it is
@@ -418,9 +418,9 @@ class EdgeOperator(NamedTuple):
     """T = diag * I + off * W of an undirected edge column, for ``propagate``.
 
     ``w`` holds one weight per pair (i, j) with i != j and no pair given
-    twice in either orientation.  ``dense`` builds T with ``edge_operator``;
-    ``propagate``'s gradient for T is the per-edge column
-    off * (dT[i, j] + dT[j, i]), so no n x n dT is formed.
+    twice in either orientation.  ``dense`` builds T; ``propagate``'s
+    gradient for T is the per-edge column off * (dT[i, j] + dT[j, i]), so
+    no n x n dT is formed.
     """
 
     w: Tensor
@@ -434,7 +434,17 @@ class EdgeOperator(NamedTuple):
         return (self.n, self.n)
 
     def dense(self) -> np.ndarray:
-        return edge_operator(self.w.data, self.pairs, self.n, self.diag, self.off)
+        """The n x n array T; one scatter writes each weight at (i, j) and
+        (j, i), so T is exactly symmetric."""
+        i_idx, j_idx = _pair_indices(self.pairs, "EdgeOperator")
+        if self.w.shape != (i_idx.size, 1):
+            raise DimensionError(f"EdgeOperator: weights {self.w.shape} for {i_idx.size} pairs")
+        out = np.zeros((self.n, self.n))
+        v = float(self.off) * self.w.data[:, 0]
+        out[i_idx, j_idx] = v
+        out[j_idx, i_idx] = v
+        np.fill_diagonal(out, float(self.diag))
+        return out
 
 
 def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
@@ -687,24 +697,6 @@ def edge_scale(w: Tensor, r: Tensor, pairs) -> Tensor:
                 gr.reshape(-1, 1) if r.requires_grad else None)
 
     return _emit((rv[i_idx] * rv[j_idx] * wv).reshape(-1, 1), (w, r), vjp)
-
-
-def edge_operator(w: np.ndarray, pairs, n: int, diag: float, off: float) -> np.ndarray:
-    """The dense n x n array diag * I + off * W of an undirected edge column.
-
-    ``w`` holds one weight per pair (i, j) with i != j and no pair given
-    twice in either orientation; one scatter writes each weight at (i, j)
-    and (j, i), so the result is exactly symmetric.
-    """
-    i_idx, j_idx = _pair_indices(pairs, "edge_operator")
-    if w.shape != (i_idx.size, 1):
-        raise DimensionError(f"edge_operator: weights {w.shape} for {i_idx.size} pairs")
-    out = np.zeros((n, n))
-    v = float(off) * w[:, 0]
-    out[i_idx, j_idx] = v
-    out[j_idx, i_idx] = v
-    np.fill_diagonal(out, float(diag))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -77,17 +77,25 @@ class _CommaList:
 # numpy's generators accept only integers >= 0
 _seed = _IntRange(0)
 _positive = _IntRange(1)
-_scales = _IntRange(2)                # a filter bank needs J >= 2
+_scales = _IntRange(2, fm.MAX_J)      # a filter bank needs 2 <= J <= MAX_J
 _drawn_nodes = _IntRange(1, MAX_DRAWN_NODES)
 
 
-def _unit_interval(value: str) -> float:
-    """``--threshold`` type: a finite number in [0, 1]."""
+def _finite(value: str) -> float:
+    """``--noise`` type: a finite number."""
     try:
         number = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
-    if not 0.0 <= number <= 1.0:       # also false for NaN
+    if not np.isfinite(number):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a finite number")
+    return number
+
+
+def _unit_interval(value: str) -> float:
+    """``--threshold`` type: a finite number in [0, 1]."""
+    number = _finite(value)
+    if not 0.0 <= number <= 1.0:
         raise argparse.ArgumentTypeError(f"{value!r} is not a number in [0, 1]")
     return number
 
@@ -147,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--classes", type=_positive, default=3)
     p_gen.add_argument("--intra-p", type=float, default=0.01)
     p_gen.add_argument("--inter-p", type=float, default=0.2)
-    p_gen.add_argument("--noise", type=float, default=1.0)
+    p_gen.add_argument("--noise", type=_finite, default=1.0)
     p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--splits", type=_positive, default=10)
     return parser
@@ -330,7 +338,7 @@ def _cmd_analyze(args) -> int:
         lines = ["epsilon,j,kind,observed_distance,bound_value,delta,holds_with_slack"]
         all_hold = True
         for j in range(2, args.j_max + 1):
-            for bank_kind in ("low", "high"):
+            for bank_kind in fm.BANK_KINDS:
                 recs = analysis.stability_probe(lap, j, args.kernel_mode, bank_kind,
                                                 args.epsilons, args.trials, args.seed)
                 all_hold &= all(r.holds_with_slack for r in recs)

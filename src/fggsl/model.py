@@ -16,15 +16,18 @@ Everything per edge is an |E| x 1 column over the candidate's cached
 is w_e = sigmoid(z_i . z_j) = sigmoid(``pair_dots(z)``), and the
 structural losses share one cosine column,
 ``pair_dots(unit_rows(yhat))``.  ``normalized_laplacian`` turns a mask
-column into the normalised weights a_e = w_e / sqrt(d_i d_j).  A bank
-hands that column to ``ad.propagate`` as an ``ad.EdgeOperator``, the
-edge form of T = I/2 + A/2 or I/2 - A/2: the op builds the dense T once
-per forward and holds it, and its gradient for T is the per-edge column,
-so a training step allocates no n x n array but the banks' operators,
-and no tape node outputs one.  ``filter_bank_apply`` reads the same edge
-column off a dense L = I - A and runs the same route, so a check of it
-against an eigendecomposition checks the banks that training runs.
-``ForwardResult.w1``/``w2`` build the dense masks on demand.
+column into the normalised weights a_e = w_e / sqrt(d_i d_j).  A bank's
+``FilterBankSpec.operator`` turns that column into an
+``ad.EdgeOperator``, the edge form of T = I/2 + A/2 or I/2 - A/2, for
+``ad.propagate``: the op builds the dense T once per forward and holds
+it, and its gradient for T is the per-edge column, so a training step
+allocates no n x n array but the banks' operators, and no tape node
+outputs one.  ``_banks`` builds each bank's column and operator, in one
+loop that ``forward`` and ``embedding`` share.  ``filter_bank_apply``
+reads the same edge column off a dense L = I - A and builds T the same
+way, so a check of it against an eigendecomposition checks the banks
+that training runs.  ``ForwardResult.w1``/``w2`` build the dense masks
+on demand.
 
 A forward multiplies the features X by its weights once:
 ``_feature_products`` multiplies X by the mask nets' weights and the
@@ -35,7 +38,7 @@ Z = [X W_2 | ... | X W_J].  Its backward is one X^T G.
 
 A bank's ``FilterBankSpec`` holds every choice about it:
 ``coefficients`` tables its J - 1 kernels, each a polynomial in T, and
-``off_diagonal`` is the sign of A in its T.  ``ad.propagate`` applies
+``operator`` builds its T.  ``ad.propagate`` applies
 the table to blocks by repeated dense products T @ Y: one tape node per
 bank, whose backward reads the T gradient at the bank's edges.
 ``embedding`` pushes X through T once for all scales (the chain
@@ -63,6 +66,8 @@ from .errors import ContractError, ValidationError
 from .graphs import LabeledGraph, check_symmetric, normalized_laplacian
 
 KERNEL_MODES = ("fig3", "verbatim")
+# the largest number of scales J: a bank runs 2^J products of T per forward
+MAX_J = 10
 BANK_KINDS = ("low", "high")
 # variant -> {bank kind: the mask net that learns the bank's graph}, in
 # the order of ``w_clf``'s blocks.  A variant with no net learns no
@@ -85,8 +90,8 @@ class FilterBankSpec:
     kind: str
 
     def __post_init__(self):
-        if self.j_max < 2:
-            raise ContractError(f"FilterBankSpec: j_max={self.j_max} must be >= 2")
+        if not 2 <= self.j_max <= MAX_J:
+            raise ContractError(f"FilterBankSpec: j_max={self.j_max} must be in [2, {MAX_J}]")
         if self.mode not in KERNEL_MODES:
             raise ContractError(f"FilterBankSpec: unknown mode {self.mode!r}")
         if self.kind not in BANK_KINDS:
@@ -95,12 +100,13 @@ class FilterBankSpec:
     def scales(self) -> range:
         return range(2, self.j_max + 1)
 
-    @property
-    def off_diagonal(self) -> float:
-        """The weight s of the normalised adjacency A in T = I/2 + s A:
-        +1/2 where the kernels are powers of T = I - L/2, -1/2 where they
-        are powers of T = L/2."""
-        return 0.5 if (self.mode == "fig3") == (self.kind == "low") else -0.5
+    def operator(self, a: Tensor, pairs, n: int) -> ad.EdgeOperator:
+        """The bank's T = I/2 + s A in edge form, from the normalised
+        adjacency column ``a`` over ``pairs``.  With L = I - A, s = +1/2
+        where the kernels are powers of T = I - L/2, and s = -1/2 where
+        they are powers of T = L/2."""
+        s = 0.5 if (self.mode == "fig3") == (self.kind == "low") else -0.5
+        return ad.EdgeOperator(a, pairs, n, 0.5, s)
 
     def coefficients(self) -> np.ndarray:
         """The bank's kernels as polynomials in T: an (2^J + 1) x (J - 1)
@@ -141,17 +147,6 @@ def kernel_value(j: int, lam, mode: str, kind: str):
     return out if out.ndim else float(out)
 
 
-def _edge_operator(w: Tensor, a_f: CandidateGraph,
-                   spec: FilterBankSpec) -> ad.EdgeOperator:
-    """T in edge form, from a weight column over ``a_f.edge_pairs()``.
-
-    With L = I - A: I - L/2 = I/2 + A/2 and L/2 = I/2 - A/2.
-    """
-    pairs = a_f.edge_pairs()
-    a_hat = normalized_laplacian(w, pairs=pairs, n=a_f.n)
-    return ad.EdgeOperator(a_hat, pairs, a_f.n, 0.5, spec.off_diagonal)
-
-
 def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     """Column-concatenated responses of every scale in the bank, from a
     dense normalised Laplacian L = I - A.
@@ -177,8 +172,7 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     check_symmetric(lap, "filter_bank_apply")
     pairs = np.nonzero(np.triu(lap != 0.0, 1))
     edges = ad.constant(-lap[pairs].reshape(-1, 1))
-    return ad.propagate(ad.EdgeOperator(edges, pairs, n, 0.5, spec.off_diagonal), x,
-                        spec.coefficients()[:, None, :])
+    return ad.propagate(spec.operator(edges, pairs, n), x, spec.coefficients()[:, None, :])
 
 
 def mask_matrix(xw: Tensor, bias: Tensor, a_f: CandidateGraph) -> Tensor:
@@ -202,19 +196,19 @@ def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
     exactly symmetric, zero on the diagonal and off the candidate."""
     if w is None:
         return None
-    return ad.constant(ad.edge_operator(w.data, a_f.edge_pairs(), a_f.n, 0.0, 1.0))
+    return ad.constant(ad.EdgeOperator(w, a_f.edge_pairs(), a_f.n, 0.0, 1.0).dense())
 
 
 def check_config(variant: str, kernel_mode: str, j_max: int) -> None:
     """Raise ValidationError unless the model's choices name a variant,
-    a kernel mode and at least two scales."""
+    a kernel mode and 2 to ``MAX_J`` scales."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if kernel_mode not in KERNEL_MODES:
         raise ValidationError(
             f"unknown kernel_mode {kernel_mode!r}; expected one of {KERNEL_MODES}")
-    if j_max < 2:
-        raise ValidationError(f"j_max={j_max} must be >= 2")
+    if not 2 <= j_max <= MAX_J:
+        raise ValidationError(f"j_max={j_max} must be in [2, {MAX_J}]")
 
 
 def learns_masks(variant: str) -> bool:
@@ -336,14 +330,24 @@ def _feature_products(model: FgGSLModel, x: Tensor,
     return dict(zip(nets, parts)), dict(zip(banks, parts[len(nets):]))
 
 
-def _bank_graphs(model: FgGSLModel, masks: dict[str, Tensor],
-                 a_f: CandidateGraph) -> dict[str, Tensor]:
-    """{bank kind: edge column of the bank's graph} for the variant's banks,
-    in ``BANKS`` order: a learned mask from the bank's X W_net in
-    ``masks``, or all ones (``a_f`` itself) for a bank without a mask net."""
-    return {kind: (mask_matrix(masks[kind], model.params[f"{net}_b"], a_f) if net
-                   else ad.constant(np.ones((a_f.num_edges, 1))))
-            for kind, net in BANKS[model.variant].items()}
+def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
+    """Yield (kind, edge column, spec, T, Z) for each bank of the variant,
+    in ``BANKS`` order, building each bank's graph as it goes.
+
+    The edge column is a learned mask from the bank's X W_net, or all ones
+    (``a_f`` itself) for a bank without a mask net; T is the bank's
+    ``operator`` on the column's ``normalized_laplacian``.  With
+    ``classifier``, Z = [X W_2 | ... | X W_J] is the bank's block of one
+    product with X (``_feature_products``); without, Z is X.
+    """
+    masks, zs = _feature_products(model, x, classifier)
+    pairs = a_f.edge_pairs()
+    for kind, net in BANKS[model.variant].items():
+        w = (mask_matrix(masks[kind], model.params[f"{net}_b"], a_f) if net
+             else ad.constant(np.ones((a_f.num_edges, 1))))
+        spec = model.bank(kind)
+        t = spec.operator(normalized_laplacian(w, pairs=pairs, n=a_f.n), pairs, a_f.n)
+        yield kind, w, spec, t, zs.get(kind, x)
 
 
 def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
@@ -358,16 +362,13 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
     Horner order on one n x C block: a bank costs at most 2^J n^2 C, and
     no product has two n x n operands.
     """
-    masks, zs = _feature_products(model, x, classifier=True)
-    graphs = _bank_graphs(model, masks, a_f)
-    terms = []
-    for kind, w in graphs.items():
-        spec = model.bank(kind)
-        terms.append(ad.propagate(_edge_operator(w, a_f, spec), zs[kind],
-                                  spec.coefficients()[:, :, None]))
+    columns, terms = {}, []
+    for kind, w, spec, t, z in _banks(model, x, a_f, classifier=True):
+        columns[kind] = w
+        terms.append(ad.propagate(t, z, spec.coefficients()[:, :, None]))
     logits = functools.reduce(ad.add, terms)
-    return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=graphs.get("low"),
-                         w2_edges=graphs.get("high"), logits=logits, a_f=a_f)
+    return ForwardResult(yhat=ad.softmax_rows(logits), w1_edges=columns.get("low"),
+                         w2_edges=columns.get("high"), logits=logits, a_f=a_f)
 
 
 def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
@@ -376,13 +377,8 @@ def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
     ``forward`` never builds this n x ``embedding_width()`` matrix; the
     analysis of learned representations computes it on demand.
     """
-    masks, _ = _feature_products(model, x, classifier=False)
-    responses = []
-    for kind, w in _bank_graphs(model, masks, a_f).items():
-        spec = model.bank(kind)
-        responses.append((ad.propagate(_edge_operator(w, a_f, spec), x,
-                                       spec.coefficients()[:, None, :]), 1))
-    return ad.side_by_side(responses)
+    return ad.side_by_side([(ad.propagate(t, z, spec.coefficients()[:, None, :]), 1)
+                            for _, _, spec, t, z in _banks(model, x, a_f, classifier=False)])
 
 
 def structural_loss_ho(w1: Tensor, cos: Tensor) -> Tensor:

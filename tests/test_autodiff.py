@@ -709,9 +709,9 @@ def test_propagate_drops_trailing_zero_powers_and_steps_the_narrower_side(
         monkeypatch, counted_operator, k_in, m_out):
     # blocks 2 min(K, M) wide on 6 rows run as T @ Y, 3 min(K, M) wide on
     # TALL rows as (Y^T T)^T; the operator view counts both forms
-    edge_operator = ad.edge_operator
-    monkeypatch.setattr(ad, "edge_operator",
-                        lambda *args: edge_operator(*args).view(counted_operator))
+    dense = ad.EdgeOperator.dense
+    monkeypatch.setattr(ad.EdgeOperator, "dense",
+                        lambda op: dense(op).view(counted_operator))
     for n, width in ((6, 2), (TALL, 3)):
         assert ad._tall_skinny(n, width * min(k_in, m_out)) == (n == TALL)
         rng = np.random.default_rng(41)
@@ -825,7 +825,7 @@ def test_grad_check_edge_scale():
 
 def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
     w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    t = ad.edge_operator(w, EDGES, 6, 0.5, -0.25)
+    t = ad.EdgeOperator(ad.constant(w), EDGES, 6, 0.5, -0.25).dense()
     expected = 0.5 * np.eye(6)
     for (i, j), v in zip(zip(*EDGES), w[:, 0]):
         expected[i, j] = expected[j, i] = -0.25 * v

@@ -338,10 +338,15 @@ def test_negative_seed_exits_1(tmp_path, capsys, command):
     (("analyze", "prop1", "--classes", "a"), "--classes"),
     (("analyze", "similarity", "--data", "D", "--max-pairs", "-1"), "--max-pairs"),
     (("analyze", "response", "--J", "1"), "--J"),
+    (("gen", "--noise", "nan"), "--noise"),
+    (("gen", "--noise", "inf"), "--noise"),
+    (("analyze", "stability", "--J", str(model.MAX_J + 1)), "--J"),
+    (("analyze", "response", "--J", str(model.MAX_J + 1)), "--J"),
 ], ids=["gen-classes-0", "gen-classes-negative", "stability-n-0",
         "stability-epsilons-abc", "stability-J-1", "stability-trials-0",
         "prop1-classes-0", "prop1-classes-a", "similarity-max-pairs-negative",
-        "response-J-1"])
+        "response-J-1", "gen-noise-nan", "gen-noise-inf", "stability-J-over-max",
+        "response-J-over-max"])
 def test_out_of_range_flags_exit_1(tmp_path, capsys, command, flag):
     code = run_cli(*command, "--out", str(tmp_path / "o"))
     assert code == 1

@@ -332,12 +332,12 @@ def test_training_step_pushes_c_columns_through_each_operator(
     m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, kernel_mode=mode, variant=variant,
                          seed=26)
     cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
-    edge_operator = ad.edge_operator
+    dense = ad.EdgeOperator.dense
 
-    def counted(*args):
-        return edge_operator(*args).view(counted_operator)
+    def counted(op):
+        return dense(op).view(counted_operator)
 
-    monkeypatch.setattr(ad, "edge_operator", counted)
+    monkeypatch.setattr(ad.EdgeOperator, "dense", counted)
     loss, _, _ = model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
     ad.backward(loss, m.params)
     lengths = {"low": steps, "high": 8}
@@ -385,10 +385,39 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
     # I - L/2 (fig3 low, verbatim high) or L/2, from the dense Laplacian
     spec = model.FilterBankSpec(2, mode, kind)
     lap = normalized_laplacian(dense)
-    expected = np.eye(15) - 0.5 * lap if spec.off_diagonal > 0 else 0.5 * lap
-    t = model._edge_operator(ad.constant(w), cand, spec).dense()
+    op = spec.operator(normalized_laplacian(ad.constant(w), pairs=(i_idx, j_idx), n=15),
+                       (i_idx, j_idx), 15)
+    expected = np.eye(15) - 0.5 * lap if op.off > 0 else 0.5 * lap
+    t = op.dense()
     assert np.array_equal(t, t.T)
     assert np.max(np.abs(t - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("n, p", [(12, 0.3), (600, 0.02)], ids=["direct", "transposed"])
+@pytest.mark.parametrize("mode", model.KERNEL_MODES)
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_embedding_blocks_are_filter_bank_apply_on_the_forward_graphs(variant, mode, n, p):
+    # F = 4 features: at n = 600 every chain step runs transposed.  Each
+    # bank's block of the embedding is the oracle-checked filter_bank_apply
+    # on the dense Laplacian of the graph that forward ran the bank on: its
+    # learned mask, or the candidate's all-ones column for NM
+    g = datasets.gen_synthetic(n, 4, p, 2 * p, 0.4, seed=30, n_splits=1)
+    assert ad._tall_skinny(n, g.num_features) == (n == 600)
+    m = model.FgGSLModel(g.num_features, 4, j_max=3, mask_dim=4, kernel_mode=mode,
+                         variant=variant, seed=31)
+    cand = model.bank_graph(g, variant, "given")
+    x = ad.constant(g.features)
+    with ad.no_grad():
+        fwd = model.forward(m, x, cand)
+        emb = model.embedding(m, x, cand).data
+    ones = model.dense_mask(ad.constant(np.ones((cand.num_edges, 1))), cand)
+    width = (m.j_max - 1) * g.num_features
+    for b, kind in enumerate(model.BANKS[variant]):
+        w = {"low": fwd.w1, "high": fwd.w2}[kind] or ones
+        expected = model.filter_bank_apply(ad.constant(normalized_laplacian(w.data)), x,
+                                           m.bank(kind)).data
+        block = emb[:, b * width:(b + 1) * width]
+        assert np.max(np.abs(block - expected)) <= 1e-12 * np.max(np.abs(expected)), kind
 
 
 @pytest.mark.parametrize("variant, banks", [("full", 2), ("FBL", 1), ("FBH", 1), ("NM", 0)])
@@ -401,17 +430,17 @@ def test_given_training_step_records_one_n_by_n_node_per_bank(monkeypatch, varia
     m = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=29)
     cand = datasets.candidate_graph(g, "given")
     built, tracked = [], []
-    edge_operator, propagate = ad.edge_operator, ad.propagate
+    dense, propagate = ad.EdgeOperator.dense, ad.propagate
 
-    def counted_build(*args):
-        built.append(args[2])
-        return edge_operator(*args)
+    def counted_build(op):
+        built.append(op.n)
+        return dense(op)
 
     def counted_propagate(t, z, coeffs):
         tracked.append(t.w.requires_grad)
         return propagate(t, z, coeffs)
 
-    monkeypatch.setattr(ad, "edge_operator", counted_build)
+    monkeypatch.setattr(ad.EdgeOperator, "dense", counted_build)
     monkeypatch.setattr(ad, "propagate", counted_propagate)
     with ad.tape_scope():
         model.total_loss(m, g, cand, 1.0, 1.0, g.splits[0][0])
@@ -703,6 +732,23 @@ def test_checkpoint_checks_claimed_sizes_before_allocating(tmp_path, edit, messa
         tracemalloc.stop()
     # a model of the claimed sizes holds 3 x 10^6 x 2 float64 = 48 MB
     assert peak < 1_000_000
+
+
+def test_checkpoint_rejects_more_scales_than_max_j(tmp_path):
+    # a file of J = 64 scales whose w_clf shape and body agree with its
+    # header: only the bound on J rejects it
+    line, _, body = CHECKPOINT_BYTES.partition(b"\n")
+    header = json.loads(line)
+    header["j_max"] = 64
+    w_clf = header["params"][-1]
+    assert w_clf["name"] == "w_clf"
+    rows, cols = w_clf["shape"]
+    w_clf["shape"] = [63 * header["num_features"], cols]
+    body = body[:-8 * rows * cols] + bytes(8 * 63 * header["num_features"] * cols)
+    path = tmp_path / "model.fgck"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(ValidationError, match="j_max"):
+        model.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("edit", [

@@ -342,7 +342,7 @@ def test_config_rejects_bad_values():
     ("lr", "abc"), ("epochs_max", "5"), ("epochs_max", 5.0), ("seed", True),
     ("true_labels_on_train", 1), ("variant", None), ("mask_dim", 0),
     ("lr", float("nan")), ("alpha", float("inf")), ("weight_decay", -5.0),
-    ("patience", -1), ("seed", -1),
+    ("patience", -1), ("seed", -1), ("j_max", fm.MAX_J + 1),
 ])
 def test_config_rejects_malformed_values(field, value):
     with pytest.raises(ValidationError, match=field):
