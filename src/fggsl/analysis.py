@@ -93,8 +93,8 @@ def stability_probe(lap, j: int, mode: str, kind: str, epsilon_list,
     """
     lap = np.asarray(lap, dtype=np.float64)
     for eps in epsilon_list:
-        if eps < 0:
-            raise ContractError(f"stability_probe: negative epsilon {eps}")
+        if not (np.isfinite(eps) and eps >= 0):
+            raise ContractError(f"stability_probe: epsilon {eps} is not a finite number >= 0")
     n = lap.shape[0]
     dec = symmetric_eig(lap)
     h_base = _filter_matrix(dec, j, mode, kind)

@@ -13,9 +13,11 @@ sum_s sum_k coeffs[s, k, m] T^s Z_k, by repeated products T @ Y.  It
 runs in the chain order (push the K inputs through T) or the Horner
 order (push the M outputs), whichever is narrower, and records one tape
 node.  Its VJP runs the transposed polynomial in the other order at the
-same width.  Each step multiplies T on the side where BLAS is faster: a
-tall, skinny block Y (n >= 512 rows, 3 to n/4 columns) as (Y^T T)^T,
-any other as T @ Y (``_step`` holds the measurements).
+same width.  Each step T @ Y takes the form BLAS runs fastest for Y's
+shape (``_step`` holds the measurements): on n >= 512 rows, a block 2 to
+7 columns wide runs in row panels of about ``BLOCK_ENTRIES`` entries,
+T[r0:r1] @ Y, one at a time, and a block 8 to n/4 wide as (Y^T T)^T;
+any other block runs as T @ Y.
 
 T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
 column, so it is exactly symmetric and T^T is T.  The op builds T with
@@ -32,12 +34,12 @@ Per-pair quantities are |P| x 1 columns over a list of node pairs
 the Gram matrix a a^T at the pairs, and every cosine is
 ``pair_dots(unit_rows(a, pairs, what), pairs)``, where ``unit_rows`` is
 the one normalisation and zero-norm check.  The pair layer groups the
-pairs by row (``_PairRows``) and works one row block of about
-``PAIR_BLOCK_ENTRIES`` entries at a time, skipping blocks that hold no
-pair: the forward reads a block of a a^T, and the VJP scatters the
-block's pair gradients into its rows of S with one ``bincount`` and adds
-S a + S^T a.  ``edge_degrees`` and ``edge_scale`` normalise an
-undirected edge column with ``np.bincount``.
+pairs by row (``_PairRows``) and works one row block of
+``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries, at a time,
+skipping blocks that hold no pair: the forward reads a block of a a^T,
+and the VJP scatters the block's pair gradients into its rows of S with
+one ``bincount`` and adds S a + S^T a.  ``edge_degrees`` and
+``edge_scale`` normalise an undirected edge column with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -335,39 +337,79 @@ def side_by_side(parts: list[tuple[Tensor, int]]) -> Tensor:
     return _emit(out, tuple(a for a, _ in parts), vjp)
 
 
-def _tall_skinny(n: int, w: int) -> bool:
-    """Whether ``_step`` multiplies an n x w block as (Y^T T)^T."""
-    return n >= 512 and 3 <= w <= n // 4
+def _step_form(n: int, w: int) -> str:
+    """How ``_step`` multiplies an n x n T with an n x w block: "panels",
+    "transposed" or "direct"."""
+    if n >= 512 and 2 <= w <= 7:
+        return "panels"
+    if n >= 512 and 8 <= w <= n // 4:
+        return "transposed"
+    return "direct"
 
 
 def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """T @ Y for a symmetric T, on the side of the product where BLAS is
-    faster.
+    """T @ Y for a symmetric n x n T and an n x w block Y, in the form BLAS
+    runs fastest for the block's shape.
 
-    OpenBLAS runs a product with a tall, skinny right operand slowly.
-    The transposed form Y^T T^T is the same product with the operands'
-    roles swapped; its transpose is T @ Y as a Fortran-ordered array.
-    Measured with one BLAS thread on a 2-CPU Haswell-class host, the time
-    of the transposed form over the direct one, forward T @ Y / backward
-    T^T @ Y:
+    - **direct**: T @ Y;
+    - **transposed**: (Y^T T)^T, the same product with the operands' roles
+      swapped, returned as a Fortran-ordered array.  T is symmetric, so it
+      reads T in its own row order: (Y^T T)^T took 0.82 ms against 0.93
+      ms for (Y^T T^T)^T at n = 1000, w = 5;
+    - **row panels**: T[r0:r1] @ Y into rows r0:r1 of one n x w array, one
+      row block of ``_block_rows(n)`` rows, about ``BLOCK_ENTRIES``
+      entries, at a time.
 
-        n      w=2        w=3        w=5        w=15       w=128      w=1703
-        100    1.96/1.11  1.32/0.95  1.13/1.04  1.08/1.09  1.04/1.02  1.32/1.35
-        183    2.40/1.05  1.60/1.01  1.12/1.29  1.21/0.97  1.13/1.02  1.36/1.36
-        512    1.73/1.05  1.07/1.01  0.97/0.58  0.75/0.55  0.91/0.84  1.12/1.13
-        1000   0.91/0.54  0.77/0.53  0.83/0.58  0.68/0.54  0.81/0.76  1.04/1.02
-        2000   0.87/0.59  0.77/0.55  0.75/0.46  0.67/0.46  0.75/0.70  1.04/0.95
+    Medians in ms of eleven runs with one BLAS thread (OpenBLAS 0.3.31 on
+    a 2-CPU Sapphire Rapids-class host with 4 MiB of L2); p16 is the panel
+    form at 2^16 entries, p17 at ``BLOCK_ENTRIES`` = 2^17:
 
-    So a block of n >= 512 rows, 3 to n/4 columns wide, runs transposed
-    (``_tall_skinny``), and every other block runs as T @ Y.  T is
-    symmetric, so the transposed form is (Y^T T)^T and reads T in its own
-    row order: (Y^T T)^T took 0.82 ms against 0.93 ms for (Y^T T^T)^T at
-    n = 1000, w = 5.
+        n     w   direct  transp    p16     p17
+        256   2    0.015   0.016   0.017   0.017
+        256   5    0.033   0.040   0.036   0.035
+        256   12   0.050   0.037   0.052   0.052
+        512   2    0.068   0.097   0.085   0.077
+        512   5    0.294   0.228   0.141   0.151
+        512   7    0.338   0.205   0.118   0.114
+        512   8    0.276   0.231   0.167   0.285
+        1000  1    0.350   0.366   0.406   0.372
+        1000  2    0.785   0.676   0.389   0.357
+        1000  5    1.171   0.860   0.644   0.614
+        1000  7    1.540   0.846   0.561   0.481
+        1000  8    0.789   0.756   0.436   0.766
+        1000  10   1.160   0.885   0.748   1.407
+        1000  12   1.513   0.956   1.081   1.555
+        1000  24   1.783   1.357   2.003   1.875
+        2000  2    3.957   2.637   1.700   1.526
+        2000  5    5.190   3.245   2.436   2.485
+        2000  8    4.993   3.356   2.310   4.893
+        2000  12   7.280   3.913   4.222   7.268
+        2000  24   8.689   5.464   8.962  10.004
+        3000  5    18.32   9.569   7.500   6.908
+        3000  8    16.05   9.373   7.357   16.56
+
+    A product of at most 10^6 multiply-adds ran in half the time per row
+    of one just past it (125 against 126 rows of T at n = 1000, w = 8),
+    and a 2^17-entry panel stays under that up to w = 7.  So a block of
+    n >= 512 rows runs in row panels if it is 2 to 7 columns wide and
+    transposed if it is 8 to n/4 wide (``_step_form``).  Every other block
+    runs as T @ Y: at n < 512 the forms tie, at w = 1 it is a gemv, and
+    past n/4 columns the block is no longer skinny.  Two measured misses
+    stay: at n = 512, w = 2 the whole T @ Y is under 10^6 multiply-adds
+    and beats the panels, and at w = 8 to 10 half-size panels beat the
+    transposed form.
     """
     n, w = y.shape
-    if _tall_skinny(n, w):
+    form = _step_form(n, w)
+    if form == "direct":
+        return t @ y
+    if form == "transposed":
         return (y.T @ t).T
-    return t @ y
+    rows = _block_rows(n)
+    out = np.empty((n, w))
+    for r0 in range(0, n, rows):
+        np.matmul(t[r0:r0 + rows], y, out=out[r0:r0 + rows])
+    return out
 
 
 def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
@@ -591,13 +633,20 @@ def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
     return _emit(u, (a,), vjp)
 
 
-# the entries of one row block of the pair layer's reads: 1 MiB of float64
-PAIR_BLOCK_ENTRIES = 2 ** 17
+# the entries of one row block of an n x n operand, in the pair layer and
+# in ``_step``'s row panels: 1 MiB of float64
+BLOCK_ENTRIES = 2 ** 17
+
+
+def _block_rows(n: int) -> int:
+    """The rows of one row block of an n x n operand: about BLOCK_ENTRIES
+    entries, at least one row."""
+    return max(1, BLOCK_ENTRIES // max(n, 1))
 
 
 class _PairRows:
     """Node pairs (i, j) as lo = min(i, j) <= hi = max(i, j), grouped by lo
-    into row blocks of about ``PAIR_BLOCK_ENTRIES`` entries.
+    into row blocks of ``_block_rows(n)`` rows.
 
     ``blocks`` lists (r0, r1, c1, p0, p1): the sorted pairs p0:p1 have lo
     in rows r0:r1 and hi below c1.  Blocks that hold no pair are not
@@ -615,7 +664,7 @@ class _PairRows:
             self.order = np.argsort(lo, kind="stable")
             lo, hi = lo[self.order], hi[self.order]
         self.lo, self.hi = lo, hi
-        rows = max(1, PAIR_BLOCK_ENTRIES // max(n, 1))
+        rows = _block_rows(n)
         firsts = np.concatenate(([0], np.searchsorted(lo, np.arange(rows, n, rows)),
                                  [lo.size]))
         self.blocks = [(r0, min(r0 + rows, n), int(hi[p0:p1].max()) + 1, int(p0), int(p1))

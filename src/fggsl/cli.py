@@ -92,6 +92,14 @@ def _finite(value: str) -> float:
     return number
 
 
+def _nonnegative(value: str) -> float:
+    """``--epsilons`` item type: a finite number >= 0."""
+    number = _finite(value)
+    if number < 0.0:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number >= 0")
+    return number
+
+
 def _unit_interval(value: str) -> float:
     """``--threshold`` type: a finite number in [0, 1]."""
     number = _finite(value)
@@ -137,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--kernel-mode", choices=fm.KERNEL_MODES, default="fig3")
     p_an.add_argument("--grid", type=_positive, default=200)
     p_an.add_argument("--trials", type=_positive, default=50)
-    p_an.add_argument("--epsilons", type=_CommaList(float), default=[1e-3, 1e-2])
+    p_an.add_argument("--epsilons", type=_CommaList(_nonnegative), default=[1e-3, 1e-2])
     p_an.add_argument("--n", type=_drawn_nodes, default=20,
                       help=f"random graph size, at most {MAX_DRAWN_NODES}")
     p_an.add_argument("--classes", type=_CommaList(_positive), default=[2, 3, 4, 5, 6, 7, 8],

@@ -44,8 +44,9 @@ bank, whose backward reads the T gradient at the bank's edges.
 ``embedding`` pushes X through T once for all scales (the chain
 order); ``forward`` folds the scales' blocks X W_j into one n x C block
 by Horner's rule (the Horner order).  No n x n matrix is ever squared.
-Each step multiplies T on the side BLAS runs faster, chosen from the
-block's shape (see ``autodiff._step``).
+Each step T @ Y runs in the form BLAS runs fastest for the block's
+shape: row panels of T for a block 2 to 7 columns wide on n >= 512 rows,
+as at C = 5 on the heterophilic benchmarks (see ``autodiff._step``).
 
 ``_parameter_shapes`` is the one table of the parameters: the model
 draws them from it, and the checkpoint loader checks a file against it.

@@ -35,7 +35,8 @@ def require_dataset(name: str) -> str:
 
 class _CountedOperator(np.ndarray):
     """An operator array that logs the width of every block it, or its
-    transpose, multiplies."""
+    transpose, multiplies: once per ``autodiff._step`` on it, whichever
+    form the step runs, and once per product through ``@`` elsewhere."""
 
     widths: list = []
 
@@ -50,8 +51,21 @@ class _CountedOperator(np.ndarray):
 
 
 @pytest.fixture
-def counted_operator():
+def counted_operator(monkeypatch):
     """A class to view an operator as: ``t.view(cls)``; ``cls.widths``
-    lists the widths it has multiplied since the test began."""
+    lists the widths it has multiplied since the test began.  A step's
+    row panels run through ``np.matmul(..., out=)``, which no ``@`` sees,
+    so a step on the operator is counted as a whole, with its width."""
+    from fggsl import autodiff as ad
+
     _CountedOperator.widths = []
+    step = ad._step
+
+    def counted_step(t, y):
+        if isinstance(t, _CountedOperator):
+            _CountedOperator.widths.append(y.shape[1])
+            t = np.asarray(t)
+        return step(t, y)
+
+    monkeypatch.setattr(ad, "_step", counted_step)
     return _CountedOperator

@@ -120,6 +120,13 @@ def test_stability_rejects_negative_epsilon():
         analysis.stability_probe(_laplacian(4), 2, "fig3", "low", [-1e-3], 1, 0)
 
 
+@pytest.mark.parametrize("epsilons", [[np.nan], [np.inf], [1e-2, np.nan], [-np.inf]],
+                         ids=["nan", "inf", "nan-in-list", "minus-inf"])
+def test_stability_rejects_a_non_finite_epsilon(epsilons):
+    with pytest.raises(ContractError, match="epsilon"):
+        analysis.stability_probe(_laplacian(4), 2, "fig3", "low", epsilons, 1, 0)
+
+
 def _reference_probe(lap, j, mode, kind, epsilons, trials, seed):
     """The probe with one ``perturb_laplacian`` per (epsilon, trial)."""
     n = lap.shape[0]

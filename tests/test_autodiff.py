@@ -618,15 +618,41 @@ def _explicit_gradients(t, z, coeffs, g):
 
 # (K, M) pairs: K < M and K = M run the chain order, K > M the Horner order
 ORDERS = ((1, 3), (2, 2), (3, 1))
-# the rows of a block ``ad._step`` multiplies as (Y^T T)^T if it is 3 to
-# 128 columns wide; fewer rows, or blocks 1 or 2 wide, stay on T @ Y
+# the rows from which ``ad._step`` multiplies a block 2 to 7 columns wide
+# in row panels and one 8 to TALL/4 = 128 wide as (Y^T T)^T; fewer rows,
+# and one-column or wider blocks, stay on T @ Y
 TALL = 512
 
 
 def test_step_orientation_rule_boundaries():
-    assert ad._tall_skinny(TALL, 3) and ad._tall_skinny(TALL + 3, 128)
-    assert not ad._tall_skinny(TALL, 2) and not ad._tall_skinny(TALL - 1, 3)
-    assert not ad._tall_skinny(TALL, 129) and not ad._tall_skinny(9, 3)
+    assert ad._step_form(TALL, 2) == ad._step_form(TALL, 7) == "panels"
+    assert ad._step_form(TALL, 8) == ad._step_form(TALL, 128) == "transposed"
+    assert ad._step_form(TALL + 4, 129) == "transposed"
+    assert ad._step_form(TALL, 1) == ad._step_form(TALL, 129) == "direct"
+    assert ad._step_form(TALL - 1, 2) == ad._step_form(TALL - 1, 8) == "direct"
+    assert ad._step_form(9, 3) == "direct"
+
+
+@pytest.mark.parametrize("n, w, form", [
+    (9, 3, "direct"), (TALL - 1, 5, "direct"), (TALL, 1, "direct"), (TALL, 129, "direct"),
+    (TALL, 2, "panels"), (TALL, 7, "panels"), (TALL + 3, 5, "panels"), (1000, 5, "panels"),
+    (TALL, 8, "transposed"), (TALL, 128, "transposed"),
+])
+def test_step_forms_equal_the_product(n, w, form):
+    # TALL + 3 = 2 * 254 + 7 and 1000 = 7 * 131 + 83 rows: the last panel
+    # is shorter than the others
+    assert ad._step_form(n, w) == form
+    rng = np.random.default_rng(n + w)
+    t = rng.standard_normal((n, n))
+    t = t + t.T
+    y = rng.standard_normal((n, w))
+    out = ad._step(t, y)
+    expected = np.asarray(t) @ y
+    assert out.shape == (n, w)
+    assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert not np.shares_memory(out, t) and not np.shares_memory(out, y)
+    # the transposed form is the transpose of a fresh C-contiguous product
+    assert (out.T if form == "transposed" else out).flags.c_contiguous
 
 
 @settings(max_examples=60, deadline=None)
@@ -635,7 +661,9 @@ def test_step_orientation_rule_boundaries():
        width=st.integers(1, 3), k_in=st.integers(1, 3), m_out=st.integers(1, 3),
        powers=st.integers(1, 9), lead=st.integers(0, 3), trail=st.integers(0, 3))
 def test_propagate_equals_explicit_powers(seed, n, width, k_in, m_out, powers, lead, trail):
-    # at n >= TALL, a step block min(K, M) * width >= 3 wide runs transposed
+    # at n >= TALL, a step block min(K, M) * width wide runs in row panels
+    # if it is 2 to 7 wide, with a shorter last panel at n > TALL, and
+    # transposed if it is 8 or 9 wide
     rng = np.random.default_rng(seed)
     pairs, w, diag, off = _random_operator(rng, n)
     op = ad.EdgeOperator(ad.constant(w), pairs, n, diag, off)
@@ -649,19 +677,25 @@ def test_propagate_equals_explicit_powers(seed, n, width, k_in, m_out, powers, l
     assert np.linalg.norm(out - expected) <= 1e-12 * max(np.linalg.norm(expected), 1e-300)
 
 
-@pytest.mark.parametrize("n", [5, TALL], ids=["direct", "transposed"])
+# (n, block width, step form): a step is min(K, M) blocks wide, one or two
+# in ORDERS, and runs in the same form for every order
+FORMS = [(5, 3, "direct"), (TALL, 8, "transposed"), (TALL, 3, "panels")]
+FORM_IDS = [form for _, _, form in FORMS]
+
+
+@pytest.mark.parametrize("n, width, form", FORMS, ids=FORM_IDS)
 @pytest.mark.parametrize("k_in, m_out", ORDERS)
-def test_propagate_gradient_along_random_directions(n, k_in, m_out):
+def test_propagate_gradient_along_random_directions(n, width, form, k_in, m_out):
     # a full finite-difference check at n = TALL would take 2 (|E| + n w)
     # loss evaluations; the directional derivative checks the edge column
     # and Z in two each
     rng = np.random.default_rng(44)
     pairs, w0, diag, off = _random_operator(rng, n)
     w = ad.parameter(w0, "w")
-    z = ad.parameter(rng.standard_normal((n, 3 * k_in)), "z")
-    assert ad._tall_skinny(n, 3 * min(k_in, m_out)) == (n == TALL)
+    z = ad.parameter(rng.standard_normal((n, width * k_in)), "z")
+    assert ad._step_form(n, width * min(k_in, m_out)) == form
     coeffs = rng.standard_normal((5, k_in, m_out))
-    weights = ad.constant(rng.standard_normal((n, 3 * m_out)))
+    weights = ad.constant(rng.standard_normal((n, width * m_out)))
 
     def loss_fn():
         out = ad.propagate(ad.EdgeOperator(w, pairs, n, diag, off), z, coeffs)
@@ -685,7 +719,7 @@ def test_propagate_gradient_along_random_directions(n, k_in, m_out):
 
 @pytest.mark.parametrize("tracked", [0, 1], ids=["t", "z"])
 def test_propagate_backward_with_one_tracked_input(tracked):
-    # T's edge column or Z tracked alone; at n = TALL every step runs transposed
+    # T's edge column or Z tracked alone; at n = TALL every step runs in row panels
     for (k_in, m_out), n in itertools.product(ORDERS, (4, TALL)):
         rng = np.random.default_rng(40)
         pairs, w0, diag, off = _random_operator(rng, n)
@@ -708,12 +742,13 @@ def test_propagate_backward_with_one_tracked_input(tracked):
 def test_propagate_drops_trailing_zero_powers_and_steps_the_narrower_side(
         monkeypatch, counted_operator, k_in, m_out):
     # blocks 2 min(K, M) wide on 6 rows run as T @ Y, 3 min(K, M) wide on
-    # TALL rows as (Y^T T)^T; the operator view counts both forms
+    # TALL rows in row panels and 8 min(K, M) wide as (Y^T T)^T; the
+    # operator view counts each step once, whichever form it runs
     dense = ad.EdgeOperator.dense
     monkeypatch.setattr(ad.EdgeOperator, "dense",
                         lambda op: dense(op).view(counted_operator))
-    for n, width in ((6, 2), (TALL, 3)):
-        assert ad._tall_skinny(n, width * min(k_in, m_out)) == (n == TALL)
+    for n, width, form in ((6, 2, "direct"), (TALL, 3, "panels"), (TALL, 8, "transposed")):
+        assert ad._step_form(n, width * min(k_in, m_out)) == form
         rng = np.random.default_rng(41)
         pairs, w0, diag, off = _random_operator(rng, n)
         w = ad.parameter(w0, "w")
@@ -835,7 +870,7 @@ def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
 def test_grad_check_edge_operator():
     # the edge form's per-edge T gradient, both signs of A, J = 0..4 (2^J
     # steps), with Z tracked and untracked, in every order at n = 6; at
-    # n = TALL every step runs transposed, and Z stays off the checked set
+    # n = TALL every step runs in row panels, and Z stays off the checked set
     # (2 n w entries to probe).  The step is 1e-5: at 1e-6 the central
     # difference's round-off, about 1e-9, exceeds the bound on entries as
     # small as 1e-4
@@ -854,7 +889,7 @@ def test_grad_check_edge_operator():
             z = ad.parameter(z0, "z")
         else:
             z = params.add("z", z0)
-        assert ad._tall_skinny(n, 3 * min(k_in, m_out)) == (n == TALL)
+        assert ad._step_form(n, 3 * min(k_in, m_out)) == ("panels" if n == TALL else "direct")
         coeffs = rng.standard_normal((2 ** j_max + 1, k_in, m_out))
         weights = ad.constant(rng.standard_normal((n, 3 * m_out)))
 
@@ -866,17 +901,18 @@ def test_grad_check_edge_operator():
         assert errors.relative <= 1e-6, (n, j_max, k_in, m_out, off, z_tracked)
 
 
-@pytest.mark.parametrize("n", [6, TALL], ids=["direct", "transposed"])
+@pytest.mark.parametrize("n, width, form", FORMS, ids=FORM_IDS)
 @pytest.mark.parametrize("k_in, m_out", ORDERS)
-def test_edge_operator_propagates_like_its_dense_form(n, k_in, m_out):
+def test_edge_operator_propagates_like_its_dense_form(n, width, form, k_in, m_out):
     # the Z gradient is that of the polynomial in the dense T, and the
     # edge column's gradient is off * (dT[i, j] + dT[j, i]), both from
     # explicit matrix powers
     rng = np.random.default_rng(61)
     pairs, w0 = _edge_column(rng, n, 2 * n)
+    assert ad._step_form(n, width * min(k_in, m_out)) == form
     coeffs = rng.standard_normal((5, k_in, m_out))
-    z0 = rng.standard_normal((n, 3 * k_in))
-    g = rng.standard_normal((n, 3 * m_out))
+    z0 = rng.standard_normal((n, width * k_in))
+    g = rng.standard_normal((n, width * m_out))
     w, z = ad.parameter(w0, "w"), ad.parameter(z0, "z")
     op = ad.EdgeOperator(w, pairs, n, 0.5, -0.5)
     ad.backward(ad.sum_all(ad.hadamard(ad.propagate(op, z, coeffs), ad.constant(g))), [w, z])
@@ -918,7 +954,7 @@ def test_pair_layer_gives_the_one_block_results_in_many_blocks(monkeypatch):
 
     assert len(ad._PairRows(*pairs, n).blocks) == 1
     one = results()
-    monkeypatch.setattr(ad, "PAIR_BLOCK_ENTRIES", 100)
+    monkeypatch.setattr(ad, "BLOCK_ENTRIES", 100)
     assert len(ad._PairRows(*pairs, n).blocks) > 5
     assert len(ad._PairRows(*edges, n).blocks) > 5
     many = results()
@@ -928,7 +964,7 @@ def test_pair_layer_gives_the_one_block_results_in_many_blocks(monkeypatch):
 
 def test_pair_rows_skip_blocks_without_a_pair(monkeypatch):
     # rows 0-2 and 9-11 hold pairs; rows 3-8 and 12-29 none
-    monkeypatch.setattr(ad, "PAIR_BLOCK_ENTRIES", 90)
+    monkeypatch.setattr(ad, "BLOCK_ENTRIES", 90)
     rows = ad._PairRows(np.array([10, 1, 2]), np.array([11, 20, 0]), 30)
     assert [block[:2] for block in rows.blocks] == [(0, 3), (9, 12)]
 

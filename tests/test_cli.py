@@ -10,6 +10,7 @@ import pytest
 import fggsl
 from fggsl import analysis, cli, datasets, model
 from fggsl import autodiff as ad
+from fggsl.errors import NumericError
 from fggsl.graphs import heterophily_ratio
 
 
@@ -306,9 +307,13 @@ def test_analyze_stability(tmp_path):
     assert doc["all_hold"] is True
 
 
-def test_analyze_stability_nan_epsilon_exits_2(tmp_path, capsys):
+def test_numeric_failure_in_an_analysis_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise NumericError("symmetric_eig: matrix has NaN/Inf entries")
+
+    monkeypatch.setattr(analysis, "stability_probe", fail)
     code = run_cli("analyze", "stability", "--out", str(tmp_path / "st"),
-                   "--n", "10", "--trials", "1", "--J", "2", "--epsilons", "nan")
+                   "--n", "10", "--trials", "1", "--J", "2")
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numeric failure:")
@@ -342,11 +347,16 @@ def test_negative_seed_exits_1(tmp_path, capsys, command):
     (("gen", "--noise", "inf"), "--noise"),
     (("analyze", "stability", "--J", str(model.MAX_J + 1)), "--J"),
     (("analyze", "response", "--J", str(model.MAX_J + 1)), "--J"),
+    (("analyze", "stability", "--epsilons", "nan"), "--epsilons"),
+    (("analyze", "stability", "--epsilons", "inf"), "--epsilons"),
+    (("analyze", "stability", "--epsilons", "0.01,nan"), "--epsilons"),
+    (("analyze", "stability", "--epsilons", "-0.1"), "--epsilons"),
 ], ids=["gen-classes-0", "gen-classes-negative", "stability-n-0",
         "stability-epsilons-abc", "stability-J-1", "stability-trials-0",
         "prop1-classes-0", "prop1-classes-a", "similarity-max-pairs-negative",
         "response-J-1", "gen-noise-nan", "gen-noise-inf", "stability-J-over-max",
-        "response-J-over-max"])
+        "response-J-over-max", "stability-epsilons-nan", "stability-epsilons-inf",
+        "stability-epsilons-nan-in-list", "stability-epsilons-negative"])
 def test_out_of_range_flags_exit_1(tmp_path, capsys, command, flag):
     code = run_cli(*command, "--out", str(tmp_path / "o"))
     assert code == 1

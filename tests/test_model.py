@@ -393,16 +393,19 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
     assert np.max(np.abs(t - expected)) <= 1e-14
 
 
-@pytest.mark.parametrize("n, p", [(12, 0.3), (600, 0.02)], ids=["direct", "transposed"])
+@pytest.mark.parametrize("n, p, features, form", [
+    (12, 0.3, 4, "direct"), (600, 0.02, 8, "transposed"), (600, 0.02, 4, "panels"),
+], ids=["direct", "transposed", "panels"])
 @pytest.mark.parametrize("mode", model.KERNEL_MODES)
 @pytest.mark.parametrize("variant", model.VARIANTS)
-def test_embedding_blocks_are_filter_bank_apply_on_the_forward_graphs(variant, mode, n, p):
-    # F = 4 features: at n = 600 every chain step runs transposed.  Each
-    # bank's block of the embedding is the oracle-checked filter_bank_apply
-    # on the dense Laplacian of the graph that forward ran the bank on: its
-    # learned mask, or the candidate's all-ones column for NM
-    g = datasets.gen_synthetic(n, 4, p, 2 * p, 0.4, seed=30, n_splits=1)
-    assert ad._tall_skinny(n, g.num_features) == (n == 600)
+def test_embedding_blocks_are_filter_bank_apply_on_the_forward_graphs(variant, mode, n, p,
+                                                                      features, form):
+    # every chain step is F wide.  Each bank's block of the embedding is
+    # the oracle-checked filter_bank_apply on the dense Laplacian of the
+    # graph that forward ran the bank on: its learned mask, or the
+    # candidate's all-ones column for NM
+    g = datasets.gen_synthetic(n, features, p, 2 * p, 0.4, seed=30, n_splits=1)
+    assert ad._step_form(n, g.num_features) == form
     m = model.FgGSLModel(g.num_features, 4, j_max=3, mask_dim=4, kernel_mode=mode,
                          variant=variant, seed=31)
     cand = model.bank_graph(g, variant, "given")
