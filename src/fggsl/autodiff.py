@@ -38,8 +38,9 @@ pairs by row (``_PairRows``) and works one row block of
 ``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries, at a time,
 skipping blocks that hold no pair: the forward reads a block of a a^T,
 and the VJP scatters the block's pair gradients into its rows of S with
-one ``bincount`` and adds S a + S^T a.  ``edge_degrees`` and
-``edge_scale`` normalise an undirected edge column with ``np.bincount``.
+one ``bincount`` and adds S a + S^T a.  ``edge_normalize`` turns an
+undirected edge column into its symmetric normalised one, taking the
+degrees with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, DimensionError
+
+# lower clamp of a weighted degree in the normalised Laplacian
+DEGREE_EPS = 1e-8
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -265,19 +269,6 @@ def sigmoid(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
     return _emit(t, (a,), lambda g: (g * (1.0 - t * t),))
-
-
-def rsqrt_clamped(a: Tensor, eps: float = 1e-8) -> Tensor:
-    """1/sqrt(max(x, eps)); gradient is zero wherever the clamp is active."""
-    x = a.data
-    clamped = np.maximum(x, eps)
-    y = 1.0 / np.sqrt(clamped)
-    live = x > eps
-
-    def vjp(g):
-        return (np.where(live, -0.5 * g * y / clamped, 0.0),)
-
-    return _emit(y, (a,), vjp)
 
 
 def block(a: Tensor, rows: tuple[int, int] | None = None,
@@ -712,40 +703,34 @@ def pair_dots(a: Tensor, pairs) -> Tensor:
     return _emit(vals, (a,), vjp)
 
 
-def edge_degrees(w: Tensor, pairs, n: int) -> Tensor:
-    """n x 1 weighted degrees of an undirected edge column.
+def edge_normalize(w: Tensor, pairs, n: int) -> Tensor:
+    """w_e / sqrt(d_i d_j) per pair e = (i, j): the edge column of
+    D^-1/2 W D^-1/2 for an undirected edge column ``w``.
 
-    ``w`` holds one weight per pair (i, j); node r's degree sums the
-    weights of the pairs that touch it, on either side.
+    Node r's degree d_r sums the weights of the pairs that touch it, on
+    either side, clamped below at ``DEGREE_EPS``; a clamped degree passes
+    no gradient.  ``w`` is listed twice as an input, once directly and
+    once through the degrees, and the VJP returns the two parts in that
+    order.  The |E|-length gathers are redone in the VJP, not held on
+    the tape.
     """
-    i_idx, j_idx = _pair_indices(pairs, "edge_degrees")
+    i_idx, j_idx = _pair_indices(pairs, "edge_normalize")
     if w.shape != (i_idx.size, 1):
-        raise DimensionError(f"edge_degrees: weights {w.shape} for {i_idx.size} pairs")
+        raise DimensionError(f"edge_normalize: weights {w.shape} for {i_idx.size} pairs")
     wv = w.data[:, 0]
     d = (np.bincount(i_idx, weights=wv, minlength=n)
          + np.bincount(j_idx, weights=wv, minlength=n))
-    return _emit(d.reshape(-1, 1), (w,), lambda g: (g[i_idx] + g[j_idx],))
-
-
-def edge_scale(w: Tensor, r: Tensor, pairs) -> Tensor:
-    """r_i r_j w_e per pair e = (i, j): the edge column of diag(r) W diag(r)."""
-    i_idx, j_idx = _pair_indices(pairs, "edge_scale")
-    if w.shape != (i_idx.size, 1) or r.shape[1] != 1:
-        raise DimensionError(f"edge_scale: weights {w.shape}, scales {r.shape} "
-                             f"for {i_idx.size} pairs")
-    rv, wv = r.data[:, 0], w.data[:, 0]
+    r = 1.0 / np.sqrt(np.maximum(d, DEGREE_EPS))
 
     def vjp(g):
-        # the |E|-length gathers are redone here, not held on the tape
-        ri, rj = rv[i_idx], rv[j_idx]
+        ri, rj = r[i_idx], r[j_idx]
         gw = g[:, 0] * wv
-        n = r.shape[0]
         gr = (np.bincount(i_idx, weights=gw * rj, minlength=n)
               + np.bincount(j_idx, weights=gw * ri, minlength=n))
-        return (g * (ri * rj)[:, None] if w.requires_grad else None,
-                gr.reshape(-1, 1) if r.requires_grad else None)
+        gd = np.where(d > DEGREE_EPS, -0.5 * gr * r / np.maximum(d, DEGREE_EPS), 0.0)
+        return g * (ri * rj)[:, None], (gd[i_idx] + gd[j_idx]).reshape(-1, 1)
 
-    return _emit((rv[i_idx] * rv[j_idx] * wv).reshape(-1, 1), (w, r), vjp)
+    return _emit((r[i_idx] * r[j_idx] * wv).reshape(-1, 1), (w, w), vjp)
 
 
 # ---------------------------------------------------------------------------

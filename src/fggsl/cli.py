@@ -20,7 +20,7 @@ from . import __version__, analysis
 from . import autodiff as ad
 from . import model as fm
 from .datasets import (EDGE_FILE, NODE_FILE, SPLIT_DIR, candidate_k, dataset_fingerprint,
-                       gen_synthetic, load_dataset_dir, save_raw, save_splits)
+                       gen_synthetic, load_dataset_dir, open_text, save_raw, save_splits)
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      ValidationError)
 from .graphs import heterophily_ratio, normalized_laplacian
@@ -180,7 +180,7 @@ def _resolve_config(args):
     values: dict = {}
     normalize = not args.no_normalize
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open_text(args.config) as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:

@@ -23,6 +23,7 @@ rather than bundled.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -85,8 +86,19 @@ _INT = re.compile(r"\s*([+-]?[0-9]+)\s*")
 _INT64 = np.iinfo(np.int64)
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise a
+    one-line ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _data_lines(path):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -221,7 +233,7 @@ def _read_adjacency(edge_file, ids: dict[int, int]) -> np.ndarray:
     """The symmetric 0/1 adjacency of ``edge_file``, rows in the order of
     ``ids`` (node id -> row): one parse of the edge lines, ids mapped to
     rows by a sorted search, and one scatter."""
-    with open(edge_file, encoding="utf-8") as fh:
+    with open_text(edge_file) as fh:
         text = _SKIPPED_LINE.sub("", "\n" + fh.read())
     pairs = (_loadtxt(io.StringIO(text), np.int64, "\t") if text
              else np.empty((0, 2), dtype=np.int64))

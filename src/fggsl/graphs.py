@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericError
 
-DEGREE_EPS = 1e-8
 SYMMETRY_TOL = 1e-9
 SIGN_TOL = 1e-12
 
@@ -98,7 +97,7 @@ def heterophilic_fraction(labels: np.ndarray, pairs) -> float:
 
 
 def normalized_laplacian(weights, pairs=None, n: int | None = None):
-    """I - D^{-1/2} W D^{-1/2} with degrees clamped below at ``DEGREE_EPS``.
+    """I - D^{-1/2} W D^{-1/2} with degrees clamped below at ``ad.DEGREE_EPS``.
 
     Dense form: an n x n ndarray W gives the n x n ndarray L.  Rows of
     isolated nodes come out as identity rows because their incident
@@ -107,17 +106,16 @@ def normalized_laplacian(weights, pairs=None, n: int | None = None):
     Edge form, with the pairs (i, j) and the node count ``n``: ``weights``
     is an |E| x 1 Tensor holding W once per undirected pair, and the
     result is the Tensor column a_e = w_e / sqrt(d_i d_j) over the same
-    pairs, differentiable w.r.t. the weights.  L = I - A, where A holds
-    a_e at (i, j) and (j, i); it is symmetric by construction, so this
-    form skips the symmetry check.
+    pairs, one ``ad.edge_normalize`` node, differentiable w.r.t. the
+    weights.  L = I - A, where A holds a_e at (i, j) and (j, i); it is
+    symmetric by construction, so this form skips the symmetry check.
     """
     if pairs is not None:
-        r = ad.rsqrt_clamped(ad.edge_degrees(weights, pairs, n), DEGREE_EPS)
-        return ad.edge_scale(weights, r, pairs)
+        return ad.edge_normalize(weights, pairs, n)
     w = np.asarray(weights, dtype=np.float64)
     check_symmetric(w, "normalized_laplacian")
     n = w.shape[0]
-    r = 1.0 / np.sqrt(np.maximum(w @ np.ones((n, 1)), DEGREE_EPS))
+    r = 1.0 / np.sqrt(np.maximum(w @ np.ones((n, 1)), ad.DEGREE_EPS))
     return np.eye(n) - (r @ r.T) * w
 
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -491,6 +492,10 @@ def _check_header(path, header) -> None:
         value = header[key]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(f"{path}: header {key!r} has the wrong type: {value!r}")
+    for key in ("alpha", "beta"):
+        # json reads NaN and Infinity; an int is always finite
+        if isinstance(header[key], float) and not math.isfinite(header[key]):
+            raise ValidationError(f"{path}: header {key!r}={header[key]} is not finite")
     for key in ("num_features", "num_classes", "mask_dim"):
         if header[key] < 1:
             raise ValidationError(f"{path}: header {key!r}={header[key]} must be >= 1")
@@ -511,7 +516,8 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
 
     The header must carry every key with its type, list each parameter
     of the model it describes once, with the model's shape, and the file
-    must end right after the last parameter; anything else raises a
+    must end right after the last parameter; ``alpha``, ``beta`` and every
+    parameter value must be finite.  Anything else raises a
     ValidationError.  All of this is checked against the header's sizes
     before the model is built, so a header that claims large sizes
     allocates nothing of their size.
@@ -546,14 +552,18 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
                               f"the header needs {size}")
     if len(body) > size:
         raise ValidationError(f"{path}: trailing bytes after the last parameter")
+    arrays, offset = {}, 0
+    for name in names:
+        rows, cols = expected[name]
+        values = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=offset)
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{path}: parameter {name!r} has a non-finite value")
+        arrays[name] = values.reshape(rows, cols).astype(np.float64)
+        offset += values.nbytes
     model = FgGSLModel(
         num_features=header["num_features"], num_classes=header["num_classes"],
         j_max=header["j_max"], mask_dim=header["mask_dim"],
         kernel_mode=header["kernel_mode"], variant=header["variant"])
-    offset = 0
-    for name in names:
-        rows, cols = expected[name]
-        values = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=offset)
-        model.params[name].data = values.reshape(rows, cols).astype(np.float64)
-        offset += values.nbytes
+    for name, values in arrays.items():
+        model.params[name].data = values
     return model, header

@@ -343,8 +343,10 @@ def run_protocol(bundle: DatasetBundle, config: TrainConfig, parallel: int = 1,
     if n_splits == 0:
         raise ContractError("run_protocol: dataset bundle has no splits")
     jobs = [(bundle, config, k, baseline) for k in range(n_splits)]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # the pool starts all its workers at once: never more than there are splits
+    workers = min(parallel, n_splits)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_protocol_worker, jobs))
     else:
         outcomes = [_protocol_worker(job) for job in jobs]

@@ -83,19 +83,6 @@ def test_sigmoid_bitwise_equals_three_exp_formula():
     assert np.array_equal(ad.sigmoid(ad.constant(x)).data, _sigmoid_three_exps(x))
 
 
-def test_rsqrt_clamped_values():
-    assert ad.rsqrt_clamped(ad.constant(4.0), 1e-8).item() == pytest.approx(0.5)
-    assert ad.rsqrt_clamped(ad.constant(0.0), 1e-8).item() == pytest.approx(1e4)
-
-
-def test_rsqrt_clamped_gradient_zero_in_clamp():
-    x = ad.parameter(np.array([[0.0, 4.0]]), "x")
-    loss = ad.sum_all(ad.rsqrt_clamped(x, 1e-8))
-    ad.backward(loss, [x])
-    assert x.grad[0, 0] == 0.0
-    assert x.grad[0, 1] == pytest.approx(-0.5 * 4.0 ** -1.5)
-
-
 def test_concat_cols_shapes():
     a = ad.constant(np.zeros((4, 2)))
     b = ad.constant(np.zeros((4, 3)))
@@ -828,34 +815,28 @@ def test_grad_check_pair_dots():
     assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
-def test_edge_degrees_sum_both_endpoints():
-    w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    d = ad.edge_degrees(ad.constant(w), EDGES, 6).data
-    assert np.array_equal(d[:, 0], [3.0, 4.0, 7.0, 5.0, 11.0, 0.0])
-
-
-def test_grad_check_edge_degrees():
+def test_grad_check_edge_normalize():
     rng = np.random.default_rng(52)
     params = ad.ParameterSet()
     w = params.add("w", rng.uniform(0.1, 1, size=(6, 1)))
 
     def loss_fn():
-        d = ad.edge_degrees(w, REPEATED, 5)
-        return ad.sum_all(ad.hadamard(d, d))
+        return ad.sum_all(ad.tanh(ad.edge_normalize(w, REPEATED, 5)))
 
     assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
-def test_grad_check_edge_scale():
-    rng = np.random.default_rng(53)
-    params = ad.ParameterSet()
-    w = params.add("w", rng.uniform(0.1, 1, size=(6, 1)))
-    r = params.add("r", rng.uniform(0.5, 2, size=(5, 1)))
-
-    def loss_fn():
-        return ad.sum_all(ad.tanh(ad.edge_scale(w, r, REPEATED)))
-
-    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
+@pytest.mark.parametrize("weight", [0.0, 1e-10])
+def test_edge_normalize_passes_no_gradient_through_a_clamped_degree(weight):
+    # nodes 2 and 3 touch only the edge (2, 3), whose weight keeps their
+    # degrees below the clamp: their scale is the constant 1/sqrt(eps)
+    w = ad.parameter(np.array([[1.0], [weight]]), "w")
+    a = ad.edge_normalize(w, (np.array([0, 2]), np.array([1, 3])), 4)
+    ad.backward(ad.sum_all(a), [w])
+    r = 1.0 / np.sqrt(ad.DEGREE_EPS)
+    assert np.array_equal(a.data[:, 0], [1.0, r * r * weight])
+    # a_01 = w_01 / d = 1 whatever w_01; a_23 = w_23 / eps
+    assert np.array_equal(w.grad[:, 0], [0.0, r * r])
 
 
 def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
@@ -970,11 +951,10 @@ def test_pair_rows_skip_blocks_without_a_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("op", [
-    lambda w: ad.edge_degrees(w, EDGES, 6),
-    lambda w: ad.edge_scale(w, ad.constant(np.ones((6, 1))), EDGES),
+    lambda w: ad.edge_normalize(w, EDGES, 6),
     lambda w: ad.propagate(ad.EdgeOperator(w, EDGES, 6, 0.5, 0.5),
                            ad.constant(np.ones((6, 1))), np.ones((2, 1, 1))),
-], ids=["degrees", "scale", "operator"])
+], ids=["normalize", "operator"])
 def test_edge_ops_reject_a_column_of_another_length(op):
     with pytest.raises(DimensionError):
         op(ad.constant(np.ones((4, 1))))

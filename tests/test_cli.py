@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fggsl
 from fggsl import analysis, cli, datasets, model
@@ -200,6 +206,24 @@ def test_train_config_not_an_object_exits_1(tiny_dataset, tmp_path, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["nodes.tsv", "edges.tsv", "splits/split_00.txt",
+                                  "config.json"])
+def test_input_that_is_not_utf8_exits_1_naming_the_file(tiny_dataset, tmp_path, capsys,
+                                                        name):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    (data / "config.json").write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    path = data / name
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+    out = tmp_path / "out"
+    code = run_cli("train", "--config", str(data / "config.json"), "--data", str(data),
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: not UTF-8 text")
+    assert not out.exists()
 
 
 def test_train_idempotent_outputs(tiny_dataset, tmp_path):
@@ -515,8 +539,9 @@ def test_analyze_audit_requires_checkpoint(tiny_dataset, tmp_path, capsys):
     assert code == 1
 
 
-def _edited_checkpoint(tiny_dataset, tmp_path, edit_header, tail=b""):
-    """A checkpoint for ``tiny_dataset`` whose header and end were edited."""
+def _edited_checkpoint(tiny_dataset, tmp_path, edit_header, edit_body=lambda body: body):
+    """A checkpoint for ``tiny_dataset`` whose header and parameter bytes
+    were edited."""
     graph = datasets.load_dataset_dir(tiny_dataset).graph
     net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=2,
                            mask_dim=4, seed=1)
@@ -525,7 +550,7 @@ def _edited_checkpoint(tiny_dataset, tmp_path, edit_header, tail=b""):
     line, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(line)
     edit_header(header)
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body + tail)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + edit_body(body))
     return str(path)
 
 
@@ -541,15 +566,29 @@ def _widen_mask_dim(header):
     header["mask_dim"] = 8
 
 
-@pytest.mark.parametrize("edit, tail, message", [
-    (_rename_first_param, b"", "unknown parameter 'mask_ho_bogus'"),
-    (_drop_num_classes, b"", "header has no 'num_classes'"),
-    (_widen_mask_dim, b"", "parameter 'mask_ho_w' has shape"),
-    (lambda header: None, b"\x00", "trailing bytes"),
-], ids=["unknown-name", "missing-key", "shape-mismatch", "trailing-bytes"])
+def _nan_alpha(header):
+    header["alpha"] = float("nan")        # json writes and reads the literal NaN
+
+
+def _unchanged(body):
+    return body
+
+
+@pytest.mark.parametrize("edit, edit_body, message", [
+    (_rename_first_param, _unchanged, "unknown parameter 'mask_ho_bogus'"),
+    (_drop_num_classes, _unchanged, "header has no 'num_classes'"),
+    (_widen_mask_dim, _unchanged, "parameter 'mask_ho_w' has shape"),
+    (lambda header: None, lambda body: body + b"\x00", "trailing bytes"),
+    (lambda header: None, lambda body: np.full(len(body) // 8, np.nan).tobytes(),
+     "parameter 'mask_ho_w' has a non-finite value"),
+    (lambda header: None, lambda body: body[:-8] + np.array([np.inf]).tobytes(),
+     "parameter 'w_clf' has a non-finite value"),
+    (_nan_alpha, _unchanged, "header 'alpha'=nan is not finite"),
+], ids=["unknown-name", "missing-key", "shape-mismatch", "trailing-bytes",
+        "nan-parameters", "inf-last-value", "nan-alpha"])
 def test_analyze_audit_malformed_checkpoint_exits_1(tiny_dataset, tmp_path, capsys,
-                                                    edit, tail, message):
-    ckpt = _edited_checkpoint(tiny_dataset, tmp_path, edit, tail)
+                                                    edit, edit_body, message):
+    ckpt = _edited_checkpoint(tiny_dataset, tmp_path, edit, edit_body)
     code = run_cli("analyze", "audit", "--out", str(tmp_path / "audit"),
                    "--data", tiny_dataset, "--checkpoint", ckpt)
     assert code == 1
@@ -575,3 +614,71 @@ def test_analyze_unknown_kind_lists_valid_kinds(tmp_path, capsys):
     err = capsys.readouterr().err
     for kind in ("similarity", "prop1", "stability", "response", "audit"):
         assert kind in err
+
+
+# ---------------------------------------------------------------------------
+# byte fuzzing of every input file
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tiny_dataset, tmp_path_factory):
+    """A 2-epoch config and a checkpoint for ``tiny_dataset``, written once."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "config.json"
+    config.write_text(json.dumps(dict(FAST_CONFIG, epochs_max=2, patience=2)),
+                      encoding="utf-8")
+    graph = datasets.load_dataset_dir(tiny_dataset).graph
+    net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=2,
+                           mask_dim=4, seed=1)
+    model.save_checkpoint(root / "model.fgck", net, alpha=1.0, beta=1.0)
+    return str(config), str(root / "model.fgck")
+
+
+# (kind, position, byte): a position past the end wraps around
+_MUTATION = st.tuples(st.sampled_from(["flip", "delete", "insert"]),
+                      st.integers(0, 2 ** 16), st.integers(0, 255))
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    """``data`` with each mutation applied in turn: flip one bit of a byte,
+    delete a byte, or insert an arbitrary byte."""
+    buf = bytearray(data)
+    for kind, where, byte in mutations:
+        at = where % (len(buf) + 1)
+        if kind == "insert":
+            buf[at:at] = bytes([byte])
+        elif at < len(buf):
+            if kind == "flip":
+                buf[at] ^= 1 << (byte % 8)
+            else:
+                del buf[at]
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(target=st.sampled_from(["nodes.tsv", "edges.tsv", "splits/split_00.txt",
+                               "checkpoint"]),
+       mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+def test_mutated_inputs_exit_with_a_code_and_at_most_one_line(tiny_dataset, fuzz_inputs,
+                                                               target, mutations):
+    config, checkpoint = fuzz_inputs
+    with tempfile.TemporaryDirectory() as root:
+        data = os.path.join(root, "data")
+        shutil.copytree(tiny_dataset, data)
+        ckpt = shutil.copy(checkpoint, root)
+        path = ckpt if target == "checkpoint" else os.path.join(data, target)
+        with open(path, "rb") as fh:
+            original = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_mutate(original, mutations))
+        runs = [["analyze", "audit", "--data", data, "--checkpoint", ckpt]]
+        if target != "checkpoint":
+            runs.append(["train", "--config", config, "--data", data])
+        for k, argv in enumerate(runs):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--out", os.path.join(root, f"out{k}")])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2, 3)
+            assert len(lines) == (code != 0)
+            assert code != 2 or lines[0].startswith("numeric failure:")

@@ -278,6 +278,33 @@ def test_run_protocol_parallel_matches_serial():
     assert [r["test_acc"] for r in serial.rows] == [r["test_acc"] for r in para.rows]
 
 
+def test_run_protocol_starts_no_more_workers_than_splits(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Records the worker count it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", InProcessPool)
+    cfg = _fast_config(epochs_max=2, patience=2)
+    training.run_protocol(_bundle(seed=21, n_splits=2), cfg, parallel=64)
+    training.run_ablation(_bundle(seed=21, n_splits=2), cfg, parallel=64)
+    # one split runs in this process, with no pool at all
+    training.run_protocol(_bundle(seed=21, n_splits=1), cfg, parallel=8)
+    assert started == [2] * 5
+
+
 # ---------------------------------------------------------------------------
 # ablation
 
