@@ -19,7 +19,7 @@ if os.environ.get("FGGSL_THREADS"):
         os.environ.setdefault(_var, os.environ["FGGSL_THREADS"])
 
 from .analysis import (learned_edge_audit, prop1_check, similarity_histogram,
-                       spectral_response_export, stability_probe)
+                       spectral_response_export, stability_probe, stability_table)
 from .autodiff import ParameterSet, Tensor, backward, grad_check, no_grad
 from .datasets import (CandidateGraph, DatasetBundle, candidate_graph,
                        gen_synthetic, load_dataset_dir, load_raw, load_splits,
@@ -46,6 +46,7 @@ __all__ = [
     "load_splits", "mask_matrix", "no_grad", "normalized_laplacian",
     "operator_distance", "perturb_laplacian", "prop1_check", "row_normalize",
     "run_ablation", "run_protocol", "save_checkpoint", "similarity_histogram",
-    "spectral_response_export", "stability_probe", "structural_loss_ho",
-    "structural_loss_ht", "symmetric_eig", "total_loss", "train_single_split",
+    "spectral_response_export", "stability_probe", "stability_table",
+    "structural_loss_ho", "structural_loss_ht", "symmetric_eig", "total_loss",
+    "train_single_split",
 ]

@@ -6,6 +6,16 @@ The stability probe builds its filter matrices from an explicit
 eigendecomposition (never from the repeated products with T that
 ``model.filter_bank_apply`` and training use), so it doubles as an
 independent oracle for the filter implementation.
+
+``stability_table`` probes every kernel (j, kind) of a bank set against
+one set of perturbations, and ``stability_probe`` is its one-kernel case.
+The kernels share every decomposition: L's, each trial's direction with
+its delta, and each (eps > 0, trial) perturbed Laplacian's.  Only the
+spectral norm of each kernel's difference is its own, and it is read from
+eigenvalues alone.  With K kernels, T trials and E+ positive epsilons a
+table makes 1 + T + E+ T decompositions with vectors, K E+ T values-only
+ones and T SVDs (one more for an epsilon 0), where one probe per kernel
+would make K (1 + T + 2 E+ T) decompositions and K T SVDs.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError
 from .graphs import (SpectralDecomposition, edge_pairs, heterophilic_fraction,
-                     misalignment, operator_distance, perturb_laplacian,
-                     perturbation_direction, symmetric_eig)
+                     misalignment, operator_distance, perturbation_direction,
+                     symmetric_eig)
 from .model import BANK_KINDS, kernel_value
 
 
@@ -80,49 +90,82 @@ def spectral_filter_matrix(lap: np.ndarray, j: int, mode: str, kind: str) -> np.
     return _filter_matrix(symmetric_eig(lap), j, mode, kind)
 
 
-def stability_probe(lap, j: int, mode: str, kind: str, epsilon_list,
-                    trials: int, seed: int) -> list[BoundProbeRecord]:
-    """Perturb the Laplacian ``lap`` and compare filter deviation against
-    the bound 2^(j-1) (1 + delta sqrt(N)) eps, with slack (1 + 10 eps)
-    absorbing the second-order remainder.
+def stability_table(lap, scales, mode: str, kinds, epsilon_list, trials: int,
+                    seed: int) -> dict[tuple[int, str], list[BoundProbeRecord]]:
+    """Perturb the Laplacian ``lap`` and compare each kernel's filter
+    deviation ||h_j(L) - h_j(L + E)||_2 against the bound
+    2^(j-1) (1 + delta sqrt(N)) eps, with slack (1 + 10 eps) absorbing the
+    second-order remainder.
 
-    Records run over epsilons, then trials.  ``lap`` is decomposed once,
-    each trial's direction (``perturbation_direction``) and its delta once
-    for all positive epsilons, and epsilon 0 (where the direction is 0 and
-    its basis I) once for all trials.
+    Returns one record list per kernel (j, kind), j in ``scales`` outer and
+    kind in ``kinds`` inner; each list runs over epsilons, then trials, as
+    ``stability_probe``'s does.  Trial t perturbs along the direction that
+    seed ``seed * 10007 + t`` draws, rescaled to spectral norm eps.
+
+    Every kernel shares the decompositions.  With K kernels, T trials and
+    E+ positive epsilons the table makes
+    - 1 + T + E+ T eigendecompositions with vectors: L once, each trial's
+      direction once (none when E+ = 0), and each (eps > 0, trial)
+      perturbed Laplacian once;
+    - at most K E+ T values-only ones, for the spectral norm of each
+      difference (``operator_distance``);
+    - T 2-norm SVDs for the trials' deltas, plus one shared by every
+      epsilon 0 entry, where L + 0 E is L itself, each distance is exactly
+      0 and the direction's basis is I.
+    Live memory does not grow with K or T: each h_j(L) is rebuilt from L's
+    eigenpairs for the one comparison that reads it.
     """
     lap = np.asarray(lap, dtype=np.float64)
     for eps in epsilon_list:
         if not (np.isfinite(eps) and eps >= 0):
-            raise ContractError(f"stability_probe: epsilon {eps} is not a finite number >= 0")
+            raise ContractError(
+                f"stability_table: epsilon {eps} is not a finite number >= 0")
     n = lap.shape[0]
+    kernels = [(j, kind) for j in scales for kind in kinds]
     dec = symmetric_eig(lap)
-    h_base = _filter_matrix(dec, j, mode, kind)
     lap_basis = dec.normalized_vectors()
 
-    def record(eps, l_hat, delta):
-        observed = operator_distance(h_base, spectral_filter_matrix(l_hat, j, mode, kind))
-        bound = 2.0 ** (j - 1) * (1.0 + delta * np.sqrt(n)) * eps
-        holds = observed <= bound * (1.0 + 10.0 * eps) + 1e-12
-        return BoundProbeRecord(
-            epsilon=float(eps), observed_distance=float(observed),
-            bound_value=float(bound), delta=float(delta), j=j,
-            holds_with_slack=bool(holds))
+    def distances(dec_hat):
+        return [operator_distance(_filter_matrix(dec, j, mode, kind),
+                                  _filter_matrix(dec_hat, j, mode, kind))
+                for j, kind in kernels]
 
-    at_zero = {}                     # epsilon index -> its record, one for all trials
-    for k, eps in enumerate(epsilon_list):
-        if eps == 0:
-            l_hat, _, delta = perturb_laplacian(lap, 0.0, seed, l_eigenvectors=lap_basis)
-            at_zero[k] = record(eps, l_hat, delta)
-    per_trial = []
+    def records(eps, observed, delta):
+        out = []
+        for (j, _), distance in zip(kernels, observed):
+            bound = 2.0 ** (j - 1) * (1.0 + delta * np.sqrt(n)) * eps
+            out.append(BoundProbeRecord(
+                epsilon=float(eps), observed_distance=float(distance),
+                bound_value=float(bound), delta=float(delta), j=j,
+                holds_with_slack=bool(distance <= bound * (1.0 + 10.0 * eps) + 1e-12)))
+        return out
+
+    if any(eps == 0 for eps in epsilon_list):
+        zero_delta = misalignment(lap_basis, np.eye(n))
+    drawn = any(eps != 0 for eps in epsilon_list)
+    grid = {}                        # (epsilon index, trial) -> one record per kernel
     for trial in range(trials):
-        if len(at_zero) < len(epsilon_list):
+        if drawn:
             e0, norm, v = perturbation_direction(n, seed * 10007 + trial)
             delta = misalignment(lap_basis, v)
-        per_trial.append([at_zero[k] if k in at_zero
-                          else record(eps, lap + e0 * (eps / norm), delta)
-                          for k, eps in enumerate(epsilon_list)])
-    return [recs[k] for k in range(len(epsilon_list)) for recs in per_trial]
+            del v                    # not read again; keeps one n x n array off the peak
+        for k, eps in enumerate(epsilon_list):
+            if eps == 0:
+                grid[k, trial] = records(eps, [0.0] * len(kernels), zero_delta)
+            else:
+                observed = distances(symmetric_eig(lap + e0 * (eps / norm)))
+                grid[k, trial] = records(eps, observed, delta)
+    return {kernel: [grid[k, t][i] for k in range(len(epsilon_list)) for t in range(trials)]
+            for i, kernel in enumerate(kernels)}
+
+
+def stability_probe(lap, j: int, mode: str, kind: str, epsilon_list,
+                    trials: int, seed: int) -> list[BoundProbeRecord]:
+    """``stability_table`` for the one kernel (j, kind): its records over
+    epsilons, then trials, from 1 + T + E+ T decompositions with vectors,
+    at most E+ T values-only ones and T 2-norm SVDs (plus one for any
+    epsilon 0)."""
+    return stability_table(lap, [j], mode, [kind], epsilon_list, trials, seed)[j, kind]
 
 
 def distance_slope(records: list[BoundProbeRecord]) -> float:

@@ -397,6 +397,7 @@ def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     if form == "transposed":
         return (y.T @ t).T
     rows = _block_rows(n)
+    y = np.ascontiguousarray(y)     # a strided block is copied once, not once per panel
     out = np.empty((n, w))
     for r0 in range(0, n, rows):
         np.matmul(t[r0:r0 + rows], y, out=out[r0:r0 + rows])

@@ -36,8 +36,9 @@ class _Parser(argparse.ArgumentParser):
 
 # ``gen`` and ``analyze stability`` without --data draw an n x n matrix.
 # At this many nodes one n x n float64 array is 32 MB; ``gen`` peaks near
-# 130 MiB and ``analyze stability`` near 400 MiB (tracemalloc, scaled from
-# n = 1000).  A larger --n exits 1 while the flags are parsed.
+# 130 MiB (tracemalloc, scaled from n = 1000) and ``analyze stability``
+# near 340 MiB (tracemalloc at n = 2000, J = 4, one trial; it does not grow
+# with J or the trials).  A larger --n exits 1 while the flags are parsed.
 MAX_DRAWN_NODES = 2000
 
 
@@ -345,14 +346,14 @@ def _cmd_analyze(args) -> int:
             lap = normalized_laplacian(a)
         lines = ["epsilon,j,kind,observed_distance,bound_value,delta,holds_with_slack"]
         all_hold = True
-        for j in range(2, args.j_max + 1):
-            for bank_kind in fm.BANK_KINDS:
-                recs = analysis.stability_probe(lap, j, args.kernel_mode, bank_kind,
-                                                args.epsilons, args.trials, args.seed)
-                all_hold &= all(r.holds_with_slack for r in recs)
-                lines += [f"{r.epsilon:.12g},{r.j},{bank_kind},"
-                          f"{r.observed_distance:.12g},{r.bound_value:.12g},"
-                          f"{r.delta:.12g},{int(r.holds_with_slack)}" for r in recs]
+        table = analysis.stability_table(lap, range(2, args.j_max + 1), args.kernel_mode,
+                                         fm.BANK_KINDS, args.epsilons, args.trials,
+                                         args.seed)
+        for (j, bank_kind), recs in table.items():
+            all_hold &= all(r.holds_with_slack for r in recs)
+            lines += [f"{r.epsilon:.12g},{j},{bank_kind},"
+                      f"{r.observed_distance:.12g},{r.bound_value:.12g},"
+                      f"{r.delta:.12g},{int(r.holds_with_slack)}" for r in recs]
         _write_lines(_out_file(args, "stability.csv"), lines)
         _write_json(_out_file(args, "stability.json"), _analyze_sidecar(
             args, {"epsilons": args.epsilons, "trials": args.trials,

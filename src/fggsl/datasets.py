@@ -290,10 +290,22 @@ def load_splits(split_files, n: int) -> list[tuple[np.ndarray, np.ndarray, np.nd
 
 
 def row_normalize(features: np.ndarray) -> np.ndarray:
-    """Scale each nonzero row to unit L1 norm; zero rows pass through."""
-    norms = np.abs(features).sum(axis=1, keepdims=True)
+    """Scale each nonzero row to unit L1 norm; zero rows pass through.
+
+    A finite row whose L1 sum overflows (entries near the float64 maximum)
+    is first divided by its largest absolute value, so it normalizes too
+    instead of coming back as zeros; every other row is divided by its sum
+    alone.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.abs(features).sum(axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
-    return features / safe
+    out = features / safe
+    huge = np.isinf(norms[:, 0])
+    if huge.any():
+        rows = features[huge] / np.abs(features[huge]).max(axis=1, keepdims=True)
+        out[huge] = rows / np.abs(rows).sum(axis=1, keepdims=True)
+    return out
 
 
 def save_raw(graph: LabeledGraph, node_file, edge_file):

@@ -4,8 +4,8 @@ dense symmetric eigendecomposition.
 All matrices are dense float64; training passes its graphs to
 ``normalized_laplacian`` as edge columns instead.  ``edge_pairs`` is the
 one reader of an undirected edge list off a dense matrix.  The eigensolver wraps
-LAPACK ``eigh``; it is only used on analysis paths, never inside
-training.
+LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues alone; it is only used on
+analysis paths, never inside training.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class LabeledGraph:
 class SpectralDecomposition:
     """Eigenpairs of a symmetric matrix, eigenvalues ascending."""
 
-    eigenvalues: np.ndarray   # (n,)
-    eigenvectors: np.ndarray  # (n, n), columns
+    eigenvalues: np.ndarray           # (n,)
+    eigenvectors: np.ndarray | None   # (n, n), columns; None from a values-only call
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
@@ -129,8 +129,10 @@ def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray) -> float:
     return heterophilic_fraction(labels, pairs)
 
 
-def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
-    """LAPACK eigendecomposition (``np.linalg.eigh``) of a symmetric matrix.
+def symmetric_eig(m: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
+    """LAPACK eigendecomposition of a symmetric matrix: ``np.linalg.eigh``,
+    or with ``vectors=False`` ``np.linalg.eigvalsh``, which computes the
+    eigenvalues alone and leaves ``eigenvectors`` None.
 
     Raises NumericError on non-finite entries, which would otherwise come
     back as NaN eigenvalues, and when LAPACK fails to converge.
@@ -140,34 +142,35 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
         raise NumericError("symmetric_eig: matrix has NaN/Inf entries")
     check_symmetric(a, "symmetric_eig")
     try:
-        values, vectors = np.linalg.eigh(a)
+        if vectors:
+            return SpectralDecomposition(*np.linalg.eigh(a))
+        return SpectralDecomposition(np.linalg.eigvalsh(a), None)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric_eig: {exc}") from exc
-    return SpectralDecomposition(values, vectors)
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of (a - b) for symmetric arguments."""
+    """Spectral norm of (a - b) for symmetric arguments, from the
+    eigenvalues of the difference alone."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"operator_distance: shapes differ, {a.shape} vs {b.shape}")
     diff = a - b
-    check_symmetric(diff, "operator_distance")
     if not np.any(diff):
         return 0.0
-    values = symmetric_eig(diff).eigenvalues
+    values = symmetric_eig(diff, vectors=False).eigenvalues
     return float(np.max(np.abs(values)))
 
 
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible entry is positive."""
+    big = np.abs(vectors) > SIGN_TOL
+    first = np.argmax(big, axis=0)                # row 0 where a column has none
+    cols = np.arange(vectors.shape[1])
+    flip = big[first, cols] & (vectors[first, cols] < 0)
     out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.nonzero(np.abs(col) > SIGN_TOL)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
+    np.negative(out, out=out, where=flip)
     return out
 
 

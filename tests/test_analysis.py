@@ -147,31 +147,73 @@ def _reference_probe(lap, j, mode, kind, epsilons, trials, seed):
     return records
 
 
-@pytest.mark.parametrize("epsilons,trials,eigs,norms", [
-    ([1e-3, 1e-2], 1, 6, 1),           # the reference makes 8 and 2
-    ([1e-3, 1e-2, 1e-1], 2, 15, 2),    # 20 and 6
-    ([0.0, 1e-3, 0.0, 1e-2], 3, 18, 5),  # 26 and 12
-])
-def test_stability_probe_decomposes_each_matrix_once(monkeypatch, epsilons, trials, eigs, norms):
-    lap = _laplacian(6, n=10)
-    expected = _reference_probe(lap, 3, "fig3", "high", epsilons, trials, 7)
-    counts = {"eig": 0, "norm": 0}
+def _count_decompositions(monkeypatch):
+    """Count ``symmetric_eig`` calls with vectors and values-only, and
+    2-norm SVDs, from here on."""
+    counts = {"vectors": 0, "values": 0, "svd": 0}
     eig, norm = graphs.symmetric_eig, np.linalg.norm
 
-    def counted_eig(m):
-        counts["eig"] += 1
-        return eig(m)
+    def counted_eig(m, vectors=True):
+        counts["vectors" if vectors else "values"] += 1
+        return eig(m, vectors)
 
     def counted_norm(x, ord=None, **kw):
-        counts["norm"] += ord == 2
+        counts["svd"] += ord == 2
         return norm(x, ord, **kw)
 
     monkeypatch.setattr(graphs, "symmetric_eig", counted_eig)
     monkeypatch.setattr(analysis, "symmetric_eig", counted_eig)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return counts
+
+
+def _expected_counts(kernels, epsilons, trials):
+    """1 + T + E+ T decompositions with vectors (no direction when E+ = 0),
+    K E+ T values-only ones, and T SVDs plus one for any epsilon 0."""
+    e_pos = sum(eps > 0 for eps in epsilons)
+    drawn = trials if e_pos else 0
+    return {"vectors": 1 + drawn + e_pos * trials, "values": kernels * e_pos * trials,
+            "svd": drawn + any(eps == 0 for eps in epsilons)}
+
+
+# max_eigs and max_svds: the decompositions of both kinds together and the
+# SVDs that the probe made when each epsilon decomposed its own perturbed
+# Laplacian twice (once for the filter, once for the distance's norm)
+@pytest.mark.parametrize("epsilons,trials,max_eigs,max_svds", [
+    ([1e-3, 1e-2], 1, 6, 1),           # the reference makes 8 and 2
+    ([1e-3, 1e-2, 1e-1], 2, 15, 2),    # 20 and 6
+    ([0.0, 1e-3, 0.0, 1e-2], 3, 18, 5),  # 26 and 12
+])
+def test_stability_probe_decomposes_each_matrix_once(monkeypatch, epsilons, trials,
+                                                     max_eigs, max_svds):
+    lap = _laplacian(6, n=10)
+    expected = _reference_probe(lap, 3, "fig3", "high", epsilons, trials, 7)
+    counts = _count_decompositions(monkeypatch)
     recs = analysis.stability_probe(lap, 3, "fig3", "high", epsilons, trials, 7)
     assert recs == expected
-    assert (counts["eig"], counts["norm"]) == (eigs, norms)
+    assert counts == _expected_counts(1, epsilons, trials)
+    assert counts["vectors"] + counts["values"] <= max_eigs
+    assert counts["svd"] <= max_svds
+
+
+@pytest.mark.parametrize("epsilons", [[1e-3, 1e-2], [0.0, 1e-3, 1e-2], [1e-2, 0.0], [0.0]],
+                         ids=["positive", "zero-first", "zero-last", "zero-alone"])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("j_max", [2, 4])
+def test_stability_table_shares_every_decomposition_across_kernels(monkeypatch, j_max,
+                                                                   trials, epsilons):
+    # the unshared path makes 2(J - 1)(1 + T + 2 E+ T) decompositions and
+    # 2(J - 1) T SVDs: 96 and 18 at J = 4, T = 3 with two positive epsilons
+    lap = _laplacian(8, n=10)
+    scales = range(2, j_max + 1)
+    expected = {(j, kind): _reference_probe(lap, j, "fig3", kind, epsilons, trials, 3)
+                for j in scales for kind in ("low", "high")}
+    counts = _count_decompositions(monkeypatch)
+    table = analysis.stability_table(lap, scales, "fig3", ("low", "high"), epsilons,
+                                     trials, 3)
+    assert table == expected
+    assert list(table) == list(expected)
+    assert counts == _expected_counts(len(expected), epsilons, trials)
 
 
 def test_spectral_filter_matrix_symmetric():

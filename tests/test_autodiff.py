@@ -642,6 +642,17 @@ def test_step_forms_equal_the_product(n, w, form):
     assert (out.T if form == "transposed" else out).flags.c_contiguous
 
 
+def test_step_panels_give_a_column_slice_the_bits_of_its_contiguous_copy():
+    # training steps C-contiguous blocks; a strided block is copied once,
+    # before the panels, and gives the same bits
+    rng = np.random.default_rng(600)
+    t = rng.standard_normal((600, 600))
+    t = t + t.T
+    y = rng.standard_normal((600, 12))[:, 3:8]
+    assert ad._step_form(600, 5) == "panels" and not y.flags.c_contiguous
+    assert np.array_equal(ad._step(t, y), ad._step(t, np.ascontiguousarray(y)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        n=st.one_of(st.integers(1, 9), st.integers(TALL, TALL + 3)),

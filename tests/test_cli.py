@@ -335,7 +335,7 @@ def test_numeric_failure_in_an_analysis_exits_2(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise NumericError("symmetric_eig: matrix has NaN/Inf entries")
 
-    monkeypatch.setattr(analysis, "stability_probe", fail)
+    monkeypatch.setattr(analysis, "stability_table", fail)
     code = run_cli("analyze", "stability", "--out", str(tmp_path / "st"),
                    "--n", "10", "--trials", "1", "--J", "2")
     assert code == 2

@@ -276,6 +276,8 @@ def _dataset_dir(draw):
     return nodes, edges, splits
 
 
+# a float64 overflow in loading (an L1 row sum past the maximum) fails the draw
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(_dataset_dir(), st.booleans())
 def test_a_loaded_bundle_holds_the_graph_invariants(files, normalize):
@@ -464,6 +466,21 @@ def test_row_normalize_cases():
     assert np.allclose(out[0], [0.5, 0.5])
     assert np.array_equal(out[1], [0.0, 0.0])
     assert np.max(np.abs(datasets.row_normalize(out) - out)) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_row_normalize_scales_a_row_whose_sum_overflows():
+    big = np.finfo(np.float64).max
+    feats = np.array([[big, big, 1.0], [1.0, 3.0, 0.0], [-big, 0.0, big / 2],
+                      [0.0, 0.0, 0.0]])
+    out = datasets.row_normalize(feats)
+    assert np.isfinite(out).all()
+    assert np.allclose(out[0], [0.5, 0.5, 0.0]) and out[0, 2] > 0.0
+    assert np.allclose(out[2], [-2 / 3, 0.0, 1 / 3])
+    assert np.allclose(np.abs(out[:3]).sum(axis=1), 1.0)
+    # the rows whose sums are finite are divided by their sums alone
+    assert np.array_equal(out[1], feats[1] / 4.0)
+    assert np.array_equal(out[3], feats[3])
 
 
 def test_gen_synthetic_pure_heterophilic():

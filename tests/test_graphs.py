@@ -214,6 +214,29 @@ def test_eig_non_finite_raises_numeric(bad):
         graphs.symmetric_eig(m)
 
 
+def _sign_normalize_per_column(vectors):
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        nz = np.nonzero(np.abs(col) > graphs.SIGN_TOL)[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, k] = -col
+    return out
+
+
+def test_sign_normalize_is_bitwise_the_per_column_loop():
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((9, 40))
+    v[rng.random(v.shape) < 0.5] *= 1e-13          # below SIGN_TOL
+    v[rng.random(v.shape) < 0.2] = 0.0
+    v[rng.random(v.shape) < 0.1] = -0.0
+    v[:, :3] = [-1e-13, 0.0, -0.0]                  # columns with no entry above SIGN_TOL
+    lap = graphs.normalized_laplacian(_random_adjacency(rng, 30))
+    for m in (v, graphs.symmetric_eig(lap).eigenvectors):
+        expected = _sign_normalize_per_column(m)
+        assert graphs._sign_normalize(m).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # operator_distance
 

@@ -408,3 +408,47 @@ def test_result_serialization_round_trip():
     csv = result.csv_rows()
     assert csv[0] == "split_id,test_acc,best_epoch,seconds"
     assert len(csv) == 2
+
+
+# ---------------------------------------------------------------------------
+# work counts of one training step
+
+
+@pytest.mark.parametrize("n, num_features, candidate, form", [
+    (183, 1703, "full", "direct"),      # Texas-shaped: T @ Y at n < 512
+    (1000, 100, "given", "panels"),     # SBM-shaped: C = 5 columns in row panels
+], ids=["texas-full", "sbm1k-given"])
+def test_one_full_step_at_j4_does_the_pinned_work(monkeypatch, n, num_features, candidate,
+                                                  form):
+    graph = datasets.gen_synthetic(n, 5, 0.02, 0.1, 0.4, seed=1, n_splits=1)
+    rng = np.random.default_rng(1)
+    graph.features = (rng.random((n, num_features)) < 0.05).astype(np.float64)
+    bundle = datasets.DatasetBundle(graph=graph, name="shape", feature_normalized=False)
+    config = training.TrainConfig(epochs_max=1, patience=1, j_max=4, variant="full",
+                                  candidate_mode=candidate, seed=2)
+    tape_nodes, steps, decompositions = [], [], []
+    step, backward = ad._step, ad.backward
+
+    def counted_step(t, y):
+        steps.append(ad._step_form(*y.shape))
+        return step(t, y)
+
+    def counted_backward(loss, params):
+        tape_nodes.append(len(ad.tape().nodes()))
+        return backward(loss, params)
+
+    def no_decomposition(name):
+        def record(*args, **kwargs):
+            decompositions.append(name)
+            raise AssertionError(f"np.linalg.{name} inside training")
+        return record
+
+    monkeypatch.setattr(ad, "_step", counted_step)
+    monkeypatch.setattr(ad, "backward", counted_backward)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_decomposition(name))
+    training.train_single_split(bundle, graph.splits[0], config)
+    assert tape_nodes == [34]
+    # each of the two banks steps 2^J times forward and 2^J times back
+    assert steps == [form] * (2 * 2 * 2 ** config.j_max)
+    assert decompositions == []
