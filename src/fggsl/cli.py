@@ -42,20 +42,25 @@ class _Parser(argparse.ArgumentParser):
 MAX_DRAWN_NODES = 2000
 
 
-class _IntRange:
-    """Integer flag type with a minimum and an optional maximum; argparse
-    reports a violation as one line naming the flag."""
+class _Number:
+    """Numeric flag type: an int, or a finite float, at least ``minimum``
+    and at most ``maximum`` where given; argparse reports a violation as
+    one line naming the flag."""
 
-    def __init__(self, minimum: int, maximum: int | None = None):
+    def __init__(self, kind: type, minimum=None, maximum=None):
+        self.kind = kind
         self.minimum = minimum
         self.maximum = maximum
 
-    def __call__(self, value: str) -> int:
+    def __call__(self, value: str):
         try:
-            number = int(value)
+            number = self.kind(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-        if number < self.minimum:
+            raise argparse.ArgumentTypeError(
+                f"invalid {self.kind.__name__} value: {value!r}") from None
+        if self.kind is float and not np.isfinite(number):
+            raise argparse.ArgumentTypeError(f"{value!r} is not a finite number")
+        if self.minimum is not None and number < self.minimum:
             raise argparse.ArgumentTypeError(f"{number} must be >= {self.minimum}")
         if self.maximum is not None and number > self.maximum:
             raise argparse.ArgumentTypeError(f"{number} must be <= {self.maximum}")
@@ -76,37 +81,11 @@ class _CommaList:
 
 
 # numpy's generators accept only integers >= 0
-_seed = _IntRange(0)
-_positive = _IntRange(1)
-_scales = _IntRange(2, fm.MAX_J)      # a filter bank needs 2 <= J <= MAX_J
-_drawn_nodes = _IntRange(1, MAX_DRAWN_NODES)
-
-
-def _finite(value: str) -> float:
-    """``--noise`` type: a finite number."""
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
-    if not np.isfinite(number):
-        raise argparse.ArgumentTypeError(f"{value!r} is not a finite number")
-    return number
-
-
-def _nonnegative(value: str) -> float:
-    """``--epsilons`` item type: a finite number >= 0."""
-    number = _finite(value)
-    if number < 0.0:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number >= 0")
-    return number
-
-
-def _unit_interval(value: str) -> float:
-    """``--threshold`` type: a finite number in [0, 1]."""
-    number = _finite(value)
-    if not 0.0 <= number <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number in [0, 1]")
-    return number
+_seed = _Number(int, 0)
+_positive = _Number(int, 1)
+_scales = _Number(int, 2, fm.MAX_J)      # a filter bank needs 2 <= J <= MAX_J
+_drawn_nodes = _Number(int, 1, MAX_DRAWN_NODES)
+_probability = _Number(float, 0, 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--kernel-mode", choices=fm.KERNEL_MODES, default="fig3")
     p_an.add_argument("--grid", type=_positive, default=200)
     p_an.add_argument("--trials", type=_positive, default=50)
-    p_an.add_argument("--epsilons", type=_CommaList(_nonnegative), default=[1e-3, 1e-2])
+    p_an.add_argument("--epsilons", type=_CommaList(_Number(float, 0)), default=[1e-3, 1e-2])
     p_an.add_argument("--n", type=_drawn_nodes, default=20,
                       help=f"random graph size, at most {MAX_DRAWN_NODES}")
     p_an.add_argument("--classes", type=_CommaList(_positive), default=[2, 3, 4, 5, 6, 7, 8],
                       help="class counts for prop1 draws")
-    p_an.add_argument("--threshold", type=_unit_interval, default=0.5,
+    p_an.add_argument("--threshold", type=_probability, default=0.5,
                       help="audit: keep learned edges above this weight, in [0, 1]")
     p_an.add_argument("--max-pairs", type=_positive, default=20000)
     p_an.add_argument("--bins", type=_positive, default=50)
@@ -162,9 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=_drawn_nodes, default=150,
                        help=f"node count, at most {MAX_DRAWN_NODES}")
     p_gen.add_argument("--classes", type=_positive, default=3)
-    p_gen.add_argument("--intra-p", type=float, default=0.01)
-    p_gen.add_argument("--inter-p", type=float, default=0.2)
-    p_gen.add_argument("--noise", type=_finite, default=1.0)
+    p_gen.add_argument("--intra-p", type=_probability, default=0.01)
+    p_gen.add_argument("--inter-p", type=_probability, default=0.2)
+    p_gen.add_argument("--noise", type=_Number(float), default=1.0)
     p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--splits", type=_positive, default=10)
     return parser

@@ -456,7 +456,15 @@ def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
         if k >= n:
             raise ContractError(f"candidate_graph: k={k} must be < n={n}")
         feats = graph.features
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(feats, axis=1, keepdims=True)
+        huge = np.isinf(norms[:, 0])
+        if huge.any():
+            # a cosine does not depend on the row's scale, so a row whose
+            # norm overflows is first divided by its largest absolute value
+            feats = feats.copy()
+            feats[huge] /= np.abs(feats[huge]).max(axis=1, keepdims=True)
+            norms[huge] = np.linalg.norm(feats[huge], axis=1, keepdims=True)
         unit = feats / np.where(norms == 0.0, 1.0, norms)
         sims = unit @ unit.T
         np.fill_diagonal(sims, -np.inf)

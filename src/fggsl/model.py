@@ -336,19 +336,20 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
     """Yield (kind, edge column, spec, T, Z) for each bank of the variant,
     in ``BANKS`` order, building each bank's graph as it goes.
 
-    The edge column is a learned mask from the bank's X W_net, or all ones
-    (``a_f`` itself) for a bank without a mask net; T is the bank's
-    ``operator`` on the column's ``normalized_laplacian``.  With
+    The edge column is a learned mask from the bank's X W_net, or None for
+    a bank without a mask net; T is the bank's ``operator`` on the
+    ``normalized_laplacian`` of the column, or of all ones (``a_f``
+    itself) where there is none.  With
     ``classifier``, Z = [X W_2 | ... | X W_J] is the bank's block of one
     product with X (``_feature_products``); without, Z is X.
     """
     masks, zs = _feature_products(model, x, classifier)
     pairs = a_f.edge_pairs()
     for kind, net in BANKS[model.variant].items():
-        w = (mask_matrix(masks[kind], model.params[f"{net}_b"], a_f) if net
-             else ad.constant(np.ones((a_f.num_edges, 1))))
+        w = mask_matrix(masks[kind], model.params[f"{net}_b"], a_f) if net else None
+        column = ad.constant(np.ones((a_f.num_edges, 1))) if w is None else w
         spec = model.bank(kind)
-        t = spec.operator(normalized_laplacian(w, pairs=pairs, n=a_f.n), pairs, a_f.n)
+        t = spec.operator(normalized_laplacian(column, pairs=pairs, n=a_f.n), pairs, a_f.n)
         yield kind, w, spec, t, zs.get(kind, x)
 
 
@@ -419,32 +420,33 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
     """Cross-entropy on train rows plus weighted structural losses on all
     candidate edges, evaluated with predicted probabilities.
 
-    Returns (loss tensor, LossBreakdown, ForwardResult).  With
-    ``true_labels_on_train`` the similarity source substitutes the known
-    one-hot labels on training rows.
+    A variant that learns no masks has no structural losses: its loss is
+    the cross-entropy, and its ``ho`` and ``ht`` read 0.  Returns (loss
+    tensor, LossBreakdown, ForwardResult).  With ``true_labels_on_train``
+    the similarity source substitutes the known one-hot labels on
+    training rows.
     """
     if alpha < 0 or beta < 0:
         raise ContractError(f"total_loss: alpha={alpha}, beta={beta} must be >= 0")
     x = ad.constant(graph.features)
     onehot = ad.constant(graph.labels)
     fwd = forward(model, x, a_f)
-    ce = ad.softmax_cross_entropy(fwd.logits, onehot, train_idx)
-
-    sim_source = fwd.yhat
-    if true_labels_on_train:
-        keep = np.ones((graph.n, 1))
-        keep[np.asarray(train_idx, dtype=np.intp)] = 0.0
-        keep = np.broadcast_to(keep, graph.labels.shape).copy()
-        sim_source = ad.add(ad.hadamard(fwd.yhat, ad.constant(keep)),
-                            ad.constant(graph.labels * (1.0 - keep)))
-
-    # one cosine per candidate edge, shared by both structural losses
-    pairs = a_f.edge_pairs()
-    cos = ad.pair_dots(ad.unit_rows(sim_source, pairs, "total_loss"), pairs)
-    zero = ad.constant(0.0)
-    ho = structural_loss_ho(fwd.w1_edges, cos) if fwd.w1_edges is not None else zero
-    ht = structural_loss_ht(fwd.w2_edges, cos) if fwd.w2_edges is not None else zero
-    loss = ad.add(ce, ad.add(ad.scale(alpha, ho), ad.scale(beta, ht)))
+    loss = ce = ad.softmax_cross_entropy(fwd.logits, onehot, train_idx)
+    ho = ht = zero = ad.constant(0.0)
+    if learns_masks(model.variant):
+        sim_source = fwd.yhat
+        if true_labels_on_train:
+            keep = np.ones((graph.n, 1))
+            keep[np.asarray(train_idx, dtype=np.intp)] = 0.0
+            keep = np.broadcast_to(keep, graph.labels.shape).copy()
+            sim_source = ad.add(ad.hadamard(fwd.yhat, ad.constant(keep)),
+                                ad.constant(graph.labels * (1.0 - keep)))
+        # one cosine per candidate edge, shared by both structural losses
+        pairs = a_f.edge_pairs()
+        cos = ad.pair_dots(ad.unit_rows(sim_source, pairs, "total_loss"), pairs)
+        ho = structural_loss_ho(fwd.w1_edges, cos) if fwd.w1_edges is not None else zero
+        ht = structural_loss_ht(fwd.w2_edges, cos) if fwd.w2_edges is not None else zero
+        loss = ad.add(ce, ad.add(ad.scale(alpha, ho), ad.scale(beta, ht)))
     breakdown = LossBreakdown(ce=ce.item(), ho=ho.item(), ht=ht.item(),
                               total=loss.item(), alpha=alpha, beta=beta)
     return loss, breakdown, fwd
@@ -454,20 +456,16 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
 # checkpoints: JSON header line + concatenated little-endian float64 blobs
 
 
+# the ``FgGSLModel`` fields that define a model, with their JSON types
+_MODEL_FIELDS = {"num_features": int, "num_classes": int, "j_max": int, "mask_dim": int,
+                 "kernel_mode": str, "variant": str}
+
+
 def save_checkpoint(path, model: FgGSLModel, alpha: float, beta: float):
     names = model.params.names()
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "j_max": model.j_max,
-        "kernel_mode": model.kernel_mode,
-        "variant": model.variant,
-        "mask_dim": model.mask_dim,
-        "alpha": alpha,
-        "beta": beta,
-        "num_features": model.num_features,
-        "num_classes": model.num_classes,
-        "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
-    }
+    header = {"format": CHECKPOINT_FORMAT, "alpha": alpha, "beta": beta,
+              **{key: getattr(model, key) for key in _MODEL_FIELDS},
+              "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names]}
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for n in names:
@@ -475,9 +473,8 @@ def save_checkpoint(path, model: FgGSLModel, alpha: float, beta: float):
 
 
 # header key -> accepted JSON types; bool is never accepted for a number
-_HEADER_TYPES = {"format": str, "j_max": int, "kernel_mode": str, "variant": str,
-                 "mask_dim": int, "alpha": (int, float), "beta": (int, float),
-                 "num_features": int, "num_classes": int, "params": list}
+_HEADER_TYPES = {"format": str, **_MODEL_FIELDS, "alpha": (int, float),
+                 "beta": (int, float), "params": list}
 
 
 def _check_header(path, header) -> None:
@@ -530,9 +527,10 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
             raise ValidationError(f"{path}: not a checkpoint file") from exc
         _check_header(path, header)
         body = fh.read()
-    check_config(header["variant"], header["kernel_mode"], header["j_max"])
-    expected = _parameter_shapes(header["num_features"], header["num_classes"],
-                                 header["j_max"], header["mask_dim"], header["variant"])
+    fields = {key: header[key] for key in _MODEL_FIELDS}
+    kernel_mode = fields.pop("kernel_mode")        # no parameter's shape reads it
+    check_config(fields["variant"], kernel_mode, fields["j_max"])
+    expected = _parameter_shapes(**fields)
     names = [entry["name"] for entry in header["params"]]
     for name, entry in zip(names, header["params"]):
         if name not in expected:
@@ -560,10 +558,7 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
             raise ValidationError(f"{path}: parameter {name!r} has a non-finite value")
         arrays[name] = values.reshape(rows, cols).astype(np.float64)
         offset += values.nbytes
-    model = FgGSLModel(
-        num_features=header["num_features"], num_classes=header["num_classes"],
-        j_max=header["j_max"], mask_dim=header["mask_dim"],
-        kernel_mode=header["kernel_mode"], variant=header["variant"])
+    model = FgGSLModel(kernel_mode=kernel_mode, **fields)
     for name, values in arrays.items():
         model.params[name].data = values
     return model, header

@@ -182,18 +182,20 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
     for epoch in range(1, config.epochs_max + 1):
         params.zero_grad()
         try:
-            with ad.tape_scope():
-                loss, breakdown, probs, outputs = step_fn()
-                val_acc = accuracy_from_probs(probs, labels, val_idx)
-                if val_acc > best_val:
-                    best_val, best_epoch, stale = val_acc, epoch, 0
-                    best_state = params.snapshot()
-                    best_probs, best_outputs = probs, outputs
-                else:
-                    stale += 1
-                ad.backward(loss, params)
-            adam.step()
-        except NumericError as exc:
+            # an overflow or a NaN, say from a huge lr or alpha, fails the epoch
+            with np.errstate(over="raise", invalid="raise"):
+                with ad.tape_scope():
+                    loss, breakdown, probs, outputs = step_fn()
+                    val_acc = accuracy_from_probs(probs, labels, val_idx)
+                    if val_acc > best_val:
+                        best_val, best_epoch, stale = val_acc, epoch, 0
+                        best_state = params.snapshot()
+                        best_probs, best_outputs = probs, outputs
+                    else:
+                        stale += 1
+                    ad.backward(loss, params)
+                adam.step()
+        except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         max_update_scale = max(max_update_scale, adam.last_update_scale)
         curves["ce"].append(breakdown.ce)

@@ -375,12 +375,17 @@ def test_negative_seed_exits_1(tmp_path, capsys, command):
     (("analyze", "stability", "--epsilons", "inf"), "--epsilons"),
     (("analyze", "stability", "--epsilons", "0.01,nan"), "--epsilons"),
     (("analyze", "stability", "--epsilons", "-0.1"), "--epsilons"),
+    (("gen", "--intra-p", "nan"), "--intra-p"),
+    (("gen", "--intra-p", "-0.1"), "--intra-p"),
+    (("gen", "--inter-p", "2"), "--inter-p"),
+    (("gen", "--inter-p", "inf"), "--inter-p"),
 ], ids=["gen-classes-0", "gen-classes-negative", "stability-n-0",
         "stability-epsilons-abc", "stability-J-1", "stability-trials-0",
         "prop1-classes-0", "prop1-classes-a", "similarity-max-pairs-negative",
         "response-J-1", "gen-noise-nan", "gen-noise-inf", "stability-J-over-max",
         "response-J-over-max", "stability-epsilons-nan", "stability-epsilons-inf",
-        "stability-epsilons-nan-in-list", "stability-epsilons-negative"])
+        "stability-epsilons-nan-in-list", "stability-epsilons-negative",
+        "gen-intra-p-nan", "gen-intra-p-negative", "gen-inter-p-2", "gen-inter-p-inf"])
 def test_out_of_range_flags_exit_1(tmp_path, capsys, command, flag):
     code = run_cli(*command, "--out", str(tmp_path / "o"))
     assert code == 1
@@ -682,3 +687,76 @@ def test_mutated_inputs_exit_with_a_code_and_at_most_one_line(tiny_dataset, fuzz
             assert code in (0, 1, 2, 3)
             assert len(lines) == (code != 0)
             assert code != 2 or lines[0].startswith("numeric failure:")
+
+
+# ---------------------------------------------------------------------------
+# value fuzzing: loadable files with extreme or invalid values
+
+# valid values of each config key, the size fields from small ranges so
+# that no example allocates much or runs long; a drawn key replaces
+# FAST_CONFIG's
+_VALID_CONFIG = {"lr": [0.05, 1e308, 1e-308], "weight_decay": [5e-4, 0.0, 1e308],
+                 "epochs_max": [1, 2], "patience": [0, 1, 2], "mask_dim": [1, 3],
+                 "j_max": [2, 3], "alpha": [0.0, 1.0, 1e308, 1e-308],
+                 "beta": [0.0, 1.0, 1e308, 1e-308], "seed": [3, 2 ** 64],
+                 "kernel_mode": model.KERNEL_MODES, "variant": model.VARIANTS,
+                 "candidate": ["full", "given", "knn:3"],
+                 "true_labels_on_train": [True, False], "feature_normalize": [True, False]}
+# values at and past a field's bound, and of the wrong type
+_INVALID_CONFIG = [0, -1, float("nan"), True, "x"]
+
+
+@st.composite
+def _configs(draw):
+    """A config with at most one invalid value, so that about half the
+    examples reach training."""
+    config = draw(st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(values) for key, values in _VALID_CONFIG.items()}))
+    bad = draw(st.none() | st.sampled_from(sorted(_VALID_CONFIG)))
+    if bad is not None:
+        config[bad] = draw(st.sampled_from(_INVALID_CONFIG))
+    return {**FAST_CONFIG, "epochs_max": 2, "patience": 2, **config}
+
+
+_FEATURE_VALUES = st.sampled_from(["1e308", "-1e308", "1e-308", "0"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=_configs(),
+       features=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 1), _FEATURE_VALUES),
+                         max_size=6),
+       duplicates=st.lists(st.integers(0, 2 ** 16), max_size=3),
+       isolated=st.lists(st.integers(0, 23), max_size=3))
+def test_extreme_values_exit_with_a_code_and_at_most_one_line(tiny_dataset, config,
+                                                              features, duplicates, isolated):
+    with tempfile.TemporaryDirectory() as root:
+        data = os.path.join(root, "data")
+        shutil.copytree(tiny_dataset, data)
+        nodes = os.path.join(data, datasets.NODE_FILE)
+        with open(nodes, encoding="utf-8") as fh:
+            rows = [line.split("\t") for line in fh.read().splitlines()]
+        for node, col, value in features:
+            values = rows[node][1].split(",")
+            values[col] = value
+            rows[node][1] = ",".join(values)
+        edges = os.path.join(data, datasets.EDGE_FILE)
+        with open(edges, encoding="utf-8") as fh:
+            pairs = fh.read().splitlines()
+        pairs += [pairs[k % len(pairs)] for k in duplicates]
+        pairs = [line for line in pairs
+                 if not {int(v) for v in line.split("\t")} & set(isolated)]
+        for path, text in ((nodes, ["\t".join(row) for row in rows]), (edges, pairs)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in text))
+        config_file = os.path.join(root, "config.json")
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        for command in ("train", "ablate"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", config_file, "--data", data,
+                                 "--out", os.path.join(root, command)])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2, 3)
+            assert len(lines) == (code != 0)

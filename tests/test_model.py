@@ -581,6 +581,20 @@ def test_total_loss_degenerates_to_ce():
     assert breakdown.total == breakdown.ce
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.3, 2.0)])
+def test_nm_trains_on_cross_entropy_alone(alpha, beta):
+    # NM learns no masks, so it carries no edge columns and no structural
+    # loss, whatever alpha and beta are
+    g = _random_graph(15, n=9, classes=3)
+    m = model.FgGSLModel(g.num_features, g.num_classes, j_max=2, variant="NM", seed=16)
+    cand = datasets.candidate_graph(g, "given")
+    with ad.tape_scope():
+        loss, b, fwd = model.total_loss(m, g, cand, alpha, beta, g.splits[0][0])
+    assert b.ho == b.ht == 0.0
+    assert b.total == b.ce == loss.item()
+    assert fwd.edge_columns() == (None, None)
+
+
 def test_total_loss_terms_nonnegative():
     g = _random_graph(12, n=8, classes=3)
     m = model.FgGSLModel(g.num_features, g.num_classes, j_max=3, seed=13)

@@ -414,20 +414,28 @@ def test_result_serialization_round_trip():
 # work counts of one training step
 
 
+# tape nodes of one training step per variant.  NM's 9 are the weights
+# laid side by side, their product with X, its two blocks, the two banks,
+# their sum, the softmax and the cross-entropy; the masks and the
+# structural losses add the rest
+TAPE_NODES = {"full": 34, "FBL": 21, "FBH": 20, "NM": 9}
+
+
+@pytest.mark.parametrize("variant", fm.VARIANTS)
 @pytest.mark.parametrize("n, num_features, candidate, form", [
     (183, 1703, "full", "direct"),      # Texas-shaped: T @ Y at n < 512
     (1000, 100, "given", "panels"),     # SBM-shaped: C = 5 columns in row panels
 ], ids=["texas-full", "sbm1k-given"])
-def test_one_full_step_at_j4_does_the_pinned_work(monkeypatch, n, num_features, candidate,
-                                                  form):
+def test_one_step_at_j4_and_one_evaluation_do_the_pinned_work(monkeypatch, n, num_features,
+                                                               candidate, form, variant):
     graph = datasets.gen_synthetic(n, 5, 0.02, 0.1, 0.4, seed=1, n_splits=1)
     rng = np.random.default_rng(1)
     graph.features = (rng.random((n, num_features)) < 0.05).astype(np.float64)
     bundle = datasets.DatasetBundle(graph=graph, name="shape", feature_normalized=False)
-    config = training.TrainConfig(epochs_max=1, patience=1, j_max=4, variant="full",
+    config = training.TrainConfig(epochs_max=1, patience=1, j_max=4, variant=variant,
                                   candidate_mode=candidate, seed=2)
-    tape_nodes, steps, decompositions = [], [], []
-    step, backward = ad._step, ad.backward
+    tape_nodes, steps, x_products, decompositions = [], [], [], []
+    step, backward, matmul = ad._step, ad.backward, ad.matmul
 
     def counted_step(t, y):
         steps.append(ad._step_form(*y.shape))
@@ -437,18 +445,33 @@ def test_one_full_step_at_j4_does_the_pinned_work(monkeypatch, n, num_features, 
         tape_nodes.append(len(ad.tape().nodes()))
         return backward(loss, params)
 
+    def counted_matmul(a, b):
+        x_products.append(a.data is graph.features)
+        return matmul(a, b)
+
     def no_decomposition(name):
         def record(*args, **kwargs):
             decompositions.append(name)
             raise AssertionError(f"np.linalg.{name} inside training")
         return record
 
+    ad.tape().clear()                   # count this test's nodes alone
     monkeypatch.setattr(ad, "_step", counted_step)
     monkeypatch.setattr(ad, "backward", counted_backward)
+    monkeypatch.setattr(ad, "matmul", counted_matmul)
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, no_decomposition(name))
-    training.train_single_split(bundle, graph.splits[0], config)
-    assert tape_nodes == [34]
-    # each of the two banks steps 2^J times forward and 2^J times back
-    assert steps == [form] * (2 * 2 * 2 ** config.j_max)
+    net, _ = training.train_single_split(bundle, graph.splits[0], config)
+    banks = len(fm.BANKS[variant])
+    assert tape_nodes == [TAPE_NODES[variant]]
+    # each bank steps 2^J times forward and 2^J times back
+    assert steps == [form] * (banks * 2 * 2 ** config.j_max)
+    assert x_products == [True]
+    steps.clear()
+    x_products.clear()
+    a_f = fm.bank_graph(graph, variant, candidate)
+    training.evaluate(net, bundle, graph.splits[0][2], a_f)
+    assert steps == [form] * (banks * 2 ** config.j_max)
+    assert x_products == [True]
+    assert len(ad.tape()) == 0
     assert decompositions == []
