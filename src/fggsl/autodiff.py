@@ -32,9 +32,10 @@ the plain column concatenation.
 Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
 the Gram matrix a a^T at the pairs, and every cosine is
-``pair_dots(unit_rows(a, pairs, what), pairs)``, where ``unit_rows`` is
-the one normalisation and zero-norm check.  The pair layer groups the
-pairs by row (``_PairRows``) and works one row block of
+``pair_dots(unit_rows(a, pairs, what), pairs)``; ``unit_rows`` is the
+one zero-norm check, and ``row_units``, the one overflow-safe row norm,
+also normalises features and kNN.  The pair layer groups the pairs by
+row (``_PairRows``) and works one row block of
 ``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries, at a time,
 skipping blocks that hold no pair: the forward reads a block of a a^T,
 and the VJP scatters the block's pair gradients into its rows of S with
@@ -594,17 +595,33 @@ def _pair_indices(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
     return i_idx, j_idx
 
 
+def row_units(m: np.ndarray, ord: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``m`` divided by their ``ord``-norm, and the norms.  A
+    zero row stays zero; a row whose norm overflows is first divided by
+    its largest absolute value, and its norm stays inf."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, ord=ord, axis=1, keepdims=True)
+    units = m / np.where(norms == 0.0, 1.0, norms)
+    huge = np.isinf(norms[:, 0])
+    if huge.any():
+        rows = m[huge] / np.abs(m[huge]).max(axis=1, keepdims=True)
+        units[huge] = rows / np.linalg.norm(rows, ord=ord, axis=1, keepdims=True)
+    return units, norms[:, 0]
+
+
 def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
-    """The rows of ``a`` scaled to unit length, for cosines over ``pairs``.
+    """The rows of ``a`` scaled to unit length by ``row_units``, for
+    cosines over ``pairs``.
 
     A zero-norm row that a pair (i, j) uses raises a ContractError naming
     ``what`` and the row, taken from the first such pair, its i side
     first; rows no pair uses stay zero.  Backward projects out each unit
     direction twice, so the result is orthogonal to it to working
-    precision, and divides by the row's norm.
+    precision, and divides by the row's norm, so a row whose norm
+    overflows gets a zero gradient.
     """
     i_idx, j_idx = _pair_indices(pairs, what)
-    norms = np.linalg.norm(a.data, axis=1)
+    u, norms = row_units(a.data, 2)
     if not np.all(norms):
         zero = (norms[i_idx] == 0) | (norms[j_idx] == 0)
         if np.any(zero):
@@ -612,7 +629,6 @@ def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
             bad = int(i_idx[k]) if norms[i_idx[k]] == 0 else int(j_idx[k])
             raise ContractError(f"{what}: zero-norm row {bad}")
     safe = np.where(norms == 0, 1.0, norms)[:, None]
-    u = a.data / safe
 
     def vjp(g):
         # rows no pair uses have g = 0 and keep a zero gradient.  The second

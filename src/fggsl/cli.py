@@ -114,8 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_ablate)
 
     p_an = sub.add_parser("analyze", help="bound probes and reports")
-    p_an.add_argument("kind", choices=["similarity", "prop1", "stability",
-                                       "response", "audit"])
+    p_an.add_argument("kind", choices=_ANALYSES)
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--data")
     p_an.add_argument("--checkpoint")
@@ -270,135 +269,136 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _analyze_sidecar(args, extra):
-    return _stamp(f"analyze {args.kind}", {"seed": args.seed, **extra})
+def _trained(args):
+    """The dataset, the ``--checkpoint`` model and the graph its banks run
+    on; the model and graph are None without ``--checkpoint``."""
+    bundle = _load_bundle(args, not args.no_normalize)
+    if not args.checkpoint:
+        return bundle, None, None
+    net, _ = fm.load_checkpoint(args.checkpoint)
+    return bundle, net, fm.bank_graph(bundle.graph, net.variant, args.candidate)
+
+
+def _response(args):
+    rows = analysis.spectral_response_export(args.j_max, args.kernel_mode,
+                                             grid_points=args.grid)
+    lines = ["lambda,j,kind,value"]
+    lines += [f"{lam:.17g},{j},{k},{v:.17g}" for lam, j, k, v in rows]
+    return (lines, {"j_max": args.j_max, "kernel_mode": args.kernel_mode,
+                    "grid_points": args.grid, "rows": len(rows)},
+            f"response: {len(rows)} rows over {args.grid} frequencies, "
+            f"scales 2..{args.j_max}", 0)
+
+
+def _prop1(args):
+    rng = np.random.default_rng(args.seed)
+    per_c = max(1, args.trials // len(args.classes))
+    n = 256
+    total = violations = 0
+    lines = ["classes,lhs,rhs,holds"]
+    for c in args.classes:
+        y = np.zeros((n, c))
+        y[np.arange(n), rng.integers(0, c, size=n)] = 1.0
+        z = rng.standard_normal((n, c)) * rng.uniform(0.5, 4.0)
+        recs = analysis.prop1_check(y, ad.softmax_rows(ad.constant(z)).data,
+                                    (rng.integers(0, n, per_c), rng.integers(0, n, per_c)))
+        total += len(recs)
+        violations += sum(not r.holds for r in recs)
+        lines += [f"{c},{r.lhs:.12g},{r.rhs:.12g},{int(r.holds)}" for r in recs]
+    return (lines, {"pairs_checked": total, "violations": violations},
+            f"prop1: {violations} violations over {total} pairs", 2 if violations else 0)
+
+
+def _stability(args):
+    if args.data:
+        graph = _load_bundle(args, not args.no_normalize).graph
+    else:                                # one class: an Erdos-Renyi G(n, 0.3)
+        graph = gen_synthetic(args.n, 1, 0.3, 0.3, 0.0, args.seed, n_splits=0)
+    table = analysis.stability_table(normalized_laplacian(graph.adjacency),
+                                     range(2, args.j_max + 1), args.kernel_mode,
+                                     fm.BANK_KINDS, args.epsilons, args.trials, args.seed)
+    lines = ["epsilon,j,kind,observed_distance,bound_value,delta,holds_with_slack"]
+    all_hold = True
+    for (j, bank_kind), recs in table.items():
+        all_hold &= all(r.holds_with_slack for r in recs)
+        lines += [f"{r.epsilon:.12g},{j},{bank_kind},"
+                  f"{r.observed_distance:.12g},{r.bound_value:.12g},"
+                  f"{r.delta:.12g},{int(r.holds_with_slack)}" for r in recs]
+    return (lines, {"epsilons": args.epsilons, "trials": args.trials, "all_hold": all_hold},
+            f"stability: bound {'holds' if all_hold else 'VIOLATED'} on all probes", 0)
+
+
+def _similarity(args):
+    bundle, net, a_f = _trained(args)
+    if net is None:
+        vectors, source = bundle.graph.features, "features"
+    else:
+        with ad.no_grad():
+            vectors = fm.embedding(net, ad.constant(bundle.graph.features), a_f).data
+        source = "embedding"
+    hist = analysis.similarity_histogram(vectors, bundle.graph.labels,
+                                         max_pairs=args.max_pairs,
+                                         bins=args.bins, seed=args.seed)
+    edges = hist.bin_edges
+    lines = ["bin_lo,bin_hi,intra_count,inter_count"]
+    lines += [f"{lo:.12g},{hi:.12g},{intra},{inter}" for lo, hi, intra, inter
+              in zip(edges, edges[1:], hist.intra_counts, hist.inter_counts)]
+    return (lines, {"source": source, "intra_mean": hist.intra_mean,
+                    "inter_mean": hist.inter_mean, "mean_gap": hist.mean_gap,
+                    "n_intra": hist.n_intra, "n_inter": hist.n_inter,
+                    "sampling": hist.sampling},
+            f"similarity ({source}): intra {hist.intra_mean:.4f}, "
+            f"inter {hist.inter_mean:.4f}, gap {hist.mean_gap:.4f}", 0)
+
+
+def _audit(args):
+    if not args.checkpoint:
+        raise ValidationError("analyze audit requires --checkpoint")
+    bundle, net, a_f = _trained(args)
+    if not fm.learns_masks(net.variant):
+        raise ValidationError(
+            f"analyze audit: variant {net.variant} learns no masks, so there is "
+            "nothing to audit")
+    with ad.no_grad():
+        fwd = fm.forward(net, ad.constant(bundle.graph.features), a_f)
+    stats = analysis.learned_edge_audit(
+        *fwd.edge_columns(), bundle.graph.labels, threshold=args.threshold,
+        pairs=a_f.edge_pairs())
+    lines = ["threshold,ho_edges,ho_r_het,ht_edges,ht_r_het",
+             f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
+             f"{stats.ht_edges},{stats.ht_r_het}"]
+    return (lines, dataclasses.asdict(stats),
+            f"audit: homophilic graph R_het={stats.ho_r_het}, "
+            f"heterophilic graph R_het={stats.ht_r_het}", 0)
+
+
+# analyze kind -> its runner, which returns the CSV lines, the JSON
+# sidecar's fields, the one-line summary and the exit code
+_ANALYSES = {"similarity": _similarity, "prop1": _prop1, "stability": _stability,
+             "response": _response, "audit": _audit}
 
 
 def _cmd_analyze(args) -> int:
     candidate_k(args.candidate)          # a bad spec exits before anything is loaded
-    kind = args.kind
-
-    if kind == "response":
-        rows = analysis.spectral_response_export(args.j_max, args.kernel_mode,
-                                                 grid_points=args.grid)
-        lines = ["lambda,j,kind,value"]
-        lines += [f"{lam:.17g},{j},{k},{v:.17g}" for lam, j, k, v in rows]
-        _write_lines(_out_file(args, "response.csv"), lines)
-        _write_json(_out_file(args, "response.json"), _analyze_sidecar(
-            args, {"j_max": args.j_max, "kernel_mode": args.kernel_mode,
-                   "grid_points": args.grid, "rows": len(rows)}))
-        print(f"response: {len(rows)} rows over {args.grid} frequencies, "
-              f"scales 2..{args.j_max}")
-
-    elif kind == "prop1":
-        rng = np.random.default_rng(args.seed)
-        per_c = max(1, args.trials // len(args.classes))
-        total = violations = 0
-        lines = ["classes,lhs,rhs,holds"]
-        for c in args.classes:
-            n = 256
-            y = np.zeros((n, c))
-            y[np.arange(n), rng.integers(0, c, size=n)] = 1.0
-            z = rng.standard_normal((n, c)) * rng.uniform(0.5, 4.0)
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            yhat = e / e.sum(axis=1, keepdims=True)
-            recs = analysis.prop1_check(
-                y, yhat, (rng.integers(0, n, per_c), rng.integers(0, n, per_c)))
-            total += len(recs)
-            violations += sum(not r.holds for r in recs)
-            lines += [f"{c},{r.lhs:.12g},{r.rhs:.12g},{int(r.holds)}" for r in recs]
-        _write_lines(_out_file(args, "prop1.csv"), lines)
-        _write_json(_out_file(args, "prop1.json"), _analyze_sidecar(
-            args, {"pairs_checked": total, "violations": violations}))
-        print(f"prop1: {violations} violations over {total} pairs")
-        if violations:
-            return 2
-
-    elif kind == "stability":
-        if args.data:
-            bundle = _load_bundle(args, not args.no_normalize)
-            lap = normalized_laplacian(bundle.graph.adjacency)
-        else:
-            rng = np.random.default_rng(args.seed)
-            a = np.triu((rng.random((args.n, args.n)) < 0.3).astype(float), 1)
-            a = a + a.T
-            lap = normalized_laplacian(a)
-        lines = ["epsilon,j,kind,observed_distance,bound_value,delta,holds_with_slack"]
-        all_hold = True
-        table = analysis.stability_table(lap, range(2, args.j_max + 1), args.kernel_mode,
-                                         fm.BANK_KINDS, args.epsilons, args.trials,
-                                         args.seed)
-        for (j, bank_kind), recs in table.items():
-            all_hold &= all(r.holds_with_slack for r in recs)
-            lines += [f"{r.epsilon:.12g},{j},{bank_kind},"
-                      f"{r.observed_distance:.12g},{r.bound_value:.12g},"
-                      f"{r.delta:.12g},{int(r.holds_with_slack)}" for r in recs]
-        _write_lines(_out_file(args, "stability.csv"), lines)
-        _write_json(_out_file(args, "stability.json"), _analyze_sidecar(
-            args, {"epsilons": args.epsilons, "trials": args.trials,
-                   "all_hold": all_hold}))
-        print(f"stability: bound {'holds' if all_hold else 'VIOLATED'} on all probes")
-
-    elif kind == "similarity":
-        bundle = _load_bundle(args, not args.no_normalize)
-        if args.checkpoint:
-            net, _ = fm.load_checkpoint(args.checkpoint)
-            a_f = fm.bank_graph(bundle.graph, net.variant, args.candidate)
-            with ad.no_grad():
-                vectors = fm.embedding(net, ad.constant(bundle.graph.features),
-                                       a_f).data
-            source = "embedding"
-        else:
-            vectors = bundle.graph.features
-            source = "features"
-        hist = analysis.similarity_histogram(vectors, bundle.graph.labels,
-                                             max_pairs=args.max_pairs,
-                                             bins=args.bins, seed=args.seed)
-        lines = ["bin_lo,bin_hi,intra_count,inter_count"]
-        for k in range(len(hist.intra_counts)):
-            lines.append(f"{hist.bin_edges[k]:.12g},{hist.bin_edges[k + 1]:.12g},"
-                         f"{hist.intra_counts[k]},{hist.inter_counts[k]}")
-        _write_lines(_out_file(args, "similarity.csv"), lines)
-        _write_json(_out_file(args, "similarity.json"), _analyze_sidecar(
-            args, {"source": source, "intra_mean": hist.intra_mean,
-                   "inter_mean": hist.inter_mean, "mean_gap": hist.mean_gap,
-                   "n_intra": hist.n_intra, "n_inter": hist.n_inter,
-                   "sampling": hist.sampling}))
-        print(f"similarity ({source}): intra {hist.intra_mean:.4f}, "
-              f"inter {hist.inter_mean:.4f}, gap {hist.mean_gap:.4f}")
-
-    elif kind == "audit":
-        if not args.checkpoint:
-            raise ValidationError("analyze audit requires --checkpoint")
-        bundle = _load_bundle(args, not args.no_normalize)
-        net, _ = fm.load_checkpoint(args.checkpoint)
-        if not fm.learns_masks(net.variant):
-            raise ValidationError(
-                f"analyze audit: variant {net.variant} learns no masks, so there is "
-                "nothing to audit")
-        a_f = fm.bank_graph(bundle.graph, net.variant, args.candidate)
-        with ad.no_grad():
-            fwd = fm.forward(net, ad.constant(bundle.graph.features), a_f)
-        stats = analysis.learned_edge_audit(
-            *fwd.edge_columns(), bundle.graph.labels, threshold=args.threshold,
-            pairs=a_f.edge_pairs())
-        lines = ["threshold,ho_edges,ho_r_het,ht_edges,ht_r_het",
-                 f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
-                 f"{stats.ht_edges},{stats.ht_r_het}"]
-        _write_lines(_out_file(args, "audit.csv"), lines)
-        _write_json(_out_file(args, "audit.json"), _analyze_sidecar(
-            args, dataclasses.asdict(stats)))
-        print(f"audit: homophilic graph R_het={stats.ho_r_het}, "
-              f"heterophilic graph R_het={stats.ht_r_het}")
-
-    return 0
+    lines, fields, summary, code = _ANALYSES[args.kind](args)
+    _write_lines(_out_file(args, f"{args.kind}.csv"), lines)
+    _write_json(_out_file(args, f"{args.kind}.json"),
+                _stamp(f"analyze {args.kind}", {"seed": args.seed, **fields}))
+    print(summary)
+    return code
 
 
 def _cmd_gen(args) -> int:
     graph = gen_synthetic(args.n, args.classes, args.intra_p, args.inter_p,
                           args.noise, seed=args.seed, n_splits=args.splits)
-    # an edgeless draw fails here, before a file is written
+    # an edgeless draw, or a split that the loader would reject, fails
+    # here, before a file is written
     r_het = heterophily_ratio(graph.adjacency, graph.labels)
+    for k, split in enumerate(graph.splits):
+        for part, rows in zip(("train", "val", "test"), split):
+            if rows.size == 0:
+                raise ValidationError(f"gen: split {k} has an empty {part} set; "
+                                      "the largest class needs at least 3 nodes")
     save_raw(graph, _out_file(args, NODE_FILE), _out_file(args, EDGE_FILE))
     save_splits(graph.splits, _out_file(args, SPLIT_DIR))
     _write_json(_out_file(args, "manifest.json"), _stamp("gen", {

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ContractError, ParseError, ValidationError
 from .graphs import LabeledGraph, edge_pairs, heterophilic_fraction
 
@@ -290,22 +291,10 @@ def load_splits(split_files, n: int) -> list[tuple[np.ndarray, np.ndarray, np.nd
 
 
 def row_normalize(features: np.ndarray) -> np.ndarray:
-    """Scale each nonzero row to unit L1 norm; zero rows pass through.
-
-    A finite row whose L1 sum overflows (entries near the float64 maximum)
-    is first divided by its largest absolute value, so it normalizes too
-    instead of coming back as zeros; every other row is divided by its sum
-    alone.
-    """
-    with np.errstate(over="ignore"):
-        norms = np.abs(features).sum(axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    out = features / safe
-    huge = np.isinf(norms[:, 0])
-    if huge.any():
-        rows = features[huge] / np.abs(features[huge]).max(axis=1, keepdims=True)
-        out[huge] = rows / np.abs(rows).sum(axis=1, keepdims=True)
-    return out
+    """Scale each nonzero row to unit L1 norm by ``ad.row_units``; zero
+    rows pass through, and a finite row whose L1 sum overflows normalizes
+    too instead of coming back as zeros."""
+    return ad.row_units(features, 1)[0]
 
 
 def save_raw(graph: LabeledGraph, node_file, edge_file):
@@ -455,17 +444,7 @@ def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
     else:
         if k >= n:
             raise ContractError(f"candidate_graph: k={k} must be < n={n}")
-        feats = graph.features
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        huge = np.isinf(norms[:, 0])
-        if huge.any():
-            # a cosine does not depend on the row's scale, so a row whose
-            # norm overflows is first divided by its largest absolute value
-            feats = feats.copy()
-            feats[huge] /= np.abs(feats[huge]).max(axis=1, keepdims=True)
-            norms[huge] = np.linalg.norm(feats[huge], axis=1, keepdims=True)
-        unit = feats / np.where(norms == 0.0, 1.0, norms)
+        unit = ad.row_units(graph.features, 2)[0]
         sims = unit @ unit.T
         np.fill_diagonal(sims, -np.inf)
         # stable sort on -sims: equal similarities keep ascending index order

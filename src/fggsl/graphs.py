@@ -60,10 +60,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray           # (n,)
     eigenvectors: np.ndarray | None   # (n, n), columns; None from a values-only call
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.T
-
     def normalized_vectors(self) -> np.ndarray:
         """The eigenvectors with ``normalized_eigenvectors``' sign convention."""
         return _sign_normalize(self.eigenvectors)

@@ -65,7 +65,7 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .datasets import CandidateGraph, candidate_graph, candidate_k
 from .errors import ContractError, ValidationError
-from .graphs import LabeledGraph, check_symmetric, normalized_laplacian
+from .graphs import LabeledGraph, check_symmetric, edge_pairs, normalized_laplacian
 
 KERNEL_MODES = ("fig3", "verbatim")
 # the largest number of scales J: a bank runs 2^J products of T per forward
@@ -172,7 +172,7 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     if np.any(np.diagonal(lap) != 1.0):
         raise ContractError("filter_bank_apply: L has a diagonal entry other than 1")
     check_symmetric(lap, "filter_bank_apply")
-    pairs = np.nonzero(np.triu(lap != 0.0, 1))
+    pairs = edge_pairs(lap != 0.0)
     edges = ad.constant(-lap[pairs].reshape(-1, 1))
     return ad.propagate(spec.operator(edges, pairs, n), x, spec.coefficients()[:, None, :])
 

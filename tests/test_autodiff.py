@@ -307,6 +307,19 @@ def test_cosine_rows_zero_norm_names_row():
         _cosines(m, ([0], [1]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unit_rows_scales_a_row_whose_norm_overflows():
+    # the squares of 1e308 overflow, so the row is scaled by its largest
+    # entry first; its norm stays inf, so its gradient is zero
+    a = ad.parameter(np.array([[1e308, 1e308, 1e308], [3.0, 4.0, 0.0]]), "a")
+    u = ad.unit_rows(a, ([0], [1]), "cosine")
+    assert np.allclose(u.data, [[3 ** -0.5] * 3, [0.6, 0.8, 0.0]], rtol=0, atol=1e-15)
+    ad.backward(ad.sum_all(ad.pair_dots(u, ([0], [1]))), [a])
+    assert not np.any(a.grad[0])
+    # (I - u1 u1^T) u0 / |a1| with u0 = (1, 1, 1) / sqrt(3), u1 = (0.6, 0.8, 0)
+    assert np.allclose(a.grad[1], np.array([0.032, -0.024, 0.2]) / 3 ** 0.5)
+
+
 def _cosine_vjp_closed_form(a, i_idx, j_idx, g):
     """The gathered-pairs VJP, summed pair by pair, as a reference.
 

@@ -87,6 +87,19 @@ def test_gen_edgeless_draw_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, classes", [(6, 3), (8, 4)])
+def test_gen_split_with_an_empty_set_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                n, classes):
+    # two nodes per class give every split an empty test set, which the
+    # loader would reject
+    out = tmp_path / "o"
+    code = run_cli("gen", "--out", str(out), "--n", str(n), "--classes", str(classes))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "empty test set" in err
+    assert not out.exists()
+
+
 # records OPENBLAS_NUM_THREADS at the moment numpy is first imported
 _THREAD_PROBE = """
 import os, sys
@@ -447,6 +460,32 @@ def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):
     assert "ho_r_het" in doc and "ht_r_het" in doc
 
 
+def _with_features(tiny_dataset, root, values):
+    """A copy of the dataset with node 0's features set to ``values``."""
+    data = root / "data"
+    shutil.copytree(tiny_dataset, data)
+    nodes = data / datasets.NODE_FILE
+    rows = [line.split("\t") for line in nodes.read_text(encoding="utf-8").splitlines()]
+    rows[0][1] = values
+    nodes.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    return str(data)
+
+
+def test_analyze_similarity_scales_a_feature_row_whose_norm_overflows(tiny_dataset,
+                                                                       tmp_path, capsys):
+    # the cosines of (1e308, 1e308) are those of (1, 1)
+    means = []
+    for sub, values in (("huge", "1e308,1e308"), ("unit", "1,1")):
+        data = _with_features(tiny_dataset, tmp_path / sub, values)
+        out = tmp_path / sub / "sim"
+        assert run_cli("analyze", "similarity", "--out", str(out), "--data", data,
+                       "--no-normalize") == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "similarity.json").read_text(encoding="utf-8"))
+        means.append((doc["intra_mean"], doc["inter_mean"]))
+    assert means[0] == pytest.approx(means[1], rel=0, abs=1e-12)
+
+
 def _nm_checkpoint(tiny_dataset, tmp_path):
     graph = datasets.load_dataset_dir(tiny_dataset).graph
     net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=2,
@@ -752,11 +791,12 @@ def test_extreme_values_exit_with_a_code_and_at_most_one_line(tiny_dataset, conf
         config_file = os.path.join(root, "config.json")
         with open(config_file, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        for command in ("train", "ablate"):
+        runs = (["train", "--config", config_file], ["ablate", "--config", config_file],
+                ["analyze", "similarity", "--no-normalize"])
+        for k, argv in enumerate(runs):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main([command, "--config", config_file, "--data", data,
-                                 "--out", os.path.join(root, command)])
+                code = cli.main(argv + ["--data", data, "--out", os.path.join(root, f"out{k}")])
             lines = err.getvalue().splitlines()
             assert code in (0, 1, 2, 3)
             assert len(lines) == (code != 0)

@@ -168,9 +168,9 @@ def test_eig_reconstruction_and_orthonormality():
     rng = np.random.default_rng(4)
     m = _sym(rng, 8)
     dec = graphs.symmetric_eig(m)
-    assert np.linalg.norm(dec.reconstruct() - m) <= 1e-8
-    gram = dec.eigenvectors.T @ dec.eigenvectors
-    assert np.linalg.norm(gram - np.eye(8)) <= 1e-8
+    u = dec.eigenvectors
+    assert np.linalg.norm((u * dec.eigenvalues) @ u.T - m) <= 1e-8
+    assert np.linalg.norm(u.T @ u - np.eye(8)) <= 1e-8
 
 
 def test_eig_matches_lapack_eigenvalues():
