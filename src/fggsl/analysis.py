@@ -20,7 +20,6 @@ would make K (1 + T + 2 E+ T) decompositions and K T SVDs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +190,7 @@ class SimilarityHistogram:
     n_intra: int
     n_inter: int
     sampling: str
+    skipped_classes: tuple[int, ...]     # classes of one node: no intra-class pair
 
     @property
     def mean_gap(self) -> float:
@@ -203,29 +203,25 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
     """Histogram cosine similarity of same-class vs different-class row pairs.
 
     Enumerates all pairs when a group is small enough, otherwise samples
-    ``max_pairs`` pairs uniformly.  Classes with fewer than two members
-    are skipped with a warning.  The cosines come from the pair layer,
-    which reads the Gram matrix of the unit rows one row block of about
-    1 MiB at a time, so they take O(n d) memory and one block beyond the
-    pair lists.  The lists start from all n (n - 1) / 2 pairs, so the
-    function as a whole takes O(n d + n^2).
+    ``max_pairs`` pairs uniformly.  A class of one node has no
+    intra-class pair; such classes are listed in ``skipped_classes``.
+    The cosines come from the pair layer, which reads the Gram matrix of
+    the unit rows one row block of about 1 MiB at a time, so they take
+    O(n d) memory and one block beyond the pair lists.  The lists start
+    from all n (n - 1) / 2 pairs, so the function as a whole takes
+    O(n d + n^2).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     y = np.argmax(labels, axis=1)
     rng = np.random.default_rng(seed)
     classes, counts = np.unique(y, return_counts=True)
-    for c, cnt in zip(classes, counts):
-        if cnt < 2:
-            warnings.warn(f"similarity_histogram: class {int(c)} has {int(cnt)} "
-                          "member(s); no intra-class pairs", stacklevel=2)
-    keep = np.isin(y, classes[counts >= 2])
 
     n = vectors.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     same = y[iu] == y[ju]
     sampling = "exhaustive"
     groups = []                          # (i, j) of the intra, then the inter pairs
-    for member in (same & keep[iu], ~same):
+    for member in (same, ~same):
         i, j = iu[member], ju[member]
         if i.size > max_pairs:
             pick = rng.choice(i.size, size=max_pairs, replace=False)
@@ -248,7 +244,7 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
         intra_mean=float(np.mean(intra_cos)) if intra_cos.size else float("nan"),
         inter_mean=float(np.mean(inter_cos)) if inter_cos.size else float("nan"),
         n_intra=int(intra_cos.size), n_inter=int(inter_cos.size),
-        sampling=sampling)
+        sampling=sampling, skipped_classes=tuple(int(c) for c in classes[counts < 2]))
 
 
 def spectral_response_export(j_max: int, mode: str, grid_points: int = 200):

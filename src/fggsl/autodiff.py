@@ -12,8 +12,9 @@ polynomials in an n x n operator T on column blocks, out_m =
 sum_s sum_k coeffs[s, k, m] T^s Z_k, by repeated products T @ Y.  It
 runs in the chain order (push the K inputs through T) or the Horner
 order (push the M outputs), whichever is narrower, and records one tape
-node.  Its VJP runs the transposed polynomial in the other order at the
-same width.  Each step T @ Y takes the form BLAS runs fastest for Y's
+node; unrecorded, with steps far wider than n, it forms its n x n filter
+matrices instead (``_through_matrices``).  Its VJP runs the transposed
+polynomial in the other order at the same width.  Each step T @ Y takes the form BLAS runs fastest for Y's
 shape (``_step`` holds the measurements): on n >= 512 rows, a block 2 to
 7 columns wide runs in row panels of about ``BLOCK_ENTRIES`` entries,
 T[r0:r1] @ Y, one at a time, and a block 8 to n/4 wide as (Y^T T)^T;
@@ -339,6 +340,42 @@ def _step_form(n: int, w: int) -> str:
     return "direct"
 
 
+def _through_matrices(n: int, steps: int, k_in: int, m_out: int, w: int) -> bool:
+    """Whether a polynomial of ``steps`` powers of an n x n T, from K = k_in
+    blocks Z_k of width w to M = m_out outputs, runs faster in
+    ``_polynomial``'s "matrices" order than in the chain or Horner order.
+
+    Those make S = ``steps`` products with n x min(K, M) w blocks, S n^2
+    min(K, M) w multiply-adds.  The matrices order makes S products with
+    n x n blocks and M products of n x K n with K n x w, S n^3 + K M n^2 w.
+    Medians in ms of the chain and the matrices order for one bank's
+    J - 1 kernels (S = 2^J, K = 1, M = J - 1), eleven runs, or five at
+    n w >= 2e5, with one BLAS thread on the host of ``_step``'s table:
+
+        n     w       J=2 chain/mats   J=3 chain/mats   J=4 chain/mats
+        100   100      0.19   0.21      0.38   0.45      0.69   1.13
+        100   150      0.32   0.25      0.68   0.82      1.31   1.41
+        100   200      0.37   0.29      1.10   0.96      1.57   1.30
+        100   1703     3.59   2.27      9.13   4.15     11.34   6.81
+        183   183      0.98   1.26      2.00   2.67      4.68   7.04
+        183   274      1.86   1.97      3.90   4.23      7.33   5.59
+        183   366      2.48   2.22      5.09   4.39      9.85   7.20
+        183   1703     7.59   3.09     18.65   9.04     31.14  14.63
+        300   450      5.13   4.91     10.67  10.35     21.74  20.06
+        300   600      7.03   5.54     13.92  11.44     29.01  21.27
+        500   500     15.20  18.75     30.78  39.75     63.02  90.26
+        500   750     21.48  20.41     44.56  51.49    113.03  90.97
+        500   1000    38.11  25.06     66.08  63.74    134.11  99.77
+
+    The forms tie where the matrices order needs about 90% of the other's
+    multiply-adds (w = 1.5 n) and it wins from 75% (w = 2 n), so that is
+    the rule.  It holds for ``embedding`` and ``filter_bank_apply`` on
+    features more than twice as wide as the graph has nodes, as on the
+    WebKB graphs, and never for an n x C block of logits.
+    """
+    return 4 * (steps * n + k_in * m_out * w) <= 3 * steps * min(k_in, m_out) * w
+
+
 def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """T @ Y for a symmetric n x n T and an n x w block Y, in the form BLAS
     runs fastest for the block's shape.
@@ -406,20 +443,35 @@ def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
-                horner: bool, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+                order: str, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """out_m = sum over s, k of coeffs[s, k, m] T^s Z_k, by S = len(coeffs) - 1
     products with the symmetric T (see ``_step``).
 
-    The chain order applies T to the K blocks of Z, Y_s = T Y_(s-1), and
-    adds Y_s's blocks into the outputs.  The Horner order folds the
+    The "chain" order applies T to the K blocks of Z, Y_s = T Y_(s-1), and
+    adds Y_s's blocks into the outputs.  The "horner" order folds the
     inputs into M blocks first, acc_s = T acc_(s+1) + B_s with
     B_s = sum_k coeffs[s, k, m] Z_k.  With ``keep`` the input of every
     step comes back as well, stacked: block s holds T^s Z in the chain
-    order and acc_(s+1) in the Horner order.
+    order and acc_(s+1) in the Horner order.  The "matrices" order runs
+    the chain on I to form the K M n x n matrices
+    P_km = sum_s coeffs[s, k, m] T^s, then makes one product
+    [P_1m | ... | P_Km] [Z_1; ...; Z_K] per output; it keeps nothing.
     """
     n = z.shape[0]
     top, k_in, m_out = coeffs.shape
     w = z.shape[1] // k_in
+    if order == "matrices":
+        # block m K + k of the chain's output is P_km; [Z_1; ...; Z_K] is a
+        # view of Z for K = 1, and each product writes its output in place
+        mats, _ = _polynomial(t, np.eye(n), coeffs.transpose(0, 2, 1).reshape(top, 1, -1),
+                              "chain", False)
+        zs = z.reshape(n, k_in, w).transpose(1, 0, 2).reshape(k_in * n, w)
+        out = np.empty((n, m_out * w))
+        for m in range(m_out):
+            np.matmul(mats[:, m * k_in * n:(m + 1) * k_in * n], zs,
+                      out=out[:, m * w:(m + 1) * w])
+        return out, None
+    horner = order == "horner"
     steps = top - 1
     width = (m_out if horner else k_in) * w
     stack = np.empty((n, steps * width)) if keep else None
@@ -491,8 +543,10 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     S products of the n x n operator T with a block, and no product
     has two n x n operands.  It runs them in the narrower order: the
     chain order pushes the K input blocks through T (K <= M), the Horner
-    order the M output blocks (M < K).  ``t`` is built into one dense,
-    exactly symmetric T held by the op.
+    order the M output blocks (M < K).  An op that records nothing runs
+    in the matrices order where ``_through_matrices`` finds it cheaper,
+    which it never does for an n x C block.  ``t`` is built into one
+    dense, exactly symmetric T held by the op.
 
     The op records one tape node, on (the edge column, Z).  Its VJP for Z
     is the same polynomial in T = T^T with coeffs transposed over (k, m),
@@ -515,14 +569,18 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
                              f"{coeffs.shape[1]} blocks")
     live = np.flatnonzero(coeffs.any(axis=(1, 2)))
     coeffs = coeffs[:live[-1] + 1 if live.size else 1]
-    horner = coeffs.shape[2] < coeffs.shape[1]
+    top, k_in, m_out = coeffs.shape
+    order, back = ("horner", "chain") if m_out < k_in else ("chain", "horner")
     w, td = t.w, t.dense()
-    keep = _records((w, z)) and w.requires_grad
-    out, forward_steps = _polynomial(td, z.data, coeffs, horner, keep)
+    records = _records((w, z))
+    if not records and _through_matrices(n, top - 1, k_in, m_out, width // k_in):
+        order = "matrices"
+    out, forward_steps = _polynomial(td, z.data, coeffs, order,
+                                     records and w.requires_grad)
 
     def vjp(g):
-        dz, backward_steps = _polynomial(td, g, coeffs.transpose(0, 2, 1),
-                                         not horner, w.requires_grad)
+        dz, backward_steps = _polynomial(td, g, coeffs.transpose(0, 2, 1), back,
+                                         w.requires_grad)
         dw = None
         if w.requires_grad:
             rows = _PairRows(*_pair_indices(t.pairs, "propagate"), n)
@@ -597,16 +655,25 @@ def _pair_indices(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def row_units(m: np.ndarray, ord: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``m`` divided by their ``ord``-norm, and the norms.  A
-    zero row stays zero; a row whose norm overflows is first divided by
-    its largest absolute value, and its norm stays inf."""
+    zero row stays zero.  A row whose norm overflows, or underflows to 0
+    although the row is not zero, is first divided by its largest
+    absolute value; the norm of the first stays inf, and that of the
+    second is its largest value times the scaled row's norm."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(m, ord=ord, axis=1, keepdims=True)
-    units = m / np.where(norms == 0.0, 1.0, norms)
-    huge = np.isinf(norms[:, 0])
-    if huge.any():
-        rows = m[huge] / np.abs(m[huge]).max(axis=1, keepdims=True)
-        units[huge] = rows / np.linalg.norm(rows, ord=ord, axis=1, keepdims=True)
-    return units, norms[:, 0]
+        norms = np.linalg.norm(m, ord=ord, axis=1)
+    units = m / np.where(norms == 0.0, 1.0, norms)[:, None]
+    huge = np.isinf(norms)
+    tiny = norms == 0.0
+    tiny[tiny] = m[tiny].any(axis=1)
+    odd = huge | tiny
+    if odd.any():
+        top = np.abs(m[odd]).max(axis=1)
+        rows = m[odd] / top[:, None]
+        scaled = np.linalg.norm(rows, ord=ord, axis=1)
+        units[odd] = rows / scaled[:, None]
+        small = tiny[odd]
+        norms[tiny] = top[small] * scaled[small]
+    return units, norms
 
 
 def unit_rows(a: Tensor, pairs, what: str) -> Tensor:

@@ -339,6 +339,9 @@ def _similarity(args):
     hist = analysis.similarity_histogram(vectors, bundle.graph.labels,
                                          max_pairs=args.max_pairs,
                                          bins=args.bins, seed=args.seed)
+    if hist.skipped_classes:
+        print("warning: no intra-class pairs in the one-node class(es) "
+              f"{', '.join(map(str, hist.skipped_classes))}", file=sys.stderr)
     edges = hist.bin_edges
     lines = ["bin_lo,bin_hi,intra_count,inter_count"]
     lines += [f"{lo:.12g},{hi:.12g},{intra},{inter}" for lo, hi, intra, inter

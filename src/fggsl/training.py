@@ -5,13 +5,15 @@ every epoch, restores the best-validation parameters, and reports test
 accuracy of the restored model, read off the best epoch's training
 forward: the parameters are snapshotted before that forward's backward,
 and its probabilities and edge columns are kept with the snapshot, so no
-forward runs after training.  The protocol aggregates mean and
-population standard deviation over all splits; splits are independent
-and may run in parallel processes.
+forward runs after training.  The epoch that spends the budget records
+no tape and takes no step, which the restore would discard.  The
+protocol aggregates mean and population standard deviation over all
+splits; splits are independent and may run in parallel processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import numbers
@@ -170,6 +172,13 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
     the parameters that produced that accuracy.  That forward's probs and
     outputs are kept with the snapshot.  Returns the summary, then the
     best forward's probs and outputs; the parameters are restored to it.
+
+    Epoch ``config.epochs_max`` only reads: its forward runs under
+    ``ad.no_grad`` and it takes no backward and no Adam step, since the
+    restore would discard that step.  It skips ``zero_grad`` too, so every
+    epoch that calls ``zero_grad`` ends in ``Adam.step``.  An epoch that
+    ends the run by patience learns that only after its forward, and
+    keeps its step.
     """
     adam = Adam(params, config.lr, config.weight_decay)
     best_val = -1.0
@@ -180,21 +189,24 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
     curves = {"ce": [], "ho": [], "ht": [], "total": [], "val_acc": []}
     max_update_scale = 0.0
     for epoch in range(1, config.epochs_max + 1):
-        params.zero_grad()
+        learn = epoch < config.epochs_max
+        if learn:
+            params.zero_grad()
         try:
             # an overflow or a NaN, say from a huge lr or alpha, fails the epoch
-            with np.errstate(over="raise", invalid="raise"):
-                with ad.tape_scope():
-                    loss, breakdown, probs, outputs = step_fn()
-                    val_acc = accuracy_from_probs(probs, labels, val_idx)
-                    if val_acc > best_val:
-                        best_val, best_epoch, stale = val_acc, epoch, 0
-                        best_state = params.snapshot()
-                        best_probs, best_outputs = probs, outputs
-                    else:
-                        stale += 1
+            with np.errstate(over="raise", invalid="raise"), ad.tape_scope(), \
+                    (contextlib.nullcontext() if learn else ad.no_grad()):
+                loss, breakdown, probs, outputs = step_fn()
+                val_acc = accuracy_from_probs(probs, labels, val_idx)
+                if val_acc > best_val:
+                    best_val, best_epoch, stale = val_acc, epoch, 0
+                    best_state = params.snapshot()
+                    best_probs, best_outputs = probs, outputs
+                else:
+                    stale += 1
+                if learn:
                     ad.backward(loss, params)
-                adam.step()
+                    adam.step()
         except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         max_update_scale = max(max_update_scale, adam.last_update_scale)

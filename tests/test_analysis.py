@@ -255,11 +255,13 @@ def test_similarity_invariant_to_positive_rescaling():
     assert np.array_equal(h1.inter_counts, h2.inter_counts)
 
 
-def test_similarity_small_class_warns():
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_similarity_names_the_one_node_classes_without_a_warning():
     vecs = np.ones((4, 2))
-    labels = np.eye(3)[[0, 0, 1, 2]]
-    with pytest.warns(UserWarning, match="class"):
-        analysis.similarity_histogram(vecs, labels, seed=5)
+    labels = np.eye(4)[[0, 0, 1, 3]]
+    hist = analysis.similarity_histogram(vecs, labels, seed=5)
+    assert hist.skipped_classes == (1, 3)
+    assert hist.n_intra == 1
 
 
 def test_similarity_sampling_cap():

@@ -320,6 +320,18 @@ def test_unit_rows_scales_a_row_whose_norm_overflows():
     assert np.allclose(a.grad[1], np.array([0.032, -0.024, 0.2]) / 3 ** 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unit_rows_scales_a_row_whose_norm_underflows():
+    # the squares of 1e-170 underflow to 0, so the row is scaled by its
+    # largest entry first and keeps its true norm
+    a = ad.constant(np.array([[1e-170, 1e-170, 1e-170], [3.0, 4.0, 0.0]]))
+    u = ad.unit_rows(a, ([0], [1]), "cosine")
+    assert np.allclose(u.data, [[3 ** -0.5] * 3, [0.6, 0.8, 0.0]], rtol=0, atol=1e-15)
+    units, norms = ad.row_units(a.data, 2)
+    assert norms[0] == pytest.approx(3 ** 0.5 * 1e-170, rel=1e-15)
+    assert np.array_equal(units, u.data)
+
+
 def _cosine_vjp_closed_form(a, i_idx, j_idx, g):
     """The gathered-pairs VJP, summed pair by pair, as a reference.
 
@@ -664,6 +676,46 @@ def test_step_panels_give_a_column_slice_the_bits_of_its_contiguous_copy():
     y = rng.standard_normal((600, 12))[:, 3:8]
     assert ad._step_form(600, 5) == "panels" and not y.flags.c_contiguous
     assert np.array_equal(ad._step(t, y), ad._step(t, np.ascontiguousarray(y)))
+
+
+def test_matrices_rule_boundaries():
+    # one bank's J - 1 = 2 kernels of 2^J = 8 steps on n = 100 nodes: a
+    # block 2n wide runs through the matrices, one column less does not
+    assert ad._through_matrices(100, 8, 1, 2, 200)
+    assert not ad._through_matrices(100, 8, 1, 2, 199)
+    # the Horner order on an n x C block of logits, and a polynomial
+    # without steps, never do
+    assert not ad._through_matrices(100, 16, 3, 1, 5)
+    assert not ad._through_matrices(100, 0, 1, 2, 10 ** 6)
+
+
+@pytest.mark.parametrize("tracked", ["w", "z"])
+def test_a_recorded_propagate_never_runs_through_matrices(monkeypatch, tracked):
+    # a block 20n wide takes the matrices order unrecorded, and the chain
+    # order, whose steps the backward reads, when either input is tracked
+    rng = np.random.default_rng(45)
+    n, width = 10, 200
+    pairs, w, diag, off = _random_operator(rng, n)
+    z = rng.standard_normal((n, width))
+    coeffs = rng.standard_normal((9, 1, 2))
+    assert ad._through_matrices(n, 8, 1, 2, width)
+    orders, polynomial = [], ad._polynomial
+
+    def counted(t, y, c, order, keep):
+        orders.append(order)
+        return polynomial(t, y, c, order, keep)
+
+    monkeypatch.setattr(ad, "_polynomial", counted)
+    inputs = {"w": ad.constant(w), "z": ad.constant(z)}
+    plain = ad.propagate(ad.EdgeOperator(inputs["w"], pairs, n, diag, off), inputs["z"],
+                         coeffs).data
+    assert orders == ["matrices", "chain"]       # the chain on I forms the matrices
+    orders.clear()
+    inputs[tracked] = ad.parameter(inputs[tracked].data, tracked)
+    out = ad.propagate(ad.EdgeOperator(inputs["w"], pairs, n, diag, off), inputs["z"], coeffs)
+    assert orders == ["chain"]
+    ad.tape().clear()
+    assert np.linalg.norm(plain - out.data) <= 1e-12 * np.linalg.norm(out.data)
 
 
 @settings(max_examples=60, deadline=None)

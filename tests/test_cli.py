@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -486,6 +487,36 @@ def test_analyze_similarity_scales_a_feature_row_whose_norm_overflows(tiny_datas
     assert means[0] == pytest.approx(means[1], rel=0, abs=1e-12)
 
 
+def test_analyze_similarity_scales_a_feature_row_whose_norm_underflows(tiny_dataset,
+                                                                        tmp_path, capsys):
+    # the squares of 1e-170 underflow, yet its cosines are those of (1, 1)
+    means = []
+    for sub, values in (("tiny", "1e-170,1e-170"), ("unit", "1,1")):
+        data = _with_features(tiny_dataset, tmp_path / sub, values)
+        out = tmp_path / sub / "sim"
+        assert run_cli("analyze", "similarity", "--out", str(out), "--data", data,
+                       "--no-normalize") == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "similarity.json").read_text(encoding="utf-8"))
+        means.append((doc["intra_mean"], doc["inter_mean"]))
+    assert means[0] == pytest.approx(means[1], rel=0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_analyze_similarity_names_a_one_node_class_in_one_line(tiny_dataset, tmp_path,
+                                                               capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    nodes = data / datasets.NODE_FILE
+    rows = [line.split("\t") for line in nodes.read_text(encoding="utf-8").splitlines()]
+    rows[0][2] = "2"                    # node 0 alone in a new class
+    nodes.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    assert run_cli("analyze", "similarity", "--out", str(tmp_path / "sim"),
+                   "--data", str(data)) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: no intra-class pairs in the one-node class(es) 2"]
+
+
 def _nm_checkpoint(tiny_dataset, tmp_path):
     graph = datasets.load_dataset_dir(tiny_dataset).graph
     net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=2,
@@ -757,7 +788,7 @@ def _configs(draw):
     return {**FAST_CONFIG, "epochs_max": 2, "patience": 2, **config}
 
 
-_FEATURE_VALUES = st.sampled_from(["1e308", "-1e308", "1e-308", "0"])
+_FEATURE_VALUES = st.sampled_from(["1e308", "-1e308", "1e-308", "1e-170", "0"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -765,10 +796,12 @@ _FEATURE_VALUES = st.sampled_from(["1e308", "-1e308", "1e-308", "0"])
 @given(config=_configs(),
        features=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 1), _FEATURE_VALUES),
                          max_size=6),
+       filled=st.lists(st.tuples(st.integers(0, 23), _FEATURE_VALUES), max_size=2),
        duplicates=st.lists(st.integers(0, 2 ** 16), max_size=3),
        isolated=st.lists(st.integers(0, 23), max_size=3))
 def test_extreme_values_exit_with_a_code_and_at_most_one_line(tiny_dataset, config,
-                                                              features, duplicates, isolated):
+                                                              features, filled, duplicates,
+                                                              isolated):
     with tempfile.TemporaryDirectory() as root:
         data = os.path.join(root, "data")
         shutil.copytree(tiny_dataset, data)
@@ -779,6 +812,8 @@ def test_extreme_values_exit_with_a_code_and_at_most_one_line(tiny_dataset, conf
             values = rows[node][1].split(",")
             values[col] = value
             rows[node][1] = ",".join(values)
+        for node, value in filled:          # every feature of the node
+            rows[node][1] = ",".join([value] * len(rows[node][1].split(",")))
         edges = os.path.join(data, datasets.EDGE_FILE)
         with open(edges, encoding="utf-8") as fh:
             pairs = fh.read().splitlines()
@@ -800,3 +835,6 @@ def test_extreme_values_exit_with_a_code_and_at_most_one_line(tiny_dataset, conf
             lines = err.getvalue().splitlines()
             assert code in (0, 1, 2, 3)
             assert len(lines) == (code != 0)
+            # a tiny or huge row has a direction; only a row of zeros has none
+            zero = re.search(r"zero-norm row (\d+)$", lines[0]) if code else None
+            assert zero is None or not any(map(float, rows[int(zero[1])][1].split(",")))

@@ -142,6 +142,33 @@ def test_single_split_makes_one_forward_after_training(monkeypatch):
     assert row["audit"] is not None
 
 
+@pytest.mark.parametrize("epochs_max, patience, skipped", [
+    (5, 5, 1),          # the budget ends the run: its last epoch only reads
+    (50, 1, 0),         # patience ends it, after that epoch's forward
+], ids=["budget", "patience"])
+def test_only_the_budget_epoch_skips_backward_and_step(monkeypatch, epochs_max, patience,
+                                                       skipped):
+    bundle = _bundle(seed=2)
+    calls = {"zero_grad": 0, "backward": 0, "step": 0}
+    zero_grad, backward, step = ad.ParameterSet.zero_grad, ad.backward, training.Adam.step
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(ad.ParameterSet, "zero_grad", counted("zero_grad", zero_grad))
+    monkeypatch.setattr(ad, "backward", counted("backward", backward))
+    monkeypatch.setattr(training.Adam, "step", counted("step", step))
+    cfg = _fast_config(epochs_max=epochs_max, patience=patience)
+    _, row = training.train_single_split(bundle, bundle.graph.splits[0], cfg)
+    assert (row["epochs_run"] == epochs_max) == bool(skipped)
+    learned = row["epochs_run"] - skipped
+    assert calls == {"zero_grad": learned, "backward": learned, "step": learned}
+    assert len(ad.tape()) == 0
+
+
 def test_fit_clears_tape_when_step_raises():
     bundle = _bundle(seed=4)
     graph = bundle.graph
@@ -432,7 +459,8 @@ def test_one_step_at_j4_and_one_evaluation_do_the_pinned_work(monkeypatch, n, nu
     rng = np.random.default_rng(1)
     graph.features = (rng.random((n, num_features)) < 0.05).astype(np.float64)
     bundle = datasets.DatasetBundle(graph=graph, name="shape", feature_normalized=False)
-    config = training.TrainConfig(epochs_max=1, patience=1, j_max=4, variant=variant,
+    # epoch 1 takes the one step; epoch 2 spends the budget and only reads
+    config = training.TrainConfig(epochs_max=2, patience=2, j_max=4, variant=variant,
                                   candidate_mode=candidate, seed=2)
     tape_nodes, steps, x_products, decompositions = [], [], [], []
     step, backward, matmul = ad._step, ad.backward, ad.matmul
@@ -464,9 +492,11 @@ def test_one_step_at_j4_and_one_evaluation_do_the_pinned_work(monkeypatch, n, nu
     net, _ = training.train_single_split(bundle, graph.splits[0], config)
     banks = len(fm.BANKS[variant])
     assert tape_nodes == [TAPE_NODES[variant]]
-    # each bank steps 2^J times forward and 2^J times back
-    assert steps == [form] * (banks * 2 * 2 ** config.j_max)
-    assert x_products == [True]
+    # each bank steps 2^J times forward and 2^J times back in epoch 1, and
+    # 2^J times forward in epoch 2
+    assert steps == [form] * (banks * 3 * 2 ** config.j_max)
+    assert x_products == [True, True]
+    assert len(ad.tape()) == 0
     steps.clear()
     x_products.clear()
     a_f = fm.bank_graph(graph, variant, candidate)
