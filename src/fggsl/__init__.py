@@ -25,8 +25,7 @@ from .datasets import (CandidateGraph, DatasetBundle, candidate_graph,
                        gen_synthetic, load_dataset_dir, load_raw, load_splits,
                        row_normalize)
 from .graphs import (LabeledGraph, SpectralDecomposition, heterophily_ratio,
-                     normalized_laplacian, operator_distance, perturb_laplacian,
-                     symmetric_eig)
+                     normalized_laplacian, operator_distance, symmetric_eig)
 from .model import (FgGSLModel, FilterBankSpec, embedding, filter_bank_apply,
                     forward, kernel_value, load_checkpoint, mask_matrix,
                     save_checkpoint, structural_loss_ho, structural_loss_ht,
@@ -44,8 +43,8 @@ __all__ = [
     "gen_synthetic", "grad_check", "heterophily_ratio", "kernel_value",
     "learned_edge_audit", "load_checkpoint", "load_dataset_dir", "load_raw",
     "load_splits", "mask_matrix", "no_grad", "normalized_laplacian",
-    "operator_distance", "perturb_laplacian", "prop1_check", "row_normalize",
-    "run_ablation", "run_protocol", "save_checkpoint", "similarity_histogram",
+    "operator_distance", "prop1_check", "row_normalize", "run_ablation",
+    "run_protocol", "save_checkpoint", "similarity_histogram",
     "spectral_response_export", "stability_probe", "stability_table",
     "structural_loss_ho", "structural_loss_ht", "symmetric_eig", "total_loss",
     "train_single_split",

@@ -9,6 +9,8 @@ independent oracle for the filter implementation.
 
 ``stability_table`` probes every kernel (j, kind) of a bank set against
 one set of perturbations, and ``stability_probe`` is its one-kernel case.
+How the probe perturbs L and measures delta is decided here alone: each
+trial's Gaussian direction, the eigenvector sign convention, and delta.
 The kernels share every decomposition: L's, each trial's direction with
 its delta, and each (eps > 0, trial) perturbed Laplacian's.  Only the
 spectral norm of each kernel's difference is its own, and it is read from
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .graphs import (SpectralDecomposition, edge_pairs, heterophilic_fraction,
-                     misalignment, operator_distance, perturbation_direction,
-                     symmetric_eig)
+                     operator_distance, symmetric_eig)
 from .model import BANK_KINDS, kernel_value
 
 
@@ -79,14 +80,56 @@ class BoundProbeRecord:
 
 
 def _filter_matrix(dec: SpectralDecomposition, j: int, mode: str, kind: str) -> np.ndarray:
+    """U h_j(Lambda) U^T with its lower triangle copied onto the upper one,
+    in blocks of 128 rows so that no n x n temporary is made.  Where h_j is
+    large, rounding would leave the product too asymmetric for
+    ``operator_distance``; LAPACK reads the lower triangle alone, so the
+    copy moves no distance."""
     hvals = kernel_value(j, dec.eigenvalues, mode, kind)
     u = dec.eigenvectors
-    return (u * hvals) @ u.T
+    h = (u * hvals) @ u.T
+    for lo in range(0, len(h), 128):
+        hi = lo + 128
+        h[lo:hi, hi:] = h[hi:, lo:hi].T
+        block = h[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=~np.tri(len(block), dtype=bool))
+    return h
 
 
 def spectral_filter_matrix(lap: np.ndarray, j: int, mode: str, kind: str) -> np.ndarray:
-    """Dense h_j(L) = U h_j(Lambda) U^T via explicit eigendecomposition."""
+    """Dense h_j(L) = U h_j(Lambda) U^T via explicit eigendecomposition,
+    exactly symmetric."""
     return _filter_matrix(symmetric_eig(lap), j, mode, kind)
+
+
+SIGN_TOL = 1e-12        # an entry this small does not fix a column's sign
+
+
+def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
+    """Flip eigenvector columns so the first entry above ``SIGN_TOL`` in
+    magnitude is positive, which makes ||U - V||_2 well defined."""
+    big = np.abs(vectors) > SIGN_TOL
+    first = np.argmax(big, axis=0)                # row 0 where a column has none
+    cols = np.arange(vectors.shape[1])
+    flip = big[first, cols] & (vectors[first, cols] < 0)
+    out = vectors.copy()
+    np.negative(out, out=out, where=flip)
+    return out
+
+
+def _perturbation_direction(n: int, seed: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """The random symmetric n x n direction e0 that ``seed`` draws, its
+    spectral norm, and its sign-normalized eigenvectors."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n))
+    e0 = 0.5 * (raw + raw.T)
+    dec = symmetric_eig(e0)
+    return e0, float(np.max(np.abs(dec.eigenvalues))), _sign_normalize(dec.eigenvectors)
+
+
+def _misalignment(u: np.ndarray, v: np.ndarray) -> float:
+    """delta = (||U - V||_2 + 1)^2 - 1 between two sign-normalized bases."""
+    return (np.linalg.norm(u - v, 2) + 1.0) ** 2 - 1.0
 
 
 def stability_table(lap, scales, mode: str, kinds, epsilon_list, trials: int,
@@ -113,6 +156,9 @@ def stability_table(lap, scales, mode: str, kinds, epsilon_list, trials: int,
       0 and the direction's basis is I.
     Live memory does not grow with K or T: each h_j(L) is rebuilt from L's
     eigenpairs for the one comparison that reads it.
+    A large eps pushes the spectrum out of [0, 2], where h_j grows as
+    t^(2^j); a distance that overflows raises a NumericError naming the
+    epsilon and the trial.
     """
     lap = np.asarray(lap, dtype=np.float64)
     for eps in epsilon_list:
@@ -122,7 +168,7 @@ def stability_table(lap, scales, mode: str, kinds, epsilon_list, trials: int,
     n = lap.shape[0]
     kernels = [(j, kind) for j in scales for kind in kinds]
     dec = symmetric_eig(lap)
-    lap_basis = dec.normalized_vectors()
+    lap_basis = _sign_normalize(dec.eigenvectors)
 
     def distances(dec_hat):
         return [operator_distance(_filter_matrix(dec, j, mode, kind),
@@ -140,20 +186,25 @@ def stability_table(lap, scales, mode: str, kinds, epsilon_list, trials: int,
         return out
 
     if any(eps == 0 for eps in epsilon_list):
-        zero_delta = misalignment(lap_basis, np.eye(n))
+        zero_delta = _misalignment(lap_basis, np.eye(n))
     drawn = any(eps != 0 for eps in epsilon_list)
     grid = {}                        # (epsilon index, trial) -> one record per kernel
     for trial in range(trials):
         if drawn:
-            e0, norm, v = perturbation_direction(n, seed * 10007 + trial)
-            delta = misalignment(lap_basis, v)
+            e0, norm, v = _perturbation_direction(n, seed * 10007 + trial)
+            delta = _misalignment(lap_basis, v)
             del v                    # not read again; keeps one n x n array off the peak
         for k, eps in enumerate(epsilon_list):
             if eps == 0:
                 grid[k, trial] = records(eps, [0.0] * len(kernels), zero_delta)
-            else:
-                observed = distances(symmetric_eig(lap + e0 * (eps / norm)))
-                grid[k, trial] = records(eps, observed, delta)
+                continue
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    observed = distances(symmetric_eig(lap + e0 * (eps / norm)))
+                    grid[k, trial] = records(eps, observed, delta)
+            except (NumericError, FloatingPointError) as exc:
+                raise NumericError(f"stability_table: epsilon {eps:g}, "
+                                   f"trial {trial}: {exc}") from exc
     return {kernel: [grid[k, t][i] for k in range(len(epsilon_list)) for t in range(trials)]
             for i, kernel in enumerate(kernels)}
 

@@ -1,11 +1,12 @@
-"""Graph data structures, normalized Laplacians, heterophily metrics, and
-dense symmetric eigendecomposition.
+"""Graph data structures, normalized Laplacians, heterophily metrics,
+dense symmetric eigendecomposition and the spectral-norm distance.
 
 All matrices are dense float64; training passes its graphs to
 ``normalized_laplacian`` as edge columns instead.  ``edge_pairs`` is the
 one reader of an undirected edge list off a dense matrix.  The eigensolver wraps
 LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues alone; it is only used on
-analysis paths, never inside training.
+analysis paths, never inside training.  How the stability probe perturbs
+a Laplacian and measures delta is decided in ``analysis``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericError
 
 SYMMETRY_TOL = 1e-9
-SIGN_TOL = 1e-12
 
 
 @dataclass
@@ -59,10 +59,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray           # (n,)
     eigenvectors: np.ndarray | None   # (n, n), columns; None from a values-only call
-
-    def normalized_vectors(self) -> np.ndarray:
-        """The eigenvectors with ``normalized_eigenvectors``' sign convention."""
-        return _sign_normalize(self.eigenvectors)
 
 
 def check_symmetric(m: np.ndarray, what: str):
@@ -157,62 +153,3 @@ def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     values = symmetric_eig(diff, vectors=False).eigenvalues
     return float(np.max(np.abs(values)))
-
-
-def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first non-negligible entry is positive."""
-    big = np.abs(vectors) > SIGN_TOL
-    first = np.argmax(big, axis=0)                # row 0 where a column has none
-    cols = np.arange(vectors.shape[1])
-    flip = big[first, cols] & (vectors[first, cols] < 0)
-    out = vectors.copy()
-    np.negative(out, out=out, where=flip)
-    return out
-
-
-def normalized_eigenvectors(m: np.ndarray) -> np.ndarray:
-    """Eigenvector basis sorted by ascending eigenvalue, sign-normalized.
-
-    Eigendecompositions are unique only up to column sign and ordering of
-    repeated eigenvalues; this convention makes ||U - V||_2 well-defined.
-    """
-    return symmetric_eig(m).normalized_vectors()
-
-
-def perturbation_direction(n: int, seed: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """The random symmetric n x n direction e0 that ``seed`` draws, its
-    spectral norm, and its sign-normalized eigenvectors."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n, n))
-    e0 = 0.5 * (raw + raw.T)
-    dec = symmetric_eig(e0)
-    return e0, float(np.max(np.abs(dec.eigenvalues))), dec.normalized_vectors()
-
-
-def misalignment(u: np.ndarray, v: np.ndarray) -> float:
-    """delta = (||U - V||_2 + 1)^2 - 1 between two sign-normalized bases."""
-    return (np.linalg.norm(u - v, 2) + 1.0) ** 2 - 1.0
-
-
-def perturb_laplacian(l: np.ndarray, magnitude: float, seed: int,
-                      l_eigenvectors: np.ndarray | None = None):
-    """Additive symmetric perturbation with spectral norm exactly ``magnitude``.
-
-    Returns (l_hat, e, delta) where delta is the eigenvector-misalignment
-    statistic between l and e.  Callers probing one Laplacian repeatedly
-    may pass its ``normalized_eigenvectors`` to skip re-decomposing it.
-    """
-    if magnitude < 0:
-        raise ContractError(f"perturb_laplacian: negative magnitude {magnitude}")
-    l = np.asarray(l, dtype=np.float64)
-    check_symmetric(l, "perturb_laplacian")
-    n = l.shape[0]
-    if magnitude == 0.0:
-        e = np.zeros((n, n))
-        v = np.eye(n)
-    else:
-        e0, norm, v = perturbation_direction(n, seed)
-        # rescaling by a positive constant keeps eigenvectors and their order
-        e = e0 * (magnitude / norm)
-    u = l_eigenvectors if l_eigenvectors is not None else normalized_eigenvectors(l)
-    return l + e, e, misalignment(u, v)

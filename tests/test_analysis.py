@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fggsl import analysis, datasets, graphs
+from fggsl import analysis, datasets, graphs, model
 from fggsl.errors import ContractError
 from fggsl.graphs import normalized_laplacian
 
@@ -127,16 +127,48 @@ def test_stability_rejects_a_non_finite_epsilon(epsilons):
         analysis.stability_probe(_laplacian(4), 2, "fig3", "low", epsilons, 1, 0)
 
 
+def _sign_normalize_per_column(vectors):
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        nz = np.nonzero(np.abs(col) > analysis.SIGN_TOL)[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, k] = -col
+    return out
+
+
+def test_sign_normalize_is_bitwise_the_per_column_loop():
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((9, 40))
+    v[rng.random(v.shape) < 0.5] *= 1e-13          # below SIGN_TOL
+    v[rng.random(v.shape) < 0.2] = 0.0
+    v[rng.random(v.shape) < 0.1] = -0.0
+    v[:, :3] = [-1e-13, 0.0, -0.0]                  # columns with no entry above SIGN_TOL
+    for m in (v, graphs.symmetric_eig(_laplacian(11, n=30)).eigenvectors):
+        expected = _sign_normalize_per_column(m)
+        assert analysis._sign_normalize(m).tobytes() == expected.tobytes()
+
+
 def _reference_probe(lap, j, mode, kind, epsilons, trials, seed):
-    """The probe with one ``perturb_laplacian`` per (epsilon, trial)."""
+    """The probe, one (epsilon, trial) at a time, with its own draw: trial
+    t's direction comes from seed ``seed * 10007 + t``, is decomposed by
+    ``np.linalg.eigh`` and rescaled to spectral norm epsilon.  An epsilon
+    of 0 leaves L as it is, and its direction's basis is I."""
     n = lap.shape[0]
     h_base = analysis.spectral_filter_matrix(lap, j, mode, kind)
-    basis = graphs.normalized_eigenvectors(lap)
+    basis = _sign_normalize_per_column(np.linalg.eigh(lap)[1])
     records = []
     for eps in epsilons:
         for trial in range(trials):
-            l_hat, _, delta = graphs.perturb_laplacian(lap, eps, seed=seed * 10007 + trial,
-                                                       l_eigenvectors=basis)
+            raw = np.random.default_rng(seed * 10007 + trial).standard_normal((n, n))
+            e0 = 0.5 * (raw + raw.T)
+            values, vectors = np.linalg.eigh(e0)
+            if eps == 0:
+                l_hat, v = lap, np.eye(n)
+            else:
+                l_hat = lap + e0 * (eps / np.max(np.abs(values)))
+                v = _sign_normalize_per_column(vectors)
+            delta = (np.linalg.norm(basis - v, 2) + 1.0) ** 2 - 1.0
             observed = graphs.operator_distance(
                 h_base, analysis.spectral_filter_matrix(l_hat, j, mode, kind))
             bound = 2.0 ** (j - 1) * (1.0 + delta * np.sqrt(n)) * eps
@@ -219,6 +251,20 @@ def test_stability_table_shares_every_decomposition_across_kernels(monkeypatch, 
 def test_spectral_filter_matrix_symmetric():
     h = analysis.spectral_filter_matrix(_laplacian(5), 3, "fig3", "low")
     assert np.allclose(h, h.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 128, 300])
+def test_filter_matrix_is_exactly_symmetric_with_the_products_lower_triangle(n):
+    # a spectrum reaching 3 makes the high kernel at j = 6 about 1e11, where
+    # U h U^T is asymmetric by far more than operator_distance's 1e-9
+    rng = np.random.default_rng(n)
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    dec = graphs.SpectralDecomposition(np.linspace(0.0, 3.0, n), u)
+    h = analysis._filter_matrix(dec, 6, "fig3", "high")
+    product = (u * model.kernel_value(6, dec.eigenvalues, "fig3", "high")) @ u.T
+    assert np.array_equal(h, h.T)
+    assert np.array_equal(np.tril(h), np.tril(product))
+    assert np.max(np.abs(product - product.T)) > graphs.SYMMETRY_TOL
 
 
 # ---------------------------------------------------------------------------

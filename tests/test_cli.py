@@ -336,13 +336,46 @@ def test_analyze_prop1_memory_grows_linearly_in_the_class_count(tmp_path):
     assert peak < 4000 * 4000 * 8              # one 4000 x 4000 float64 identity
 
 
-def test_analyze_stability(tmp_path):
+def test_analyze_stability(tmp_path, capsys):
     out = tmp_path / "st"
     code = run_cli("analyze", "stability", "--out", str(out), "--n", "10",
                    "--trials", "2", "--J", "3", "--seed", "1")
     assert code == 0
     doc = json.loads((out / "stability.json").read_text(encoding="utf-8"))
     assert doc["all_hold"] is True
+    assert capsys.readouterr().out == "stability: bound holds on all 16 probes\n"
+
+
+# a large epsilon pushes the perturbed spectrum out of [0, 2], where the
+# kernels grow as t^(2^j); the filter matrices then differ by far more than
+# rounding, and the probe reports the bound violated
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j_max, epsilon, probes", [("10", "0.5", 36), ("4", "10", 12)],
+                         ids=["J10-eps0.5", "J4-eps10"])
+def test_analyze_stability_reports_a_large_epsilon_as_a_violation(tmp_path, capsys, j_max,
+                                                                  epsilon, probes):
+    out = tmp_path / "st"
+    code = run_cli("analyze", "stability", "--out", str(out), "--n", "30", "--trials", "2",
+                   "--J", j_max, "--epsilons", epsilon)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = (out / "stability.csv").read_text(encoding="utf-8").splitlines()[1:]
+    violated = sum(row.endswith(",0") for row in rows)
+    assert len(rows) == probes and violated > 0
+    assert captured.out == f"stability: bound VIOLATED on {violated} of {probes} probes\n"
+    doc = json.loads((out / "stability.json").read_text(encoding="utf-8"))
+    assert doc["all_hold"] is False
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_stability_overflow_exits_2_naming_the_epsilon(tmp_path, capsys):
+    code = run_cli("analyze", "stability", "--out", str(tmp_path / "st"), "--n", "20",
+                   "--J", "3", "--trials", "2", "--epsilons", "1e200")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numeric failure: stability_table: epsilon 1e+200, trial 0: ")
+    assert not (tmp_path / "st").exists()
 
 
 def test_numeric_failure_in_an_analysis_exits_2(tmp_path, capsys, monkeypatch):

@@ -214,29 +214,6 @@ def test_eig_non_finite_raises_numeric(bad):
         graphs.symmetric_eig(m)
 
 
-def _sign_normalize_per_column(vectors):
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.nonzero(np.abs(col) > graphs.SIGN_TOL)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
-    return out
-
-
-def test_sign_normalize_is_bitwise_the_per_column_loop():
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal((9, 40))
-    v[rng.random(v.shape) < 0.5] *= 1e-13          # below SIGN_TOL
-    v[rng.random(v.shape) < 0.2] = 0.0
-    v[rng.random(v.shape) < 0.1] = -0.0
-    v[:, :3] = [-1e-13, 0.0, -0.0]                  # columns with no entry above SIGN_TOL
-    lap = graphs.normalized_laplacian(_random_adjacency(rng, 30))
-    for m in (v, graphs.symmetric_eig(lap).eigenvectors):
-        expected = _sign_normalize_per_column(m)
-        assert graphs._sign_normalize(m).tobytes() == expected.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # operator_distance
 
@@ -286,32 +263,3 @@ def test_operator_distance_metric_properties():
         dcb = graphs.operator_distance(c, b)
         assert dab == pytest.approx(dba, abs=1e-9)
         assert dab <= dac + dcb + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# perturb_laplacian
-
-
-def test_perturb_zero_magnitude():
-    lap = graphs.normalized_laplacian(_path_graph(4))
-    l_hat, e, delta = graphs.perturb_laplacian(lap, 0.0, seed=0)
-    assert np.array_equal(l_hat, lap)
-    assert not np.any(e)
-    assert np.isfinite(delta)
-
-
-def test_perturb_norm_matches_magnitude():
-    lap = graphs.normalized_laplacian(_path_graph(5))
-    _, e, _ = graphs.perturb_laplacian(lap, 0.1, seed=3)
-    assert graphs.operator_distance(e, np.zeros_like(e)) == pytest.approx(0.1, abs=1e-9)
-
-
-def test_perturb_preserves_symmetry():
-    lap = graphs.normalized_laplacian(_path_graph(5))
-    l_hat, _, _ = graphs.perturb_laplacian(lap, 0.05, seed=4)
-    assert np.array_equal(l_hat, l_hat.T)
-
-
-def test_perturb_rejects_negative():
-    with pytest.raises(ContractError):
-        graphs.perturb_laplacian(np.eye(3), -0.1, seed=0)

@@ -505,3 +505,87 @@ def test_one_step_at_j4_and_one_evaluation_do_the_pinned_work(monkeypatch, n, nu
     assert x_products == [True]
     assert len(ad.tape()) == 0
     assert decompositions == []
+
+
+# ---------------------------------------------------------------------------
+# invariants of a whole run: no label leak, permutation equivariance
+
+
+# the nodes of a group share one feature row, so they are equally similar
+# to every other node, and the kNN candidates break ties among them
+TIE_GROUPS = ([2, 9, 17, 26], [4, 21])
+
+
+def _tied_bundle():
+    graph = datasets.gen_synthetic(30, 3, 0.1, 0.4, 0.5, seed=9, n_splits=1)
+    for group in TIE_GROUPS:
+        graph.features[group] = graph.features[group[0]]
+    return datasets.DatasetBundle(graph=graph, name="ties", feature_normalized=False)
+
+
+def _orders(n):
+    """A random order of the nodes, and the same order with each tie
+    group's members put back in their relative order; order[k] is the node
+    that moves to position k."""
+    raw = np.random.default_rng(0).permutation(n)
+    kept = raw.copy()
+    for group in TIE_GROUPS:
+        kept[np.sort(np.nonzero(np.isin(kept, group))[0])] = group
+    return raw, kept
+
+
+def _permuted(graph, order):
+    """``graph`` with node order[k] moved to position k: features, labels,
+    edges and split indices alike."""
+    position = np.argsort(order)                 # position[i]: where node i moves
+    return datasets.LabeledGraph(
+        graph.adjacency[np.ix_(order, order)], graph.features[order], graph.labels[order],
+        [tuple(np.sort(position[part]) for part in split) for split in graph.splits])
+
+
+@pytest.mark.parametrize("spec", ["knn:5", "knn:10"])
+def test_the_knn_tie_rule_commutes_only_with_a_tie_preserving_order(spec):
+    # kNN breaks ties toward the lower node index, so an order that swaps
+    # two tied nodes swaps which of them is a neighbour
+    graph = _tied_bundle().graph
+    base = datasets.candidate_graph(graph, spec).adjacency
+    moved = [np.array_equal(datasets.candidate_graph(_permuted(graph, order), spec).adjacency,
+                            base[np.ix_(order, order)]) for order in _orders(graph.n)]
+    assert moved == [False, True]
+
+
+@pytest.mark.parametrize("true_labels_on_train", [False, True], ids=["predicted", "true"])
+@pytest.mark.parametrize("variant", ["full", "NM"])
+@pytest.mark.parametrize("candidate", ["full", "given", "knn:5"])
+def test_test_labels_never_reach_the_checkpoint(tmp_path, candidate, variant,
+                                                true_labels_on_train):
+    bundle = _tied_bundle()
+    graph = bundle.graph
+    test_idx = graph.splits[0][2]
+    labels = graph.labels.copy()
+    labels[test_idx] = np.roll(labels[test_idx], 1, axis=1)    # every test label changes
+    scrambled = dataclasses.replace(bundle, graph=dataclasses.replace(graph, labels=labels))
+    config = _fast_config(epochs_max=15, patience=15, candidate_mode=candidate,
+                          variant=variant, true_labels_on_train=true_labels_on_train)
+    blobs = []
+    for b in (bundle, scrambled):
+        net, _ = training.train_single_split(b, b.graph.splits[0], config)
+        path = tmp_path / f"{len(blobs)}.fgck"
+        fm.save_checkpoint(path, net, alpha=config.alpha, beta=config.beta)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("candidate", ["full", "given", "knn:5", "knn:10"])
+def test_a_whole_run_is_permutation_equivariant(candidate):
+    # the order keeps each tie group's members in their relative order,
+    # since the kNN tie rule is not itself permutation-invariant (above)
+    bundle = _tied_bundle()
+    permuted = _permuted(bundle.graph, _orders(bundle.graph.n)[1])
+    config = _fast_config(epochs_max=20, patience=20, candidate_mode=candidate)
+    rows = [training.train_single_split(b, b.graph.splits[0], config)[1]
+            for b in (bundle, dataclasses.replace(bundle, graph=permuted))]
+    for key in ("ce", "ho", "ht", "total"):
+        assert np.allclose(rows[0]["curves"][key], rows[1]["curves"][key], rtol=0, atol=1e-12)
+    assert rows[0]["curves"]["val_acc"] == rows[1]["curves"]["val_acc"]
+    assert rows[0]["test_acc"] == rows[1]["test_acc"]
