@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense 2-D float64 tensors.
 
-Define-by-run: every differentiable operation appends a node to a global
-tape while computing its value eagerly in numpy.  ``backward`` replays the
+Define-by-run: every differentiable operation computes its value eagerly
+in numpy and, when an input is tracked, records a node on the current
+tape: a fresh one inside ``recording()``, none under ``no_grad``, and the
+module's default tape outside both.  ``backward`` replays the current
 tape once in reverse, accumulating vector-Jacobian products into the
-gradients of tracked parameters, then clears the tape.  The op set is
+gradients of tracked parameters, then clears it.  The op set is
 exactly what the edge-mask / filter-bank forward pass needs; there is no
 broadcasting beyond the listed operations and no higher-order grads.
 
@@ -130,39 +132,35 @@ class Tape:
         return self._nodes
 
 
-_TAPE = Tape()
-_GRAD_ENABLED = True
+_TAPE: Tape | None = Tape()
 
 
-def tape() -> Tape:
+def tape() -> Tape | None:
+    """The current tape: None under ``no_grad``."""
     return _TAPE
 
 
 @contextlib.contextmanager
+def recording(on: bool = True):
+    """Record the block's ops on a fresh tape, yielded, or on none when
+    ``on`` is false; the previous tape comes back on exit, also on raise."""
+    global _TAPE
+    prev = _TAPE
+    _TAPE = Tape() if on else None
+    try:
+        yield _TAPE
+    finally:
+        _TAPE = prev
+
+
 def no_grad():
-    """Disable tape recording (evaluation-only forward passes)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def tape_scope():
-    """Scope one forward/backward step: the tape is empty when the block
-    exits, also when it raises after recording nodes."""
-    try:
-        yield
-    finally:
-        _TAPE.clear()
+    """Record nothing in the block (evaluation-only forward passes)."""
+    return recording(False)
 
 
 def _records(inputs: tuple[Tensor, ...]) -> bool:
     """Whether an op on ``inputs`` would record a tape node."""
-    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    return _TAPE is not None and any(t.requires_grad for t in inputs)
 
 
 def _emit(value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -424,9 +422,12 @@ def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     transposed if it is 8 to n/4 wide (``_step_form``).  Every other block
     runs as T @ Y: at n < 512 the forms tie, at w = 1 it is a gemv, and
     past n/4 columns the block is no longer skinny.  Two measured misses
-    stay: at n = 512, w = 2 the whole T @ Y is under 10^6 multiply-adds
-    and beats the panels, and at w = 8 to 10 half-size panels beat the
-    transposed form.
+    stay.  At w = 2, T @ Y beats the panels while it is under 10^6
+    multiply-adds: 0.069 against 0.075 ms at n = 512 and 0.134 against
+    0.141 at n = 600 (medians of 11 x 200).  The panels win from n = 708
+    (0.209 against 0.509) and at n = 512, w = 3 (0.131 against 0.144), so
+    a second constant would save under 0.01 ms on shapes no workload
+    runs.  At w = 8 to 10 half-size panels beat the transposed form.
     """
     n, w = y.shape
     form = _step_form(n, w)
@@ -829,7 +830,7 @@ def backward(loss: Tensor, params: ParameterSet | list[Tensor]):
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    nodes = _TAPE.nodes()
+    nodes = _TAPE.nodes() if _TAPE is not None else []
     if not loss.requires_grad or not any(out is loss for out, _, _ in nodes):
         raise ContractError("backward: loss was not produced on the current tape")
 
@@ -874,12 +875,12 @@ def grad_check(loss_fn, params: ParameterSet, step: float = 1e-5) -> GradErrors:
     round-off over 1e-6, so a large relative error beside an absolute one
     near machine precision is round-off, not a wrong gradient.
     ``loss_fn`` must be a deterministic zero-argument callable returning a
-    scalar Tensor built from the tensors in ``params``.
+    scalar Tensor built from the tensors in ``params``.  The analytic pass
+    records on its own tape, and each entry is put back also on a raise.
     """
-    _TAPE.clear()
     params.zero_grad()
-    loss = loss_fn()
-    backward(loss, params)
+    with recording():
+        backward(loss_fn(), params)
     analytic = {name: t.grad.copy() for name, t in params}
 
     worst_rel = worst_abs = 0.0
@@ -887,13 +888,14 @@ def grad_check(loss_fn, params: ParameterSet, step: float = 1e-5) -> GradErrors:
         flat = t.data.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
-            flat[k] = orig + step
-            with no_grad():
-                f_plus = loss_fn().item()
-            flat[k] = orig - step
-            with no_grad():
-                f_minus = loss_fn().item()
-            flat[k] = orig
+            try:
+                with no_grad():
+                    flat[k] = orig + step
+                    f_plus = loss_fn().item()
+                    flat[k] = orig - step
+                    f_minus = loss_fn().item()
+            finally:
+                flat[k] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             a = analytic[name].reshape(-1)[k]
             err = abs(a - numeric)

@@ -410,8 +410,6 @@ class LossBreakdown:
     ho: float
     ht: float
     total: float
-    alpha: float
-    beta: float
 
 
 def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
@@ -447,8 +445,7 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
         ho = structural_loss_ho(fwd.w1_edges, cos) if fwd.w1_edges is not None else zero
         ht = structural_loss_ht(fwd.w2_edges, cos) if fwd.w2_edges is not None else zero
         loss = ad.add(ce, ad.add(ad.scale(alpha, ho), ad.scale(beta, ht)))
-    breakdown = LossBreakdown(ce=ce.item(), ho=ho.item(), ht=ht.item(),
-                              total=loss.item(), alpha=alpha, beta=beta)
+    breakdown = LossBreakdown(ce=ce.item(), ho=ho.item(), ht=ht.item(), total=loss.item())
     return loss, breakdown, fwd
 
 

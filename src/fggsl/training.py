@@ -13,7 +13,6 @@ splits; splits are independent and may run in parallel processes.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import numbers
@@ -173,12 +172,14 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
     outputs are kept with the snapshot.  Returns the summary, then the
     best forward's probs and outputs; the parameters are restored to it.
 
-    Epoch ``config.epochs_max`` only reads: its forward runs under
-    ``ad.no_grad`` and it takes no backward and no Adam step, since the
-    restore would discard that step.  It skips ``zero_grad`` too, so every
-    epoch that calls ``zero_grad`` ends in ``Adam.step``.  An epoch that
-    ends the run by patience learns that only after its forward, and
-    keeps its step.
+    Each epoch runs in ``ad.recording(learn)``: a fresh tape that its
+    backward reads and that is dropped when the epoch ends, also when the
+    step raises, so the caller's tape keeps its nodes.  Epoch
+    ``config.epochs_max`` only reads: it records on no tape and takes no
+    backward and no Adam step, since the restore would discard that
+    step.  It skips ``zero_grad`` too, so every epoch that calls
+    ``zero_grad`` ends in ``Adam.step``.  An epoch that ends the run by
+    patience learns that only after its forward, and keeps its step.
     """
     adam = Adam(params, config.lr, config.weight_decay)
     best_val = -1.0
@@ -194,8 +195,7 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
             params.zero_grad()
         try:
             # an overflow or a NaN, say from a huge lr or alpha, fails the epoch
-            with np.errstate(over="raise", invalid="raise"), ad.tape_scope(), \
-                    (contextlib.nullcontext() if learn else ad.no_grad()):
+            with np.errstate(over="raise", invalid="raise"), ad.recording(learn):
                 loss, breakdown, probs, outputs = step_fn()
                 val_acc = accuracy_from_probs(probs, labels, val_idx)
                 if val_acc > best_val:
@@ -269,8 +269,7 @@ def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     def step_fn():
         logits = net.logits(ad.constant(graph.features))
         ce = ad.softmax_cross_entropy(logits, ad.constant(graph.labels), train_idx)
-        breakdown = fm.LossBreakdown(ce=ce.item(), ho=0.0, ht=0.0, total=ce.item(),
-                                     alpha=0.0, beta=0.0)
+        breakdown = fm.LossBreakdown(ce=ce.item(), ho=0.0, ht=0.0, total=ce.item())
         return ce, breakdown, ad.softmax_rows(logits).data, None
 
     started = time.perf_counter()

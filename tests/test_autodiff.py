@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fggsl import autodiff as ad
-from fggsl.errors import ContractError, DimensionError
+from fggsl.errors import ContractError, DimensionError, NumericError
 
 
 def test_matmul_identity():
@@ -553,14 +553,67 @@ def test_backward_clears_tape():
     assert len(ad.tape()) == 0
 
 
-def test_tape_scope_clears_tape_when_the_step_raises():
+def test_recording_restores_the_previous_tape_when_the_block_raises():
     w = ad.parameter(np.ones((2, 2)), "w")
-    with pytest.raises(ContractError):
-        with ad.tape_scope():
-            ad.sum_all(ad.matmul(w, w))
-            assert len(ad.tape()) == 2
-            raise ContractError("step failed after recording nodes")
-    assert len(ad.tape()) == 0
+    with ad.recording() as outer:
+        ad.sum_all(w)
+        with pytest.raises(ContractError):
+            with ad.recording() as inner:
+                ad.sum_all(ad.matmul(w, w))
+                assert ad.tape() is inner and len(inner) == 2
+                raise ContractError("step failed after recording nodes")
+        assert ad.tape() is outer and len(outer) == 1
+
+
+def test_no_grad_and_recording_nest_either_way():
+    w = ad.parameter(np.ones((2, 2)), "w")
+    with ad.recording() as outer:
+        with ad.no_grad():
+            assert ad.tape() is None
+            assert not ad.sum_all(w).requires_grad
+            with ad.recording() as inner:
+                loss = ad.sum_all(ad.matmul(w, w))
+                assert len(inner) == 2
+                ad.backward(loss, [w])
+            assert ad.tape() is None
+        assert ad.tape() is outer and len(outer) == 0
+    assert np.array_equal(w.grad, np.full((2, 2), 4.0))
+
+
+def test_backward_under_no_grad_raises_one_contract_error():
+    w = ad.parameter(np.ones((2, 2)), "w")
+    with ad.recording():
+        loss = ad.sum_all(w)
+        with ad.no_grad(), pytest.raises(ContractError) as info:
+            ad.backward(loss, [w])
+    assert str(info.value) == "backward: loss was not produced on the current tape"
+    assert w.grad is None
+
+
+def test_grad_check_leaves_the_callers_tape_alone():
+    w = ad.parameter(np.ones((2, 2)), "w")
+    params = ad.ParameterSet()
+    params.add("v", np.array([[0.5, -1.0]]))
+    with ad.recording() as caller:
+        loss = ad.sum_all(ad.matmul(w, w))
+        ad.grad_check(lambda: ad.sum_all(ad.tanh(params["v"])), params)
+        assert ad.tape() is caller and len(caller) == 2
+        ad.backward(loss, [w])
+    assert np.array_equal(w.grad, np.full((2, 2), 4.0))
+
+
+def test_grad_check_restores_the_parameter_when_loss_fn_raises():
+    params = ad.ParameterSet()
+    w = params.add("w", np.array([[1.0, 2.0]]))
+
+    def loss_fn():
+        if w.data[0, 0] > 1.0 + 1e-7:
+            raise NumericError("loss overflowed")
+        return ad.sum_all(ad.hadamard(w, w))
+
+    with pytest.raises(NumericError):
+        ad.grad_check(loss_fn, params)
+    assert np.array_equal(w.data, [[1.0, 2.0]])
 
 
 def test_parameter_set_round_trip():
@@ -712,9 +765,10 @@ def test_a_recorded_propagate_never_runs_through_matrices(monkeypatch, tracked):
     assert orders == ["matrices", "chain"]       # the chain on I forms the matrices
     orders.clear()
     inputs[tracked] = ad.parameter(inputs[tracked].data, tracked)
-    out = ad.propagate(ad.EdgeOperator(inputs["w"], pairs, n, diag, off), inputs["z"], coeffs)
+    with ad.recording():
+        out = ad.propagate(ad.EdgeOperator(inputs["w"], pairs, n, diag, off), inputs["z"],
+                           coeffs)
     assert orders == ["chain"]
-    ad.tape().clear()
     assert np.linalg.norm(plain - out.data) <= 1e-12 * np.linalg.norm(out.data)
 
 

@@ -162,11 +162,12 @@ def test_only_the_budget_epoch_skips_backward_and_step(monkeypatch, epochs_max, 
     monkeypatch.setattr(ad, "backward", counted("backward", backward))
     monkeypatch.setattr(training.Adam, "step", counted("step", step))
     cfg = _fast_config(epochs_max=epochs_max, patience=patience)
-    _, row = training.train_single_split(bundle, bundle.graph.splits[0], cfg)
+    with ad.recording() as caller:
+        _, row = training.train_single_split(bundle, bundle.graph.splits[0], cfg)
     assert (row["epochs_run"] == epochs_max) == bool(skipped)
     learned = row["epochs_run"] - skipped
     assert calls == {"zero_grad": learned, "backward": learned, "step": learned}
-    assert len(ad.tape()) == 0
+    assert len(caller) == 0
 
 
 def test_fit_clears_tape_when_step_raises():
@@ -181,11 +182,27 @@ def test_fit_clears_tape_when_step_raises():
         recorded.append(len(ad.tape()))
         raise ValidationError("step failed after recording nodes")
 
-    with pytest.raises(ValidationError):
+    with ad.recording() as caller, pytest.raises(ValidationError):
         training._fit(step_fn, net.params, _fast_config(), graph.labels,
                       graph.splits[0][1])
     assert recorded[0] > 0
-    assert len(ad.tape()) == 0
+    assert len(caller) == 0
+    assert ad.tape() is not caller
+
+
+def test_training_leaves_the_callers_recorded_loss_backpropagatable():
+    bundle = _bundle(seed=5)
+    graph = bundle.graph
+    net = fm.FgGSLModel(graph.num_features, graph.num_classes, j_max=2, mask_dim=4)
+    a_f = datasets.candidate_graph(graph, "full")
+    with ad.recording() as caller:
+        loss, _, _ = fm.total_loss(net, graph, a_f, 1.0, 1.0, graph.splits[0][0])
+        recorded = len(caller)
+        training.train_single_split(bundle, graph.splits[0],
+                                    _fast_config(epochs_max=3, patience=3))
+        assert ad.tape() is caller and len(caller) == recorded
+        ad.backward(loss, net.params)
+    assert all(np.any(t.grad) for _, t in net.params)
 
 
 def test_separable_synthetic_reaches_full_train_accuracy():
@@ -483,27 +500,28 @@ def test_one_step_at_j4_and_one_evaluation_do_the_pinned_work(monkeypatch, n, nu
             raise AssertionError(f"np.linalg.{name} inside training")
         return record
 
-    ad.tape().clear()                   # count this test's nodes alone
     monkeypatch.setattr(ad, "_step", counted_step)
     monkeypatch.setattr(ad, "backward", counted_backward)
     monkeypatch.setattr(ad, "matmul", counted_matmul)
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, no_decomposition(name))
-    net, _ = training.train_single_split(bundle, graph.splits[0], config)
+    with ad.recording() as caller:
+        net, _ = training.train_single_split(bundle, graph.splits[0], config)
     banks = len(fm.BANKS[variant])
     assert tape_nodes == [TAPE_NODES[variant]]
     # each bank steps 2^J times forward and 2^J times back in epoch 1, and
     # 2^J times forward in epoch 2
     assert steps == [form] * (banks * 3 * 2 ** config.j_max)
     assert x_products == [True, True]
-    assert len(ad.tape()) == 0
+    assert len(caller) == 0
     steps.clear()
     x_products.clear()
     a_f = fm.bank_graph(graph, variant, candidate)
-    training.evaluate(net, bundle, graph.splits[0][2], a_f)
+    with ad.recording() as caller:
+        training.evaluate(net, bundle, graph.splits[0][2], a_f)
     assert steps == [form] * (banks * 2 ** config.j_max)
     assert x_products == [True]
-    assert len(ad.tape()) == 0
+    assert len(caller) == 0
     assert decompositions == []
 
 
