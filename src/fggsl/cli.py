@@ -155,37 +155,31 @@ CONFIG_KEYS = ({f.name for f in dataclasses.fields(TrainConfig)} - {"candidate_m
 
 
 def _resolve_config(args):
-    """Defaults < JSON config < CLI flags; returns (TrainConfig, normalize)."""
+    """Defaults < JSON config < CLI flags, for every key; returns
+    (TrainConfig, normalize).  A flag that is not given is dropped, and
+    ``--no-normalize`` sets ``feature_normalize`` to False."""
     values: dict = {}
-    normalize = not args.no_normalize
     if args.config:
         with open_text(args.config) as fh:
             try:
-                raw = json.load(fh)
+                values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
+        if not isinstance(values, dict):
             raise ValidationError(f"{args.config}: expected a JSON object")
-        unknown = set(raw) - CONFIG_KEYS
+        unknown = set(values) - CONFIG_KEYS
         if unknown:
             raise ValidationError(
                 f"{args.config}: unknown config keys {sorted(unknown)}")
-        if "feature_normalize" in raw:
-            normalize = raw.pop("feature_normalize")
-            if not isinstance(normalize, bool):
-                raise ValidationError(
-                    f"feature_normalize={normalize!r} is not a valid bool")
-        if "candidate" in raw:
-            values["candidate_mode"] = raw.pop("candidate")
-        values.update(raw)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.variant:
-        values["variant"] = args.variant
-    if args.kernel_mode:
-        values["kernel_mode"] = args.kernel_mode
-    if args.candidate is not None:           # an empty spec is rejected, not ignored
-        values["candidate_mode"] = args.candidate
+    flags = {"seed": args.seed, "variant": args.variant, "kernel_mode": args.kernel_mode,
+             "candidate": args.candidate,     # an empty spec is rejected, not ignored
+             "feature_normalize": False if args.no_normalize else None}
+    values.update({key: value for key, value in flags.items() if value is not None})
+    normalize = values.pop("feature_normalize", True)
+    if not isinstance(normalize, bool):
+        raise ValidationError(f"feature_normalize={normalize!r} is not a valid bool")
+    if "candidate" in values:
+        values["candidate_mode"] = values.pop("candidate")
     return TrainConfig(**values), normalize
 
 

@@ -367,13 +367,6 @@ def make_stratified_splits(labels: np.ndarray, n_splits: int, seed: int):
             members = np.flatnonzero(y == c)
             perm = members[rng.permutation(members.size)]
             s = members.size
-            if s == 1:
-                train.extend(perm)
-                continue
-            if s == 2:
-                train.append(perm[0])
-                val.append(perm[1])
-                continue
             n_tr = max(1, min(int(round(TRAIN_FRAC * s)), s - 2))
             n_va = max(1, min(int(round(VAL_FRAC * s)), s - 1 - n_tr))
             train.extend(perm[:n_tr])

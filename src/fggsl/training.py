@@ -210,11 +210,8 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
         except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         max_update_scale = max(max_update_scale, adam.last_update_scale)
-        curves["ce"].append(breakdown.ce)
-        curves["ho"].append(breakdown.ho)
-        curves["ht"].append(breakdown.ht)
-        curves["total"].append(breakdown.total)
-        curves["val_acc"].append(val_acc)
+        for name, value in (*vars(breakdown).items(), ("val_acc", val_acc)):
+            curves[name].append(value)
         if stale >= config.patience:
             break
     params.restore(best_state)
@@ -302,20 +299,22 @@ class MlpModel:
 @dataclass
 class RunResult:
     rows: list
-    mean_acc: float
-    std_acc: float
     config: dict
     models: list = field(default_factory=list, repr=False)
 
+    @property
+    def mean_acc(self) -> float:
+        return float(np.mean([row["test_acc"] for row in self.rows]))
+
+    @property
+    def std_acc(self) -> float:
+        return float(np.std([row["test_acc"] for row in self.rows]))
+
     def to_json_dict(self) -> dict:
-        rows = [{"split_id": k, **{key: row[key] for key in
-                                   ("test_acc", "best_epoch", "best_val_acc",
-                                    "epochs_run", "seconds", "audit", "curves")}}
-                for k, row in enumerate(self.rows)]
         return {"config": self.config,
                 "aggregate": {"mean_acc": self.mean_acc, "std_acc": self.std_acc,
                               "n_splits": len(self.rows)},
-                "splits": rows}
+                "splits": [{"split_id": k, **row} for k, row in enumerate(self.rows)]}
 
     def csv_rows(self) -> list[str]:
         lines = ["split_id,test_acc,best_epoch,seconds"]
@@ -338,13 +337,6 @@ def _protocol_worker(args):
     return trainer(bundle, split, cfg)
 
 
-def _aggregate(rows, config: TrainConfig, models) -> RunResult:
-    accs = np.array([row["test_acc"] for row in rows])
-    return RunResult(rows=rows, mean_acc=float(np.mean(accs)),
-                     std_acc=float(np.std(accs)), config=dataclasses.asdict(config),
-                     models=models)
-
-
 def run_protocol(bundle: DatasetBundle, config: TrainConfig, parallel: int = 1,
                  baseline: bool = False) -> RunResult:
     """Train every split independently and aggregate test accuracy.
@@ -363,9 +355,9 @@ def run_protocol(bundle: DatasetBundle, config: TrainConfig, parallel: int = 1,
             outcomes = list(pool.map(_protocol_worker, jobs))
     else:
         outcomes = [_protocol_worker(job) for job in jobs]
-    models = [m for m, _ in outcomes]
-    rows = [r for _, r in outcomes]
-    return _aggregate(rows, config, models)
+    return RunResult(rows=[row for _, row in outcomes],
+                     config=dataclasses.asdict(config),
+                     models=[net for net, _ in outcomes])
 
 
 def run_ablation(bundle: DatasetBundle, config: TrainConfig,

@@ -213,6 +213,57 @@ def test_every_config_key_is_accepted(tmp_path, key):
         assert getattr(config, field) == _CONFIG_VALUES[key]
 
 
+# one case per flag that names a config key: the flag, the key, the
+# config's value and the value the flag sets
+_FLAG_OVER_CONFIG = [
+    (["--seed", "2"], "seed", 9, 2),
+    (["--variant", "FBL"], "variant", "NM", "FBL"),
+    (["--kernel-mode", "fig3"], "kernel_mode", "verbatim", "fig3"),
+    (["--candidate", "given"], "candidate", "knn:3", "given"),
+    (["--no-normalize"], "feature_normalize", True, False),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("flag,key,in_config,expected", _FLAG_OVER_CONFIG,
+                         ids=[case[1] for case in _FLAG_OVER_CONFIG])
+def test_every_flag_beats_the_config_file(tmp_path, command, flag, key, in_config,
+                                          expected):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: in_config}), encoding="utf-8")
+    args = cli._build_parser().parse_args(
+        [command, "--config", str(path), "--out", str(tmp_path / "o"), *flag])
+    config, normalize = cli._resolve_config(args)
+    if key == "feature_normalize":
+        assert normalize is expected
+    else:
+        field = "candidate_mode" if key == "candidate" else key
+        assert getattr(config, field) == expected
+
+
+def test_no_normalize_over_a_normalizing_config_trains_on_raw_features(tiny_dataset,
+                                                                       tmp_path):
+    """``--no-normalize`` over ``"feature_normalize": true`` gives the run of a
+    config holding ``"feature_normalize": false``, and the manifest says so."""
+    reports = []
+    for name, normalize, flags in (("flag", True, ["--no-normalize"]),
+                                   ("config", False, [])):
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**FAST_CONFIG, "feature_normalize": normalize}),
+                       encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg), "--data", tiny_dataset,
+                       "--out", str(out), *flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["dataset"]["feature_normalized"] is False
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for row in report["splits"]:
+            assert "max_update_scale" in row
+            del row["seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_train_config_not_an_object_exits_1(tiny_dataset, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("[1, 2]", encoding="utf-8")

@@ -460,6 +460,20 @@ def test_load_splits_rejects_empty_val(tmp_path):
         datasets.load_splits([p], n=3)
 
 
+def test_stratified_splits_of_small_classes_keep_a_training_node():
+    # classes of 1 to 6 nodes: per-class (train, val, test) sizes
+    sizes = {1: (1, 0, 0), 2: (1, 1, 0), 3: (1, 1, 1), 4: (2, 1, 1), 5: (3, 1, 1),
+             6: (4, 1, 1)}
+    y = np.concatenate([np.full(s, c) for c, s in enumerate(sizes)])
+    labels = np.eye(len(sizes))[y]
+    splits = datasets.make_stratified_splits(labels, n_splits=2, seed=0)
+    assert len(splits) == 2
+    for split in splits:
+        assert np.array_equal(np.sort(np.concatenate(split)), np.arange(y.size))
+        for c, s in enumerate(sizes):
+            assert tuple(int(np.sum(y[part] == c)) for part in split) == sizes[s]
+
+
 def test_row_normalize_cases():
     feats = np.array([[2.0, 2.0], [0.0, 0.0], [0.25, 0.75]])
     out = datasets.row_normalize(feats)

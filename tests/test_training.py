@@ -441,6 +441,17 @@ def test_config_fields_cannot_be_assigned():
     assert cfg.lr == 0.01
 
 
+@pytest.mark.parametrize("baseline", [False, True])
+def test_report_rows_are_the_in_memory_rows(baseline):
+    bundle = _bundle(seed=31, n_splits=2)
+    cfg = _fast_config(epochs_max=8, patience=8)
+    result = training.run_protocol(bundle, cfg, baseline=baseline)
+    splits = result.to_json_dict()["splits"]
+    assert len(splits) == len(result.rows) == 2
+    for k, row in enumerate(result.rows):
+        assert splits[k] == {"split_id": k, **row}
+
+
 def test_result_serialization_round_trip():
     import json
     bundle = _bundle(seed=31, n_splits=1)
