@@ -24,7 +24,7 @@ from .autodiff import ParameterSet, Tensor, backward, grad_check, no_grad
 from .datasets import (CandidateGraph, DatasetBundle, candidate_graph,
                        gen_synthetic, load_dataset_dir, load_raw, load_splits,
                        row_normalize)
-from .graphs import (LabeledGraph, SpectralDecomposition, heterophily_ratio,
+from .graphs import (EdgeList, LabeledGraph, SpectralDecomposition, heterophily_ratio,
                      normalized_laplacian, operator_distance, symmetric_eig)
 from .model import (FgGSLModel, FilterBankSpec, embedding, filter_bank_apply,
                     forward, kernel_value, load_checkpoint, mask_matrix,
@@ -36,7 +36,7 @@ from .training import (Adam, MlpModel, RunResult, TrainConfig, evaluate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "CandidateGraph", "DatasetBundle", "FgGSLModel", "FilterBankSpec",
+    "Adam", "CandidateGraph", "DatasetBundle", "EdgeList", "FgGSLModel", "FilterBankSpec",
     "LabeledGraph", "MlpModel", "ParameterSet", "RunResult",
     "SpectralDecomposition", "Tensor", "TrainConfig", "backward",
     "candidate_graph", "embedding", "evaluate", "filter_bank_apply", "forward",

@@ -23,7 +23,7 @@ from .datasets import (EDGE_FILE, NODE_FILE, SPLIT_DIR, candidate_k, dataset_fin
                        gen_synthetic, load_dataset_dir, open_text, save_raw, save_splits)
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      ValidationError)
-from .graphs import heterophily_ratio, normalized_laplacian
+from .graphs import heterophilic_fraction, normalized_laplacian
 from .training import (TrainConfig, ablation_table, run_ablation, run_protocol,
                        split_seed)
 
@@ -248,8 +248,11 @@ def _cmd_ablate(args) -> int:
     config, normalize = _resolve_config(args)
     bundle = _load_bundle(args, normalize)
     results = run_ablation(bundle, config, parallel=args.parallel_splits)
-    _write_json(_out_file(args, "manifest.json"),
-                _manifest("ablate", config, bundle))
+    manifest = _manifest("ablate", config, bundle)
+    # every variant runs, whatever the config or --variant names
+    del manifest["config"]["variant"]
+    manifest["config"]["variants"] = list(results)
+    _write_json(_out_file(args, "manifest.json"), manifest)
     _write_lines(_out_file(args, "ablation.csv"), ablation_table(results))
     for variant, result in results.items():
         _write_json(_out_file(args, f"report_{variant}.json"),
@@ -392,7 +395,7 @@ def _cmd_gen(args) -> int:
                           args.noise, seed=args.seed, n_splits=args.splits)
     # an edgeless draw, or a split that the loader would reject, fails
     # here, before a file is written
-    r_het = heterophily_ratio(graph.adjacency, graph.labels)
+    r_het = heterophilic_fraction(graph.labels, graph.edges.pairs)
     for k, split in enumerate(graph.splits):
         for part, rows in zip(("train", "val", "test"), split):
             if rows.size == 0:

@@ -28,13 +28,13 @@ import io
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ParseError, ValidationError
-from .graphs import LabeledGraph, edge_pairs, heterophilic_fraction
+from .graphs import EdgeList, LabeledGraph, edge_pairs, heterophilic_fraction
 
 NODE_FILE = "nodes.tsv"
 EDGE_FILE = "edges.tsv"
@@ -52,33 +52,33 @@ class DatasetBundle:
 
 @dataclass
 class CandidateGraph:
-    """Binary symmetric edge superset the masks select from.
+    """Binary symmetric edge superset the masks select from, held as its
+    ``EdgeList`` with unit weights; a dense 0/1 matrix is read into one by
+    ``EdgeList.from_dense``.  ``adjacency`` is the dense (n, n) 0/1
+    matrix, built on each read and read-only."""
 
-    The adjacency is not to be changed after construction: the edge list
-    is built from it once, on first use.
-    """
-
-    adjacency: np.ndarray
+    edges: EdgeList
     mode: str
-    _pairs: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.edges, EdgeList):
+            self.edges = EdgeList.from_dense(self.edges)
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Upper-triangle (i, j) index arrays of candidate edges, read-only."""
-        if self._pairs is None:
-            pairs = edge_pairs(self.adjacency)
-            for idx in pairs:
-                idx.flags.writeable = False
-            self._pairs = pairs
-        return self._pairs
+        return self.edges.pairs
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        return self.edges.dense()
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.edges.n
 
     @property
     def num_edges(self) -> int:
-        return int(self.edge_pairs()[0].size)
+        return int(self.edges.i.size)
 
 
 # a line that ``_data_lines`` skips, with the newline in front of it
@@ -159,11 +159,12 @@ def _raise_first_fault(path, lines, check, otherwise: Exception):
 def load_raw(node_file, edge_file) -> LabeledGraph:
     """Build a LabeledGraph from the tab-separated node and edge files.
 
-    Duplicate edges and self-loops are dropped; the adjacency is
-    symmetrized.  Unknown node ids, ragged feature rows and values that do
-    not parse raise ParseError with the offending line number; a label >=
-    the node count raises ValidationError before anything of its size is
-    allocated, and so does a NaN or infinite feature, naming its line.
+    Duplicate edges, in either orientation, and self-loops are dropped;
+    the graph holds each undirected edge once, with unit weight.  Unknown
+    node ids, ragged feature rows and values that do not parse raise
+    ParseError with the offending line number; a label >= the node count
+    raises ValidationError before anything of its size is allocated, and
+    so does a NaN or infinite feature, naming its line.
 
     Python reads the node lines for ids, labels and row widths; numpy's
     text parser reads all feature values in one call and all edges in
@@ -221,19 +222,20 @@ def load_raw(node_file, edge_file) -> LabeledGraph:
     if top[0] >= n:
         raise ValidationError(
             f"{node_file}:{top[1]}: label {top[0]} >= node count {n}")
-    adjacency = _read_adjacency(edge_file, ids)
+    edges = _read_edges(edge_file, ids)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise ValidationError(
             f"{node_file}:{linenos[int(np.argmin(finite))]}: non-finite feature")
     onehot = np.eye(top[0] + 1)[np.array(labels)]
-    return LabeledGraph(adjacency, features, onehot)
+    return LabeledGraph(edges, features, onehot)
 
 
-def _read_adjacency(edge_file, ids: dict[int, int]) -> np.ndarray:
-    """The symmetric 0/1 adjacency of ``edge_file``, rows in the order of
-    ``ids`` (node id -> row): one parse of the edge lines, ids mapped to
-    rows by a sorted search, and one scatter."""
+def _read_edges(edge_file, ids: dict[int, int]) -> EdgeList:
+    """The undirected edges of ``edge_file``, rows in the order of ``ids``
+    (node id -> row): one parse of the edge lines, ids mapped to rows by a
+    sorted search, and one sort of the pairs, which a pass over adjacent
+    keys rids of duplicates."""
     with open_text(edge_file) as fh:
         text = _SKIPPED_LINE.sub("", "\n" + fh.read())
     pairs = (_loadtxt(io.StringIO(text), np.int64, "\t") if text
@@ -256,10 +258,11 @@ def _read_adjacency(edge_file, ids: dict[int, int]) -> np.ndarray:
 
         _raise_first_fault(edge_file, _data_lines(edge_file), check,
                            ParseError(f"{edge_file}: an edge line does not parse"))
-    i, j = rows[rows[:, 0] != rows[:, 1]].T     # self-loops dropped
-    adjacency = np.zeros((n, n))
-    adjacency[np.concatenate((i, j)), np.concatenate((j, i))] = 1.0
-    return adjacency
+    rows = rows[rows[:, 0] != rows[:, 1]]        # self-loops dropped
+    # pair (i, j), i < j, as the key i n + j: sorted keys are row-major order
+    keys = np.sort(rows.min(axis=1) * n + rows.max(axis=1))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return EdgeList(n, *np.divmod(keys, n))
 
 
 def load_splits(split_files, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -304,7 +307,7 @@ def save_raw(graph: LabeledGraph, node_file, edge_file):
             row = ",".join("%.17g" % v for v in graph.features[i])
             fh.write(f"{i}\t{row}\t{labels[i]}\n")
     with open(edge_file, "w", encoding="utf-8", newline="\n") as fh:
-        for i, j in zip(*edge_pairs(graph.adjacency)):
+        for i, j in zip(*graph.edges.pairs):
             fh.write(f"{i}\t{j}\n")
 
 
@@ -326,8 +329,10 @@ def load_dataset_dir(directory, normalize_features=True) -> DatasetBundle:
     This is the one place a dataset on disk is checked; a fault raises
     with its file and line.  The graph returned holds, with n nodes:
 
-    * the adjacency is n x n, symmetric and 0/1 with a zero diagonal
-      (``_read_adjacency`` writes each edge both ways, self-loops dropped);
+    * the edges are an ``EdgeList`` over n nodes with unit weights: each
+      undirected edge once as (i, j), i < j, in row-major order
+      (``_read_edges`` drops self-loops and duplicates), so ``adjacency``
+      is n x n, symmetric and 0/1 with a zero diagonal;
     * features and labels have n rows; every feature is finite
       (``load_raw``), and stays so under ``row_normalize``;
     * every label row is one-hot, over max label + 1 <= n classes;
@@ -398,11 +403,10 @@ def gen_synthetic(n: int, classes: int, intra_p: float, inter_p: float,
     same = y[:, None] == y[None, :]
     prob = np.where(same, intra_p, inter_p)
     draw = rng.random((n, n))
-    upper = np.triu(draw < prob, k=1).astype(np.float64)
-    adjacency = upper + upper.T
+    edges = EdgeList(n, *edge_pairs(draw < prob))
     features = np.eye(classes)[y] + proto_noise * rng.standard_normal((n, classes))
     labels = np.eye(classes)[y]
-    graph = LabeledGraph(adjacency, features, labels)
+    graph = LabeledGraph(edges, features, labels)
     graph.splits = make_stratified_splits(labels, n_splits, seed=seed + 1)
     return graph
 
@@ -422,7 +426,8 @@ def candidate_k(spec) -> int | None:
 
 def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
     """Edge superset named by ``spec`` (see ``candidate_k``): the complete
-    graph, the given graph, or a mutual kNN graph.
+    graph, the given graph, or a mutual kNN graph.  ``given`` shares the
+    graph's pair arrays and copies nothing.
 
     kNN uses feature cosine similarity with ties broken toward the lower
     node index; an edge survives only if each endpoint ranks the other
@@ -431,9 +436,9 @@ def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
     k = candidate_k(spec)
     n = graph.n
     if spec == "full":
-        adj = np.ones((n, n)) - np.eye(n)
-    elif spec == "given":
-        adj = (graph.adjacency > 0).astype(np.float64)
+        pairs = np.triu_indices(n, 1)
+    elif spec == "given":                # every pair of a graph weighs > 0
+        pairs = graph.edges.pairs
     else:
         if k >= n:
             raise ContractError(f"candidate_graph: k={k} must be < n={n}")
@@ -444,14 +449,14 @@ def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
         nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
         picks = np.zeros((n, n), dtype=bool)
         np.put_along_axis(picks, nearest, True, axis=1)
-        adj = (picks & picks.T).astype(np.float64)
-    return CandidateGraph(adjacency=adj, mode=spec)
+        pairs = edge_pairs(picks & picks.T)
+    return CandidateGraph(EdgeList(n, *pairs), spec)
 
 
 def dataset_fingerprint(bundle: DatasetBundle) -> dict:
     """Summary statistics recorded in run manifests."""
     g = bundle.graph
-    pairs = edge_pairs(g.adjacency)
+    pairs = g.edges.pairs
     edges = int(pairs[0].size)
     return {
         "name": bundle.name,

@@ -1,9 +1,12 @@
 """Graph data structures, normalized Laplacians, heterophily metrics,
 dense symmetric eigendecomposition and the spectral-norm distance.
 
-All matrices are dense float64; training passes its graphs to
-``normalized_laplacian`` as edge columns instead.  ``edge_pairs`` is the
-one reader of an undirected edge list off a dense matrix.  The eigensolver wraps
+A graph holds its edges as an ``EdgeList``: each undirected pair once,
+O(|E|) memory.  Training passes these pairs to ``normalized_laplacian``
+as edge columns; a dense n x n matrix is built only on demand
+(``EdgeList.dense``, a graph's ``.adjacency``), for analysis.  The other
+matrices here are dense float64.  ``edge_pairs`` is the one reader of an
+undirected edge list off a dense matrix.  The eigensolver wraps
 LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues alone; it is only used on
 analysis paths, never inside training.  How the stability probe perturbs
 a Laplacian and measures delta is decided in ``analysis``.
@@ -21,28 +24,82 @@ from .errors import ContractError, DimensionError, NumericError
 SYMMETRY_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class EdgeList:
+    """An undirected graph on ``n`` nodes as its pairs (i, j), i < j, in
+    row-major order (sorted by i, then j): each edge once, with a positive
+    weight per pair, or ``weights`` None when every edge weighs 1.
+
+    The arrays are made read-only here; a graph that shares them with
+    another (the ``given`` candidate) copies nothing.
+    """
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        for array in (self.i, self.j, self.weights):
+            if array is not None:
+                array.flags.writeable = False
+
+    @classmethod
+    def from_dense(cls, a) -> EdgeList:
+        """The positive entries of the square matrix ``a`` above its
+        diagonal, as pairs and weights, by one ``edge_pairs`` scan."""
+        a = np.asarray(a)
+        i, j = edge_pairs(a)
+        return cls(a.shape[0], i, j, np.asarray(a[i, j], dtype=np.float64))
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.i, self.j
+
+    def dense(self) -> np.ndarray:
+        """The symmetric n x n matrix, zero on the diagonal and off the
+        pairs; built anew on each call and read-only, so an item
+        assignment raises instead of changing a copy."""
+        out = np.zeros((self.n, self.n))
+        w = 1.0 if self.weights is None else self.weights
+        out[self.i, self.j] = w
+        out[self.j, self.i] = w
+        out.flags.writeable = False
+        return out
+
+
 @dataclass
 class LabeledGraph:
     """Node-attributed, undirected graph with one-hot labels and splits.
 
-    adjacency : (n, n) symmetric nonnegative, zero diagonal
+    edges     : EdgeList over n nodes; a dense (n, n) symmetric nonnegative
+                matrix is read into one by ``EdgeList.from_dense``
     features  : (n, f) finite
     labels    : (n, c) one-hot rows
     splits    : list of (train, val, test) index arrays, disjoint, in [0, n)
 
-    The class holds these facts and does not check them: whoever builds
-    a graph establishes them (``datasets.load_dataset_dir`` for files,
-    ``datasets.gen_synthetic`` for draws).
+    ``adjacency`` is the dense (n, n) matrix, built on each read and
+    read-only.  The class holds these facts and does not check them:
+    whoever builds a graph establishes them (``datasets.load_dataset_dir``
+    for files, ``datasets.gen_synthetic`` for draws).
     """
 
-    adjacency: np.ndarray
+    edges: EdgeList
     features: np.ndarray
     labels: np.ndarray
     splits: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if not isinstance(self.edges, EdgeList):
+            self.edges = EdgeList.from_dense(self.edges)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        return self.edges.dense()
+
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.edges.n
 
     @property
     def num_features(self) -> int:
@@ -82,9 +139,12 @@ def edge_pairs(a: np.ndarray, threshold: float = 0.0) -> tuple[np.ndarray, np.nd
 
 
 def heterophilic_fraction(labels: np.ndarray, pairs) -> float:
-    """Fraction of the pairs (i, j) whose one-hot labels differ."""
-    y = np.argmax(labels, axis=1)
+    """Fraction of the pairs (i, j) whose one-hot labels differ; no pairs
+    raise ContractError."""
     i_idx, j_idx = pairs
+    if i_idx.size == 0:
+        raise ContractError("heterophily ratio: graph has no edges")
+    y = np.argmax(labels, axis=1)
     return float(np.mean(y[i_idx] != y[j_idx]))
 
 
@@ -115,10 +175,7 @@ def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the undirected edges (positive weights) joining distinct classes."""
     a = np.asarray(adjacency, dtype=np.float64)
     check_symmetric(a, "heterophily_ratio")
-    pairs = edge_pairs(a)
-    if pairs[0].size == 0:
-        raise ContractError("heterophily_ratio: graph has no edges")
-    return heterophilic_fraction(labels, pairs)
+    return heterophilic_fraction(labels, edge_pairs(a))
 
 
 def symmetric_eig(m: np.ndarray, vectors: bool = True) -> SpectralDecomposition:

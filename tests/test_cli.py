@@ -352,6 +352,19 @@ def test_ablate_writes_variant_table(tiny_dataset, tmp_path):
         assert (out / f"report_{variant}.json").exists()
 
 
+def test_ablate_manifest_lists_the_variants_that_ran(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("gen", "--out", str(data), "--n", "40", "--classes", "2",
+                   "--seed", "3", "--splits", "1") == 0
+    cfg = _write_config(tmp_path, epochs_max=2, patience=2)
+    out = tmp_path / "ab"
+    assert run_cli("ablate", "--config", cfg, "--data", str(data), "--out", str(out),
+                   "--variant", "FBL") == 0
+    config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert config["variants"] == ["full", "NM", "FBL", "FBH"]
+    assert "variant" not in config
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fggsl import cli, datasets
+from fggsl import cli, datasets, graphs
 from fggsl.errors import ContractError, ParseError, ValidationError
 from fggsl.graphs import heterophily_ratio
 
@@ -49,6 +50,51 @@ def test_load_raw_drops_self_loops_and_duplicates(tmp_path):
     edges = _write(tmp_path / "e.tsv", "0\t0\n0\t1\n1\t0\n0\t1\n")
     g = datasets.load_raw(nodes, edges)
     assert np.array_equal(g.adjacency, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _scattered_adjacency(edge_rows, n):
+    """The 0/1 adjacency of the (src, dst) rows by one numpy scatter, each
+    edge written both ways and self-loops dropped: the dense form the
+    loader built before it held an edge list."""
+    i, j = np.array(edge_rows, dtype=np.int64).reshape(-1, 2).T
+    keep = i != j
+    i, j = i[keep], j[keep]
+    adjacency = np.zeros((n, n))
+    adjacency[np.concatenate((i, j)), np.concatenate((j, i))] = 1.0
+    return adjacency
+
+
+def test_edge_list_is_the_scattered_adjacency(tmp_path):
+    rows = [(0, 1), (3, 2), (0, 1), (1, 0), (4, 4), (2, 5), (5, 0), (1, 4), (2, 3)]
+    lines = [f"{i}\t{j}" for i, j in rows]
+    lines[3:3] = ["# a comment", ""]
+    nodes = _write(tmp_path / "n.tsv", "".join(
+        f"{i}\t{0.5 + i},{1.0 - i}\t{i % 2}\n" for i in range(6)))
+    edges = _write(tmp_path / "e.tsv", "\n".join(lines) + "\n")
+    g = datasets.load_raw(nodes, edges)
+    adjacency = g.adjacency
+    assert np.array_equal(adjacency, _scattered_adjacency(rows, 6))
+    i_idx, j_idx = g.edges.pairs
+    assert np.array_equal(i_idx, [0, 0, 1, 2, 2]) and np.array_equal(j_idx, [1, 5, 4, 3, 5])
+
+    full = datasets.candidate_graph(g, "full")
+    given = datasets.candidate_graph(g, "given")
+    knn = datasets.candidate_graph(g, "knn:3")
+    for cand, dense in ((full, np.ones((6, 6)) - np.eye(6)), (given, adjacency > 0)):
+        expected = graphs.edge_pairs(dense)
+        assert all(np.array_equal(a, b) for a, b in zip(cand.edge_pairs(), expected))
+    # the given candidate shares the graph's arrays
+    assert all(a is b for a, b in zip(given.edge_pairs(), g.edges.pairs))
+    again = datasets.CandidateGraph(knn.adjacency, "knn:3")
+    assert all(np.array_equal(a, b) for a, b in zip(again.edge_pairs(), knn.edge_pairs()))
+
+    for graph in (g, full, given, knn, again):
+        dense = graph.adjacency
+        assert dense is not graph.adjacency           # built on each read
+        with pytest.raises(ValueError, match="read-only"):
+            dense[0, 1] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            dense *= 2.0
 
 
 def test_load_raw_unknown_id_names_line(tmp_path):
@@ -558,7 +604,7 @@ def test_candidate_edge_pairs_cached_and_read_only():
 
 def test_candidate_given_binarizes():
     g = datasets.gen_synthetic(10, 2, 0.3, 0.3, 0.1, seed=1, n_splits=1)
-    g.adjacency *= 2.5
+    g = datasets.LabeledGraph(g.adjacency * 2.5, g.features, g.labels, g.splits)
     cand = datasets.candidate_graph(g, "given")
     assert set(np.unique(cand.adjacency)) <= {0.0, 1.0}
     assert np.array_equal(cand.adjacency > 0, g.adjacency > 0)
@@ -612,6 +658,40 @@ def test_candidate_always_symmetric_zero_diagonal():
         cand = datasets.candidate_graph(g, spec)
         assert np.array_equal(cand.adjacency, cand.adjacency.T)
         assert not np.any(np.diag(cand.adjacency))
+
+
+def _arrays(value):
+    """Every ndarray reachable from ``value`` through dataclass fields,
+    lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
+def test_a_loaded_graph_and_its_candidate_hold_no_n_by_n_array(tmp_path):
+    n = 2000
+    graph = datasets.gen_synthetic(n, 4, 0.002, 0.006, 0.5, seed=3, n_splits=1)
+    datasets.save_raw(graph, tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+    datasets.save_splits(graph.splits, tmp_path / "splits")
+    del graph
+    edges = (tmp_path / "edges.tsv").read_text(encoding="utf-8").count("\n")
+    assert 8000 <= edges <= 12000
+    tracemalloc.start()
+    try:
+        bundle = datasets.load_dataset_dir(str(tmp_path))
+        cand = datasets.candidate_graph(bundle.graph, "given")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8                        # one n x n float64 array
+    assert cand.num_edges == edges
+    held = list(_arrays(bundle)) + list(_arrays(cand))
+    assert held and max(a.size for a in held) < n * n
 
 
 def test_load_dataset_dir(tmp_path):
