@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, NumericError
-from .graphs import (SpectralDecomposition, edge_pairs, heterophilic_fraction,
+from .graphs import (EdgeList, SpectralDecomposition, heterophilic_fraction,
                      operator_distance, symmetric_eig)
 from .model import BANK_KINDS, kernel_value
 
@@ -337,7 +337,7 @@ def learned_edge_audit(w1, w2, labels: np.ndarray, threshold: float = 0.5,
             return None, None
         w = np.asarray(w, dtype=np.float64)
         if pairs is None:
-            kept = edge_pairs(w, threshold)
+            kept = EdgeList.from_dense(w, threshold).pairs
         else:
             keep = w.ravel() > threshold
             kept = pairs[0][keep], pairs[1][keep]

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ParseError, ValidationError
-from .graphs import EdgeList, LabeledGraph, edge_pairs, heterophilic_fraction
+from .graphs import EdgeList, LabeledGraph, heterophilic_fraction
 
 NODE_FILE = "nodes.tsv"
 EDGE_FILE = "edges.tsv"
@@ -53,9 +53,11 @@ class DatasetBundle:
 @dataclass
 class CandidateGraph:
     """Binary symmetric edge superset the masks select from, held as its
-    ``EdgeList`` with unit weights; a dense 0/1 matrix is read into one by
-    ``EdgeList.from_dense``.  ``adjacency`` is the dense (n, n) 0/1
-    matrix, built on each read and read-only."""
+    ``EdgeList``.  ``adjacency`` is the dense (n, n) 0/1 matrix, built on
+    each read and read-only.  A dense matrix given in place of the
+    ``EdgeList`` is read by its support (``EdgeList.from_dense``); only
+    perfbench's self-test builds one so, until ROADMAP item 3 moves it to
+    ``candidate_graph``."""
 
     edges: EdgeList
     mode: str
@@ -329,10 +331,10 @@ def load_dataset_dir(directory, normalize_features=True) -> DatasetBundle:
     This is the one place a dataset on disk is checked; a fault raises
     with its file and line.  The graph returned holds, with n nodes:
 
-    * the edges are an ``EdgeList`` over n nodes with unit weights: each
-      undirected edge once as (i, j), i < j, in row-major order
-      (``_read_edges`` drops self-loops and duplicates), so ``adjacency``
-      is n x n, symmetric and 0/1 with a zero diagonal;
+    * the edges are an ``EdgeList`` over n nodes: each undirected edge
+      once as (i, j), i < j, in row-major order (``_read_edges`` drops
+      self-loops and duplicates), so ``adjacency`` is n x n, symmetric
+      and 0/1 with a zero diagonal;
     * features and labels have n rows; every feature is finite
       (``load_raw``), and stays so under ``row_normalize``;
     * every label row is one-hot, over max label + 1 <= n classes;
@@ -403,7 +405,7 @@ def gen_synthetic(n: int, classes: int, intra_p: float, inter_p: float,
     same = y[:, None] == y[None, :]
     prob = np.where(same, intra_p, inter_p)
     draw = rng.random((n, n))
-    edges = EdgeList(n, *edge_pairs(draw < prob))
+    edges = EdgeList.from_dense(draw < prob)
     features = np.eye(classes)[y] + proto_noise * rng.standard_normal((n, classes))
     labels = np.eye(classes)[y]
     graph = LabeledGraph(edges, features, labels)
@@ -426,8 +428,8 @@ def candidate_k(spec) -> int | None:
 
 def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
     """Edge superset named by ``spec`` (see ``candidate_k``): the complete
-    graph, the given graph, or a mutual kNN graph.  ``given`` shares the
-    graph's pair arrays and copies nothing.
+    graph, the given graph, or a mutual kNN graph.  ``given`` holds the
+    graph's own ``EdgeList`` and copies nothing.
 
     kNN uses feature cosine similarity with ties broken toward the lower
     node index; an edge survives only if each endpoint ranks the other
@@ -436,9 +438,9 @@ def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
     k = candidate_k(spec)
     n = graph.n
     if spec == "full":
-        pairs = np.triu_indices(n, 1)
-    elif spec == "given":                # every pair of a graph weighs > 0
-        pairs = graph.edges.pairs
+        edges = EdgeList(n, *np.triu_indices(n, 1))
+    elif spec == "given":
+        edges = graph.edges
     else:
         if k >= n:
             raise ContractError(f"candidate_graph: k={k} must be < n={n}")
@@ -449,8 +451,8 @@ def candidate_graph(graph: LabeledGraph, spec: str) -> CandidateGraph:
         nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
         picks = np.zeros((n, n), dtype=bool)
         np.put_along_axis(picks, nearest, True, axis=1)
-        pairs = edge_pairs(picks & picks.T)
-    return CandidateGraph(EdgeList(n, *pairs), spec)
+        edges = EdgeList.from_dense(picks & picks.T)
+    return CandidateGraph(edges, spec)
 
 
 def dataset_fingerprint(bundle: DatasetBundle) -> dict:

@@ -2,14 +2,15 @@
 dense symmetric eigendecomposition and the spectral-norm distance.
 
 A graph holds its edges as an ``EdgeList``: each undirected pair once,
-O(|E|) memory.  Training passes these pairs to ``normalized_laplacian``
-as edge columns; a dense n x n matrix is built only on demand
-(``EdgeList.dense``, a graph's ``.adjacency``), for analysis.  The other
-matrices here are dense float64.  ``edge_pairs`` is the one reader of an
-undirected edge list off a dense matrix.  The eigensolver wraps
-LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues alone; it is only used on
-analysis paths, never inside training.  How the stability probe perturbs
-a Laplacian and measures delta is decided in ``analysis``.
+unweighted, O(|E|) memory.  Training passes these pairs to
+``normalized_laplacian`` as edge columns; a dense n x n matrix is built
+only on demand (``EdgeList.dense``, a graph's ``.adjacency``), for
+analysis.  The other matrices here are dense float64.  One reader,
+``EdgeList.from_dense``, lists the edges of a dense matrix, and one
+scatter, ``ad.EdgeOperator.dense``, writes them back.  The eigensolver
+wraps LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues alone; it is only
+used on analysis paths, never inside training.  How the stability probe
+perturbs a Laplacian and measures delta is decided in ``analysis``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ SYMMETRY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EdgeList:
-    """An undirected graph on ``n`` nodes as its pairs (i, j), i < j, in
-    row-major order (sorted by i, then j): each edge once, with a positive
-    weight per pair, or ``weights`` None when every edge weighs 1.
+    """An unweighted undirected graph on ``n`` nodes as its pairs (i, j),
+    i < j, in row-major order (sorted by i, then j): each edge once.
 
     The arrays are made read-only here; a graph that shares them with
     another (the ``given`` candidate) copies nothing.
@@ -37,33 +37,31 @@ class EdgeList:
     n: int
     i: np.ndarray
     j: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        for array in (self.i, self.j, self.weights):
-            if array is not None:
-                array.flags.writeable = False
+        self.i.flags.writeable = False
+        self.j.flags.writeable = False
 
     @classmethod
-    def from_dense(cls, a) -> EdgeList:
-        """The positive entries of the square matrix ``a`` above its
-        diagonal, as pairs and weights, by one ``edge_pairs`` scan."""
+    def from_dense(cls, a, threshold: float = 0.0) -> EdgeList:
+        """The entries of the square matrix ``a`` above ``threshold`` with
+        i < j, in row-major order: each undirected edge once."""
         a = np.asarray(a)
-        i, j = edge_pairs(a)
-        return cls(a.shape[0], i, j, np.asarray(a[i, j], dtype=np.float64))
+        i_idx, j_idx = np.nonzero(np.triu(a > threshold, 1))
+        # nonzero returns strided views of one buffer; every pair op would
+        # copy them, so hold contiguous arrays
+        return cls(a.shape[0], np.ascontiguousarray(i_idx), np.ascontiguousarray(j_idx))
 
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return self.i, self.j
 
     def dense(self) -> np.ndarray:
-        """The symmetric n x n matrix, zero on the diagonal and off the
-        pairs; built anew on each call and read-only, so an item
-        assignment raises instead of changing a copy."""
-        out = np.zeros((self.n, self.n))
-        w = 1.0 if self.weights is None else self.weights
-        out[self.i, self.j] = w
-        out[self.j, self.i] = w
+        """The symmetric n x n 0/1 matrix, scattered by
+        ``ad.EdgeOperator.dense``; built anew on each call and read-only,
+        so an item assignment raises instead of changing a copy."""
+        ones = ad.constant(np.ones((self.i.size, 1)))
+        out = ad.EdgeOperator(ones, self.pairs, self.n, 0.0, 1.0).dense()
         out.flags.writeable = False
         return out
 
@@ -72,13 +70,13 @@ class EdgeList:
 class LabeledGraph:
     """Node-attributed, undirected graph with one-hot labels and splits.
 
-    edges     : EdgeList over n nodes; a dense (n, n) symmetric nonnegative
-                matrix is read into one by ``EdgeList.from_dense``
+    edges     : EdgeList over n nodes (``EdgeList.from_dense`` reads one
+                off a dense symmetric matrix)
     features  : (n, f) finite
     labels    : (n, c) one-hot rows
     splits    : list of (train, val, test) index arrays, disjoint, in [0, n)
 
-    ``adjacency`` is the dense (n, n) matrix, built on each read and
+    ``adjacency`` is the dense (n, n) 0/1 matrix, built on each read and
     read-only.  The class holds these facts and does not check them:
     whoever builds a graph establishes them (``datasets.load_dataset_dir``
     for files, ``datasets.gen_synthetic`` for draws).
@@ -88,10 +86,6 @@ class LabeledGraph:
     features: np.ndarray
     labels: np.ndarray
     splits: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not isinstance(self.edges, EdgeList):
-            self.edges = EdgeList.from_dense(self.edges)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -129,15 +123,6 @@ def check_symmetric(m: np.ndarray, what: str):
             f"{what}: matrix asymmetry {worst:.3e} exceeds {SYMMETRY_TOL:.0e}")
 
 
-def edge_pairs(a: np.ndarray, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) index arrays of the entries of ``a`` above ``threshold`` with
-    i < j, in row-major order: each undirected edge once."""
-    i_idx, j_idx = np.nonzero(np.triu(np.asarray(a) > threshold, 1))
-    # nonzero returns strided views of one buffer; every pair op would
-    # copy them, so return contiguous arrays
-    return np.ascontiguousarray(i_idx), np.ascontiguousarray(j_idx)
-
-
 def heterophilic_fraction(labels: np.ndarray, pairs) -> float:
     """Fraction of the pairs (i, j) whose one-hot labels differ; no pairs
     raise ContractError."""
@@ -172,10 +157,10 @@ def normalized_laplacian(weights, pairs=None, n: int | None = None):
 
 
 def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of the undirected edges (positive weights) joining distinct classes."""
+    """Fraction of the undirected edges (positive entries) joining distinct classes."""
     a = np.asarray(adjacency, dtype=np.float64)
     check_symmetric(a, "heterophily_ratio")
-    return heterophilic_fraction(labels, edge_pairs(a))
+    return heterophilic_fraction(labels, EdgeList.from_dense(a).pairs)
 
 
 def symmetric_eig(m: np.ndarray, vectors: bool = True) -> SpectralDecomposition:

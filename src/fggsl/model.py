@@ -11,7 +11,7 @@ The training objective adds two label-similarity structural penalties
 to the cross-entropy so the masks are pushed toward genuinely
 homophilic / heterophilic edge sets.
 
-Everything per edge is an |E| x 1 column over the candidate's cached
+Everything per edge is an |E| x 1 column over the candidate's
 ``edge_pairs()``, computed by the pair layer of ``autodiff``: each mask
 is w_e = sigmoid(z_i . z_j) = sigmoid(``pair_dots(z)``), and the
 structural losses share one cosine column,
@@ -65,7 +65,7 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .datasets import CandidateGraph, candidate_graph, candidate_k
 from .errors import ContractError, ValidationError
-from .graphs import LabeledGraph, check_symmetric, edge_pairs, normalized_laplacian
+from .graphs import EdgeList, LabeledGraph, check_symmetric, normalized_laplacian
 
 KERNEL_MODES = ("fig3", "verbatim")
 # the largest number of scales J: a bank runs 2^J products of T per forward
@@ -156,12 +156,12 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     L must be a square, symmetric (within ``graphs.SYMMETRY_TOL``)
     constant with ones on its diagonal, as ``normalized_laplacian`` of a
     weight matrix with a zero diagonal gives; anything else raises a
-    ContractError.  The nonzero entries of L's strict upper triangle are
-    the edge column a = -L[i, j], and the bank runs on its
-    ``ad.EdgeOperator``, as ``forward`` and ``embedding`` do.  One
-    propagation in the chain order serves every scale: the bank costs
-    2^j_max products of the n x n operator T with the n x F block X, and
-    no n x n product.
+    ContractError.  The nonzero entries of L's strict upper triangle, read
+    by ``EdgeList.from_dense``, are the edge column a = -L[i, j], and the
+    bank runs on its ``ad.EdgeOperator``, as ``forward`` and ``embedding``
+    do.  One propagation in the chain order serves every scale: the bank
+    costs 2^j_max products of the n x n operator T with the n x F block
+    X, and no n x n product.
     """
     lap = l.data
     n = lap.shape[0]
@@ -172,7 +172,7 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     if np.any(np.diagonal(lap) != 1.0):
         raise ContractError("filter_bank_apply: L has a diagonal entry other than 1")
     check_symmetric(lap, "filter_bank_apply")
-    pairs = edge_pairs(lap != 0.0)
+    pairs = EdgeList.from_dense(lap != 0.0).pairs
     edges = ad.constant(-lap[pairs].reshape(-1, 1))
     return ad.propagate(spec.operator(edges, pairs, n), x, spec.coefficients()[:, None, :])
 

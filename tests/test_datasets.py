@@ -81,7 +81,7 @@ def test_edge_list_is_the_scattered_adjacency(tmp_path):
     given = datasets.candidate_graph(g, "given")
     knn = datasets.candidate_graph(g, "knn:3")
     for cand, dense in ((full, np.ones((6, 6)) - np.eye(6)), (given, adjacency > 0)):
-        expected = graphs.edge_pairs(dense)
+        expected = graphs.EdgeList.from_dense(dense).pairs
         assert all(np.array_equal(a, b) for a, b in zip(cand.edge_pairs(), expected))
     # the given candidate shares the graph's arrays
     assert all(a is b for a, b in zip(given.edge_pairs(), g.edges.pairs))
@@ -604,16 +604,24 @@ def test_candidate_edge_pairs_cached_and_read_only():
 
 def test_candidate_given_binarizes():
     g = datasets.gen_synthetic(10, 2, 0.3, 0.3, 0.1, seed=1, n_splits=1)
-    g = datasets.LabeledGraph(g.adjacency * 2.5, g.features, g.labels, g.splits)
+    g = datasets.LabeledGraph(graphs.EdgeList.from_dense(g.adjacency * 2.5), g.features,
+                              g.labels, g.splits)
     cand = datasets.candidate_graph(g, "given")
     assert set(np.unique(cand.adjacency)) <= {0.0, 1.0}
     assert np.array_equal(cand.adjacency > 0, g.adjacency > 0)
+    # a weighted dense matrix is read by its support
+    a = np.array([[0, 2.5, 0], [2.5, 0, 0.5], [0, 0.5, 0]])
+    weighted = graphs.LabeledGraph(graphs.EdgeList.from_dense(a), np.ones((3, 1)),
+                                   np.eye(2)[[0, 1, 0]])
+    for graph in (datasets.CandidateGraph(a, "given"), weighted):
+        assert np.array_equal(graph.adjacency, (a > 0).astype(float))
 
 
 def test_candidate_knn_tie_break_lower_index():
     from fggsl.graphs import LabeledGraph
     feats = np.ones((4, 3))
-    g = LabeledGraph(np.zeros((4, 4)), feats, np.eye(2)[[0, 1, 0, 1]])
+    g = LabeledGraph(graphs.EdgeList.from_dense(np.zeros((4, 4))), feats,
+                     np.eye(2)[[0, 1, 0, 1]])
     cand = datasets.candidate_graph(g, "knn:2")
     # all similarities tie at 1.0, so everyone picks the two lowest other indices:
     # 0 -> {1,2}, 1 -> {0,2}, 2 -> {0,1}, 3 -> {0,1}; mutual edges: 01, 02, 12

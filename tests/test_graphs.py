@@ -99,17 +99,17 @@ def test_laplacian_edge_form_matches_the_dense_form():
 
 
 # ---------------------------------------------------------------------------
-# edge_pairs and heterophily_ratio
+# EdgeList.from_dense and heterophily_ratio
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5])
-def test_edge_pairs_equals_the_upper_triangle_scan(threshold):
+def test_from_dense_equals_the_upper_triangle_scan(threshold):
     rng = np.random.default_rng(13)
     w = rng.uniform(0, 1, size=(9, 9)) * (rng.random((9, 9)) < 0.6)
     w = w + w.T
     iu, ju = np.triu_indices(9, k=1)
     on = w[iu, ju] > threshold
-    i_idx, j_idx = graphs.edge_pairs(w, threshold)
+    i_idx, j_idx = graphs.EdgeList.from_dense(w, threshold).pairs
     assert np.array_equal(i_idx, iu[on]) and np.array_equal(j_idx, ju[on])
     # the pair ops take the arrays as they are, without a copy each
     assert i_idx.flags.c_contiguous and j_idx.flags.c_contiguous

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fggsl import autodiff as ad
-from fggsl import datasets, training
+from fggsl import datasets, graphs, training
 from fggsl import model as fm
 from fggsl.errors import ContractError, NumericError, ValidationError
 
@@ -568,7 +568,8 @@ def _permuted(graph, order):
     edges and split indices alike."""
     position = np.argsort(order)                 # position[i]: where node i moves
     return datasets.LabeledGraph(
-        graph.adjacency[np.ix_(order, order)], graph.features[order], graph.labels[order],
+        graphs.EdgeList.from_dense(graph.adjacency[np.ix_(order, order)]),
+        graph.features[order], graph.labels[order],
         [tuple(np.sort(position[part]) for part in split) for split in graph.splits])
 
 
