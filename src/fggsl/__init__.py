@@ -24,8 +24,8 @@ from .autodiff import ParameterSet, Tensor, backward, grad_check, no_grad
 from .datasets import (CandidateGraph, DatasetBundle, candidate_graph,
                        gen_synthetic, load_dataset_dir, load_raw, load_splits,
                        row_normalize)
-from .graphs import (EdgeList, LabeledGraph, SpectralDecomposition, heterophily_ratio,
-                     normalized_laplacian, operator_distance, symmetric_eig)
+from .graphs import (EdgeList, LabeledGraph, SpectralDecomposition, normalized_laplacian,
+                     operator_distance, symmetric_eig)
 from .model import (FgGSLModel, FilterBankSpec, embedding, filter_bank_apply,
                     forward, kernel_value, load_checkpoint, mask_matrix,
                     save_checkpoint, structural_loss_ho, structural_loss_ht,
@@ -40,7 +40,7 @@ __all__ = [
     "LabeledGraph", "MlpModel", "ParameterSet", "RunResult",
     "SpectralDecomposition", "Tensor", "TrainConfig", "backward",
     "candidate_graph", "embedding", "evaluate", "filter_bank_apply", "forward",
-    "gen_synthetic", "grad_check", "heterophily_ratio", "kernel_value",
+    "gen_synthetic", "grad_check", "kernel_value",
     "learned_edge_audit", "load_checkpoint", "load_dataset_dir", "load_raw",
     "load_splits", "mask_matrix", "no_grad", "normalized_laplacian",
     "operator_distance", "prop1_check", "row_normalize", "run_ablation",

@@ -324,10 +324,10 @@ def learned_edge_audit(w1, w2, labels: np.ndarray, threshold: float = 0.5,
 
     With ``pairs`` (i, j), each mask is an edge column over those pairs,
     each undirected edge once; without, it is a dense symmetric n x n
-    matrix, read on its upper triangle.  The threshold must lie in
-    [0, 1], so a weight of zero is never kept and both forms count the
-    same edges.  A mask that keeps no edge above threshold is reported
-    with zero edges and no ratio rather than raising.
+    matrix, read by ``EdgeList.from_dense(w > threshold)``.  The threshold
+    must lie in [0, 1], so a weight of zero is never kept and both forms
+    count the same edges.  A mask that keeps no edge above threshold is
+    reported with zero edges and no ratio rather than raising.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ContractError(f"learned_edge_audit: threshold {threshold} is not in [0, 1]")
@@ -337,7 +337,7 @@ def learned_edge_audit(w1, w2, labels: np.ndarray, threshold: float = 0.5,
             return None, None
         w = np.asarray(w, dtype=np.float64)
         if pairs is None:
-            kept = EdgeList.from_dense(w, threshold).pairs
+            kept = EdgeList.from_dense(w > threshold).pairs
         else:
             keep = w.ravel() > threshold
             kept = pairs[0][keep], pairs[1][keep]

@@ -26,11 +26,11 @@ T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
 column, so it is exactly symmetric and T^T is T.  The op builds T with
 one symmetric scatter (``EdgeOperator.dense``) and holds it in its
 node, and the gradient is the per-edge column off * (dT[i, j] + dT[j, i]),
-read one row block at a time, so no n x n dT is formed.  ``block`` returns a
-read-only view, so reading a slice copies nothing, and ``side_by_side``
+read one row block at a time, so no n x n dT is formed.  ``side_by_side``
 lays the row blocks of several weights next to each other in one array,
 so one product with X serves all of them; with one block per part it is
-the plain column concatenation.
+the plain column concatenation.  ``block`` reads one column span of that
+product as a read-only view, so splitting it copies nothing.
 
 Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
@@ -271,28 +271,23 @@ def tanh(a: Tensor) -> Tensor:
     return _emit(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
-def block(a: Tensor, rows: tuple[int, int] | None = None,
-          cols: tuple[int, int] | None = None) -> Tensor:
-    """The sub-block a[r0:r1, c0:c1]; ``None`` takes every row or column.
+def block(a: Tensor, cols: tuple[int, int]) -> Tensor:
+    """The column block a[:, lo:hi].
 
     The value is a read-only view of ``a``'s data, not a copy.  Backward
-    pads the gradient with zeros to the shape of ``a``.
+    pads the gradient with zero columns to the shape of ``a``.
     """
-    bounds = []
-    for span, dim, what in ((rows, a.shape[0], "rows"), (cols, a.shape[1], "cols")):
-        lo, hi = (0, dim) if span is None else span
-        if not 0 <= lo < hi <= dim:
-            raise DimensionError(f"block: {what} {lo}:{hi} outside 0:{dim}")
-        bounds.append(slice(lo, hi))
-    r, c = bounds
+    lo, hi = cols
+    if not 0 <= lo < hi <= a.shape[1]:
+        raise DimensionError(f"block: cols {lo}:{hi} outside 0:{a.shape[1]}")
     shape = a.shape
 
     def vjp(g):
         out = np.zeros(shape)
-        out[r, c] = g
+        out[:, lo:hi] = g
         return (out,)
 
-    view = a.data[r, c]
+    view = a.data[:, lo:hi]
     view.flags.writeable = False
     return _emit(view, (a,), vjp)
 

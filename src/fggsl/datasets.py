@@ -393,7 +393,7 @@ def gen_synthetic(n: int, classes: int, intra_p: float, inter_p: float,
     probability ``intra_p`` inside a class and ``inter_p`` across
     classes, so ``inter_p > intra_p`` yields a heterophilic graph.
     Features are the one-hot class prototype plus Gaussian noise of
-    scale ``proto_noise``.
+    scale ``proto_noise``; a feature that overflows raises a ContractError.
     """
     if n < classes:
         raise ContractError(f"gen_synthetic: n={n} smaller than classes={classes}")
@@ -406,7 +406,10 @@ def gen_synthetic(n: int, classes: int, intra_p: float, inter_p: float,
     prob = np.where(same, intra_p, inter_p)
     draw = rng.random((n, n))
     edges = EdgeList.from_dense(draw < prob)
-    features = np.eye(classes)[y] + proto_noise * rng.standard_normal((n, classes))
+    with np.errstate(over="ignore"):
+        features = np.eye(classes)[y] + proto_noise * rng.standard_normal((n, classes))
+    if not np.isfinite(features).all():
+        raise ContractError(f"gen_synthetic: noise {proto_noise:g} makes a feature non-finite")
     labels = np.eye(classes)[y]
     graph = LabeledGraph(edges, features, labels)
     graph.splits = make_stratified_splits(labels, n_splits, seed=seed + 1)

@@ -43,11 +43,11 @@ class EdgeList:
         self.j.flags.writeable = False
 
     @classmethod
-    def from_dense(cls, a, threshold: float = 0.0) -> EdgeList:
-        """The entries of the square matrix ``a`` above ``threshold`` with
-        i < j, in row-major order: each undirected edge once."""
+    def from_dense(cls, a) -> EdgeList:
+        """The positive entries of the square matrix ``a`` (a boolean's True
+        ones) with i < j, in row-major order: each undirected edge once."""
         a = np.asarray(a)
-        i_idx, j_idx = np.nonzero(np.triu(a > threshold, 1))
+        i_idx, j_idx = np.nonzero(np.triu(a > 0, 1))
         # nonzero returns strided views of one buffer; every pair op would
         # copy them, so hold contiguous arrays
         return cls(a.shape[0], np.ascontiguousarray(i_idx), np.ascontiguousarray(j_idx))
@@ -77,8 +77,8 @@ class LabeledGraph:
     splits    : list of (train, val, test) index arrays, disjoint, in [0, n)
 
     ``adjacency`` is the dense (n, n) 0/1 matrix, built on each read and
-    read-only.  The class holds these facts and does not check them:
-    whoever builds a graph establishes them (``datasets.load_dataset_dir``
+    read-only.  The class checks only that ``edges`` is an ``EdgeList``:
+    whoever builds a graph establishes the rest (``datasets.load_dataset_dir``
     for files, ``datasets.gen_synthetic`` for draws).
     """
 
@@ -86,6 +86,11 @@ class LabeledGraph:
     features: np.ndarray
     labels: np.ndarray
     splits: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.edges, EdgeList):
+            raise ContractError(
+                f"LabeledGraph: edges must be an EdgeList, got {type(self.edges).__name__}")
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -154,13 +159,6 @@ def normalized_laplacian(weights, pairs=None, n: int | None = None):
     n = w.shape[0]
     r = 1.0 / np.sqrt(np.maximum(w @ np.ones((n, 1)), ad.DEGREE_EPS))
     return np.eye(n) - (r @ r.T) * w
-
-
-def heterophily_ratio(adjacency: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of the undirected edges (positive entries) joining distinct classes."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    check_symmetric(a, "heterophily_ratio")
-    return heterophilic_fraction(labels, EdgeList.from_dense(a).pairs)
 
 
 def symmetric_eig(m: np.ndarray, vectors: bool = True) -> SpectralDecomposition:

@@ -435,8 +435,9 @@ def test_audit_counts_match_heterophily():
     pairs = datasets.candidate_graph(g, "given").edge_pairs()
     stats = analysis.learned_edge_audit(g.adjacency[pairs], None, g.labels,
                                         threshold=0.5, pairs=pairs)
-    from fggsl.graphs import heterophily_ratio
-    assert stats.ho_r_het == heterophily_ratio(g.adjacency, g.labels)
+    from fggsl.graphs import EdgeList, heterophilic_fraction
+    dense_pairs = EdgeList.from_dense(g.adjacency).pairs
+    assert stats.ho_r_het == heterophilic_fraction(g.labels, dense_pairs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -115,31 +115,30 @@ def test_concat_cols_backward_splits_by_column():
 
 def test_block_values_and_full_span():
     m = ad.constant(np.arange(12.0).reshape(3, 4))
-    assert np.array_equal(ad.block(m, rows=(1, 3), cols=(2, 4)).data,
-                          [[6.0, 7.0], [10.0, 11.0]])
+    assert np.array_equal(ad.block(m, cols=(2, 4)).data,
+                          [[2.0, 3.0], [6.0, 7.0], [10.0, 11.0]])
     assert np.array_equal(ad.block(m, cols=(0, 1)).data, [[0.0], [4.0], [8.0]])
-    assert np.array_equal(ad.block(m).data, m.data)
+    assert np.array_equal(ad.block(m, cols=(0, 4)).data, m.data)
 
 
-@pytest.mark.parametrize("rows, cols", [((0, 4), None), ((2, 2), None),
-                                        (None, (-1, 2)), (None, (3, 1))])
-def test_block_rejects_spans_outside_the_tensor(rows, cols):
+@pytest.mark.parametrize("cols", [(0, 4), (2, 2), (-1, 2), (3, 1)])
+def test_block_rejects_spans_outside_the_tensor(cols):
     with pytest.raises(DimensionError, match="block"):
-        ad.block(ad.constant(np.zeros((3, 3))), rows=rows, cols=cols)
+        ad.block(ad.constant(np.zeros((3, 3))), cols=cols)
 
 
 def test_block_backward_pads_with_zeros():
     a = ad.parameter(np.ones((3, 4)), "a")
-    loss = ad.sum_all(ad.scale(2.0, ad.block(a, rows=(0, 2), cols=(1, 3))))
+    loss = ad.sum_all(ad.scale(2.0, ad.block(a, cols=(1, 3))))
     ad.backward(loss, [a])
     expected = np.zeros((3, 4))
-    expected[0:2, 1:3] = 2.0
+    expected[:, 1:3] = 2.0
     assert np.array_equal(a.grad, expected)
 
 
 def test_block_is_a_read_only_view():
     a = ad.parameter(np.arange(12.0).reshape(3, 4), "a")
-    out = ad.block(a, rows=(0, 2), cols=(1, 3))
+    out = ad.block(a, cols=(1, 3))
     assert np.shares_memory(out.data, a.data)
     with pytest.raises(ValueError, match="read-only"):
         out.data[0, 0] = 1.0
@@ -168,18 +167,18 @@ def test_grad_check_add_row():
 
 
 def test_grad_check_block():
-    # overlapping blocks of one parameter, as the classifier's row blocks
-    # and the filter responses' column blocks are read in the forward pass
+    # overlapping column spans of one side_by_side product, as
+    # model._feature_products splits X [W_net | W_clf blocks] into its parts
     rng = np.random.default_rng(4)
     params = ad.ParameterSet()
+    v = params.add("v", rng.uniform(-1, 1, size=(2, 2)))
     w = params.add("w", rng.uniform(-1, 1, size=(6, 3)))
     x = ad.constant(rng.uniform(-1, 1, size=(5, 2)))
 
     def loss_fn():
-        z = ad.side_by_side([(ad.matmul(x, ad.block(w, rows=(0, 2))), 1),
-                             (ad.matmul(x, ad.block(w, rows=(3, 5))), 1)])
-        top = ad.tanh(ad.block(z, rows=(0, 4), cols=(1, 4)))
-        return ad.sum_all(ad.hadamard(top, ad.block(z, rows=(1, 5), cols=(2, 5))))
+        xw = ad.matmul(x, ad.side_by_side([(v, 1), (w, 3)]))
+        top = ad.tanh(ad.block(xw, cols=(1, 6)))
+        return ad.sum_all(ad.hadamard(top, ad.block(xw, cols=(4, 9))))
 
     assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 

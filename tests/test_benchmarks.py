@@ -5,7 +5,7 @@ import pytest
 
 from conftest import require_dataset
 from fggsl import datasets
-from fggsl.graphs import heterophily_ratio
+from fggsl.graphs import EdgeList, heterophilic_fraction
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def test_texas_dimensions(texas):
 
 
 def test_texas_heterophily_ratio(texas):
-    r = heterophily_ratio(texas.graph.adjacency, texas.graph.labels)
+    r = heterophilic_fraction(texas.graph.labels, EdgeList.from_dense(texas.graph.adjacency).pairs)
     assert r == pytest.approx(0.88, abs=0.02)
 
 

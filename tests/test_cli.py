@@ -18,7 +18,7 @@ import fggsl
 from fggsl import analysis, cli, datasets, model
 from fggsl import autodiff as ad
 from fggsl.errors import NumericError
-from fggsl.graphs import heterophily_ratio
+from fggsl.graphs import EdgeList, heterophilic_fraction
 
 
 def run_cli(*argv):
@@ -58,7 +58,8 @@ def test_gen_round_trips_and_reports_heterophily(tiny_dataset, capsys):
     with open(os.path.join(tiny_dataset, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     assert manifest["realized_heterophily_ratio"] == pytest.approx(
-        heterophily_ratio(bundle.graph.adjacency, bundle.graph.labels))
+        heterophilic_fraction(bundle.graph.labels,
+                              EdgeList.from_dense(bundle.graph.adjacency).pairs))
 
 
 def test_gen_manifest_records_the_tool_version(tiny_dataset):
@@ -85,6 +86,18 @@ def test_gen_edgeless_draw_exits_1_and_writes_nothing(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "no edges" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gen_noise_that_overflows_a_feature_exits_1_and_writes_nothing(tmp_path, capsys):
+    # the loader rejects a non-finite feature, so gen refuses the draw
+    out = tmp_path / "o"
+    code = run_cli("gen", "--out", str(out), "--n", "30", "--noise", "1e308",
+                   "--splits", "2")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "noise 1e+308" in err
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fggsl import cli, datasets, graphs
 from fggsl.errors import ContractError, ParseError, ValidationError
-from fggsl.graphs import heterophily_ratio
+from fggsl.graphs import EdgeList, heterophilic_fraction
 
 
 def _write(path, text):
@@ -545,12 +545,12 @@ def test_row_normalize_scales_a_row_whose_sum_overflows():
 
 def test_gen_synthetic_pure_heterophilic():
     g = datasets.gen_synthetic(30, 3, intra_p=0.0, inter_p=0.4, proto_noise=0.1, seed=1)
-    assert heterophily_ratio(g.adjacency, g.labels) == 1.0
+    assert heterophilic_fraction(g.labels, EdgeList.from_dense(g.adjacency).pairs) == 1.0
 
 
 def test_gen_synthetic_pure_homophilic():
     g = datasets.gen_synthetic(30, 3, intra_p=0.4, inter_p=0.0, proto_noise=0.1, seed=2)
-    assert heterophily_ratio(g.adjacency, g.labels) == 0.0
+    assert heterophilic_fraction(g.labels, EdgeList.from_dense(g.adjacency).pairs) == 0.0
 
 
 def test_gen_synthetic_matches_sbm_expectation():
@@ -559,7 +559,7 @@ def test_gen_synthetic_matches_sbm_expectation():
     g = datasets.gen_synthetic(300, 3, intra_p=0.005, inter_p=0.05,
                                proto_noise=0.1, seed=3)
     expected = 1500.0 / (1500.0 + 74.25)
-    realized = heterophily_ratio(g.adjacency, g.labels)
+    realized = heterophilic_fraction(g.labels, EdgeList.from_dense(g.adjacency).pairs)
     assert realized == pytest.approx(expected, abs=0.03)
 
 
@@ -711,4 +711,5 @@ def test_load_dataset_dir(tmp_path):
     assert len(bundle.graph.splits) == 3
     fp = datasets.dataset_fingerprint(bundle)
     assert fp["nodes"] == 15 and fp["classes"] == 3
-    assert fp["heterophily_ratio"] == heterophily_ratio(graph.adjacency, graph.labels)
+    dense_pairs = EdgeList.from_dense(graph.adjacency).pairs
+    assert fp["heterophily_ratio"] == heterophilic_fraction(graph.labels, dense_pairs)

@@ -99,7 +99,7 @@ def test_laplacian_edge_form_matches_the_dense_form():
 
 
 # ---------------------------------------------------------------------------
-# EdgeList.from_dense and heterophily_ratio
+# EdgeList.from_dense, LabeledGraph and heterophilic_fraction
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5])
@@ -109,10 +109,16 @@ def test_from_dense_equals_the_upper_triangle_scan(threshold):
     w = w + w.T
     iu, ju = np.triu_indices(9, k=1)
     on = w[iu, ju] > threshold
-    i_idx, j_idx = graphs.EdgeList.from_dense(w, threshold).pairs
+    i_idx, j_idx = graphs.EdgeList.from_dense(w > threshold).pairs
     assert np.array_equal(i_idx, iu[on]) and np.array_equal(j_idx, ju[on])
     # the pair ops take the arrays as they are, without a copy each
     assert i_idx.flags.c_contiguous and j_idx.flags.c_contiguous
+
+
+def test_labeled_graph_rejects_edges_that_are_not_an_edge_list():
+    # a dense matrix in place of the EdgeList fails here, not at a later read
+    with pytest.raises(ContractError, match="edges must be an EdgeList, got ndarray$"):
+        graphs.LabeledGraph(np.zeros((4, 4)), np.ones((4, 3)), np.eye(2)[[0, 1, 0, 1]])
 
 
 def _path_graph(n):
@@ -124,25 +130,27 @@ def _path_graph(n):
 
 def test_heterophily_all_cross_class():
     labels = np.array([[1, 0], [0, 1], [1, 0]], dtype=float)
-    assert graphs.heterophily_ratio(_path_graph(3), labels) == 1.0
+    pairs = graphs.EdgeList.from_dense(_path_graph(3)).pairs
+    assert graphs.heterophilic_fraction(labels, pairs) == 1.0
 
 
 def test_heterophily_all_same_class():
     labels = np.array([[1, 0], [1, 0], [1, 0]], dtype=float)
-    assert graphs.heterophily_ratio(_path_graph(3), labels) == 0.0
+    pairs = graphs.EdgeList.from_dense(_path_graph(3)).pairs
+    assert graphs.heterophilic_fraction(labels, pairs) == 0.0
 
 
 def test_heterophily_no_edges_rejected():
     with pytest.raises(ContractError):
-        graphs.heterophily_ratio(np.zeros((3, 3)), np.eye(3))
+        graphs.heterophilic_fraction(np.eye(3), graphs.EdgeList.from_dense(np.zeros((3, 3))).pairs)
 
 
 def test_heterophily_scale_invariant():
     rng = np.random.default_rng(3)
     a = _random_adjacency(rng, 8) * rng.uniform(0.1, 2.0)
     labels = np.eye(3)[rng.integers(0, 3, size=8)]
-    r1 = graphs.heterophily_ratio(a, labels)
-    r2 = graphs.heterophily_ratio(7.3 * a, labels)
+    r1 = graphs.heterophilic_fraction(labels, graphs.EdgeList.from_dense(a).pairs)
+    r2 = graphs.heterophilic_fraction(labels, graphs.EdgeList.from_dense(7.3 * a).pairs)
     assert r1 == r2
 
 
