@@ -322,12 +322,13 @@ def learned_edge_audit(w1, w2, labels: np.ndarray, threshold: float = 0.5,
                        pairs=None) -> EdgeAuditStats:
     """Binarize each learned mask and report edge counts and heterophily.
 
-    With ``pairs`` (i, j), each mask is an edge column over those pairs,
-    each undirected edge once; without, it is a dense symmetric n x n
-    matrix, read by ``EdgeList.from_dense(w > threshold)``.  The threshold
-    must lie in [0, 1], so a weight of zero is never kept and both forms
-    count the same edges.  A mask that keeps no edge above threshold is
-    reported with zero edges and no ratio rather than raising.
+    With ``pairs`` (i, j), each mask is an edge column of one weight per
+    pair (a ContractError otherwise), each undirected edge once; without,
+    it is a dense symmetric n x n matrix, read by
+    ``EdgeList.from_dense(w > threshold)``.  The threshold must lie in
+    [0, 1], so a weight of zero is never kept and both forms count the
+    same edges.  A mask that keeps no edge above threshold is reported
+    with zero edges and no ratio rather than raising.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ContractError(f"learned_edge_audit: threshold {threshold} is not in [0, 1]")
@@ -338,6 +339,8 @@ def learned_edge_audit(w1, w2, labels: np.ndarray, threshold: float = 0.5,
         w = np.asarray(w, dtype=np.float64)
         if pairs is None:
             kept = EdgeList.from_dense(w > threshold).pairs
+        elif w.size != pairs[0].size:
+            raise ContractError(f"learned_edge_audit: {w.size} weights for {pairs[0].size} pairs")
         else:
             keep = w.ravel() > threshold
             kept = pairs[0][keep], pairs[1][keep]

@@ -30,8 +30,9 @@ class EdgeList:
     """An unweighted undirected graph on ``n`` nodes as its pairs (i, j),
     i < j, in row-major order (sorted by i, then j): each edge once.
 
-    The arrays are made read-only here; a graph that shares them with
-    another (the ``given`` candidate) copies nothing.
+    A ContractError names the first pair out of 0 <= i < j < n or out of
+    order; i and j must be 1-D integer arrays of one length, made read-only
+    here, so a graph sharing them (the ``given`` candidate) copies nothing.
     """
 
     n: int
@@ -39,8 +40,18 @@ class EdgeList:
     j: np.ndarray
 
     def __post_init__(self):
-        self.i.flags.writeable = False
-        self.j.flags.writeable = False
+        i, j, n = self.i, self.j, self.n
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+                   and a.size == i.size for a in (i, j)):
+            raise ContractError("EdgeList: i and j must be 1-D integer arrays of one length")
+        key = i * n + j
+        bad = (i < 0) | (i >= j) | (j >= n)
+        bad[1:] |= key[1:] <= key[:-1]
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ContractError(f"EdgeList: pair {k} ({i[k]}, {j[k]}) breaks 0 <= i < j < {n} "
+                                "or row-major order")
+        i.flags.writeable = j.flags.writeable = False
 
     @classmethod
     def from_dense(cls, a) -> EdgeList:

@@ -201,9 +201,9 @@ def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
     return ad.constant(ad.EdgeOperator(w, a_f.edge_pairs(), a_f.n, 0.0, 1.0).dense())
 
 
-def check_config(variant: str, kernel_mode: str, j_max: int) -> None:
+def check_config(variant: str, kernel_mode: str, j_max: int, mask_dim: int) -> None:
     """Raise ValidationError unless the model's choices name a variant,
-    a kernel mode and 2 to ``MAX_J`` scales."""
+    a kernel mode, 2 to ``MAX_J`` scales and a mask width of at least 1."""
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if kernel_mode not in KERNEL_MODES:
@@ -211,6 +211,8 @@ def check_config(variant: str, kernel_mode: str, j_max: int) -> None:
             f"unknown kernel_mode {kernel_mode!r}; expected one of {KERNEL_MODES}")
     if not 2 <= j_max <= MAX_J:
         raise ValidationError(f"j_max={j_max} must be in [2, {MAX_J}]")
+    if mask_dim < 1:
+        raise ValidationError(f"mask_dim={mask_dim} must be >= 1")
 
 
 def learns_masks(variant: str) -> bool:
@@ -257,7 +259,7 @@ class FgGSLModel:
     def __init__(self, num_features: int, num_classes: int, j_max: int = 4,
                  mask_dim: int = 16, kernel_mode: str = "fig3",
                  variant: str = "full", seed: int = 0):
-        check_config(variant, kernel_mode, j_max)
+        check_config(variant, kernel_mode, j_max, mask_dim)
         self.num_features = num_features
         self.num_classes = num_classes
         self.j_max = j_max
@@ -490,7 +492,7 @@ def _check_header(path, header) -> None:
         # json reads NaN and Infinity; an int is always finite
         if isinstance(header[key], float) and not math.isfinite(header[key]):
             raise ValidationError(f"{path}: header {key!r}={header[key]} is not finite")
-    for key in ("num_features", "num_classes", "mask_dim"):
+    for key in ("num_features", "num_classes"):
         if header[key] < 1:
             raise ValidationError(f"{path}: header {key!r}={header[key]} must be >= 1")
     for entry in header["params"]:
@@ -526,7 +528,7 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
         body = fh.read()
     fields = {key: header[key] for key in _MODEL_FIELDS}
     kernel_mode = fields.pop("kernel_mode")        # no parameter's shape reads it
-    check_config(fields["variant"], kernel_mode, fields["j_max"])
+    check_config(fields["variant"], kernel_mode, fields["j_max"], fields["mask_dim"])
     expected = _parameter_shapes(**fields)
     names = [entry["name"] for entry in header["params"]]
     for name, entry in zip(names, header["params"]):

@@ -1,13 +1,10 @@
 """Optimizer, per-split training loop, and the multi-split evaluation protocol.
 
-Each split trains a fresh model with Adam, tracks validation accuracy
-every epoch, restores the best-validation parameters, and reports test
-accuracy of the restored model, read off the best epoch's training
-forward: the parameters are snapshotted before that forward's backward,
-and its probabilities and edge columns are kept with the snapshot, so no
-forward runs after training.  The epoch that spends the budget records
-no tape and takes no step, which the restore would discard.  The
-protocol aggregates mean and population standard deviation over all
+One runner, ``_fit``, trains a split for both trainers (FgGSL and the
+MLP) with Adam and early stopping on validation accuracy, and builds the
+split's report row: the test accuracy of the best-validation parameters,
+read off their own training forward, so no forward runs after training.
+The protocol aggregates mean and population standard deviation over all
 splits; splits are independent and may run in parallel processes.
 """
 
@@ -84,14 +81,12 @@ class TrainConfig:
         for name in ("weight_decay", "patience", "alpha", "beta", "seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name}={getattr(self, name)} must be >= 0")
-        if self.mask_dim < 1:
-            raise ValidationError(f"mask_dim={self.mask_dim} must be >= 1")
         if self.lr <= 0:
             raise ValidationError(f"lr={self.lr} must be > 0")
         if self.patience > self.epochs_max:
             raise ValidationError(
                 f"patience={self.patience} exceeds epochs_max={self.epochs_max}")
-        fm.check_config(self.variant, self.kernel_mode, self.j_max)
+        fm.check_config(self.variant, self.kernel_mode, self.j_max, self.mask_dim)
         if self.epochs_max < 1:
             raise ValidationError("epochs_max must be >= 1")
 
@@ -100,8 +95,8 @@ class Adam:
     """Adam with bias correction and decoupled weight decay.
 
     Decay applies only to the parameters named in ``DECAYED_PARAMETERS``;
-    moments live per parameter.  ``last_update_scale`` records
-    max |update| / lr of the most recent step for diagnostics.
+    moments live per parameter.  ``step`` returns the step's
+    max |update| / lr for diagnostics.
     """
 
     def __init__(self, params: ParameterSet, lr: float, weight_decay: float = 0.0):
@@ -111,9 +106,8 @@ class Adam:
         self.step_count = 0
         self.m = {name: np.zeros(t.shape) for name, t in params}
         self.v = {name: np.zeros(t.shape) for name, t in params}
-        self.last_update_scale = 0.0
 
-    def step(self):
+    def step(self) -> float:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
@@ -138,7 +132,7 @@ class Adam:
             p.data = p.data - self.lr * update
             if name in DECAYED_PARAMETERS and self.weight_decay:
                 p.data = p.data - self.lr * self.weight_decay * p.data
-        self.last_update_scale = scale
+        return scale
 
 
 def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray, index_set) -> float:
@@ -160,17 +154,18 @@ def evaluate(model: fm.FgGSLModel, bundle: DatasetBundle, index_set,
 
 
 def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
-         val_idx) -> tuple[dict, np.ndarray, object]:
-    """Shared early-stopping loop.
+         split) -> tuple[dict, object]:
+    """Train one (train, val, test) split; returns (report row, outputs).
 
     ``step_fn`` runs one forward+loss on the tape and returns (loss
-    tensor, LossBreakdown, probs ndarray, outputs), where ``outputs`` is
+    tensor, LossBreakdown, probs ndarray, outputs), ``outputs`` being
     anything else of that forward the caller wants back.  Validation
-    accuracy is read off the training forward, and on an improvement the
-    parameters are snapshotted before the backward, so the snapshot holds
-    the parameters that produced that accuracy.  That forward's probs and
-    outputs are kept with the snapshot.  Returns the summary, then the
-    best forward's probs and outputs; the parameters are restored to it.
+    accuracy is read off the training forward; on an improvement the
+    parameters are snapshotted before the backward, with that forward's
+    probs and outputs, and the run ends restored to the snapshot.  The
+    row's ``test_acc`` is read off the kept probs and its ``audit`` is
+    None; ``seconds`` spans this call, the epochs and that read, and not
+    an audit the caller reads after it.
 
     Each epoch runs in ``ad.recording(learn)``: a fresh tape that its
     backward reads and that is dropped when the epoch ends, also when the
@@ -181,6 +176,8 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
     ``zero_grad`` ends in ``Adam.step``.  An epoch that ends the run by
     patience learns that only after its forward, and keeps its step.
     """
+    started = time.perf_counter()
+    _, val_idx, test_idx = split
     adam = Adam(params, config.lr, config.weight_decay)
     best_val = -1.0
     best_state = params.snapshot()
@@ -206,36 +203,27 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
                     stale += 1
                 if learn:
                     ad.backward(loss, params)
-                    adam.step()
+                    max_update_scale = max(max_update_scale, adam.step())
         except (NumericError, FloatingPointError) as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
-        max_update_scale = max(max_update_scale, adam.last_update_scale)
         for name, value in (*vars(breakdown).items(), ("val_acc", val_acc)):
             curves[name].append(value)
         if stale >= config.patience:
             break
     params.restore(best_state)
-    fit = {"best_epoch": best_epoch, "best_val_acc": best_val,
+    row = {"test_acc": accuracy_from_probs(best_probs, labels, test_idx),
+           "best_epoch": best_epoch, "best_val_acc": best_val,
            "epochs_run": len(curves["total"]), "curves": curves,
-           "max_update_scale": max_update_scale}
-    return fit, best_probs, best_outputs
-
-
-def _result_row(fit: dict, started: float, probs, labels, test_idx,
-                audit: dict | None = None) -> dict:
-    """One split's report row: test accuracy of ``probs``, the ``_fit``
-    summary, wall time since ``started`` and the learned-edge audit."""
-    return {"test_acc": accuracy_from_probs(probs, labels, test_idx), **fit,
-            "seconds": time.perf_counter() - started, "audit": audit}
+           "max_update_scale": max_update_scale,
+           "seconds": time.perf_counter() - started, "audit": None}
+    return row, best_outputs
 
 
 def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     """Train one model on one (train, val, test) split; returns (model, row).
 
-    The test accuracy and the learned-edge audit are read off the
-    training forward of the restored parameters, so none runs after.
-    """
-    train_idx, val_idx, test_idx = split
+    ``_fit`` builds the row; a variant that learns masks adds the audit of
+    the best forward's edge columns, so no forward runs after training."""
     graph = bundle.graph
     a_f = fm.bank_graph(graph, config.variant, config.candidate_mode)
     net = fm.FgGSLModel(graph.num_features, graph.num_classes, j_max=config.j_max,
@@ -244,34 +232,29 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
 
     def step_fn():
         loss, breakdown, fwd = fm.total_loss(
-            net, graph, a_f, config.alpha, config.beta, train_idx,
+            net, graph, a_f, config.alpha, config.beta, split[0],
             true_labels_on_train=config.true_labels_on_train)
         return loss, breakdown, fwd.yhat.data, fwd.edge_columns()
 
-    started = time.perf_counter()
-    fit, probs, columns = _fit(step_fn, net.params, config, graph.labels, val_idx)
-    audit = None
+    row, columns = _fit(step_fn, net.params, config, graph.labels, split)
     if fm.learns_masks(config.variant):
-        audit = dataclasses.asdict(learned_edge_audit(
+        row["audit"] = dataclasses.asdict(learned_edge_audit(
             *columns, graph.labels, pairs=a_f.edge_pairs()))
-    return net, _result_row(fit, started, probs, graph.labels, test_idx, audit)
+    return net, row
 
 
 def train_mlp_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     """Graph-agnostic two-layer perceptron under the identical protocol."""
-    train_idx, val_idx, test_idx = split
     graph = bundle.graph
     net = MlpModel(graph.num_features, graph.num_classes, seed=config.seed)
 
     def step_fn():
         logits = net.logits(ad.constant(graph.features))
-        ce = ad.softmax_cross_entropy(logits, ad.constant(graph.labels), train_idx)
+        ce = ad.softmax_cross_entropy(logits, ad.constant(graph.labels), split[0])
         breakdown = fm.LossBreakdown(ce=ce.item(), ho=0.0, ht=0.0, total=ce.item())
         return ce, breakdown, ad.softmax_rows(logits).data, None
 
-    started = time.perf_counter()
-    fit, probs, _ = _fit(step_fn, net.params, config, graph.labels, val_idx)
-    return net, _result_row(fit, started, probs, graph.labels, test_idx)
+    return net, _fit(step_fn, net.params, config, graph.labels, split)[0]
 
 
 class MlpModel:

@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 5-9 need the Texas/Wisconsin/Cornell benchmark files on disk
-(see README); they skip with an explicit message when the data is not
-mounted, and a smoke test runs their code on a small WebKB-shaped
-stand-in (``webkb_standin``) without asserting their gates.  Everything
-else is self-contained and runs in seconds to a couple of minutes.
+Each criterion is a function ``criterion_NN`` returning (ok, detail); its
+test reports and asserts it.  Negative controls plant one defect and
+check that criteria 1 and 2 fail on it.  Criteria 5-9 need the
+Texas/Wisconsin/Cornell benchmark files on disk (see README); they skip
+with an explicit message when the data is not mounted, and a smoke test
+runs their code on a small WebKB-shaped stand-in (``webkb_standin``)
+without asserting their gates.  Everything else is self-contained and
+runs in seconds to a couple of minutes.
 """
 
 import dataclasses
@@ -38,7 +41,7 @@ def _spec_default_config(seed=0):
 # 1. gradient correctness across modes and variants
 
 
-def test_criterion_01_gradient_correctness():
+def criterion_01():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = worst_abs = 0.0
@@ -73,17 +76,32 @@ def test_criterion_01_gradient_correctness():
         worst_abs = max(worst_abs, errors.absolute)
         instances += 1
     elapsed = time.perf_counter() - started
-    _report(1, "total_loss gradients match finite differences",
-            instances >= 20 and worst <= 1e-4 and elapsed < 60,
+    return (instances >= 20 and worst <= 1e-4 and elapsed < 60,
             f"{instances} instances, max rel err {worst:.2e}, "
             f"max abs err {worst_abs:.2e}, {elapsed:.1f}s")
+
+
+def test_criterion_01_gradient_correctness():
+    _report(1, "total_loss gradients match finite differences", *criterion_01())
+
+
+def test_criterion_01_fails_on_a_sigmoid_vjp_scaled_by_1_001(monkeypatch):
+    sigmoid = ad.sigmoid
+
+    def scaled(a):
+        s = sigmoid(ad.constant(a.data)).data
+        return ad._emit(s, (a,), lambda g: (1.001 * g * s * (1.0 - s),))
+
+    monkeypatch.setattr(ad, "sigmoid", scaled)
+    ok, detail = criterion_01()
+    assert not ok, detail
 
 
 # ---------------------------------------------------------------------------
 # 2. spectral-theorem oracle for filter_bank_apply
 
 
-def test_criterion_02_spectral_oracle():
+def criterion_02():
     rng = np.random.default_rng(7)
     worst = 0.0
     combos = [(m, k) for m in fm.KERNEL_MODES for k in fm.BANK_KINDS]
@@ -101,15 +119,31 @@ def test_criterion_02_spectral_oracle():
             got = bank.data[:, -x.shape[1]:]
             want = analysis.spectral_filter_matrix(lap, j, mode, kind) @ x
             worst = max(worst, float(np.linalg.norm(got - want)))
-    _report(2, "filter_bank_apply equals U h(Lambda) U^T X at every scale",
-            worst <= 1e-8, f"50 graphs, j<=5, worst Frobenius error {worst:.2e}")
+    return worst <= 1e-8, f"50 graphs, j<=5, worst Frobenius error {worst:.2e}"
+
+
+def test_criterion_02_spectral_oracle():
+    _report(2, "filter_bank_apply equals U h(Lambda) U^T X at every scale", *criterion_02())
+
+
+def test_criterion_02_fails_on_one_exponent_off_by_one(monkeypatch):
+    coefficients = fm.FilterBankSpec.coefficients
+
+    def shifted(spec):
+        table = coefficients(spec).copy()
+        table[[2, 3], 0] = table[[3, 2], 0]         # h_2's T^2 term read as T^3
+        return table
+
+    monkeypatch.setattr(fm.FilterBankSpec, "coefficients", shifted)
+    ok, detail = criterion_02()
+    assert not ok, detail
 
 
 # ---------------------------------------------------------------------------
 # 3. label-vs-prediction cosine bound
 
 
-def test_criterion_03_prediction_similarity_bound():
+def criterion_03():
     rng = np.random.default_rng(11)
     total = 0
     violations = 0
@@ -127,16 +161,18 @@ def test_criterion_03_prediction_similarity_bound():
             y, yhat, (rng.integers(0, n, per_class), rng.integers(0, n, per_class)))
         total += len(recs)
         violations += sum(not r.holds for r in recs)
-    _report(3, "cosine deviation bounded by 2 sqrt(C)(eps_i + eps_j)",
-            total >= 100_000 and violations == 0,
-            f"{violations} violations over {total} pairs")
+    return total >= 100_000 and violations == 0, f"{violations} violations over {total} pairs"
+
+
+def test_criterion_03_prediction_similarity_bound():
+    _report(3, "cosine deviation bounded by 2 sqrt(C)(eps_i + eps_j)", *criterion_03())
 
 
 # ---------------------------------------------------------------------------
 # 4. filter stability under Laplacian perturbations
 
 
-def test_criterion_04_stability_bound():
+def criterion_04():
     started = time.perf_counter()
     rng = np.random.default_rng(13)
     kinds = ("low", "high")
@@ -156,15 +192,17 @@ def test_criterion_04_stability_bound():
             all_hold &= all(r.holds_with_slack for r in recs)
         slopes.append(analysis.distance_slope(records))
     elapsed = time.perf_counter() - started
-    _report(4, "operator distance within 2^(j-1)(1+delta sqrt(N))eps bound",
-            all_hold and all(s >= 0.9 for s in slopes) and elapsed < 60,
+    return (all_hold and all(s >= 0.9 for s in slopes) and elapsed < 60,
             f"slopes {[f'{s:.3f}' for s in slopes]}, {elapsed:.1f}s")
+
+
+def test_criterion_04_stability_bound():
+    _report(4, "operator distance within 2^(j-1)(1+delta sqrt(N))eps bound", *criterion_04())
 
 
 # ---------------------------------------------------------------------------
 # 5-9. the benchmark datasets: each criterion is a function of the runs and
-# bundles it reads, returning (ok, detail), so the smoke test below runs
-# the same code on a stand-in
+# bundles it reads, so the smoke test below runs the same code on a stand-in
 
 
 def criterion_05(full_run, mlp_run):
@@ -286,7 +324,7 @@ def test_criteria_05_to_09_run_on_a_small_stand_in(tmp_path):
 # 10. synthetic end-to-end
 
 
-def test_criterion_10_synthetic_end_to_end():
+def criterion_10():
     started = time.perf_counter()
     graph = datasets.gen_synthetic(150, 3, intra_p=0.06, inter_p=0.3,
                                    proto_noise=1.0, seed=42, n_splits=3)
@@ -299,8 +337,12 @@ def test_criterion_10_synthetic_end_to_end():
     margin = fg.mean_acc - mlp.mean_acc
     audit_gaps = [r["audit"]["ht_r_het"] - r["audit"]["ho_r_het"] for r in fg.rows]
     elapsed = time.perf_counter() - started
-    ok = margin >= 0.05 and all(g > 0 for g in audit_gaps) and elapsed < 120
+    return (margin >= 0.05 and all(g > 0 for g in audit_gaps) and elapsed < 120,
+            f"FgGSL {fg.mean_acc:.3f} vs MLP {mlp.mean_acc:.3f} "
+            f"(margin {margin:+.3f}), audit gaps "
+            f"{[f'{g:+.3f}' for g in audit_gaps]}, {elapsed:.0f}s")
+
+
+def test_criterion_10_synthetic_end_to_end():
     _report(10, "synthetic heterophilic graphs: beats MLP and audit orders masks",
-            ok, f"FgGSL {fg.mean_acc:.3f} vs MLP {mlp.mean_acc:.3f} "
-                f"(margin {margin:+.3f}), audit gaps "
-                f"{[f'{g:+.3f}' for g in audit_gaps]}, {elapsed:.0f}s")
+            *criterion_10())

@@ -457,6 +457,12 @@ def test_audit_edge_columns_equal_the_dense_masks(seed, n, threshold):
             == analysis.learned_edge_audit(dense, None, labels, threshold))
 
 
+def test_audit_rejects_a_mask_of_another_length_than_the_pairs():
+    pairs = (np.array([0, 1]), np.array([1, 2]))
+    with pytest.raises(ContractError, match="3 weights for 2 pairs$"):
+        analysis.learned_edge_audit(None, np.ones(3), np.eye(2)[[0, 1, 0]], pairs=pairs)
+
+
 @pytest.mark.parametrize("threshold", [-1.0, 1.5, float("nan"), float("inf")])
 def test_audit_rejects_a_threshold_outside_the_unit_interval(threshold):
     with pytest.raises(ContractError, match="threshold"):

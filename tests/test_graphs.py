@@ -121,6 +121,24 @@ def test_labeled_graph_rejects_edges_that_are_not_an_edge_list():
         graphs.LabeledGraph(np.zeros((4, 4)), np.ones((4, 3)), np.eye(2)[[0, 1, 0, 1]])
 
 
+@pytest.mark.parametrize("i,j,message", [
+    (np.array([0, 1]), np.array([5, 2]), r"pair 0 \(0, 5\) breaks 0 <= i < j < 3 "),
+    (np.array([-1]), np.array([1]), r"pair 0 \(-1, 1\)"),
+    (np.array([0, 2]), np.array([1, 1]), r"pair 1 \(2, 1\)"),
+    (np.array([1, 0]), np.array([2, 1]), r"pair 1 \(0, 1\) .* row-major order$"),
+    (np.array([0, 0]), np.array([1, 1]), r"pair 1 \(0, 1\)"),
+    ([0], [1], "1-D integer arrays of one length$"),
+    (np.array([0.0]), np.array([1.0]), "1-D integer arrays"),
+    (np.array([[0]]), np.array([[1]]), "1-D integer arrays"),
+    (np.array([0, 1]), np.array([1]), "of one length"),
+], ids=["j-beyond-n", "negative-i", "i-above-j", "out-of-order", "listed-twice",
+        "lists", "floats", "2-d", "unequal-lengths"])
+def test_edge_list_rejects_pairs_it_cannot_hold(i, j, message):
+    # each fault fails where the list is built, not at a later pair read
+    with pytest.raises(ContractError, match=message):
+        graphs.EdgeList(3, i, j)
+
+
 def _path_graph(n):
     a = np.zeros((n, n))
     for i in range(n - 1):

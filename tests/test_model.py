@@ -731,6 +731,12 @@ def test_model_rejects_unknown_variant():
         model.FgGSLModel(3, 2, variant="bogus")
 
 
+@pytest.mark.parametrize("mask_dim", [0, -1])
+def test_model_rejects_a_mask_width_below_one(mask_dim):
+    with pytest.raises(ValidationError, match=f"^mask_dim={mask_dim} must be >= 1$"):
+        model.FgGSLModel(5, 3, mask_dim=mask_dim)
+
+
 def _checkpoint_bytes() -> bytes:
     m = model.FgGSLModel(3, 2, j_max=2, mask_dim=2, variant="FBL", seed=21)
     with tempfile.TemporaryDirectory() as tmp:

@@ -45,9 +45,10 @@ def test_adam_hand_first_step():
     params, p = _single_param(1.0)
     p.grad = np.ones((1, 1))
     opt = training.Adam(params, lr=0.1, weight_decay=0.0)
-    opt.step()
+    scale = opt.step()
     assert p.data[0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + training.ADAM_EPS),
                                          abs=1e-12)
+    assert scale == pytest.approx(1.0 / (1.0 + training.ADAM_EPS), abs=1e-12)
 
 
 def test_adam_weight_decay_targets_named_params():
@@ -184,7 +185,7 @@ def test_fit_clears_tape_when_step_raises():
 
     with ad.recording() as caller, pytest.raises(ValidationError):
         training._fit(step_fn, net.params, _fast_config(), graph.labels,
-                      graph.splits[0][1])
+                      graph.splits[0])
     assert recorded[0] > 0
     assert len(caller) == 0
     assert ad.tape() is not caller
@@ -254,6 +255,21 @@ def test_degenerate_nm_still_trains():
     _, row = training.train_single_split(bundle, bundle.graph.splits[0], cfg)
     assert row["epochs_run"] >= 1
     assert np.isfinite(row["curves"]["total"]).all()
+
+
+def test_both_trainers_report_rows_of_one_key_set():
+    bundle = _bundle(seed=6)
+    split = bundle.graph.splits[0]
+    cfg = _fast_config(epochs_max=4, patience=4)
+    rows = {variant: training.train_single_split(
+                bundle, split, dataclasses.replace(cfg, variant=variant))[1]
+            for variant in ("full", "NM")}
+    rows["mlp"] = training.train_mlp_single_split(bundle, split, cfg)[1]
+    assert {name: list(row) for name, row in rows.items()} == dict.fromkeys(
+        rows, ["test_acc", "best_epoch", "best_val_acc", "epochs_run", "curves",
+               "max_update_scale", "seconds", "audit"])
+    assert rows["full"]["audit"] is not None
+    assert rows["NM"]["audit"] is None and rows["mlp"]["audit"] is None
 
 
 def test_adam_update_magnitude_bounded_during_training():
