@@ -22,8 +22,8 @@ from .analysis import (learned_edge_audit, prop1_check, similarity_histogram,
                        spectral_response_export, stability_probe, stability_table)
 from .autodiff import ParameterSet, Tensor, backward, grad_check, no_grad
 from .datasets import (CandidateGraph, DatasetBundle, candidate_graph,
-                       gen_synthetic, load_dataset_dir, load_raw, load_splits,
-                       row_normalize)
+                       gen_synthetic, load_dataset_dir, load_edge_list, load_raw,
+                       load_splits, row_normalize)
 from .graphs import (EdgeList, LabeledGraph, SpectralDecomposition, normalized_laplacian,
                      operator_distance, symmetric_eig)
 from .model import (FgGSLModel, FilterBankSpec, embedding, filter_bank_apply,
@@ -41,7 +41,7 @@ __all__ = [
     "SpectralDecomposition", "Tensor", "TrainConfig", "backward",
     "candidate_graph", "embedding", "evaluate", "filter_bank_apply", "forward",
     "gen_synthetic", "grad_check", "kernel_value",
-    "learned_edge_audit", "load_checkpoint", "load_dataset_dir", "load_raw",
+    "learned_edge_audit", "load_checkpoint", "load_dataset_dir", "load_edge_list", "load_raw",
     "load_splits", "mask_matrix", "no_grad", "normalized_laplacian",
     "operator_distance", "prop1_check", "row_normalize", "run_ablation",
     "run_protocol", "save_checkpoint", "similarity_histogram",

@@ -20,7 +20,8 @@ from . import __version__, analysis
 from . import autodiff as ad
 from . import model as fm
 from .datasets import (EDGE_FILE, NODE_FILE, SPLIT_DIR, candidate_k, dataset_fingerprint,
-                       gen_synthetic, load_dataset_dir, open_text, save_raw, save_splits)
+                       gen_synthetic, load_dataset_dir, load_edge_list, open_text, save_raw,
+                       save_splits)
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      ValidationError)
 from .graphs import heterophilic_fraction, normalized_laplacian
@@ -307,11 +308,12 @@ def _prop1(args):
 
 
 def _stability(args):
+    # the probe reads the graph's Laplacian alone, so --data reads the edges
     if args.data:
-        graph = _load_bundle(args, not args.no_normalize).graph
+        edges = load_edge_list(args.data)
     else:                                # one class: an Erdos-Renyi G(n, 0.3)
-        graph = gen_synthetic(args.n, 1, 0.3, 0.3, 0.0, args.seed, n_splits=0)
-    table = analysis.stability_table(normalized_laplacian(graph.adjacency),
+        edges = gen_synthetic(args.n, 1, 0.3, 0.3, 0.0, args.seed, n_splits=0).edges
+    table = analysis.stability_table(normalized_laplacian(edges.dense()),
                                      range(2, args.j_max + 1), args.kernel_mode,
                                      fm.BANK_KINDS, args.epsilons, args.trials, args.seed)
     lines = ["epsilon,j,kind,observed_distance,bound_value,delta,holds_with_slack"]

@@ -14,7 +14,13 @@ separators (``_float``); both allow whitespace around a value.  numpy's
 text parser reads all feature values of a node file in one call, all
 edges of an edge file in another, and each split line in one; ``_int``
 and ``_float`` state the same syntax for the scans that name the line of
-a fault, which run only when a file does not load.
+a fault, which run only when a file does not load.  The edge file is
+parsed as it is, and its skipped lines cut out only when that parse fails;
+ids 0..n-1 in file order, as ``save_raw`` writes them, are their own rows,
+and other ids are mapped to rows by a sorted search.
+
+``load_dataset_dir`` reads and checks a whole dataset.  ``load_edge_list``
+reads only its graph: the node lines for ids, and the edge file.
 
 These match the common tab-separated exports of the WebKB-style
 benchmarks; converters for other layouts are documented in the README
@@ -158,19 +164,16 @@ def _raise_first_fault(path, lines, check, otherwise: Exception):
     raise otherwise
 
 
-def load_raw(node_file, edge_file) -> LabeledGraph:
-    """Build a LabeledGraph from the tab-separated node and edge files.
+def _read_nodes(node_file):
+    """The node lines of ``node_file``, read for ids, labels and row
+    widths, no feature value parsed: (ids, fields, linenos, labels, width,
+    top) with ``ids`` node id -> row, each row's feature field, line
+    number and label, the common row width, and (largest label, its line).
 
-    Duplicate edges, in either orientation, and self-loops are dropped;
-    the graph holds each undirected edge once, with unit weight.  Unknown
-    node ids, ragged feature rows and values that do not parse raise
-    ParseError with the offending line number; a label >= the node count
-    raises ValidationError before anything of its size is allocated, and
-    so does a NaN or infinite feature, naming its line.
-
-    Python reads the node lines for ids, labels and row widths; numpy's
-    text parser reads all feature values in one call and all edges in
-    another.  The faulty line is found by a scan that runs only on error.
+    A line that is not three tab-separated fields, an id or label that does
+    not parse, a duplicate id, a negative label or a feature row of another
+    width raises ParseError with its line; a feature value before that line
+    that does not parse is named first.  So is a file without node lines.
     """
     ids: dict[int, int] = {}             # node id -> row
     fields: list[str] = []               # feature field of each row
@@ -213,7 +216,25 @@ def load_raw(node_file, edge_file) -> LabeledGraph:
             top = (label, lineno)
     if not fields:
         raise ParseError(f"{node_file}: no node records")
+    return ids, fields, linenos, labels, width, top
 
+
+def load_raw(node_file, edge_file) -> LabeledGraph:
+    """Build a LabeledGraph from the tab-separated node and edge files.
+
+    Duplicate edges, in either orientation, and self-loops are dropped;
+    the graph holds each undirected edge once, with unit weight.  Unknown
+    node ids, ragged feature rows and values that do not parse raise
+    ParseError with the offending line number; a label >= the node count
+    raises ValidationError before anything of its size is allocated, and
+    so does a NaN or infinite feature, naming its line.
+
+    Python reads the node lines for ids, labels and row widths
+    (``_read_nodes``); numpy's text parser reads all feature values in one
+    call, and ``_read_edges`` all edges in another.  The faulty line is
+    found by a scan that runs only on error.
+    """
+    ids, fields, linenos, labels, width, top = _read_nodes(node_file)
     n = len(fields)
     features = _loadtxt(fields, np.float64, ",")
     if features is None or features.shape != (n, width):
@@ -235,20 +256,37 @@ def load_raw(node_file, edge_file) -> LabeledGraph:
 
 def _read_edges(edge_file, ids: dict[int, int]) -> EdgeList:
     """The undirected edges of ``edge_file``, rows in the order of ``ids``
-    (node id -> row): one parse of the edge lines, ids mapped to rows by a
-    sorted search, and one sort of the pairs, which a pass over adjacent
-    keys rids of duplicates."""
+    (node id -> row): one parse of the edge lines, ids mapped to rows, and
+    one sort of the pair keys, which a pass over adjacent keys rids of
+    duplicates.  Two shortcuts give the same result, or the same error:
+
+    * numpy's parser reads the file as it is, and the lines that
+      ``_data_lines`` skips are cut out and the rest parsed again only when
+      that fails.  numpy skips empty lines and rejects a comment or
+      whitespace-only one, so a first parse that succeeds had nothing else
+      to skip.
+    * When the ids are 0..n-1 in file order, as ``save_raw`` writes them,
+      an id is its row, and a bounds check stands in for the sorted search
+      that maps ids to rows otherwise.
+    """
     with open_text(edge_file) as fh:
-        text = _SKIPPED_LINE.sub("", "\n" + fh.read())
-    pairs = (_loadtxt(io.StringIO(text), np.int64, "\t") if text
-             else np.empty((0, 2), dtype=np.int64))
+        text = fh.read()
+    pairs = _loadtxt(io.StringIO(text), np.int64, "\t")
+    if pairs is None:
+        text = _SKIPPED_LINE.sub("", "\n" + text)
+        pairs = (_loadtxt(io.StringIO(text), np.int64, "\t") if text
+                 else np.empty((0, 2), dtype=np.int64))
     n = len(ids)
     node_ids = np.fromiter(ids, dtype=np.int64, count=n)
-    order = np.argsort(node_ids)
     known = False
     if pairs is not None and pairs.shape[1] == 2:
-        rows = order[np.minimum(np.searchsorted(node_ids[order], pairs), n - 1)]
-        known = bool(np.all(node_ids[rows] == pairs))
+        if np.array_equal(node_ids, np.arange(n)):
+            rows = pairs
+            known = bool(np.all((pairs >= 0) & (pairs < n)))
+        else:
+            order = np.argsort(node_ids)
+            rows = order[np.minimum(np.searchsorted(node_ids[order], pairs), n - 1)]
+            known = bool(np.all(node_ids[rows] == pairs))
     if not known:
         def check(line):
             parts = line.split("\t")
@@ -260,11 +298,31 @@ def _read_edges(edge_file, ids: dict[int, int]) -> EdgeList:
 
         _raise_first_fault(edge_file, _data_lines(edge_file), check,
                            ParseError(f"{edge_file}: an edge line does not parse"))
-    rows = rows[rows[:, 0] != rows[:, 1]]        # self-loops dropped
-    # pair (i, j), i < j, as the key i n + j: sorted keys are row-major order
-    keys = np.sort(rows.min(axis=1) * n + rows.max(axis=1))
+    lo = np.minimum(rows[:, 0], rows[:, 1])
+    hi = np.maximum(rows[:, 0], rows[:, 1])
+    # pair (i, j), i < j, as the key i n + j: sorted keys are row-major order;
+    # self-loops dropped
+    keys = np.sort((lo * n + hi)[lo != hi])
     keys = keys[np.diff(keys, prepend=-1) != 0]
     return EdgeList(n, *np.divmod(keys, n))
+
+
+def load_edge_list(directory) -> EdgeList:
+    """The edges of the dataset in ``directory``, as ``load_dataset_dir``
+    reads them into ``graph.edges``: what a command that needs only the
+    graph reads.
+
+    It reads the node file's lines for ids (``_read_nodes``) and then the
+    edge file (``_read_edges``).  It parses no feature value and reads no
+    split file, and it does not check the label bound or that features are
+    finite.  So a dataset whose only faults are in feature values, a label
+    >= the node count, or the splits loads here, while a fault of encoding,
+    field count, id, label sign, duplicate id, row width or edge raises the
+    error that ``load_dataset_dir`` raises on a dataset with that fault
+    alone.
+    """
+    ids = _read_nodes(os.path.join(directory, NODE_FILE))[0]
+    return _read_edges(os.path.join(directory, EDGE_FILE), ids)
 
 
 def load_splits(split_files, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

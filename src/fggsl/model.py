@@ -528,7 +528,10 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
         body = fh.read()
     fields = {key: header[key] for key in _MODEL_FIELDS}
     kernel_mode = fields.pop("kernel_mode")        # no parameter's shape reads it
-    check_config(fields["variant"], kernel_mode, fields["j_max"], fields["mask_dim"])
+    try:
+        check_config(fields["variant"], kernel_mode, fields["j_max"], fields["mask_dim"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     expected = _parameter_shapes(**fields)
     names = [entry["name"] for entry in header["params"]]
     for name, entry in zip(names, header["params"]):

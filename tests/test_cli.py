@@ -718,6 +718,77 @@ def test_memory_error_exits_3_with_one_line(monkeypatch, tmp_path, capsys, messa
     assert message in err
 
 
+def _stability_csv(data, out, *flags):
+    """The exit code of ``analyze stability --data`` and the CSV it wrote."""
+    code = run_cli("analyze", "stability", "--data", str(data), "--out", str(out),
+                   "--J", "3", "--trials", "2", *flags)
+    return code, (out / "stability.csv").read_bytes() if code == 0 else None
+
+
+def test_analyze_stability_reads_the_graph_alone(tiny_dataset, tmp_path, monkeypatch):
+    code, clean = _stability_csv(tiny_dataset, tmp_path / "clean")
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze stability read more than the graph")
+
+    for name in ("load_dataset_dir", "load_raw", "load_splits", "row_normalize"):
+        monkeypatch.setattr(datasets, name, refuse)
+    monkeypatch.setattr(cli, "load_dataset_dir", refuse)
+    assert _stability_csv(tiny_dataset, tmp_path / "patched") == (0, clean)
+    assert _stability_csv(tiny_dataset, tmp_path / "raw", "--no-normalize") == (0, clean)
+
+
+def _edit_node_line(data, lineno, pattern, replacement):
+    path = data / "nodes.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[lineno - 1] = re.sub(pattern, replacement, lines[lineno - 1], count=1)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _bad_feature_and_no_splits(data):
+    _edit_node_line(data, 2, ",", ",x")
+    shutil.rmtree(data / "splits")
+
+
+# dataset faults that analyze stability does not read: (edit of a copy,
+# where a command that reads the whole dataset names the fault)
+_FAULTS_BESIDE_THE_GRAPH = {
+    "feature-and-no-splits": (_bad_feature_and_no_splits, "nodes.tsv:2: could not convert"),
+    "non-finite-feature": (lambda data: _edit_node_line(data, 5, r"\t[^,]*", "\tnan"),
+                           "nodes.tsv:5: non-finite feature"),
+    "label-n": (lambda data: _edit_node_line(data, 3, r"\t\d+$", "\t24"),
+                "nodes.tsv:3: label 24 >= node count 24"),
+    "split-file": (lambda data: (data / "splits" / "split_00.txt").write_text(
+        "0 1\n", encoding="utf-8"), "split_00.txt: expected 3 index lines"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS_BESIDE_THE_GRAPH))
+def test_analyze_stability_exits_0_on_faults_beside_the_graph(tiny_dataset, tmp_path,
+                                                              capsys, fault):
+    edit, where = _FAULTS_BESIDE_THE_GRAPH[fault]
+    _, clean = _stability_csv(tiny_dataset, tmp_path / "clean")
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    edit(data)
+    assert _stability_csv(data, tmp_path / "faulty") == (0, clean)
+    capsys.readouterr()
+    assert run_cli("analyze", "similarity", "--data", str(data),
+                   "--out", str(tmp_path / "similarity")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and where in err[0]
+
+
+def test_analyze_stability_names_a_duplicate_node_id(tiny_dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    _edit_node_line(data, 4, r"^\d+", "0")
+    assert _stability_csv(data, tmp_path / "st") == (1, None)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "nodes.tsv:4: duplicate node id 0" in err[0]
+
+
 def test_analyze_audit_requires_checkpoint(tiny_dataset, tmp_path, capsys):
     code = run_cli("analyze", "audit", "--out", str(tmp_path / "a"),
                    "--data", tiny_dataset)
@@ -769,8 +840,10 @@ def _unchanged(body):
     (lambda header: None, lambda body: body[:-8] + np.array([np.inf]).tobytes(),
      "parameter 'w_clf' has a non-finite value"),
     (_nan_alpha, _unchanged, "header 'alpha'=nan is not finite"),
+    (lambda header: header.update(j_max=1), _unchanged,
+     f"edited.fgck: j_max=1 must be in [2, {model.MAX_J}]"),
 ], ids=["unknown-name", "missing-key", "shape-mismatch", "trailing-bytes",
-        "nan-parameters", "inf-last-value", "nan-alpha"])
+        "nan-parameters", "inf-last-value", "nan-alpha", "j-max-below-two"])
 def test_analyze_audit_malformed_checkpoint_exits_1(tiny_dataset, tmp_path, capsys,
                                                     edit, edit_body, message):
     ckpt = _edited_checkpoint(tiny_dataset, tmp_path, edit, edit_body)

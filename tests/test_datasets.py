@@ -130,6 +130,88 @@ def test_round_trip_exact(tmp_path):
     assert np.max(np.abs(back.features - graph.features)) <= 1e-15
 
 
+# the edge reader's shortcuts: ids that are their own rows, and a first
+# parse of the file as it is, with no skipped line cut out
+_GRID_N = 7
+_GRID_IDS = {
+    "0..n-1": list(range(_GRID_N)),
+    "shuffled": [3, 6, 0, 5, 1, 4, 2],
+    "shifted": [row + 5 for row in range(_GRID_N)],
+    "negative": [-3, 2, -1, 0, -7, 1, -2],
+}
+_GRID_PAIRS = [(0, 1), (0, 4), (1, 2), (1, 6), (2, 5), (3, 4), (3, 6), (5, 6)]
+_GRID_ORDERS = {
+    "row-major": _GRID_PAIRS,
+    "reversed": _GRID_PAIRS[::-1],
+    "both ways, duplicates, self-loops": (
+        [(j, i) for i, j in _GRID_PAIRS] + _GRID_PAIRS[::2] + [(2, 2), (0, 1), (6, 6)]
+        + _GRID_PAIRS),
+}
+
+
+def _grid_files(tmp_path, ids, edge_rows, skipped_lines):
+    """Node and edge files of the grid: node ``ids`` in file order, and one
+    edge line per (row, row) of ``edge_rows``, with a blank, a ``#`` and a
+    whitespace-only line before every third when ``skipped_lines``."""
+    lines = []
+    for k, (a, b) in enumerate(edge_rows):
+        if skipped_lines and k % 3 == 0:
+            lines += ["", "# comment", " \t "]
+        lines.append(f"{ids[a]}\t{ids[b]}")
+    nodes = _write(tmp_path / "nodes.tsv", "".join(
+        f"{node_id}\t{0.5 * row},1.0\t{row % 2}\n" for row, node_id in enumerate(ids)))
+    return nodes, _write(tmp_path / "edges.tsv", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("skipped_lines", [False, True], ids=["plain", "skipped-lines"])
+@pytest.mark.parametrize("order", sorted(_GRID_ORDERS))
+@pytest.mark.parametrize("ids", sorted(_GRID_IDS))
+def test_edge_reader_matches_the_dense_scatter(tmp_path, ids, order, skipped_lines):
+    edge_rows = _GRID_ORDERS[order]
+    dense = np.zeros((_GRID_N, _GRID_N))
+    for a, b in edge_rows:
+        dense[a, b] = dense[b, a] = 1.0
+    expected = EdgeList.from_dense(dense)          # reads the upper triangle
+    edges = datasets.load_raw(*_grid_files(tmp_path, _GRID_IDS[ids], edge_rows,
+                                           skipped_lines)).edges
+    assert edges.n == expected.n
+    assert np.array_equal(edges.i, expected.i) and np.array_equal(edges.j, expected.j)
+
+
+@pytest.mark.parametrize("skipped_lines", [False, True], ids=["plain", "skipped-lines"])
+@pytest.mark.parametrize("fault", [
+    lambda ids: (f"{max(ids) + 1}\t{ids[0]}", f"unknown node id {max(ids) + 1}"),
+    lambda ids: (f"{ids[0]}\t{min(ids) - 1}", f"unknown node id {min(ids) - 1}"),
+    lambda ids: (f"{ids[0]}\t{ids[1]}\t{ids[2]}", "expected 2 tab-separated fields"),
+    lambda ids: (f"{ids[0]} {ids[1]}", "expected 2 tab-separated fields"),
+], ids=["id-above", "id-below", "3-fields", "space-separated"])
+@pytest.mark.parametrize("ids", sorted(_GRID_IDS))
+def test_edge_reader_names_the_line_of_a_fault(tmp_path, ids, fault, skipped_lines):
+    nodes, edges = _grid_files(tmp_path, _GRID_IDS[ids], _GRID_PAIRS, skipped_lines)
+    lines = pathlib.Path(edges).read_text(encoding="utf-8").splitlines()
+    bad, message = fault(_GRID_IDS[ids])
+    k = len(lines) - 2
+    lines.insert(k, bad)
+    _write(tmp_path / "edges.tsv", "\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        datasets.load_raw(nodes, edges)
+    assert str(info.value) == f"{edges}:{k + 1}: {message}"
+
+
+def test_load_edge_list_is_the_loaded_graphs_edges(tmp_path):
+    tiny, generated = tmp_path / "tiny", tmp_path / "gen"
+    tiny.mkdir()
+    _write(tiny / datasets.NODE_FILE, _NODES)
+    _write(tiny / datasets.EDGE_FILE, _EDGES)
+    assert cli.main(["gen", "--out", str(generated), "--n", "40", "--classes", "3",
+                     "--seed", "3", "--splits", "2"]) == 0
+    for directory in (tiny, generated):
+        edges = datasets.load_edge_list(directory)
+        loaded = datasets.load_dataset_dir(directory).graph.edges
+        assert edges.n == loaded.n and edges.i.size > 0
+        assert np.array_equal(edges.i, loaded.i) and np.array_equal(edges.j, loaded.j)
+
+
 # ---------------------------------------------------------------------------
 # load_raw against a per-value reference loop
 

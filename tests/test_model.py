@@ -825,3 +825,20 @@ def test_checkpoint_rejects_malformed_headers(tmp_path, edit):
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
     with pytest.raises(ValidationError):
         model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("j_max", 1, f"j_max=1 must be in [2, {model.MAX_J}]"),
+    ("mask_dim", 0, "mask_dim=0 must be >= 1"),
+    ("variant", "XX", "unknown variant 'XX'"),
+    ("kernel_mode", "XX", "unknown kernel_mode 'XX'"),
+], ids=["j_max", "mask_dim", "variant", "kernel_mode"])
+def test_checkpoint_config_errors_name_the_file(tmp_path, key, value, message):
+    line, _, body = CHECKPOINT_BYTES.partition(b"\n")
+    header = json.loads(line)
+    header[key] = value
+    path = tmp_path / "model.fgck"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    with pytest.raises(ValidationError) as info:
+        model.load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: {message}")
