@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .errors import ContractError, NumericError
 from .graphs import (EdgeList, SpectralDecomposition, heterophilic_fraction,
                      operator_distance, symmetric_eig)
-from .model import BANK_KINDS, kernel_value
+from .model import BANK_KINDS, FilterBankSpec, kernel_value
 
 
 @dataclass
@@ -303,7 +303,7 @@ def spectral_response_export(j_max: int, mode: str, grid_points: int = 200):
     lam = np.linspace(0.0, 2.0, grid_points)
     rows = []
     for kind in BANK_KINDS:
-        for j in range(2, j_max + 1):
+        for j in FilterBankSpec(j_max, mode, kind).scales():
             values = kernel_value(j, lam, mode, kind)
             rows.extend((float(l), j, kind, float(v)) for l, v in zip(lam, values))
     return rows

@@ -285,7 +285,7 @@ def _response(args):
     return (lines, {"j_max": args.j_max, "kernel_mode": args.kernel_mode,
                     "grid_points": args.grid, "rows": len(rows)},
             f"response: {len(rows)} rows over {args.grid} frequencies, "
-            f"scales 2..{args.j_max}", 0)
+            f"scales {rows[0][1]}..{rows[-1][1]}", 0)
 
 
 def _prop1(args):
@@ -313,9 +313,10 @@ def _stability(args):
         edges = load_edge_list(args.data)
     else:                                # one class: an Erdos-Renyi G(n, 0.3)
         edges = gen_synthetic(args.n, 1, 0.3, 0.3, 0.0, args.seed, n_splits=0).edges
-    table = analysis.stability_table(normalized_laplacian(edges.dense()),
-                                     range(2, args.j_max + 1), args.kernel_mode,
-                                     fm.BANK_KINDS, args.epsilons, args.trials, args.seed)
+    scales = fm.FilterBankSpec(args.j_max, args.kernel_mode, fm.BANK_KINDS[0]).scales()
+    table = analysis.stability_table(normalized_laplacian(edges.dense()), scales,
+                                     args.kernel_mode, fm.BANK_KINDS, args.epsilons,
+                                     args.trials, args.seed)
     lines = ["epsilon,j,kind,observed_distance,bound_value,delta,holds_with_slack"]
     probes = [r for recs in table.values() for r in recs]
     violated = sum(not r.holds_with_slack for r in probes)

@@ -89,8 +89,6 @@ class CandidateGraph:
         return int(self.edges.i.size)
 
 
-# a line that ``_data_lines`` skips, with the newline in front of it
-_SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#[^\n]*)?(?=\n|\Z)")
 _INT = re.compile(r"\s*([+-]?[0-9]+)\s*")
 _INT64 = np.iinfo(np.int64)
 
@@ -260,11 +258,10 @@ def _read_edges(edge_file, ids: dict[int, int]) -> EdgeList:
     one sort of the pair keys, which a pass over adjacent keys rids of
     duplicates.  Two shortcuts give the same result, or the same error:
 
-    * numpy's parser reads the file as it is, and the lines that
-      ``_data_lines`` skips are cut out and the rest parsed again only when
-      that fails.  numpy skips empty lines and rejects a comment or
-      whitespace-only one, so a first parse that succeeds had nothing else
-      to skip.
+    * numpy's parser reads the file as it is, and parses the lines that
+      ``_data_lines`` yields only when that fails.  numpy skips empty
+      lines and rejects a comment or whitespace-only one, so a first parse
+      that succeeds had nothing else to skip.
     * When the ids are 0..n-1 in file order, as ``save_raw`` writes them,
       an id is its row, and a bounds check stands in for the sorted search
       that maps ids to rows otherwise.
@@ -273,8 +270,8 @@ def _read_edges(edge_file, ids: dict[int, int]) -> EdgeList:
         text = fh.read()
     pairs = _loadtxt(io.StringIO(text), np.int64, "\t")
     if pairs is None:
-        text = _SKIPPED_LINE.sub("", "\n" + text)
-        pairs = (_loadtxt(io.StringIO(text), np.int64, "\t") if text
+        lines = [line for _, line in _data_lines(edge_file)]
+        pairs = (_loadtxt(lines, np.int64, "\t") if lines
                  else np.empty((0, 2), dtype=np.int64))
     n = len(ids)
     node_ids = np.fromiter(ids, dtype=np.int64, count=n)

@@ -36,8 +36,8 @@ classifier's F-row blocks laid side by side (``ad.side_by_side``) in one
 ``mask_matrix`` takes in place of X, and each bank's
 Z = [X W_2 | ... | X W_J].  Its backward is one X^T G.
 
-A bank's ``FilterBankSpec`` holds every choice about it:
-``coefficients`` tables its J - 1 kernels, each a polynomial in T, and
+A bank's ``FilterBankSpec`` holds every choice about it: ``scales``
+lists its kernels, ``coefficients`` tables each as a polynomial in T, and
 ``operator`` builds its T.  ``ad.propagate`` applies
 the table to blocks by repeated dense products T @ Y: one tape node per
 bank, whose backward reads the T gradient at the bank's edges.
@@ -48,8 +48,8 @@ Each step T @ Y runs in the form BLAS runs fastest for the block's
 shape: row panels of T for a block 2 to 7 columns wide on n >= 512 rows,
 as at C = 5 on the heterophilic benchmarks (see ``autodiff._step``).
 
-``_parameter_shapes`` is the one table of the parameters: the model
-draws them from it, and the checkpoint loader checks a file against it.
+``_parameter_shapes``, sized by the banks' specs, is the one table of the
+parameters: the model draws them from it, and the loader checks files against it.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ CHECKPOINT_FORMAT = "fggsl-checkpoint-v1"
 
 @dataclass
 class FilterBankSpec:
-    """A bank of J-1 diffusion kernels at scales j = 2..J."""
+    """The one list of a bank's kernels: J-1 diffusion kernels at scales 2..J."""
 
     j_max: int
     mode: str
@@ -115,7 +115,7 @@ class FilterBankSpec:
         array whose column j - 2 holds the coefficients of T^0 .. T^(2^J)
         in h_j, so that h_j(lam) = sum_s coeffs[s, j - 2] t(lam)^s with
         the t of ``kernel_value``."""
-        table = np.zeros((2 ** self.j_max + 1, self.j_max - 1))
+        table = np.zeros((2 ** self.j_max + 1, len(self.scales())))
         for col, j in enumerate(self.scales()):
             table[2 ** (j - 1), col] = 1.0
             if self.mode == "verbatim" and self.kind == "low":
@@ -228,32 +228,33 @@ def bank_graph(graph: LabeledGraph, variant: str, spec: str) -> CandidateGraph:
     return candidate_graph(graph, spec if learns_masks(variant) else "given")
 
 
-def _parameter_shapes(num_features: int, num_classes: int, j_max: int,
-                      mask_dim: int, variant: str) -> dict[str, tuple[int, int]]:
-    """Each parameter's shape in the ``FgGSLModel`` of these sizes, in the
+def _parameter_shapes(num_features: int, num_classes: int, j_max: int, mask_dim: int,
+                      kernel_mode: str, variant: str) -> dict[str, tuple[int, int]]:
+    """Each parameter's shape in the ``FgGSLModel`` of these fields, in the
     order the model draws them: the weight and bias of both mask nets
     z = tanh(X W + b), which every variant holds whether or not it uses
-    them, then the classifier over ``embedding``'s columns."""
+    them, then the classifier, one F-row block per kernel of each bank."""
+    kernels = sum(len(FilterBankSpec(j_max, kernel_mode, k).scales()) for k in BANKS[variant])
     return {"mask_ho_w": (num_features, mask_dim), "mask_ho_b": (1, mask_dim),
             "mask_ht_w": (num_features, mask_dim), "mask_ht_b": (1, mask_dim),
-            "w_clf": (len(BANKS[variant]) * (j_max - 1) * num_features, num_classes)}
+            "w_clf": (kernels * num_features, num_classes)}
 
 
 class FgGSLModel:
     """Mask networks + filter banks + linear classifier for one variant.
 
-    full : both masks, both banks                  (width 2(J-1)F)
-    NM   : no masks, both banks on the given graph (width 2(J-1)F)
-    FBL  : homophilic mask, low bank only          (width (J-1)F)
-    FBH  : heterophilic mask, high bank            (width (J-1)F)
+    full : both masks, both banks
+    NM   : no masks, both banks on the given graph
+    FBL  : homophilic mask, low bank only
+    FBH  : heterophilic mask, high bank
 
     ``BANKS`` holds this table.
 
-    The width is that of ``embedding``.  ``w_clf`` holds one F-row block
-    per (bank, scale): the low bank's scales 2..J first, then the high
-    bank's.  ``_parameter_shapes`` holds every parameter's shape; a bias
-    starts at zero and a weight of r x c is drawn from U(-l, l) with
-    l = sqrt(6 / (r + c)), in the table's order.
+    The width is that of ``embedding``, F per kernel of each bank.
+    ``w_clf`` holds one F-row block per (bank, kernel): the low bank's
+    first, in ``scales`` order.  ``_parameter_shapes`` holds every
+    parameter's shape; a bias starts at zero and a weight of r x c is
+    drawn from U(-l, l) with l = sqrt(6 / (r + c)), in the table's order.
     """
 
     def __init__(self, num_features: int, num_classes: int, j_max: int = 4,
@@ -268,7 +269,7 @@ class FgGSLModel:
         self.variant = variant
         self.params = ParameterSet()
         rng = np.random.default_rng(seed)
-        shapes = _parameter_shapes(num_features, num_classes, j_max, mask_dim, variant)
+        shapes = _parameter_shapes(**{key: getattr(self, key) for key in _MODEL_FIELDS})
         for name, (rows, cols) in shapes.items():
             if name.endswith("_b"):
                 self.params.add(name, np.zeros((rows, cols)))
@@ -310,12 +311,12 @@ def _feature_products(model: FgGSLModel, x: Tensor,
                       classifier: bool) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
     """Every product of the variant with X, from one ``ad.matmul``.
 
-    The product is X [W_net ... | W_1 | ... | W_B(J-1)]: the weight of
-    each mask net in ``BANKS`` order, then, with ``classifier``, the
-    F-row blocks of ``w_clf`` side by side.  Returns ({bank kind: X W_net
-    of the bank's mask net}, {bank kind: Z = [X W_2 | ... | X W_J] of the
-    bank}), the second empty without ``classifier``.  The backward of the
-    product is one X^T G.
+    The product is X [W_net ... | W_1 | ... | W_K]: the weight of each
+    mask net in ``BANKS`` order, then, with ``classifier``, the K F-row
+    blocks of ``w_clf`` side by side, split evenly across the banks.
+    Returns ({bank kind: X W_net of the bank's mask net}, {bank kind:
+    Z = [X W_2 | ... | X W_J] of the bank}), the second empty without
+    ``classifier``.  The backward of the product is one X^T G.
     """
     if x.shape[1] != model.num_features:
         raise ContractError(
@@ -325,8 +326,9 @@ def _feature_products(model: FgGSLModel, x: Tensor,
     weights = [(model.params[f"{banks[kind]}_w"], 1) for kind in nets]
     widths = [model.mask_dim] * len(nets)
     if classifier:
-        weights.append((model.params["w_clf"], len(banks) * (model.j_max - 1)))
-        widths += [(model.j_max - 1) * model.num_classes] * len(banks)
+        blocks = model.embedding_width() // model.num_features
+        weights.append((model.params["w_clf"], blocks))
+        widths += [blocks // len(banks) * model.num_classes] * len(banks)
     if not weights:
         return {}, {}
     xw = ad.matmul(x, ad.side_by_side(weights))
@@ -527,9 +529,9 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
         _check_header(path, header)
         body = fh.read()
     fields = {key: header[key] for key in _MODEL_FIELDS}
-    kernel_mode = fields.pop("kernel_mode")        # no parameter's shape reads it
     try:
-        check_config(fields["variant"], kernel_mode, fields["j_max"], fields["mask_dim"])
+        check_config(fields["variant"], fields["kernel_mode"], fields["j_max"],
+                     fields["mask_dim"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     expected = _parameter_shapes(**fields)
@@ -560,7 +562,7 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
             raise ValidationError(f"{path}: parameter {name!r} has a non-finite value")
         arrays[name] = values.reshape(rows, cols).astype(np.float64)
         offset += values.nbytes
-    model = FgGSLModel(kernel_mode=kernel_mode, **fields)
+    model = FgGSLModel(**fields)
     for name, values in arrays.items():
         model.params[name].data = values
     return model, header

@@ -147,38 +147,47 @@ _GRID_ORDERS = {
         [(j, i) for i, j in _GRID_PAIRS] + _GRID_PAIRS[::2] + [(2, 2), (0, 1), (6, 6)]
         + _GRID_PAIRS),
 }
+# line kind -> (the lines put before every third edge line, the line end)
+_GRID_LINE_KINDS = {
+    "plain": ((), "\n"),
+    "skipped-lines": (("", "# comment", " \t "), "\n"),
+    "CR-line-ends": (("", "# comment", " \t "), "\r"),
+    "form-feed-line": (("\f",), "\n"),
+    "tab-indented-#": (("\t# comment",), "\n"),
+}
 
 
-def _grid_files(tmp_path, ids, edge_rows, skipped_lines):
+def _grid_files(tmp_path, ids, edge_rows, line_kind):
     """Node and edge files of the grid: node ``ids`` in file order, and one
-    edge line per (row, row) of ``edge_rows``, with a blank, a ``#`` and a
-    whitespace-only line before every third when ``skipped_lines``."""
+    edge line per (row, row) of ``edge_rows``, laid out as ``line_kind``
+    of ``_GRID_LINE_KINDS`` says."""
+    skipped, end = _GRID_LINE_KINDS[line_kind]
     lines = []
     for k, (a, b) in enumerate(edge_rows):
-        if skipped_lines and k % 3 == 0:
-            lines += ["", "# comment", " \t "]
+        if k % 3 == 0:
+            lines += skipped
         lines.append(f"{ids[a]}\t{ids[b]}")
     nodes = _write(tmp_path / "nodes.tsv", "".join(
         f"{node_id}\t{0.5 * row},1.0\t{row % 2}\n" for row, node_id in enumerate(ids)))
-    return nodes, _write(tmp_path / "edges.tsv", "\n".join(lines) + "\n")
+    return nodes, _write(tmp_path / "edges.tsv", end.join(lines) + end)
 
 
-@pytest.mark.parametrize("skipped_lines", [False, True], ids=["plain", "skipped-lines"])
+@pytest.mark.parametrize("line_kind", list(_GRID_LINE_KINDS))
 @pytest.mark.parametrize("order", sorted(_GRID_ORDERS))
 @pytest.mark.parametrize("ids", sorted(_GRID_IDS))
-def test_edge_reader_matches_the_dense_scatter(tmp_path, ids, order, skipped_lines):
+def test_edge_reader_matches_the_dense_scatter(tmp_path, ids, order, line_kind):
     edge_rows = _GRID_ORDERS[order]
     dense = np.zeros((_GRID_N, _GRID_N))
     for a, b in edge_rows:
         dense[a, b] = dense[b, a] = 1.0
     expected = EdgeList.from_dense(dense)          # reads the upper triangle
     edges = datasets.load_raw(*_grid_files(tmp_path, _GRID_IDS[ids], edge_rows,
-                                           skipped_lines)).edges
+                                           line_kind)).edges
     assert edges.n == expected.n
     assert np.array_equal(edges.i, expected.i) and np.array_equal(edges.j, expected.j)
 
 
-@pytest.mark.parametrize("skipped_lines", [False, True], ids=["plain", "skipped-lines"])
+@pytest.mark.parametrize("line_kind", ["plain", "skipped-lines"])
 @pytest.mark.parametrize("fault", [
     lambda ids: (f"{max(ids) + 1}\t{ids[0]}", f"unknown node id {max(ids) + 1}"),
     lambda ids: (f"{ids[0]}\t{min(ids) - 1}", f"unknown node id {min(ids) - 1}"),
@@ -186,8 +195,8 @@ def test_edge_reader_matches_the_dense_scatter(tmp_path, ids, order, skipped_lin
     lambda ids: (f"{ids[0]} {ids[1]}", "expected 2 tab-separated fields"),
 ], ids=["id-above", "id-below", "3-fields", "space-separated"])
 @pytest.mark.parametrize("ids", sorted(_GRID_IDS))
-def test_edge_reader_names_the_line_of_a_fault(tmp_path, ids, fault, skipped_lines):
-    nodes, edges = _grid_files(tmp_path, _GRID_IDS[ids], _GRID_PAIRS, skipped_lines)
+def test_edge_reader_names_the_line_of_a_fault(tmp_path, ids, fault, line_kind):
+    nodes, edges = _grid_files(tmp_path, _GRID_IDS[ids], _GRID_PAIRS, line_kind)
     lines = pathlib.Path(edges).read_text(encoding="utf-8").splitlines()
     bad, message = fault(_GRID_IDS[ids])
     k = len(lines) - 2

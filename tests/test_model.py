@@ -721,9 +721,40 @@ def test_only_a_variant_without_mask_nets_runs_on_the_given_graph():
 @pytest.mark.parametrize("variant", model.VARIANTS)
 def test_model_parameters_are_the_shape_table(variant):
     m = model.FgGSLModel(7, 3, j_max=4, mask_dim=5, variant=variant, seed=1)
-    table = model._parameter_shapes(7, 3, 4, 5, variant)
+    table = model._parameter_shapes(7, 3, 4, 5, "fig3", variant)
     assert [(name, t.shape) for name, t in m.params] == list(table.items())
     assert m.embedding_width() == table["w_clf"][0]
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_the_classifier_width_follows_the_bank_spec(monkeypatch, tmp_path, variant):
+    # a spec that lists one more kernel, I - T (label 0), before scales 2..J
+    scales = model.FilterBankSpec.scales
+
+    def coefficients(spec):
+        table = np.zeros((2 ** spec.j_max + 1, spec.j_max))
+        table[:2, 0] = 1.0, -1.0
+        for col, j in enumerate(scales(spec), start=1):
+            table[2 ** (j - 1), col], table[2 ** j, col] = 1.0, -1.0
+        return table
+
+    monkeypatch.setattr(model.FilterBankSpec, "scales", lambda spec: [0, *scales(spec)])
+    monkeypatch.setattr(model.FilterBankSpec, "coefficients", coefficients)
+    j_max, features = 3, 7
+    g = _random_graph(25, n=12, classes=3)
+    x = ad.constant(np.hstack([g.features, np.random.default_rng(26).standard_normal((12, 4))]))
+    m = model.FgGSLModel(features, 3, j_max=j_max, mask_dim=4, variant=variant, seed=27)
+    assert m.embedding_width() == len(model.BANKS[variant]) * j_max * features
+    cand = datasets.candidate_graph(g, "given" if variant == "NM" else "full")
+    with ad.no_grad():
+        logits = model.forward(m, x, cand).logits.data
+        expected = model.embedding(m, x, cand).data @ m.params["w_clf"].data
+    assert np.linalg.norm(logits - expected) <= 1e-12 * np.linalg.norm(expected)
+    path = tmp_path / "model.fgck"
+    model.save_checkpoint(path, m, alpha=1.0, beta=1.0)
+    loaded, _ = model.load_checkpoint(path)
+    assert [(name, t.shape) for name, t in loaded.params] == \
+        [(name, t.shape) for name, t in m.params]
 
 
 def test_model_rejects_unknown_variant():
