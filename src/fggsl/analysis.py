@@ -41,9 +41,10 @@ class PairBoundRecord:
 
 
 def _cosines(m: np.ndarray, pairs, what: str) -> np.ndarray:
-    """cos(m_i, m_j) per pair (i, j), by the pair layer of ``autodiff``."""
-    unit = ad.unit_rows(ad.constant(m), pairs, what)
-    return ad.pair_dots(unit, pairs).data[:, 0]
+    """cos(m_i, m_j) per pair (i, j), by the pair layer of ``autodiff``, on
+    one index of the pairs."""
+    index = ad.pair_index(pairs, m.shape[0], what)
+    return ad.pair_dots(ad.unit_rows(ad.constant(m), index, what), index).data[:, 0]
 
 
 def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]:

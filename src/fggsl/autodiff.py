@@ -24,9 +24,10 @@ any other block runs as T @ Y.
 
 T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
 column, so it is exactly symmetric and T^T is T.  The op builds T with
-one symmetric scatter (``EdgeOperator.dense``) and holds it in its
-node, and the gradient is the per-edge column off * (dT[i, j] + dT[j, i]),
-read one row block at a time, so no n x n dT is formed.  ``side_by_side``
+one symmetric scatter (``EdgeOperator.dense``), or takes the T an
+operator holds (``EdgeOperator.held``), and keeps it in its node; the
+gradient is the per-edge column off * (dT[i, j] + dT[j, i]), read one
+row block at a time, so no n x n dT is formed.  ``side_by_side``
 lays the row blocks of several weights next to each other in one array,
 so one product with X serves all of them; with one block per part it is
 the plain column concatenation.  ``block`` reads one column span of that
@@ -37,14 +38,23 @@ Per-pair quantities are |P| x 1 columns over a list of node pairs
 the Gram matrix a a^T at the pairs, and every cosine is
 ``pair_dots(unit_rows(a, pairs, what), pairs)``; ``unit_rows`` is the
 one zero-norm check, and ``row_units``, the one overflow-safe row norm,
-also normalises features and kNN.  The pair layer groups the pairs by
-row (``_PairRows``) and works one row block of
-``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries, at a time,
-skipping blocks that hold no pair: the forward reads a block of a a^T,
-and the VJP scatters the block's pair gradients into its rows of S with
-one ``bincount`` and adds S a + S^T a.  ``edge_normalize`` turns an
+also normalises features and kNN.  ``edge_normalize`` turns an
 undirected edge column into its symmetric normalised one, taking the
 degrees with ``np.bincount``.
+
+Every pair op, ``EdgeOperator.dense`` and ``propagate``'s VJP read the
+pairs through a ``PairIndex``, which does the index work once: the pairs
+as ``intp`` arrays, their row blocks of ``_block_rows(n)`` rows, about
+``BLOCK_ENTRIES`` entries, each block's flat gather offsets, and the
+flat offsets of (i, j) and (j, i) in an n x n array.  A candidate graph
+builds one when it is made, and the model passes it to every op of
+every forward; an op given an (i, j) tuple builds a transient one
+(``pair_index``).  The pair layer works one row block at a time,
+skipping blocks that hold no pair: the forward reads a block of a a^T
+at the block's offsets, and the VJP scatters the block's pair gradients
+into its rows of S with one ``bincount`` on the same offsets and adds
+S a + S^T a.  An index and its tuple give the same bits: every gather
+and sum reads the same elements in the same order.
 """
 
 from __future__ import annotations
@@ -260,9 +270,10 @@ def scale(c: float, a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    # split by sign so exp never overflows
+    # split by sign so exp never overflows: 1 / (1 + e) where x >= 0,
+    # e / (1 + e) elsewhere
     e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return _emit(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -471,8 +482,10 @@ def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
     steps = top - 1
     width = (m_out if horner else k_in) * w
     stack = np.empty((n, steps * width)) if keep else None
-    terms = [[(k, m, coeffs[s, k, m]) for k, m in zip(*np.nonzero(coeffs[s]))]
-             for s in range(top)]
+    # each power's nonzero terms (k, m, coeffs[s, k, m]), in row-major order
+    terms = [[] for _ in range(top)]
+    for s, k, m in zip(*np.nonzero(coeffs)):
+        terms[s].append((k, m, coeffs[s, k, m]))
 
     def add_terms(out, y, s):
         for k, m, c in terms[s]:
@@ -501,16 +514,20 @@ class EdgeOperator(NamedTuple):
     """T = diag * I + off * W of an undirected edge column, for ``propagate``.
 
     ``w`` holds one weight per pair (i, j) with i != j and no pair given
-    twice in either orientation.  ``dense`` builds T; ``propagate``'s
-    gradient for T is the per-edge column off * (dT[i, j] + dT[j, i]), so
-    no n x n dT is formed.
+    twice in either orientation; ``pairs`` is a ``PairIndex`` or the
+    index arrays (i, j).  ``dense`` builds T, and ``held`` returns the
+    operator with T built and kept in ``matrix``, for a constant column
+    whose T serves many propagations; ``propagate`` steps ``matrix`` when
+    it is set, and else builds T.  ``propagate``'s gradient for T is the
+    per-edge column off * (dT[i, j] + dT[j, i]), so no n x n dT is formed.
     """
 
     w: Tensor
-    pairs: tuple
+    pairs: tuple | PairIndex
     n: int
     diag: float
     off: float
+    matrix: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -518,16 +535,24 @@ class EdgeOperator(NamedTuple):
 
     def dense(self) -> np.ndarray:
         """The n x n array T; one scatter writes each weight at (i, j) and
-        (j, i), so T is exactly symmetric."""
-        i_idx, j_idx = _pair_indices(self.pairs, "EdgeOperator")
-        if self.w.shape != (i_idx.size, 1):
-            raise DimensionError(f"EdgeOperator: weights {self.w.shape} for {i_idx.size} pairs")
+        (j, i), through the flat offsets of the pair index, so T is
+        exactly symmetric."""
+        index = pair_index(self.pairs, self.n, "EdgeOperator")
+        if self.w.shape != (index.size, 1):
+            raise DimensionError(f"EdgeOperator: weights {self.w.shape} for {index.size} pairs")
         out = np.zeros((self.n, self.n))
         v = float(self.off) * self.w.data[:, 0]
-        out[i_idx, j_idx] = v
-        out[j_idx, i_idx] = v
+        flat = out.reshape(-1)
+        flat[index.upper] = v
+        flat[index.lower] = v
         np.fill_diagonal(out, float(self.diag))
         return out
+
+    def held(self) -> EdgeOperator:
+        """This operator with T built once and kept, read-only, in ``matrix``."""
+        t = self.dense()
+        t.flags.writeable = False
+        return self._replace(matrix=t)
 
 
 def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
@@ -542,7 +567,8 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     order the M output blocks (M < K).  An op that records nothing runs
     in the matrices order where ``_through_matrices`` finds it cheaper,
     which it never does for an n x C block.  ``t`` is built into one
-    dense, exactly symmetric T held by the op.
+    dense, exactly symmetric T held by the op, unless it holds one
+    already (``EdgeOperator.held``).
 
     The op records one tape node, on (the edge column, Z).  Its VJP for Z
     is the same polynomial in T = T^T with coeffs transposed over (k, m),
@@ -551,7 +577,7 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     gradient of the output of the forward's step whose input is block s
     of the forward's steps F.  So dT = B F^T, and the edge column's
     gradient reads off * (dT + dT^T) at its pairs, one row block of
-    [B | F] [F | B]^T at a time (``_PairRows``).
+    [B | F] [F | B]^T at a time (``PairIndex.read``).
     """
     n, width = z.shape
     if t.shape != (n, n):
@@ -567,7 +593,7 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     coeffs = coeffs[:live[-1] + 1 if live.size else 1]
     top, k_in, m_out = coeffs.shape
     order, back = ("horner", "chain") if m_out < k_in else ("chain", "horner")
-    w, td = t.w, t.dense()
+    w, td = t.w, t.dense() if t.matrix is None else t.matrix
     records = _records((w, z))
     if not records and _through_matrices(n, top - 1, k_in, m_out, width // k_in):
         order = "matrices"
@@ -579,7 +605,7 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
                                          w.requires_grad)
         dw = None
         if w.requires_grad:
-            rows = _PairRows(*_pair_indices(t.pairs, "propagate"), n)
+            rows = pair_index(t.pairs, n, "propagate")
             dw = t.off * rows.read(np.hstack([backward_steps, forward_steps]),
                                    np.hstack([forward_steps, backward_steps]))
         return dw, dz if z.requires_grad else None
@@ -641,14 +667,6 @@ def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> Tensor:
     return _emit(np.array([[ce_val]]), (logits, onehot), vjp)
 
 
-def _pair_indices(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
-    i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
-    j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
-    if i_idx.size != j_idx.size:
-        raise DimensionError(f"{what}: pair index arrays differ in length")
-    return i_idx, j_idx
-
-
 def row_units(m: np.ndarray, ord: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``m`` divided by their ``ord``-norm, and the norms.  A
     zero row stays zero.  A row whose norm overflows, or underflows to 0
@@ -683,7 +701,8 @@ def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
     precision, and divides by the row's norm, so a row whose norm
     overflows gets a zero gradient.
     """
-    i_idx, j_idx = _pair_indices(pairs, what)
+    index = pair_index(pairs, a.shape[0], what)
+    i_idx, j_idx = index.i, index.j
     u, norms = row_units(a.data, 2)
     if not np.all(norms):
         zero = (norms[i_idx] == 0) | (norms[j_idx] == 0)
@@ -715,18 +734,28 @@ def _block_rows(n: int) -> int:
     return max(1, BLOCK_ENTRIES // max(n, 1))
 
 
-class _PairRows:
-    """Node pairs (i, j) as lo = min(i, j) <= hi = max(i, j), grouped by lo
-    into row blocks of ``_block_rows(n)`` rows.
+class PairIndex:
+    """Node pairs (i, j) over n nodes, with the index work of every pair op
+    done once: ``CandidateGraph`` builds one for its pairs, and a pair op
+    given an (i, j) tuple builds a transient one (``pair_index``).
 
-    ``blocks`` lists (r0, r1, c1, p0, p1): the sorted pairs p0:p1 have lo
-    in rows r0:r1 and hi below c1.  Blocks that hold no pair are not
-    listed.  Pairs already sorted by lo, as ``edge_pairs()`` returns them,
-    are not moved; any others are ordered once by a stable argsort, and
-    the results come back in the caller's order.
+    ``i`` and ``j`` hold the pairs as ``intp`` arrays, and ``upper`` and
+    ``lower`` their flat offsets i n + j and j n + i into an n x n array.
+    The pairs are grouped as lo = min(i, j) <= hi = max(i, j) by lo into
+    row blocks of ``_block_rows(n)`` rows: ``blocks`` lists (r0, r1, c1,
+    p0, p1), the sorted pairs p0:p1 having lo in rows r0:r1 and hi below
+    c1, and ``offsets`` holds each sorted pair's flat offset
+    (lo - r0)(c1 - r0) + hi - r0 into its block's (r1 - r0) x (c1 - r0)
+    array.  Blocks that hold no pair are not listed.  Pairs already sorted
+    by lo, as ``edge_pairs()`` returns them, are not moved; any others are
+    ordered once by a stable argsort, ``order``, and the results come back
+    in the caller's order.
     """
 
     def __init__(self, i_idx: np.ndarray, j_idx: np.ndarray, n: int):
+        i_idx, j_idx = np.asarray(i_idx, dtype=np.intp), np.asarray(j_idx, dtype=np.intp)
+        self.i, self.j, self.n = i_idx, j_idx, n
+        self.upper, self.lower = i_idx * n + j_idx, j_idx * n + i_idx
         lo, hi = i_idx, j_idx
         if np.any(i_idx > j_idx):
             lo, hi = np.minimum(i_idx, j_idx), np.maximum(i_idx, j_idx)
@@ -734,37 +763,59 @@ class _PairRows:
         if np.any(lo[1:] < lo[:-1]):
             self.order = np.argsort(lo, kind="stable")
             lo, hi = lo[self.order], hi[self.order]
-        self.lo, self.hi = lo, hi
         rows = _block_rows(n)
         firsts = np.concatenate(([0], np.searchsorted(lo, np.arange(rows, n, rows)),
                                  [lo.size]))
         self.blocks = [(r0, min(r0 + rows, n), int(hi[p0:p1].max()) + 1, int(p0), int(p1))
                        for r0, p0, p1 in zip(range(0, n, rows), firsts, firsts[1:])
                        if p1 > p0]
+        self.offsets = np.empty(lo.size, dtype=np.intp)
+        for r0, _, c1, p0, p1 in self.blocks:
+            self.offsets[p0:p1] = (lo[p0:p1] - r0) * (c1 - r0) + hi[p0:p1] - r0
+
+    @property
+    def size(self) -> int:
+        return self.i.size
 
     def read(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(left right^T)[i, j] per pair, as a column; the product must be
         symmetric.  Row block r0:r1 computes left[r0:r1] right[r0:c1]^T."""
-        vals = np.empty(self.lo.size)
+        vals = np.empty(self.size)
         for r0, r1, c1, p0, p1 in self.blocks:
-            part = left[r0:r1] @ right[r0:c1].T
-            vals[p0:p1] = part[self.lo[p0:p1] - r0, self.hi[p0:p1] - r0]
+            vals[p0:p1] = np.take(left[r0:r1] @ right[r0:c1].T, self.offsets[p0:p1])
         if self.order is not None:
             vals[self.order] = vals.copy()
         return vals.reshape(-1, 1)
+
+
+def pair_index(pairs, n: int, what: str) -> PairIndex:
+    """``pairs`` itself if it is a PairIndex over n nodes; else a transient
+    PairIndex of the index arrays (i, j) ``pairs``, which must be of one
+    length and lie in [0, n)."""
+    if isinstance(pairs, PairIndex):
+        if pairs.n != n:
+            raise DimensionError(f"{what}: pair index over {pairs.n} nodes, not {n}")
+        return pairs
+    i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
+    j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
+    if i_idx.size != j_idx.size:
+        raise DimensionError(f"{what}: pair index arrays differ in length")
+    if i_idx.size and not (0 <= min(i_idx.min(), j_idx.min())
+                           and max(i_idx.max(), j_idx.max()) < n):
+        raise DimensionError(f"{what}: a pair index lies outside [0, {n})")
+    return PairIndex(i_idx, j_idx, n)
 
 
 def pair_dots(a: Tensor, pairs) -> Tensor:
     """a[i] . a[j] per pair (i, j), as a column: (a a^T) read at the pairs.
 
     A cosine is ``pair_dots(unit_rows(a, pairs, what), pairs)``.  Both
-    directions work one row block of ``_PairRows`` at a time, so no n x n
-    array is formed.  Backward scatters a block's pair gradients into
-    its rows of S and adds S a + S^T a.
+    directions work one row block of the ``PairIndex`` at a time, so no
+    n x n array is formed.  Backward scatters a block's pair gradients
+    into its rows of S, at the index's flat offsets, and adds S a + S^T a.
     """
-    i_idx, j_idx = _pair_indices(pairs, "pair_dots")
     ad = a.data
-    rows = _PairRows(i_idx, j_idx, ad.shape[0])
+    rows = pair_index(pairs, ad.shape[0], "pair_dots")
     vals = rows.read(ad, ad)
 
     def vjp(g):
@@ -773,9 +824,8 @@ def pair_dots(a: Tensor, pairs) -> Tensor:
         for r0, r1, c1, p0, p1 in rows.blocks:
             # S[r0:r1, r0:c1] sums g over the block's pairs: one bincount
             cols = c1 - r0
-            s = np.bincount((rows.lo[p0:p1] - r0) * cols + rows.hi[p0:p1] - r0,
-                            weights=gs[p0:p1], minlength=(r1 - r0) * cols
-                            ).reshape(r1 - r0, cols)
+            s = np.bincount(rows.offsets[p0:p1], weights=gs[p0:p1],
+                            minlength=(r1 - r0) * cols).reshape(r1 - r0, cols)
             out[r0:r1] += s @ ad[r0:c1]
             out[r0:c1] += s.T @ ad[r0:r1]
         return (out,)
@@ -794,23 +844,24 @@ def edge_normalize(w: Tensor, pairs, n: int) -> Tensor:
     order.  The |E|-length gathers are redone in the VJP, not held on
     the tape.
     """
-    i_idx, j_idx = _pair_indices(pairs, "edge_normalize")
-    if w.shape != (i_idx.size, 1):
-        raise DimensionError(f"edge_normalize: weights {w.shape} for {i_idx.size} pairs")
+    index = pair_index(pairs, n, "edge_normalize")
+    i_idx, j_idx = index.i, index.j
+    if w.shape != (index.size, 1):
+        raise DimensionError(f"edge_normalize: weights {w.shape} for {index.size} pairs")
     wv = w.data[:, 0]
     d = (np.bincount(i_idx, weights=wv, minlength=n)
          + np.bincount(j_idx, weights=wv, minlength=n))
     r = 1.0 / np.sqrt(np.maximum(d, DEGREE_EPS))
 
     def vjp(g):
-        ri, rj = r[i_idx], r[j_idx]
+        ri, rj = r.take(i_idx), r.take(j_idx)
         gw = g[:, 0] * wv
         gr = (np.bincount(i_idx, weights=gw * rj, minlength=n)
               + np.bincount(j_idx, weights=gw * ri, minlength=n))
         gd = np.where(d > DEGREE_EPS, -0.5 * gr * r / np.maximum(d, DEGREE_EPS), 0.0)
-        return g * (ri * rj)[:, None], (gd[i_idx] + gd[j_idx]).reshape(-1, 1)
+        return g * (ri * rj)[:, None], (gd.take(i_idx) + gd.take(j_idx)).reshape(-1, 1)
 
-    return _emit((r[i_idx] * r[j_idx] * wv).reshape(-1, 1), (w, w), vjp)
+    return _emit((r.take(i_idx) * r.take(j_idx) * wv).reshape(-1, 1), (w, w), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import io
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,14 +63,24 @@ class CandidateGraph:
     each read and read-only.  A dense matrix given in place of the
     ``EdgeList`` is read by its support (``EdgeList.from_dense``); only
     perfbench's self-test builds one so, until ROADMAP item 3 moves it to
-    ``candidate_graph``."""
+    ``candidate_graph``.
+
+    ``index`` is the ``ad.PairIndex`` of the pairs, built once when the
+    candidate is made, so that every pair op of every forward reads it
+    instead of redoing its index work.  ``operators`` holds what the
+    model builds once per candidate: the operators of the banks whose
+    edge column is constant (``model._banks``).  Both go with the
+    candidate."""
 
     edges: EdgeList
     mode: str
+    index: ad.PairIndex = field(init=False, repr=False, compare=False)
+    operators: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.edges, EdgeList):
             self.edges = EdgeList.from_dense(self.edges)
+        self.index = ad.PairIndex(*self.edges.pairs, self.edges.n)
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Upper-triangle (i, j) index arrays of candidate edges, read-only."""

@@ -22,8 +22,14 @@ column into the normalised weights a_e = w_e / sqrt(d_i d_j).  A bank's
 ``ad.propagate``: the op builds the dense T once per forward and holds
 it, and its gradient for T is the per-edge column, so a training step
 allocates no n x n array but the banks' operators, and no tape node
-outputs one.  ``_banks`` builds each bank's column and operator, in one
-loop that ``forward`` and ``embedding`` share.  ``filter_bank_apply``
+outputs one.  ``mask_matrix``, ``_banks``, ``total_loss`` and
+``dense_mask`` pass every pair op the candidate's ``index``, the
+``ad.PairIndex`` it built when it was made, so no op of a forward or a
+backward redoes the index work of the pairs.  ``_banks`` builds each
+bank's column and operator, in one loop that ``forward`` and
+``embedding`` share; a bank without a mask net runs on the all-ones
+column, whose operator, dense T included, is built once per candidate
+and held in ``a_f.operators`` (``_constant_operator``).  ``filter_bank_apply``
 reads the same edge column off a dense L = I - A and builds T the same
 way, so a check of it against an eigendecomposition checks the banks
 that training runs.  ``ForwardResult.w1``/``w2`` build the dense masks
@@ -190,7 +196,7 @@ def mask_matrix(xw: Tensor, bias: Tensor, a_f: CandidateGraph) -> Tensor:
         raise ContractError(
             f"mask_matrix: product width {xw.shape[1]} != net width {bias.shape[1]}")
     z = ad.tanh(ad.add_row(xw, bias))
-    return ad.sigmoid(ad.pair_dots(z, a_f.edge_pairs()))
+    return ad.sigmoid(ad.pair_dots(z, a_f.index))
 
 
 def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
@@ -198,7 +204,7 @@ def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
     exactly symmetric, zero on the diagonal and off the candidate."""
     if w is None:
         return None
-    return ad.constant(ad.EdgeOperator(w, a_f.edge_pairs(), a_f.n, 0.0, 1.0).dense())
+    return ad.constant(ad.EdgeOperator(w, a_f.index, a_f.n, 0.0, 1.0).dense())
 
 
 def check_config(variant: str, kernel_mode: str, j_max: int, mask_dim: int) -> None:
@@ -255,11 +261,33 @@ class FgGSLModel:
     first, in ``scales`` order.  ``_parameter_shapes`` holds every
     parameter's shape; a bias starts at zero and a weight of r x c is
     drawn from U(-l, l) with l = sqrt(6 / (r + c)), in the table's order.
+    ``_from_arrays`` builds a model around given values and draws nothing.
     """
 
     def __init__(self, num_features: int, num_classes: int, j_max: int = 4,
                  mask_dim: int = 16, kernel_mode: str = "fig3",
                  variant: str = "full", seed: int = 0):
+        self._configure(num_features, num_classes, j_max, mask_dim, kernel_mode, variant)
+        rng = np.random.default_rng(seed)
+        for name, (rows, cols) in self._shapes().items():
+            if name.endswith("_b"):
+                self.params.add(name, np.zeros((rows, cols)))
+            else:
+                limit = np.sqrt(6.0 / (rows + cols))
+                self.params.add(name, rng.uniform(-limit, limit, size=(rows, cols)))
+
+    @classmethod
+    def _from_arrays(cls, fields: dict, arrays: dict[str, np.ndarray]) -> FgGSLModel:
+        """The model of the ``_MODEL_FIELDS`` values ``fields``, holding
+        ``arrays[name]`` for each parameter in the table's order."""
+        model = cls.__new__(cls)
+        model._configure(**fields)
+        for name in model._shapes():
+            model.params.add(name, arrays[name])
+        return model
+
+    def _configure(self, num_features: int, num_classes: int, j_max: int, mask_dim: int,
+                   kernel_mode: str, variant: str) -> None:
         check_config(variant, kernel_mode, j_max, mask_dim)
         self.num_features = num_features
         self.num_classes = num_classes
@@ -268,14 +296,9 @@ class FgGSLModel:
         self.kernel_mode = kernel_mode
         self.variant = variant
         self.params = ParameterSet()
-        rng = np.random.default_rng(seed)
-        shapes = _parameter_shapes(**{key: getattr(self, key) for key in _MODEL_FIELDS})
-        for name, (rows, cols) in shapes.items():
-            if name.endswith("_b"):
-                self.params.add(name, np.zeros((rows, cols)))
-            else:
-                limit = np.sqrt(6.0 / (rows + cols))
-                self.params.add(name, rng.uniform(-limit, limit, size=(rows, cols)))
+
+    def _shapes(self) -> dict[str, tuple[int, int]]:
+        return _parameter_shapes(**{key: getattr(self, key) for key in _MODEL_FIELDS})
 
     def embedding_width(self) -> int:
         return self.params["w_clf"].shape[0]
@@ -340,21 +363,36 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
     """Yield (kind, edge column, spec, T, Z) for each bank of the variant,
     in ``BANKS`` order, building each bank's graph as it goes.
 
-    The edge column is a learned mask from the bank's X W_net, or None for
-    a bank without a mask net; T is the bank's ``operator`` on the
-    ``normalized_laplacian`` of the column, or of all ones (``a_f``
-    itself) where there is none.  With
+    The edge column is a learned mask from the bank's X W_net, and T is
+    the bank's ``operator`` on its ``normalized_laplacian``.  A bank
+    without a mask net has no column (None), and its T, on the all-ones
+    column (``a_f`` itself), is ``_constant_operator``'s.  With
     ``classifier``, Z = [X W_2 | ... | X W_J] is the bank's block of one
     product with X (``_feature_products``); without, Z is X.
     """
     masks, zs = _feature_products(model, x, classifier)
-    pairs = a_f.edge_pairs()
     for kind, net in BANKS[model.variant].items():
-        w = mask_matrix(masks[kind], model.params[f"{net}_b"], a_f) if net else None
-        column = ad.constant(np.ones((a_f.num_edges, 1))) if w is None else w
         spec = model.bank(kind)
-        t = spec.operator(normalized_laplacian(column, pairs=pairs, n=a_f.n), pairs, a_f.n)
+        if net:
+            w = mask_matrix(masks[kind], model.params[f"{net}_b"], a_f)
+            t = spec.operator(normalized_laplacian(w, pairs=a_f.index, n=a_f.n),
+                              a_f.index, a_f.n)
+        else:
+            w, t = None, _constant_operator(spec, a_f)
         yield kind, w, spec, t, zs.get(kind, x)
+
+
+def _constant_operator(spec: FilterBankSpec, a_f: CandidateGraph) -> ad.EdgeOperator:
+    """The bank's T on the all-ones column of ``a_f``, with its dense T held
+    (``EdgeOperator.held``).  It is built on first use and kept in
+    ``a_f.operators``, so each bank normalises the column and builds T
+    once per candidate."""
+    key = (spec.mode, spec.kind)
+    if key not in a_f.operators:
+        ones = ad.constant(np.ones((a_f.num_edges, 1)))
+        column = normalized_laplacian(ones, pairs=a_f.index, n=a_f.n)
+        a_f.operators[key] = spec.operator(column, a_f.index, a_f.n).held()
+    return a_f.operators[key]
 
 
 def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
@@ -444,8 +482,7 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
             sim_source = ad.add(ad.hadamard(fwd.yhat, ad.constant(keep)),
                                 ad.constant(graph.labels * (1.0 - keep)))
         # one cosine per candidate edge, shared by both structural losses
-        pairs = a_f.edge_pairs()
-        cos = ad.pair_dots(ad.unit_rows(sim_source, pairs, "total_loss"), pairs)
+        cos = ad.pair_dots(ad.unit_rows(sim_source, a_f.index, "total_loss"), a_f.index)
         ho = structural_loss_ho(fwd.w1_edges, cos) if fwd.w1_edges is not None else zero
         ht = structural_loss_ht(fwd.w2_edges, cos) if fwd.w2_edges is not None else zero
         loss = ad.add(ce, ad.add(ad.scale(alpha, ho), ad.scale(beta, ht)))
@@ -518,7 +555,8 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
     parameter value must be finite.  Anything else raises a
     ValidationError.  All of this is checked against the header's sizes
     before the model is built, so a header that claims large sizes
-    allocates nothing of their size.
+    allocates nothing of their size.  The model is built around the
+    file's values, and no weight is drawn.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -562,7 +600,4 @@ def load_checkpoint(path) -> tuple[FgGSLModel, dict]:
             raise ValidationError(f"{path}: parameter {name!r} has a non-finite value")
         arrays[name] = values.reshape(rows, cols).astype(np.float64)
         offset += values.nbytes
-    model = FgGSLModel(**fields)
-    for name, values in arrays.items():
-        model.params[name].data = values
-    return model, header
+    return FgGSLModel._from_arrays(fields, arrays), header

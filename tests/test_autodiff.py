@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fggsl import autodiff as ad
+from fggsl import datasets
 from fggsl.errors import ContractError, DimensionError, NumericError
 
 
@@ -1062,11 +1063,11 @@ def test_pair_layer_gives_the_one_block_results_in_many_blocks(monkeypatch):
         ad.backward(loss, [a, w, z])
         return [dots.data, out.data, a.grad, w.grad, z.grad]
 
-    assert len(ad._PairRows(*pairs, n).blocks) == 1
+    assert len(ad.PairIndex(*pairs, n).blocks) == 1
     one = results()
     monkeypatch.setattr(ad, "BLOCK_ENTRIES", 100)
-    assert len(ad._PairRows(*pairs, n).blocks) > 5
-    assert len(ad._PairRows(*edges, n).blocks) > 5
+    assert len(ad.PairIndex(*pairs, n).blocks) > 5
+    assert len(ad.PairIndex(*edges, n).blocks) > 5
     many = results()
     for x, y in zip(one, many):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
@@ -1075,8 +1076,71 @@ def test_pair_layer_gives_the_one_block_results_in_many_blocks(monkeypatch):
 def test_pair_rows_skip_blocks_without_a_pair(monkeypatch):
     # rows 0-2 and 9-11 hold pairs; rows 3-8 and 12-29 none
     monkeypatch.setattr(ad, "BLOCK_ENTRIES", 90)
-    rows = ad._PairRows(np.array([10, 1, 2]), np.array([11, 20, 0]), 30)
+    rows = ad.PairIndex(np.array([10, 1, 2]), np.array([11, 20, 0]), 30)
     assert [block[:2] for block in rows.blocks] == [(0, 3), (9, 12)]
+
+
+def _index_and_tuple(kind, n):
+    """A PairIndex over n nodes and the index arrays it was built from: a
+    candidate's (its own index), or the ``given`` pairs shuffled, with
+    about half of them swapped to (j, i)."""
+    graph = datasets.gen_synthetic(n, 3, 0.15, 0.3, 0.4, seed=71, n_splits=1)
+    if kind != "unsorted":
+        cand = datasets.candidate_graph(graph, kind)
+        return cand.index, cand.edge_pairs()
+    i_idx, j_idx = graph.edges.pairs
+    rng = np.random.default_rng(72)
+    order, flip = rng.permutation(i_idx.size), rng.random(i_idx.size) < 0.5
+    pairs = np.where(flip, j_idx, i_idx)[order], np.where(flip, i_idx, j_idx)[order]
+    return ad.PairIndex(*pairs, n), pairs
+
+
+@pytest.mark.parametrize("kind", ["full", "given", "knn:5", "unsorted"])
+def test_pair_ops_give_the_same_bits_from_an_index_and_from_its_tuple(monkeypatch, kind):
+    # 200 entries a block: row blocks of 5 rows at n = 40, so the pairs
+    # span several blocks.  The index is built once; the tuple gets a
+    # transient one in every op
+    monkeypatch.setattr(ad, "BLOCK_ENTRIES", 200)
+    n = 40
+    index, pairs = _index_and_tuple(kind, n)
+    assert (index.order is not None) == (kind == "unsorted")
+    assert len(index.blocks) > 3
+    rng = np.random.default_rng(73)
+    a0, z0 = rng.standard_normal((n, 4)), rng.standard_normal((n, 6))
+    w0 = rng.uniform(0.1, 1.0, size=(index.size, 1))
+    coeffs = rng.standard_normal((5, 2, 1))
+    pair_weights = rng.standard_normal((index.size, 1))
+    out_weights = rng.standard_normal((n, 3))
+
+    def results(p):
+        a, w, z = ad.parameter(a0, "a"), ad.parameter(w0, "w"), ad.parameter(z0, "z")
+        dots = ad.pair_dots(a, p)
+        column = ad.edge_normalize(w, p, n)
+        op = ad.EdgeOperator(column, p, n, 0.5, -0.5)
+        out = ad.propagate(op, z, coeffs)
+        loss = ad.add(ad.sum_all(ad.hadamard(ad.tanh(dots), ad.constant(pair_weights))),
+                      ad.sum_all(ad.hadamard(ad.tanh(out), ad.constant(out_weights))))
+        ad.backward(loss, [a, w, z])
+        return [dots.data, column.data, op.dense(), out.data, a.grad, w.grad, z.grad]
+
+    from_index, from_tuple = results(index), results(pairs)
+    for x, y in zip(from_index, from_tuple):
+        assert np.array_equal(x, y)
+    # the scatter through flat offsets writes what 2-D indexing writes
+    i_idx, j_idx = pairs
+    t = np.zeros((n, n))
+    t[i_idx, j_idx] = t[j_idx, i_idx] = -0.5 * from_index[1][:, 0]
+    np.fill_diagonal(t, 0.5)
+    assert np.array_equal(from_index[2], t)
+
+
+def test_a_pair_index_over_other_nodes_or_out_of_range_pairs_is_refused():
+    index = ad.PairIndex(*EDGES, 6)
+    with pytest.raises(DimensionError, match="over 6 nodes, not 7"):
+        ad.pair_dots(ad.constant(np.ones((7, 2))), index)
+    for bad in ((np.array([0, 6]), np.array([1, 2])), (np.array([0, -1]), np.array([1, 2]))):
+        with pytest.raises(DimensionError, match="outside"):
+            ad.edge_normalize(ad.constant(np.ones((2, 1))), bad, 6)
 
 
 @pytest.mark.parametrize("op", [

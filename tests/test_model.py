@@ -522,6 +522,23 @@ def test_forward_masks_are_the_scattered_edge_columns():
         assert np.count_nonzero(dense) == 2 * cand.num_edges
 
 
+def test_load_checkpoint_draws_no_weight_and_saves_the_same_bytes(tmp_path, monkeypatch):
+    m = model.FgGSLModel(7, 3, j_max=3, mask_dim=4, variant="FBH", seed=5)
+    first, second = tmp_path / "first.fgck", tmp_path / "second.fgck"
+    model.save_checkpoint(first, m, alpha=0.5, beta=2.0)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded, header = model.load_checkpoint(first)
+    model.save_checkpoint(second, loaded, alpha=header["alpha"], beta=header["beta"])
+    assert second.read_bytes() == first.read_bytes()
+    assert loaded.params.names() == m.params.names()
+    for name, t in loaded.params:
+        assert t.requires_grad and t.name == name and t.data.flags.writeable
+
+
 def test_forward_nm_ignores_mask_parameters():
     g = _random_graph(7, n=6)
     cand = datasets.candidate_graph(g, "given")

@@ -552,6 +552,64 @@ def test_one_step_at_j4_and_one_evaluation_do_the_pinned_work(monkeypatch, n, nu
     assert decompositions == []
 
 
+@pytest.mark.parametrize("candidate", ["full", "given"])
+def test_a_protocol_and_its_evaluations_build_one_pair_index_per_candidate(monkeypatch,
+                                                                          candidate):
+    bundle = _bundle(seed=5)
+    graph = bundle.graph
+    made, built = [], []
+    post_init, init = datasets.CandidateGraph.__post_init__, ad.PairIndex.__init__
+
+    def counted_post_init(self):
+        made.append(self.mode)
+        post_init(self)
+
+    def counted_init(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(datasets.CandidateGraph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ad.PairIndex, "__init__", counted_init)
+    result = training.run_protocol(bundle, _fast_config(candidate_mode=candidate, epochs_max=4,
+                                                        patience=4))
+    a_f = datasets.candidate_graph(graph, candidate)
+    for _ in range(3):
+        training.evaluate(result.models[0], bundle, graph.splits[0][2], a_f)
+    # one candidate per split and one for the evaluations: each builds its
+    # index when it is made, and no pair op of any forward or backward
+    # builds another
+    assert made == [candidate] * (len(graph.splits) + 1)
+    assert built == [graph.n] * len(made)
+
+
+def test_nm_builds_each_bank_operator_once_per_split(monkeypatch):
+    bundle = _bundle(seed=6)
+    graph = bundle.graph
+    normalized, built = [], []
+    edge_normalize, dense = ad.edge_normalize, ad.EdgeOperator.dense
+
+    def counted_normalize(w, pairs, n):
+        normalized.append(n)
+        return edge_normalize(w, pairs, n)
+
+    def counted_dense(op):
+        built.append(op.n)
+        return dense(op)
+
+    monkeypatch.setattr(ad, "edge_normalize", counted_normalize)
+    monkeypatch.setattr(ad.EdgeOperator, "dense", counted_dense)
+    config = _fast_config(variant="NM", epochs_max=5, patience=5)
+    result = training.run_protocol(bundle, config)
+    banks = len(fm.BANKS["NM"])
+    assert normalized == built == [graph.n] * (banks * len(graph.splits))
+    # the evaluations share one candidate, so only the first builds
+    a_f = fm.bank_graph(graph, "NM", config.candidate_mode)
+    accs = [training.evaluate(result.models[0], bundle, graph.splits[0][2], a_f)
+            for _ in range(3)]
+    assert normalized == built == [graph.n] * (banks * (len(graph.splits) + 1))
+    assert accs == [result.rows[0]["test_acc"]] * 3
+
+
 # ---------------------------------------------------------------------------
 # invariants of a whole run: no label leak, permutation equivariance
 
