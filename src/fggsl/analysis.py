@@ -40,10 +40,9 @@ class PairBoundRecord:
     holds: bool
 
 
-def _cosines(m: np.ndarray, pairs, what: str) -> np.ndarray:
-    """cos(m_i, m_j) per pair (i, j), by the pair layer of ``autodiff``, on
-    one index of the pairs."""
-    index = ad.pair_index(pairs, m.shape[0], what)
+def _cosines(m: np.ndarray, index: ad.PairIndex, what: str) -> np.ndarray:
+    """cos(m_i, m_j) per pair (i, j) of ``index``, by the pair layer of
+    ``autodiff``."""
     return ad.pair_dots(ad.unit_rows(ad.constant(m), index, what), index).data[:, 0]
 
 
@@ -60,12 +59,10 @@ def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]
         bad = int(np.argmin(onehot_ok))
         raise ContractError(f"prop1_check: label row {bad} is not one-hot")
     c = y.shape[1]
-    i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
-    j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
-    pairs = (i_idx, j_idx)
+    index = ad.PairIndex(*pairs, y.shape[0])
     eps = np.linalg.norm(y - yhat, axis=1)
-    lhs = np.abs(_cosines(y, pairs, "prop1_check") - _cosines(yhat, pairs, "prop1_check"))
-    rhs = 2.0 * np.sqrt(c) * (eps[i_idx] + eps[j_idx])
+    lhs = np.abs(_cosines(y, index, "prop1_check") - _cosines(yhat, index, "prop1_check"))
+    rhs = 2.0 * np.sqrt(c) * (eps[index.i] + eps[index.j])
     return [PairBoundRecord(float(l), float(r), bool(l <= r + 1e-12))
             for l, r in zip(lhs, rhs)]
 
@@ -283,8 +280,8 @@ def similarity_histogram(vectors: np.ndarray, labels: np.ndarray,
 
     # intra pairs first, so a zero-norm row is named as when they were
     # checked before the inter pairs; clip a 1-ulp overshoot from rounding
-    pairs = tuple(np.concatenate(side) for side in zip(*groups))
-    cos = np.clip(_cosines(vectors, pairs, "similarity_histogram"), -1.0, 1.0)
+    index = ad.PairIndex(*(np.concatenate(side) for side in zip(*groups)), n)
+    cos = np.clip(_cosines(vectors, index, "similarity_histogram"), -1.0, 1.0)
     n_intra = groups[0][0].size
     intra_cos, inter_cos = cos[:n_intra], cos[n_intra:]
 

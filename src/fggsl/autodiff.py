@@ -16,11 +16,11 @@ runs in the chain order (push the K inputs through T) or the Horner
 order (push the M outputs), whichever is narrower, and records one tape
 node; unrecorded, with steps far wider than n, it forms its n x n filter
 matrices instead (``_through_matrices``).  Its VJP runs the transposed
-polynomial in the other order at the same width.  Each step T @ Y takes the form BLAS runs fastest for Y's
-shape (``_step`` holds the measurements): on n >= 512 rows, a block 2 to
-7 columns wide runs in row panels of about ``BLOCK_ENTRIES`` entries,
-T[r0:r1] @ Y, one at a time, and a block 8 to n/4 wide as (Y^T T)^T;
-any other block runs as T @ Y.
+polynomial in the other order at the same width.  Each step T @ Y
+takes the form BLAS runs fastest for Y's shape (``_step`` holds the
+measurements): on n >= 512 rows, a block 2 to 7 columns wide runs in row
+panels of about ``BLOCK_ENTRIES`` entries, T[r0:r1] @ Y, one at a time,
+and a block 8 to n/4 wide as (Y^T T)^T; any other block runs as T @ Y.
 
 T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
 column, so it is exactly symmetric and T^T is T.  The op builds T with
@@ -34,27 +34,25 @@ the plain column concatenation.  ``block`` reads one column span of that
 product as a read-only view, so splitting it copies nothing.
 
 Per-pair quantities are |P| x 1 columns over a list of node pairs
-(i, j), and one pair layer computes them: ``pair_dots(a, pairs)`` reads
+(i, j), and one pair layer computes them.  Its one pair argument is a
+``PairIndex(i, j, n)``, which carries the node count n and does the index
+work once: it checks that the arrays have one length and every pair lies
+in [0, n), and holds the pairs as ``intp`` arrays, their row blocks of
+``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries, each block's
+flat gather offsets, and the flat offsets of (i, j) and (j, i) in an
+n x n array.  A candidate graph builds one when it is made, and the model
+passes it to every op of every forward.  ``pair_dots(a, index)`` reads
 the Gram matrix a a^T at the pairs, and every cosine is
-``pair_dots(unit_rows(a, pairs, what), pairs)``; ``unit_rows`` is the
-one zero-norm check, and ``row_units``, the one overflow-safe row norm,
-also normalises features and kNN.  ``edge_normalize`` turns an
-undirected edge column into its symmetric normalised one, taking the
-degrees with ``np.bincount``.
-
-Every pair op, ``EdgeOperator.dense`` and ``propagate``'s VJP read the
-pairs through a ``PairIndex``, which does the index work once: the pairs
-as ``intp`` arrays, their row blocks of ``_block_rows(n)`` rows, about
-``BLOCK_ENTRIES`` entries, each block's flat gather offsets, and the
-flat offsets of (i, j) and (j, i) in an n x n array.  A candidate graph
-builds one when it is made, and the model passes it to every op of
-every forward; an op given an (i, j) tuple builds a transient one
-(``pair_index``).  The pair layer works one row block at a time,
-skipping blocks that hold no pair: the forward reads a block of a a^T
-at the block's offsets, and the VJP scatters the block's pair gradients
-into its rows of S with one ``bincount`` on the same offsets and adds
-S a + S^T a.  An index and its tuple give the same bits: every gather
-and sum reads the same elements in the same order.
+``pair_dots(unit_rows(a, index, what), index)``; ``unit_rows`` is the one
+zero-norm check, and ``row_units``, the one overflow-safe row norm, also
+normalises features and kNN.  Both check that the index spans a's rows.
+``edge_normalize(w, index)`` turns an undirected edge column into its
+symmetric normalised one, taking the degrees with ``np.bincount``, and
+``EdgeOperator(w, index, diag, off)`` is its T.  The pair layer works one
+row block at a time, skipping blocks that hold no pair: the forward reads
+a block of a a^T at the block's offsets, and the VJP scatters the block's
+pair gradients into its rows of S with one ``bincount`` on the same
+offsets and adds S a + S^T a.
 """
 
 from __future__ import annotations
@@ -513,9 +511,9 @@ def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
 class EdgeOperator(NamedTuple):
     """T = diag * I + off * W of an undirected edge column, for ``propagate``.
 
-    ``w`` holds one weight per pair (i, j) with i != j and no pair given
-    twice in either orientation; ``pairs`` is a ``PairIndex`` or the
-    index arrays (i, j).  ``dense`` builds T, and ``held`` returns the
+    ``w`` holds one weight per pair (i, j) of the ``PairIndex`` ``index``,
+    with i != j and no pair given twice in either orientation, and T is
+    index.n x index.n.  ``dense`` builds T, and ``held`` returns the
     operator with T built and kept in ``matrix``, for a constant column
     whose T serves many propagations; ``propagate`` steps ``matrix`` when
     it is set, and else builds T.  ``propagate``'s gradient for T is the
@@ -523,24 +521,23 @@ class EdgeOperator(NamedTuple):
     """
 
     w: Tensor
-    pairs: tuple | PairIndex
-    n: int
+    index: PairIndex
     diag: float
     off: float
     matrix: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
+        return (self.index.n, self.index.n)
 
     def dense(self) -> np.ndarray:
         """The n x n array T; one scatter writes each weight at (i, j) and
         (j, i), through the flat offsets of the pair index, so T is
         exactly symmetric."""
-        index = pair_index(self.pairs, self.n, "EdgeOperator")
+        index = self.index
         if self.w.shape != (index.size, 1):
             raise DimensionError(f"EdgeOperator: weights {self.w.shape} for {index.size} pairs")
-        out = np.zeros((self.n, self.n))
+        out = np.zeros(self.shape)
         v = float(self.off) * self.w.data[:, 0]
         flat = out.reshape(-1)
         flat[index.upper] = v
@@ -605,9 +602,8 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
                                          w.requires_grad)
         dw = None
         if w.requires_grad:
-            rows = pair_index(t.pairs, n, "propagate")
-            dw = t.off * rows.read(np.hstack([backward_steps, forward_steps]),
-                                   np.hstack([forward_steps, backward_steps]))
+            dw = t.off * t.index.read(np.hstack([backward_steps, forward_steps]),
+                                      np.hstack([forward_steps, backward_steps]))
         return dw, dz if z.requires_grad else None
 
     return _emit(out, (w, z), vjp)
@@ -690,9 +686,9 @@ def row_units(m: np.ndarray, ord: int) -> tuple[np.ndarray, np.ndarray]:
     return units, norms
 
 
-def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
+def unit_rows(a: Tensor, index: PairIndex, what: str) -> Tensor:
     """The rows of ``a`` scaled to unit length by ``row_units``, for
-    cosines over ``pairs``.
+    cosines over the pairs of ``index``.
 
     A zero-norm row that a pair (i, j) uses raises a ContractError naming
     ``what`` and the row, taken from the first such pair, its i side
@@ -701,7 +697,7 @@ def unit_rows(a: Tensor, pairs, what: str) -> Tensor:
     precision, and divides by the row's norm, so a row whose norm
     overflows gets a zero gradient.
     """
-    index = pair_index(pairs, a.shape[0], what)
+    index.spans(a.shape[0], what)
     i_idx, j_idx = index.i, index.j
     u, norms = row_units(a.data, 2)
     if not np.all(norms):
@@ -735,25 +731,33 @@ def _block_rows(n: int) -> int:
 
 
 class PairIndex:
-    """Node pairs (i, j) over n nodes, with the index work of every pair op
-    done once: ``CandidateGraph`` builds one for its pairs, and a pair op
-    given an (i, j) tuple builds a transient one (``pair_index``).
+    """Node pairs (i, j) over n nodes, the one pair argument of the pair
+    layer, with the index work of every pair op done once:
+    ``CandidateGraph`` builds one for its pairs.
 
-    ``i`` and ``j`` hold the pairs as ``intp`` arrays, and ``upper`` and
-    ``lower`` their flat offsets i n + j and j n + i into an n x n array.
-    The pairs are grouped as lo = min(i, j) <= hi = max(i, j) by lo into
-    row blocks of ``_block_rows(n)`` rows: ``blocks`` lists (r0, r1, c1,
-    p0, p1), the sorted pairs p0:p1 having lo in rows r0:r1 and hi below
-    c1, and ``offsets`` holds each sorted pair's flat offset
-    (lo - r0)(c1 - r0) + hi - r0 into its block's (r1 - r0) x (c1 - r0)
-    array.  Blocks that hold no pair are not listed.  Pairs already sorted
-    by lo, as ``edge_pairs()`` returns them, are not moved; any others are
-    ordered once by a stable argsort, ``order``, and the results come back
-    in the caller's order.
+    The index arrays must be of one length and every pair must lie in
+    [0, n), so that no flat offset aliases another pair; else a
+    DimensionError is raised.  ``i`` and ``j`` hold the pairs as ``intp``
+    arrays, and ``upper`` and ``lower`` their flat offsets i n + j and
+    j n + i into an n x n array.  The pairs are grouped as lo = min(i, j)
+    <= hi = max(i, j) by lo into row blocks of ``_block_rows(n)`` rows:
+    ``blocks`` lists (r0, r1, c1, p0, p1), the sorted pairs p0:p1 having
+    lo in rows r0:r1 and hi below c1, and ``offsets`` holds each sorted
+    pair's flat offset (lo - r0)(c1 - r0) + hi - r0 into its block's
+    (r1 - r0) x (c1 - r0) array.  Blocks that hold no pair are not
+    listed.  Pairs already sorted by lo, as ``edge_pairs()`` returns them,
+    are not moved; any others are ordered once by a stable argsort,
+    ``order``, and the results come back in the caller's order.
     """
 
-    def __init__(self, i_idx: np.ndarray, j_idx: np.ndarray, n: int):
-        i_idx, j_idx = np.asarray(i_idx, dtype=np.intp), np.asarray(j_idx, dtype=np.intp)
+    def __init__(self, i_idx, j_idx, n: int):
+        i_idx = np.asarray(i_idx, dtype=np.intp).ravel()
+        j_idx = np.asarray(j_idx, dtype=np.intp).ravel()
+        if i_idx.size != j_idx.size:
+            raise DimensionError("PairIndex: pair index arrays differ in length")
+        if i_idx.size and not (0 <= min(i_idx.min(), j_idx.min())
+                               and max(i_idx.max(), j_idx.max()) < n):
+            raise DimensionError(f"PairIndex: a pair lies outside [0, {n})")
         self.i, self.j, self.n = i_idx, j_idx, n
         self.upper, self.lower = i_idx * n + j_idx, j_idx * n + i_idx
         lo, hi = i_idx, j_idx
@@ -777,6 +781,12 @@ class PairIndex:
     def size(self) -> int:
         return self.i.size
 
+    def spans(self, n: int, what: str):
+        """Raise a DimensionError naming ``what`` unless the pairs are over
+        n nodes."""
+        if self.n != n:
+            raise DimensionError(f"{what}: pair index over {self.n} nodes, not {n}")
+
     def read(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(left right^T)[i, j] per pair, as a column; the product must be
         symmetric.  Row block r0:r1 computes left[r0:r1] right[r0:c1]^T."""
@@ -788,43 +798,26 @@ class PairIndex:
         return vals.reshape(-1, 1)
 
 
-def pair_index(pairs, n: int, what: str) -> PairIndex:
-    """``pairs`` itself if it is a PairIndex over n nodes; else a transient
-    PairIndex of the index arrays (i, j) ``pairs``, which must be of one
-    length and lie in [0, n)."""
-    if isinstance(pairs, PairIndex):
-        if pairs.n != n:
-            raise DimensionError(f"{what}: pair index over {pairs.n} nodes, not {n}")
-        return pairs
-    i_idx = np.asarray(pairs[0], dtype=np.intp).ravel()
-    j_idx = np.asarray(pairs[1], dtype=np.intp).ravel()
-    if i_idx.size != j_idx.size:
-        raise DimensionError(f"{what}: pair index arrays differ in length")
-    if i_idx.size and not (0 <= min(i_idx.min(), j_idx.min())
-                           and max(i_idx.max(), j_idx.max()) < n):
-        raise DimensionError(f"{what}: a pair index lies outside [0, {n})")
-    return PairIndex(i_idx, j_idx, n)
+def pair_dots(a: Tensor, index: PairIndex) -> Tensor:
+    """a[i] . a[j] per pair (i, j) of ``index``, as a column: (a a^T) read
+    at the pairs.
 
-
-def pair_dots(a: Tensor, pairs) -> Tensor:
-    """a[i] . a[j] per pair (i, j), as a column: (a a^T) read at the pairs.
-
-    A cosine is ``pair_dots(unit_rows(a, pairs, what), pairs)``.  Both
+    A cosine is ``pair_dots(unit_rows(a, index, what), index)``.  Both
     directions work one row block of the ``PairIndex`` at a time, so no
     n x n array is formed.  Backward scatters a block's pair gradients
     into its rows of S, at the index's flat offsets, and adds S a + S^T a.
     """
     ad = a.data
-    rows = pair_index(pairs, ad.shape[0], "pair_dots")
-    vals = rows.read(ad, ad)
+    index.spans(ad.shape[0], "pair_dots")
+    vals = index.read(ad, ad)
 
     def vjp(g):
-        gs = g[:, 0] if rows.order is None else g[rows.order, 0]
+        gs = g[:, 0] if index.order is None else g[index.order, 0]
         out = np.zeros_like(ad)
-        for r0, r1, c1, p0, p1 in rows.blocks:
+        for r0, r1, c1, p0, p1 in index.blocks:
             # S[r0:r1, r0:c1] sums g over the block's pairs: one bincount
             cols = c1 - r0
-            s = np.bincount(rows.offsets[p0:p1], weights=gs[p0:p1],
+            s = np.bincount(index.offsets[p0:p1], weights=gs[p0:p1],
                             minlength=(r1 - r0) * cols).reshape(r1 - r0, cols)
             out[r0:r1] += s @ ad[r0:c1]
             out[r0:c1] += s.T @ ad[r0:r1]
@@ -833,9 +826,9 @@ def pair_dots(a: Tensor, pairs) -> Tensor:
     return _emit(vals, (a,), vjp)
 
 
-def edge_normalize(w: Tensor, pairs, n: int) -> Tensor:
-    """w_e / sqrt(d_i d_j) per pair e = (i, j): the edge column of
-    D^-1/2 W D^-1/2 for an undirected edge column ``w``.
+def edge_normalize(w: Tensor, index: PairIndex) -> Tensor:
+    """w_e / sqrt(d_i d_j) per pair e = (i, j) of ``index``: the edge
+    column of D^-1/2 W D^-1/2 for an undirected edge column ``w``.
 
     Node r's degree d_r sums the weights of the pairs that touch it, on
     either side, clamped below at ``DEGREE_EPS``; a clamped degree passes
@@ -844,8 +837,7 @@ def edge_normalize(w: Tensor, pairs, n: int) -> Tensor:
     order.  The |E|-length gathers are redone in the VJP, not held on
     the tape.
     """
-    index = pair_index(pairs, n, "edge_normalize")
-    i_idx, j_idx = index.i, index.j
+    i_idx, j_idx, n = index.i, index.j, index.n
     if w.shape != (index.size, 1):
         raise DimensionError(f"edge_normalize: weights {w.shape} for {index.size} pairs")
     wv = w.data[:, 0]

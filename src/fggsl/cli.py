@@ -125,10 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--kernel-mode", choices=fm.KERNEL_MODES, default="fig3")
     p_an.add_argument("--grid", type=_positive, default=200)
     p_an.add_argument("--trials", type=_positive, default=50)
-    p_an.add_argument("--epsilons", type=_CommaList(_Number(float, 0)), default=[1e-3, 1e-2])
+    p_an.add_argument("--epsilons", type=_CommaList(_Number(float, 0)), default=(1e-3, 1e-2))
     p_an.add_argument("--n", type=_drawn_nodes, default=20,
                       help=f"random graph size, at most {MAX_DRAWN_NODES}")
-    p_an.add_argument("--classes", type=_CommaList(_positive), default=[2, 3, 4, 5, 6, 7, 8],
+    p_an.add_argument("--classes", type=_CommaList(_positive), default=(2, 3, 4, 5, 6, 7, 8),
                       help="class counts for prop1 draws")
     p_an.add_argument("--threshold", type=_probability, default=0.5,
                       help="audit: keep learned edges above this weight, in [0, 1]")
@@ -415,10 +415,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# built once per process: a parse leaves the parser as it was, and the
+# defaults that a handler reads are tuples, which no call can change
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         handler = {"train": _cmd_train, "ablate": _cmd_ablate,
                    "analyze": _cmd_analyze, "gen": _cmd_gen}[args.command]
         return handler(args)

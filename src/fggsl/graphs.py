@@ -2,12 +2,13 @@
 dense symmetric eigendecomposition and the spectral-norm distance.
 
 A graph holds its edges as an ``EdgeList``: each undirected pair once,
-unweighted, O(|E|) memory.  Training passes these pairs to
-``normalized_laplacian`` as edge columns; a dense n x n matrix is built
-only on demand (``EdgeList.dense``, a graph's ``.adjacency``), for
-analysis.  The other matrices here are dense float64.  One reader,
-``EdgeList.from_dense``, lists the edges of a dense matrix, and one
-scatter, ``ad.EdgeOperator.dense``, writes them back.  The eigensolver
+unweighted, O(|E|) memory.  Training passes the ``ad.PairIndex`` of these
+pairs, with an edge column, to ``normalized_laplacian``; a dense n x n
+matrix is built only on demand (``EdgeList.dense``, a graph's
+``.adjacency``), for analysis.  The other matrices here are dense
+float64.  One reader, ``EdgeList.from_dense``, lists the edges of a dense
+matrix, and one scatter, ``ad.EdgeOperator.dense``, writes them back on
+an ``ad.PairIndex`` of the pairs, which carries n.  The eigensolver
 wraps LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues alone; it is only
 used on analysis paths, never inside training.  How the stability probe
 perturbs a Laplacian and measures delta is decided in ``analysis``.
@@ -69,10 +70,11 @@ class EdgeList:
 
     def dense(self) -> np.ndarray:
         """The symmetric n x n 0/1 matrix, scattered by
-        ``ad.EdgeOperator.dense``; built anew on each call and read-only,
-        so an item assignment raises instead of changing a copy."""
+        ``ad.EdgeOperator.dense`` on one ``ad.PairIndex`` of the pairs;
+        built anew on each call and read-only, so an item assignment
+        raises instead of changing a copy."""
         ones = ad.constant(np.ones((self.i.size, 1)))
-        out = ad.EdgeOperator(ones, self.pairs, self.n, 0.0, 1.0).dense()
+        out = ad.EdgeOperator(ones, ad.PairIndex(self.i, self.j, self.n), 0.0, 1.0).dense()
         out.flags.writeable = False
         return out
 
@@ -149,22 +151,22 @@ def heterophilic_fraction(labels: np.ndarray, pairs) -> float:
     return float(np.mean(y[i_idx] != y[j_idx]))
 
 
-def normalized_laplacian(weights, pairs=None, n: int | None = None):
+def normalized_laplacian(weights, index: ad.PairIndex | None = None):
     """I - D^{-1/2} W D^{-1/2} with degrees clamped below at ``ad.DEGREE_EPS``.
 
     Dense form: an n x n ndarray W gives the n x n ndarray L.  Rows of
     isolated nodes come out as identity rows because their incident
     weights are all zero.
 
-    Edge form, with the pairs (i, j) and the node count ``n``: ``weights``
+    Edge form, with the ``ad.PairIndex`` of the pairs (i, j): ``weights``
     is an |E| x 1 Tensor holding W once per undirected pair, and the
     result is the Tensor column a_e = w_e / sqrt(d_i d_j) over the same
     pairs, one ``ad.edge_normalize`` node, differentiable w.r.t. the
     weights.  L = I - A, where A holds a_e at (i, j) and (j, i); it is
     symmetric by construction, so this form skips the symmetry check.
     """
-    if pairs is not None:
-        return ad.edge_normalize(weights, pairs, n)
+    if index is not None:
+        return ad.edge_normalize(weights, index)
     w = np.asarray(weights, dtype=np.float64)
     check_symmetric(w, "normalized_laplacian")
     n = w.shape[0]

@@ -11,29 +11,28 @@ The training objective adds two label-similarity structural penalties
 to the cross-entropy so the masks are pushed toward genuinely
 homophilic / heterophilic edge sets.
 
-Everything per edge is an |E| x 1 column over the candidate's
-``edge_pairs()``, computed by the pair layer of ``autodiff``: each mask
-is w_e = sigmoid(z_i . z_j) = sigmoid(``pair_dots(z)``), and the
-structural losses share one cosine column,
-``pair_dots(unit_rows(yhat))``.  ``normalized_laplacian`` turns a mask
-column into the normalised weights a_e = w_e / sqrt(d_i d_j).  A bank's
-``FilterBankSpec.operator`` turns that column into an
+Everything per edge is an |E| x 1 column over the candidate's pairs,
+computed by the pair layer of ``autodiff`` on the candidate's ``index``,
+the one ``ad.PairIndex`` it built when it was made, which carries the
+node count n: no op of a forward or a backward redoes the index work of
+the pairs.  Each mask is w_e = sigmoid(z_i . z_j) =
+sigmoid(``pair_dots(z, index)``), and the structural losses share one
+cosine column, ``pair_dots(unit_rows(yhat, index), index)``.
+``normalized_laplacian(w, index)`` turns a mask column into the
+normalised weights a_e = w_e / sqrt(d_i d_j), and a bank's
+``FilterBankSpec.operator(a, index)`` turns that column into an
 ``ad.EdgeOperator``, the edge form of T = I/2 + A/2 or I/2 - A/2, for
 ``ad.propagate``: the op builds the dense T once per forward and holds
 it, and its gradient for T is the per-edge column, so a training step
 allocates no n x n array but the banks' operators, and no tape node
-outputs one.  ``mask_matrix``, ``_banks``, ``total_loss`` and
-``dense_mask`` pass every pair op the candidate's ``index``, the
-``ad.PairIndex`` it built when it was made, so no op of a forward or a
-backward redoes the index work of the pairs.  ``_banks`` builds each
-bank's column and operator, in one loop that ``forward`` and
-``embedding`` share; a bank without a mask net runs on the all-ones
-column, whose operator, dense T included, is built once per candidate
-and held in ``a_f.operators`` (``_constant_operator``).  ``filter_bank_apply``
-reads the same edge column off a dense L = I - A and builds T the same
-way, so a check of it against an eigendecomposition checks the banks
-that training runs.  ``ForwardResult.w1``/``w2`` build the dense masks
-on demand.
+outputs one.  ``_banks`` builds each bank's column and operator, in one
+loop that ``forward`` and ``embedding`` share; a bank without a mask net
+runs on the all-ones column, whose operator, dense T included, is built
+once per candidate and held in ``a_f.operators`` (``_constant_operator``).
+``filter_bank_apply`` reads the same edge column off a dense L = I - A,
+builds one index of its pairs and T the same way, so a check of it
+against an eigendecomposition checks the banks that training runs.
+``ForwardResult.w1``/``w2`` build the dense masks on demand.
 
 A forward multiplies the features X by its weights once:
 ``_feature_products`` multiplies X by the mask nets' weights and the
@@ -108,13 +107,13 @@ class FilterBankSpec:
     def scales(self) -> range:
         return range(2, self.j_max + 1)
 
-    def operator(self, a: Tensor, pairs, n: int) -> ad.EdgeOperator:
+    def operator(self, a: Tensor, index: ad.PairIndex) -> ad.EdgeOperator:
         """The bank's T = I/2 + s A in edge form, from the normalised
-        adjacency column ``a`` over ``pairs``.  With L = I - A, s = +1/2
-        where the kernels are powers of T = I - L/2, and s = -1/2 where
-        they are powers of T = L/2."""
+        adjacency column ``a`` over the pairs of ``index``.  With L = I - A,
+        s = +1/2 where the kernels are powers of T = I - L/2, and s = -1/2
+        where they are powers of T = L/2."""
         s = 0.5 if (self.mode == "fig3") == (self.kind == "low") else -0.5
-        return ad.EdgeOperator(a, pairs, n, 0.5, s)
+        return ad.EdgeOperator(a, index, 0.5, s)
 
     def coefficients(self) -> np.ndarray:
         """The bank's kernels as polynomials in T: an (2^J + 1) x (J - 1)
@@ -178,9 +177,10 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     if np.any(np.diagonal(lap) != 1.0):
         raise ContractError("filter_bank_apply: L has a diagonal entry other than 1")
     check_symmetric(lap, "filter_bank_apply")
-    pairs = EdgeList.from_dense(lap != 0.0).pairs
-    edges = ad.constant(-lap[pairs].reshape(-1, 1))
-    return ad.propagate(spec.operator(edges, pairs, n), x, spec.coefficients()[:, None, :])
+    support = EdgeList.from_dense(lap != 0.0)
+    edges = ad.constant(-lap[support.pairs].reshape(-1, 1))
+    index = ad.PairIndex(support.i, support.j, n)
+    return ad.propagate(spec.operator(edges, index), x, spec.coefficients()[:, None, :])
 
 
 def mask_matrix(xw: Tensor, bias: Tensor, a_f: CandidateGraph) -> Tensor:
@@ -204,7 +204,7 @@ def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
     exactly symmetric, zero on the diagonal and off the candidate."""
     if w is None:
         return None
-    return ad.constant(ad.EdgeOperator(w, a_f.index, a_f.n, 0.0, 1.0).dense())
+    return ad.constant(ad.EdgeOperator(w, a_f.index, 0.0, 1.0).dense())
 
 
 def check_config(variant: str, kernel_mode: str, j_max: int, mask_dim: int) -> None:
@@ -375,8 +375,7 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
         spec = model.bank(kind)
         if net:
             w = mask_matrix(masks[kind], model.params[f"{net}_b"], a_f)
-            t = spec.operator(normalized_laplacian(w, pairs=a_f.index, n=a_f.n),
-                              a_f.index, a_f.n)
+            t = spec.operator(normalized_laplacian(w, a_f.index), a_f.index)
         else:
             w, t = None, _constant_operator(spec, a_f)
         yield kind, w, spec, t, zs.get(kind, x)
@@ -390,8 +389,8 @@ def _constant_operator(spec: FilterBankSpec, a_f: CandidateGraph) -> ad.EdgeOper
     key = (spec.mode, spec.kind)
     if key not in a_f.operators:
         ones = ad.constant(np.ones((a_f.num_edges, 1)))
-        column = normalized_laplacian(ones, pairs=a_f.index, n=a_f.n)
-        a_f.operators[key] = spec.operator(column, a_f.index, a_f.n).held()
+        column = normalized_laplacian(ones, a_f.index)
+        a_f.operators[key] = spec.operator(column, a_f.index).held()
     return a_f.operators[key]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fggsl import analysis, datasets, graphs, model
+from fggsl import autodiff as ad
 from fggsl.errors import ContractError
 from fggsl.graphs import normalized_laplacian
 
@@ -76,6 +77,24 @@ def test_prop1_zero_norm_prediction_names_row():
     yhat = np.array([[0.9, 0.1], [0.0, 0.0], [0.5, 0.5]])
     with pytest.raises(ContractError, match=r"^prop1_check: zero-norm row 1$"):
         analysis.prop1_check(y, yhat, ([0, 2], [1, 1]))
+
+
+def test_prop1_builds_one_pair_index_per_call(monkeypatch):
+    # both cosine columns and the eps gathers read one index of the pairs
+    built, init = [], ad.PairIndex.__init__
+
+    def counted_init(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(ad.PairIndex, "__init__", counted_init)
+    rng = np.random.default_rng(3)
+    y = np.eye(3)[rng.integers(0, 3, size=8)]
+    for _ in range(3):
+        recs = analysis.prop1_check(y, _random_probs(rng, 8, 3),
+                                    (rng.integers(0, 8, size=5), rng.integers(0, 8, size=5)))
+        assert len(recs) == 5
+    assert built == [8] * 3
 
 
 def test_prop1_rejects_non_one_hot():

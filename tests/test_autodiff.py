@@ -284,7 +284,8 @@ def test_softmax_ce_bad_label_row_rejected():
 
 
 def _cosines(a, pairs):
-    return ad.pair_dots(ad.unit_rows(a, pairs, "cosine"), pairs)
+    index = ad.PairIndex(*pairs, a.shape[0])
+    return ad.pair_dots(ad.unit_rows(a, index, "cosine"), index)
 
 
 def test_cosine_rows_one_hot_cases():
@@ -312,9 +313,10 @@ def test_unit_rows_scales_a_row_whose_norm_overflows():
     # the squares of 1e308 overflow, so the row is scaled by its largest
     # entry first; its norm stays inf, so its gradient is zero
     a = ad.parameter(np.array([[1e308, 1e308, 1e308], [3.0, 4.0, 0.0]]), "a")
-    u = ad.unit_rows(a, ([0], [1]), "cosine")
+    index = ad.PairIndex([0], [1], 2)
+    u = ad.unit_rows(a, index, "cosine")
     assert np.allclose(u.data, [[3 ** -0.5] * 3, [0.6, 0.8, 0.0]], rtol=0, atol=1e-15)
-    ad.backward(ad.sum_all(ad.pair_dots(u, ([0], [1]))), [a])
+    ad.backward(ad.sum_all(ad.pair_dots(u, index)), [a])
     assert not np.any(a.grad[0])
     # (I - u1 u1^T) u0 / |a1| with u0 = (1, 1, 1) / sqrt(3), u1 = (0.6, 0.8, 0)
     assert np.allclose(a.grad[1], np.array([0.032, -0.024, 0.2]) / 3 ** 0.5)
@@ -325,7 +327,7 @@ def test_unit_rows_scales_a_row_whose_norm_underflows():
     # the squares of 1e-170 underflow to 0, so the row is scaled by its
     # largest entry first and keeps its true norm
     a = ad.constant(np.array([[1e-170, 1e-170, 1e-170], [3.0, 4.0, 0.0]]))
-    u = ad.unit_rows(a, ([0], [1]), "cosine")
+    u = ad.unit_rows(a, ad.PairIndex([0], [1], 2), "cosine")
     assert np.allclose(u.data, [[3 ** -0.5] * 3, [0.6, 0.8, 0.0]], rtol=0, atol=1e-15)
     units, norms = ad.row_units(a.data, 2)
     assert norms[0] == pytest.approx(3 ** 0.5 * 1e-170, rel=1e-15)
@@ -515,7 +517,7 @@ def test_random_op_chains_match_finite_differences(seed):
         ce = ad.softmax_cross_entropy(z, onehot, [0, 2, 4])
         probs = ad.softmax_rows(z)
         cos = _cosines(probs, ([0, 1], [2, 3]))
-        pair_w = ad.sigmoid(ad.pair_dots(z, ([0, 1], [2, 3])))
+        pair_w = ad.sigmoid(ad.pair_dots(z, ad.PairIndex([0, 1], [2, 3], 5)))
         return ad.add(ce, ad.scale(0.5, ad.sum_all(ad.hadamard(pair_w, cos))))
 
     assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-4
@@ -760,13 +762,14 @@ def test_a_recorded_propagate_never_runs_through_matrices(monkeypatch, tracked):
 
     monkeypatch.setattr(ad, "_polynomial", counted)
     inputs = {"w": ad.constant(w), "z": ad.constant(z)}
-    plain = ad.propagate(ad.EdgeOperator(inputs["w"], pairs, n, diag, off), inputs["z"],
+    index = ad.PairIndex(*pairs, n)
+    plain = ad.propagate(ad.EdgeOperator(inputs["w"], index, diag, off), inputs["z"],
                          coeffs).data
     assert orders == ["matrices", "chain"]       # the chain on I forms the matrices
     orders.clear()
     inputs[tracked] = ad.parameter(inputs[tracked].data, tracked)
     with ad.recording():
-        out = ad.propagate(ad.EdgeOperator(inputs["w"], pairs, n, diag, off), inputs["z"],
+        out = ad.propagate(ad.EdgeOperator(inputs["w"], index, diag, off), inputs["z"],
                            coeffs)
     assert orders == ["chain"]
     assert np.linalg.norm(plain - out.data) <= 1e-12 * np.linalg.norm(out.data)
@@ -783,7 +786,7 @@ def test_propagate_equals_explicit_powers(seed, n, width, k_in, m_out, powers, l
     # transposed if it is 8 or 9 wide
     rng = np.random.default_rng(seed)
     pairs, w, diag, off = _random_operator(rng, n)
-    op = ad.EdgeOperator(ad.constant(w), pairs, n, diag, off)
+    op = ad.EdgeOperator(ad.constant(w), ad.PairIndex(*pairs, n), diag, off)
     z = rng.standard_normal((n, k_in * width))
     coeffs = rng.standard_normal((powers, k_in, m_out))
     coeffs[:lead] = 0.0                          # zero leading powers
@@ -815,7 +818,7 @@ def test_propagate_gradient_along_random_directions(n, width, form, k_in, m_out)
     weights = ad.constant(rng.standard_normal((n, width * m_out)))
 
     def loss_fn():
-        out = ad.propagate(ad.EdgeOperator(w, pairs, n, diag, off), z, coeffs)
+        out = ad.propagate(ad.EdgeOperator(w, ad.PairIndex(*pairs, n), diag, off), z, coeffs)
         return ad.sum_all(ad.hadamard(ad.tanh(out), weights))
 
     ad.backward(loss_fn(), [w, z])
@@ -844,7 +847,7 @@ def test_propagate_backward_with_one_tracked_input(tracked):
         coeffs = rng.standard_normal((5, k_in, m_out))
 
         def backward(inputs, params):
-            op = ad.EdgeOperator(inputs[0], pairs, n, diag, off)
+            op = ad.EdgeOperator(inputs[0], ad.PairIndex(*pairs, n), diag, off)
             ad.backward(ad.sum_all(ad.propagate(op, inputs[1], coeffs)), params)
 
         both = [ad.parameter(v, "p") for v in values]
@@ -873,7 +876,7 @@ def test_propagate_drops_trailing_zero_powers_and_steps_the_narrower_side(
         coeffs = rng.standard_normal((9, k_in, m_out))
         coeffs[5:] = 0.0                         # powers 5..8 are dropped
         counted_operator.widths.clear()
-        out = ad.propagate(ad.EdgeOperator(w, pairs, n, diag, off), z, coeffs)
+        out = ad.propagate(ad.EdgeOperator(w, ad.PairIndex(*pairs, n), diag, off), z, coeffs)
         ad.backward(ad.sum_all(out), [w, z])
         # four products forward and four backward, each min(K, M) blocks wide
         assert counted_operator.widths == [width * min(k_in, m_out)] * 8, n
@@ -886,7 +889,7 @@ def test_propagate_with_no_steps_scales_the_input():
     z = ad.parameter(rng.standard_normal((4, 2)), "z")
     coeffs = np.zeros((3, 2, 1))
     coeffs[0] = [[2.0], [-1.0]]
-    out = ad.propagate(ad.EdgeOperator(w, pairs, 4, diag, off), z, coeffs)
+    out = ad.propagate(ad.EdgeOperator(w, ad.PairIndex(*pairs, 4), diag, off), z, coeffs)
     assert np.array_equal(out.data, 2.0 * z.data[:, :1] - z.data[:, 1:])
     ad.backward(ad.sum_all(out), [w, z])
     assert np.array_equal(w.grad, np.zeros(w0.shape))
@@ -895,7 +898,8 @@ def test_propagate_with_no_steps_scales_the_input():
 
 # T = I on three nodes, with no edges
 IDENTITY = ad.EdgeOperator(ad.constant(np.ones((0, 1))),
-                           (np.array([], dtype=int), np.array([], dtype=int)), 3, 1.0, 0.5)
+                           ad.PairIndex(np.array([], dtype=int), np.array([], dtype=int), 3),
+                           1.0, 0.5)
 
 
 def test_propagate_rejects_an_operator_of_another_size():
@@ -926,7 +930,7 @@ EDGES = (np.array([0, 0, 1, 2, 3]), np.array([1, 4, 2, 4, 4]))
 def test_pair_dots_reads_the_gram_matrix():
     rng = np.random.default_rng(50)
     a = rng.standard_normal((5, 3))
-    out = ad.pair_dots(ad.constant(a), REPEATED).data
+    out = ad.pair_dots(ad.constant(a), ad.PairIndex(*REPEATED, 5)).data
     i_idx, j_idx = REPEATED
     expected = np.sum(a[i_idx] * a[j_idx], axis=1, keepdims=True)
     assert out.shape == (6, 1)
@@ -939,7 +943,7 @@ def test_grad_check_pair_dots():
     a = params.add("a", rng.uniform(-1, 1, size=(5, 3)))
 
     def loss_fn():
-        s = ad.sigmoid(ad.pair_dots(a, REPEATED))
+        s = ad.sigmoid(ad.pair_dots(a, ad.PairIndex(*REPEATED, 5)))
         return ad.sum_all(ad.hadamard(s, s))
 
     assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
@@ -951,7 +955,7 @@ def test_grad_check_edge_normalize():
     w = params.add("w", rng.uniform(0.1, 1, size=(6, 1)))
 
     def loss_fn():
-        return ad.sum_all(ad.tanh(ad.edge_normalize(w, REPEATED, 5)))
+        return ad.sum_all(ad.tanh(ad.edge_normalize(w, ad.PairIndex(*REPEATED, 5))))
 
     assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
@@ -961,7 +965,7 @@ def test_edge_normalize_passes_no_gradient_through_a_clamped_degree(weight):
     # nodes 2 and 3 touch only the edge (2, 3), whose weight keeps their
     # degrees below the clamp: their scale is the constant 1/sqrt(eps)
     w = ad.parameter(np.array([[1.0], [weight]]), "w")
-    a = ad.edge_normalize(w, (np.array([0, 2]), np.array([1, 3])), 4)
+    a = ad.edge_normalize(w, ad.PairIndex(np.array([0, 2]), np.array([1, 3]), 4))
     ad.backward(ad.sum_all(a), [w])
     r = 1.0 / np.sqrt(ad.DEGREE_EPS)
     assert np.array_equal(a.data[:, 0], [1.0, r * r * weight])
@@ -971,7 +975,7 @@ def test_edge_normalize_passes_no_gradient_through_a_clamped_degree(weight):
 
 def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
     w = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    t = ad.EdgeOperator(ad.constant(w), EDGES, 6, 0.5, -0.25).dense()
+    t = ad.EdgeOperator(ad.constant(w), ad.PairIndex(*EDGES, 6), 0.5, -0.25).dense()
     expected = 0.5 * np.eye(6)
     for (i, j), v in zip(zip(*EDGES), w[:, 0]):
         expected[i, j] = expected[j, i] = -0.25 * v
@@ -1005,7 +1009,7 @@ def test_grad_check_edge_operator():
         weights = ad.constant(rng.standard_normal((n, 3 * m_out)))
 
         def loss_fn():
-            out = ad.propagate(ad.EdgeOperator(w, pairs, n, 0.5, off), z, coeffs)
+            out = ad.propagate(ad.EdgeOperator(w, ad.PairIndex(*pairs, n), 0.5, off), z, coeffs)
             return ad.sum_all(ad.hadamard(ad.tanh(out), weights))
 
         errors = ad.grad_check(loss_fn, params, 1e-5)
@@ -1025,7 +1029,7 @@ def test_edge_operator_propagates_like_its_dense_form(n, width, form, k_in, m_ou
     z0 = rng.standard_normal((n, width * k_in))
     g = rng.standard_normal((n, width * m_out))
     w, z = ad.parameter(w0, "w"), ad.parameter(z0, "z")
-    op = ad.EdgeOperator(w, pairs, n, 0.5, -0.5)
+    op = ad.EdgeOperator(w, ad.PairIndex(*pairs, n), 0.5, -0.5)
     ad.backward(ad.sum_all(ad.hadamard(ad.propagate(op, z, coeffs), ad.constant(g))), [w, z])
     dt, dz = _explicit_gradients(op.dense(), z0, coeffs, g)
     i_idx, j_idx = pairs
@@ -1056,8 +1060,8 @@ def test_pair_layer_gives_the_one_block_results_in_many_blocks(monkeypatch):
 
     def results():
         a, w, z = ad.parameter(a0, "a"), ad.parameter(w0, "w"), ad.parameter(z0, "z")
-        dots = ad.pair_dots(a, pairs)
-        out = ad.propagate(ad.EdgeOperator(w, edges, n, 0.5, 0.5), z, coeffs)
+        dots = ad.pair_dots(a, ad.PairIndex(*pairs, n))
+        out = ad.propagate(ad.EdgeOperator(w, ad.PairIndex(*edges, n), 0.5, 0.5), z, coeffs)
         loss = ad.add(ad.sum_all(ad.hadamard(ad.tanh(dots), pair_weights)),
                       ad.sum_all(ad.hadamard(ad.tanh(out), out_weights)))
         ad.backward(loss, [a, w, z])
@@ -1096,56 +1100,39 @@ def _index_and_tuple(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["full", "given", "knn:5", "unsorted"])
-def test_pair_ops_give_the_same_bits_from_an_index_and_from_its_tuple(monkeypatch, kind):
-    # 200 entries a block: row blocks of 5 rows at n = 40, so the pairs
-    # span several blocks.  The index is built once; the tuple gets a
-    # transient one in every op
-    monkeypatch.setattr(ad, "BLOCK_ENTRIES", 200)
+def test_pair_ops_give_the_same_bits_from_an_index_and_from_its_tuple(kind):
+    # the scatter through the index's flat offsets writes what 2-D
+    # indexing with its index arrays writes
     n = 40
     index, pairs = _index_and_tuple(kind, n)
     assert (index.order is not None) == (kind == "unsorted")
-    assert len(index.blocks) > 3
-    rng = np.random.default_rng(73)
-    a0, z0 = rng.standard_normal((n, 4)), rng.standard_normal((n, 6))
-    w0 = rng.uniform(0.1, 1.0, size=(index.size, 1))
-    coeffs = rng.standard_normal((5, 2, 1))
-    pair_weights = rng.standard_normal((index.size, 1))
-    out_weights = rng.standard_normal((n, 3))
-
-    def results(p):
-        a, w, z = ad.parameter(a0, "a"), ad.parameter(w0, "w"), ad.parameter(z0, "z")
-        dots = ad.pair_dots(a, p)
-        column = ad.edge_normalize(w, p, n)
-        op = ad.EdgeOperator(column, p, n, 0.5, -0.5)
-        out = ad.propagate(op, z, coeffs)
-        loss = ad.add(ad.sum_all(ad.hadamard(ad.tanh(dots), ad.constant(pair_weights))),
-                      ad.sum_all(ad.hadamard(ad.tanh(out), ad.constant(out_weights))))
-        ad.backward(loss, [a, w, z])
-        return [dots.data, column.data, op.dense(), out.data, a.grad, w.grad, z.grad]
-
-    from_index, from_tuple = results(index), results(pairs)
-    for x, y in zip(from_index, from_tuple):
-        assert np.array_equal(x, y)
-    # the scatter through flat offsets writes what 2-D indexing writes
+    w0 = np.random.default_rng(73).uniform(0.1, 1.0, size=(index.size, 1))
     i_idx, j_idx = pairs
     t = np.zeros((n, n))
-    t[i_idx, j_idx] = t[j_idx, i_idx] = -0.5 * from_index[1][:, 0]
+    t[i_idx, j_idx] = t[j_idx, i_idx] = -0.5 * w0[:, 0]
     np.fill_diagonal(t, 0.5)
-    assert np.array_equal(from_index[2], t)
+    assert np.array_equal(ad.EdgeOperator(ad.constant(w0), index, 0.5, -0.5).dense(), t)
 
 
 def test_a_pair_index_over_other_nodes_or_out_of_range_pairs_is_refused():
     index = ad.PairIndex(*EDGES, 6)
-    with pytest.raises(DimensionError, match="over 6 nodes, not 7"):
-        ad.pair_dots(ad.constant(np.ones((7, 2))), index)
+    a = ad.constant(np.ones((7, 2)))
+    for op in (lambda: ad.pair_dots(a, index), lambda: ad.unit_rows(a, index, "cosine")):
+        with pytest.raises(DimensionError, match="over 6 nodes, not 7"):
+            op()
     for bad in ((np.array([0, 6]), np.array([1, 2])), (np.array([0, -1]), np.array([1, 2]))):
-        with pytest.raises(DimensionError, match="outside"):
-            ad.edge_normalize(ad.constant(np.ones((2, 1))), bad, 6)
+        with pytest.raises(DimensionError, match=r"^PairIndex: a pair lies outside \[0, 6\)$"):
+            ad.PairIndex(*bad, 6)
+
+
+def test_a_pair_index_of_arrays_of_two_lengths_is_refused():
+    with pytest.raises(DimensionError, match="^PairIndex: pair index arrays differ in length$"):
+        ad.PairIndex(np.array([0, 1]), np.array([2]), 6)
 
 
 @pytest.mark.parametrize("op", [
-    lambda w: ad.edge_normalize(w, EDGES, 6),
-    lambda w: ad.propagate(ad.EdgeOperator(w, EDGES, 6, 0.5, 0.5),
+    lambda w: ad.edge_normalize(w, ad.PairIndex(*EDGES, 6)),
+    lambda w: ad.propagate(ad.EdgeOperator(w, ad.PairIndex(*EDGES, 6), 0.5, 0.5),
                            ad.constant(np.ones((6, 1))), np.ones((2, 1, 1))),
 ], ids=["normalize", "operator"])
 def test_edge_ops_reject_a_column_of_another_length(op):

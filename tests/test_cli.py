@@ -739,6 +739,56 @@ def test_analyze_stability_reads_the_graph_alone(tiny_dataset, tmp_path, monkeyp
     assert _stability_csv(tiny_dataset, tmp_path / "raw", "--no-normalize") == (0, clean)
 
 
+def _counted_pair_indexes(monkeypatch):
+    """The node count of every ``ad.PairIndex`` built from now on, in order."""
+    built, init = [], ad.PairIndex.__init__
+
+    def counted_init(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(ad.PairIndex, "__init__", counted_init)
+    return built
+
+
+@pytest.mark.parametrize("kind, checkpoint, expected", [
+    ("similarity", True, [24, 24]),      # the candidate's, then the histogram's
+    ("audit", True, [24]),               # the candidate's
+    ("stability", False, [24]),          # EdgeList.dense's, for the Laplacian
+])
+def test_analyze_builds_one_pair_index_per_list_of_pairs(tiny_dataset, fuzz_inputs, tmp_path,
+                                                         monkeypatch, kind, checkpoint,
+                                                         expected):
+    flags = ["--checkpoint", fuzz_inputs[1]] if checkpoint else ["--J", "2", "--trials", "1"]
+    built = _counted_pair_indexes(monkeypatch)
+    assert run_cli("analyze", kind, "--data", tiny_dataset, "--out", str(tmp_path / "a"),
+                   *flags) == 0
+    assert built == expected
+
+
+@pytest.mark.parametrize("flags, classes", [([], 7), (["--classes", "2,5,3"], 3)])
+def test_analyze_prop1_builds_one_pair_index_per_class_count(tmp_path, monkeypatch, flags,
+                                                            classes):
+    built = _counted_pair_indexes(monkeypatch)
+    assert run_cli("analyze", "prop1", "--out", str(tmp_path / "p1"), "--trials", "14",
+                   *flags) == 0
+    assert built == [256] * classes
+
+
+def test_main_calls_build_no_parser(tmp_path, monkeypatch):
+    # the parser is built once per process, when the module is imported;
+    # the defaults a handler reads are tuples, so no call can change them
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    for k in range(3):
+        assert run_cli("analyze", "response", "--out", str(tmp_path / str(k)),
+                       "--grid", "5") == 0
+    args = cli._PARSER.parse_args(["analyze", "prop1", "--out", "o"])
+    assert args.epsilons == (1e-3, 1e-2) and args.classes == (2, 3, 4, 5, 6, 7, 8)
+
+
 def _edit_node_line(data, lineno, pattern, replacement):
     path = data / "nodes.tsv"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -79,9 +79,11 @@ def test_laplacian_differentiable_wrt_weights():
     x = ad.constant(rng.standard_normal((4, 2)))
     coeffs = np.array([[[0.0]], [[1.0]], [[1.0]]])         # L X + L^2 X
 
+    index = ad.PairIndex(*pairs, 4)
+
     def loss_fn():
-        a_hat = graphs.normalized_laplacian(w, pairs=pairs, n=4)
-        lx = ad.propagate(ad.EdgeOperator(a_hat, pairs, 4, 1.0, -1.0), x, coeffs)
+        a_hat = graphs.normalized_laplacian(w, index)
+        lx = ad.propagate(ad.EdgeOperator(a_hat, index, 1.0, -1.0), x, coeffs)
         return ad.sum_all(ad.hadamard(lx, lx))
 
     assert ad.grad_check(loss_fn, params, 1e-6).relative <= 1e-4
@@ -93,7 +95,7 @@ def test_laplacian_edge_form_matches_the_dense_form():
     base = np.triu(base, 1) + np.triu(base, 1).T
     pairs = np.nonzero(np.triu(base, 1))
     a_hat = graphs.normalized_laplacian(ad.constant(base[pairs].reshape(-1, 1)),
-                                        pairs=pairs, n=8).data
+                                        ad.PairIndex(*pairs, 8)).data
     dense = graphs.normalized_laplacian(base)
     assert np.max(np.abs(a_hat[:, 0] + dense[pairs])) <= 1e-15
 

@@ -385,8 +385,8 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
     # I - L/2 (fig3 low, verbatim high) or L/2, from the dense Laplacian
     spec = model.FilterBankSpec(2, mode, kind)
     lap = normalized_laplacian(dense)
-    op = spec.operator(normalized_laplacian(ad.constant(w), pairs=(i_idx, j_idx), n=15),
-                       (i_idx, j_idx), 15)
+    index = ad.PairIndex(i_idx, j_idx, 15)
+    op = spec.operator(normalized_laplacian(ad.constant(w), index), index)
     expected = np.eye(15) - 0.5 * lap if op.off > 0 else 0.5 * lap
     t = op.dense()
     assert np.array_equal(t, t.T)
@@ -471,7 +471,7 @@ def test_given_training_step_records_one_n_by_n_node_per_bank(monkeypatch, varia
     dense, propagate = ad.EdgeOperator.dense, ad.propagate
 
     def counted_build(op):
-        built.append(op.n)
+        built.append(op.index.n)
         return dense(op)
 
     def counted_propagate(t, z, coeffs):
@@ -575,8 +575,8 @@ def _pair_arrays(pairs):
 
 
 def _cos(yhat, pairs):
-    pairs = _pair_arrays(pairs)
-    return ad.pair_dots(ad.unit_rows(yhat, pairs, "cosine"), pairs)
+    index = ad.PairIndex(*_pair_arrays(pairs), yhat.shape[0])
+    return ad.pair_dots(ad.unit_rows(yhat, index, "cosine"), index)
 
 
 def test_structural_ho_zero_weights():

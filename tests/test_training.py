@@ -588,12 +588,12 @@ def test_nm_builds_each_bank_operator_once_per_split(monkeypatch):
     normalized, built = [], []
     edge_normalize, dense = ad.edge_normalize, ad.EdgeOperator.dense
 
-    def counted_normalize(w, pairs, n):
-        normalized.append(n)
-        return edge_normalize(w, pairs, n)
+    def counted_normalize(w, index):
+        normalized.append(index.n)
+        return edge_normalize(w, index)
 
     def counted_dense(op):
-        built.append(op.n)
+        built.append(op.index.n)
         return dense(op)
 
     monkeypatch.setattr(ad, "edge_normalize", counted_normalize)
