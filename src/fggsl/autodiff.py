@@ -37,15 +37,16 @@ Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them.  Its one pair argument is a
 ``PairIndex(i, j, n)``, which carries the node count n and does the index
 work once: it checks that the arrays have one length and every pair lies
-in [0, n), and holds the pairs as ``intp`` arrays, their row blocks of
-``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries, each block's
-flat gather offsets, and the flat offsets of (i, j) and (j, i) in an
-n x n array.  A candidate graph builds one when it is made, and the model
-passes it to every op of every forward.  ``pair_dots(a, index)`` reads
-the Gram matrix a a^T at the pairs, and every cosine is
-``pair_dots(unit_rows(a, index, what), index)``; ``unit_rows`` is the one
-zero-norm check, and ``row_units``, the one overflow-safe row norm, also
-normalises features and kNN.  Both check that the index spans a's rows.
+in [0, n), and holds the pairs as ``intp`` arrays and the flat offsets
+of (i, j) and (j, i) in an n x n array.  On first use it builds their
+row blocks of ``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries,
+and each block's flat gather offsets.  A candidate graph builds one when
+it is made, and the model passes it to every op of every forward.
+``pair_dots(a, index)`` reads the Gram matrix a a^T at the pairs, and
+every cosine is ``pair_dots(unit_rows(a, index, what), index)``;
+``unit_rows`` is the one zero-norm check, and ``row_units``, the one
+overflow-safe row norm, also normalises features and kNN.  Both check
+that the index spans a's rows.
 ``edge_normalize(w, index)`` turns an undirected edge column into its
 symmetric normalised one, taking the degrees with ``np.bincount``, and
 ``EdgeOperator(w, index, diag, off)`` is its T.  The pair layer works one
@@ -58,6 +59,7 @@ offsets and adds S a + S^T a.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -736,18 +738,22 @@ class PairIndex:
     ``CandidateGraph`` builds one for its pairs.
 
     The index arrays must be of one length and every pair must lie in
-    [0, n), so that no flat offset aliases another pair; else a
-    DimensionError is raised.  ``i`` and ``j`` hold the pairs as ``intp``
-    arrays, and ``upper`` and ``lower`` their flat offsets i n + j and
-    j n + i into an n x n array.  The pairs are grouped as lo = min(i, j)
-    <= hi = max(i, j) by lo into row blocks of ``_block_rows(n)`` rows:
-    ``blocks`` lists (r0, r1, c1, p0, p1), the sorted pairs p0:p1 having
-    lo in rows r0:r1 and hi below c1, and ``offsets`` holds each sorted
-    pair's flat offset (lo - r0)(c1 - r0) + hi - r0 into its block's
-    (r1 - r0) x (c1 - r0) array.  Blocks that hold no pair are not
-    listed.  Pairs already sorted by lo, as ``edge_pairs()`` returns them,
-    are not moved; any others are ordered once by a stable argsort,
-    ``order``, and the results come back in the caller's order.
+    [0, n), so that no flat offset aliases another pair; else the
+    constructor raises a DimensionError.  ``i`` and ``j`` hold the pairs
+    as ``intp`` arrays, and ``upper`` and ``lower`` their flat offsets
+    i n + j and j n + i into an n x n array, which is all a scatter
+    (``EdgeOperator.dense``) reads.  The row-block layout that the reads
+    and their VJPs go by is built on first use (``_layout``), so an index
+    that only scatters never pays for it.  The pairs are grouped as
+    lo = min(i, j) <= hi = max(i, j) by lo into row blocks of
+    ``_block_rows(n)`` rows: ``blocks`` lists (r0, r1, c1, p0, p1), the
+    sorted pairs p0:p1 having lo in rows r0:r1 and hi below c1, and
+    ``offsets`` holds each sorted pair's flat offset
+    (lo - r0)(c1 - r0) + hi - r0 into its block's (r1 - r0) x (c1 - r0)
+    array.  Blocks that hold no pair are not listed.  Pairs already sorted
+    by lo, as ``edge_pairs()`` returns them, are not moved; any others are
+    ordered once by a stable argsort, ``order``, and the results come back
+    in the caller's order.
     """
 
     def __init__(self, i_idx, j_idx, n: int):
@@ -760,22 +766,38 @@ class PairIndex:
             raise DimensionError(f"PairIndex: a pair lies outside [0, {n})")
         self.i, self.j, self.n = i_idx, j_idx, n
         self.upper, self.lower = i_idx * n + j_idx, j_idx * n + i_idx
-        lo, hi = i_idx, j_idx
-        if np.any(i_idx > j_idx):
-            lo, hi = np.minimum(i_idx, j_idx), np.maximum(i_idx, j_idx)
-        self.order = None
+
+    @functools.cached_property
+    def _layout(self) -> tuple[np.ndarray | None, list, np.ndarray]:
+        """(``order``, ``blocks``, ``offsets``), built once, on first use."""
+        n, lo, hi = self.n, self.i, self.j
+        if np.any(lo > hi):
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        order = None
         if np.any(lo[1:] < lo[:-1]):
-            self.order = np.argsort(lo, kind="stable")
-            lo, hi = lo[self.order], hi[self.order]
+            order = np.argsort(lo, kind="stable")
+            lo, hi = lo[order], hi[order]
         rows = _block_rows(n)
         firsts = np.concatenate(([0], np.searchsorted(lo, np.arange(rows, n, rows)),
                                  [lo.size]))
-        self.blocks = [(r0, min(r0 + rows, n), int(hi[p0:p1].max()) + 1, int(p0), int(p1))
-                       for r0, p0, p1 in zip(range(0, n, rows), firsts, firsts[1:])
-                       if p1 > p0]
-        self.offsets = np.empty(lo.size, dtype=np.intp)
-        for r0, _, c1, p0, p1 in self.blocks:
-            self.offsets[p0:p1] = (lo[p0:p1] - r0) * (c1 - r0) + hi[p0:p1] - r0
+        blocks = [(r0, min(r0 + rows, n), int(hi[p0:p1].max()) + 1, int(p0), int(p1))
+                  for r0, p0, p1 in zip(range(0, n, rows), firsts, firsts[1:]) if p1 > p0]
+        offsets = np.empty(lo.size, dtype=np.intp)
+        for r0, _, c1, p0, p1 in blocks:
+            offsets[p0:p1] = (lo[p0:p1] - r0) * (c1 - r0) + hi[p0:p1] - r0
+        return order, blocks, offsets
+
+    @property
+    def order(self) -> np.ndarray | None:
+        return self._layout[0]
+
+    @property
+    def blocks(self) -> list:
+        return self._layout[1]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._layout[2]
 
     @property
     def size(self) -> int:
@@ -790,11 +812,12 @@ class PairIndex:
     def read(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(left right^T)[i, j] per pair, as a column; the product must be
         symmetric.  Row block r0:r1 computes left[r0:r1] right[r0:c1]^T."""
+        order, blocks, offsets = self._layout
         vals = np.empty(self.size)
-        for r0, r1, c1, p0, p1 in self.blocks:
-            vals[p0:p1] = np.take(left[r0:r1] @ right[r0:c1].T, self.offsets[p0:p1])
-        if self.order is not None:
-            vals[self.order] = vals.copy()
+        for r0, r1, c1, p0, p1 in blocks:
+            vals[p0:p1] = np.take(left[r0:r1] @ right[r0:c1].T, offsets[p0:p1])
+        if order is not None:
+            vals[order] = vals.copy()
         return vals.reshape(-1, 1)
 
 
@@ -812,12 +835,13 @@ def pair_dots(a: Tensor, index: PairIndex) -> Tensor:
     vals = index.read(ad, ad)
 
     def vjp(g):
-        gs = g[:, 0] if index.order is None else g[index.order, 0]
+        order, blocks, offsets = index._layout
+        gs = g[:, 0] if order is None else g[order, 0]
         out = np.zeros_like(ad)
-        for r0, r1, c1, p0, p1 in index.blocks:
+        for r0, r1, c1, p0, p1 in blocks:
             # S[r0:r1, r0:c1] sums g over the block's pairs: one bincount
             cols = c1 - r0
-            s = np.bincount(index.offsets[p0:p1], weights=gs[p0:p1],
+            s = np.bincount(offsets[p0:p1], weights=gs[p0:p1],
                             minlength=(r1 - r0) * cols).reshape(r1 - r0, cols)
             out[r0:r1] += s @ ad[r0:c1]
             out[r0:c1] += s.T @ ad[r0:r1]

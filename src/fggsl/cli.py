@@ -332,15 +332,14 @@ def _stability(args):
 
 def _similarity(args):
     bundle, net, a_f = _trained(args)
+    graph = bundle.graph
+    sampling = {"max_pairs": args.max_pairs, "bins": args.bins, "seed": args.seed}
     if net is None:
-        vectors, source = bundle.graph.features, "features"
+        source = "features"
+        hist = analysis.similarity_histogram(graph.features, graph.labels, **sampling)
     else:
-        with ad.no_grad():
-            vectors = fm.embedding(net, ad.constant(bundle.graph.features), a_f).data
         source = "embedding"
-    hist = analysis.similarity_histogram(vectors, bundle.graph.labels,
-                                         max_pairs=args.max_pairs,
-                                         bins=args.bins, seed=args.seed)
+        hist = analysis.embedding_similarity(net, graph, a_f, **sampling)
     if hist.skipped_classes:
         print("warning: no intra-class pairs in the one-node class(es) "
               f"{', '.join(map(str, hist.skipped_classes))}", file=sys.stderr)

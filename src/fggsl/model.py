@@ -46,9 +46,10 @@ lists its kernels, ``coefficients`` tables each as a polynomial in T, and
 ``operator`` builds its T.  ``ad.propagate`` applies
 the table to blocks by repeated dense products T @ Y: one tape node per
 bank, whose backward reads the T gradient at the bank's edges.
-``embedding`` pushes X through T once for all scales (the chain
-order); ``forward`` folds the scales' blocks X W_j into one n x C block
-by Horner's rule (the Horner order).  No n x n matrix is ever squared.
+``embedding`` pushes X, or the block it is given (an n x n factor of
+X X^T in ``analysis.embedding_similarity``), through T once for all
+scales (the chain order); ``forward`` folds the scales' blocks X W_j
+into one n x C block by Horner's rule (the Horner order).  No n x n matrix is ever squared.
 Each step T @ Y runs in the form BLAS runs fastest for the block's
 shape: row panels of T for a block 2 to 7 columns wide on n >= 512 rows,
 as at C = 5 on the heterophilic benchmarks (see ``autodiff._step``).
@@ -368,7 +369,7 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
     without a mask net has no column (None), and its T, on the all-ones
     column (``a_f`` itself), is ``_constant_operator``'s.  With
     ``classifier``, Z = [X W_2 | ... | X W_J] is the bank's block of one
-    product with X (``_feature_products``); without, Z is X.
+    product with X (``_feature_products``); without, Z is None.
     """
     masks, zs = _feature_products(model, x, classifier)
     for kind, net in BANKS[model.variant].items():
@@ -378,7 +379,7 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
             t = spec.operator(normalized_laplacian(w, a_f.index), a_f.index)
         else:
             w, t = None, _constant_operator(spec, a_f)
-        yield kind, w, spec, t, zs.get(kind, x)
+        yield kind, w, spec, t, zs.get(kind)
 
 
 def _constant_operator(spec: FilterBankSpec, a_f: CandidateGraph) -> ad.EdgeOperator:
@@ -415,14 +416,21 @@ def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:
                          w2_edges=columns.get("high"), logits=logits, a_f=a_f)
 
 
-def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> Tensor:
+def embedding(model: FgGSLModel, x: Tensor, a_f: CandidateGraph,
+              block: Tensor | None = None) -> Tensor:
     """The filter responses the classifier reads: logits = embedding @ w_clf.
 
     ``forward`` never builds this n x ``embedding_width()`` matrix; the
-    analysis of learned representations computes it on demand.
+    analysis of learned representations computes it on demand.  The masks
+    read X, and the banks filter ``block``, X by default.  Any n-row B with
+    B B^T = c X X^T, c > 0, gives rows whose cosines are those of the
+    embedding of X: ``analysis.embedding_similarity`` passes the n x n
+    factor of X X^T where the features are at least twice as wide as the
+    graph has nodes, so each bank runs on n columns in place of F.
     """
-    return ad.side_by_side([(ad.propagate(t, z, spec.coefficients()[:, None, :]), 1)
-                            for _, _, spec, t, z in _banks(model, x, a_f, classifier=False)])
+    block = x if block is None else block
+    return ad.side_by_side([(ad.propagate(t, block, spec.coefficients()[:, None, :]), 1)
+                            for _, _, spec, t, _ in _banks(model, x, a_f, classifier=False)])
 
 
 def structural_loss_ho(w1: Tensor, cos: Tensor) -> Tensor:

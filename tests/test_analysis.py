@@ -382,6 +382,82 @@ def test_similarity_counts_equal_the_per_pair_formula(seed, n, width, classes, b
         assert mean == pytest.approx(np.mean(cos), abs=1e-12)
 
 
+def _wide_graph():
+    """n = 40 nodes with F = 300 >= 2n features, as the WebKB pages have."""
+    g = datasets.gen_synthetic(40, 3, 0.2, 0.4, 0.4, seed=33, n_splits=1)
+    g.features = np.random.default_rng(34).random((40, 300))
+    return g
+
+
+def _materialized_similarity(net, graph, a_f):
+    """The histogram of the embedding's rows, built in full."""
+    with ad.no_grad():
+        vectors = model.embedding(net, ad.constant(graph.features), a_f).data
+    return analysis.similarity_histogram(vectors, graph.labels)
+
+
+@pytest.mark.parametrize("spec", ["full", "given"])
+@pytest.mark.parametrize("mode", model.KERNEL_MODES)
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_embedding_similarity_of_wide_features_equals_the_materialized_one(variant, mode,
+                                                                          spec):
+    # the banks filter an n x n factor of X X^T: the same cosines to rounding
+    g = _wide_graph()
+    net = model.FgGSLModel(300, 3, j_max=3, mask_dim=4, kernel_mode=mode, variant=variant,
+                           seed=35)
+    a_f = model.bank_graph(g, variant, spec)
+    got = analysis.embedding_similarity(net, g, a_f)
+    expected = _materialized_similarity(net, g, a_f)
+    assert np.array_equal(got.intra_counts, expected.intra_counts)
+    assert np.array_equal(got.inter_counts, expected.inter_counts)
+    assert (got.n_intra, got.n_inter, got.sampling) == (expected.n_intra, expected.n_inter,
+                                                         expected.sampling)
+    assert got.intra_mean == pytest.approx(expected.intra_mean, rel=0, abs=1e-12)
+    assert got.inter_mean == pytest.approx(expected.inter_mean, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["full", "given"])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_embedding_similarity_of_narrow_features_is_bitwise_the_materialized_one(variant,
+                                                                                spec):
+    # gen's F = C = 3 features on 40 nodes: the banks filter X itself
+    g = datasets.gen_synthetic(40, 3, 0.2, 0.4, 0.4, seed=33, n_splits=1)
+    net = model.FgGSLModel(3, 3, j_max=3, mask_dim=4, variant=variant, seed=35)
+    a_f = model.bank_graph(g, variant, spec)
+    got = analysis.embedding_similarity(net, g, a_f)
+    expected = _materialized_similarity(net, g, a_f)
+    for field in ("bin_edges", "intra_counts", "inter_counts"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field))
+    for field in ("intra_mean", "inter_mean", "n_intra", "n_inter", "sampling",
+                  "skipped_classes"):
+        assert getattr(got, field) == getattr(expected, field)
+
+
+@pytest.mark.parametrize("variant", ["full", "NM"])
+def test_embedding_similarity_of_wide_features_propagates_n_columns_below_one_embedding(
+        monkeypatch, variant):
+    # the embedding of X would be n x 2(J - 1)F = 40 x 1200; the banks run
+    # on 40 columns instead, and that array is never built
+    g = _wide_graph()
+    net = model.FgGSLModel(300, 3, j_max=3, mask_dim=4, variant=variant, seed=35)
+    a_f = model.bank_graph(g, variant, "full")
+    widths, propagate = [], ad.propagate
+
+    def counted(t, z, coeffs):
+        widths.append(z.shape[1])
+        return propagate(t, z, coeffs)
+
+    monkeypatch.setattr(ad, "propagate", counted)
+    tracemalloc.start()
+    try:
+        analysis.embedding_similarity(net, g, a_f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == [g.n] * len(model.BANKS[variant])
+    assert peak < g.n * net.embedding_width() * 8
+
+
 # ---------------------------------------------------------------------------
 # spectral_response_export
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import fggsl
 from fggsl import analysis, cli, datasets, model
 from fggsl import autodiff as ad
-from fggsl.errors import NumericError
-from fggsl.graphs import EdgeList, heterophilic_fraction
+from fggsl.errors import ContractError, NumericError
+from fggsl.graphs import EdgeList, LabeledGraph, heterophilic_fraction
 
 
 def run_cli(*argv):
@@ -649,6 +649,66 @@ def test_analyze_similarity_runs_nm_on_the_given_graph(tiny_dataset, tmp_path):
                                   datasets.candidate_graph(graph, "given")).data
     hist = analysis.similarity_histogram(vectors, graph.labels)
     assert (doc["intra_mean"], doc["inter_mean"]) == (hist.intra_mean, hist.inter_mean)
+
+
+def _wide_dataset(root, scale=1.0, isolated=None):
+    """A dataset of 40 nodes with F = 300 >= 2n features, each times
+    ``scale``, and a ``full`` model for it; node ``isolated``, if given,
+    has no edge and zero features.  Returns (directory, model, checkpoint)."""
+    g = datasets.gen_synthetic(40, 3, 0.2, 0.4, 0.4, seed=33, n_splits=1)
+    features = np.random.default_rng(34).random((40, 300)) * scale
+    edges = g.edges
+    if isolated is not None:
+        features[isolated] = 0.0
+        keep = (edges.i != isolated) & (edges.j != isolated)
+        edges = EdgeList(40, edges.i[keep], edges.j[keep])
+    data = root / "data"
+    data.mkdir(parents=True)
+    datasets.save_raw(LabeledGraph(edges, features, g.labels), data / datasets.NODE_FILE,
+                      data / datasets.EDGE_FILE)
+    datasets.save_splits(g.splits, data / datasets.SPLIT_DIR)
+    net = model.FgGSLModel(300, 3, j_max=3, mask_dim=4, seed=35)
+    model.save_checkpoint(root / "wide.fgck", net, alpha=1.0, beta=1.0)
+    return str(data), net, str(root / "wide.fgck")
+
+
+def _materialized_similarity(net, graph, candidate):
+    with ad.no_grad():
+        vectors = model.embedding(net, ad.constant(graph.features),
+                                  model.bank_graph(graph, net.variant, candidate)).data
+    return analysis.similarity_histogram(vectors, graph.labels)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_similarity_of_wide_features_near_the_float_limit(tmp_path, capsys):
+    # X X^T of features near 1e200 overflows; its factor is taken of X / max|X|
+    data, net, ckpt = _wide_dataset(tmp_path, scale=1e200)
+    out = tmp_path / "sim"
+    assert run_cli("analyze", "similarity", "--data", data, "--out", str(out),
+                   "--checkpoint", ckpt, "--no-normalize") == 0
+    assert capsys.readouterr().err == ""
+    hist = _materialized_similarity(
+        net, datasets.load_dataset_dir(data, normalize_features=False).graph, "full")
+    rows = (out / "similarity.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [tuple(int(v) for v in row.split(",")[2:]) for row in rows] == list(
+        zip(hist.intra_counts, hist.inter_counts))
+    doc = json.loads((out / "similarity.json").read_text(encoding="utf-8"))
+    assert doc["source"] == "embedding"
+    assert doc["intra_mean"] == pytest.approx(hist.intra_mean, rel=0, abs=1e-12)
+    assert doc["inter_mean"] == pytest.approx(hist.inter_mean, rel=0, abs=1e-12)
+
+
+def test_analyze_similarity_names_an_isolated_zero_feature_node_of_wide_features(tmp_path,
+                                                                                capsys):
+    # the factor keeps the node's zero row exactly zero, so its embedding
+    # row is zero as with X, and the histogram names it in one line
+    data, net, ckpt = _wide_dataset(tmp_path, isolated=7)
+    assert run_cli("analyze", "similarity", "--data", data, "--out", str(tmp_path / "sim"),
+                   "--checkpoint", ckpt, "--candidate", "given") == 1
+    message = "similarity_histogram: zero-norm row 7"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        _materialized_similarity(net, datasets.load_dataset_dir(data).graph, "given")
 
 
 def test_analyze_audit_of_nm_exits_1(tiny_dataset, tmp_path, capsys):

@@ -117,6 +117,21 @@ def test_from_dense_equals_the_upper_triangle_scan(threshold):
     assert i_idx.flags.c_contiguous and j_idx.flags.c_contiguous
 
 
+def test_dense_and_adjacency_build_no_row_block_layout(monkeypatch):
+    # the scatter reads the index's flat offsets alone; the row blocks are
+    # built on a pair read's first use, which a dense matrix never makes
+    a = _random_adjacency(np.random.default_rng(14), 30)
+    edges = graphs.EdgeList.from_dense(a)
+    graph = graphs.LabeledGraph(edges, np.ones((30, 2)), np.eye(2)[np.arange(30) % 2])
+
+    def refuse(n):
+        raise AssertionError("a row-block layout was built")
+
+    monkeypatch.setattr(ad, "_block_rows", refuse)
+    assert np.array_equal(edges.dense(), a)
+    assert np.array_equal(graph.adjacency, a)
+
+
 def test_labeled_graph_rejects_edges_that_are_not_an_edge_list():
     # a dense matrix in place of the EdgeList fails here, not at a later read
     with pytest.raises(ContractError, match="edges must be an EdgeList, got ndarray$"):
