@@ -5,7 +5,9 @@ every output that differs between them.
 
 Each tree runs ``COMMANDS`` in a fresh directory of its own, each command
 in its own process with the tree's ``src`` directory first on
-``PYTHONPATH`` and ``FGGSL_THREADS=1``.  The two runs are then compared:
+``PYTHONPATH`` and ``FGGSL_THREADS=1``.  A command is ``fggsl``'s command
+line, or a ``.py`` script of the tree named from its root, the directory
+that holds ``src``.  The two runs are then compared:
 
 * each command's exit code and stdout, and a command that exits nonzero
   in either tree counts as a difference;
@@ -38,21 +40,26 @@ IGNORED_FIELDS = ("seconds", "timestamp")
 CONFIG = {"epochs_max": 20, "patience": 20, "j_max": 4, "mask_dim": 8, "lr": 0.05}
 
 
-def _ablation(candidate: str, tag: str) -> list[str]:
-    """An ablation on ``candidate``, and the audit and similarity of its
-    ``full`` checkpoint of split 0."""
+def _ablation(candidate: str, tag: str, data: str = "data") -> list[str]:
+    """An ablation on ``candidate`` of the dataset in ``data``, and the
+    audit and similarity of its ``full`` checkpoint of split 0."""
     checkpoint = f"ablate_{tag}/ckpt_full_split_00.fgck"
-    return [f"ablate --data data --out ablate_{tag} --config config.json --candidate {candidate}",
-            f"analyze audit --data data --out audit_{tag} --candidate {candidate} "
+    return [f"ablate --data {data} --out ablate_{tag} --config config.json "
+            f"--candidate {candidate}",
+            f"analyze audit --data {data} --out audit_{tag} --candidate {candidate} "
             f"--checkpoint {checkpoint}",
-            f"analyze similarity --data data --out similarity_{tag} --candidate {candidate} "
+            f"analyze similarity --data {data} --out similarity_{tag} --candidate {candidate} "
             f"--checkpoint {checkpoint}"]
 
 
-# every path is relative to the tree's run directory, which holds config.json
+# every path is relative to the tree's run directory, which holds config.json.
+# gen writes %.17g features; the WebKB-shaped stand-in's are 0/1 words,
+# written by the tree's own save_raw, so its runs read the digit layout
 COMMANDS = [
     "gen --out data --n 60 --classes 3 --seed 3 --splits 2",
     *_ablation("full", "full"), *_ablation("given", "given"), *_ablation("knn:5", "knn5"),
+    "tests/webkb_standin.py --out standin --n 60 --features 200 --splits 2 --seed 1",
+    *_ablation("full", "standin", data="standin"),
     "analyze similarity --data data --out similarity_features",
     "analyze stability --out stability --n 20 --J 3 --trials 2",
     "analyze stability --data data --out stability_data --J 3 --trials 2",
@@ -82,9 +89,16 @@ def _run_tree(src: Path, workdir: Path, commands) -> list[tuple[int, str]]:
     workdir.mkdir()
     (workdir / "config.json").write_text(json.dumps(CONFIG) + "\n", encoding="utf-8")
     return [(done.returncode, done.stdout) for done in
-            (subprocess.run([sys.executable, "-m", "fggsl.cli", *shlex.split(command)],
-                            cwd=workdir, env=env, capture_output=True, text=True)
+            (subprocess.run(_argv(src, command), cwd=workdir, env=env, capture_output=True,
+                            text=True)
              for command in commands)]
+
+
+def _argv(src: Path, command: str) -> list[str]:
+    words = shlex.split(command)
+    if words[0].endswith(".py"):
+        return [sys.executable, str(src.parent / words[0]), *words[1:]]
+    return [sys.executable, "-m", "fggsl.cli", *words]
 
 
 def _json_without_ignored(path: Path):

@@ -10,14 +10,19 @@ or whose first non-blank character is ``#`` is skipped):
 
 Ids, labels, edge endpoints and split indices are signed decimal integers
 within int64 (``_int``); features are ASCII float literals without digit
-separators (``_float``); both allow whitespace around a value.  numpy's
-text parser reads all feature values of a node file in one call, all
-edges of an edge file in another, and each split line in one; ``_int``
-and ``_float`` state the same syntax for the scans that name the line of
-a fault, which run only when a file does not load.  The edge file is
-parsed as it is, and its skipped lines cut out only when that parse fails;
-ids 0..n-1 in file order, as ``save_raw`` writes them, are their own rows,
-and other ids are mapped to rows by a sorted search.
+separators (``_float``); both allow whitespace around a value.  When
+all feature values of a node file share one digit layout (d >= 1 digits,
+optionally a point and m >= 1 digits, d + m <= 15, as ``save_raw`` writes
+0/1 features and ``repr`` writes 0.0/1.0), ``_fixed_layout`` reads them
+all as bytes, each as one correctly rounded division of two exact
+integers, so bitwise what numpy reads; otherwise numpy's text parser
+reads them in one call.  It also reads all edges of an edge file in one
+call, and each split line in one; ``_int`` and ``_float`` state the same
+syntax for the scans that name the line of a fault, which run only when
+a file does not load.  The edge file is parsed as it is, and its
+skipped lines cut out only when that parse fails; ids 0..n-1 in file
+order, as ``save_raw`` writes them, are their own rows, and other ids
+are mapped to rows by a sorted search.
 
 ``load_dataset_dir`` reads and checks a whole dataset.  ``load_edge_list``
 reads only its graph: the node lines for ids, and the edge file.
@@ -161,6 +166,60 @@ def _loadtxt(lines, dtype, delimiter):
             return None
 
 
+# the widest digit run whose integer is exact in float64: 10^15 - 1 < 2^53
+_MAX_DIGITS = 15
+
+
+def _fixed_layout(fields, width):
+    """The features of ``fields`` (``len(fields)`` rows of ``width``
+    comma-separated values each) as an (n, width) float64 array when all
+    values share one layout: d >= 1 ASCII digits, then optionally a point
+    and m >= 1 digits, with d + m <= 15 and no sign, space or exponent;
+    None otherwise.
+
+    Each value is M / 10^m for its integer mantissa M.  M < 10^15 < 2^53
+    is accumulated exactly in float64, and 10^m is exact, so the one
+    division is correctly rounded (Clinger's fast path): the value is
+    bitwise what numpy's parser reads.  The layout's width comes from the
+    fields' total length, so a file that cannot have one is declined
+    before any text is built.
+    """
+    count = len(fields) * width
+    size = sum(map(len, fields)) + len(fields)    # each value and its comma
+    step, rest = divmod(size, count)              # step: value width + 1
+    if rest:
+        return None
+    point = fields[0].find(".", 0, step - 1)      # -1: no point
+    digits = step - 1 - (point >= 0)
+    if not 1 <= digits <= _MAX_DIGITS or point == 0 or point == step - 2:
+        return None
+    try:
+        data = ",".join(fields).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # each field holds width - 1 commas, so once every other column holds
+    # digits or a point, the commas all sit in the last column of ``step``
+    codes = np.frombuffer(data, dtype=np.uint8)
+    if point > 0 and not (codes[point::step] == ord(".")).all():
+        return None
+    mantissa = None
+    for column in range(step - 1):
+        if column == point:
+            continue
+        value = codes[column::step] - ord("0")
+        if not (value < 10).all():
+            return None
+        if mantissa is None:
+            mantissa = value.astype(np.float64)
+        else:
+            # every partial sum is an integer below 10^15, exact in float64
+            mantissa *= 10
+            mantissa += value
+    if point > 0:
+        mantissa /= float(10 ** (step - 2 - point))
+    return mantissa.reshape(len(fields), width)
+
+
 def _raise_first_fault(path, lines, check, otherwise: Exception):
     """Raise ParseError at the first (lineno, text) of ``lines`` that
     ``check`` rejects with a ValueError, or ``otherwise`` if it rejects none."""
@@ -238,13 +297,17 @@ def load_raw(node_file, edge_file) -> LabeledGraph:
     so does a NaN or infinite feature, naming its line.
 
     Python reads the node lines for ids, labels and row widths
-    (``_read_nodes``); numpy's text parser reads all feature values in one
-    call, and ``_read_edges`` all edges in another.  The faulty line is
-    found by a scan that runs only on error.
+    (``_read_nodes``).  Feature values that share one digit layout are
+    read by ``_fixed_layout``, bitwise as numpy would read them; any other
+    file, a faulty one included, goes to numpy's text parser, which reads
+    all feature values in one call.  ``_read_edges`` reads all edges in
+    another.  The faulty line is found by a scan that runs only on error.
     """
     ids, fields, linenos, labels, width, top = _read_nodes(node_file)
     n = len(fields)
-    features = _loadtxt(fields, np.float64, ",")
+    features = _fixed_layout(fields, width)
+    if features is None:
+        features = _loadtxt(fields, np.float64, ",")
     if features is None or features.shape != (n, width):
         _raise_first_fault(node_file, zip(linenos, fields), _feature_values,
                            ParseError(f"{node_file}: a feature value does not parse"))

@@ -284,7 +284,8 @@ def _where(exc):
 
 
 def _outcome(load, nodes_text, edges_text):
-    """Arrays bytes of what ``load`` returns on the two files, or where its error points."""
+    """Arrays bytes and sign bits of what ``load`` returns on the two files,
+    or where its error points."""
     with tempfile.TemporaryDirectory() as tmp:
         nodes, edges = os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv")
         with open(nodes, "wb") as fh:
@@ -295,7 +296,7 @@ def _outcome(load, nodes_text, edges_text):
             arrays = load(nodes, edges)
         except (ParseError, ValidationError) as exc:
             return _where(exc)
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+    return [(a.dtype.str, a.shape, a.tobytes(), np.signbit(a).tobytes()) for a in arrays]
 
 
 def _load_arrays(nodes, edges):
@@ -307,9 +308,41 @@ _NOISE = st.sampled_from(["", " ", " \t ", "\x0c", "# note", "  # indented", "#"
 _FEATURE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                      st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e-310]))
 _PAD = st.sampled_from(["", " ", "  "])
+
+
+def _digits(k, d, m):
+    """``k`` written as d digits, then a point and m digits when m > 0."""
+    text = f"{k:0{d + m}d}"
+    return f"{text[:d]}.{text[d:]}" if m else text
+
+
+# the value of every feature of a file in one digit layout: %d of 0/1,
+# repr of 0.0/1.0, or d digits and m decimals for every d + m up to one
+# past the 15 digits whose integers float64 holds exactly
+_DIGIT_LAYOUT = st.one_of(
+    st.just(st.sampled_from(["0", "1"])),
+    st.just(st.sampled_from(["0.0", "1.0"])),
+    (st.integers(1, 14) | st.sampled_from([15, 16])).flatmap(lambda t: st.integers(0, t - 1).map(
+        lambda m: st.integers(0, 10 ** t - 1).map(lambda k: _digits(k, t - m, m)))))
+# the values of one row of a digit-layout file, rewritten to leave the
+# layout; every value still parses (a one-byte value cannot be narrowed)
+_LAYOUT_BREAKS = {
+    "a byte wider": lambda r: ["0" + r[0]] + r[1:],
+    "a byte narrower": lambda r: [r[0][1:] or r[0]] + r[1:],
+    "a byte moved": lambda r: ["0" + r[0]] + [v[1:] or v for v in r[1:2]] + r[2:],
+    "a plus sign": lambda r: ["+" + r[0]] + r[1:],
+    "a minus sign": lambda r: ["-" + r[0]] + r[1:],
+    "a space": lambda r: [" " + r[0]] + r[1:],
+    "an exponent": lambda r: [r[0] + "e0"] + r[1:],
+    "a 16th digit": lambda r: [r[0].zfill(16 + ("." in r[0]))] + r[1:],
+    "a point replaced by a digit": lambda r: [r[0].replace(".", "0")] + r[1:],
+}
 # one fault per kind, applied to the fields of one node or edge line
 _NODE_FAULTS = {
     "bad value": lambda f, ids, n: [f[0], "x," + f[1]] + f[2:],
+    # a digit replaced by the byte before "0" or after "9"
+    "slash in place": lambda f, ids, n: [f[0], re.sub("[0-9]", "/", f[1], count=1)] + f[2:],
+    "colon in place": lambda f, ids, n: [f[0], re.sub("[0-9]", ":", f[1], count=1)] + f[2:],
     "ragged row": lambda f, ids, n: [f[0], f[1] + ",1.0"] + f[2:],
     "2 fields": lambda f, ids, n: f[:2],
     "non-integer id": lambda f, ids, n: [f[0] + ".5"] + f[1:],
@@ -340,17 +373,25 @@ def _text(draw, lines):
 @st.composite
 def _raw_dataset(draw, faults=0):
     """(nodes text, edges text) with ids permuted, sparse and negative,
-    duplicate edges and self-loops, features written by repr or %.17g, and
+    duplicate edges and self-loops, features written by repr or %.17g or
+    all in one digit layout (maybe with one row's layout broken), and
     ``faults`` faults from the tables above."""
     n = draw(st.integers(1, 7))
     width = draw(st.integers(1, 3))
     ids = draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n, unique=True))
+    layout = draw(st.one_of(st.none(), _DIGIT_LAYOUT))
     nodes = []
     for node_id in ids:
-        fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
-        row = draw(st.lists(_FEATURE, min_size=width, max_size=width))
-        nodes.append([str(node_id), ",".join(fmt(v) for v in row),
-                      str(draw(st.integers(0, n - 1)))])
+        if layout is None:
+            fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
+            row = [fmt(v) for v in draw(st.lists(_FEATURE, min_size=width, max_size=width))]
+        else:
+            row = draw(st.lists(layout, min_size=width, max_size=width))
+        nodes.append([str(node_id), ",".join(row), str(draw(st.integers(0, n - 1)))])
+    if layout is not None and draw(st.booleans()):
+        fields = draw(st.sampled_from(nodes))
+        fields[1] = ",".join(_LAYOUT_BREAKS[draw(st.sampled_from(sorted(_LAYOUT_BREAKS)))](
+            fields[1].split(",")))
     pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=10))
     edges = [[f"{draw(_PAD)}{i}{draw(_PAD)}", f"{draw(_PAD)}{j}"] for i, j in pairs]
     for _ in range(faults):
@@ -375,6 +416,47 @@ def test_load_raw_is_bitwise_the_per_value_loop(files):
 @given(st.integers(1, 3).flatmap(lambda k: _raw_dataset(faults=k)))
 def test_load_raw_faults_name_the_per_value_loop_line(files):
     assert _outcome(_load_arrays, *files) == _outcome(_reference_load_raw, *files)
+
+
+def _one_digit_layout(values):
+    """Whether all ``values`` share one layout of d >= 1 digits, then
+    optionally a point and m >= 1 digits, with d + m <= 15."""
+    shapes = set()
+    for value in values:
+        match = re.fullmatch(r"([0-9]+)(?:\.([0-9]+))?", value)
+        if not match:
+            return False
+        shapes.add((len(match.group(1)), len(match.group(2) or "")))
+    return len(shapes) == 1 and sum(shapes.pop()) <= 15
+
+
+class _FeatureParses:
+    """Patches ``datasets._loadtxt`` to count its calls on feature fields."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        loadtxt = datasets._loadtxt
+
+        def counted(lines, dtype, delimiter):
+            self.calls += dtype is np.float64
+            return loadtxt(lines, dtype, delimiter)
+
+        monkeypatch.setattr(datasets, "_loadtxt", counted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_dataset())
+def test_numpy_parses_the_features_only_out_of_one_digit_layout(files):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        nodes, edges = os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv")
+        for path, text in ((nodes, files[0]), (edges, files[1])):
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        values = [v for _, line in datasets._data_lines(nodes)
+                  for v in line.split("\t")[1].split(",")]
+        parses = _FeatureParses(monkeypatch)
+        datasets.load_raw(nodes, edges)
+    assert parses.calls == (not _one_digit_layout(values))
 
 
 def _assert_graph_invariants(g):
@@ -547,6 +629,67 @@ def test_feature_syntax(tmp_path, text, value):
     else:
         got = datasets.load_raw(nodes, edges).features[0, 1]
         assert got.tobytes() == np.float64(value).tobytes()
+
+
+# (one row's features, whether numpy's parser reads them): one digit
+# layout of up to 15 digits is read without it
+LAYOUT_FORMS = [("0,1,1", False), ("0.0,1.0", False), ("12.345,00.001", False),
+                ("123456789012345", False), ("1.23456789012345", False),
+                ("0.00000000000001", False), ("1234567890123456", True),
+                ("1.234567890123456", True), ("9007199254740993", True), ("1.5,125", True),
+                ("12.5,1.25", True), ("01,1", True), ("1,+1", True), ("-0,1", True),
+                ("1, 1", True), ("1e0,1", True), (".5,1.", True), ("1.,2.", True)]
+
+
+@pytest.mark.parametrize("text,parsed", LAYOUT_FORMS)
+def test_one_digit_layout_is_read_without_numpy(tmp_path, monkeypatch, text, parsed):
+    nodes = _write(tmp_path / "n.tsv", f"0\t{text}\t0\n1\t{text}\t1\n")
+    parses = _FeatureParses(monkeypatch)
+    got = datasets.load_raw(nodes, _write(tmp_path / "e.tsv", "")).features
+    assert got.tobytes() == np.array([[float(v) for v in text.split(",")]] * 2).tobytes()
+    assert parses.calls == parsed
+
+
+@pytest.mark.parametrize("text", ["0,/", "0,:", "0,x", "0.0,1.:", "0.0,1/0"])
+def test_a_byte_out_of_a_digit_layout_names_its_line(tmp_path, text):
+    nodes = _write(tmp_path / "n.tsv", f"0\t1,0\t0\n1\t{text}\t1\n")
+    with pytest.raises(ParseError, match=r"n\.tsv:2: could not convert"):
+        datasets.load_raw(nodes, _write(tmp_path / "e.tsv", ""))
+
+
+def _texas_shaped_node_file(tmp_path, write):
+    """A node file of Texas's shape (183 nodes, 1703 words, 5 classes),
+    each feature written by ``write``; returns its path and features."""
+    rng = np.random.default_rng(3)
+    x = rng.random((183, 1703)) < 0.012
+    with open(tmp_path / "nodes.tsv", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{i}\t{','.join(map(write, row))}\t{i % 5}\n" for i, row in enumerate(x))
+    return str(tmp_path / "nodes.tsv"), x
+
+
+@pytest.mark.parametrize("write", [lambda v: "%d" % v, lambda v: repr(float(v))],
+                         ids=["0/1", "0.0/1.0"])
+def test_texas_shaped_digit_features_load_without_numpy_in_bounded_memory(tmp_path, monkeypatch,
+                                                                         write):
+    nodes, x = _texas_shaped_node_file(tmp_path, write)
+    edges = _write(tmp_path / "edges.tsv", "0\t1\n")
+    parses = _FeatureParses(monkeypatch)
+    tracemalloc.start()
+    try:
+        features = datasets.load_raw(nodes, edges).features
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parses.calls == 0
+    assert np.array_equal(features, x)
+    assert peak < 3 * features.nbytes
+
+
+def test_texas_shaped_float_features_take_one_numpy_parse(tmp_path, monkeypatch):
+    nodes, _ = _texas_shaped_node_file(tmp_path, lambda v: repr(float(v) - 0.1))
+    parses = _FeatureParses(monkeypatch)
+    datasets.load_raw(nodes, _write(tmp_path / "edges.tsv", "0\t1\n"))
+    assert parses.calls == 1
 
 
 @pytest.mark.parametrize("text,ok", [("9223372036854775807", True),
