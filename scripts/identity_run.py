@@ -53,13 +53,17 @@ def _ablation(candidate: str, tag: str, data: str = "data") -> list[str]:
 
 
 # every path is relative to the tree's run directory, which holds config.json.
-# gen writes %.17g features; the WebKB-shaped stand-in's are 0/1 words,
-# written by the tree's own save_raw, so its runs read the digit layout
+# gen writes %.17g features; the WebKB-shaped stand-ins' are 0/1 words,
+# written by the tree's own save_raw, so their runs read the digit layout.
+# ``analyze similarity --checkpoint`` filters X X^T's n-column factor on the
+# first stand-in's F >= 2n features and X itself on the second's n <= F < 2n
 COMMANDS = [
     "gen --out data --n 60 --classes 3 --seed 3 --splits 2",
     *_ablation("full", "full"), *_ablation("given", "given"), *_ablation("knn:5", "knn5"),
     "tests/webkb_standin.py --out standin --n 60 --features 200 --splits 2 --seed 1",
     *_ablation("full", "standin", data="standin"),
+    "tests/webkb_standin.py --out standin_wide --n 60 --features 90 --splits 2 --seed 2",
+    *_ablation("full", "standin_wide", data="standin_wide"),
     "analyze similarity --data data --out similarity_features",
     "analyze stability --out stability --n 20 --J 3 --trials 2",
     "analyze stability --data data --out stability_data --J 3 --trials 2",

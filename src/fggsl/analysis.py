@@ -42,9 +42,10 @@ from .model import BANK_KINDS, FgGSLModel, FilterBankSpec, embedding, kernel_val
 
 @dataclass
 class PairBoundRecord:
-    lhs: float
-    rhs: float
-    holds: bool
+    lhs: float            # |cos(y_i, y_j) - cos(yhat_i, yhat_j)|
+    rhs: float            # the paper's bound 2 sqrt(C) (eps_i + eps_j)
+    holds: bool           # lhs <= rhs, within 1e-12
+    proved_rhs: float     # the bound 2 (eps_i + eps_j) that ``prop1_check`` derives
 
 
 def _cosines(m: np.ndarray, index: ad.PairIndex, what: str) -> np.ndarray:
@@ -57,7 +58,20 @@ def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]
     """Check |cos(y_i,y_j) - cos(yhat_i,yhat_j)| <= 2*sqrt(C)(eps_i + eps_j)
     per pair, where eps_i = ||y_i - yhat_i||_2.
 
-    ``y`` must be one-hot; ``yhat`` rows are probability vectors.
+    ``y`` must be one-hot; ``yhat`` rows are probability vectors.  Each
+    record also carries ``proved_rhs`` = 2 (eps_i + eps_j), which holds for
+    any nonzero rows of ``yhat``.  With u = yhat / ||yhat||, y_i is a unit
+    vector, so by Cauchy-Schwarz
+
+        |y_i . y_j - u_i . u_j| = |y_i . (y_j - u_j) + (y_i - u_i) . u_j|
+                                <= ||y_j - u_j|| + ||y_i - u_i||,
+
+    and ||y - u|| <= ||y - yhat|| + ||yhat - u|| = eps + | ||yhat|| - 1 |
+    <= 2 eps, since | ||yhat|| - ||y|| | <= ||yhat - y|| and ||y|| = 1.
+    It is 2 sqrt(C) with the sqrt(C) dropped.  Off the simplex it is
+    approached: lhs / (eps_i + eps_j) = 2 / (1 + d) for yhat_i = -d y_i
+    and yhat_j = y_j = y_i.  On probability rows the worst ratio measured
+    was 1, reached at yhat_i halfway between y_i and y_j = yhat_j.
     """
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -69,9 +83,10 @@ def prop1_check(y: np.ndarray, yhat: np.ndarray, pairs) -> list[PairBoundRecord]
     index = ad.PairIndex(*pairs, y.shape[0])
     eps = np.linalg.norm(y - yhat, axis=1)
     lhs = np.abs(_cosines(y, index, "prop1_check") - _cosines(yhat, index, "prop1_check"))
-    rhs = 2.0 * np.sqrt(c) * (eps[index.i] + eps[index.j])
-    return [PairBoundRecord(float(l), float(r), bool(l <= r + 1e-12))
-            for l, r in zip(lhs, rhs)]
+    pair_eps = eps[index.i] + eps[index.j]
+    rhs = 2.0 * np.sqrt(c) * pair_eps
+    return [PairBoundRecord(float(l), float(r), bool(l <= r + 1e-12), float(2.0 * e))
+            for l, r, e in zip(lhs, rhs, pair_eps)]
 
 
 @dataclass
@@ -339,21 +354,27 @@ def embedding_similarity(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateG
     ``similarity_histogram(embedding(model, X, a_f).data, ...)``.
 
     Milliseconds for the embedding and its histogram, filtering X and
-    filtering L, for the ``full`` variant on the ``full`` candidate at the
-    histogram's defaults (medians of seven, one BLAS thread on the host of
-    ``autodiff._step``'s table, sparse features on five classes); in every
-    row the counts were equal and the means agreed within 1e-17:
+    filtering L, both in the chain order, for the ``full`` variant on the
+    ``full`` candidate at the histogram's defaults (medians of seven, or
+    three at n F > 5e5, one BLAS thread on the host of ``autodiff._step``'s
+    table, ``webkb_standin`` features on five classes); in every row the
+    counts were equal and the means agreed within 4e-17:
 
         n x F          J      X      L
-        300 x 300      4     58.5   67.7
-        300 x 600      4     83.0   65.9
-        300 x 900      4     84.1   63.1
-        600 x 1200     4    576.3  443.6
-        183 x 1703     4     44.5   21.2    (Texas's shape)
-        100 x 1703     3     10.1    5.1    (``analyze-probe``'s)
+        300 x 300      4     63.9   73.7
+        300 x 450      4     84.2   71.2
+        300 x 600      4    111.9   85.5
+        300 x 900      4    156.3   68.7
+        600 x 1200     4    701.5  441.8
+        183 x 1703     4    111.2   22.4    (Texas's shape)
+        100 x 1703     3     23.8    5.6    (``analyze-probe``'s)
 
-    So L pays from F = 2n on, and loses at F = n, where the Gram matrix
-    and its eigendecomposition cost more than the narrower steps save.
+    So L loses at F = n, where the Gram matrix and its eigendecomposition
+    cost more than the narrower steps save, and pays from F = 2n on.  The
+    crossover rises as J falls, so the rule stays F >= 2n: at J = 4 L
+    already paid from about 1.5 n, at J = 3 the two tied at 1.75 n on
+    n = 100, and at J = 2 X was still the faster at 2 n (13.7 against
+    14.3 ms at n = 183, 3.4 against 4.7 ms at n = 100).
     """
     x = graph.features
     features = ad.constant(x)

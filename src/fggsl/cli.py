@@ -363,11 +363,14 @@ def _audit(args):
         raise ValidationError(
             f"analyze audit: variant {net.variant} learns no masks, so there is "
             "nothing to audit")
+    # the mask loop that ``embedding`` runs: the masks, and no bank or classifier
     with ad.no_grad():
-        fwd = fm.forward(net, ad.constant(bundle.graph.features), a_f)
+        columns = {kind: w.data for kind, w, *_ in
+                   fm._banks(net, ad.constant(bundle.graph.features), a_f, classifier=False)
+                   if w is not None}
     stats = analysis.learned_edge_audit(
-        *fwd.edge_columns(), bundle.graph.labels, threshold=args.threshold,
-        pairs=a_f.edge_pairs())
+        columns.get("low"), columns.get("high"), bundle.graph.labels,
+        threshold=args.threshold, pairs=a_f.edge_pairs())
     lines = ["threshold,ho_edges,ho_r_het,ht_edges,ht_r_het",
              f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
              f"{stats.ht_edges},{stats.ht_r_het}"]

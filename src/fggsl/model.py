@@ -26,7 +26,8 @@ normalised weights a_e = w_e / sqrt(d_i d_j), and a bank's
 it, and its gradient for T is the per-edge column, so a training step
 allocates no n x n array but the banks' operators, and no tape node
 outputs one.  ``_banks`` builds each bank's column and operator, in one
-loop that ``forward`` and ``embedding`` share; a bank without a mask net
+loop that ``forward`` and ``embedding`` share, and that ``analyze audit``
+runs for the masks alone; a bank without a mask net
 runs on the all-ones column, whose operator, dense T included, is built
 once per candidate and held in ``a_f.operators`` (``_constant_operator``).
 ``filter_bank_apply`` reads the same edge column off a dense L = I - A,
@@ -165,9 +166,9 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     ContractError.  The nonzero entries of L's strict upper triangle, read
     by ``EdgeList.from_dense``, are the edge column a = -L[i, j], and the
     bank runs on its ``ad.EdgeOperator``, as ``forward`` and ``embedding``
-    do.  One propagation in the chain order serves every scale: the bank
-    costs 2^j_max products of the n x n operator T with the n x F block
-    X, and no n x n product.
+    do.  One propagation in the chain order, which a recorded op takes as
+    well, serves every scale: the bank costs 2^j_max products of the n x n
+    operator T with the n x F block X, and no n x n product.
     """
     lap = l.data
     n = lap.shape[0]

@@ -733,46 +733,28 @@ def test_step_panels_give_a_column_slice_the_bits_of_its_contiguous_copy():
     assert np.array_equal(ad._step(t, y), ad._step(t, np.ascontiguousarray(y)))
 
 
-def test_matrices_rule_boundaries():
-    # one bank's J - 1 = 2 kernels of 2^J = 8 steps on n = 100 nodes: a
-    # block 2n wide runs through the matrices, one column less does not
-    assert ad._through_matrices(100, 8, 1, 2, 200)
-    assert not ad._through_matrices(100, 8, 1, 2, 199)
-    # the Horner order on an n x C block of logits, and a polynomial
-    # without steps, never do
-    assert not ad._through_matrices(100, 16, 3, 1, 5)
-    assert not ad._through_matrices(100, 0, 1, 2, 10 ** 6)
-
-
-@pytest.mark.parametrize("tracked", ["w", "z"])
-def test_a_recorded_propagate_never_runs_through_matrices(monkeypatch, tracked):
-    # a block 20n wide takes the matrices order unrecorded, and the chain
-    # order, whose steps the backward reads, when either input is tracked
-    rng = np.random.default_rng(45)
-    n, width = 10, 200
+@pytest.mark.parametrize("tracked", ["w", "z", "both"])
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), width=st.integers(1, 60),
+       k_in=st.integers(1, 3), m_out=st.integers(1, 3), powers=st.integers(1, 17))
+def test_propagate_gives_the_same_bits_recorded_and_unrecorded(tracked, seed, n, width, k_in,
+                                                               m_out, powers):
+    # widths up to 60 on at most 12 nodes: many blocks are 2n wide and
+    # wider, so an unrecorded op never takes another order than a recorded
+    # one, whichever input is tracked
+    rng = np.random.default_rng(seed)
     pairs, w, diag, off = _random_operator(rng, n)
-    z = rng.standard_normal((n, width))
-    coeffs = rng.standard_normal((9, 1, 2))
-    assert ad._through_matrices(n, 8, 1, 2, width)
-    orders, polynomial = [], ad._polynomial
-
-    def counted(t, y, c, order, keep):
-        orders.append(order)
-        return polynomial(t, y, c, order, keep)
-
-    monkeypatch.setattr(ad, "_polynomial", counted)
-    inputs = {"w": ad.constant(w), "z": ad.constant(z)}
     index = ad.PairIndex(*pairs, n)
-    plain = ad.propagate(ad.EdgeOperator(inputs["w"], index, diag, off), inputs["z"],
+    z = rng.standard_normal((n, k_in * width))
+    coeffs = rng.standard_normal((powers, k_in, m_out))
+    plain = ad.propagate(ad.EdgeOperator(ad.constant(w), index, diag, off), ad.constant(z),
                          coeffs).data
-    assert orders == ["matrices", "chain"]       # the chain on I forms the matrices
-    orders.clear()
-    inputs[tracked] = ad.parameter(inputs[tracked].data, tracked)
     with ad.recording():
-        out = ad.propagate(ad.EdgeOperator(inputs["w"], index, diag, off), inputs["z"],
-                           coeffs)
-    assert orders == ["chain"]
-    assert np.linalg.norm(plain - out.data) <= 1e-12 * np.linalg.norm(out.data)
+        wt = ad.parameter(w, "w") if tracked != "z" else ad.constant(w)
+        zt = ad.parameter(z, "z") if tracked != "w" else ad.constant(z)
+        out = ad.propagate(ad.EdgeOperator(wt, index, diag, off), zt, coeffs)
+        assert out.requires_grad
+    assert np.array_equal(plain, out.data)
 
 
 @settings(max_examples=60, deadline=None)

@@ -571,6 +571,47 @@ def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):
     assert "ho_r_het" in doc and "ht_r_het" in doc
 
 
+@pytest.mark.parametrize("variant", ["full", "FBL", "FBH"])
+def test_analyze_audit_reads_the_forward_masks_and_runs_no_bank(tiny_dataset, tmp_path,
+                                                                monkeypatch, variant):
+    # the masks alone: the columns are bitwise the forward's, audit.csv is
+    # the forward-based audit's, and no bank propagates
+    bundle = datasets.load_dataset_dir(tiny_dataset)
+    graph = bundle.graph
+    net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=3, mask_dim=4,
+                           variant=variant, seed=7)
+    ckpt = str(tmp_path / "net.fgck")
+    model.save_checkpoint(ckpt, net, alpha=1.0, beta=1.0)
+    a_f = model.bank_graph(graph, variant, "full")
+    with ad.no_grad():
+        forward_columns = model.forward(net, ad.constant(graph.features), a_f).edge_columns()
+    stats = analysis.learned_edge_audit(*forward_columns, graph.labels,
+                                        pairs=a_f.edge_pairs())
+    expected = ("threshold,ho_edges,ho_r_het,ht_edges,ht_r_het\n"
+                f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
+                f"{stats.ht_edges},{stats.ht_r_het}\n")
+
+    audited, audit = [], analysis.learned_edge_audit
+
+    def recorded(w1, w2, *args, **kwargs):
+        audited.append((w1, w2))
+        return audit(w1, w2, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("analyze audit ran a bank")
+
+    monkeypatch.setattr(analysis, "learned_edge_audit", recorded)
+    monkeypatch.setattr(ad, "propagate", refuse)
+    out = tmp_path / "audit"
+    assert run_cli("analyze", "audit", "--out", str(out), "--data", tiny_dataset,
+                   "--checkpoint", ckpt) == 0
+    assert (out / "audit.csv").read_text(encoding="utf-8") == expected
+    (columns,) = audited
+    for got, want in zip(columns, forward_columns):
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+
+
 def _with_features(tiny_dataset, root, values):
     """A copy of the dataset with node 0's features set to ``values``."""
     data = root / "data"

@@ -423,41 +423,6 @@ def test_embedding_blocks_are_filter_bank_apply_on_the_forward_graphs(variant, m
         assert np.max(np.abs(block - expected)) <= 1e-12 * np.max(np.abs(expected)), kind
 
 
-@pytest.mark.parametrize("variant", model.VARIANTS)
-def test_wide_embedding_and_filter_bank_run_through_matrices_as_the_chain(monkeypatch,
-                                                                         variant):
-    # F = 300 features on n = 40 nodes: each bank's block is 7.5n wide, so
-    # the unrecorded propagations form their filter matrices, and agree
-    # with the chain order
-    g = datasets.gen_synthetic(40, 3, 0.2, 0.4, 0.4, seed=33, n_splits=1)
-    g.features = np.random.default_rng(34).random((40, 300))
-    m = model.FgGSLModel(300, 3, j_max=3, mask_dim=4, variant=variant, seed=35)
-    cand = model.bank_graph(g, variant, "given")
-    x = ad.constant(g.features)
-    lap = ad.constant(normalized_laplacian(g.adjacency))
-    spec = model.FilterBankSpec(3, "fig3", "high")
-    orders, polynomial = [], ad._polynomial
-
-    def counted(t, z, coeffs, order, keep):
-        orders.append(order)
-        return polynomial(t, z, coeffs, order, keep)
-
-    def responses():
-        orders.clear()
-        with ad.no_grad():
-            return (model.embedding(m, x, cand).data,
-                    model.filter_bank_apply(lap, x, spec).data)
-
-    monkeypatch.setattr(ad, "_polynomial", counted)
-    fast = responses()
-    assert orders.count("matrices") == len(model.BANKS[variant]) + 1
-    monkeypatch.setattr(ad, "_through_matrices", lambda *shape: False)
-    chain = responses()
-    assert set(orders) == {"chain"}
-    for got, expected in zip(fast, chain):
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
 @pytest.mark.parametrize("variant, banks", [("full", 2), ("FBL", 1), ("FBH", 1), ("NM", 0)])
 def test_given_training_step_records_one_n_by_n_node_per_bank(monkeypatch, variant, banks):
     # n = 30 differs from F = C = 3, d = 4 and the stacked step width 2^J C = 24.
