@@ -7,7 +7,10 @@ Each tree runs ``COMMANDS`` in a fresh directory of its own, each command
 in its own process with the tree's ``src`` directory first on
 ``PYTHONPATH`` and ``FGGSL_THREADS=1``.  A command is ``fggsl``'s command
 line, or a ``.py`` script of the tree named from its root, the directory
-that holds ``src``.  The two runs are then compared:
+that holds ``src``.  The list runs both forms of ``ad._step``: the
+ablation, audit and similarity on the 520-node graph step blocks 3 columns
+wide on 520 rows, in row panels, and every other command steps at most 60
+rows, as T @ Y.  The two runs are then compared:
 
 * each command's exit code and stdout, and a command that exits nonzero
   in either tree counts as a difference;
@@ -60,6 +63,8 @@ def _ablation(candidate: str, tag: str, data: str = "data") -> list[str]:
 COMMANDS = [
     "gen --out data --n 60 --classes 3 --seed 3 --splits 2",
     *_ablation("full", "full"), *_ablation("given", "given"), *_ablation("knn:5", "knn5"),
+    "gen --out data_tall --n 520 --classes 3 --seed 3 --splits 2",
+    *_ablation("given", "tall", data="data_tall"),
     "tests/webkb_standin.py --out standin --n 60 --features 200 --splits 2 --seed 1",
     *_ablation("full", "standin", data="standin"),
     "tests/webkb_standin.py --out standin_wide --n 60 --features 90 --splits 2 --seed 2",

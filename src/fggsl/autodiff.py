@@ -18,8 +18,8 @@ records one tape node.  Its VJP runs the transposed polynomial in the
 other order at the same width.  Each step T @ Y takes the form BLAS runs
 fastest for Y's shape (``_step`` holds the measurements): on n >= 512
 rows, a block 2 to 7 columns wide runs in row panels of about
-``BLOCK_ENTRIES`` entries, T[r0:r1] @ Y, one at a time, and a block 8 to
-n/4 wide as (Y^T T)^T; any other block runs as T @ Y.
+``BLOCK_ENTRIES`` entries, T[r0:r1] @ Y, one at a time; any other block
+runs as T @ Y.
 
 T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
 column, so it is exactly symmetric and T^T is T.  The op builds T with
@@ -334,24 +334,16 @@ def side_by_side(parts: list[tuple[Tensor, int]]) -> Tensor:
 
 
 def _step_form(n: int, w: int) -> str:
-    """How ``_step`` multiplies an n x n T with an n x w block: "panels",
-    "transposed" or "direct"."""
-    if n >= 512 and 2 <= w <= 7:
-        return "panels"
-    if n >= 512 and 8 <= w <= n // 4:
-        return "transposed"
-    return "direct"
+    """How ``_step`` multiplies an n x n T with an n x w block: "panels"
+    or "direct"."""
+    return "panels" if n >= 512 and 2 <= w <= 7 else "direct"
 
 
 def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """T @ Y for a symmetric n x n T and an n x w block Y, in the form BLAS
-    runs fastest for the block's shape.
+    runs fastest for the block's shape, as a C-contiguous array.
 
     - **direct**: T @ Y;
-    - **transposed**: (Y^T T)^T, the same product with the operands' roles
-      swapped, returned as a Fortran-ordered array.  T is symmetric, so it
-      reads T in its own row order: (Y^T T)^T took 0.82 ms against 0.93
-      ms for (Y^T T^T)^T at n = 1000, w = 5;
     - **row panels**: T[r0:r1] @ Y into rows r0:r1 of one n x w array, one
       row block of ``_block_rows(n)`` rows, about ``BLOCK_ENTRIES``
       entries, at a time.
@@ -360,50 +352,49 @@ def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     a 2-CPU Sapphire Rapids-class host with 4 MiB of L2); p16 is the panel
     form at 2^16 entries, p17 at ``BLOCK_ENTRIES`` = 2^17:
 
-        n     w   direct  transp    p16     p17
-        256   2    0.015   0.016   0.017   0.017
-        256   5    0.033   0.040   0.036   0.035
-        256   12   0.050   0.037   0.052   0.052
-        512   2    0.068   0.097   0.085   0.077
-        512   5    0.294   0.228   0.141   0.151
-        512   7    0.338   0.205   0.118   0.114
-        512   8    0.276   0.231   0.167   0.285
-        1000  1    0.350   0.366   0.406   0.372
-        1000  2    0.785   0.676   0.389   0.357
-        1000  5    1.171   0.860   0.644   0.614
-        1000  7    1.540   0.846   0.561   0.481
-        1000  8    0.789   0.756   0.436   0.766
-        1000  10   1.160   0.885   0.748   1.407
-        1000  12   1.513   0.956   1.081   1.555
-        1000  24   1.783   1.357   2.003   1.875
-        2000  2    3.957   2.637   1.700   1.526
-        2000  5    5.190   3.245   2.436   2.485
-        2000  8    4.993   3.356   2.310   4.893
-        2000  12   7.280   3.913   4.222   7.268
-        2000  24   8.689   5.464   8.962  10.004
-        3000  5    18.32   9.569   7.500   6.908
-        3000  8    16.05   9.373   7.357   16.56
+        n     w   direct    p16     p17
+        256   2    0.015   0.017   0.017
+        256   5    0.033   0.036   0.035
+        256   12   0.050   0.052   0.052
+        512   2    0.068   0.085   0.077
+        512   5    0.294   0.141   0.151
+        512   7    0.338   0.118   0.114
+        512   8    0.276   0.167   0.285
+        1000  1    0.350   0.406   0.372
+        1000  2    0.785   0.389   0.357
+        1000  5    1.171   0.644   0.614
+        1000  7    1.540   0.561   0.481
+        1000  8    0.789   0.436   0.766
+        1000  10   1.160   0.748   1.407
+        1000  12   1.513   1.081   1.555
+        1000  24   1.783   2.003   1.875
+        2000  2    3.957   1.700   1.526
+        2000  5    5.190   2.436   2.485
+        2000  8    4.993   2.310   4.893
+        2000  12   7.280   4.222   7.268
+        2000  24   8.689   8.962  10.004
+        3000  5    18.32   7.500   6.908
+        3000  8    16.05   7.357   16.56
 
     A product of at most 10^6 multiply-adds ran in half the time per row
     of one just past it (125 against 126 rows of T at n = 1000, w = 8),
     and a 2^17-entry panel stays under that up to w = 7.  So a block of
-    n >= 512 rows runs in row panels if it is 2 to 7 columns wide and
-    transposed if it is 8 to n/4 wide (``_step_form``).  Every other block
-    runs as T @ Y: at n < 512 the forms tie, at w = 1 it is a gemv, and
-    past n/4 columns the block is no longer skinny.  Two measured misses
-    stay.  At w = 2, T @ Y beats the panels while it is under 10^6
-    multiply-adds: 0.069 against 0.075 ms at n = 512 and 0.134 against
-    0.141 at n = 600 (medians of 11 x 200).  The panels win from n = 708
-    (0.209 against 0.509) and at n = 512, w = 3 (0.131 against 0.144), so
-    a second constant would save under 0.01 ms on shapes no workload
-    runs.  At w = 8 to 10 half-size panels beat the transposed form.
+    n >= 512 rows runs in row panels if it is 2 to 7 columns wide
+    (``_step_form``).  Every other block runs as T @ Y: at n < 512 the
+    forms tie, at w = 1 it is a gemv, and a training or evaluation step on
+    C = 5 classes is 5 wide.  Three measured misses stay, all on shapes no
+    workload runs.  At w = 2, T @ Y beats the panels while it is under
+    10^6 multiply-adds: 0.069 against 0.075 ms at n = 512 and 0.134
+    against 0.141 at n = 600 (medians of 11 x 200).  The panels win from
+    n = 708 (0.209 against 0.509) and at n = 512, w = 3 (0.131 against
+    0.144), so a second constant would save under 0.01 ms.  At w = 8 to 10
+    half-size panels beat T @ Y.  And from n = 1000, a block 12 to 500
+    wide ran 1.1 to 1.9 times faster as (Y^T T)^T, the same product with
+    the operands' roles swapped (3.91 against 7.28 ms at n = 2000, w = 12).
     """
     n, w = y.shape
-    form = _step_form(n, w)
-    if form == "direct":
+    if _step_form(n, w) == "direct":
         return t @ y
-    if form == "transposed":
-        return (y.T @ t).T
     rows = _block_rows(n)
     y = np.ascontiguousarray(y)     # a strided block is copied once, not once per panel
     out = np.empty((n, w))
@@ -595,9 +586,10 @@ def softmax_cross_entropy(logits: Tensor, onehot: Tensor, rows) -> Tensor:
 
     x = logits.data[rows]
     shifted = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    ce_val = float(np.mean(lse - np.sum(shifted * ysel, axis=1)))
-    psel = _row_softmax(x)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    ce_val = float(np.mean(np.log(total[:, 0]) - np.sum(shifted * ysel, axis=1)))
+    psel = e / total
     n_sel = rows.size
     full_shape = logits.shape
 

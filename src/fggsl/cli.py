@@ -347,10 +347,12 @@ def _similarity(args):
     lines = ["bin_lo,bin_hi,intra_count,inter_count"]
     lines += [f"{lo:.12g},{hi:.12g},{intra},{inter}" for lo, hi, intra, inter
               in zip(edges, edges[1:], hist.intra_counts, hist.inter_counts)]
-    return (lines, {"source": source, "intra_mean": hist.intra_mean,
-                    "inter_mean": hist.inter_mean, "mean_gap": hist.mean_gap,
-                    "n_intra": hist.n_intra, "n_inter": hist.n_inter,
-                    "sampling": hist.sampling},
+    # a mean over no pairs is NaN, which JSON has no literal for: null
+    means = {key: None if value != value else value for key, value in
+             (("intra_mean", hist.intra_mean), ("inter_mean", hist.inter_mean),
+              ("mean_gap", hist.mean_gap))}
+    return (lines, {"source": source, **means, "n_intra": hist.n_intra,
+                    "n_inter": hist.n_inter, "sampling": hist.sampling},
             f"similarity ({source}): intra {hist.intra_mean:.4f}, "
             f"inter {hist.inter_mean:.4f}, gap {hist.mean_gap:.4f}", 0)
 

@@ -110,10 +110,11 @@ _INT64 = np.iinfo(np.int64)
 
 @contextlib.contextmanager
 def open_text(path):
-    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise a
-    one-line ParseError naming the file."""
+    """``path`` opened as UTF-8 text, less a leading byte-order mark if it
+    has one; bytes that are not UTF-8 raise a one-line ParseError naming
+    the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc

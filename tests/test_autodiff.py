@@ -686,15 +686,14 @@ def _explicit_gradients(t, z, coeffs, g):
 # (K, M) pairs: K < M and K = M run the chain order, K > M the Horner order
 ORDERS = ((1, 3), (2, 2), (3, 1))
 # the rows from which ``ad._step`` multiplies a block 2 to 7 columns wide
-# in row panels and one 8 to TALL/4 = 128 wide as (Y^T T)^T; fewer rows,
-# and one-column or wider blocks, stay on T @ Y
+# in row panels; fewer rows, and one-column or wider blocks, stay on T @ Y
 TALL = 512
 
 
 def test_step_orientation_rule_boundaries():
     assert ad._step_form(TALL, 2) == ad._step_form(TALL, 7) == "panels"
-    assert ad._step_form(TALL, 8) == ad._step_form(TALL, 128) == "transposed"
-    assert ad._step_form(TALL + 4, 129) == "transposed"
+    assert ad._step_form(TALL, 8) == ad._step_form(TALL, 128) == "direct"
+    assert ad._step_form(TALL + 4, 129) == "direct"
     assert ad._step_form(TALL, 1) == ad._step_form(TALL, 129) == "direct"
     assert ad._step_form(TALL - 1, 2) == ad._step_form(TALL - 1, 8) == "direct"
     assert ad._step_form(9, 3) == "direct"
@@ -703,7 +702,7 @@ def test_step_orientation_rule_boundaries():
 @pytest.mark.parametrize("n, w, form", [
     (9, 3, "direct"), (TALL - 1, 5, "direct"), (TALL, 1, "direct"), (TALL, 129, "direct"),
     (TALL, 2, "panels"), (TALL, 7, "panels"), (TALL + 3, 5, "panels"), (1000, 5, "panels"),
-    (TALL, 8, "transposed"), (TALL, 128, "transposed"),
+    (TALL, 8, "direct"), (TALL, 128, "direct"),
 ])
 def test_step_forms_equal_the_product(n, w, form):
     # TALL + 3 = 2 * 254 + 7 and 1000 = 7 * 131 + 83 rows: the last panel
@@ -718,8 +717,8 @@ def test_step_forms_equal_the_product(n, w, form):
     assert out.shape == (n, w)
     assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
     assert not np.shares_memory(out, t) and not np.shares_memory(out, y)
-    # the transposed form is the transpose of a fresh C-contiguous product
-    assert (out.T if form == "transposed" else out).flags.c_contiguous
+    # every form returns a fresh C-contiguous product
+    assert out.flags.c_contiguous
 
 
 def test_step_panels_give_a_column_slice_the_bits_of_its_contiguous_copy():
@@ -764,8 +763,8 @@ def test_propagate_gives_the_same_bits_recorded_and_unrecorded(tracked, seed, n,
        powers=st.integers(1, 9), lead=st.integers(0, 3), trail=st.integers(0, 3))
 def test_propagate_equals_explicit_powers(seed, n, width, k_in, m_out, powers, lead, trail):
     # at n >= TALL, a step block min(K, M) * width wide runs in row panels
-    # if it is 2 to 7 wide, with a shorter last panel at n > TALL, and
-    # transposed if it is 8 or 9 wide
+    # if it is 2 to 7 wide, with a shorter last panel at n > TALL, and as
+    # T @ Y if it is 1, 8 or 9 wide
     rng = np.random.default_rng(seed)
     pairs, w, diag, off = _random_operator(rng, n)
     op = ad.EdgeOperator(ad.constant(w), ad.PairIndex(*pairs, n), diag, off)
@@ -781,8 +780,8 @@ def test_propagate_equals_explicit_powers(seed, n, width, k_in, m_out, powers, l
 
 # (n, block width, step form): a step is min(K, M) blocks wide, one or two
 # in ORDERS, and runs in the same form for every order
-FORMS = [(5, 3, "direct"), (TALL, 8, "transposed"), (TALL, 3, "panels")]
-FORM_IDS = [form for _, _, form in FORMS]
+FORMS = [(5, 3, "direct"), (TALL, 8, "direct"), (TALL, 3, "panels")]
+FORM_IDS = ["direct", "direct-tall", "panels"]
 
 
 @pytest.mark.parametrize("n, width, form", FORMS, ids=FORM_IDS)
@@ -843,13 +842,13 @@ def test_propagate_backward_with_one_tracked_input(tracked):
 @pytest.mark.parametrize("k_in, m_out", ORDERS)
 def test_propagate_drops_trailing_zero_powers_and_steps_the_narrower_side(
         monkeypatch, counted_operator, k_in, m_out):
-    # blocks 2 min(K, M) wide on 6 rows run as T @ Y, 3 min(K, M) wide on
-    # TALL rows in row panels and 8 min(K, M) wide as (Y^T T)^T; the
+    # blocks 2 min(K, M) wide on 6 rows and 8 min(K, M) wide on TALL rows
+    # run as T @ Y, 3 min(K, M) wide on TALL rows in row panels; the
     # operator view counts each step once, whichever form it runs
     dense = ad.EdgeOperator.dense
     monkeypatch.setattr(ad.EdgeOperator, "dense",
                         lambda op: dense(op).view(counted_operator))
-    for n, width, form in ((6, 2, "direct"), (TALL, 3, "panels"), (TALL, 8, "transposed")):
+    for n, width, form in ((6, 2, "direct"), (TALL, 3, "panels"), (TALL, 8, "direct")):
         assert ad._step_form(n, width * min(k_in, m_out)) == form
         rng = np.random.default_rng(41)
         pairs, w0, diag, off = _random_operator(rng, n)

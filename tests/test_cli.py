@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -302,6 +303,32 @@ def test_input_that_is_not_utf8_exits_1_naming_the_file(tiny_dataset, tmp_path, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {path}: not UTF-8 text")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["nodes.tsv", "edges.tsv", "splits/split_00.txt",
+                                  "config.json"])
+def test_input_that_starts_with_a_byte_order_mark_loads_as_without_one(tiny_dataset, tmp_path,
+                                                                      name):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    config = data / "config.json"
+    config.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    args = cli._build_parser().parse_args(
+        ["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "o")])
+
+    def loaded():
+        graph = datasets.load_dataset_dir(data).graph
+        arrays = [graph.features, graph.labels, graph.edges.i, graph.edges.j,
+                  *(idx for split in graph.splits for idx in split)]
+        return cli._resolve_config(args), arrays
+
+    plain_config, plain_arrays = loaded()
+    path = data / name
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    marked_config, marked_arrays = loaded()
+    assert marked_config == plain_config
+    assert len(marked_arrays) == len(plain_arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(marked_arrays, plain_arrays))
 
 
 def test_train_idempotent_outputs(tiny_dataset, tmp_path):
@@ -666,6 +693,26 @@ def test_analyze_similarity_names_a_one_node_class_in_one_line(tiny_dataset, tmp
                    "--data", str(data)) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == ["warning: no intra-class pairs in the one-node class(es) 2"]
+
+
+def test_analyze_similarity_writes_null_for_a_mean_over_no_pairs(tmp_path):
+    # four nodes in four classes: no intra-class pair, so its mean and the
+    # gap are means over no pairs, and the sidecar stays strict JSON
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / datasets.NODE_FILE).write_text(
+        "0\t1,0\t0\n1\t0,1\t1\n2\t1,1\t2\n3\t2,1\t3\n", encoding="utf-8")
+    (data / datasets.EDGE_FILE).write_text("0\t1\n2\t3\n", encoding="utf-8")
+    out = tmp_path / "sim"
+    assert run_cli("analyze", "similarity", "--out", str(out), "--data", str(data)) == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    doc = json.loads((out / "similarity.json").read_text(encoding="utf-8"),
+                     parse_constant=reject)
+    assert doc["intra_mean"] is None and doc["mean_gap"] is None
+    assert isinstance(doc["inter_mean"], float) and doc["n_intra"] == 0
 
 
 def _nm_checkpoint(tiny_dataset, tmp_path):

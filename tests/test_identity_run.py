@@ -10,7 +10,7 @@ _spec.loader.exec_module(identity_run)
 
 # gen and one train of the full list
 SUBSET = [command for command in identity_run.COMMANDS
-          if command.startswith(("gen ", "train --data data --out train_knn5 "))]
+          if command.startswith(("gen --out data ", "train --data data --out train_knn5 "))]
 assert len(SUBSET) == 2
 
 
