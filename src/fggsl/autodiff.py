@@ -22,9 +22,9 @@ rows, a block 2 to 7 columns wide runs in row panels of about
 runs as T @ Y.
 
 T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
-column, so it is exactly symmetric and T^T is T.  The op builds T with
-one symmetric scatter (``EdgeOperator.dense``), or takes the T an
-operator holds (``EdgeOperator.held``), and keeps it in its node; the
+column, so it is exactly symmetric and T^T is T.  The op steps the
+operator's ``matrix``, T built by one symmetric scatter
+(``EdgeOperator.dense``) on first read, and keeps it in its node; the
 gradient is the per-edge column off * (dT[i, j] + dT[j, i]), read one
 row block at a time, so no n x n dT is formed.  ``side_by_side``
 lays the row blocks of several weights next to each other in one array,
@@ -39,8 +39,8 @@ work once: it checks that the arrays have one length and every pair lies
 in [0, n), and holds the pairs as ``intp`` arrays and the flat offsets
 of (i, j) and (j, i) in an n x n array.  On first use it builds their
 row blocks of ``_block_rows(n)`` rows, about ``BLOCK_ENTRIES`` entries,
-and each block's flat gather offsets.  A candidate graph builds one when
-it is made, and the model passes it to every op of every forward.
+and each block's flat gather offsets.  A graph's ``EdgeList`` builds one
+on first use, and the model passes it to every op of every forward.
 ``pair_dots(a, index)`` reads the Gram matrix a a^T at the pairs, and
 every cosine is ``pair_dots(unit_rows(a, index, what), index)``;
 ``unit_rows`` is the one zero-norm check, and ``row_units``, the one
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -450,23 +451,25 @@ def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
     return out, stack
 
 
-class EdgeOperator(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class EdgeOperator:
     """T = diag * I + off * W of an undirected edge column, for ``propagate``.
 
     ``w`` holds one weight per pair (i, j) of the ``PairIndex`` ``index``,
     with i != j and no pair given twice in either orientation, and T is
-    index.n x index.n.  ``dense`` builds T, and ``held`` returns the
-    operator with T built and kept in ``matrix``, for a constant column
-    whose T serves many propagations; ``propagate`` steps ``matrix`` when
-    it is set, and else builds T.  ``propagate``'s gradient for T is the
-    per-edge column off * (dT[i, j] + dT[j, i]), so no n x n dT is formed.
+    index.n x index.n.  ``dense`` builds T; ``matrix`` is T, built by
+    ``dense`` on first read and kept read-only, so ``w`` must not change
+    after that read: the model builds a fresh operator for each forward's
+    learned column and reuses only a constant column's, whose T it so
+    builds once (``model._constant_operator``).  ``propagate``'s gradient
+    for T is the per-edge column off * (dT[i, j] + dT[j, i]), so no n x n
+    dT is formed.
     """
 
     w: Tensor
     index: PairIndex
     diag: float
     off: float
-    matrix: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -487,11 +490,12 @@ class EdgeOperator(NamedTuple):
         np.fill_diagonal(out, float(self.diag))
         return out
 
-    def held(self) -> EdgeOperator:
-        """This operator with T built once and kept, read-only, in ``matrix``."""
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """T, built by ``dense`` on first read and kept read-only."""
         t = self.dense()
         t.flags.writeable = False
-        return self._replace(matrix=t)
+        return t
 
 
 def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
@@ -504,9 +508,8 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     has two n x n operands.  It runs them in the narrower order: the
     chain order pushes the K input blocks through T (K <= M), the Horner
     order the M output blocks (M < K), recorded or not, so the value
-    does not depend on whether the op records.  ``t`` is built into one
-    dense, exactly symmetric T held by the op, unless it holds one
-    already (``EdgeOperator.held``).
+    does not depend on whether the op records.  It steps the dense,
+    exactly symmetric ``t.matrix`` and holds it in its node.
 
     The op records one tape node, on (the edge column, Z).  Its VJP for Z
     is the same polynomial in T = T^T with coeffs transposed over (k, m),
@@ -531,7 +534,7 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     coeffs = coeffs[:live[-1] + 1 if live.size else 1]
     top, k_in, m_out = coeffs.shape
     order, back = ("horner", "chain") if m_out < k_in else ("chain", "horner")
-    w, td = t.w, t.dense() if t.matrix is None else t.matrix
+    w, td = t.w, t.matrix
     out, forward_steps = _polynomial(td, z.data, coeffs, order, _records((w,)))
 
     def vjp(g):
@@ -551,14 +554,9 @@ def sum_all(a: Tensor) -> Tensor:
     return _emit(np.sum(a.data), (a,), lambda g: (np.full(shape, g[0, 0]),))
 
 
-def _row_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_rows(logits: Tensor) -> Tensor:
-    p = _row_softmax(logits.data)
+    e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
         return (p * (g - np.sum(g * p, axis=1, keepdims=True)),)
@@ -671,7 +669,7 @@ def _block_rows(n: int) -> int:
 class PairIndex:
     """Node pairs (i, j) over n nodes, the one pair argument of the pair
     layer, with the index work of every pair op done once:
-    ``CandidateGraph`` builds one for its pairs.
+    ``graphs.EdgeList.index`` builds one for a graph's pairs.
 
     The index arrays must be of one length and every pair must lie in
     [0, n), so that no flat offset aliases another pair; else the
@@ -683,8 +681,8 @@ class PairIndex:
     that only scatters never pays for it.  The pairs are grouped as
     lo = min(i, j) <= hi = max(i, j) by lo into row blocks of
     ``_block_rows(n)`` rows: ``blocks`` lists (r0, r1, c1, p0, p1), the
-    sorted pairs p0:p1 having lo in rows r0:r1 and hi below c1, and
-    ``offsets`` holds each sorted pair's flat offset
+    sorted pairs p0:p1 having lo in rows r0:r1 and hi below c1, and the
+    layout's offsets hold each sorted pair's flat offset
     (lo - r0)(c1 - r0) + hi - r0 into its block's (r1 - r0) x (c1 - r0)
     array.  Blocks that hold no pair are not listed.  Pairs already sorted
     by lo, as ``edge_pairs()`` returns them, are not moved; any others are
@@ -730,10 +728,6 @@ class PairIndex:
     @property
     def blocks(self) -> list:
         return self._layout[1]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._layout[2]
 
     @property
     def size(self) -> int:

@@ -274,6 +274,10 @@ def _trained(args):
     if not args.checkpoint:
         return bundle, None, None
     net, _ = fm.load_checkpoint(args.checkpoint)
+    width = bundle.graph.num_features
+    if net.num_features != width:
+        raise ValidationError(f"{args.checkpoint}: model of feature width {net.num_features} "
+                              f"does not fit {args.data}, of feature width {width}")
     return bundle, net, fm.bank_graph(bundle.graph, net.variant, args.candidate)
 
 
@@ -373,10 +377,10 @@ def _audit(args):
     stats = analysis.learned_edge_audit(
         columns.get("low"), columns.get("high"), bundle.graph.labels,
         threshold=args.threshold, pairs=a_f.edge_pairs())
-    lines = ["threshold,ho_edges,ho_r_het,ht_edges,ht_r_het",
-             f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
-             f"{stats.ht_edges},{stats.ht_r_het}"]
-    return (lines, dataclasses.asdict(stats),
+    fields = dataclasses.asdict(stats)
+    # a missing mask or ratio is an empty field, as in ablation.csv
+    lines = [",".join(fields), ",".join("" if v is None else str(v) for v in fields.values())]
+    return (lines, fields,
             f"audit: homophilic graph R_het={stats.ho_r_het}, "
             f"heterophilic graph R_het={stats.ht_r_het}", 0)
 

@@ -70,22 +70,20 @@ class CandidateGraph:
     perfbench's self-test builds one so, until ROADMAP item 3 moves it to
     ``candidate_graph``.
 
-    ``index`` is the ``ad.PairIndex`` of the pairs, built once when the
-    candidate is made, so that every pair op of every forward reads it
-    instead of redoing its index work.  ``operators`` holds what the
-    model builds once per candidate: the operators of the banks whose
-    edge column is constant (``model._banks``).  Both go with the
-    candidate."""
+    Every pair op of every forward reads ``edges.index``, the one
+    ``ad.PairIndex`` of the pairs, which the edge list builds on first
+    use; the ``given`` candidates of a graph hold its own edge list, so
+    they share one.  ``operators`` holds what the model builds once per
+    candidate: the operators of the banks whose edge column is constant
+    (``model._banks``), and with them their T."""
 
     edges: EdgeList
     mode: str
-    index: ad.PairIndex = field(init=False, repr=False, compare=False)
     operators: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.edges, EdgeList):
             self.edges = EdgeList.from_dense(self.edges)
-        self.index = ad.PairIndex(*self.edges.pairs, self.edges.n)
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Upper-triangle (i, j) index arrays of candidate edges, read-only."""
@@ -94,10 +92,6 @@ class CandidateGraph:
     @property
     def adjacency(self) -> np.ndarray:
         return self.edges.dense()
-
-    @property
-    def n(self) -> int:
-        return self.edges.n
 
     @property
     def num_edges(self) -> int:

@@ -2,20 +2,22 @@
 dense symmetric eigendecomposition and the spectral-norm distance.
 
 A graph holds its edges as an ``EdgeList``: each undirected pair once,
-unweighted, O(|E|) memory.  Training passes the ``ad.PairIndex`` of these
-pairs, with an edge column, to ``normalized_laplacian``; a dense n x n
-matrix is built only on demand (``EdgeList.dense``, a graph's
-``.adjacency``), for analysis.  The other matrices here are dense
-float64.  One reader, ``EdgeList.from_dense``, lists the edges of a dense
-matrix, and one scatter, ``ad.EdgeOperator.dense``, writes them back on
-an ``ad.PairIndex`` of the pairs, which carries n.  The eigensolver
-wraps LAPACK ``eigh``, or ``eigvalsh`` for eigenvalues alone; it is only
-used on analysis paths, never inside training.  How the stability probe
-perturbs a Laplacian and measures delta is decided in ``analysis``.
+unweighted, O(|E|) memory.  It builds the ``ad.PairIndex`` of its pairs
+once, on first use (``EdgeList.index``), which training passes, with an
+edge column, to ``normalized_laplacian``; a dense n x n matrix is built
+only on demand (``EdgeList.dense``, a graph's ``.adjacency``), for
+analysis.  The other matrices here are dense float64.  One reader,
+``EdgeList.from_dense``, lists the edges of a dense matrix, and one
+scatter, ``ad.EdgeOperator.dense``, writes them back on the index,
+which carries n.  The eigensolver wraps LAPACK ``eigh``, or
+``eigvalsh`` for eigenvalues alone; it is only used on analysis paths,
+never inside training.  How the stability probe perturbs a Laplacian
+and measures delta is decided in ``analysis``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,15 +70,17 @@ class EdgeList:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return self.i, self.j
 
+    @functools.cached_property
+    def index(self) -> ad.PairIndex:
+        """The ``ad.PairIndex`` of the pairs, built once, on first use."""
+        return ad.PairIndex(self.i, self.j, self.n)
+
     def dense(self) -> np.ndarray:
-        """The symmetric n x n 0/1 matrix, scattered by
-        ``ad.EdgeOperator.dense`` on one ``ad.PairIndex`` of the pairs;
-        built anew on each call and read-only, so an item assignment
+        """The symmetric n x n 0/1 matrix: the read-only T of the all-ones
+        column on ``index``, built anew on each call, so an item assignment
         raises instead of changing a copy."""
         ones = ad.constant(np.ones((self.i.size, 1)))
-        out = ad.EdgeOperator(ones, ad.PairIndex(self.i, self.j, self.n), 0.0, 1.0).dense()
-        out.flags.writeable = False
-        return out
+        return ad.EdgeOperator(ones, self.index, 0.0, 1.0).matrix
 
 
 @dataclass

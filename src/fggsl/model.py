@@ -12,27 +12,29 @@ to the cross-entropy so the masks are pushed toward genuinely
 homophilic / heterophilic edge sets.
 
 Everything per edge is an |E| x 1 column over the candidate's pairs,
-computed by the pair layer of ``autodiff`` on the candidate's ``index``,
-the one ``ad.PairIndex`` it built when it was made, which carries the
-node count n: no op of a forward or a backward redoes the index work of
-the pairs.  Each mask is w_e = sigmoid(z_i . z_j) =
-sigmoid(``pair_dots(z, index)``), and the structural losses share one
-cosine column, ``pair_dots(unit_rows(yhat, index), index)``.
+computed by the pair layer of ``autodiff`` on ``a_f.edges.index``, the
+one ``ad.PairIndex`` its edge list builds on first use (the ``given``
+candidates of a graph share one), which carries the node count n: no
+op of a forward or a backward redoes the index work of the pairs.  Each
+mask is w_e = sigmoid(z_i . z_j) = sigmoid(``pair_dots(z, index)``),
+and the structural losses share one cosine column,
+``pair_dots(unit_rows(yhat, index), index)``.
 ``normalized_laplacian(w, index)`` turns a mask column into the
 normalised weights a_e = w_e / sqrt(d_i d_j), and a bank's
 ``FilterBankSpec.operator(a, index)`` turns that column into an
 ``ad.EdgeOperator``, the edge form of T = I/2 + A/2 or I/2 - A/2, for
-``ad.propagate``: the op builds the dense T once per forward and holds
-it, and its gradient for T is the per-edge column, so a training step
-allocates no n x n array but the banks' operators, and no tape node
-outputs one.  ``_banks`` builds each bank's column and operator, in one
-loop that ``forward`` and ``embedding`` share, and that ``analyze audit``
-runs for the masks alone; a bank without a mask net
-runs on the all-ones column, whose operator, dense T included, is built
-once per candidate and held in ``a_f.operators`` (``_constant_operator``).
-``filter_bank_apply`` reads the same edge column off a dense L = I - A,
-builds one index of its pairs and T the same way, so a check of it
-against an eigendecomposition checks the banks that training runs.
+``ad.propagate``: the op steps the dense T that the operator builds on
+first read (``EdgeOperator.matrix``), and its gradient for T is the
+per-edge column, so a training step allocates no n x n array but the
+banks' operators, and no tape node outputs one.  ``_banks`` builds each
+bank's column and operator, in one loop that ``forward`` and
+``embedding`` share, and that ``analyze audit`` runs for the masks
+alone; a bank without a mask net runs on the all-ones column, whose
+operator, and so its T, is built once per candidate and held in
+``a_f.operators`` (``_constant_operator``).  ``filter_bank_apply``
+reads the same edge column off a dense L = I - A and builds T on its
+edge list's index the same way, so a check of it against an
+eigendecomposition checks the banks that training runs.
 ``ForwardResult.w1``/``w2`` build the dense masks on demand.
 
 A forward multiplies the features X by its weights once:
@@ -181,8 +183,7 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     check_symmetric(lap, "filter_bank_apply")
     support = EdgeList.from_dense(lap != 0.0)
     edges = ad.constant(-lap[support.pairs].reshape(-1, 1))
-    index = ad.PairIndex(support.i, support.j, n)
-    return ad.propagate(spec.operator(edges, index), x, spec.coefficients()[:, None, :])
+    return ad.propagate(spec.operator(edges, support.index), x, spec.coefficients()[:, None, :])
 
 
 def mask_matrix(xw: Tensor, bias: Tensor, a_f: CandidateGraph) -> Tensor:
@@ -198,7 +199,7 @@ def mask_matrix(xw: Tensor, bias: Tensor, a_f: CandidateGraph) -> Tensor:
         raise ContractError(
             f"mask_matrix: product width {xw.shape[1]} != net width {bias.shape[1]}")
     z = ad.tanh(ad.add_row(xw, bias))
-    return ad.sigmoid(ad.pair_dots(z, a_f.index))
+    return ad.sigmoid(ad.pair_dots(z, a_f.edges.index))
 
 
 def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
@@ -206,7 +207,7 @@ def dense_mask(w: Tensor | None, a_f: CandidateGraph) -> Tensor | None:
     exactly symmetric, zero on the diagonal and off the candidate."""
     if w is None:
         return None
-    return ad.constant(ad.EdgeOperator(w, a_f.index, 0.0, 1.0).dense())
+    return ad.constant(ad.EdgeOperator(w, a_f.edges.index, 0.0, 1.0).dense())
 
 
 def check_config(variant: str, kernel_mode: str, j_max: int, mask_dim: int) -> None:
@@ -377,22 +378,22 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
         spec = model.bank(kind)
         if net:
             w = mask_matrix(masks[kind], model.params[f"{net}_b"], a_f)
-            t = spec.operator(normalized_laplacian(w, a_f.index), a_f.index)
+            t = spec.operator(normalized_laplacian(w, a_f.edges.index), a_f.edges.index)
         else:
             w, t = None, _constant_operator(spec, a_f)
         yield kind, w, spec, t, zs.get(kind)
 
 
 def _constant_operator(spec: FilterBankSpec, a_f: CandidateGraph) -> ad.EdgeOperator:
-    """The bank's T on the all-ones column of ``a_f``, with its dense T held
-    (``EdgeOperator.held``).  It is built on first use and kept in
-    ``a_f.operators``, so each bank normalises the column and builds T
-    once per candidate."""
+    """The bank's T on the all-ones column of ``a_f``, built on first use
+    and kept in ``a_f.operators`` with the dense T it builds on first
+    read, so each bank normalises the column and builds T once per
+    candidate."""
     key = (spec.mode, spec.kind)
     if key not in a_f.operators:
         ones = ad.constant(np.ones((a_f.num_edges, 1)))
-        column = normalized_laplacian(ones, a_f.index)
-        a_f.operators[key] = spec.operator(column, a_f.index).held()
+        index = a_f.edges.index
+        a_f.operators[key] = spec.operator(normalized_laplacian(ones, index), index)
     return a_f.operators[key]
 
 
@@ -490,7 +491,8 @@ def total_loss(model: FgGSLModel, graph: LabeledGraph, a_f: CandidateGraph,
             sim_source = ad.add(ad.hadamard(fwd.yhat, ad.constant(keep)),
                                 ad.constant(graph.labels * (1.0 - keep)))
         # one cosine per candidate edge, shared by both structural losses
-        cos = ad.pair_dots(ad.unit_rows(sim_source, a_f.index, "total_loss"), a_f.index)
+        index = a_f.edges.index
+        cos = ad.pair_dots(ad.unit_rows(sim_source, index, "total_loss"), index)
         ho = structural_loss_ho(fwd.w1_edges, cos) if fwd.w1_edges is not None else zero
         ht = structural_loss_ht(fwd.w2_edges, cos) if fwd.w2_edges is not None else zero
         loss = ad.add(ce, ad.add(ad.scale(alpha, ho), ad.scale(beta, ht)))

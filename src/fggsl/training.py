@@ -180,7 +180,7 @@ def _fit(step_fn, params: ParameterSet, config: TrainConfig, labels,
     _, val_idx, test_idx = split
     adam = Adam(params, config.lr, config.weight_decay)
     best_val = -1.0
-    best_state = params.snapshot()
+    best_state = None
     best_probs = best_outputs = None
     best_epoch = 0
     stale = 0

@@ -1019,6 +1019,30 @@ def test_edge_operator_propagates_like_its_dense_form(n, width, form, k_in, m_ou
     assert np.max(np.abs(z.grad - dz)) <= 1e-12 * np.max(np.abs(dz))
 
 
+def test_an_operator_builds_its_t_once_for_every_propagation(monkeypatch):
+    # T is read off the column on the first propagation and kept, read-only:
+    # a second propagation of the same operator, and the backward of both,
+    # build no other
+    rng = np.random.default_rng(62)
+    n = 12
+    pairs, w0 = _edge_column(rng, n, 2 * n)
+    built, dense = [], ad.EdgeOperator.dense
+
+    def counted(op):
+        built.append(op.index.n)
+        return dense(op)
+
+    monkeypatch.setattr(ad.EdgeOperator, "dense", counted)
+    w, z = ad.parameter(w0, "w"), ad.constant(rng.standard_normal((n, 2)))
+    op = ad.EdgeOperator(w, ad.PairIndex(*pairs, n), 0.5, -0.5)
+    coeffs = rng.standard_normal((3, 1, 1))
+    first, second = [ad.propagate(op, z, coeffs) for _ in range(2)]
+    ad.backward(ad.sum_all(ad.add(first, second)), [w])
+    assert built == [n]
+    assert not op.matrix.flags.writeable
+    assert np.array_equal(first.data, second.data)
+
+
 def test_pair_layer_gives_the_one_block_results_in_many_blocks(monkeypatch):
     # 30 nodes: one block by default, blocks of three rows at 100 entries;
     # the pairs are unsorted, repeated, given in both orientations and
@@ -1072,7 +1096,7 @@ def _index_and_tuple(kind, n):
     graph = datasets.gen_synthetic(n, 3, 0.15, 0.3, 0.4, seed=71, n_splits=1)
     if kind != "unsorted":
         cand = datasets.candidate_graph(graph, kind)
-        return cand.index, cand.edge_pairs()
+        return cand.edges.index, cand.edge_pairs()
     i_idx, j_idx = graph.edges.pairs
     rng = np.random.default_rng(72)
     order, flip = rng.permutation(i_idx.size), rng.random(i_idx.size) < 0.5

@@ -598,11 +598,15 @@ def test_analyze_similarity_and_audit_from_checkpoint(tiny_dataset, tmp_path):
     assert "ho_r_het" in doc and "ht_r_het" in doc
 
 
-@pytest.mark.parametrize("variant", ["full", "FBL", "FBH"])
+@pytest.mark.parametrize("variant, threshold", [
+    *(pytest.param(variant, 0.5, id=variant) for variant in ("full", "FBL", "FBH")),
+    *(pytest.param(variant, 1.0, id=f"{variant}-threshold-1") for variant in ("full", "FBL"))])
 def test_analyze_audit_reads_the_forward_masks_and_runs_no_bank(tiny_dataset, tmp_path,
-                                                                monkeypatch, variant):
+                                                                monkeypatch, variant, threshold):
     # the masks alone: the columns are bitwise the forward's, audit.csv is
-    # the forward-based audit's, and no bank propagates
+    # the forward-based audit's, and no bank propagates.  A mask the variant
+    # lacks, and one that keeps no edge (no weight exceeds 1), leave their
+    # fields empty
     bundle = datasets.load_dataset_dir(tiny_dataset)
     graph = bundle.graph
     net = model.FgGSLModel(graph.num_features, graph.num_classes, j_max=3, mask_dim=4,
@@ -612,11 +616,14 @@ def test_analyze_audit_reads_the_forward_masks_and_runs_no_bank(tiny_dataset, tm
     a_f = model.bank_graph(graph, variant, "full")
     with ad.no_grad():
         forward_columns = model.forward(net, ad.constant(graph.features), a_f).edge_columns()
-    stats = analysis.learned_edge_audit(*forward_columns, graph.labels,
+    stats = analysis.learned_edge_audit(*forward_columns, graph.labels, threshold=threshold,
                                         pairs=a_f.edge_pairs())
+    fields = ["" if value is None else value for value in
+              (stats.ho_edges, stats.ho_r_het, stats.ht_edges, stats.ht_r_het)]
     expected = ("threshold,ho_edges,ho_r_het,ht_edges,ht_r_het\n"
-                f"{stats.threshold},{stats.ho_edges},{stats.ho_r_het},"
-                f"{stats.ht_edges},{stats.ht_r_het}\n")
+                f"{stats.threshold},{fields[0]},{fields[1]},{fields[2]},{fields[3]}\n")
+    if threshold == 1.0:
+        assert stats.ho_edges == 0 and fields[1] == fields[3] == ""
 
     audited, audit = [], analysis.learned_edge_audit
 
@@ -631,7 +638,7 @@ def test_analyze_audit_reads_the_forward_masks_and_runs_no_bank(tiny_dataset, tm
     monkeypatch.setattr(ad, "propagate", refuse)
     out = tmp_path / "audit"
     assert run_cli("analyze", "audit", "--out", str(out), "--data", tiny_dataset,
-                   "--checkpoint", ckpt) == 0
+                   "--checkpoint", ckpt, "--threshold", str(threshold)) == 0
     assert (out / "audit.csv").read_text(encoding="utf-8") == expected
     (columns,) = audited
     for got, want in zip(columns, forward_columns):
@@ -1062,6 +1069,31 @@ def test_analyze_audit_threshold_outside_unit_interval_exits_1(tiny_dataset, tmp
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "--threshold" in err
     assert not (tmp_path / "audit").exists()
+
+
+@pytest.mark.parametrize("kind", ["similarity", "audit"])
+def test_a_checkpoint_of_another_feature_width_exits_1_naming_it(tiny_dataset, tmp_path,
+                                                                  capsys, monkeypatch, kind):
+    # gen draws C-wide features, so a 2-class model does not read a
+    # 3-class dataset: one line names the checkpoint, the data and both
+    # widths, and no forward runs
+    data = tmp_path / "data3"
+    assert run_cli("gen", "--out", str(data), "--n", "24", "--classes", "3",
+                   "--seed", "5", "--splits", "2") == 0
+    ckpt = _edited_checkpoint(tiny_dataset, tmp_path, lambda header: None)
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(model, "_banks", refuse)
+    code = run_cli("analyze", kind, "--out", str(tmp_path / "out"), "--data", str(data),
+                   "--checkpoint", ckpt)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert ckpt in err and str(data) in err and "width 2" in err and "width 3" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_unknown_kind_lists_valid_kinds(tmp_path, capsys):

@@ -552,7 +552,7 @@ def test_one_step_at_j4_and_one_evaluation_do_the_pinned_work(monkeypatch, n, nu
     assert decompositions == []
 
 
-@pytest.mark.parametrize("candidate", ["full", "given"])
+@pytest.mark.parametrize("candidate", ["full", "given", "knn:5"])
 def test_a_protocol_and_its_evaluations_build_one_pair_index_per_candidate(monkeypatch,
                                                                           candidate):
     bundle = _bundle(seed=5)
@@ -575,11 +575,12 @@ def test_a_protocol_and_its_evaluations_build_one_pair_index_per_candidate(monke
     a_f = datasets.candidate_graph(graph, candidate)
     for _ in range(3):
         training.evaluate(result.models[0], bundle, graph.splits[0][2], a_f)
-    # one candidate per split and one for the evaluations: each builds its
-    # index when it is made, and no pair op of any forward or backward
-    # builds another
+    # one candidate per split and one for the evaluations, and one index per
+    # edge list, on first use: the given candidates hold the graph's own
+    # edge list, so they share one, and no pair op of any forward or
+    # backward builds another
     assert made == [candidate] * (len(graph.splits) + 1)
-    assert built == [graph.n] * len(made)
+    assert built == [graph.n] * (1 if candidate == "given" else len(made))
 
 
 def test_nm_builds_each_bank_operator_once_per_split(monkeypatch):
