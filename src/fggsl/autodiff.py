@@ -15,22 +15,23 @@ sum_s sum_k coeffs[s, k, m] T^s Z_k, by repeated products T @ Y.  It
 runs in the chain order (push the K inputs through T) or the Horner
 order (push the M outputs), whichever is narrower, recorded or not, and
 records one tape node.  Its VJP runs the transposed polynomial in the
-other order at the same width.  Each step T @ Y takes the form BLAS runs
-fastest for Y's shape (``_step`` holds the measurements): on n >= 512
-rows, a block 2 to 7 columns wide runs in row panels of about
-``BLOCK_ENTRIES`` entries, T[r0:r1] @ Y, one at a time; any other block
-runs as T @ Y.
+other order at the same width.  The op asks its operator only for
+``step(Y)`` = T @ Y and ``grad(B, F)``, the gradient of its one input
+``w`` for dT = B F^T, so another form of T is another operator class.
 
 T is an ``EdgeOperator``: diag * I + off * W of an undirected edge
-column, so it is exactly symmetric and T^T is T.  The op steps the
-operator's ``matrix``, T built by one symmetric scatter
-(``EdgeOperator.dense``) on first read, and keeps it in its node; the
-gradient is the per-edge column off * (dT[i, j] + dT[j, i]), read one
-row block at a time, so no n x n dT is formed.  ``side_by_side``
-lays the row blocks of several weights next to each other in one array,
-so one product with X serves all of them; with one block per part it is
-the plain column concatenation.  ``block`` reads one column span of that
-product as a read-only view, so splitting it copies nothing.
+column, so it is exactly symmetric and T^T is T.  It steps its
+``matrix``, T built by one symmetric scatter (``EdgeOperator.dense``) on
+first read, in the form BLAS runs fastest for Y's shape (``_step`` holds
+the measurements): on n >= 512 rows, a block 2 to 7 columns wide runs in
+row panels of about ``BLOCK_ENTRIES`` entries, T[r0:r1] @ Y, one at a
+time; any other block runs as T @ Y.  Its gradient is the per-edge
+column off * (dT[i, j] + dT[j, i]), read one row block at a time, so no
+n x n dT is formed.  ``side_by_side`` lays the row blocks of several
+weights next to each other in one array, so one product with X serves
+all of them; with one block per part it is the plain column
+concatenation.  ``block`` reads one column span of that product as a
+read-only view, so splitting it copies nothing.
 
 Per-pair quantities are |P| x 1 columns over a list of node pairs
 (i, j), and one pair layer computes them.  Its one pair argument is a
@@ -404,10 +405,10 @@ def _step(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
+def _polynomial(step, z: np.ndarray, coeffs: np.ndarray,
                 order: str, keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """out_m = sum over s, k of coeffs[s, k, m] T^s Z_k, by S = len(coeffs) - 1
-    products with the symmetric T (see ``_step``).
+    products with the symmetric T, each ``step(Y)`` = T @ Y.
 
     The "chain" order applies T to the K blocks of Z, Y_s = T Y_(s-1), and
     adds Y_s's blocks into the outputs.  The "horner" order folds the
@@ -438,7 +439,7 @@ def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
         for s in range(steps - 1, -1, -1):
             if keep:
                 stack[:, s * width:(s + 1) * width] = out
-            out = _step(t, out)
+            out = step(out)
             add_terms(out, z, s)
         return out, stack
     y = z
@@ -446,7 +447,7 @@ def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
         if s:
             if keep:
                 stack[:, (s - 1) * width:s * width] = y
-            y = _step(t, y)
+            y = step(y)
         add_terms(out, y, s)
     return out, stack
 
@@ -455,21 +456,25 @@ def _polynomial(t: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
 class EdgeOperator:
     """T = diag * I + off * W of an undirected edge column, for ``propagate``.
 
-    ``w`` holds one weight per pair (i, j) of the ``PairIndex`` ``index``,
-    with i != j and no pair given twice in either orientation, and T is
-    index.n x index.n.  ``dense`` builds T; ``matrix`` is T, built by
-    ``dense`` on first read and kept read-only, so ``w`` must not change
-    after that read: the model builds a fresh operator for each forward's
-    learned column and reuses only a constant column's, whose T it so
-    builds once (``model._constant_operator``).  ``propagate``'s gradient
-    for T is the per-edge column off * (dT[i, j] + dT[j, i]), so no n x n
-    dT is formed.
+    ``w`` holds one weight per pair (i, j) of the ``PairIndex`` ``index``
+    (a DimensionError otherwise), with i != j and no pair given twice in
+    either orientation, and T is index.n x index.n.  ``matrix`` is T,
+    built by ``dense`` on first read and kept read-only, so ``w`` must not
+    change after that read: the model builds a fresh operator for each
+    forward's learned column and reuses only a constant column's, whose T
+    it so builds once per graph (``model._constant_operator``).  ``step``
+    and ``grad`` serve ``propagate``: T @ Y on ``matrix``, and the
+    gradient of ``w`` as a per-edge column, so no n x n dT is formed.
     """
 
     w: Tensor
     index: PairIndex
     diag: float
     off: float
+
+    def __post_init__(self):
+        if self.w.shape != (self.index.size, 1):
+            raise DimensionError(f"EdgeOperator: {self.w.shape} weights for {self.index.size} pairs")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -480,8 +485,6 @@ class EdgeOperator:
         (j, i), through the flat offsets of the pair index, so T is
         exactly symmetric."""
         index = self.index
-        if self.w.shape != (index.size, 1):
-            raise DimensionError(f"EdgeOperator: weights {self.w.shape} for {index.size} pairs")
         out = np.zeros(self.shape)
         v = float(self.off) * self.w.data[:, 0]
         flat = out.reshape(-1)
@@ -497,6 +500,15 @@ class EdgeOperator:
         t.flags.writeable = False
         return t
 
+    def step(self, y: np.ndarray) -> np.ndarray:
+        """T @ Y for an n x w block Y, in the form ``_step`` picks."""
+        return _step(self.matrix, y)
+
+    def grad(self, backward_steps: np.ndarray, forward_steps: np.ndarray) -> np.ndarray:
+        """off * (dT + dT^T) at the pairs for dT = B F^T (``PairIndex.read``)."""
+        return self.off * self.index.read(np.hstack([backward_steps, forward_steps]),
+                                          np.hstack([forward_steps, backward_steps]))
+
 
 def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     """The polynomials out_m = sum_s sum_k coeffs[s, k, m] T^s Z_k in T.
@@ -508,23 +520,23 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     has two n x n operands.  It runs them in the narrower order: the
     chain order pushes the K input blocks through T (K <= M), the Horner
     order the M output blocks (M < K), recorded or not, so the value
-    does not depend on whether the op records.  It steps the dense,
-    exactly symmetric ``t.matrix`` and holds it in its node.
+    does not depend on whether the op records.
 
-    The op records one tape node, on (the edge column, Z).  Its VJP for Z
-    is the same polynomial in T = T^T with coeffs transposed over (k, m),
-    in the opposite order and so at the same width.  Both orders keep the
-    input of every step, and block s of the backward's steps B is the
-    gradient of the output of the forward's step whose input is block s
-    of the forward's steps F.  So dT = B F^T, and the edge column's
-    gradient reads off * (dT + dT^T) at its pairs, one row block of
-    [B | F] [F | B]^T at a time (``PairIndex.read``).
+    The op asks the operator ``t`` (an ``EdgeOperator``) for its
+    ``shape``, its one input tensor ``w``, ``step(Y)`` = T @ Y for a
+    symmetric T, and ``grad(B, F)``, the gradient of ``w`` for dT = B F^T.
+    It records one tape node, on (``t.w``, Z), and holds ``t`` in it.  Its
+    VJP for Z is the same polynomial in T = T^T with coeffs transposed
+    over (k, m), in the opposite order and so at the same width.  Both
+    orders keep the input of every step, and block s of the backward's
+    steps B is the gradient of the output of the forward's step whose
+    input is block s of the forward's steps F, so dT = B F^T.
     """
     n, width = z.shape
     if t.shape != (n, n):
         raise DimensionError(f"propagate: operator {t.shape} does not act on {z.shape}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 3 or coeffs.shape[0] == 0:
+    if coeffs.ndim != 3 or not coeffs.shape[0] or not coeffs.shape[1]:
         raise ContractError(f"propagate: coeffs of shape {coeffs.shape} is not "
                             "(powers, inputs, outputs)")
     if width % coeffs.shape[1]:
@@ -534,19 +546,15 @@ def propagate(t: EdgeOperator, z: Tensor, coeffs) -> Tensor:
     coeffs = coeffs[:live[-1] + 1 if live.size else 1]
     top, k_in, m_out = coeffs.shape
     order, back = ("horner", "chain") if m_out < k_in else ("chain", "horner")
-    w, td = t.w, t.matrix
-    out, forward_steps = _polynomial(td, z.data, coeffs, order, _records((w,)))
+    out, forward_steps = _polynomial(t.step, z.data, coeffs, order, _records((t.w,)))
 
     def vjp(g):
-        dz, backward_steps = _polynomial(td, g, coeffs.transpose(0, 2, 1), back,
-                                         w.requires_grad)
-        dw = None
-        if w.requires_grad:
-            dw = t.off * t.index.read(np.hstack([backward_steps, forward_steps]),
-                                      np.hstack([forward_steps, backward_steps]))
+        dz, backward_steps = _polynomial(t.step, g, coeffs.transpose(0, 2, 1), back,
+                                         t.w.requires_grad)
+        dw = t.grad(backward_steps, forward_steps) if t.w.requires_grad else None
         return dw, dz if z.requires_grad else None
 
-    return _emit(out, (w, z), vjp)
+    return _emit(out, (t.w, z), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:

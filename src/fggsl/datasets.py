@@ -39,7 +39,7 @@ import io
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +71,13 @@ class CandidateGraph:
     ``candidate_graph``.
 
     Every pair op of every forward reads ``edges.index``, the one
-    ``ad.PairIndex`` of the pairs, which the edge list builds on first
-    use; the ``given`` candidates of a graph hold its own edge list, so
-    they share one.  ``operators`` holds what the model builds once per
-    candidate: the operators of the banks whose edge column is constant
-    (``model._banks``), and with them their T."""
+    ``ad.PairIndex`` of the pairs, and a bank without a mask net runs on
+    ``edges.operators``; the edge list builds both on first use, and the
+    ``given`` candidates of a graph hold its own edge list, so they share
+    them."""
 
     edges: EdgeList
     mode: str
-    operators: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.edges, EdgeList):

@@ -35,7 +35,8 @@ class EdgeList:
 
     A ContractError names the first pair out of 0 <= i < j < n or out of
     order; i and j must be 1-D integer arrays of one length, made read-only
-    here, so a graph sharing them (the ``given`` candidate) copies nothing.
+    here, so a graph sharing them (the ``given`` candidate) copies nothing,
+    and shares ``index`` and ``operators``, each built on first use.
     """
 
     n: int
@@ -74,6 +75,11 @@ class EdgeList:
     def index(self) -> ad.PairIndex:
         """The ``ad.PairIndex`` of the pairs, built once, on first use."""
         return ad.PairIndex(self.i, self.j, self.n)
+
+    @functools.cached_property
+    def operators(self) -> dict:
+        """The banks' operators on the all-ones column, by (mode, kind)."""
+        return {}
 
     def dense(self) -> np.ndarray:
         """The symmetric n x n 0/1 matrix: the read-only T of the all-ones

@@ -23,15 +23,15 @@ and the structural losses share one cosine column,
 normalised weights a_e = w_e / sqrt(d_i d_j), and a bank's
 ``FilterBankSpec.operator(a, index)`` turns that column into an
 ``ad.EdgeOperator``, the edge form of T = I/2 + A/2 or I/2 - A/2, for
-``ad.propagate``: the op steps the dense T that the operator builds on
-first read (``EdgeOperator.matrix``), and its gradient for T is the
-per-edge column, so a training step allocates no n x n array but the
-banks' operators, and no tape node outputs one.  ``_banks`` builds each
-bank's column and operator, in one loop that ``forward`` and
-``embedding`` share, and that ``analyze audit`` runs for the masks
-alone; a bank without a mask net runs on the all-ones column, whose
-operator, and so its T, is built once per candidate and held in
-``a_f.operators`` (``_constant_operator``).  ``filter_bank_apply``
+``ad.propagate``: the op asks the operator for its steps T @ Y, on the
+dense T it builds on first read, and for its gradient, the per-edge
+column, so a training step allocates no n x n array but the banks' T,
+and no tape node outputs one.  ``_banks`` builds each bank's column and
+operator, in one loop that ``forward`` and ``embedding`` share, and
+that ``analyze audit`` runs for the masks alone; a bank without a mask
+net runs on the all-ones column, whose operator, and so its T, is built
+once per graph and held in ``a_f.edges.operators``
+(``_constant_operator``).  ``filter_bank_apply``
 reads the same edge column off a dense L = I - A and builds T on its
 edge list's index the same way, so a check of it against an
 eigendecomposition checks the banks that training runs.
@@ -386,15 +386,15 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
 
 def _constant_operator(spec: FilterBankSpec, a_f: CandidateGraph) -> ad.EdgeOperator:
     """The bank's T on the all-ones column of ``a_f``, built on first use
-    and kept in ``a_f.operators`` with the dense T it builds on first
-    read, so each bank normalises the column and builds T once per
-    candidate."""
-    key = (spec.mode, spec.kind)
-    if key not in a_f.operators:
+    and kept in its edge list's ``operators`` with the dense T it builds
+    on first read, so each bank normalises the column and builds T once
+    per graph: the ``given`` candidates of a graph share its edge list."""
+    operators, key = a_f.edges.operators, (spec.mode, spec.kind)
+    if key not in operators:
         ones = ad.constant(np.ones((a_f.num_edges, 1)))
         index = a_f.edges.index
-        a_f.operators[key] = spec.operator(normalized_laplacian(ones, index), index)
-    return a_f.operators[key]
+        operators[key] = spec.operator(normalized_laplacian(ones, index), index)
+    return operators[key]
 
 
 def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:

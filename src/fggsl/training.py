@@ -223,9 +223,13 @@ def train_single_split(bundle: DatasetBundle, split, config: TrainConfig):
     """Train one model on one (train, val, test) split; returns (model, row).
 
     ``_fit`` builds the row; a variant that learns masks adds the audit of
-    the best forward's edge columns, so no forward runs after training."""
+    the best forward's edge columns, so no forward runs after training.
+    Such a variant on a candidate with no edge raises ValidationError."""
     graph = bundle.graph
     a_f = fm.bank_graph(graph, config.variant, config.candidate_mode)
+    if fm.learns_masks(config.variant) and not a_f.num_edges:
+        raise ValidationError(f"{bundle.name}: candidate {config.candidate_mode!r} has no "
+                              f"edges for variant {config.variant!r} to learn masks on")
     net = fm.FgGSLModel(graph.num_features, graph.num_classes, j_max=config.j_max,
                         mask_dim=config.mask_dim, kernel_mode=config.kernel_mode,
                         variant=config.variant, seed=config.seed)

@@ -891,6 +891,7 @@ def test_propagate_rejects_an_operator_of_another_size():
 @pytest.mark.parametrize("coeffs, error", [
     (np.ones((2, 1)), ContractError),            # not powers x inputs x outputs
     (np.ones((0, 1, 1)), ContractError),         # no powers
+    (np.ones((3, 0, 1)), ContractError),         # no input blocks
     (np.ones((2, 3, 1)), DimensionError),        # 4 columns in 3 blocks
 ])
 def test_propagate_rejects_a_malformed_coefficient_table(coeffs, error):
@@ -963,6 +964,13 @@ def test_edge_operator_is_exactly_symmetric_with_its_diagonal():
     assert np.array_equal(t, expected)
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (5, 2), (5,)])
+def test_an_edge_operator_of_weights_of_another_shape_is_refused(shape):
+    # at construction, so a propagation with no step refuses it too
+    with pytest.raises(DimensionError, match="EdgeOperator"):
+        ad.EdgeOperator(ad.constant(np.ones(shape)), ad.PairIndex(*EDGES, 6), 0.5, 0.5)
+
+
 def test_grad_check_edge_operator():
     # the edge form's per-edge T gradient, both signs of A, J = 0..4 (2^J
     # steps), with Z tracked and untracked, in every order at n = 6; at
@@ -1017,6 +1025,55 @@ def test_edge_operator_propagates_like_its_dense_form(n, width, form, k_in, m_ou
     per_edge = -0.5 * (dt[i_idx, j_idx] + dt[j_idx, i_idx])
     assert np.max(np.abs(w.grad[:, 0] - per_edge)) <= 1e-12 * np.max(np.abs(per_edge))
     assert np.max(np.abs(z.grad - dz)) <= 1e-12 * np.max(np.abs(dz))
+
+
+class _SymmetricPart:
+    """T = (S + S^T) / 2 of one n x n input S: a second operator form for
+    ``propagate``, dense, whose input is not an edge column."""
+
+    def __init__(self, s):
+        self.w, self.shape = s, s.shape
+
+    def step(self, y):
+        return 0.5 * (self.w.data + self.w.data.T) @ y
+
+    def grad(self, backward_steps, forward_steps):
+        dt = backward_steps @ forward_steps.T
+        return 0.5 * (dt + dt.T)
+
+
+@pytest.mark.parametrize("k_in, m_out", ORDERS)
+def test_propagate_runs_a_second_operator_form(k_in, m_out):
+    # S is the edge operator's T plus an antisymmetric part, so both forms
+    # have one T; the edge column's gradient off * (dT[i, j] + dT[j, i])
+    # is then 2 off dS[i, j]
+    rng = np.random.default_rng(63)
+    n = 7
+    pairs, w0, diag, off = _random_operator(rng, n)
+    edge = ad.EdgeOperator(ad.parameter(w0, "w"), ad.PairIndex(*pairs, n), diag, off)
+    b = rng.standard_normal((n, n))
+    s0 = edge.dense() + (b - b.T)
+    z0 = rng.standard_normal((n, 2 * k_in))
+    coeffs = rng.standard_normal((5, k_in, m_out))
+    g = ad.constant(rng.standard_normal((n, 2 * m_out)))
+    results = []
+    for make in (lambda: edge, lambda: _SymmetricPart(ad.parameter(s0, "s"))):
+        op, z = make(), ad.parameter(z0, "z")
+        out = ad.propagate(op, z, coeffs)
+        ad.backward(ad.sum_all(ad.hadamard(out, g)), [op.w, z])
+        results.append((out.data, z.grad, op.w.grad))
+    (out_e, dz_e, dw), (out_s, dz_s, ds) = results
+    for a, b in ((out_s, out_e), (dz_s, dz_e), (2.0 * off * ds[pairs], dw[:, 0])):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    params = ad.ParameterSet()
+    s, z = params.add("s", s0), params.add("z", z0)
+
+    def loss_fn():
+        out = ad.propagate(_SymmetricPart(s), z, coeffs)
+        return ad.sum_all(ad.hadamard(ad.tanh(out), g))
+
+    assert ad.grad_check(loss_fn, params, 1e-5).relative <= 1e-6
 
 
 def test_an_operator_builds_its_t_once_for_every_propagation(monkeypatch):

@@ -171,6 +171,28 @@ def test_train_missing_edge_file_exits_3(tiny_dataset, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("variant", ["full", "FBL", "FBH"])
+def test_train_on_an_edgeless_graph_exits_1_for_a_mask_variant_and_nm_trains(
+        tiny_dataset, tmp_path, capsys, variant):
+    # a variant that learns masks has no pair to learn them on: one line
+    # naming the dataset, the candidate and the variant; NM runs its banks
+    # on the given graph, T = I/2 here, and trains
+    data = tmp_path / "edgeless"
+    shutil.copytree(tiny_dataset, data)
+    (data / datasets.EDGE_FILE).write_text("", encoding="utf-8")
+    cfg = _write_config(tmp_path)
+    code = run_cli("train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o"),
+                   "--candidate", "given", "--variant", variant)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "edgeless" in err and "'given'" in err and f"'{variant}'" in err
+    assert run_cli("train", "--config", cfg, "--data", str(data), "--out",
+                   str(tmp_path / "nm"), "--candidate", "given", "--variant", "NM") == 0
+    report = json.loads((tmp_path / "nm" / "report.json").read_text(encoding="utf-8"))
+    assert len(report["splits"]) == 2
+
+
 def test_train_negative_alpha_exits_1_naming_field(tiny_dataset, tmp_path, capsys):
     cfg = _write_config(tmp_path, alpha=-1.0)
     code = run_cli("train", "--config", cfg, "--data", tiny_dataset,
