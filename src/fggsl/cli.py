@@ -20,8 +20,8 @@ from . import __version__, analysis
 from . import autodiff as ad
 from . import model as fm
 from .datasets import (EDGE_FILE, NODE_FILE, SPLIT_DIR, candidate_k, dataset_fingerprint,
-                       gen_synthetic, load_dataset_dir, load_edge_list, open_text, save_raw,
-                       save_splits)
+                       gen_synthetic, load_dataset_dir, load_edge_list, load_graph, open_text,
+                       save_raw, save_splits)
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      ValidationError)
 from .graphs import heterophilic_fraction, normalized_laplacian
@@ -184,10 +184,14 @@ def _resolve_config(args):
     return TrainConfig(**values), normalize
 
 
-def _load_bundle(args, normalize):
+def _data_dir(args) -> str:
     if not args.data:
         raise ValidationError("--data directory is required for this command")
-    return load_dataset_dir(args.data, normalize_features=normalize)
+    return args.data
+
+
+def _load_bundle(args, normalize):
+    return load_dataset_dir(_data_dir(args), normalize_features=normalize)
 
 
 def _out_file(args, name):
@@ -268,17 +272,18 @@ def _cmd_ablate(args) -> int:
 
 
 def _trained(args):
-    """The dataset, the ``--checkpoint`` model and the graph its banks run
-    on; the model and graph are None without ``--checkpoint``."""
-    bundle = _load_bundle(args, not args.no_normalize)
+    """The dataset's graph, the ``--checkpoint`` model and the graph its
+    banks run on; the model and bank graph are None without
+    ``--checkpoint``.  The analyses use no split, so ``load_graph`` reads
+    the node and edge files alone."""
+    graph = load_graph(_data_dir(args), not args.no_normalize)
     if not args.checkpoint:
-        return bundle, None, None
+        return graph, None, None
     net, _ = fm.load_checkpoint(args.checkpoint)
-    width = bundle.graph.num_features
-    if net.num_features != width:
+    if net.num_features != graph.num_features:
         raise ValidationError(f"{args.checkpoint}: model of feature width {net.num_features} "
-                              f"does not fit {args.data}, of feature width {width}")
-    return bundle, net, fm.bank_graph(bundle.graph, net.variant, args.candidate)
+                              f"does not fit {args.data}, of feature width {graph.num_features}")
+    return graph, net, fm.bank_graph(graph, net.variant, args.candidate)
 
 
 def _response(args):
@@ -335,8 +340,7 @@ def _stability(args):
 
 
 def _similarity(args):
-    bundle, net, a_f = _trained(args)
-    graph = bundle.graph
+    graph, net, a_f = _trained(args)
     sampling = {"max_pairs": args.max_pairs, "bins": args.bins, "seed": args.seed}
     if net is None:
         source = "features"
@@ -364,7 +368,7 @@ def _similarity(args):
 def _audit(args):
     if not args.checkpoint:
         raise ValidationError("analyze audit requires --checkpoint")
-    bundle, net, a_f = _trained(args)
+    graph, net, a_f = _trained(args)
     if not fm.learns_masks(net.variant):
         raise ValidationError(
             f"analyze audit: variant {net.variant} learns no masks, so there is "
@@ -372,10 +376,10 @@ def _audit(args):
     # the mask loop that ``embedding`` runs: the masks, and no bank or classifier
     with ad.no_grad():
         columns = {kind: w.data for kind, w, *_ in
-                   fm._banks(net, ad.constant(bundle.graph.features), a_f, classifier=False)
+                   fm._banks(net, ad.constant(graph.features), a_f, classifier=False)
                    if w is not None}
     stats = analysis.learned_edge_audit(
-        columns.get("low"), columns.get("high"), bundle.graph.labels,
+        columns.get("low"), columns.get("high"), graph.labels,
         threshold=args.threshold, pairs=a_f.edge_pairs())
     fields = dataclasses.asdict(stats)
     # a missing mask or ratio is an empty field, as in ablation.csv
@@ -406,6 +410,9 @@ def _cmd_gen(args) -> int:
                           args.noise, seed=args.seed, n_splits=args.splits)
     # an edgeless draw, or a split that the loader would reject, fails
     # here, before a file is written
+    if graph.edges.i.size == 0:
+        raise ValidationError(f"gen: the draw at --n {args.n}, --intra-p {args.intra_p} "
+                              f"and --inter-p {args.inter_p} has no edges")
     r_het = heterophilic_fraction(graph.labels, graph.edges.pairs)
     for k, split in enumerate(graph.splits):
         for part, rows in zip(("train", "val", "test"), split):

@@ -446,6 +446,16 @@ def save_splits(splits, directory):
     return paths
 
 
+def load_graph(directory, normalize_features=True) -> LabeledGraph:
+    """The graph of a dataset directory, without splits: ``nodes.tsv`` and
+    ``edges.tsv`` read by ``load_raw``, features row-normalised unless
+    ``normalize_features`` is False."""
+    graph = load_raw(os.path.join(directory, NODE_FILE), os.path.join(directory, EDGE_FILE))
+    if normalize_features:
+        graph.features = row_normalize(graph.features)
+    return graph
+
+
 def load_dataset_dir(directory, normalize_features=True) -> DatasetBundle:
     """Load ``nodes.tsv`` / ``edges.tsv`` / ``splits/*.txt`` from a directory.
 
@@ -464,17 +474,13 @@ def load_dataset_dir(directory, normalize_features=True) -> DatasetBundle:
 
     The bundle is named after the directory.
     """
-    node_file = os.path.join(directory, NODE_FILE)
-    edge_file = os.path.join(directory, EDGE_FILE)
-    graph = load_raw(node_file, edge_file)
+    graph = load_graph(directory, normalize_features)
     split_dir = os.path.join(directory, SPLIT_DIR)
     if os.path.isdir(split_dir):
         files = sorted(
             os.path.join(split_dir, f) for f in os.listdir(split_dir)
             if f.endswith(".txt"))
         graph.splits = load_splits(files, graph.n)
-    if normalize_features:
-        graph.features = row_normalize(graph.features)
     return DatasetBundle(graph=graph, name=os.path.basename(os.path.normpath(directory)),
                          feature_normalized=normalize_features)
 

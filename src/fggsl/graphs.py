@@ -1,12 +1,13 @@
-"""Graph data structures, normalized Laplacians, heterophily metrics,
+"""Graph data structures, the dense normalized Laplacian, heterophily metrics,
 dense symmetric eigendecomposition and the spectral-norm distance.
 
 A graph holds its edges as an ``EdgeList``: each undirected pair once,
 unweighted, O(|E|) memory.  It builds the ``ad.PairIndex`` of its pairs
 once, on first use (``EdgeList.index``), which training passes, with an
-edge column, to ``normalized_laplacian``; a dense n x n matrix is built
-only on demand (``EdgeList.dense``, a graph's ``.adjacency``), for
-analysis.  The other matrices here are dense float64.  One reader,
+edge column, to ``ad.edge_normalize``.  ``normalized_laplacian`` is the
+dense L = I - D^-1/2 W D^-1/2 that analysis reads; a dense n x n matrix
+is built only on demand (``EdgeList.dense``, a graph's ``.adjacency``),
+for analysis.  The other matrices here are dense float64.  One reader,
 ``EdgeList.from_dense``, lists the edges of a dense matrix, and one
 scatter, ``ad.EdgeOperator.dense``, writes them back on the index,
 which carries n.  The eigensolver wraps LAPACK ``eigh``, or
@@ -161,22 +162,11 @@ def heterophilic_fraction(labels: np.ndarray, pairs) -> float:
     return float(np.mean(y[i_idx] != y[j_idx]))
 
 
-def normalized_laplacian(weights, index: ad.PairIndex | None = None):
-    """I - D^{-1/2} W D^{-1/2} with degrees clamped below at ``ad.DEGREE_EPS``.
-
-    Dense form: an n x n ndarray W gives the n x n ndarray L.  Rows of
-    isolated nodes come out as identity rows because their incident
-    weights are all zero.
-
-    Edge form, with the ``ad.PairIndex`` of the pairs (i, j): ``weights``
-    is an |E| x 1 Tensor holding W once per undirected pair, and the
-    result is the Tensor column a_e = w_e / sqrt(d_i d_j) over the same
-    pairs, one ``ad.edge_normalize`` node, differentiable w.r.t. the
-    weights.  L = I - A, where A holds a_e at (i, j) and (j, i); it is
-    symmetric by construction, so this form skips the symmetry check.
-    """
-    if index is not None:
-        return ad.edge_normalize(weights, index)
+def normalized_laplacian(weights) -> np.ndarray:
+    """I - D^{-1/2} W D^{-1/2} of a dense symmetric n x n W, with degrees
+    clamped below at ``ad.DEGREE_EPS``: rows of isolated nodes come out as
+    identity rows because their incident weights are all zero.  Training
+    normalises an edge column with ``ad.edge_normalize`` instead."""
     w = np.asarray(weights, dtype=np.float64)
     check_symmetric(w, "normalized_laplacian")
     n = w.shape[0]

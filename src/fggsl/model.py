@@ -19,7 +19,7 @@ op of a forward or a backward redoes the index work of the pairs.  Each
 mask is w_e = sigmoid(z_i . z_j) = sigmoid(``pair_dots(z, index)``),
 and the structural losses share one cosine column,
 ``pair_dots(unit_rows(yhat, index), index)``.
-``normalized_laplacian(w, index)`` turns a mask column into the
+``ad.edge_normalize(w, index)`` turns a mask column into the
 normalised weights a_e = w_e / sqrt(d_i d_j), and a bank's
 ``FilterBankSpec.operator(a, index)`` turns that column into an
 ``ad.EdgeOperator``, the edge form of T = I/2 + A/2 or I/2 - A/2, for
@@ -31,10 +31,10 @@ operator, in one loop that ``forward`` and ``embedding`` share, and
 that ``analyze audit`` runs for the masks alone; a bank without a mask
 net runs on the all-ones column, whose operator, and so its T, is built
 once per graph and held in ``a_f.edges.operators``
-(``_constant_operator``).  ``filter_bank_apply``
-reads the same edge column off a dense L = I - A and builds T on its
-edge list's index the same way, so a check of it against an
-eigendecomposition checks the banks that training runs.
+(``_constant_operator``) until ``drop_constant_operators`` frees it.
+``filter_bank_apply`` reads the same edge column off a dense L = I - A
+and builds T on its edge list's index the same way, so a check of it
+against an eigendecomposition checks the banks that training runs.
 ``ForwardResult.w1``/``w2`` build the dense masks on demand.
 
 A forward multiplies the features X by its weights once:
@@ -74,7 +74,7 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .datasets import CandidateGraph, candidate_graph, candidate_k
 from .errors import ContractError, ValidationError
-from .graphs import EdgeList, LabeledGraph, check_symmetric, normalized_laplacian
+from .graphs import EdgeList, LabeledGraph, check_symmetric
 
 KERNEL_MODES = ("fig3", "verbatim")
 # the largest number of scales J: a bank runs 2^J products of T per forward
@@ -163,8 +163,8 @@ def filter_bank_apply(l: Tensor, x: Tensor, spec: FilterBankSpec) -> Tensor:
     dense normalised Laplacian L = I - A.
 
     L must be a square, symmetric (within ``graphs.SYMMETRY_TOL``)
-    constant with ones on its diagonal, as ``normalized_laplacian`` of a
-    weight matrix with a zero diagonal gives; anything else raises a
+    constant with ones on its diagonal, as ``graphs.normalized_laplacian``
+    of a weight matrix with a zero diagonal gives; anything else raises a
     ContractError.  The nonzero entries of L's strict upper triangle, read
     by ``EdgeList.from_dense``, are the edge column a = -L[i, j], and the
     bank runs on its ``ad.EdgeOperator``, as ``forward`` and ``embedding``
@@ -367,7 +367,7 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
     in ``BANKS`` order, building each bank's graph as it goes.
 
     The edge column is a learned mask from the bank's X W_net, and T is
-    the bank's ``operator`` on its ``normalized_laplacian``.  A bank
+    the bank's ``operator`` on the column's ``ad.edge_normalize``.  A bank
     without a mask net has no column (None), and its T, on the all-ones
     column (``a_f`` itself), is ``_constant_operator``'s.  With
     ``classifier``, Z = [X W_2 | ... | X W_J] is the bank's block of one
@@ -378,7 +378,7 @@ def _banks(model: FgGSLModel, x: Tensor, a_f: CandidateGraph, classifier: bool):
         spec = model.bank(kind)
         if net:
             w = mask_matrix(masks[kind], model.params[f"{net}_b"], a_f)
-            t = spec.operator(normalized_laplacian(w, a_f.edges.index), a_f.edges.index)
+            t = spec.operator(ad.edge_normalize(w, a_f.edges.index), a_f.edges.index)
         else:
             w, t = None, _constant_operator(spec, a_f)
         yield kind, w, spec, t, zs.get(kind)
@@ -393,8 +393,14 @@ def _constant_operator(spec: FilterBankSpec, a_f: CandidateGraph) -> ad.EdgeOper
     if key not in operators:
         ones = ad.constant(np.ones((a_f.num_edges, 1)))
         index = a_f.edges.index
-        operators[key] = spec.operator(normalized_laplacian(ones, index), index)
+        operators[key] = spec.operator(ad.edge_normalize(ones, index), index)
     return operators[key]
+
+
+def drop_constant_operators(graph: LabeledGraph):
+    """Free the operators, and their dense T, that ``_constant_operator``
+    keeps on ``graph``'s edge list; a later forward builds them anew."""
+    graph.edges.operators.clear()
 
 
 def forward(model: FgGSLModel, x: Tensor, a_f: CandidateGraph) -> ForwardResult:

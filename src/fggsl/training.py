@@ -349,11 +349,15 @@ def run_protocol(bundle: DatasetBundle, config: TrainConfig, parallel: int = 1,
 
 def run_ablation(bundle: DatasetBundle, config: TrainConfig,
                  parallel: int = 1) -> dict[str, RunResult]:
-    """One protocol per variant over identical splits and seeds."""
+    """One protocol per variant over identical splits and seeds.  The
+    constant operators a variant leaves on the graph's edge list (``NM``'s,
+    n x n T each) are dropped (``fm.drop_constant_operators``) when its
+    protocol ends, not held through the variants after it."""
     results = {}
     for variant in fm.VARIANTS:
         cfg = dataclasses.replace(config, variant=variant)
         results[variant] = run_protocol(bundle, cfg, parallel=parallel)
+        fm.drop_constant_operators(bundle.graph)
     return results
 
 

@@ -87,6 +87,7 @@ def test_gen_edgeless_draw_exits_1_and_writes_nothing(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "no edges" in err
+    assert all(name in err for name in ("gen", "--n 1", "--intra-p", "--inter-p"))
     assert not out.exists()
 
 
@@ -916,6 +917,34 @@ def test_analyze_stability_reads_the_graph_alone(tiny_dataset, tmp_path, monkeyp
     assert _stability_csv(tiny_dataset, tmp_path / "raw", "--no-normalize") == (0, clean)
 
 
+def _analysis_csv(kind, data, out, checkpoint):
+    """The exit code of ``analyze KIND --checkpoint`` and the CSV it wrote."""
+    code = run_cli("analyze", kind, "--data", str(data), "--out", str(out),
+                   "--checkpoint", checkpoint)
+    return code, (out / f"{kind}.csv").read_bytes() if code == 0 else None
+
+
+@pytest.mark.parametrize("kind", ["similarity", "audit"])
+def test_analyze_with_a_checkpoint_reads_no_split(tiny_dataset, fuzz_inputs, tmp_path,
+                                                  monkeypatch, capsys, kind):
+    broken = tmp_path / "broken"
+    shutil.copytree(tiny_dataset, broken)
+    with open(broken / "splits" / "split_00.txt", "a", encoding="utf-8") as fh:
+        fh.write("0\n")
+    assert run_cli("train", "--data", str(broken), "--out", str(tmp_path / "t"),
+                   "--config", fuzz_inputs[0]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "split_00.txt" in err
+    code, clean = _analysis_csv(kind, tiny_dataset, tmp_path / "clean", fuzz_inputs[1])
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"analyze {kind} read a split file")
+
+    monkeypatch.setattr(datasets, "load_splits", refuse)
+    assert _analysis_csv(kind, broken, tmp_path / "a", fuzz_inputs[1]) == (0, clean)
+
+
 def _counted_pair_indexes(monkeypatch):
     """The node count of every ``ad.PairIndex`` built from now on, in order."""
     built, init = [], ad.PairIndex.__init__
@@ -979,7 +1008,8 @@ def _bad_feature_and_no_splits(data):
 
 
 # dataset faults that analyze stability does not read: (edit of a copy,
-# where a command that reads the whole dataset names the fault)
+# where train, which reads the whole dataset, names the fault, as analyze
+# similarity does for a fault in the node file)
 _FAULTS_BESIDE_THE_GRAPH = {
     "feature-and-no-splits": (_bad_feature_and_no_splits, "nodes.tsv:2: could not convert"),
     "non-finite-feature": (lambda data: _edit_node_line(data, 5, r"\t[^,]*", "\tnan"),
@@ -1001,10 +1031,14 @@ def test_analyze_stability_exits_0_on_faults_beside_the_graph(tiny_dataset, tmp_
     edit(data)
     assert _stability_csv(data, tmp_path / "faulty") == (0, clean)
     capsys.readouterr()
-    assert run_cli("analyze", "similarity", "--data", str(data),
-                   "--out", str(tmp_path / "similarity")) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and where in err[0]
+    for command in (["train"], ["analyze", "similarity"]):
+        code = run_cli(*command, "--data", str(data), "--out", str(tmp_path / command[-1]))
+        err = capsys.readouterr().err.splitlines()
+        if command[0] == "analyze" and fault == "split-file":
+            # the analyses of a dataset read its node and edge files alone
+            assert (code, err) == (0, [])
+        else:
+            assert code == 1 and len(err) == 1 and where in err[0]
 
 
 def test_analyze_stability_names_a_duplicate_node_id(tiny_dataset, tmp_path, capsys):

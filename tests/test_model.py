@@ -386,7 +386,7 @@ def test_edge_operator_equals_the_dense_laplacian_form(mode, kind):
     spec = model.FilterBankSpec(2, mode, kind)
     lap = normalized_laplacian(dense)
     index = ad.PairIndex(i_idx, j_idx, 15)
-    op = spec.operator(normalized_laplacian(ad.constant(w), index), index)
+    op = spec.operator(ad.edge_normalize(ad.constant(w), index), index)
     expected = np.eye(15) - 0.5 * lap if op.off > 0 else 0.5 * lap
     t = op.dense()
     assert np.array_equal(t, t.T)

@@ -389,6 +389,23 @@ def test_ablation_widths_differ_by_variant():
     assert results["FBH"].models[0].embedding_width() == 2 * f
 
 
+def test_ablation_holds_no_operator_of_an_earlier_variant(monkeypatch):
+    bundle = _bundle(seed=27, n_splits=1)
+    held = []
+    run_protocol = training.run_protocol
+
+    def counted_protocol(b, cfg, parallel=1):
+        held.append(len(b.graph.edges.operators))
+        return run_protocol(b, cfg, parallel=parallel)
+
+    monkeypatch.setattr(training, "run_protocol", counted_protocol)
+    training.run_ablation(bundle, _fast_config(epochs_max=2, patience=2))
+    # NM, second, builds its two constant operators on the graph's edge
+    # list; neither is held as FBL and FBH start
+    assert held == [0] * len(fm.VARIANTS)
+    assert bundle.graph.edges.operators == {}
+
+
 # ---------------------------------------------------------------------------
 # MLP baseline
 
